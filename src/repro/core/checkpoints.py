@@ -33,12 +33,22 @@ class CheckpointSchedule:
         return step in self._step_set
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """Whether ``array`` and every array it is a view of are read-only."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return True
+
+
 class MemoryCheckpoints:
     """The sequence ``[S^1, …, S^L]`` of raw memory snapshots.
 
     ``dtype`` optionally casts snapshots on :meth:`add` (float32 halves
     the ``L × num_nodes × dim`` footprint of EIE checkpointing); ``None``
-    keeps each snapshot's own dtype.
+    keeps each snapshot's own dtype.  Stored snapshots are read-only, so
+    holders may share one array instead of copying it.
     """
 
     def __init__(self, dtype=None):
@@ -46,7 +56,19 @@ class MemoryCheckpoints:
         self._snapshots: list[np.ndarray] = []
 
     def add(self, state: np.ndarray) -> None:
-        self._snapshots.append(np.array(state, dtype=self.dtype, copy=True))
+        """Store one snapshot, independent of later writes to ``state``.
+
+        A frozen array of the target dtype that no writeable array shares
+        memory with — what :meth:`Memory.checkpoint` hands out — cannot
+        change under us and is adopted as is; anything else is copied once
+        and frozen.
+        """
+        snap = np.asarray(state)
+        cast = self.dtype is not None and snap.dtype != self.dtype
+        if cast or not _frozen(snap):
+            snap = np.array(snap, dtype=self.dtype, copy=True)
+            snap.flags.writeable = False
+        self._snapshots.append(snap)
 
     def __len__(self) -> int:
         return len(self._snapshots)

@@ -297,9 +297,13 @@ class CPDGPreTrainer:
             if shards is not None:
                 shards.cleanup()
 
+        # The schedule always ends on the final step, so the last
+        # (frozen) checkpoint already is the final memory.
+        final = checkpoints[-1]
         return PretrainResult(
             encoder_state=encoder.state_dict(),
-            memory_state=encoder.memory_checkpoint(),
+            memory_state=(final if final.dtype == encoder.dtype
+                          else encoder.memory_checkpoint()),
             last_update=encoder.memory.last_update.copy(),
             checkpoints=checkpoints,
             loss_history=history,

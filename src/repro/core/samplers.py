@@ -12,12 +12,43 @@
 Both samplers expand whole frontiers per hop: ``sample_batch(roots, ts)``
 queries the :class:`~repro.graph.neighbor_finder.NeighborFinder` CSR
 arrays for every frontier node at once and returns an offset-indexed
-:class:`SubgraphBatch`.  The η-BFS weighted draw uses the Gumbel top-k
-trick (Efraimidis–Spirakis), which is distributionally identical to
-sequential ``choice(replace=False, p=probs)`` but runs as a handful of
-numpy passes over the concatenated neighbour segments.  Per-root
-``sample`` / ``sample_reference`` remain for single-root callers and as
-the validation arm of the equivalence tests.
+:class:`SubgraphBatch`.  Per-root ``sample`` / ``sample_reference`` remain
+for single-root callers and as the validation arm of the equivalence
+tests.
+
+The η-BFS draw — η neighbours *without replacement* with probability
+∝ ``w = softmax(recency / τ)`` per frontier occurrence — is distributed
+exactly as the reference's ``choice(replace=False, p=probs)`` and picks
+one of three regimes from the occurrence's candidate count ``deg``
+alone (no option selects between them):
+
+* ``deg <= η`` — keep the whole non-zero support; nothing to draw.
+* ``η < deg <= RACE_MAX_WIDTH`` — exponential race (Efraimidis–Spirakis):
+  score every candidate, keep the η smallest ``Exp(1) / w_u``.
+  ``O(deg)``, but as a few dense numpy passes it wins on short rows.
+* ``deg > RACE_MAX_WIDTH`` — *successive sampling*: draw i.i.d. ∝ ``w``,
+  discard repeats, stop at η distinct.  The first time each entry shows
+  up in an i.i.d. stream is the arrival order of an exponential race
+  with rates ``w`` (a Poisson process thinned by entry), so the first η
+  distinct entries are the race's η winners — the same law, without
+  touching the losers.  ``times`` is sorted inside a CSR slice, so
+  Eq. 7/8 weights are monotone in position; the newest (chronological)
+  or oldest (reverse) entry of an ``ENVELOPE_BLOCK``-wide block bounds
+  the block, one i.i.d. draw is "pick a block from the per-occurrence
+  block CDF, an entry inside it, accept with ``w_u / w_block_max``"
+  (≈ 0.9 at τ = 0.2 from 8 blocks up), and an occurrence costs
+  ``deg / B`` weight evaluations plus ``O(η)`` proposals instead of
+  ``deg``.  A hub item of degree 3 000 reached by 300 rows of a batch is
+  no longer scored 300 × 3 000 times.
+
+``RACE_MAX_WIDTH`` (R) and ``ENVELOPE_BLOCK`` (B) are constants because
+the crossover is a property of numpy pass overhead, not of the data.
+Producer-only η-BFS time (η = 10, depth 2, 2 cores, median of 9
+interleaved runs) on the bench's hub stream / ``amazon:beauty``:
+R = 32 / 64 / 128 / 256 / 512 → 162 / 142 / 135 / 139 / 171 ms and
+354 / 275 / 288 / 458 / 585 ms (flat over 64…128, slower either side);
+B = 16 / 32 / 64 / 128 / 256 at R = 128 → 154 / 135 / 135 / 139 / 150 ms
+on the hub stream (flat over 32…128).
 
 Both samplers are parameter-free, so :class:`PrecomputedSampler` can cache
 subgraphs keyed by ``(root, t)`` before training starts (paper §IV-A last
@@ -32,11 +63,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs as _obs
 from ..graph.neighbor_finder import NeighborFinder
 from .probability import PROBABILITY_FUNCTIONS, segment_log_weights
 
 __all__ = ["SubgraphBatch", "EtaBFSSampler", "EpsilonDFSSampler",
            "PrecomputedSampler"]
+
+# R: widest candidate segment that still runs the dense exponential race.
+# B: entries per block of the successive-sampling envelope.  Both sit in
+# the middle of a measured plateau (module docstring: R flat over 64…128,
+# B over 32…128), so neither is an option.
+RACE_MAX_WIDTH = 128
+ENVELOPE_BLOCK = 64
+# Proposal rounds (2η proposals each) before a wide occurrence falls back
+# to an explicit draw over its unpicked entries.  At τ = 0.2 two rounds
+# finish > 99 % of occurrences; only weights so skewed that repeats
+# dominate (a few entries holding all but e^-50 of the mass) get here.
+_MAX_ROUNDS = 8
+
+_OCCURRENCES = {
+    path: _obs.counter(
+        "repro_sampler_eta_bfs_occurrences_total", labels={"path": path},
+        help="frontier occurrences expanded by the eta-BFS draw, by regime")
+    for path in ("whole", "race", "wide")}
 
 
 @dataclass
@@ -151,11 +201,9 @@ class EtaBFSSampler:
         """Draw one η-BFS subgraph per ``(root, t)`` row, whole-frontier.
 
         Rows are expanded hop-by-hop together; each hop is a batched CSR
-        cut query plus one exponential-race draw (Efraimidis–Spirakis:
-        the η smallest ``Exp(1) / w_u`` are exactly a without-replacement
-        sample ∝ ``w``) over all neighbour segments — a handful of numpy
-        passes, no per-segment sort.  Rows with no history before ``t``
-        come back empty.
+        cut query plus one :meth:`_expand_hop` draw over all neighbour
+        segments — a handful of numpy passes, no per-segment sort.  Rows
+        with no history before ``t`` come back empty.
 
         ``rng`` overrides the sampler's own (shared, order-dependent)
         generator; batch producers pass one derived from
@@ -172,12 +220,11 @@ class EtaBFSSampler:
             if len(f_nodes) == 0:
                 break
             starts, ends = self.finder.batch_before(f_nodes, ts[f_rows])
-            deg = ends - starts
-            nz = deg > 0
+            nz = ends > starts
             if not nz.any():
                 break
             picked_nodes, picked_rows = self._expand_hop(
-                starts[nz], ends[nz], deg[nz], f_rows[nz], ts, rng)
+                starts[nz], ends[nz], f_rows[nz], ts, rng)
             if len(picked_nodes) == 0:
                 break
             picks_rows.append(picked_rows)
@@ -186,78 +233,209 @@ class EtaBFSSampler:
         return _assemble(picks_rows, picks_nodes, roots, self.finder.num_nodes)
 
     def _expand_hop(self, starts: np.ndarray, ends: np.ndarray,
-                    deg: np.ndarray, rows: np.ndarray, ts: np.ndarray,
+                    rows: np.ndarray, ts: np.ndarray,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Draw up to η neighbours for every frontier occurrence at once.
 
-        Occurrences with ``deg <= η`` keep their whole (non-zero-support)
-        candidate set — no randomness needed.  Larger ones race
-        ``Exp(1) / w`` in padded ``(occurrences, width)`` matrices — one
-        per ceil-pow2 degree class, so padding never exceeds 2x — and
-        keep the η smallest via one row-wise ``argpartition``.  Weights
-        are computed once per *unique* ``(cut, t)`` segment, so hub nodes
-        appearing many times in a frontier are scored once.
+        Three regimes, selected by each occurrence's candidate count
+        ``deg`` alone (module docstring): ``deg <= η`` keeps its whole
+        non-zero support, ``η < deg <= RACE_MAX_WIDTH`` runs the dense
+        exponential race, anything wider draws by successive sampling
+        under a block envelope.  Segments wider than a race row are first
+        cut down to their non-zero support, so for them ``deg`` *is* the
+        support size and the clamp ``min(η, support)`` falls out of the
+        regime choice.  Callable probabilities have no monotone weights
+        to exploit and stay on the first two regimes.
         """
         qts = ts[rows]
-        small = deg <= self.eta
-        out_nodes: list[np.ndarray] = []
-        out_rows: list[np.ndarray] = []
-        if small.any():
-            w, flat, seg_id, _ = self._segment_weights(
-                starts[small], deg[small], qts[small])
-            # Keep the whole support; zero-weight entries (softmax
-            # underflow at sharp τ) are never drawn by choice(p=...), so
-            # the reference draw size is min(η, support) = support here.
-            keep = w > 0.0
-            out_nodes.append(self.finder.neighbors[flat[keep]])
-            out_rows.append(rows[small][seg_id[keep]])
-        big = ~small
-        if big.any():
-            b_start, b_deg = starts[big], deg[big]
-            b_rows, b_t = rows[big], qts[big]
-            # ends uniquely identify the node (the cut lies inside its CSR
-            # slice), so (end, t) identifies the candidate set + weights.
-            key = ends[big] + 1j * b_t
-            _, u_idx, inv = np.unique(key, return_index=True,
-                                      return_inverse=True)
-            u_start, u_deg, u_t = b_start[u_idx], b_deg[u_idx], b_t[u_idx]
-            w, _, seg_id, local = self._segment_weights(u_start, u_deg, u_t)
-            # Bucket unique segments by ceil-pow2 degree: within a class
-            # padding is <= 2x, so the dense scatter stays linear in the
-            # candidate count no matter how wide the hottest hub is.
-            exps = np.ceil(np.log2(u_deg)).astype(np.int64)
-            class_row = np.empty(len(u_deg), dtype=np.int64)
-            for exp in np.unique(exps):
-                seg_sel = exps == exp
-                width = 1 << int(exp)
-                class_row[seg_sel] = np.arange(int(seg_sel.sum()))
-                cand_sel = seg_sel[seg_id]
-                weights = np.zeros((int(seg_sel.sum()), width))
-                weights[class_row[seg_id[cand_sel]], local[cand_sel]] = w[cand_sel]
-                with np.errstate(divide="ignore"):
-                    inv_w = 1.0 / weights  # padding/zero support -> inf race
-                occ_sel = seg_sel[inv]
-                occ_cls = class_row[inv[occ_sel]]
-                occ_start = u_start[inv[occ_sel]]
-                occ_rows = b_rows[occ_sel]
-                # Chunk so the race matrix stays bounded too.
-                chunk = max(1, int(5e7) // width)
-                for lo in range(0, len(occ_cls), chunk):
-                    hi = min(lo + chunk, len(occ_cls))
-                    race = rng.exponential(size=(hi - lo, width))
-                    race *= inv_w[occ_cls[lo:hi]]
-                    part = np.argpartition(race, self.eta - 1,
-                                           axis=1)[:, :self.eta]
-                    ok = np.isfinite(np.take_along_axis(race, part, axis=1))
-                    flat_pick = (occ_start[lo:hi][:, None] + part)[ok]
-                    out_nodes.append(self.finder.neighbors[flat_pick])
-                    out_rows.append(occ_rows[lo:hi][np.nonzero(ok)[0]])
-        if not out_nodes:
-            return (np.empty(0, dtype=np.int64),) * 2
-        return np.concatenate(out_nodes), np.concatenate(out_rows)
+        t_min = self.finder.times[starts]  # min T_i^t: slices are sorted
+        named = self._prob_mode is not None
+        broad = (ends - starts > RACE_MAX_WIDTH) & named
+        if broad.any():
+            starts, ends = starts.copy(), ends.copy()
+            starts[broad], ends[broad] = self._support(
+                starts[broad], ends[broad], qts[broad], t_min[broad])
+        deg = ends - starts
+        whole = deg <= self.eta  # wins over "wide" when η >= RACE_MAX_WIDTH
+        wide = ~whole & (deg > RACE_MAX_WIDTH) & named
+        flat: list[np.ndarray] = []
+        occ: list[np.ndarray] = []
+        for path, sel, draw in (("whole", whole, self._take_whole),
+                                ("race", ~(whole | wide), self._race),
+                                ("wide", wide, self._successive)):
+            idx = np.nonzero(sel)[0]
+            _OCCURRENCES[path].inc(len(idx))
+            if len(idx):
+                picked, owner = draw(starts[idx], deg[idx], qts[idx],
+                                     t_min[idx], rng)
+                flat.append(picked)
+                occ.append(idx[owner])
+        return (self.finder.neighbors[np.concatenate(flat)],
+                rows[np.concatenate(occ)])
+
+    def _log_weights(self, flat: np.ndarray, qts: np.ndarray,
+                     t_min: np.ndarray) -> np.ndarray:
+        """Eq. 6–8 log-weights of the CSR entries ``flat`` (named modes)."""
+        return segment_log_weights(self.finder.times[flat], qts, t_min,
+                                   self.tau, self._prob_mode)
+
+    def _support(self, starts: np.ndarray, ends: np.ndarray, qts: np.ndarray,
+                 t_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cut segments down to where the max-shifted softmax is non-zero.
+
+        Weights are monotone in position, so the support is a run that
+        touches the heavy end (newest for chronological, oldest for
+        reverse) and its other edge is one bisection on the same
+        ``exp(logw - max) > 0`` test the narrow regimes apply per entry.
+        """
+        head = self._log_weights(starts, qts, t_min)
+        tail = self._log_weights(ends - 1, qts, t_min)
+        clipped = np.nonzero(np.exp(-np.abs(tail - head)) == 0.0)[0]
+        if len(clipped) == 0:
+            return starts, ends
+        starts, ends = starts.copy(), ends.copy()
+        reverse = self._prob_mode == "reverse"
+        top = np.maximum(head, tail)[clipped]
+        c_t, c_min, last = qts[clipped], t_min[clipped], ends[clipped] - 1
+        # First live entry (chronological) / first dead one (reverse).
+        lo, hi = starts[clipped], ends[clipped]
+        for _ in range(int((hi - lo).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            live = np.exp(self._log_weights(np.minimum(mid, last), c_t, c_min)
+                          - top) > 0.0
+            go_right = (live == reverse) & (lo < hi)
+            lo = np.where(go_right, mid + 1, lo)
+            hi = np.where(go_right, hi, mid)
+        (ends if reverse else starts)[clipped] = lo
+        return starts, ends
+
+    def _take_whole(self, starts: np.ndarray, deg: np.ndarray,
+                    qts: np.ndarray, t_min: np.ndarray,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """``deg <= η``: no randomness, keep every non-zero-weight entry.
+
+        Zero-weight entries (softmax underflow at sharp τ) are never
+        drawn by ``choice(p=...)``, so the reference draw size is
+        ``min(η, support) = support`` here.
+        """
+        w, flat, seg_id, _ = self._segment_weights(starts, deg, qts, t_min)
+        keep = w > 0.0
+        return flat[keep], seg_id[keep]
+
+    def _race(self, starts: np.ndarray, deg: np.ndarray, qts: np.ndarray,
+              t_min: np.ndarray, rng: np.random.Generator
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """``η < deg <= RACE_MAX_WIDTH``: dense exponential race.
+
+        The η smallest ``Exp(1) / w_u`` are exactly a without-replacement
+        sample ∝ ``w`` (Efraimidis–Spirakis).  Occurrences race in padded
+        ``(occurrences, width)`` matrices, one per ceil-pow2 degree class
+        so padding never exceeds 2x, and one row-wise ``argpartition``
+        keeps the winners; padding and zero-weight entries race at
+        ``inf`` and are dropped, which is the support clamp.
+        """
+        w, _, seg_id, local = self._segment_weights(starts, deg, qts, t_min)
+        exps = np.ceil(np.log2(deg)).astype(np.int64)
+        class_row = np.empty(len(deg), dtype=np.int64)
+        flat: list[np.ndarray] = []
+        occ: list[np.ndarray] = []
+        for exp in np.unique(exps):
+            members = np.nonzero(exps == exp)[0]
+            class_row[members] = np.arange(len(members))
+            cand = exps[seg_id] == exp
+            weights = np.zeros((len(members), 1 << int(exp)))
+            weights[class_row[seg_id[cand]], local[cand]] = w[cand]
+            race = rng.exponential(size=weights.shape)
+            with np.errstate(divide="ignore"):
+                race /= weights
+            part = np.argpartition(race, self.eta - 1, axis=1)[:, :self.eta]
+            ok = np.isfinite(np.take_along_axis(race, part, axis=1))
+            flat.append((starts[members][:, None] + part)[ok])
+            occ.append(members[np.nonzero(ok)[0]])
+        return np.concatenate(flat), np.concatenate(occ)
+
+    def _successive(self, starts: np.ndarray, deg: np.ndarray,
+                    qts: np.ndarray, t_min: np.ndarray,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """``deg > RACE_MAX_WIDTH``: successive sampling, O(η + deg/B).
+
+        I.i.d. draws ∝ ``w`` with repeats discarded, kept in draw order
+        until η are distinct, are distributed exactly as sequential
+        without-replacement sampling.  One i.i.d. draw is one rejection
+        step: pick a ``ENVELOPE_BLOCK``-wide block ∝ ``size * w_max`` from
+        a per-occurrence block CDF, an entry uniformly inside it, and
+        accept with ``w_u / w_max`` — ``w_max`` being the block's newest
+        (chronological) or oldest (reverse) entry because weights are
+        monotone in position.  Every occurrence gets 2η proposals per
+        round; the rare ones still short after ``_MAX_ROUNDS`` rounds
+        (weights so skewed that repeats dominate) finish by an explicit
+        without-replacement draw over what they have not picked yet.
+        """
+        count, eta = len(starts), self.eta
+        ends = starts + deg
+        blocks = -(-deg // ENVELOPE_BLOCK)
+        b_off = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(blocks, out=b_off[1:])
+        b_occ = np.repeat(np.arange(count, dtype=np.int64), blocks)
+        b_first = starts[b_occ] + ENVELOPE_BLOCK * (
+            np.arange(b_off[-1], dtype=np.int64) - b_off[b_occ])
+        b_size = np.minimum(ENVELOPE_BLOCK, ends[b_occ] - b_first)
+        heavy = b_first if self._prob_mode == "reverse" \
+            else b_first + b_size - 1
+        envelope = self._log_weights(heavy, qts[b_occ], t_min[b_occ])
+        top = np.maximum.reduceat(envelope, b_off[:-1])
+        mass = b_size * np.exp(envelope - top[b_occ])
+        # One global CDF; each occurrence owns the stretch (base, base+span].
+        cdf = np.cumsum(mass / np.add.reduceat(mass, b_off[:-1])[b_occ])
+        base = np.concatenate(([0.0], cdf[b_off[1:-1] - 1]))
+        span = cdf[b_off[1:] - 1] - base
+
+        # picked[k] holds occurrence k's distinct draws in draw order.
+        picked = np.full((count, eta), -1, dtype=np.int64)
+        active = np.arange(count, dtype=np.int64)
+        for _ in range(_MAX_ROUNDS):
+            u_block, u_entry, u_accept = rng.random((3, len(active), 2 * eta))
+            block = np.searchsorted(
+                cdf, base[active, None] + u_block * span[active, None],
+                side="right")
+            block = np.minimum(block, b_off[active + 1][:, None] - 1)
+            entry = b_first[block] + (u_entry * b_size[block]).astype(np.int64)
+            logw = self._log_weights(entry, qts[active, None],
+                                     t_min[active, None])
+            accepted = u_accept < np.exp(logw - envelope[block])
+            # Earlier picks, then this round's accepted draws; keep the
+            # first η distinct values of each row in that order.
+            cand = np.concatenate(
+                [picked[active], np.where(accepted, entry, -1)], axis=1)
+            order = np.argsort(cand, axis=1, kind="stable")
+            ranked = np.take_along_axis(cand, order, axis=1)
+            fresh = ranked >= 0
+            fresh[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
+            keep = np.empty_like(fresh)
+            np.put_along_axis(keep, order, fresh, axis=1)
+            rank = np.cumsum(keep, axis=1)
+            keep &= rank <= eta
+            at_row, at_col = np.nonzero(keep)
+            picked[active[at_row], rank[at_row, at_col] - 1] = \
+                cand[at_row, at_col]
+            active = active[rank[:, -1] < eta]
+            if len(active) == 0:
+                break
+        for k in active:
+            have = picked[k][picked[k] >= 0]
+            logw = self._log_weights(np.arange(starts[k], ends[k]),
+                                     qts[k], t_min[k])
+            logw[have - starts[k]] = -np.inf
+            w = np.exp(logw - logw.max())
+            probs = w / w.sum()
+            size = min(eta - len(have), int(np.count_nonzero(probs)))
+            picked[k, len(have):len(have) + size] = starts[k] + rng.choice(
+                len(probs), size=size, replace=False, p=probs)
+        drawn = picked >= 0
+        return picked[drawn], np.nonzero(drawn)[0]
 
     def _segment_weights(self, starts: np.ndarray, deg: np.ndarray,
-                         qts: np.ndarray
+                         qts: np.ndarray, t_min: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-candidate sampling weights for concatenated segments.
 
@@ -266,20 +444,19 @@ class EtaBFSSampler:
         to a per-segment positive constant, which both the race draw and
         the support test are invariant to.  Entries that underflow to zero
         mark the outside of the non-zero support (the draw-size clamp the
-        per-root path applies via ``count_nonzero``).
+        per-root path applies via ``count_nonzero``).  ``t_min`` is each
+        segment's ``min T_i^t`` (passed in: a support-clamped segment no
+        longer starts at it).
         """
         seg_off = np.zeros(len(deg) + 1, dtype=np.int64)
         np.cumsum(deg, out=seg_off[1:])
         seg_id = np.repeat(np.arange(len(deg), dtype=np.int64), deg)
         local = np.arange(seg_off[-1], dtype=np.int64) - seg_off[seg_id]
         flat = local + starts[seg_id]
-        times = self.finder.times[flat]
         if self._prob_mode is not None:
-            # Per-segment times are sorted, so min T_i^t is the first entry.
-            seg_min = self.finder.times[starts]
-            logw = segment_log_weights(times, qts[seg_id], seg_min[seg_id],
-                                       self.tau, self._prob_mode)
+            logw = self._log_weights(flat, qts[seg_id], t_min[seg_id])
         else:
+            times = self.finder.times[flat]
             logw = np.empty(len(flat), dtype=np.float64)
             with np.errstate(divide="ignore"):
                 for s in range(len(deg)):
@@ -287,8 +464,7 @@ class EtaBFSSampler:
                     probs = self.probability(times[lo:hi], float(qts[s]),
                                              self.tau)
                     logw[lo:hi] = np.log(probs)
-        seg_max = np.maximum.reduceat(logw, seg_off[:-1]) if len(deg) \
-            else np.empty(0)
+        seg_max = np.maximum.reduceat(logw, seg_off[:-1])
         with np.errstate(invalid="ignore"):
             weights = np.exp(logw - seg_max[seg_id])
         return weights, flat, seg_id, local

@@ -289,7 +289,7 @@ class DGNNEncoder(Module):
         if self._flushed is not None:
             states = self._flushed.current_rows(endpoints)
         else:
-            states = self._memory.state[endpoints]
+            states = self._memory.rows(endpoints)
         if messages is not None:
             nodes = messages.nodes
             times = messages.times

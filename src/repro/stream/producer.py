@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .. import obs as _obs
 from ..core.contrast import draw_other_roots
 from ..core.samplers import (EpsilonDFSSampler, EtaBFSSampler,
                              PrecomputedSampler)
@@ -152,39 +153,44 @@ def produce_batch(ctx: SamplingContext, item: WorkItem) -> PreparedBatch:
     spec = ctx.spec
     rngs = batch_rngs(spec.seed, item.epoch, item.batch_idx)
     size = len(item)
-    neg_dst = ctx.neg_sampler.sample(size, rng=rngs.neg_dst)
+    with _obs.span("produce.negatives"):
+        neg_dst = ctx.neg_sampler.sample(size, rng=rngs.neg_dst)
     batch = slice_event_batch(ctx.stream, item.start, item.stop, neg_dst)
     prepared = PreparedBatch(seq=item.seq, epoch=item.epoch,
                              batch_idx=item.batch_idx, batch=batch)
 
     if spec.sample_temporal:
-        prepared.temporal_pos = ctx.eta_pos.sample_batch(
-            batch.src, batch.timestamps, rng=rngs.temporal_pos)
-        prepared.temporal_neg = ctx.eta_neg.sample_batch(
-            batch.src, batch.timestamps, rng=rngs.temporal_neg)
+        with _obs.span("produce.eta_bfs"):
+            prepared.temporal_pos = ctx.eta_pos.sample_batch(
+                batch.src, batch.timestamps, rng=rngs.temporal_pos)
+            prepared.temporal_neg = ctx.eta_neg.sample_batch(
+                batch.src, batch.timestamps, rng=rngs.temporal_neg)
     if spec.sample_structural:
         if ctx.num_nodes < 2:
             raise ValueError("structural contrast needs at least two nodes "
                              "to draw a negative root")
-        others = draw_other_roots(np.asarray(batch.src, dtype=np.int64),
-                                  ctx.num_nodes, rngs.structural)
-        prepared.structural_pos = ctx.dfs.sample_batch(batch.src,
-                                                       batch.timestamps)
-        prepared.structural_neg = ctx.dfs.sample_batch(others,
-                                                       batch.timestamps)
+        with _obs.span("produce.eps_dfs"):
+            others = draw_other_roots(np.asarray(batch.src, dtype=np.int64),
+                                      ctx.num_nodes, rngs.structural)
+            prepared.structural_pos = ctx.dfs.sample_batch(batch.src,
+                                                           batch.timestamps)
+            prepared.structural_neg = ctx.dfs.sample_batch(others,
+                                                           batch.timestamps)
     if spec.compute_messages and size:
-        src = np.asarray(batch.src, dtype=np.int64)
-        dst = np.asarray(batch.dst, dtype=np.int64)
-        nodes = np.empty(2 * size, dtype=np.int64)
-        nodes[0::2] = src
-        nodes[1::2] = dst
-        times = np.repeat(np.asarray(batch.timestamps, dtype=np.float64), 2)
-        last = ctx.finder.batch_last_update(nodes, item.start,
-                                            base=spec.base_last_update)
-        prepared.messages = MessageSkeleton(
-            nodes=nodes, times=times, delta_t=times - last,
-            event_ids=np.repeat(np.asarray(batch.event_ids,
-                                           dtype=np.int64), 2))
+        with _obs.span("produce.messages"):
+            src = np.asarray(batch.src, dtype=np.int64)
+            dst = np.asarray(batch.dst, dtype=np.int64)
+            nodes = np.empty(2 * size, dtype=np.int64)
+            nodes[0::2] = src
+            nodes[1::2] = dst
+            times = np.repeat(np.asarray(batch.timestamps,
+                                         dtype=np.float64), 2)
+            last = ctx.finder.batch_last_update(nodes, item.start,
+                                                base=spec.base_last_update)
+            prepared.messages = MessageSkeleton(
+                nodes=nodes, times=times, delta_t=times - last,
+                event_ids=np.repeat(np.asarray(batch.event_ids,
+                                               dtype=np.int64), 2))
     return prepared
 
 

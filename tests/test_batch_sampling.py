@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import (EpsilonDFSSampler, EtaBFSSampler, PrecomputedSampler,
                         SubgraphBatch)
+from repro.core.samplers import ENVELOPE_BLOCK
 from repro.graph import EventStream, NeighborFinder
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -256,6 +257,257 @@ class TestUnderflowRegression:
         batch = sampler.sample_batch(np.zeros(8, dtype=np.int64),
                                      np.full(8, 6.0))
         assert all(len(batch.row(i)) >= 1 for i in range(8))
+
+
+def star_finder(times) -> NeighborFinder:
+    """Hub 0 with one event per leaf; leaf ``i + 1`` interacts at
+    ``times[i]``, so a picked node id names the event time it came from."""
+    times = np.asarray(times, dtype=np.float64)
+    return NeighborFinder(EventStream(
+        src=np.zeros(len(times), dtype=np.int64),
+        dst=np.arange(1, len(times) + 1), timestamps=times,
+        num_nodes=len(times) + 2))
+
+
+class TestWideSegments:
+    """Segments wider than ``RACE_MAX_WIDTH`` draw by successive sampling
+    under a block envelope; each test fails on a *wrong* draw, not a slow
+    one."""
+
+    HUB_DEGREE = 20 * ENVELOPE_BLOCK  # 1 280 leaves
+
+    def hub_times(self) -> np.ndarray:
+        return np.sort(np.random.default_rng(0).uniform(0.0, 100.0,
+                                                        self.HUB_DEGREE))
+
+    @staticmethod
+    def assert_same_inclusion(picks_a, trials_a, picks_b, trials_b, bins):
+        """Per-bin inclusion rates of two samplers agree within 4.5 sigma.
+
+        A bin's per-trial pick count is a sum of negatively correlated
+        indicators, so its variance is at most its mean.
+        """
+        a = np.bincount(picks_a // bins[0], minlength=bins[1])[:bins[1]]
+        b = np.bincount(picks_b // bins[0], minlength=bins[1])[:bins[1]]
+        pooled = (a + b) / (trials_a + trials_b)
+        sigma = np.sqrt(pooled / trials_a + pooled / trials_b)
+        z = (a / trials_a - b / trials_b) / np.maximum(sigma, 1e-12)
+        assert np.abs(z).max() < 4.5, z
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("mode", ["chronological", "reverse", "uniform"])
+    def test_inclusion_frequencies_match_reference(self, mode, depth):
+        """Half-envelope-block bins: a draw that follows the envelope
+        instead of the weights (no acceptance step) skews every pair of
+        neighbouring bins by ~14 % at tau = 0.2."""
+        times = self.hub_times()
+        stream = star_finder(times)
+        root = 0
+        if depth == 2:
+            # One extra node whose only neighbour is the hub.
+            root = self.HUB_DEGREE + 1
+            stream = NeighborFinder(EventStream(
+                src=np.append(np.zeros(len(times), dtype=np.int64), root),
+                dst=np.append(np.arange(1, len(times) + 1), 0),
+                timestamps=np.append(times, 100.5), num_nodes=root + 1))
+        sampler = EtaBFSSampler(stream, eta=10, depth=depth,
+                                probability=mode, tau=0.2, seed=3)
+        trials, ref_trials = 12000, 3000
+        batch = sampler.sample_batch(np.full(trials, root), np.full(trials,
+                                                                     101.0))
+        # Depth 2 adds the hub and loses a draw whenever the hub draws the
+        # root back.
+        assert np.isin(batch.counts(), [10, 11] if depth == 2 else [10]).all()
+        reference = np.concatenate([sampler.sample_reference(root, 101.0)
+                                    for _ in range(ref_trials)])
+
+        def leaves(picks):  # drop the hub itself
+            return picks[(picks > 0) & (picks <= self.HUB_DEGREE)] - 1
+
+        half = ENVELOPE_BLOCK // 2
+        self.assert_same_inclusion(leaves(batch.nodes), trials,
+                                   leaves(reference), ref_trials,
+                                   (half, self.HUB_DEGREE // half))
+
+    @pytest.mark.parametrize("mode", ["chronological", "reverse"])
+    def test_single_draw_matches_exact_probabilities(self, mode):
+        """η = 1: the pick distribution is Eq. 7/8 itself (chi-square)."""
+        times = self.hub_times()
+        sampler = EtaBFSSampler(star_finder(times), eta=1, depth=1,
+                                probability=mode, tau=0.2, seed=5)
+        trials = 60000
+        batch = sampler.sample_batch(np.zeros(trials, dtype=np.int64),
+                                     np.full(trials, 101.0))
+        probs = sampler.probability(times, 101.0, 0.2)
+        width = 16
+        observed = np.bincount((batch.nodes - 1) // width,
+                               minlength=len(times) // width)
+        expected = trials * probs.reshape(-1, width).sum(axis=1)
+        chi2 = ((observed - expected) ** 2 / expected).sum()
+        dof = len(expected) - 1
+        assert chi2 < dof + 4.5 * np.sqrt(2 * dof), chi2
+
+    @pytest.mark.parametrize("mode", ["chronological", "reverse"])
+    @pytest.mark.parametrize("support", [7, 10, 12])
+    def test_sharp_tau_clamps_to_support(self, mode, support):
+        """A burst of ``support`` events at the favoured end of a wide
+        segment; at sharp tau everything else underflows, so the draw is
+        ``min(η, support)`` entries of the burst — below, at and just
+        above η."""
+        burst = 1000.0 + 0.01 * np.arange(support)
+        spread = np.linspace(0.0, 1.0, 1000)
+        if mode == "chronological":
+            times, favoured = np.concatenate([spread, burst]), \
+                np.arange(1000, 1000 + support) + 1
+        else:
+            times, favoured = np.concatenate([burst - 1000.0,
+                                              spread + 999.0]), \
+                np.arange(support) + 1
+        sampler = EtaBFSSampler(star_finder(times), eta=10, depth=1,
+                                probability=mode, tau=1e-3, seed=0)
+        expected = len(sampler.sample_reference(0, 1001.0))
+        assert expected == min(10, support)
+        batch = sampler.sample_batch(np.zeros(50, dtype=np.int64),
+                                     np.full(50, 1001.0))
+        assert (batch.counts() == expected).all()
+        assert np.isin(batch.nodes, favoured).all()
+
+    def test_skewed_wide_support_terminates(self):
+        """Five entries hold all but e^-99 of the mass of a wide support:
+        repeats would never yield η distinct draws, the fallback does."""
+        times = np.concatenate([np.linspace(0.0, 10.0, 1000),
+                                1000.0 + 0.01 * np.arange(5)])
+        sampler = EtaBFSSampler(star_finder(times), eta=10, depth=1,
+                                probability="chronological", tau=0.01, seed=0)
+        batch = sampler.sample_batch(np.zeros(6, dtype=np.int64),
+                                     np.full(6, 1001.0))
+        assert (batch.counts() == 10).all()
+        for row in batch:
+            assert len(set(row.tolist())) == 10
+            assert set(range(1001, 1006)) <= set(row.tolist())
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("mode", ["chronological", "reverse", "uniform"])
+    def test_rows_sharing_a_hub_respect_their_own_cut(self, mode, depth):
+        """One batch queries the same hub at many ``t`` — whole, race and
+        wide regimes side by side — and never sees an event at or after
+        its own ``t``."""
+        times = np.sort(np.random.default_rng(1).uniform(0.0, 100.0, 2000))
+        finder = star_finder(times)
+        sampler = EtaBFSSampler(finder, eta=10, depth=depth, probability=mode,
+                                tau=0.2, seed=0)
+        rng = np.random.default_rng(2)
+        ts = np.concatenate([times[[0, 5, 10, 11, 60, 128, 129, 700]],
+                             rng.uniform(0.0, 110.0, 56)])
+        if depth == 1:
+            roots = np.zeros(len(ts), dtype=np.int64)
+        else:  # leaves reach the hub at hop 1, the hub fans out at hop 2
+            roots = rng.integers(1, 2001, len(ts))
+        batch = sampler.sample_batch(roots, ts)
+        for i, row in enumerate(batch):
+            leaves = row[row > 0]
+            assert (times[leaves - 1] < ts[i]).all()
+            assert len(set(row.tolist())) == len(row)
+            if depth == 1:
+                assert len(row) == min(10, finder.degree(0, ts[i]))
+
+    def test_same_seed_same_batch(self):
+        finder = star_finder(self.hub_times())
+        sampler = EtaBFSSampler(finder, eta=10, depth=1, tau=0.2)
+        roots = np.zeros(32, dtype=np.int64)
+        ts = np.linspace(20.0, 101.0, 32)
+        first = sampler.sample_batch(roots, ts, rng=np.random.default_rng(9))
+        again = sampler.sample_batch(roots, ts, rng=np.random.default_rng(9))
+        other = sampler.sample_batch(roots, ts, rng=np.random.default_rng(10))
+        np.testing.assert_array_equal(first.nodes, again.nodes)
+        np.testing.assert_array_equal(first.indptr, again.indptr)
+        assert not np.array_equal(first.nodes, other.nodes)
+
+    def test_serial_and_spawn_worker_agree(self):
+        """Coordinate-seeded draws: one spawn worker over memory-mapped
+        shards produces the serial producer's wide-segment batches."""
+        from repro.stream import (MultiprocessProducer, ProducerSpec,
+                                  SerialProducer)
+        rng = np.random.default_rng(4)
+        events = 600
+        stream = EventStream(
+            src=rng.integers(0, 50, events),
+            dst=np.where(rng.random(events) < 0.6, 50,
+                         rng.integers(51, 80, events)),
+            timestamps=np.sort(rng.uniform(0.0, 100.0, events)),
+            num_nodes=80)
+        spec = ProducerSpec(batch_size=150, sample_temporal=True, eta=10,
+                            depth=2, stream=stream)
+        serial = list(SerialProducer(spec))
+        with MultiprocessProducer(spec, num_workers=1) as producer:
+            spawned = list(producer)
+        assert len(serial) == len(spawned) == 4
+        for a, b in zip(serial, spawned):
+            for name in ("temporal_pos", "temporal_neg"):
+                np.testing.assert_array_equal(getattr(a, name).nodes,
+                                              getattr(b, name).nodes)
+                np.testing.assert_array_equal(getattr(a, name).indptr,
+                                              getattr(b, name).indptr)
+
+    def test_dynamic_finder_with_delta(self):
+        """Every gather goes through ``finder.times[...]`` /
+        ``finder.neighbors[...]``, so a live graph with an un-compacted
+        delta draws what the rebuilt CSR draws."""
+        from repro.serve.dynamic_finder import DynamicNeighborFinder
+        times = self.hub_times()
+        static = star_finder(times)
+        base = 900
+        live = DynamicNeighborFinder(EventStream(
+            src=np.zeros(base, dtype=np.int64), dst=np.arange(1, base + 1),
+            timestamps=times[:base], num_nodes=len(times) + 2),
+            compaction_threshold=None)
+        live.append(np.zeros(len(times) - base, dtype=np.int64),
+                    np.arange(base + 1, len(times) + 1), times[base:])
+        assert live.delta_events == len(times) - base
+        roots = np.zeros(24, dtype=np.int64)
+        ts = np.linspace(30.0, 101.0, 24)
+        for mode in ("chronological", "reverse", "uniform"):
+            expected = EtaBFSSampler(static, 10, 1, probability=mode) \
+                .sample_batch(roots, ts, rng=np.random.default_rng(7))
+            actual = EtaBFSSampler(live, 10, 1, probability=mode) \
+                .sample_batch(roots, ts, rng=np.random.default_rng(7))
+            np.testing.assert_array_equal(expected.nodes, actual.nodes)
+            np.testing.assert_array_equal(expected.indptr, actual.indptr)
+
+    def test_cost_is_independent_of_hub_degree(self):
+        """Count-based, no timers: 64 rows with distinct ``t`` all reach
+        one degree-4 096 hub.  Scoring every candidate reads at least
+        ``64 * 4096`` time entries; the envelope reads one per block plus
+        a few per draw."""
+        degree, rows, eta = 4096, 64, 10
+
+        class CountingColumn:
+            def __init__(self, column):
+                self.column, self.reads = column, 0
+
+            def __getitem__(self, index):
+                self.reads += np.size(index)
+                return self.column[index]
+
+        class CountingFinder:
+            def __init__(self, finder):
+                self.finder = finder
+                self.times = CountingColumn(finder.times)
+
+            def __getattr__(self, name):
+                return getattr(self.finder, name)
+
+        finder = CountingFinder(star_finder(np.arange(degree, dtype=float)))
+        sampler = EtaBFSSampler(finder, eta=eta, depth=1, tau=0.2)
+        ts = degree + 1.0 + np.arange(rows)
+        batch = sampler.sample_batch(np.zeros(rows, dtype=np.int64), ts,
+                                     rng=np.random.default_rng(0))
+        assert (batch.counts() == eta).all()
+        # c = 4: first/last entry, then 2η proposals a round and rarely a
+        # second round.
+        budget = rows * (degree // ENVELOPE_BLOCK + 4 * eta)
+        assert budget < rows * degree // 8
+        assert finder.times.reads < budget, finder.times.reads
 
 
 class TestSubgraphBatch:

@@ -140,6 +140,36 @@ class TestCheckpoints:
         state[0, 0] = 5.0
         assert checkpoints[0][0, 0] == 0.0
 
+    def test_frozen_snapshot_is_adopted_without_a_copy(self):
+        from repro.dgnn.memory import Memory
+        memory = Memory(3, 2, dtype=np.float32)
+        memory.persist_rows(np.array([1]), np.ones((1, 2), dtype=np.float32))
+        snapshot = memory.checkpoint()
+        checkpoints = MemoryCheckpoints(dtype=np.float32)
+        checkpoints.add(snapshot)
+        assert checkpoints[0] is snapshot
+        # Later memory writes — in place or wholesale — do not reach it.
+        memory.persist_rows(np.array([1]), np.full((1, 2), 7.0,
+                                                   dtype=np.float32))
+        memory.persist(np.full((3, 2), 9.0))
+        assert checkpoints[0][1].tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError):
+            checkpoints[0][0, 0] = 5.0
+
+    def test_add_copies_when_dtype_or_ownership_differs(self):
+        from repro.dgnn.memory import Memory
+        snapshot = Memory(2, 2, dtype=np.float32).checkpoint()
+        widened = MemoryCheckpoints(dtype=np.float64)
+        widened.add(snapshot)
+        assert widened[0] is not snapshot and widened[0].dtype == np.float64
+        backing = np.zeros((2, 2))
+        view = backing[:]
+        view.flags.writeable = False  # frozen view of a writeable buffer
+        checkpoints = MemoryCheckpoints()
+        checkpoints.add(view)
+        backing[0, 0] = 3.0
+        assert checkpoints[0][0, 0] == 0.0
+
     def test_truncate_keeps_suffix(self):
         checkpoints = MemoryCheckpoints()
         for v in range(5):

@@ -289,6 +289,101 @@ class TestSparseMemoryView:
             Memory(4, 2).view("hologram")
 
 
+class TestWrittenRows:
+    """``reset``/``checkpoint`` work from the set of written rows; every
+    way of writing the state must be seen by both."""
+
+    @staticmethod
+    def dense_reference(mem):
+        return np.array(mem._state, copy=True)
+
+    def test_checkpoint_after_row_writes_equals_state_and_is_frozen(self):
+        mem = Memory(50, 3)
+        mem.persist_rows(np.array([7, 2, 41]), np.arange(9.0).reshape(3, 3))
+        mem.persist_rows(np.array([2]), np.full((1, 3), -1.0))
+        snap = mem.checkpoint()
+        np.testing.assert_array_equal(snap, self.dense_reference(mem))
+        assert snap[2].tolist() == [-1.0] * 3 and snap.sum() == 21.0
+        assert not snap.flags.writeable and snap.flags.owndata
+        assert snap.dtype == mem.dtype
+        mem.persist_rows(np.array([7]), np.zeros((1, 3)))
+        assert snap[7].tolist() == [0.0, 1.0, 2.0]
+
+    def test_mostly_written_memory_takes_the_plain_copy(self):
+        mem = Memory(6, 2)
+        mem.persist_rows(np.arange(5), np.ones((5, 2)))
+        np.testing.assert_array_equal(mem.checkpoint(),
+                                      self.dense_reference(mem))
+
+    def test_in_place_write_through_state_reaches_checkpoint_and_reset(self):
+        mem = Memory(40, 2)
+        mem.persist_rows(np.array([1]), np.ones((1, 2)))
+        mem.state[30] = 5.0            # the holder writes behind our back
+        snap = mem.checkpoint()
+        assert snap[30].tolist() == [5.0, 5.0] and snap[1].tolist() == [1, 1]
+        mem.reset()
+        assert not mem._state.any()
+        assert not mem.checkpoint().any()
+
+    def test_full_persist_and_assignment_reach_checkpoint_and_reset(self):
+        mem = Memory(40, 2)
+        mem.persist(np.full((40, 2), 3.0))
+        assert mem.checkpoint().sum() == 240.0
+        mem.reset()
+        assert not mem.checkpoint().any()
+        mem.state = np.full((40, 2), 2.0)
+        assert mem.checkpoint().sum() == 160.0
+
+    def test_reset_clears_exactly_the_written_rows_and_tracks_again(self):
+        mem = Memory(40, 2)
+        mem.persist_rows(np.array([3, 9]), np.ones((2, 2)))
+        mem.touch(np.array([3]), np.array([4.0]))
+        mem.reset()
+        assert not mem._state.any() and not mem.last_update.any()
+        mem.persist_rows(np.array([9]), np.full((1, 2), 2.0))
+        snap = mem.checkpoint()
+        assert snap.sum() == 4.0 and snap[9].tolist() == [2.0, 2.0]
+
+    def test_clone_keeps_the_bookkeeping_and_is_independent(self):
+        mem = Memory(40, 2)
+        mem.persist_rows(np.array([5]), np.ones((1, 2)))
+        other = mem.clone()
+        other.persist_rows(np.array([6]), np.ones((1, 2)))
+        assert mem.checkpoint().sum() == 2.0
+        assert other.checkpoint().sum() == 4.0
+
+    def test_store_past_the_huge_page_advice_size_behaves_the_same(self):
+        """4 MB and up the matrices come from an anonymous mapping; what
+        they hold, and who may adopt them, must not depend on that."""
+        from repro.core import MemoryCheckpoints
+        mem = Memory(70_000, 16, dtype=np.float32)
+        assert mem._state.nbytes >= 1 << 22 and not mem._state.any()
+        nodes = np.array([0, 69_999, 4_321])
+        mem.persist_rows(nodes, np.full((3, 16), 2.0, dtype=np.float32))
+        snap = mem.checkpoint()
+        assert snap.dtype == np.float32 and not snap.flags.writeable
+        assert snap.sum() == 96.0 and snap[nodes].min() == 2.0
+        checkpoints = MemoryCheckpoints(dtype=np.float32)
+        checkpoints.add(snap)
+        assert checkpoints[0] is snap
+        mem.reset()
+        assert not mem._state.any() and snap.sum() == 96.0
+        mem.state[5] = 1.0             # unknown writes: the full-copy path
+        full = mem.checkpoint()
+        assert full.sum() == 16.0 and full[5].min() == 1.0
+        np.testing.assert_array_equal(mem.clone().checkpoint(), full)
+        del mem, checkpoints, snap     # the arrays outlive their makers
+        assert full.sum() == 16.0
+
+    def test_rows_does_not_give_up_the_bookkeeping(self):
+        mem = Memory(40, 2)
+        mem.persist_rows(np.array([5]), np.ones((1, 2)))
+        got = mem.rows(np.array([5, 6]))
+        got[:] = 9.0                   # a copy: the store is untouched
+        assert mem._written is not None and mem._written.sum() == 1
+        assert mem.checkpoint().sum() == 2.0
+
+
 class TestSparseRowGrad:
     def test_lookup_backward_stays_sparse_until_read(self):
         table = Tensor(np.arange(12, dtype=float).reshape(4, 3),

@@ -29,6 +29,42 @@ class TestPretrainer:
         assert set(result.encoder_state) == set(
             trainer.encoder.state_dict())
 
+    def test_final_memory_shares_the_last_checkpoint(self, tiny_stream,
+                                                     tmp_path):
+        """One copy per EIE checkpoint: the final memory *is* ``S^L``,
+        snapshots stay independent of each other and of the live memory,
+        and the artifact round trip is bit-identical."""
+        from repro.api import PretrainArtifact, RunConfig
+        trainer = CPDGPreTrainer.from_backbone("tgn", tiny_stream.num_nodes,
+                                               small_config())
+        result = trainer.pretrain(tiny_stream)
+        assert result.memory_state is result.checkpoints[-1]
+        np.testing.assert_array_equal(result.memory_state,
+                                      trainer.encoder.memory.state)
+        assert not np.array_equal(result.checkpoints[0],
+                                  result.checkpoints[-1])
+        frozen = [snap.copy() for snap in result.checkpoints.as_list()]
+        trainer.encoder.reset_memory()
+        for before, after in zip(frozen, result.checkpoints.as_list()):
+            np.testing.assert_array_equal(before, after)
+        assert len(result.checkpoints.truncate(2)) == 2
+
+        config = RunConfig()
+        config.pretrain = trainer.config
+        path = str(tmp_path / "artifact.npz")
+        PretrainArtifact(result=result, run_config=config,
+                         num_nodes=tiny_stream.num_nodes, delta_scale=1.0,
+                         dataset_fingerprint="test",
+                         dataset_name="tiny").save(path)
+        loaded = PretrainArtifact.load(path).result
+        np.testing.assert_array_equal(loaded.memory_state,
+                                      result.memory_state)
+        assert len(loaded.checkpoints) == len(result.checkpoints)
+        for saved, original in zip(loaded.checkpoints.as_list(),
+                                   result.checkpoints.as_list()):
+            np.testing.assert_array_equal(saved, original)
+            assert saved.dtype == original.dtype
+
     def test_loss_history_components_finite(self, tiny_stream):
         trainer = CPDGPreTrainer.from_backbone("jodie", tiny_stream.num_nodes,
                                                small_config(epochs=2))
