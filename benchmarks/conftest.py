@@ -7,7 +7,7 @@ regenerated rows into the bench log.  The scale is controlled with::
     REPRO_BENCH_SCALE=tiny|default|full pytest benchmarks/ --benchmark-only
 
 Default is ``tiny`` so the whole suite completes in a couple of minutes;
-``default`` reproduces the shapes recorded in EXPERIMENTS.md.
+``default`` runs the shapes of ``repro.experiments.common.SCALES["default"]``.
 """
 
 from __future__ import annotations

@@ -9,6 +9,6 @@ def test_table4_finetune_complexity(benchmark, scale):
     result = run_once(benchmark, run_experiment, "table4", scale=scale,
                       verbose=False)
     print("\n" + result.format_table())
-    times = {row["strategy"]: row["seconds/epoch"] for row in result.rows}
+    ops = {row["strategy"]: row["graph ops"] for row in result.rows}
     # Paper Table IV shape: EIE-GRU carries the largest overhead.
-    assert times["eie-gru"] > times["full"]
+    assert ops["eie-gru"] > ops["full"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dgnn.time_encoding import TimeEncoder
+from ..graph.neighbor_finder import most_recent_slots
 from ..nn import functional as F
 from ..nn.attention import TemporalAttention
 from ..nn.autograd import Tensor
@@ -41,25 +42,16 @@ class DDGCLEncoder(StaticEncoderBase):
             raise RuntimeError("encoder not attached to a stream; call attach()")
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
-        batch = len(nodes)
-        neighbors, times, _, mask = self._finder.batch_most_recent(
-            nodes, ts, self.n_neighbors)
+        slots = most_recent_slots(self._finder, nodes, ts, self.n_neighbors)
 
         center = self.node_embedding(nodes)
-        zero_enc = self.time_encoder(Tensor(np.zeros(batch)))
+        zero_enc = self.time_encoder(Tensor(np.zeros(len(nodes))))
         query = F.concatenate([center, zero_enc], axis=-1)
 
-        flat = neighbors.reshape(-1)
-        neighbor_emb = self.node_embedding(flat)
-        deltas = np.repeat(ts, self.n_neighbors) - times.reshape(-1)
-        delta_enc = self.time_encoder(Tensor(deltas))
+        neighbor_emb = self.node_embedding(slots.neighbors)
+        delta_enc = self.time_encoder(Tensor(ts[slots.rows] - slots.times))
         keys = F.concatenate([neighbor_emb, delta_enc], axis=-1)
-        keys = keys.reshape(batch, self.n_neighbors, keys.shape[-1])
-
-        mask = mask.copy()
-        all_padded = mask.all(axis=1)
-        mask[all_padded, 0] = False
-        return F.relu(self.attention(query, keys, mask) + center)
+        return F.relu(self.attention(query, keys, slots.starts) + center)
 
 
 class DDGCLCritic(Module):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dgnn.encoder import embed_together
 from ..nn import functional as F
 from ..nn.autograd import Tensor
 from ..nn.layers import MLP
@@ -39,9 +40,9 @@ class GPTGNNHeads(Module):
 def gptgnn_loss(encoder, heads: GPTGNNHeads, batch, edge_feats: np.ndarray | None,
                 attr_weight: float = 0.5) -> Tensor:
     """Combined edge-generation + attribute-generation objective."""
-    z_src = encoder.compute_embedding(batch.src, batch.timestamps)
-    z_dst = encoder.compute_embedding(batch.dst, batch.timestamps)
-    z_neg = encoder.compute_embedding(batch.neg_dst, batch.timestamps)
+    z_src, z_dst, z_neg = embed_together(
+        encoder.compute_embedding, batch.timestamps,
+        batch.src, batch.dst, batch.neg_dst)
 
     # Edge generation: softmax over {true dst, corrupted dst} per event.
     pos_logit = (z_src * z_dst).sum(axis=-1, keepdims=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.pretext import LinkPredictionHead
+from ..dgnn.encoder import embed_together
 from ..graph.batching import chronological_batches
 from ..graph.events import EventStream
 from ..nn.optim import Adam, clip_grad_norm
@@ -62,9 +63,9 @@ def pretrain_static_link_prediction(encoder, stream: EventStream,
     optimizer = Adam(params, lr=cfg.learning_rate)
     losses = []
     for _, batch in _loop(stream, cfg, rng):
-        z_src = encoder.compute_embedding(batch.src, batch.timestamps)
-        z_dst = encoder.compute_embedding(batch.dst, batch.timestamps)
-        z_neg = encoder.compute_embedding(batch.neg_dst, batch.timestamps)
+        z_src, z_dst, z_neg = embed_together(
+            encoder.compute_embedding, batch.timestamps,
+            batch.src, batch.dst, batch.neg_dst)
         loss = head.loss(z_src, z_dst, z_neg)
         optimizer.zero_grad()
         loss.backward()
@@ -88,9 +89,9 @@ def pretrain_dynamic_link_prediction(encoder, stream: EventStream,
     for epoch, batch in _loop(stream, cfg, rng):
         if batch.event_ids[0] == 0:   # new epoch: restart the memory walk
             encoder.reset_memory()
-        z_src = encoder.compute_embedding(batch.src, batch.timestamps)
-        z_dst = encoder.compute_embedding(batch.dst, batch.timestamps)
-        z_neg = encoder.compute_embedding(batch.neg_dst, batch.timestamps)
+        z_src, z_dst, z_neg = embed_together(
+            encoder.compute_embedding, batch.timestamps,
+            batch.src, batch.dst, batch.neg_dst)
         loss = head.loss(z_src, z_dst, z_neg)
         optimizer.zero_grad()
         loss.backward()

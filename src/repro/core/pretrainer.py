@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs as _obs
-from ..dgnn.encoder import DGNNEncoder, make_encoder
+from ..dgnn.encoder import DGNNEncoder, embed_together, make_encoder
 from ..graph.events import EventStream
 from ..graph.neighbor_finder import NeighborFinder
 from ..nn.autograd import Tensor, default_dtype
@@ -201,12 +201,9 @@ class CPDGPreTrainer:
             # no autograd ops, so they are safe inside the traced region.
             with _obs.span("pretrain.forward"):
                 encoder.flush_staged(staged)
-                z_src = encoder.compute_embedding(batch.src,
-                                                  batch.timestamps)
-                z_dst = encoder.compute_embedding(batch.dst,
-                                                  batch.timestamps)
-                z_neg = encoder.compute_embedding(batch.neg_dst,
-                                                  batch.timestamps)
+                z_src, z_dst, z_neg = embed_together(
+                    encoder.compute_embedding, batch.timestamps,
+                    batch.src, batch.dst, batch.neg_dst)
                 memory = encoder.flush_messages()
 
                 zero = Tensor(0.0)

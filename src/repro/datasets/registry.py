@@ -2,8 +2,8 @@
 
 Every entry is deterministic given its seed.  Sizes are scaled down ~100×
 from the paper (the substrate is a numpy simulator, not an A100 cluster);
-EXPERIMENTS.md records the mapping.  Relative characteristics follow paper
-Tables V/VI:
+the ``DatasetScale`` presets below record the mapping.  Relative
+characteristics follow paper Tables V/VI:
 
 * Amazon-like fields are *sparser* than Gowalla-like fields,
 * MOOC is the densest of the classification datasets, Wikipedia the

@@ -7,7 +7,8 @@ named backbones of paper Table III: TGN, JODIE and DyRep.
 from .aggregators import LastAggregator, MeanAggregator, make_aggregator
 from .embedding import (EmbeddingContext, IdentityEmbedding,
                         TemporalAttentionEmbedding, TimeProjectionEmbedding)
-from .encoder import BACKBONES, DGNNEncoder, ZeroEdgeFeatures, make_encoder
+from .encoder import (BACKBONES, DGNNEncoder, ZeroEdgeFeatures,
+                      embed_together, make_encoder)
 from .memory import (MEMORY_ENGINES, DenseMemoryView, Memory, MemoryView,
                      RawMessageStore, SparseMemoryView, StagedMessages)
 from .messages import AttentionMessage, IdentityMessage, MLPMessage
@@ -16,7 +17,8 @@ from .time_encoding import TimeEncoder
 from .updaters import GRUUpdater, LSTMUpdater, RNNUpdater, make_updater
 
 __all__ = [
-    "DGNNEncoder", "make_encoder", "BACKBONES", "TGATEncoder",
+    "DGNNEncoder", "make_encoder", "embed_together", "BACKBONES",
+    "TGATEncoder",
     "Memory", "MemoryView", "DenseMemoryView", "SparseMemoryView",
     "MEMORY_ENGINES", "RawMessageStore", "StagedMessages",
     "ZeroEdgeFeatures", "TimeEncoder",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.neighbor_finder import NeighborFinder
+from ..graph.neighbor_finder import NeighborFinder, most_recent_slots
 from ..nn import functional as F
 from ..nn.attention import TemporalAttention
 from ..nn.autograd import Tensor
@@ -92,6 +92,9 @@ class TemporalAttentionEmbedding(Module):
     representation plus φ(0) and attends over neighbours' layer-``l-1``
     representations, their interaction-time encodings and edge features.
     A skip connection merges the attended vector with the node state.
+    A node without history attends over one dummy slot (node 0's state,
+    Δt = t, zero edge features); the merge layer still sees its true
+    centre state.
     """
 
     def __init__(self, memory_dim: int, out_dim: int, time_dim: int, edge_dim: int,
@@ -123,38 +126,27 @@ class TemporalAttentionEmbedding(Module):
         if layer == 0:
             return ctx.memory.gather(nodes)
 
-        batch = len(nodes)
         # One vectorized CSR query covers the whole layer's neighbourhood
-        # (paper Eq. 1 set N_i^t, most-recent truncation).
-        neighbors, times, events, mask = ctx.finder.batch_most_recent(
-            nodes, ts, self.n_neighbors)
+        # (paper Eq. 1 set N_i^t, most-recent truncation), kept ragged:
+        # only the slots that hold a neighbour are embedded and attended.
+        slots = most_recent_slots(ctx.finder, nodes, ts, self.n_neighbors)
+        slot_ts = ts[slots.rows]
 
         center = self._embed_layer(ctx, nodes, ts, layer - 1)
-        flat_neighbors = neighbors.reshape(-1)
-        flat_times = np.repeat(ts, self.n_neighbors)
-        neighbor_repr = self._embed_layer(ctx, flat_neighbors, flat_times, layer - 1)
+        neighbor_repr = self._embed_layer(ctx, slots.neighbors, slot_ts,
+                                          layer - 1)
 
         # Time encodings: φ(0) for the query, φ(t - t_u) for the keys.
-        zero_enc = ctx.time_encoder(Tensor(np.zeros(batch)))
-        delta = np.repeat(ts, self.n_neighbors) - times.reshape(-1)
-        delta_enc = ctx.time_encoder(Tensor(delta))
+        zero_enc = ctx.time_encoder(Tensor(np.zeros(len(nodes))))
+        delta_enc = ctx.time_encoder(Tensor(slot_ts - slots.times))
 
         key_parts = [neighbor_repr, delta_enc]
         if ctx.edge_feats is not None:
-            feats = ctx.edge_feats[events.reshape(-1)]
-            feats[mask.reshape(-1)] = 0.0
+            feats = ctx.edge_feats[slots.event_ids]
+            feats[slots.dummy] = 0.0
             key_parts.append(Tensor(feats))
         keys = F.concatenate(key_parts, axis=-1)
-        keys = keys.reshape(batch, self.n_neighbors, keys.shape[-1])
-
         query = F.concatenate([center, zero_enc], axis=-1)
-        # Fully padded rows would softmax over -inf only; un-mask their
-        # first slot (the zero neighbour state contributes nothing real,
-        # and the merge layer still sees the true center state).
-        all_padded = mask.all(axis=1)
-        if all_padded.any():
-            mask = mask.copy()
-            mask[all_padded, 0] = False
-        attended = self.attentions[layer - 1](query, keys, mask)
+        attended = self.attentions[layer - 1](query, keys, slots.starts)
         merged = self.merges[layer - 1](F.concatenate([attended, center], axis=-1))
         return F.relu(merged)

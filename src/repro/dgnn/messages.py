@@ -81,7 +81,8 @@ class AttentionMessage(Module):
     def forward(self, self_state: Tensor, other_state: Tensor,
                 time_enc: Tensor, edge_feat: Tensor | None) -> Tensor:
         keys = F.concatenate([other_state, time_enc], axis=-1)
-        attended = self.attention(self_state, keys.reshape(keys.shape[0], 1, keys.shape[1]))
+        # One key per query: every run of the ragged batch has length 1.
+        attended = self.attention(self_state, keys, np.arange(keys.shape[0]))
         parts = [self_state, attended, time_enc]
         if edge_feat is not None:
             parts.append(edge_feat)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..graph.batching import EventBatch
 from ..graph.events import EventStream
-from ..graph.neighbor_finder import NeighborFinder
+from ..graph.neighbor_finder import NeighborFinder, most_recent_slots
 from ..nn import functional as F
 from ..nn.attention import TemporalAttention
 from ..nn.autograd import Tensor
@@ -95,31 +95,22 @@ class TGATEncoder(Module):
     def _layer(self, nodes: np.ndarray, ts: np.ndarray, layer: int) -> Tensor:
         if layer == 0:
             return self.node_features(nodes)
-        batch = len(nodes)
-        neighbors, times, events, mask = self._finder.batch_most_recent(
-            nodes, ts, self.n_neighbors)
+        slots = most_recent_slots(self._finder, nodes, ts, self.n_neighbors)
+        slot_ts = ts[slots.rows]
         center = self._layer(nodes, ts, layer - 1)
-        flat = neighbors.reshape(-1)
-        flat_ts = np.repeat(ts, self.n_neighbors)
-        neighbor_repr = self._layer(flat, flat_ts, layer - 1)
+        neighbor_repr = self._layer(slots.neighbors, slot_ts, layer - 1)
 
-        zero_enc = self.time_encoder(Tensor(np.zeros(batch)))
-        delta = flat_ts - times.reshape(-1)
-        delta_enc = self.time_encoder(Tensor(delta))
+        zero_enc = self.time_encoder(Tensor(np.zeros(len(nodes))))
+        delta_enc = self.time_encoder(Tensor(slot_ts - slots.times))
 
         key_parts = [neighbor_repr, delta_enc]
         if self._edge_feats is not None:
-            feats = self._edge_feats[events.reshape(-1)].copy()
-            feats[mask.reshape(-1)] = 0.0
+            feats = self._edge_feats[slots.event_ids]
+            feats[slots.dummy] = 0.0
             key_parts.append(Tensor(feats))
         keys = F.concatenate(key_parts, axis=-1)
-        keys = keys.reshape(batch, self.n_neighbors, keys.shape[-1])
         query = F.concatenate([center, zero_enc], axis=-1)
-
-        mask = mask.copy()
-        all_padded = mask.all(axis=1)
-        mask[all_padded, 0] = False
-        attended = self.attentions[layer - 1](query, keys, mask)
+        attended = self.attentions[layer - 1](query, keys, slots.starts)
         merged = self.merges[layer - 1](F.concatenate([attended, center],
                                                       axis=-1))
         return F.relu(merged)

@@ -4,6 +4,9 @@ The paper reports asymptotic complexity: full = O(D), EIE-mean =
 O(D+N+1), EIE-attn = O(D+2N), EIE-GRU = O(D+N+NL²).  We verify the shape
 empirically: measured wall-clock per fine-tuning epoch should order
 ``full ≤ eie-mean ≤ eie-attn ≤ eie-gru`` and EIE-GRU should grow with L.
+Next to the wall-clock (tens of milliseconds at test scale, so noisy)
+each row carries a deterministic cost: the autograd ops the epoch
+recorded, which orders the strategies the same way on every run.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import replace
 from ..api import Pipeline, RunConfig
 from ..datasets.registry import DEFAULT_SPLIT_TIME, amazon_universe
 from ..datasets.splits import make_transfer_split
+from ..nn.autograd import graph_nodes_created
 from .common import SCALES, ExperimentResult
 
 __all__ = ["run", "STRATEGIES", "PAPER_COMPLEXITY"]
@@ -32,7 +36,8 @@ def run(scale: str = "default", backbone: str = "jodie",
     exp = SCALES[scale]
     result = ExperimentResult(
         experiment="Table IV: fine-tuning complexity (measured)",
-        columns=["strategy", "paper complexity", "seconds/epoch"])
+        columns=["strategy", "paper complexity", "seconds/epoch",
+                 "graph ops"])
     universe = amazon_universe(exp.data)
     split = make_transfer_split("time", universe.stream("beauty"),
                                 universe.stream("arts"), DEFAULT_SPLIT_TIME)
@@ -44,11 +49,13 @@ def run(scale: str = "default", backbone: str = "jodie",
     pipeline = Pipeline(config).pretrain(split.pretrain)
 
     for strategy in STRATEGIES:
+        ops_before = graph_nodes_created()
         pipeline.finetune(split=split.downstream, strategy=strategy)
         elapsed = pipeline.train_seconds
         result.add_row(strategy=strategy,
                        **{"paper complexity": PAPER_COMPLEXITY[strategy],
-                          "seconds/epoch": round(elapsed, 3)})
+                          "seconds/epoch": round(elapsed, 3),
+                          "graph ops": graph_nodes_created() - ops_before})
         if verbose:
             print(f"[table4] {strategy:9s} {elapsed:.3f}s/epoch "
                   f"({PAPER_COMPLEXITY[strategy]})")

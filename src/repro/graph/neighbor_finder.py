@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import json
 import os
+from typing import NamedTuple
 
 import numpy as np
 
 from .events import EventStream
 
-__all__ = ["NeighborFinder", "build_temporal_csr", "segment_cut"]
+__all__ = ["NeighborFinder", "NeighborSlots", "build_temporal_csr",
+           "most_recent_slots", "segment_cut"]
 
 _CSR_ARRAYS = ("indptr", "neighbors", "times", "event_ids")
 _CSR_META = "csr_meta.json"
@@ -88,6 +90,45 @@ def segment_cut(values: np.ndarray, indptr: np.ndarray, nodes: np.ndarray,
             lo = np.where(go_right, mid + 1, lo)
             hi = np.where(go_right, hi, np.maximum(mid, lo))
     return lo
+
+
+class NeighborSlots(NamedTuple):
+    """The neighbour slots of a query batch, ragged: no padding.
+
+    Slots of all query rows lie back to back, sorted by row; row ``i``
+    owns ``[starts[i], starts[i + 1])`` and every row owns at least one.
+    ``dummy`` marks the one slot a row *without* history keeps (neighbour
+    0 at time 0, exactly what a padded slot holds) so that no run is
+    empty; consumers zero its edge features.
+    """
+
+    rows: np.ndarray        # (S,) query row of each slot, non-decreasing
+    starts: np.ndarray      # (B,) first slot of each query row
+    neighbors: np.ndarray   # (S,)
+    times: np.ndarray       # (S,)
+    event_ids: np.ndarray   # (S,)
+    dummy: np.ndarray       # (S,) bool
+
+
+def most_recent_slots(finder, nodes: np.ndarray, ts: np.ndarray,
+                      count: int) -> NeighborSlots:
+    """``finder.batch_most_recent`` with the padded slots dropped.
+
+    ``finder`` is anything with the padded batch query (the static CSR
+    finder or the serving layer's dynamic one).  Most rows of a sparse
+    interaction graph have fewer than ``count`` events, so the encoder
+    projects and attends over far fewer key rows than ``B * count``.
+    """
+    neighbors, times, event_ids, mask = finder.batch_most_recent(nodes, ts,
+                                                                 count)
+    keep = ~mask
+    keep[:, 0] |= mask.all(axis=1)
+    per_row = keep.sum(axis=1)
+    return NeighborSlots(
+        rows=np.repeat(np.arange(len(per_row)), per_row),
+        starts=np.cumsum(per_row) - per_row,
+        neighbors=neighbors[keep], times=times[keep],
+        event_ids=event_ids[keep], dummy=mask[keep])
 
 
 class NeighborFinder:

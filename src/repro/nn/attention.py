@@ -2,9 +2,9 @@
 
 Two users in this reproduction:
 
-* :class:`TemporalAttention` — the masked multi-head dot-product attention
-  that aggregates temporal neighbours in the TGN/DyRep embedding modules
-  (paper Eq. 1 with attention ``f``).
+* :class:`TemporalAttention` — the multi-head dot-product attention that
+  aggregates temporal neighbours in the TGN/DyRep embedding modules
+  (paper Eq. 1 with attention ``f`` over the neighbour *set* ``N_i^t``).
 * :class:`AdditiveAttention` — the lightweight scoring used by the EIE-attn
   checkpoint fuser (paper §IV-C / Table XI).
 """
@@ -20,15 +20,19 @@ from .module import Module
 
 __all__ = ["TemporalAttention", "AdditiveAttention"]
 
-_NEG_INF = -1e9
-
 
 class TemporalAttention(Module):
     """Multi-head attention of a query node over its temporal neighbours.
 
-    Queries have shape ``(batch, query_dim)``; keys/values have shape
-    ``(batch, n_neighbors, key_dim)``.  ``mask`` marks *invalid* (padded)
-    neighbour slots with ``True``.
+    Padding-free: a query has as many keys as it has neighbours, so the
+    keys of a batch are *ragged*.  ``query`` is ``(B, query_dim)``;
+    ``keys`` is ``(S, key_dim)`` — the neighbour slots of all queries
+    back to back, sorted by query row — and ``starts`` gives the first
+    slot of each query's run (``(B,)``, starting at 0, strictly
+    increasing: every query owns at least one slot; see
+    :func:`~repro.graph.neighbor_finder.most_recent_slots` for how a
+    query without history keeps one).  K/V projections, scores and the
+    softmax touch those ``S`` rows only; nothing is masked.
     """
 
     def __init__(self, query_dim: int, key_dim: int, out_dim: int,
@@ -44,26 +48,21 @@ class TemporalAttention(Module):
         self.v_proj = Linear(key_dim, out_dim, rng, bias=False)
         self.out_proj = Linear(out_dim, out_dim, rng)
 
-    def forward(self, query: Tensor, keys: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        batch, n_neighbors = keys.shape[0], keys.shape[1]
+    def forward(self, query: Tensor, keys: Tensor, starts: np.ndarray) -> Tensor:
+        slots = keys.shape[0]
         h, d = self.num_heads, self.head_dim
 
-        q = self.q_proj(query).reshape(batch, h, d)                      # (B, H, D)
-        k = self.k_proj(keys.reshape(batch * n_neighbors, -1)).reshape(batch, n_neighbors, h, d)
-        v = self.v_proj(keys.reshape(batch * n_neighbors, -1)).reshape(batch, n_neighbors, h, d)
+        q = F.segment_repeat(self.q_proj(query), starts, slots)   # (S, H*D)
+        k = self.k_proj(keys)
+        v = self.v_proj(keys)
 
-        k = k.transpose(0, 2, 1, 3)                                      # (B, H, N, D)
-        v = v.transpose(0, 2, 1, 3)
-        q4 = q.reshape(batch, h, 1, d)
+        scores = (q * k).reshape(slots, h, d).sum(axis=-1) * (1.0 / np.sqrt(d))
+        weights = F.segment_softmax(scores, starts)               # (S, H)
 
-        scores = (q4 * k).sum(axis=-1) * (1.0 / np.sqrt(d))              # (B, H, N)
-        if mask is not None:
-            bias = np.where(np.asarray(mask, dtype=bool)[:, None, :], _NEG_INF, 0.0)
-            scores = scores + Tensor(bias)
-        weights = F.softmax(scores, axis=-1)
-
-        attended = (weights.reshape(batch, h, n_neighbors, 1) * v).sum(axis=2)  # (B, H, D)
-        return self.out_proj(attended.reshape(batch, h * d))
+        weighted = weights.reshape(slots, h, 1) * v.reshape(slots, h, d)
+        attended = F.segment_sum(weighted.reshape(slots, h * d),
+                                 starts)                          # (B, H*D)
+        return self.out_proj(attended)
 
 
 class AdditiveAttention(Module):

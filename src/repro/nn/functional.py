@@ -7,6 +7,12 @@ forward kernel plus a VJP rule in the registry, applied through
 additionally register an in-place chain kernel (``defchain``) that the
 compiler fuses into single-buffer backward chains.  Numerically delicate
 ops (softmax, log-sigmoid, logsumexp) use the standard stabilised forms.
+
+Ragged batches — rows with differing numbers of slots, stored back to
+back and addressed by their run ``starts`` — have their own three
+primitives (``segment_softmax`` / ``segment_sum`` / ``segment_repeat``)
+built on ``ufunc.reduceat``; they are what lets temporal attention skip
+padded neighbour slots entirely instead of masking them.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from .autograd import (SparseRowGrad, Tensor, _unbroadcast, apply_op,
 
 __all__ = [
     "exp", "log", "tanh", "sigmoid", "relu", "leaky_relu", "softmax",
-    "log_softmax", "concatenate", "stack", "embedding_lookup", "dropout",
+    "log_softmax", "segment_softmax", "segment_sum", "segment_repeat",
+    "concatenate", "stack", "split_rows", "embedding_lookup", "dropout",
     "clip", "sqrt", "abs_", "where", "scatter_mean", "scatter_sum",
     "scatter_max", "l2_normalize",
     "pairwise_sq_dist", "euclidean_distance", "cosine_similarity",
@@ -294,6 +301,108 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 # ----------------------------------------------------------------------
+# sorted segments (ragged rows)
+# ----------------------------------------------------------------------
+# A ragged batch stores the slots of all its rows back to back: row ``i``
+# owns the flat run ``[starts[i], starts[i + 1])`` and the last run ends at
+# the slot total.  ``starts`` begins at 0 and is strictly increasing —
+# every run is non-empty, which is what lets ``ufunc.reduceat`` do the
+# reductions (it would read an empty run as its next element).
+def _segment_rows(starts: np.ndarray, total: int) -> np.ndarray:
+    """Row index of every slot: ``[0, 0, 1, 2, 2, 2, ...]``."""
+    return np.repeat(np.arange(len(starts)), np.diff(starts, append=total))
+
+
+def _segment_softmax_fwd(args, params, need_ctx, out):
+    (x,) = args
+    starts = params["starts"]
+    rows = _segment_rows(starts, len(x))
+    e = np.exp(x - np.maximum.reduceat(x, starts, axis=0)[rows])
+    s = np.add.reduceat(e, starts, axis=0)[rows]
+    data = e / s if out is None else np.divide(e, s, out=out.get(x.shape))
+    return data, (data, rows)
+
+
+def _segment_softmax_vjp(ctx, grad, needs, params):
+    data, rows = ctx
+    dot = np.add.reduceat(grad * data, params["starts"], axis=0)[rows]
+    return (data * (grad - dot),)
+
+
+_SEGMENT_SOFTMAX = defvjp(primitive("segment_softmax", _segment_softmax_fwd),
+                          _segment_softmax_vjp)
+
+
+def segment_softmax(x: Tensor, starts: np.ndarray) -> Tensor:
+    """Softmax over axis 0 within each run of a ragged ``(S, ...)`` batch.
+
+    The ragged twin of a masked softmax over padded ``(B, N)`` scores:
+    only real slots exist, so there is no ``-inf`` bias and no wasted
+    exponentials.  Trailing axes (attention heads) are independent.
+    """
+    return apply_op(_SEGMENT_SOFTMAX, (as_tensor(x),),
+                    {"starts": np.asarray(starts, dtype=np.int64)})
+
+
+def _segment_sum_fwd(args, params, need_ctx, out):
+    (x,) = args
+    starts = params["starts"]
+    if out is None:
+        data = np.add.reduceat(x, starts, axis=0)
+    else:
+        data = np.add.reduceat(x, starts, axis=0,
+                               out=out.get((len(starts),) + x.shape[1:]))
+    return data, ((len(x),) if need_ctx else None)
+
+
+def _segment_sum_vjp(ctx, grad, needs, params):
+    return (grad[_segment_rows(params["starts"], ctx[0])],)
+
+
+_SEGMENT_SUM = defvjp(primitive("segment_sum", _segment_sum_fwd),
+                      _segment_sum_vjp)
+
+
+def segment_sum(x: Tensor, starts: np.ndarray) -> Tensor:
+    """Sum each run of a ragged ``(S, ...)`` batch into a ``(B, ...)`` row."""
+    return apply_op(_SEGMENT_SUM, (as_tensor(x),),
+                    {"starts": np.asarray(starts, dtype=np.int64)})
+
+
+def _segment_repeat_fwd(args, params, need_ctx, out):
+    (x,) = args
+    rows = _segment_rows(params["starts"], params["total"])
+    if out is None:
+        data = x[rows]
+    else:
+        # mode="clip": rows are in range by construction, and the default
+        # mode="raise" buffers ``out`` through a temporary copy.
+        data = np.take(x, rows, axis=0, mode="clip",
+                       out=out.get(rows.shape + x.shape[1:]))
+    return data, None
+
+
+def _segment_repeat_vjp(ctx, grad, needs, params):
+    return (np.add.reduceat(grad, params["starts"], axis=0),)
+
+
+_SEGMENT_REPEAT = defvjp(primitive("segment_repeat", _segment_repeat_fwd),
+                         _segment_repeat_vjp)
+
+
+def segment_repeat(x: Tensor, starts: np.ndarray, total: int) -> Tensor:
+    """Repeat row ``i`` of ``(B, ...)`` once per slot of run ``i``.
+
+    The inverse layout move of :func:`segment_sum` (each is the other's
+    VJP): broadcasts one per-row vector — an attention query — to the
+    ``total`` slots of the ragged batch.
+    """
+    return apply_op(_SEGMENT_REPEAT, (as_tensor(x),),
+                    {"starts": np.asarray(starts, dtype=np.int64),
+                     "total": int(total)})
+
+
+# ----------------------------------------------------------------------
 # shape combinators
 # ----------------------------------------------------------------------
 def _concat_fwd(args, params, need_ctx, out):
@@ -349,6 +458,38 @@ _STACK = defvjp(primitive("stack", _stack_fwd), _stack_vjp)
 def stack(tensors, axis: int = 0) -> Tensor:
     return apply_op(_STACK, tuple(as_tensor(t) for t in tensors),
                     {"axis": axis})
+
+
+def _row_block_fwd(args, params, need_ctx, out):
+    (x,) = args
+    return x[params["lo"]:params["hi"]], ((x.shape,) if need_ctx else None)
+
+
+def _row_block_vjp(ctx, grad, needs, params):
+    full = np.zeros(ctx[0], dtype=grad.dtype)
+    full[params["lo"]:params["hi"]] = grad
+    return (full,)
+
+
+_ROW_BLOCK = defvjp(primitive("row_block", _row_block_fwd), _row_block_vjp)
+
+
+def split_rows(x: Tensor, sizes) -> list[Tensor]:
+    """Cut ``x`` into consecutive row blocks of the given ``sizes`` (views).
+
+    The inverse of ``concatenate(blocks, axis=0)``: lets several node sets
+    share one encoder pass and part ways afterwards.  Each block's VJP
+    writes its rows into a zero array of ``x``'s shape, so the blocks'
+    gradients add up to their concatenation (an unused block counts as
+    zeros).
+    """
+    x = as_tensor(x)
+    ends = np.cumsum(sizes)
+    if len(ends) == 0 or ends[-1] != x.shape[0]:
+        raise ValueError(f"split sizes {list(sizes)} do not add up to "
+                         f"{x.shape[0]} rows")
+    return [apply_op(_ROW_BLOCK, (x,), {"lo": int(hi - size), "hi": int(hi)})
+            for size, hi in zip(sizes, ends)]
 
 
 # ----------------------------------------------------------------------
@@ -460,13 +601,31 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
                     {"condition": condition})
 
 
+def _add_rows_by_group(sums, groups, values, counts=None) -> None:
+    """``sums[groups] += values`` into a zeroed ``sums``.
+
+    Sorted ``groups`` (what ``SubgraphBatch.groups()`` yields by
+    construction) are contiguous runs, so one ``np.add.reduceat`` over the
+    non-empty groups replaces the element-at-a-time ``np.add.at``;
+    anything else takes the general scatter.
+    """
+    if len(groups) and (groups[1:] >= groups[:-1]).all():
+        if counts is None:
+            counts = np.bincount(groups, minlength=len(sums))
+        filled = counts > 0
+        starts = (np.cumsum(counts) - counts)[filled]
+        sums[filled] = np.add.reduceat(values, starts, axis=0)
+    else:
+        _backends.scatter_add_rows(sums, groups, values)
+
+
 def _scatter_mean_fwd(args, params, need_ctx, out):
     (values,) = args
     groups, num_groups = params["groups"], params["num_groups"]
-    counts = np.bincount(groups, minlength=num_groups).astype(values.dtype)
-    safe_counts = np.maximum(counts, 1.0)
+    counts = np.bincount(groups, minlength=num_groups)
+    safe_counts = np.maximum(counts, 1).astype(values.dtype)
     sums = np.zeros((num_groups, values.shape[-1]), dtype=values.dtype)
-    _backends.scatter_add_rows(sums, groups, values)
+    _add_rows_by_group(sums, groups, values, counts)
     if out is None:
         data = sums / safe_counts[:, None]
     else:
@@ -504,7 +663,7 @@ def _scatter_sum_fwd(args, params, need_ctx, out):
     else:
         data = out.get(shape)
         data.fill(0.0)
-    _backends.scatter_add_rows(data, groups, values)
+    _add_rows_by_group(data, groups, values)
     return data, None
 
 

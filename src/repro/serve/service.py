@@ -411,8 +411,10 @@ class EmbeddingService:
             return np.zeros((0, self.encoder.embed_dim), dtype=self._dtype)
         with default_dtype(self._dtype), no_grad():
             staged = self.encoder.take_staged()
-            z = self._compiled_embed(nodes, ts, staged,
-                                     key=(len(nodes), staged is None))
+            # Replay is shape-agnostic, so the key names the op stream
+            # only: one program (and one set of pooled buffers) per
+            # "messages pending or not", whatever the row count.
+            z = self._compiled_embed(nodes, ts, staged, key=staged is None)
             # Replayed outputs live in pooled buffers (valid only until
             # the next pass) and the planner caches rows — copy out.
             rows = np.array(z.data, copy=True)

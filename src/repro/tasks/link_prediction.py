@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.pretext import LinkPredictionHead
+from ..dgnn.encoder import embed_together
 from ..graph.batching import RandomDestinationSampler, chronological_batches
 from ..graph.events import EventStream
 from ..nn.autograd import Tensor, default_dtype, no_grad
@@ -127,9 +128,9 @@ class LinkPredictionTask:
         def train_step(batch, staged):
             optimizer.zero_grad()
             flush_staged(staged)
-            z_src = self._embed(batch.src, batch.timestamps)
-            z_dst = self._embed(batch.dst, batch.timestamps)
-            z_neg = self._embed(batch.neg_dst, batch.timestamps)
+            z_src, z_dst, z_neg = embed_together(
+                self._embed, batch.timestamps,
+                batch.src, batch.dst, batch.neg_dst)
             loss = self.head.loss(z_src, z_dst, z_neg)
             loss.backward()
             return loss.item()
@@ -227,9 +228,8 @@ class LinkPredictionTask:
                 if keep.any():
                     src, dst = batch.src[keep], batch.dst[keep]
                     neg, ts = batch.neg_dst[keep], batch.timestamps[keep]
-                    z_src = self._embed(src, ts)
-                    z_dst = self._embed(dst, ts)
-                    z_neg = self._embed(neg, ts)
+                    z_src, z_dst, z_neg = embed_together(self._embed, ts,
+                                                         src, dst, neg)
                     pos_p = self.head.probability(z_src, z_dst).data
                     neg_p = self.head.probability(z_src, z_neg).data
                     all_scores.append(np.concatenate([pos_p, neg_p]))
@@ -281,14 +281,14 @@ class LinkPredictionTask:
                                                self.config.batch_size,
                                                self._rng, self._neg_sampler):
                 b = len(batch)
-                z_src = self._embed(batch.src, batch.timestamps)
-                z_dst = self._embed(batch.dst, batch.timestamps)
+                z_src, z_dst = embed_together(self._embed, batch.timestamps,
+                                              batch.src, batch.dst)
                 pos_all.append(self.head.score(z_src, z_dst).data)
                 candidates = self._neg_sampler.sample(b * num_candidates)
                 cand_ts = np.repeat(batch.timestamps, num_candidates)
-                z_cand = self._embed(candidates, cand_ts)
                 src_rep = np.repeat(batch.src, num_candidates)
-                z_src_rep = self._embed(src_rep, cand_ts)
+                z_cand, z_src_rep = embed_together(self._embed, cand_ts,
+                                                   candidates, src_rep)
                 scores = self.head.score(z_src_rep, z_cand).data
                 neg_all.append(scores.reshape(b, num_candidates))
                 encoder.flush_messages()

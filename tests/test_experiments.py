@@ -67,8 +67,10 @@ class TestRunnersTiny:
         assert set(times) == {"full", "eie-mean", "eie-attn", "eie-gru"}
         assert all(v > 0 for v in times.values())
         # EIE-GRU fuses L checkpoints sequentially: strictly more work
-        # than plain full fine-tuning.
-        assert times["eie-gru"] > times["full"]
+        # than plain full fine-tuning.  Ordered by recorded autograd ops,
+        # not by two ~20 ms wall times.
+        ops = {row["strategy"]: row["graph ops"] for row in result.rows}
+        assert ops["eie-gru"] > ops["eie-mean"] > ops["full"] > 0
 
     def test_table8_rows(self):
         result = run_experiment("table8", scale="tiny",

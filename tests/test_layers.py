@@ -132,24 +132,25 @@ class TestAttention:
     def test_temporal_attention_shapes(self, rng):
         att = TemporalAttention(6, 5, 8, 2, rng)
         out = att(Tensor(rng.normal(size=(3, 6))),
-                  Tensor(rng.normal(size=(3, 4, 5))))
+                  Tensor(rng.normal(size=(7, 5))), np.array([0, 4, 5]))
         assert out.shape == (3, 8)
 
     def test_out_dim_divisible_by_heads(self, rng):
         with pytest.raises(ValueError):
             TemporalAttention(4, 4, 7, 2, rng)
 
-    def test_mask_ignores_padded_slots(self, rng):
+    def test_row_attends_over_its_own_run_only(self, rng):
         att = TemporalAttention(4, 4, 4, 1, rng)
-        query = Tensor(rng.normal(size=(1, 4)))
-        keys_data = rng.normal(size=(1, 3, 4))
-        mask = np.array([[False, True, True]])
-        out_masked = att(query, Tensor(keys_data), mask).data
-        # Changing masked slots must not change the output.
+        query = Tensor(rng.normal(size=(2, 4)))
+        keys_data = rng.normal(size=(4, 4))
+        starts = np.array([0, 1])           # row 0: slot 0; row 1: slots 1-3
+        out = att(query, Tensor(keys_data), starts).data
+        # Changing row 1's slots must not change row 0's output.
         keys_data2 = keys_data.copy()
-        keys_data2[0, 1:] = 100.0
-        out_masked2 = att(query, Tensor(keys_data2), mask).data
-        np.testing.assert_allclose(out_masked, out_masked2, atol=1e-8)
+        keys_data2[1:] = 100.0
+        out2 = att(query, Tensor(keys_data2), starts).data
+        np.testing.assert_allclose(out[0], out2[0], atol=1e-12)
+        assert not np.allclose(out[1], out2[1])
 
     def test_additive_attention_weights_sum_to_one(self, rng):
         att = AdditiveAttention(4, 6, rng)

@@ -310,6 +310,35 @@ class TestReport:
         assert backward["share"] == pytest.approx(0.6)
         assert sum(r["share"] for r in rows) == pytest.approx(1.0)
 
+    def test_nested_spans_share_self_time(self):
+        """A parent's share excludes what its children cover, so shares
+        add up to at most 1 (the old table summed nested work twice)."""
+        records = [
+            {"name": "pretrain.produce", "span": "p1", "parent": None,
+             "wall_s": 0.050},
+            {"name": "produce.eta_bfs", "span": "c1", "parent": "p1",
+             "wall_s": 0.030},
+            {"name": "produce.eps_dfs", "span": "c2", "parent": "p1",
+             "wall_s": 0.010},
+            {"name": "pretrain.forward", "span": "f1", "parent": None,
+             "wall_s": 0.050},
+            # A remote child measured longer than its local parent.
+            {"name": "fabric.wait", "span": "w1", "parent": None,
+             "wall_s": 0.010},
+            {"name": "fabric.produce", "span": "r1", "parent": "w1",
+             "wall_s": 0.020},
+        ]
+        rows = {r["span"]: r for r in obs.aggregate_spans(records)}
+        assert rows["pretrain.produce"]["total_s"] == pytest.approx(0.050)
+        assert rows["pretrain.produce"]["self_s"] == pytest.approx(0.010)
+        assert rows["produce.eta_bfs"]["self_s"] == pytest.approx(0.030)
+        assert rows["fabric.wait"]["self_s"] == 0.0
+        # 0.010 + 0.030 + 0.010 + 0.050 + 0 + 0.020 = 0.120 of self time.
+        assert rows["pretrain.forward"]["share"] == pytest.approx(
+            0.050 / 0.120, abs=1e-4)
+        assert sum(r["share"] for r in rows.values()) <= 1.0 + 1e-3
+        assert "self_s" in obs.format_report(records)
+
     def test_format_report_table(self):
         text = obs.format_report(self._records())
         assert "pretrain.backward" in text and "pretrain.forward" in text

@@ -349,6 +349,30 @@ class TestEmbeddingService:
         assert stats["backend"]["active"] == "numpy"
         assert service.stats()["backend"] == "numpy"
 
+    def test_one_program_serves_every_row_count(self):
+        """The inference step is keyed by op stream (messages pending or
+        not), not by row count: 50 requests of 50 distinct sizes trace at
+        most twice and still equal the eager service bit for bit."""
+        _, pre, suffix = make_split_stream(3)
+        artifact = pretrain_artifact(pre, tiny_config("tgn"))
+        knobs = dict(history=pre, cache_capacity=0)
+        service = EmbeddingService.from_artifact(artifact, **knobs)
+        eager = EmbeddingService.from_artifact(artifact, compile=False,
+                                               **knobs)
+        rng = np.random.default_rng(5)
+        for i, size in enumerate(rng.permutation(np.arange(1, 51))):
+            if i % 10 == 5:                  # alternate the op stream too
+                block = suffix.slice_index(4 * i, 4 * i + 4)
+                service.ingest(block)
+                eager.ingest(block)
+            nodes = rng.integers(0, NUM_NODES, size)
+            t = suffix.t_max + 1.0 + i
+            np.testing.assert_array_equal(service.embed(nodes, t),
+                                          eager.embed(nodes, t))
+        stats = service.stats()["compile"]
+        assert stats["traces"] <= 2 and stats["mismatches"] == 0
+        assert stats["replays"] >= 48
+
     def test_featured_service_requires_edge_feats_on_ingest(self):
         _, pre, suffix = make_split_stream(9, edge_dim=3)
         artifact = pretrain_artifact(pre, tiny_config("tgn", edge_dim=3))
