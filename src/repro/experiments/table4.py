@@ -5,8 +5,11 @@ O(D+N+1), EIE-attn = O(D+2N), EIE-GRU = O(D+N+NL²).  We verify the shape
 empirically: measured wall-clock per fine-tuning epoch should order
 ``full ≤ eie-mean ≤ eie-attn ≤ eie-gru`` and EIE-GRU should grow with L.
 Next to the wall-clock (tens of milliseconds at test scale, so noisy)
-each row carries a deterministic cost: the autograd ops the epoch
-recorded, which orders the strategies the same way on every run.
+each row carries a deterministic cost, ``graph ops``: the autograd nodes
+recorded while the strategy fine-tunes.  The fine-tune step is compiled,
+so that is the op count of the one step that gets traced (replayed steps
+record nothing) — the size of the step's graph, not a per-epoch total —
+and it orders the strategies the same way on every run.
 """
 
 from __future__ import annotations

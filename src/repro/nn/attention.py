@@ -31,8 +31,9 @@ class TemporalAttention(Module):
     slot of each query's run (``(B,)``, starting at 0, strictly
     increasing: every query owns at least one slot; see
     :func:`~repro.graph.neighbor_finder.most_recent_slots` for how a
-    query without history keeps one).  K/V projections, scores and the
-    softmax touch those ``S`` rows only; nothing is masked.
+    query without history keeps one; ``forward`` checks the contract
+    with :func:`~repro.nn.functional.segment_rows`).  K/V projections,
+    scores and the softmax touch those ``S`` rows only; nothing is masked.
     """
 
     def __init__(self, query_dim: int, key_dim: int, out_dim: int,
@@ -52,16 +53,18 @@ class TemporalAttention(Module):
         slots = keys.shape[0]
         h, d = self.num_heads, self.head_dim
 
-        q = F.segment_repeat(self.q_proj(query), starts, slots)   # (S, H*D)
+        rows = F.segment_rows(starts, slots)      # checks ``starts``, once
+
+        q = F.segment_repeat(self.q_proj(query), starts, slots, rows)  # (S, H*D)
         k = self.k_proj(keys)
         v = self.v_proj(keys)
 
         scores = (q * k).reshape(slots, h, d).sum(axis=-1) * (1.0 / np.sqrt(d))
-        weights = F.segment_softmax(scores, starts)               # (S, H)
+        weights = F.segment_softmax(scores, starts, rows)         # (S, H)
 
         weighted = weights.reshape(slots, h, 1) * v.reshape(slots, h, d)
         attended = F.segment_sum(weighted.reshape(slots, h * d),
-                                 starts)                          # (B, H*D)
+                                 starts, rows)                    # (B, H*D)
         return self.out_proj(attended)
 
 

@@ -27,8 +27,6 @@ Design notes
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from . import backends as _backends
@@ -38,29 +36,15 @@ __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled",
            "set_default_dtype", "Primitive", "Node", "primitive", "defvjp",
            "defchain", "apply_op", "graph_nodes_created"]
 
+_GRAD_ENABLED = True
+_DEFAULT_DTYPE = np.dtype(np.float64)
 
 # Monotone count of graph nodes recorded since process start.  The serving
 # path asserts this stays flat during inference (no tape allocation).
 _NODES_CREATED = 0
 
-
-class _ThreadState(threading.local):
-    """Per-thread engine modes (every thread starts from these defaults).
-
-    ``no_grad``, ``default_dtype`` and the active trace/replay engine
-    (see repro.nn.compile; None = plain eager) are scoped by context
-    managers, and a scope belongs to the thread that opened it: a service
-    replaying its float32 inference program on one thread must neither
-    intercept the ops nor flip the dtype or the grad mode of what another
-    thread — a second service ingesting, a trainer — computes meanwhile.
-    """
-
-    grad_enabled = True
-    default_dtype = np.dtype(np.float64)
-    tracer = None
-
-
-_STATE = _ThreadState()
+# The active trace/replay engine (see repro.nn.compile); None = plain eager.
+_TRACER = None
 
 
 def graph_nodes_created() -> int:
@@ -76,35 +60,36 @@ def set_tracer(tracer):
     """Install a trace/replay engine intercepting primitive application.
 
     Returns the previously installed tracer (None when eager).  Used only
-    by :mod:`repro.nn.compile`.  The tracer is installed for the calling
-    thread only.
+    by :mod:`repro.nn.compile`.
     """
-    previous = _STATE.tracer
-    _STATE.tracer = tracer
+    global _TRACER
+    previous = _TRACER
+    _TRACER = tracer
     return previous
 
 
 def get_tracer():
-    return _STATE.tracer
+    return _TRACER
 
 
 def get_default_dtype() -> np.dtype:
     """Dtype new tensors are created with (float64 unless overridden)."""
-    return _STATE.default_dtype
+    return _DEFAULT_DTYPE
 
 
 def set_default_dtype(dtype) -> np.dtype:
-    """Set the calling thread's tensor dtype; returns the previous one.
+    """Set the global tensor dtype; returns the previous one.
 
     Only floating dtypes are meaningful — training in float32 halves the
     memory traffic of the DGNN hot path while float64 remains the default
     for numerically strict gradient checks.
     """
-    previous = _STATE.default_dtype
+    global _DEFAULT_DTYPE
+    previous = _DEFAULT_DTYPE
     resolved = np.dtype(dtype)
     if resolved.kind != "f":
         raise ValueError(f"default dtype must be floating, got {resolved}")
-    _STATE.default_dtype = resolved
+    _DEFAULT_DTYPE = resolved
     return previous
 
 
@@ -183,18 +168,20 @@ class no_grad:
     """
 
     def __enter__(self):
-        self._previous = _STATE.grad_enabled
-        _STATE.grad_enabled = False
+        global _GRAD_ENABLED
+        self._previous = _GRAD_ENABLED
+        _GRAD_ENABLED = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _STATE.grad_enabled = self._previous
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._previous
         return False
 
 
 def is_grad_enabled() -> bool:
     """Return whether new operations are currently recorded on the graph."""
-    return _STATE.grad_enabled
+    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -286,7 +273,7 @@ class Node:
 def _wrap(data) -> "Tensor":
     """Wrap a kernel output without re-running ``Tensor.__init__`` checks."""
     out = Tensor.__new__(Tensor)
-    out.data = np.asarray(data, dtype=_STATE.default_dtype)
+    out.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
     out._grad = None
     out.requires_grad = False
     out._backward = None
@@ -301,7 +288,7 @@ def _eager_apply(prim: Primitive, inputs: tuple, params) -> "Tensor":
     """Apply ``prim`` eagerly, recording a :class:`Node` when needed."""
     global _NODES_CREATED
     requires = False
-    if _STATE.grad_enabled:
+    if _GRAD_ENABLED:
         for t in inputs:
             if t.requires_grad:
                 requires = True
@@ -322,7 +309,7 @@ def apply_op(prim: Primitive, inputs: tuple, params=None) -> "Tensor":
     otherwise runs the plain eager path (fast no-graph route under
     :class:`no_grad`).
     """
-    tr = _STATE.tracer
+    tr = _TRACER
     if tr is not None:
         return tr.apply(prim, inputs, params)
     return _eager_apply(prim, inputs, params)
@@ -346,9 +333,9 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_STATE.default_dtype)
+        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self._grad: np.ndarray | SparseRowGrad | None = None
-        self.requires_grad = bool(requires_grad) and _STATE.grad_enabled
+        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._backward = None
         self._parents: tuple = ()
         self._node: Node | None = None
@@ -438,8 +425,7 @@ class Tensor:
         but abort compiled tracing (transparent eager fallback).
         """
         global _NODES_CREATED
-        requires = (_STATE.grad_enabled
-                    and any(p.requires_grad for p in parents))
+        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             _NODES_CREATED += 1
@@ -486,7 +472,7 @@ class Tensor:
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
-        tr = _STATE.tracer
+        tr = _TRACER
         if tr is not None and tr.replaying:
             tr.replay_backward(self, grad)
             return

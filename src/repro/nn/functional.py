@@ -25,7 +25,8 @@ from .autograd import (SparseRowGrad, Tensor, _unbroadcast, apply_op,
 
 __all__ = [
     "exp", "log", "tanh", "sigmoid", "relu", "leaky_relu", "softmax",
-    "log_softmax", "segment_softmax", "segment_sum", "segment_repeat",
+    "log_softmax", "segment_rows", "segment_softmax", "segment_sum",
+    "segment_repeat",
     "concatenate", "stack", "split_rows", "embedding_lookup", "dropout",
     "clip", "sqrt", "abs_", "where", "scatter_mean", "scatter_sum",
     "scatter_max", "l2_normalize",
@@ -307,25 +308,45 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # owns the flat run ``[starts[i], starts[i + 1])`` and the last run ends at
 # the slot total.  ``starts`` begins at 0 and is strictly increasing —
 # every run is non-empty, which is what lets ``ufunc.reduceat`` do the
-# reductions (it would read an empty run as its next element).
-def _segment_rows(starts: np.ndarray, total: int) -> np.ndarray:
-    """Row index of every slot: ``[0, 0, 1, 2, 2, 2, ...]``."""
-    return np.repeat(np.arange(len(starts)), np.diff(starts, append=total))
+# reductions (it would silently read an empty run as its next element, so
+# :func:`segment_rows` rejects one).  The three primitives share the
+# per-slot row index; a caller applying several of them to one layout
+# computes it once and passes it as ``rows``.
+def segment_rows(starts: np.ndarray, total: int) -> np.ndarray:
+    """Row index of every slot, ``[0, 0, 1, 2, 2, 2, ...]``, checked.
+
+    Raises ``ValueError`` unless ``starts`` begins at 0, is strictly
+    increasing and ends below ``total`` (no empty run).
+    """
+    starts = np.asarray(starts)
+    counts = np.diff(starts, append=total)
+    first = starts[0] if len(starts) else total
+    if first != 0 or (counts <= 0).any():
+        raise ValueError(
+            f"segment starts must begin at 0 and increase strictly below "
+            f"the slot total {total} (every run non-empty), got {starts}")
+    return np.repeat(np.arange(len(starts)), counts)
+
+
+def _segment_params(starts, total: int, rows) -> dict:
+    if rows is None:
+        rows = segment_rows(starts, total)
+    return {"starts": np.asarray(starts, dtype=np.int64), "rows": rows}
 
 
 def _segment_softmax_fwd(args, params, need_ctx, out):
     (x,) = args
-    starts = params["starts"]
-    rows = _segment_rows(starts, len(x))
+    starts, rows = params["starts"], params["rows"]
     e = np.exp(x - np.maximum.reduceat(x, starts, axis=0)[rows])
     s = np.add.reduceat(e, starts, axis=0)[rows]
     data = e / s if out is None else np.divide(e, s, out=out.get(x.shape))
-    return data, (data, rows)
+    return data, (data,)
 
 
 def _segment_softmax_vjp(ctx, grad, needs, params):
-    data, rows = ctx
-    dot = np.add.reduceat(grad * data, params["starts"], axis=0)[rows]
+    (data,) = ctx
+    dot = np.add.reduceat(grad * data, params["starts"],
+                          axis=0)[params["rows"]]
     return (data * (grad - dot),)
 
 
@@ -333,15 +354,17 @@ _SEGMENT_SOFTMAX = defvjp(primitive("segment_softmax", _segment_softmax_fwd),
                           _segment_softmax_vjp)
 
 
-def segment_softmax(x: Tensor, starts: np.ndarray) -> Tensor:
+def segment_softmax(x: Tensor, starts: np.ndarray, rows=None) -> Tensor:
     """Softmax over axis 0 within each run of a ragged ``(S, ...)`` batch.
 
     The ragged twin of a masked softmax over padded ``(B, N)`` scores:
     only real slots exist, so there is no ``-inf`` bias and no wasted
     exponentials.  Trailing axes (attention heads) are independent.
+    ``rows`` is ``segment_rows(starts, S)`` when already at hand.
     """
-    return apply_op(_SEGMENT_SOFTMAX, (as_tensor(x),),
-                    {"starts": np.asarray(starts, dtype=np.int64)})
+    x = as_tensor(x)
+    return apply_op(_SEGMENT_SOFTMAX, (x,),
+                    _segment_params(starts, x.shape[0], rows))
 
 
 def _segment_sum_fwd(args, params, need_ctx, out):
@@ -352,26 +375,27 @@ def _segment_sum_fwd(args, params, need_ctx, out):
     else:
         data = np.add.reduceat(x, starts, axis=0,
                                out=out.get((len(starts),) + x.shape[1:]))
-    return data, ((len(x),) if need_ctx else None)
+    return data, None
 
 
 def _segment_sum_vjp(ctx, grad, needs, params):
-    return (grad[_segment_rows(params["starts"], ctx[0])],)
+    return (grad[params["rows"]],)
 
 
 _SEGMENT_SUM = defvjp(primitive("segment_sum", _segment_sum_fwd),
                       _segment_sum_vjp)
 
 
-def segment_sum(x: Tensor, starts: np.ndarray) -> Tensor:
+def segment_sum(x: Tensor, starts: np.ndarray, rows=None) -> Tensor:
     """Sum each run of a ragged ``(S, ...)`` batch into a ``(B, ...)`` row."""
-    return apply_op(_SEGMENT_SUM, (as_tensor(x),),
-                    {"starts": np.asarray(starts, dtype=np.int64)})
+    x = as_tensor(x)
+    return apply_op(_SEGMENT_SUM, (x,),
+                    _segment_params(starts, x.shape[0], rows))
 
 
 def _segment_repeat_fwd(args, params, need_ctx, out):
     (x,) = args
-    rows = _segment_rows(params["starts"], params["total"])
+    rows = params["rows"]
     if out is None:
         data = x[rows]
     else:
@@ -390,7 +414,8 @@ _SEGMENT_REPEAT = defvjp(primitive("segment_repeat", _segment_repeat_fwd),
                          _segment_repeat_vjp)
 
 
-def segment_repeat(x: Tensor, starts: np.ndarray, total: int) -> Tensor:
+def segment_repeat(x: Tensor, starts: np.ndarray, total: int,
+                   rows=None) -> Tensor:
     """Repeat row ``i`` of ``(B, ...)`` once per slot of run ``i``.
 
     The inverse layout move of :func:`segment_sum` (each is the other's
@@ -398,8 +423,7 @@ def segment_repeat(x: Tensor, starts: np.ndarray, total: int) -> Tensor:
     ``total`` slots of the ragged batch.
     """
     return apply_op(_SEGMENT_REPEAT, (as_tensor(x),),
-                    {"starts": np.asarray(starts, dtype=np.int64),
-                     "total": int(total)})
+                    _segment_params(starts, total, rows))
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,6 @@ diverges from the recorded program.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -18,8 +16,7 @@ from repro.core.config import CPDGConfig
 from repro.core.pretrainer import CPDGPreTrainer
 from repro.datasets import BipartiteInteractionGenerator, InteractionConfig
 from repro.nn import MLP, Adam, CompiledStep, Tensor, functional as F
-from repro.nn.autograd import (default_dtype, get_default_dtype, get_tracer,
-                               graph_nodes_created, is_grad_enabled, no_grad)
+from repro.nn.autograd import graph_nodes_created, no_grad
 
 from .conftest import numeric_gradient
 
@@ -257,72 +254,6 @@ class TestInferenceMode:
         value = compiled(x, key="k")            # trace fails, result stays eager
         assert compiled.program_size("k") is None
         assert value == pytest.approx(bad(x))
-
-
-class TestThreadScopedModes:
-    """``no_grad`` / ``default_dtype`` / the replay engine belong to the
-    thread that opened them (two services in one process compute on
-    different threads)."""
-
-    def test_modes_do_not_leak_across_threads(self):
-        inside, release = threading.Event(), threading.Event()
-        seen = {}
-
-        def holder():
-            with no_grad(), default_dtype(np.float32):
-                inside.set()
-                release.wait(10.0)
-            seen["after"] = (is_grad_enabled(), get_default_dtype())
-
-        thread = threading.Thread(target=holder)
-        thread.start()
-        try:
-            assert inside.wait(10.0)
-            assert is_grad_enabled()
-            assert get_default_dtype() == np.float64
-            x = Tensor(np.ones(3), requires_grad=True)
-            assert (x * 2.0).requires_grad and (x * 2.0).dtype == np.float64
-        finally:
-            release.set()
-            thread.join(10.0)
-        assert not thread.is_alive()
-        assert seen["after"] == (True, np.dtype(np.float64))
-
-    def test_replay_does_not_intercept_other_threads(self):
-        inside, release = threading.Event(), threading.Event()
-
-        def step(x, pause):
-            y = Tensor(x) * 2.0
-            if pause:
-                inside.set()
-                release.wait(10.0)
-            return y + 1.0
-
-        compiled = CompiledStep(step, mode="inference")
-        out = {}
-
-        def replayer():
-            with no_grad():
-                compiled(np.ones(4), False, key="k")            # trace
-                out["z"] = np.array(compiled(np.full(4, 3.0), True,
-                                             key="k").data)     # replay
-
-        thread = threading.Thread(target=replayer)
-        thread.start()
-        try:
-            assert inside.wait(10.0)         # the other thread is mid-replay
-            assert get_tracer() is None
-            w = Tensor(np.arange(3.0), requires_grad=True)
-            loss = (F.tanh(w) * w).sum()     # a different op stream
-            loss.backward()
-            assert w.grad is not None
-        finally:
-            release.set()
-            thread.join(10.0)
-        assert not thread.is_alive()
-        np.testing.assert_array_equal(out["z"], np.full(4, 7.0))
-        stats = compiled.stats()
-        assert stats["replays"] == 1 and stats["mismatches"] == 0
 
 
 class TestTensorItem:

@@ -258,6 +258,34 @@ class TestSegmentPrimitives:
         np.testing.assert_allclose(out[2], 1.0)
         np.testing.assert_allclose(out[:2].sum(), 1.0)
 
+    @pytest.mark.parametrize("starts", [
+        [0, 1, 1],      # an empty run: reduceat would read its neighbour
+        [1, 2],         # does not begin at slot 0
+        [0, 2, 1],      # not sorted
+        [0, 1, 3],      # last run starts at the slot total
+        [],             # no run for three slots
+    ])
+    def test_bad_starts_are_rejected(self, starts):
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        starts = np.array(starts, dtype=np.int64)
+        with pytest.raises(ValueError, match="segment starts"):
+            F.segment_sum(x, starts)
+        with pytest.raises(ValueError, match="segment starts"):
+            F.segment_softmax(x, starts)
+        with pytest.raises(ValueError, match="segment starts"):
+            F.segment_repeat(Tensor(np.ones((len(starts), 2))), starts, 3)
+
+    def test_shared_row_index_gives_the_same_values(self, rng):
+        x = Tensor(rng.normal(size=(SLOTS, 2)))
+        rows = F.segment_rows(STARTS, SLOTS)
+        np.testing.assert_array_equal(rows, [0, 0, 0, 1, 2, 2, 3, 3, 3, 3])
+        np.testing.assert_array_equal(
+            F.segment_softmax(x, STARTS, rows).data,
+            F.segment_softmax(x, STARTS).data)
+        np.testing.assert_array_equal(F.segment_sum(x, STARTS, rows).data,
+                                      F.segment_sum(x, STARTS).data)
+        assert F.segment_rows(np.array([], dtype=np.int64), 0).shape == (0,)
+
     def test_segment_softmax_gradient(self, rng):
         x = Tensor(rng.normal(size=(SLOTS, 2)), requires_grad=True)
         w = Tensor(rng.normal(size=(SLOTS, 2)))
