@@ -6,7 +6,7 @@ scale ``BENCH_pretrain.json`` uses — and measures the serving hot paths:
 
 * **query throughput** — batched ``embed`` requests over random query
   nodes; cold pass (every key unseen) and warm pass (same keys again,
-  exercising the node-keyed LRU), with per-request p50/p99 latency;
+  exercising the row cache), with per-request p50/p99 latency;
 * **score throughput** — ``score_links`` pairs/sec;
 * **ingest throughput** — live events/sec through
   ``DynamicNeighborFinder`` append + sparse-delta memory advancement,
@@ -19,9 +19,13 @@ scale ``BENCH_pretrain.json`` uses — and measures the serving hot paths:
   query/ingest workload.
 
 ``--smoke`` shrinks every scale for CI and additionally *asserts* the
-fast path's correctness anchors: a staleness bound of zero is
-bit-identical to the exact path, and a snapshot → restore round trip
-reproduces the writer's embeddings bit-for-bit.
+fast path's correctness anchors against a ``cache_capacity=0`` service:
+the exact policy and a staleness bound of zero both answer bit-identically
+to it under interleaved probes and ingests, and a replica restored from
+its snapshot keeps doing so after continued ingest.
+
+Each run is appended: the previous contents of the output file move into
+its ``history`` list.
 
 Usage::
 
@@ -231,38 +235,56 @@ def bench_staleness(artifact: PretrainArtifact, base: EventStream,
 
 def smoke_checks(artifact: PretrainArtifact, base: EventStream,
                  live: EventStream, params: dict, tmp_dir: Path) -> None:
-    """CI correctness anchors (smoke mode only): exactness + snapshot."""
+    """CI correctness anchors (smoke mode only): exactness + snapshot.
+
+    The witness is always a cache-free service fed the same events, and
+    the cached replicas embed the probes between ingests so that their
+    caches hold rows for the next block to stale.
+    """
     probes = np.arange(0, params["num_nodes"],
                        max(params["num_nodes"] // 64, 1))
     t = float(live.timestamps[-1]) + 1.0
+    oracle = make_service(artifact, base, params, cache_capacity=0,
+                          background_compaction=False)
     exact = make_service(artifact, base, params,
                          background_compaction=False)
     bound0 = make_service(artifact, base, params, staleness_events=0.0,
                           staleness_time=500.0,
                           background_compaction=False)
-    half = live.num_events // 2
-    for service in (exact, bound0):
-        service.ingest(src=live.src[:half], dst=live.dst[:half],
-                       timestamps=live.timestamps[:half])
-    a, b = exact.embed(probes, t), bound0.embed(probes, t)
-    assert np.array_equal(a, b), "staleness bound 0 diverged from exact"
+    replicas = [exact, bound0]
 
-    path = str(tmp_dir / f"smoke-{params['num_nodes']}.npz")
-    exact.snapshot(path)
-    restored = EmbeddingService.from_snapshot(artifact, path)
-    assert np.array_equal(exact.embed(probes, t),
-                          restored.embed(probes, t)), \
-        "snapshot round trip diverged"
-    # Both replicas must also agree after ingesting the remaining live
+    def ingest_and_compare(lo: int, hi: int, what: str) -> None:
+        block = params["ingest_block"]
+        for start in range(lo, hi, block):
+            stop = min(start + block, hi)
+            for service in [oracle] + replicas:
+                service.ingest(src=live.src[start:stop],
+                               dst=live.dst[start:stop],
+                               timestamps=live.timestamps[start:stop])
+            want = oracle.embed(probes, t)
+            for service in replicas:
+                assert np.array_equal(service.embed(probes, t), want), what
+
+    for service in replicas:
+        service.embed(probes, t)
+    half = live.num_events // 2
+    ingest_and_compare(0, half, "a cached service diverged from the "
+                                "cache-free one")
+
+    # The cache-free service writes the snapshot; a cached replica
+    # restored from it must track the writer through the remaining live
     # suffix (pending messages and delta state restored, not just memory).
-    for service in (exact, restored):
-        service.ingest(src=live.src[half:], dst=live.dst[half:],
-                       timestamps=live.timestamps[half:])
-    assert np.array_equal(exact.embed(probes, t),
-                          restored.embed(probes, t)), \
-        "restored replica diverged after continued ingest"
+    path = str(tmp_dir / f"smoke-{params['num_nodes']}.npz")
+    oracle.snapshot(path)
+    restored = EmbeddingService.from_snapshot(artifact, path)
+    assert np.array_equal(restored.embed(probes, t),
+                          oracle.embed(probes, t)), \
+        "snapshot round trip diverged"
+    replicas.append(restored)
+    ingest_and_compare(half, live.num_events,
+                       "a replica diverged after continued ingest")
     print(f"smoke checks passed @ {params['num_nodes']} nodes "
-          "(bound-0 exactness, snapshot round trip)")
+          "(exact and bound-0 vs cache-free, snapshot round trip)")
 
 
 def bench_scale(params: dict, smoke: bool, tmp_dir: Path) -> dict:
@@ -345,6 +367,10 @@ def main() -> int:
     tmp_dir = args.out.resolve().parent
     cases = {name: bench_scale(params, args.smoke, tmp_dir)
              for name, params in scales.items()}
+    history = []
+    if args.out.exists():
+        previous = json.loads(args.out.read_text())
+        history = previous.pop("history", []) + [previous]
     payload = {
         "metric": "serving throughput/latency over a pre-trained artifact "
                   "(embed queries/sec cold and warm, score pairs/sec, live "
@@ -356,6 +382,7 @@ def main() -> int:
         "dtype": "float32",
         "smoke": bool(args.smoke),
         "cases": cases,
+        "history": history,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     for name, row in cases.items():

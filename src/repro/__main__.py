@@ -354,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8471)
     srv.add_argument("--cache-capacity", type=int, default=65536,
-                     help="embedding LRU rows (0 disables the cache)")
+                     help="embedding row cache slots (0 disables the cache)")
     srv.add_argument("--window-ms", type=float, default=0.0,
                      help="micro-batch coalescing window in ms")
     srv.add_argument("--compaction-threshold", type=int, default=4096,

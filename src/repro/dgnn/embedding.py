@@ -39,7 +39,12 @@ class EmbeddingContext:
     last-interaction times; ``finder`` the temporal adjacency of the
     *attached* stream; ``edge_feats`` the stream's edge feature matrix
     (or a lazy zero table, or None); ``time_encoder`` the shared φ(Δt)
-    module.
+    module.  ``reads``, when a list, collects the receptive field: an
+    embedding module appends ``(rows, node_ids)`` for every node whose
+    state it reads on behalf of request row ``rows[i]`` beyond that row's
+    own node (:meth:`DGNNEncoder.compute_embedding
+    <repro.dgnn.encoder.DGNNEncoder.compute_embedding>` pads them into
+    ``last_field``).
     """
 
     memory: "MemoryView"
@@ -47,10 +52,13 @@ class EmbeddingContext:
     finder: NeighborFinder
     edge_feats: np.ndarray | None
     time_encoder: TimeEncoder
+    reads: list | None = None
 
 
 class IdentityEmbedding(Module):
     """DyRep: the memory state is the embedding (linearly projected)."""
+
+    field_width = 1     # a row reads its own node's state only
 
     def __init__(self, memory_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
@@ -69,6 +77,8 @@ class TimeProjectionEmbedding(Module):
     since node ``i``'s last interaction, scaled by ``delta_scale`` (set to
     the stream's mean inter-event gap by the encoder).
     """
+
+    field_width = 1     # own state and own last-update clock
 
     def __init__(self, memory_dim: int, out_dim: int, rng: np.random.Generator,
                  delta_scale: float = 1.0):
@@ -116,13 +126,21 @@ class TemporalAttentionEmbedding(Module):
         ]
         self.merges = [Linear(out_dim + dims[layer], out_dim, rng)
                        for layer in range(n_layers)]
+        # The node itself plus at most n_neighbors^l nodes l hops away.
+        self.field_width = 1 + sum(n_neighbors ** hop
+                                   for hop in range(1, n_layers + 1))
 
     def forward(self, ctx: EmbeddingContext, nodes: np.ndarray, ts: np.ndarray) -> Tensor:
-        return self._embed_layer(ctx, np.asarray(nodes, dtype=np.int64),
-                                 np.asarray(ts, dtype=np.float64), self.n_layers)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        root = None if ctx.reads is None else np.arange(len(nodes))
+        return self._embed_layer(ctx, nodes, np.asarray(ts, dtype=np.float64),
+                                 self.n_layers, root)
 
     def _embed_layer(self, ctx: EmbeddingContext, nodes: np.ndarray,
-                     ts: np.ndarray, layer: int) -> Tensor:
+                     ts: np.ndarray, layer: int,
+                     root: np.ndarray | None = None) -> Tensor:
+        """``root[i]`` is the request row ``nodes[i]`` is embedded for
+        (``None``: reads are not being collected for these nodes)."""
         if layer == 0:
             return ctx.memory.gather(nodes)
 
@@ -131,10 +149,17 @@ class TemporalAttentionEmbedding(Module):
         # only the slots that hold a neighbour are embedded and attended.
         slots = most_recent_slots(ctx.finder, nodes, ts, self.n_neighbors)
         slot_ts = ts[slots.rows]
+        if root is not None:
+            # Dummy slots included: a history-less row reads node 0.
+            root = root[slots.rows]
+            ctx.reads.append((root, slots.neighbors))
 
+        # The centre's own recursion repeats this layer's query and then
+        # reads a subset of what the neighbours' recursion reads, so only
+        # the latter is collected.
         center = self._embed_layer(ctx, nodes, ts, layer - 1)
         neighbor_repr = self._embed_layer(ctx, slots.neighbors, slot_ts,
-                                          layer - 1)
+                                          layer - 1, root)
 
         # Time encodings: φ(0) for the query, φ(t - t_u) for the keys.
         zero_enc = ctx.time_encoder(Tensor(np.zeros(len(nodes))))

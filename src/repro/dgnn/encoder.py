@@ -128,6 +128,12 @@ class DGNNEncoder(Module):
         self._finder: NeighborFinder | None = None
         self._edge_feats: np.ndarray | ZeroEdgeFeatures | None = None
         self._flushed: MemoryView | None = None
+        # Receptive-field hand-back (the serving cache's freshness test):
+        # with ``track_field`` on, every :meth:`compute_embedding` pass
+        # leaves in ``last_field`` the ``(len(nodes), field_width)`` ids
+        # of the nodes whose state each row was computed from.
+        self.track_field = False
+        self.last_field: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -279,9 +285,38 @@ class DGNNEncoder(Module):
             finder=self._finder,
             edge_feats=self._edge_feats,
             time_encoder=self.time_encoder,
+            reads=[] if self.track_field else None,
         )
-        return self.embedding_module(ctx, np.asarray(nodes, dtype=np.int64),
-                                     np.asarray(ts, dtype=np.float64))
+        nodes = np.asarray(nodes, dtype=np.int64)
+        z = self.embedding_module(ctx, nodes, np.asarray(ts, dtype=np.float64))
+        if self.track_field:
+            self.last_field = self._pad_field(nodes, ctx.reads)
+        return z
+
+    @property
+    def field_width(self) -> int:
+        """Columns of ``last_field``: the most node ids one row reads."""
+        return self.embedding_module.field_width
+
+    def _pad_field(self, nodes: np.ndarray, reads: list) -> np.ndarray:
+        """``(len(nodes), field_width)`` receptive field of one pass.
+
+        Column 0 is the row's own node, then the ids the embedding module
+        collected for it (the sampled neighbour set ``N_i^t`` of Eq. 1,
+        every hop); unused columns hold ``num_nodes``, an id no event
+        ever touches.
+        """
+        field = np.full((len(nodes), self.field_width), self.num_nodes,
+                        dtype=np.int64)
+        field[:, 0] = nodes
+        if reads:
+            rows = np.concatenate([rows for rows, _ in reads])
+            ids = np.concatenate([ids for _, ids in reads])
+            order = np.argsort(rows, kind="stable")
+            rows, ids = rows[order], ids[order]
+            first = np.searchsorted(rows, np.arange(len(nodes)))
+            field[rows, 1 + np.arange(len(rows)) - first[rows]] = ids
+        return field
 
     def register_batch(self, batch: EventBatch, messages=None) -> None:
         """Queue raw messages for this batch's events (paper Eq. 2 inputs).

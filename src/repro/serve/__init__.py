@@ -14,9 +14,10 @@ query engine whose memory keeps evolving as live events arrive.
   request path (the default; disable per ``ServeConfig``);
 * :class:`LiveIngestor` — replay-equivalent memory advancement through
   the sparse-delta staging path, maintaining the per-row touch clocks;
-* :class:`MicroBatchPlanner` / :class:`EmbeddingLRU` — request
-  coalescing and node-keyed caching with per-touched-row invalidation,
-  or bounded reuse under a non-exact :class:`StalenessPolicy`;
+* :class:`MicroBatchPlanner` / :class:`RowCache` — request coalescing
+  and an array-backed row cache that serves a row only while the nodes
+  it was computed from are untouched (or touched within a non-exact
+  :class:`StalenessPolicy` bound);
 * :class:`CoarseQuantIndex` — pure-numpy IVF shortlist for ``top_k``
   over large candidate catalogs (always exactly rescored);
 * :mod:`repro.serve.http` — stdlib JSON HTTP frontend plus in-process
@@ -28,7 +29,7 @@ from .dynamic_finder import (BackgroundCompactor, DynamicNeighborFinder,
 from .http import HttpClient, LocalClient, main, start_http_server
 from .index import CoarseQuantIndex, IndexStats
 from .ingest import IngestStats, LiveIngestor
-from .planner import (EmbeddingLRU, MicroBatchPlanner, PlannerStats,
+from .planner import (MicroBatchPlanner, PlannerStats, RowCache,
                       StalenessPolicy)
 from .service import EmbeddingService, ServeConfig, ServeError
 from .snapshot import (SnapshotError, read_snapshot, verify_snapshot_meta,
@@ -37,7 +38,7 @@ from .snapshot import (SnapshotError, read_snapshot, verify_snapshot_meta,
 __all__ = [
     "DynamicNeighborFinder", "IngestError", "BackgroundCompactor",
     "LiveIngestor", "IngestStats",
-    "EmbeddingLRU", "MicroBatchPlanner", "PlannerStats", "StalenessPolicy",
+    "MicroBatchPlanner", "PlannerStats", "RowCache", "StalenessPolicy",
     "CoarseQuantIndex", "IndexStats",
     "EmbeddingService", "ServeConfig", "ServeError",
     "SnapshotError", "read_snapshot", "write_snapshot",

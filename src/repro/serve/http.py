@@ -267,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8471)
     parser.add_argument("--cache-capacity", type=int, default=65536,
-                        help="embedding LRU rows (0 disables the cache)")
+                        help="embedding row cache slots (0 disables the cache)")
     parser.add_argument("--window-ms", type=float, default=0.0,
                         help="micro-batch coalescing window in ms")
     parser.add_argument("--compaction-threshold", type=int, default=4096,

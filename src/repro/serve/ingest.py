@@ -17,8 +17,9 @@ order, serve-time ingestion is **replay-equivalent**: after ingesting a
 suffix stream, embeddings are bit-identical to an offline encoder that
 replayed the concatenated (pre-train + suffix) stream.  The ingestor also
 reports which memory rows each block touched — the flush-written rows
-plus the event endpoints — so the query layer can invalidate exactly the
-affected cache entries.
+plus the event endpoints — and advances their touch clocks; the query
+layer's row cache compares a cached row's receptive field against those
+clocks instead of being invalidated.
 """
 
 from __future__ import annotations
@@ -94,13 +95,15 @@ class LiveIngestor:
         # Growable edge-feature table (indexed by global event id); None
         # when the encoder runs featureless or on a lazy zero table.
         self._edge_feats = edge_feats
-        # Per-row staleness clocks, mutated in place so the planner can
+        # Per-row touch clocks, mutated in place so the row cache can
         # hold references: touch_count[n] counts ingested blocks that
         # changed row n's state, touch_time[n] is the newest event time
-        # among them.  The staleness-bounded cache policy compares cache
-        # entries against these.
-        self.touch_count = np.zeros(finder.num_nodes, dtype=np.int64)
-        self.touch_time = np.zeros(finder.num_nodes, dtype=np.float64)
+        # among them.  A cached embedding is fresh while the clocks of
+        # every node it was computed from stand still.  One entry past
+        # the node space: the id that pads a receptive field, never
+        # touched.
+        self.touch_count = np.zeros(finder.num_nodes + 1, dtype=np.int64)
+        self.touch_time = np.zeros(finder.num_nodes + 1, dtype=np.float64)
         self.stats = IngestStats()
 
     @property
@@ -141,7 +144,9 @@ class LiveIngestor:
             self.encoder.end_batch()
         touched = np.union1d(flushed, np.union1d(src, dst))
         self.touch_count[touched] += 1
-        np.maximum.at(self.touch_time, touched, float(timestamps[-1]))
+        # `touched` is unique, so a plain indexed assignment is exact.
+        self.touch_time[touched] = np.maximum(self.touch_time[touched],
+                                              timestamps[-1])
         elapsed = time.perf_counter() - start
         self.stats.blocks += 1
         self.stats.events += len(src)

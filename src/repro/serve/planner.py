@@ -1,4 +1,4 @@
-"""Micro-batching query planner + node-keyed embedding cache.
+"""Micro-batching query planner + the array-backed embedding row cache.
 
 Serving traffic arrives as many small ``embed`` / ``score`` requests; the
 encoder wants one big batched pass.  :class:`MicroBatchPlanner` bridges
@@ -13,20 +13,19 @@ the two:
 * the leader loop also serialises all encoder access — the substrate is
   not thread-safe, and the planner is the single entry point the HTTP
   frontend and the in-process client share;
-* an :class:`EmbeddingLRU` keyed by ``(node, quantized_ts)`` short-cuts
-  repeat queries; ingestion invalidates per touched memory row via
-  :meth:`EmbeddingLRU.invalidate_nodes`, so post-ingest queries recompute
-  exactly the affected nodes.
+* a :class:`RowCache` short-cuts repeat queries.  One pass is a handful
+  of array operations whatever the row count: quantise → ``np.unique`` →
+  one ``lookup`` → one ``compute`` over the misses → one ``put`` → take.
 
-**Staleness-bounded reuse** (the serving fast path): with a non-exact
-:class:`StalenessPolicy` the service skips eager invalidation and the
-planner instead checks each cache hit lazily against per-row touch
-counters maintained by the ingest path — an entry whose node was touched
-by at most ``max_age_events`` events spanning at most ``max_age_time``
-event-time since it was cached is *served anyway* (counted as a
-``stale_hit``); beyond the bound it is evicted and recomputed.  The
-default policy is exact (bound = 0), which keeps the eager-invalidation
-path bit-identical to the pre-policy behaviour.
+**One freshness rule.**  An embedding of ``u`` is computed from the
+memory of ``u`` *and of every temporal neighbour the encoder sampled for
+it* (``N_u^t`` of the paper's Eq. 1, every hop) — its receptive field,
+which ``compute`` hands back next to the rows.  A cached row is served
+iff the query time matches and the field's clock (summed touch counts,
+newest touch time, from the arrays the ingest path advances) has moved
+by no more than the :class:`StalenessPolicy` bound since the row was
+computed.  The default bound is zero, so cached answers equal a
+cache-free service's.  Ingestion never walks the cache.
 
 The planner is deliberately synchronous per caller (every ``embed`` call
 returns its own rows); batching happens across *threads*, which is how
@@ -37,29 +36,31 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs as _obs
 
-__all__ = ["EmbeddingLRU", "MicroBatchPlanner", "PlannerStats",
+__all__ = ["MicroBatchPlanner", "PlannerStats", "RowCache",
            "StalenessPolicy"]
+
+
+_FREE = np.iinfo(np.int64).max      # LRU stamp of an unused slot
 
 
 @dataclass(frozen=True)
 class StalenessPolicy:
     """How stale a cached embedding may be and still be served.
 
-    ``max_age_events`` bounds the number of ingested blocks that touched
-    the node's memory row since the embedding was cached;
+    ``max_age_events`` bounds how many ingested-block touches the row's
+    receptive field (the node and the neighbours it was computed from)
+    has received since the row was cached, summed over the field;
     ``max_age_time`` bounds the event-time span those touches cover.  A
-    cached row is served iff **both** ages are within bound.  The
-    default ``(0, inf)`` is the exact policy: any touch invalidates,
-    which the service implements eagerly (the original per-touched-row
-    invalidation), so bound = 0 is bit-identical to the exact path.  A
-    time-only policy passes ``max_age_events=math.inf`` explicitly.
+    cached row is served iff **both** ages are within bound.  The default
+    ``(0, inf)`` is the exact policy: any touch of the field makes the
+    row a miss.  A time-only policy passes ``max_age_events=math.inf``
+    explicitly.
     """
 
     max_age_events: float = 0.0
@@ -75,88 +76,131 @@ class StalenessPolicy:
         return self.max_age_events == 0 or self.max_age_time == 0
 
 
-class EmbeddingLRU:
-    """LRU of embedding rows keyed by ``(node, quantized_ts)``.
+class RowCache:
+    """At most one embedding row per node, in preallocated arrays.
 
-    A secondary node → keys index makes :meth:`invalidate_nodes` O(keys
-    dropped), so ingestion can evict exactly the rows whose memory (or
-    last-update clock) changed without scanning the cache.
+    ``slot_of[node]`` is the node's slot (the ``TGNMemory.assoc`` idiom:
+    a node-indexed map, no dicts); a node without a row maps to the
+    *null slot* ``capacity``, whose entry can never be served, so a pass
+    needs no "is it cached" branch.  A slot holds the row, its quantised
+    query time ``tkey`` (a query of the same node at another time is
+    computed and replaces it), the ``width`` node ids of its receptive
+    field (padded with the id one past the node space) with the field's
+    clock at compute time, and an LRU ``stamp``.  Row and field storage
+    is ``np.empty``: pages are touched only as slots fill.  When no slot
+    is free, the least recently used eighth is evicted with one
+    ``argpartition``.
+
+    ``touch_count`` / ``touch_time`` are the ingest path's per-node clocks
+    (:class:`~repro.serve.ingest.LiveIngestor`, one entry past the node
+    space for the padding id); the cache only reads them.  Not
+    thread-safe: the planner calls it under its execution lock, which
+    ingestion shares.
     """
 
-    def __init__(self, capacity: int = 65536, time_resolution: float = 1e-6):
+    def __init__(self, capacity: int, dim: int, width: int,
+                 touch_count: np.ndarray, touch_time: np.ndarray,
+                 policy: StalenessPolicy | None = None,
+                 time_resolution: float = 1e-6, dtype=np.float64):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.time_resolution = time_resolution
-        self._rows: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-        # Freshness metadata per key: the node's (touch_count, touch_time)
-        # at put time, consulted by the staleness policy at hit time.
-        self._meta: dict[tuple[int, int], tuple[int, float]] = {}
-        self._node_keys: dict[int, set[tuple[int, int]]] = {}
-
-    def key(self, node: int, t: float) -> tuple[int, int]:
-        return (int(node), int(round(t / self.time_resolution)))
+        self.policy = policy if policy is not None else StalenessPolicy()
+        self._max_events = (0.0 if self.policy.exact
+                            else self.policy.max_age_events)
+        self._touch_count = touch_count
+        self._touch_time = touch_time
+        self.slot_of = np.full(len(touch_count), capacity, dtype=np.int64)
+        self.rows = np.empty((capacity + 1, dim), dtype=dtype)
+        self._field = np.empty((capacity + 1, width), dtype=np.int64)
+        self._node_of = np.empty(capacity, dtype=np.int64)
+        # What the null slot keeps: a field of padding ids, a time no
+        # query has and a zero clock.
+        self._field[capacity] = len(touch_count) - 1
+        self._tkey = np.full(capacity + 1, np.iinfo(np.int64).min)
+        self._count0 = np.zeros(capacity + 1, dtype=np.int64)
+        self._time0 = np.zeros(capacity + 1)
+        # Free slots carry the largest stamp, so eviction never picks one.
+        self._stamp = np.full(capacity + 1, _FREE, dtype=np.int64)
+        self._free = np.arange(capacity - 1, -1, -1)    # popped from the end
+        self._tick = 0
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self.capacity - len(self._free)
 
-    def get(self, key: tuple[int, int]) -> np.ndarray | None:
-        row = self._rows.get(key)
-        if row is not None:
-            self._rows.move_to_end(key)
-        return row
+    def _clock(self, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Summed touch count and newest touch time of each field row."""
+        # Reduced along the leading axis of a contiguous (width, rows)
+        # gather: half the time of reducing each short row.
+        columns = np.ascontiguousarray(field.T)
+        return (self._touch_count[columns].sum(axis=0),
+                self._touch_time[columns].max(axis=0))
 
-    def meta(self, key: tuple[int, int]) -> tuple[int, float]:
-        """``(touch_count, touch_time)`` recorded when ``key`` was cached."""
-        return self._meta.get(key, (0, 0.0))
+    def lookup(self, nodes: np.ndarray, tkeys: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """``(slots, serve, stale, refused)`` for distinct queries.
 
-    def put(self, key: tuple[int, int], row: np.ndarray,
-            touch_count: int = 0, touch_time: float = 0.0) -> None:
-        if key in self._rows:
-            self._rows.move_to_end(key)
-            self._rows[key] = row
-            self._meta[key] = (touch_count, touch_time)
-            return
-        self._rows[key] = row
-        self._meta[key] = (touch_count, touch_time)
-        self._node_keys.setdefault(key[0], set()).add(key)
-        if len(self._rows) > self.capacity:
-            old_key, _ = self._rows.popitem(last=False)
-            self._meta.pop(old_key, None)
-            keys = self._node_keys.get(old_key[0])
-            if keys is not None:
-                keys.discard(old_key)
-                if not keys:
-                    del self._node_keys[old_key[0]]
+        ``rows[slots[i]]`` answers query ``i`` iff ``serve[i]``: same
+        quantised time ``tkeys[i]`` and the field's clock within the
+        policy bound of its value at compute time.  ``stale`` counts
+        served rows with a touched field, ``refused`` cached rows of the
+        right time that the freshness test turned down.
+        """
+        slots = self.slot_of[nodes]
+        count, time = self._clock(self._field.take(slots, axis=0))
+        age = count - self._count0[slots]
+        fresh = ((age <= self._max_events)
+                 & (time - self._time0[slots] <= self.policy.max_age_time))
+        wanted = self._tkey[slots] == tkeys
+        serve = wanted & fresh
+        self._tick += 1
+        self._stamp[slots[serve]] = self._tick
+        return (slots, serve, int(np.count_nonzero(age[serve])),
+                int(np.count_nonzero(wanted & ~fresh)))
 
-    def drop(self, key: tuple[int, int]) -> None:
-        """Evict a single entry (a staleness-check failure)."""
-        if self._rows.pop(key, None) is None:
-            return
-        self._meta.pop(key, None)
-        keys = self._node_keys.get(key[0])
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._node_keys[key[0]]
+    def put(self, nodes: np.ndarray, tkeys: np.ndarray, rows: np.ndarray,
+            field: np.ndarray) -> None:
+        """Cache ``rows`` of distinct ``nodes``, replacing what they held.
 
-    def invalidate_nodes(self, nodes: np.ndarray) -> int:
-        """Drop every cached row of the given nodes; returns drop count."""
-        dropped = 0
-        for node in np.asarray(nodes, dtype=np.int64).tolist():
-            keys = self._node_keys.pop(int(node), None)
-            if not keys:
-                continue
-            for key in keys:
-                if self._rows.pop(key, None) is not None:
-                    dropped += 1
-                self._meta.pop(key, None)
-        return dropped
+        ``field[i]`` lists the node ids ``rows[i]`` was computed from;
+        its clock is read now, so no ingest may separate compute and put.
+        Of more rows than the cache holds, the last ``capacity`` are kept.
+        """
+        if len(nodes) > self.capacity:
+            nodes, tkeys, rows, field = (a[-self.capacity:] for a in
+                                         (nodes, tkeys, rows, field))
+        self._tick += 1
+        slots = self.slot_of[nodes]
+        # Stamped before evicting: a slot reused here is never a victim
+        # (the null slot's stamp is never read).
+        self._stamp[slots] = self._tick
+        new = np.flatnonzero(slots == self.capacity)
+        if len(new):
+            taken = self._allocate(len(new), len(nodes) - len(new))
+            slots[new] = taken
+            self.slot_of[nodes[new]] = taken
+            self._node_of[taken] = nodes[new]
+            self._stamp[taken] = self._tick
+        self.rows[slots] = rows
+        self._field[slots] = field
+        self._tkey[slots] = tkeys
+        self._count0[slots], self._time0[slots] = self._clock(field)
 
-    def clear(self) -> None:
-        self._rows.clear()
-        self._meta.clear()
-        self._node_keys.clear()
+    def _allocate(self, count: int, reused: int) -> np.ndarray:
+        """Pop ``count`` free slots; when short, evict an eighth of the
+        cache (one ``argpartition`` per ``capacity / 8`` insertions, not
+        one per pass) but none of the ``reused`` slots just stamped."""
+        short = count - len(self._free)
+        if short > 0:
+            n = min(max(short, self.capacity // 8), len(self) - reused)
+            victims = np.argpartition(self._stamp[:self.capacity], n - 1)[:n]
+            self.slot_of[self._node_of[victims]] = self.capacity
+            self._stamp[victims] = _FREE
+            self._free = np.concatenate([self._free, victims])
+        taken = self._free[len(self._free) - count:]
+        self._free = self._free[:len(self._free) - count]
+        return taken
 
 
 class PlannerStats:
@@ -172,8 +216,8 @@ class PlannerStats:
     # batches            — batched encoder passes executed
     # coalesced          — requests that shared a pass with others
     # deduped            — rows answered by another row in the same pass
-    # stale_hits         — hits served despite touches (within bound)
-    # stale_evictions    — hits evicted for exceeding the bound
+    # stale_hits         — hits served despite field touches (within bound)
+    # stale_evictions    — cached rows the freshness test refused
     _FIELDS = ("requests", "queries", "batches", "coalesced", "deduped",
                "cache_hits", "cache_misses", "stale_hits",
                "stale_evictions")
@@ -215,11 +259,13 @@ class MicroBatchPlanner:
     Parameters
     ----------
     compute:
-        ``compute(nodes, ts) -> (K, D) ndarray`` — the batched embedding
-        kernel; called with the deduplicated union of pending queries,
-        under the planner's execution lock (never concurrently).
+        ``compute(nodes, ts) -> (rows, field)`` — the batched embedding
+        kernel: ``(K, D)`` rows and the ``(K, F)`` node ids each row was
+        computed from (see :class:`RowCache`).  Called with the
+        deduplicated union of pending queries, under the planner's
+        execution lock (never concurrently).
     cache:
-        Optional :class:`EmbeddingLRU`; pass ``None`` to disable caching.
+        Optional :class:`RowCache`; pass ``None`` to disable caching.
     max_batch:
         Upper bound on rows per encoder pass; excess queries run in the
         next pass.
@@ -231,34 +277,17 @@ class MicroBatchPlanner:
         Lock serialising cache + compute against out-of-band state
         changes; the service passes its engine lock so ingestion and
         query passes never interleave.
-    staleness:
-        :class:`StalenessPolicy` governing how stale a cached row may be
-        and still be served.  ``None`` (or an exact policy) keeps the
-        original behaviour: hits are served unconditionally because the
-        service invalidates touched rows eagerly.
-    touch_state:
-        ``(touch_count, touch_time)`` per-node arrays maintained in
-        place by the ingest path — the clock the staleness check reads.
-        Required when ``staleness`` is a non-exact policy.
     """
 
-    def __init__(self, compute, cache: EmbeddingLRU | None = None,
+    def __init__(self, compute, cache: RowCache | None = None,
                  max_batch: int = 4096, window: float = 0.0,
-                 exec_lock: threading.RLock | None = None,
-                 staleness: StalenessPolicy | None = None,
-                 touch_state: tuple[np.ndarray, np.ndarray] | None = None):
+                 exec_lock: threading.RLock | None = None):
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         self._compute = compute
         self.cache = cache
         self.max_batch = max_batch
         self.window = window
-        self.staleness = staleness if staleness is not None \
-            else StalenessPolicy()
-        if not self.staleness.exact and touch_state is None:
-            raise ValueError("a non-exact staleness policy needs the "
-                             "ingest path's touch_state arrays")
-        self._touch_state = touch_state
         self._lock = threading.Lock()
         self._exec_lock = exec_lock if exec_lock is not None \
             else threading.RLock()
@@ -326,7 +355,8 @@ class MicroBatchPlanner:
         all_nodes = np.concatenate([r.nodes for r in batch])
         all_ts = np.concatenate([r.ts for r in batch])
         try:
-            rows = self._answer(all_nodes, all_ts)
+            with self._exec_lock:
+                rows = self._answer_locked(all_nodes, all_ts)
         except BaseException as exc:
             for request in batch:
                 request.error = exc
@@ -339,76 +369,45 @@ class MicroBatchPlanner:
             offset += len(request.nodes)
             request.done.set()
 
-    def _answer(self, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Rows for possibly-duplicated queries, via cache + one compute."""
-        with self._exec_lock:
-            return self._answer_locked(nodes, ts)
-
-    def _fresh_enough(self, key: tuple[int, int]) -> bool:
-        """Staleness check for one cache hit (non-exact policies only)."""
-        counts, times = self._touch_state
-        node = key[0]
-        put_count, put_time = self.cache.meta(key)
-        age_events = int(counts[node]) - put_count
-        if age_events <= 0:
-            return True
-        policy = self.staleness
-        return (age_events <= policy.max_age_events
-                and float(times[node]) - put_time <= policy.max_age_time)
-
     def _answer_locked(self, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        if len(nodes) == 0:
-            return self._compute(nodes, ts)
+        """Rows for possibly-duplicated queries, via cache + one compute."""
         cache = self.cache
-        if cache is None:
-            return self._compute(nodes, ts)
-        lazy = not self.staleness.exact
-        keys = [cache.key(n, t) for n, t in zip(nodes.tolist(), ts.tolist())]
-        order: dict[tuple[int, int], int] = {}
-        miss_rows: list[int] = []
-        cached: dict[tuple[int, int], np.ndarray] = {}
-        for i, key in enumerate(keys):
-            if key in order or key in cached:
-                self.stats.deduped += 1
-                continue
-            row = cache.get(key)
-            if row is not None and lazy and not self._fresh_enough(key):
-                cache.drop(key)
-                self.stats.stale_evictions += 1
-                row = None
-            if row is None:
-                order[key] = i
-                miss_rows.append(i)
-                self.stats.cache_misses += 1
-            else:
-                if lazy and int(self._touch_state[0][key[0]]) \
-                        > cache.meta(key)[0]:
-                    self.stats.stale_hits += 1
-                cached[key] = row
-                self.stats.cache_hits += 1
-        if miss_rows:
-            fresh = self._compute(nodes[miss_rows], ts[miss_rows])
-            counts, times = self._touch_state if lazy else (None, None)
-            for j, i in enumerate(miss_rows):
-                # Copy: a view would pin the whole pass's result array in
-                # the cache for as long as any one row survives.
-                row = fresh[j].copy()
-                cached[keys[i]] = row
-                node = keys[i][0]
-                if lazy:
-                    # Freshness baseline: the newest touch this row's
-                    # value has seen.  A later touch at event time tau
-                    # ages the entry by tau - baseline, regardless of
-                    # the (possibly future) query timestamp.
-                    cache.put(keys[i], row, int(counts[node]),
-                              float(times[node]))
-                else:
-                    cache.put(keys[i], row)
-        return np.stack([cached[key] for key in keys])
-
-    def invalidate(self, nodes: np.ndarray) -> int:
-        """Evict cached rows for ``nodes`` (called by ingestion)."""
-        if self.cache is None:
-            return 0
-        with self._exec_lock:
-            return self.cache.invalidate_nodes(nodes)
+        if cache is None or len(nodes) == 0:
+            return self._compute(nodes, ts)[0]
+        # Distinct (node, quantised time) pairs, sorted by node then time.
+        tkeys = np.rint(ts / cache.time_resolution).astype(np.int64)
+        several = tkeys.min() != tkeys.max()    # query times in this pass
+        keys = nodes
+        if several:
+            # Rank the times and fold the rank into the node id.
+            times, rank = np.unique(tkeys, return_inverse=True)
+            keys = nodes * len(times) + rank
+        keys, first, inverse = np.unique(keys, return_index=True,
+                                         return_inverse=True)
+        nodes, ts, tkeys = nodes[first], ts[first], tkeys[first]
+        slots, serve, stale, refused = cache.lookup(nodes, tkeys)
+        hit = np.flatnonzero(serve)
+        miss = np.flatnonzero(~serve)
+        stats = self.stats
+        stats.deduped += len(inverse) - len(keys)
+        stats.cache_hits += len(hit)
+        stats.cache_misses += len(miss)
+        stats.stale_hits += stale
+        stats.stale_evictions += refused
+        # Gathered before put can evict.
+        cached = cache.rows.take(slots[hit], axis=0)
+        if len(miss) == 0:
+            return cached[inverse]
+        keep = slice(None)
+        if several:
+            # One row per node: of the times asked of a node only the
+            # newest (the last of its run) is cached.
+            newest = np.append(nodes[1:] != nodes[:-1], True)
+            keep = np.flatnonzero(newest[miss])
+        nodes, tkeys = nodes[miss], tkeys[miss]
+        fresh, field = self._compute(nodes, ts[miss])
+        cache.put(nodes[keep], tkeys[keep], fresh[keep], field[keep])
+        rows = np.empty((len(keys), fresh.shape[1]), dtype=fresh.dtype)
+        rows[miss] = fresh
+        rows[hit] = cached
+        return rows[inverse]

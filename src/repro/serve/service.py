@@ -7,7 +7,7 @@ describes and serves three query families over it:
 
 * ``embed(nodes, ts)`` — temporal embeddings ``z_i^t`` at query time,
   batched through the :class:`~repro.serve.planner.MicroBatchPlanner`
-  (coalescing + node-keyed LRU);
+  (coalescing + the :class:`~repro.serve.planner.RowCache`);
 * ``score_links(src, dst, ts)`` — link affinity, via the artifact's
   fine-tuned head (+ EIE enhancement) when one rode along in a format-v2
   artifact, else embedding dot products;
@@ -18,19 +18,23 @@ describes and serves three query families over it:
 :class:`~repro.serve.ingest.LiveIngestor`: the
 :class:`~repro.serve.dynamic_finder.DynamicNeighborFinder` grows
 append-only, the memory advances through the PR-3 sparse-delta staging
-path, and exactly the touched cache rows are invalidated.  Serve-time
-ingestion is replay-equivalent — embeddings after ingesting a suffix are
-bit-identical to an offline replay over the concatenated stream (asserted
-in ``tests/test_serve.py``).
+path, and the touch clocks of the changed rows advance.  The row cache is
+never invalidated: a cached row records the receptive field it was
+computed from (the node and its sampled temporal neighbours, handed back
+by the encoder pass) and is served only while that field's clocks stand
+still, so with the default policy every cached answer equals a
+``cache_capacity=0`` service's.  Serve-time ingestion is
+replay-equivalent — embeddings after ingesting a suffix are bit-identical
+to an offline replay over the concatenated stream (asserted in
+``tests/test_serve.py``).
 
 **The serving fast path** stacks three optional trade-offs on top, each
 off by default and each leaving the exact path available:
 
 * a non-exact :class:`~repro.serve.planner.StalenessPolicy`
   (``staleness_events`` / ``staleness_time``) lets the cache serve rows
-  whose inputs changed within a bound instead of recomputing — ingest
-  stops eagerly invalidating and the planner checks hits lazily against
-  the ingest path's per-row touch clocks;
+  whose receptive field was touched within a bound instead of
+  recomputing — the same freshness test with a non-zero bound;
 * ``index=True`` routes default-catalog ``top_k`` through a
   :class:`~repro.serve.index.CoarseQuantIndex` shortlist (IVF over
   destination embeddings, maintained incrementally by ingest) that is
@@ -42,7 +46,8 @@ off by default and each leaving the exact path available:
 ``snapshot(path)`` / :meth:`EmbeddingService.from_snapshot` persist and
 restore the whole live state (memory, pending messages, adjacency,
 feature table, candidates, touch clocks — all flat arrays) so a replica
-restarts without replaying its ingested history.
+restarts without replaying its ingested history.  Cache contents are not
+part of a snapshot; a restored replica starts cold.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from ..tasks.ranking import top_k_from_scores
 from .dynamic_finder import BackgroundCompactor, DynamicNeighborFinder
 from .index import CoarseQuantIndex
 from .ingest import LiveIngestor
-from .planner import EmbeddingLRU, MicroBatchPlanner, StalenessPolicy
+from .planner import MicroBatchPlanner, RowCache, StalenessPolicy
 from .snapshot import read_snapshot, verify_snapshot_meta, write_snapshot
 
 __all__ = ["ServeConfig", "ServeError", "EmbeddingService"]
@@ -83,7 +88,7 @@ class ServeError(RuntimeError):
 class ServeConfig:
     """Runtime knobs of one serving replica."""
 
-    cache_capacity: int = 65536          # embedding LRU rows; 0 disables
+    cache_capacity: int = 65536          # row cache slots; 0 disables
     time_resolution: float = 1e-6        # cache-key timestamp quantum
     max_batch: int = 4096                # rows per coalesced encoder pass
     window: float = 0.0                  # micro-batch coalescing wait (s)
@@ -233,8 +238,8 @@ class EmbeddingService:
                                       edge_feats=edge_table)
         if restoring:
             _, data = _snapshot
-            self._ingestor.touch_count[:] = data["touch_count"]
-            self._ingestor.touch_time[:] = data["touch_time"]
+            self._ingestor.touch_count[:-1] = data["touch_count"]
+            self._ingestor.touch_time[:-1] = data["touch_time"]
         self._compiled_embed = CompiledStep(
             self._embed_pass, mode="inference",
             enabled=self.config.compile, backend=self.config.backend,
@@ -242,14 +247,20 @@ class EmbeddingService:
         self._staleness = self.config.staleness_policy
         cache = None
         if self.config.cache_capacity:
-            cache = EmbeddingLRU(self.config.cache_capacity,
-                                 time_resolution=self.config.time_resolution)
+            # The encoder reports each row's receptive field only when a
+            # cache is there to test it.
+            encoder.track_field = True
+            cache = RowCache(self.config.cache_capacity, encoder.embed_dim,
+                             encoder.field_width,
+                             self._ingestor.touch_count,
+                             self._ingestor.touch_time,
+                             policy=self._staleness,
+                             time_resolution=self.config.time_resolution,
+                             dtype=self._dtype)
         self.planner = MicroBatchPlanner(
             self._compute_rows, cache=cache,
             max_batch=self.config.max_batch, window=self.config.window,
-            exec_lock=self._lock, staleness=self._staleness,
-            touch_state=(self._ingestor.touch_count,
-                         self._ingestor.touch_time))
+            exec_lock=self._lock)
         self._index: CoarseQuantIndex | None = None
         self._index_dirty = np.empty(0, dtype=np.int64)
         self._compactor: BackgroundCompactor | None = None
@@ -405,10 +416,13 @@ class EmbeddingService:
         self.encoder.flush_staged(staged)
         return self.encoder.compute_embedding(nodes, ts)
 
-    def _compute_rows(self, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """The planner's batched kernel: one encoder pass, detached rows."""
+    def _compute_rows(self, nodes: np.ndarray, ts: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The planner's batched kernel: one encoder pass; detached rows
+        and the receptive field of each (``None`` with the cache off)."""
         if len(nodes) == 0:
-            return np.zeros((0, self.encoder.embed_dim), dtype=self._dtype)
+            return (np.zeros((0, self.encoder.embed_dim), dtype=self._dtype),
+                    None)
         with default_dtype(self._dtype), no_grad():
             staged = self.encoder.take_staged()
             # Replay is shape-agnostic, so the key names the op stream
@@ -421,7 +435,7 @@ class EmbeddingService:
             # Persist the flush of any pending ingested messages so the
             # store (and every later query) sees the advanced memory.
             self.encoder.end_batch()
-        return rows
+        return rows, self.encoder.last_field
 
     def _query_arrays(self, nodes, ts) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
@@ -583,9 +597,9 @@ class EmbeddingService:
         """Ingest new events (an :class:`EventStream` or raw arrays).
 
         Appends to the dynamic adjacency, advances the memory through the
-        sparse-delta staging path and invalidates exactly the cache rows
-        whose state changed (exact policy) or advances their staleness
-        clocks (bounded policy).  Returns the number of events ingested.
+        sparse-delta staging path and advances the touch clocks of the
+        rows whose state changed — which is all the row cache needs (it
+        is never walked here).  Returns the number of events ingested.
         """
         start = time.perf_counter()
         # The configured dtype must wrap the flush math so serve-time
@@ -607,8 +621,6 @@ class EmbeddingService:
                 new_dst = np.asarray(dst, dtype=np.int64)
             if count:
                 self._candidates = np.union1d(self._candidates, new_dst)
-                if self._staleness.exact:
-                    self.planner.invalidate(touched)
                 if self._index is not None:
                     self._index_dirty = np.union1d(self._index_dirty,
                                                    touched)

@@ -10,6 +10,8 @@ JSON meta), and :meth:`EmbeddingService.from_snapshot
 <repro.serve.service.EmbeddingService.from_snapshot>` rebuilds a replica
 from it **without replaying the ingested history** — bit-identical to
 the replica that wrote it (asserted in ``tests/test_serve_fastpath.py``).
+The embedding row cache is deliberately not snapshotted: its rows are
+recomputable, and a restored replica simply starts with a cold cache.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ def write_snapshot(service, path: str) -> dict:
         "memory_state": memory_state,
         "last_update": last_update,
         "candidates": np.asarray(service._candidates, dtype=np.int64),
-        "touch_count": ingestor.touch_count,
-        "touch_time": ingestor.touch_time,
+        # Without the trailing padding-id entry (never touched).
+        "touch_count": ingestor.touch_count[:-1],
+        "touch_time": ingestor.touch_time[:-1],
     }
     base = finder._base
     arrays["base_indptr"] = np.asarray(base.indptr)

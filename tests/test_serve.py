@@ -33,10 +33,10 @@ from repro.graph.batching import EventBatch
 from repro.graph.events import EventStream
 from repro.graph.neighbor_finder import NeighborFinder
 from repro.nn.autograd import default_dtype, no_grad
-from repro.serve import (DynamicNeighborFinder, EmbeddingLRU,
-                         EmbeddingService, HttpClient, IngestError,
-                         LocalClient, MicroBatchPlanner, ServeError,
-                         start_http_server)
+from repro.serve import (DynamicNeighborFinder, EmbeddingService,
+                         HttpClient, IngestError, LocalClient,
+                         MicroBatchPlanner, RowCache, ServeError,
+                         StalenessPolicy, start_http_server)
 from repro.stream import ProducerSpec, SamplingContext, produce_batch
 from repro.tasks import FineTuneConfig
 from repro.tasks.ranking import top_k_from_scores
@@ -411,37 +411,54 @@ class TestEmbeddingService:
                                          np.unique(pre.dst), t)
         assert top_scores[0] == pytest.approx(exhaustive.max())
 
-    def test_cache_hits_and_touched_row_invalidation(self):
-        """Per-touched-row LRU invalidation (exact for JODIE, whose
-        embedding depends only on the node's own row + clock)."""
+    def test_cache_hits_and_touched_row_misses(self):
+        """JODIE's embedding reads only the node's own row + clock, so an
+        ingest makes exactly the touched probes miss."""
         _, pre, suffix = make_split_stream(3)
         artifact = pretrain_artifact(pre, tiny_config("jodie"))
         service = EmbeddingService.from_artifact(artifact, history=pre)
+        stats = service.planner.stats
         t = pre.t_max + 1.0
-        nodes = np.arange(0, 10)
-        first = service.embed(nodes, t)
-        assert service.planner.stats.cache_misses == 10
-        second = service.embed(nodes, t)
-        np.testing.assert_array_equal(first, second)
-        assert service.planner.stats.cache_hits == 10
-
         touched_src = int(suffix.src[0])
         touched_dst = int(suffix.dst[0])
-        service.ingest(src=[touched_src], dst=[touched_dst],
-                       timestamps=[suffix.timestamps[0]])
-        cache = service.planner.cache
-        assert all(key[0] != touched_src for key in cache._rows)
-        untouched = [n for n in nodes if n not in (touched_src, touched_dst)]
-        assert any(key[0] == untouched[0] for key in cache._rows)
+        nodes = np.union1d(np.arange(10), [touched_src])
+        n = len(nodes)
+        first = service.embed(nodes, t)
+        assert stats.cache_misses == n
+        second = service.embed(nodes, t)
+        np.testing.assert_array_equal(first, second)
+        assert stats.cache_hits == n
 
-        # Recomputation after invalidation equals a cache-less replica.
-        refreshed = service.embed([touched_src], t + 1.0)[0]
+        event = dict(src=[touched_src], dst=[touched_dst],
+                     timestamps=[suffix.timestamps[0]])
+        service.ingest(**event)
+        third = service.embed(nodes, t)
+        assert stats.cache_misses == n + 1
+        assert stats.stale_evictions == 1           # refused, not absent
+        assert stats.cache_hits == 2 * n - 1
+
+        # Every row, recomputed or served, equals a cache-less replica's.
         bare = EmbeddingService.from_artifact(artifact, history=pre,
                                               cache_capacity=0)
-        bare.ingest(src=[touched_src], dst=[touched_dst],
-                    timestamps=[suffix.timestamps[0]])
-        np.testing.assert_array_equal(
-            refreshed, bare.embed([touched_src], t + 1.0)[0])
+        bare.ingest(**event)
+        np.testing.assert_array_equal(third, bare.embed(nodes, t))
+        assert not np.array_equal(third, first)
+
+    def test_cache_capacity_zero_disables_the_cache(self):
+        _, pre, _ = make_split_stream(3)
+        artifact = pretrain_artifact(pre, tiny_config())
+        service = EmbeddingService.from_artifact(artifact, history=pre,
+                                                 cache_capacity=0)
+        t = pre.t_max + 1.0
+        np.testing.assert_array_equal(service.embed([1, 2, 1], t),
+                                      service.embed([1, 2, 1], t))
+        assert service.planner.cache is None
+        assert not service.encoder.track_field
+        stats = service.stats()
+        assert stats["cache_rows"] == 0
+        assert stats["planner"]["cache_hits"] == 0
+        assert stats["planner"]["cache_misses"] == 0
+        assert stats["planner"]["deduped"] == 0
 
     def test_query_validation(self):
         _, pre, _ = make_split_stream(3)
@@ -456,37 +473,232 @@ class TestEmbeddingService:
 
 
 # ======================================================================
+# Cache freshness: every cached answer equals the cache-free service's
+# ======================================================================
+
+def field_config(backbone: str, n_layers: int = 1) -> RunConfig:
+    """Two sampled neighbours per hop: fields small enough that the
+    60-node stream has nodes outside them."""
+    config = tiny_config(backbone)
+    return dataclasses.replace(config, pretrain=dataclasses.replace(
+        config.pretrain, n_neighbors=2, n_layers=n_layers))
+
+
+class TestCacheFreshness:
+
+    def test_probes_between_ingest_blocks_match_cache_free(self):
+        """The ROADMAP item-1 repro: a TGN row reads its sampled
+        neighbours' memory, so touching a neighbour must make it a miss
+        (15 of these 20 rows were served stale when only the touched
+        nodes themselves were invalidated)."""
+        _, pre, suffix = make_split_stream(3)
+        artifact = pretrain_artifact(pre, tiny_config("tgn"))
+        knobs = dict(history=pre, background_compaction=False)
+        cached = EmbeddingService.from_artifact(artifact, **knobs)
+        oracle = EmbeddingService.from_artifact(artifact, cache_capacity=0,
+                                                **knobs)
+        probes = np.arange(0, NUM_NODES, 3)
+        t = float(suffix.timestamps[-1]) + 1.0
+        for lo in range(0, suffix.num_events, 10):
+            block = suffix.slice_index(lo, min(lo + 10, suffix.num_events))
+            cached.ingest(block)
+            oracle.ingest(block)
+            cached.embed(probes, t)
+        np.testing.assert_array_equal(cached.embed(probes, t),
+                                      oracle.embed(probes, t))
+        stats = cached.planner.stats
+        assert stats.cache_hits > 0 and stats.stale_evictions > 0
+        assert stats.stale_hits == 0
+
+    @pytest.mark.parametrize("backbone,n_layers,reads_neighbours", [
+        ("tgn", 1, True), ("tgn", 2, True),
+        ("jodie", 1, False), ("dyrep", 1, False)])
+    def test_receptive_field_decides_hit_or_miss(self, backbone, n_layers,
+                                                 reads_neighbours):
+        _, pre, suffix = make_split_stream(3)
+        artifact = pretrain_artifact(pre, field_config(backbone, n_layers))
+        finder = NeighborFinder(pre)
+        t = pre.t_max + 1.0
+        tau = float(suffix.timestamps[0])
+        users = np.arange(1, NUM_NODES // 2)        # node 0 is the dummy
+        items = np.arange(NUM_NODES // 2, NUM_NODES)
+
+        def hops(nodes, at):
+            found = [finder.most_recent(int(n), at, 2)[0] for n in nodes]
+            return np.unique(np.concatenate(found)) if found else nodes[:0]
+
+        def check(u, at, src, dst, expect_hit):
+            """Cache u's row, ingest one event, ask again."""
+            cached = EmbeddingService.from_artifact(artifact, history=pre)
+            oracle = EmbeddingService.from_artifact(artifact, history=pre,
+                                                    cache_capacity=0)
+            cached.embed([u], at)
+            for service in (cached, oracle):
+                service.ingest(src=[src], dst=[dst], timestamps=[tau])
+            stats = cached.planner.stats
+            hits = int(stats.cache_hits)
+            row = cached.embed([u], at)
+            assert int(stats.cache_hits) - hits == int(expect_hit)
+            np.testing.assert_array_equal(row, oracle.embed([u], at))
+
+        u = 5
+        near = hops([u], t)                          # items one hop away
+        far = hops(near, t)                          # users two hops away
+        field = np.concatenate([[u], near, far if n_layers == 2 else []])
+        outside_user = int(np.setdiff1d(users, field)[0])
+        outside_item = int(np.setdiff1d(items, field)[0])
+        # An event between two nodes outside the field: a hit everywhere.
+        check(u, t, outside_user, outside_item, True)
+        # Only a sampled neighbour touched: a miss iff neighbours are read.
+        check(u, t, outside_user, int(near[0]), not reads_neighbours)
+        if n_layers == 2:
+            # Only a two-hop neighbour touched.
+            two_hop = int(np.setdiff1d(far, [u])[0])
+            check(u, t, two_hop, outside_item, False)
+        # The node itself touched: a miss everywhere.
+        check(u, t, u, outside_item, False)
+        # A row without history before its query time attends over the
+        # dummy slot, node 0 - so only node 0's state can stale it.
+        early = float(finder.before(u, np.inf)[1][0]) - 1e-3
+        assert len(finder.before(u, early)[0]) == 0
+        check(u, early, 0, outside_item, not reads_neighbours)
+        check(u, early, outside_user, outside_item, True)
+
+    def test_two_query_times_for_one_node_in_one_request(self):
+        _, pre, _ = make_split_stream(3)
+        artifact = pretrain_artifact(pre, tiny_config("tgn"))
+        cached = EmbeddingService.from_artifact(artifact, history=pre)
+        oracle = EmbeddingService.from_artifact(artifact, history=pre,
+                                                cache_capacity=0)
+        nodes = np.array([4, 9, 4, 4, 9, 7])
+        ts = pre.t_max + np.array([1.0, 1.0, 2.0, 1.0, 3.0, 2.0])
+        want = oracle.embed(nodes, ts)
+        for _ in range(2):                  # cold, then partly cached
+            np.testing.assert_array_equal(cached.embed(nodes, ts), want)
+        stats = cached.planner.stats
+        assert stats.deduped == 2           # (4, +1) twice, both passes
+        # One row per node stays cached: its newest query time.
+        hits = int(stats.cache_hits)
+        cached.embed([4, 9, 7], pre.t_max + np.array([2.0, 3.0, 2.0]))
+        assert int(stats.cache_hits) - hits == 3
+
+
+# ======================================================================
 # Planner / cache units
 # ======================================================================
 
+def make_cache(capacity: int, num_nodes: int = 100, width: int = 1,
+               policy: StalenessPolicy | None = None):
+    """A RowCache over its own touch clocks (returned for the test to
+    advance, as the ingest path would)."""
+    touch_count = np.zeros(num_nodes + 1, dtype=np.int64)
+    touch_time = np.zeros(num_nodes + 1)
+    cache = RowCache(capacity, 2, width, touch_count, touch_time,
+                     policy=policy)
+    return cache, touch_count, touch_time
+
+
+def own_rows(nodes: np.ndarray, ts: np.ndarray):
+    """A compute whose row is the node id and whose field is the node."""
+    nodes = np.asarray(nodes)
+    return (np.repeat(nodes[:, None].astype(float), 2, axis=1),
+            nodes[:, None])
+
+
 class TestPlanner:
 
-    def test_lru_eviction_and_node_index(self):
-        cache = EmbeddingLRU(capacity=3)
-        for i in range(4):
-            cache.put((i, 0), np.full(2, float(i)))
-        assert len(cache) == 3
-        assert cache.get((0, 0)) is None          # evicted (oldest)
-        assert cache.get((3, 0))[0] == 3.0
-        cache.put((3, 1), np.full(2, 9.0))
-        assert cache.invalidate_nodes(np.array([3])) == 2
-        assert cache.get((3, 0)) is None and cache.get((3, 1)) is None
+    def test_lru_eviction_at_capacity(self):
+        cache, _, _ = make_cache(capacity=8)
+        zeros = np.zeros(4, dtype=np.int64)
+        for lo in (0, 4):                             # fills the cache
+            nodes = np.arange(lo, lo + 4)
+            cache.put(nodes, zeros, *own_rows(nodes, None))
+        assert len(cache) == 8
+        # Nodes 0..3 are used again, so 4..7 are the least recent.
+        assert cache.lookup(np.arange(4), zeros)[1].all()
+        nodes = np.arange(8, 11)
+        cache.put(nodes, zeros[:3], *own_rows(nodes, None))
+        assert len(cache) <= 8
+        slots, serve, _, _ = cache.lookup(np.arange(11), np.zeros(11, int))
+        assert serve[:4].all() and serve[8:].all()
+        assert (~serve[4:8]).sum() == 3               # three of 4..7 went
+        np.testing.assert_array_equal(cache.rows[slots[serve]][:, 0],
+                                      np.arange(11)[serve])
+        # A put larger than the cache keeps its last `capacity` rows.
+        nodes = np.arange(20, 32)
+        cache.put(nodes, np.zeros(12, int), *own_rows(nodes, None))
+        assert len(cache) == 8
+        assert cache.lookup(nodes, np.zeros(12, int))[1].sum() == 8
+
+    def test_one_row_per_node_replaced_by_a_new_query_time(self):
+        cache, _, _ = make_cache(capacity=4)
+        node = np.array([3])
+        cache.put(node, np.array([10]), *own_rows(node, None))
+        assert cache.lookup(node, np.array([10]))[1].all()
+        assert not cache.lookup(node, np.array([11]))[1].any()
+        cache.put(node, np.array([11]), *own_rows(node, None))
+        assert len(cache) == 1
+        assert not cache.lookup(node, np.array([10]))[1].any()
+
+    def test_freshness_follows_the_field_clock(self):
+        policy = StalenessPolicy(max_age_events=2.0, max_age_time=5.0)
+        cache, count, time = make_cache(capacity=4, width=3, policy=policy)
+        node = np.array([3])
+        count[7], time[7] = 1, 10.0                   # touched before put
+        cache.put(node, np.array([0]), np.ones((1, 2)),
+                  np.array([[3, 7, 100]]))            # 100 pads the field
+        assert cache.lookup(node, np.array([0]))[1:] == (True, 0, 0)
+        count[50] += 9                                # outside the field
+        assert cache.lookup(node, np.array([0]))[1:] == (True, 0, 0)
+        count[7] += 2                                 # within both bounds
+        time[7] = 14.0
+        assert cache.lookup(node, np.array([0]))[1:] == (True, 1, 0)
+        time[3] = 15.5                                # time bound exceeded
+        assert cache.lookup(node, np.array([0]))[1:] == (False, 0, 1)
+        time[3] = 15.0
+        count[3] += 1                                 # event bound exceeded
+        assert cache.lookup(node, np.array([0]))[1:] == (False, 0, 1)
 
     def test_planner_dedup_single_pass(self):
         calls = []
 
         def compute(nodes, ts):
             calls.append(len(nodes))
-            return np.stack([np.full(3, float(n)) for n in nodes])
+            return own_rows(nodes, ts)
 
-        planner = MicroBatchPlanner(compute, cache=EmbeddingLRU(16))
+        planner = MicroBatchPlanner(compute, cache=make_cache(16)[0])
         nodes = np.array([5, 5, 7, 5], dtype=np.int64)
         rows = planner.embed(nodes, np.zeros(4))
         assert calls == [2]                        # deduped to {5, 7}
         np.testing.assert_array_equal(rows[:, 0], [5.0, 5.0, 7.0, 5.0])
         planner.embed(nodes, np.zeros(4))
         assert calls == [2]                        # all served from cache
-        assert planner.stats.cache_hits >= 2
+        assert planner.stats.cache_hits == 2 and planner.stats.deduped == 4
+
+    def test_pass_cost_is_independent_of_row_count(self, monkeypatch):
+        """One 4096-row request, half of it duplicates: one compute call
+        and a fixed number of registry increments - no per-row Python."""
+        from repro.obs.metrics import Counter
+        calls, increments = [], []
+
+        def compute(nodes, ts):
+            calls.append(len(nodes))
+            return own_rows(nodes, ts)
+
+        planner = MicroBatchPlanner(compute,
+                                    cache=make_cache(4096, 5000)[0])
+        inc = Counter.inc
+        monkeypatch.setattr(Counter, "inc", lambda self, amount=1:
+                            (increments.append(self.name),
+                             inc(self, amount))[1])
+        nodes = np.tile(np.arange(2048, dtype=np.int64), 2)
+        planner.embed(nodes, np.zeros(4096))
+        planner.embed(nodes, np.zeros(4096))
+        assert calls == [2048]
+        assert len(increments) <= 2 * 10
+        stats = planner.stats
+        assert (stats.deduped, stats.cache_misses, stats.cache_hits) \
+            == (4096, 2048, 2048)
 
     def test_planner_coalesces_concurrent_requests(self):
         import threading
@@ -495,7 +707,7 @@ class TestPlanner:
 
         def compute(nodes, ts):
             passes.append(len(nodes))
-            return np.stack([np.full(2, float(n)) for n in nodes])
+            return own_rows(nodes, ts)
 
         planner = MicroBatchPlanner(compute, cache=None, window=0.05)
         results = {}

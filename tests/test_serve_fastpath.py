@@ -3,9 +3,10 @@ shortlist index, background compaction and snapshot/restore.
 
 The load-bearing guarantees:
 
-* a staleness bound of zero **is** the exact path — same code, same
-  bits — and a non-zero bound only ever serves rows whose inputs
-  changed within the bound (measured via the ingest touch clocks);
+* a staleness bound of zero **is** the exact path — same code, and the
+  same bits as a service without a cache — and a non-zero bound only
+  ever serves rows whose receptive field was touched within the bound
+  (measured via the ingest touch clocks);
 * the `CoarseQuantIndex` shortlist is always exactly rescored, so the
   indexed `top_k` can lose recall but never return a wrong score, and
   with a shortlist covering the catalog it is bit-identical to the
@@ -16,6 +17,9 @@ The load-bearing guarantees:
 * `snapshot()` → `from_snapshot()` restores a replica bit-identical to
   the one that wrote it — embeddings, scores, pending messages and all
   — without replaying the ingested history.
+
+Every equivalence is checked against a ``cache_capacity=0`` service (the
+oracle), never against a sibling that shares the cache.
 """
 
 from __future__ import annotations
@@ -76,12 +80,13 @@ class TestStalenessPolicy:
         with pytest.raises(ValueError):
             StalenessPolicy(0.0, -0.5)
 
-    def test_planner_requires_touch_state_for_lazy_policy(self):
-        compute = lambda nodes, ts: np.zeros((len(nodes), 2))
-        with pytest.raises(ValueError, match="touch_state"):
-            MicroBatchPlanner(compute, staleness=StalenessPolicy(2.0))
-        # Exact policies need no clocks — the eager path never reads them.
-        MicroBatchPlanner(compute, staleness=StalenessPolicy(0.0))
+    def test_policy_reaches_the_cache(self, artifact_and_streams):
+        service = build_service(artifact_and_streams, staleness_events=2.0,
+                                staleness_time=7.5)
+        assert service.planner.cache.policy == StalenessPolicy(2.0, 7.5)
+        assert service.stats()["staleness"] == {
+            "exact": False, "max_age_events": 2.0, "max_age_time": 7.5}
+        assert build_service(artifact_and_streams).planner.cache.policy.exact
 
     def test_service_rejects_bad_bounds(self, artifact_and_streams):
         with pytest.raises(ServeError):
@@ -99,87 +104,118 @@ class TestStalenessBoundedCache:
             rows.append(service.embed(probes, t).copy())
         return np.stack(rows)
 
-    def test_bound_zero_bit_identical_to_exact(self, artifact_and_streams):
+    def test_bound_zero_bit_identical_to_cache_free(self,
+                                                    artifact_and_streams):
         _, _, _, suffix = artifact_and_streams
         probes = np.arange(0, NUM_NODES, 7)
         t = float(suffix.timestamps[-1]) + 1.0
-        exact = build_service(artifact_and_streams)
-        bound0 = build_service(artifact_and_streams, staleness_events=0.0,
-                               staleness_time=123.0)
-        assert exact.planner.staleness.exact
-        assert bound0.planner.staleness.exact
-        a = self.interleave(exact, suffix, probes, t)
-        b = self.interleave(bound0, suffix, probes, t)
-        np.testing.assert_array_equal(a, b)
-        assert bound0.planner.stats.stale_hits == 0
+        oracle = build_service(artifact_and_streams, cache_capacity=0)
+        # Small blocks: some probes' fields survive an ingest untouched.
+        want = self.interleave(oracle, suffix, probes, t, block=4)
+        for knobs in ({}, {"staleness_events": 0.0, "staleness_time": 123.0},
+                      {"staleness_events": 5.0, "staleness_time": 0.0}):
+            service = build_service(artifact_and_streams, **knobs)
+            assert service.planner.cache.policy.exact
+            np.testing.assert_array_equal(
+                self.interleave(service, suffix, probes, t, block=4), want)
+            assert service.planner.stats.cache_hits > 0
+            assert service.planner.stats.stale_hits == 0
 
     def test_bounded_policy_serves_stale_rows(self, artifact_and_streams):
         _, _, _, suffix = artifact_and_streams
         probes = np.unique(np.concatenate([suffix.src[:30],
                                            suffix.dst[:30]]))
         t = float(suffix.timestamps[-1]) + 1.0
-        # One shared quantized key per node: the whole query range maps
-        # to a single cache slot, so re-queries after ingest are hits
-        # (stale or invalidated) rather than new keys.
-        stale = build_service(artifact_and_streams, staleness_events=64.0,
-                              time_resolution=1e6)
-        exact = build_service(artifact_and_streams, time_resolution=1e6)
+        stale = build_service(artifact_and_streams, staleness_events=64.0)
+        exact = build_service(artifact_and_streams)
+        oracle = build_service(artifact_and_streams, cache_capacity=0)
         before = stale.embed(probes, t).copy()
         exact.embed(probes, t)
         src, dst, ts = next(suffix_blocks(suffix, 30))
-        stale.ingest(src=src, dst=dst, timestamps=ts)
-        exact.ingest(src=src, dst=dst, timestamps=ts)
+        for service in (stale, exact, oracle):
+            service.ingest(src=src, dst=dst, timestamps=ts)
         after_stale = stale.embed(probes, t)
         after_exact = exact.embed(probes, t)
         # The bounded service reused every cached row bit-for-bit...
         np.testing.assert_array_equal(after_stale, before)
-        assert stale.planner.stats.stale_hits > 0
-        # ...while the exact service recomputed the touched ones.
-        touched = np.intersect1d(probes, np.union1d(src, dst))
-        assert len(touched) > 0
+        assert stale.planner.stats.stale_hits == len(probes)
+        # ...while the exact service recomputed them, landing on the
+        # cache-free answer.
+        np.testing.assert_array_equal(after_exact, oracle.embed(probes, t))
         assert not np.array_equal(after_exact, before)
         assert stale.planner.stats.cache_misses < \
             exact.planner.stats.cache_misses
 
-    def test_exceeding_the_bound_recomputes(self, artifact_and_streams):
+    def field_touch_setup(self, artifact_and_streams, **knobs):
+        """A bounded service, the oracle, a probe ``u`` and an ingest
+        that touches exactly one node of ``u``'s field per call.
+
+        The event pairs a sampled neighbour of ``u`` with a user outside
+        the field; an unrelated embed after each ingest flushes the
+        staged messages, so the next ingest touches nothing else.
+        """
         _, _, _, suffix = artifact_and_streams
-        probes = np.unique(suffix.src[:60])
+        service = build_service(artifact_and_streams, **knobs)
+        oracle = build_service(artifact_and_streams, cache_capacity=0)
+        u, other, bystander = 5, 11, 17
         t = float(suffix.timestamps[-1]) + 1.0
-        stale = build_service(artifact_and_streams, staleness_events=2.0,
-                              time_resolution=1e6)
-        exact = build_service(artifact_and_streams, time_resolution=1e6)
-        stale.embed(probes, t)
-        for i, (src, dst, ts) in enumerate(suffix_blocks(suffix, 20)):
-            stale.ingest(src=src, dst=dst, timestamps=ts)
-            exact.ingest(src=src, dst=dst, timestamps=ts)
-            if i >= 4:
-                break
-        # The clock counts blocks that touched each row, so only rows
-        # past the 2-block budget must be recomputed — and those land
-        # exactly on the exact service's answer.
-        over = stale._ingestor.touch_count[probes] > 2
-        assert over.any()
-        np.testing.assert_array_equal(stale.embed(probes, t)[over],
-                                      exact.embed(probes, t)[over])
-        assert stale.planner.stats.stale_evictions > 0
+        neighbour = int(service.finder.most_recent(u, t, 5)[0][-1])
+
+        def touch(at):
+            for replica in (service, oracle):
+                replica.ingest(src=[other], dst=[neighbour], timestamps=[at])
+                replica.embed([bystander], at)
+
+        return service, oracle, u, t, touch
+
+    def test_event_bound_counts_field_touches(self, artifact_and_streams):
+        service, oracle, u, t, touch = self.field_touch_setup(
+            artifact_and_streams, staleness_events=2.0)
+        stats = service.planner.stats
+        start = float(artifact_and_streams[3].timestamps[0])
+        before = service.embed([u], t).copy()
+        for i in range(2):                      # 1, then 2 missed touches
+            touch(start + i)
+            np.testing.assert_array_equal(service.embed([u], t), before)
+            assert not np.array_equal(before, oracle.embed([u], t))
+        assert stats.stale_hits == 2 and stats.stale_evictions == 0
+        touch(start + 2)                        # the third exceeds the bound
+        np.testing.assert_array_equal(service.embed([u], t),
+                                      oracle.embed([u], t))
+        assert stats.stale_evictions == 1
+
+    def test_time_bound_spans_field_touches(self, artifact_and_streams):
+        service, oracle, u, t, touch = self.field_touch_setup(
+            artifact_and_streams, staleness_events=1e9, staleness_time=1.0)
+        stats = service.planner.stats
+        start = float(artifact_and_streams[3].timestamps[0])
+        touch(start)                            # the field's clock: `start`
+        before = service.embed([u], t).copy()
+        np.testing.assert_array_equal(before, oracle.embed([u], t))
+        touch(start + 0.5)                      # within the time bound
+        np.testing.assert_array_equal(service.embed([u], t), before)
+        assert stats.stale_hits == 1
+        touch(start + 5.0)                      # beyond it
+        np.testing.assert_array_equal(service.embed([u], t),
+                                      oracle.embed([u], t))
+        assert stats.stale_evictions == 1
 
     def test_time_bound_caps_event_bound(self, artifact_and_streams):
         _, _, _, suffix = artifact_and_streams
         probes = np.unique(suffix.src[:40])
         t = float(suffix.timestamps[-1]) + 1.0
         # Huge event budget but a zero-width time budget after the first
-        # touch: any touched row whose newest event moved time forward
-        # must be recomputed.
+        # touch: any row whose field saw a newer event must be
+        # recomputed.
         stale = build_service(artifact_and_streams, staleness_events=1e9,
-                              staleness_time=1e-9, time_resolution=1e6)
-        exact = build_service(artifact_and_streams, time_resolution=1e6)
+                              staleness_time=1e-9)
+        oracle = build_service(artifact_and_streams, cache_capacity=0)
         stale.embed(probes, t)
-        exact.embed(probes, t)
         for src, dst, ts in suffix_blocks(suffix, 40):
             stale.ingest(src=src, dst=dst, timestamps=ts)
-            exact.ingest(src=src, dst=dst, timestamps=ts)
+            oracle.ingest(src=src, dst=dst, timestamps=ts)
         np.testing.assert_array_equal(stale.embed(probes, t),
-                                      exact.embed(probes, t))
+                                      oracle.embed(probes, t))
 
 
 # ======================================================================
@@ -286,7 +322,7 @@ class TestIndexedTopK:
         indexed = build_service(artifact_and_streams, index=True,
                                 index_shortlist=NUM_NODES,
                                 index_nprobe=64)
-        exact = build_service(artifact_and_streams)
+        exact = build_service(artifact_and_streams, cache_capacity=0)
         for src in [0, 3, 11]:
             ids_a, scores_a = indexed.top_k(src, t, 5)
             ids_b, scores_b = exact.top_k(src, t, 5)
@@ -321,7 +357,7 @@ class TestIndexedTopK:
         service.ingest(src=src, dst=dst, timestamps=ts)
         t1 = float(ts[-1]) + 1.0
         ids, scores = service.top_k(int(src[0]), t1, NUM_NODES)
-        exact = build_service(artifact_and_streams)
+        exact = build_service(artifact_and_streams, cache_capacity=0)
         exact.ingest(src=src, dst=dst, timestamps=ts)
         ids_e, scores_e = exact.top_k(int(src[0]), t1, NUM_NODES)
         np.testing.assert_array_equal(ids, ids_e)
@@ -397,11 +433,12 @@ class TestBackgroundCompaction:
         background = build_service(artifact_and_streams,
                                    compaction_threshold=25)
         sync = build_service(artifact_and_streams, compaction_threshold=25,
-                             background_compaction=False)
+                             background_compaction=False, cache_capacity=0)
         try:
             for src, dst, ts in suffix_blocks(suffix, 20):
                 background.ingest(src=src, dst=dst, timestamps=ts)
                 sync.ingest(src=src, dst=dst, timestamps=ts)
+                background.embed(probes, t)         # rows to go stale
             assert background._compactor.drain()
             np.testing.assert_array_equal(background.embed(probes, t),
                                           sync.embed(probes, t))
@@ -414,12 +451,6 @@ class TestBackgroundCompaction:
         finally:
             background.close()
 
-    @pytest.mark.xfail(strict=False, reason=(
-        "ROADMAP open item 1: ingest invalidates only the touched nodes, "
-        "so a row the hammer thread caches between two ingests is stale "
-        "once a neighbour is touched; how often depends on the "
-        "interleaving (3 of 40 isolated runs at PR 13, 5 of 12 at PR 14 "
-        "with a faster encoder)"))
     def test_queries_during_background_build(self, artifact_and_streams):
         """Hammer embed() while compaction cycles run; then verify bits."""
         _, _, _, suffix = artifact_and_streams
@@ -476,7 +507,8 @@ class TestSnapshot:
         # two state pieces a naive snapshot would lose.
         service = build_service(artifact_and_streams,
                                 compaction_threshold=70,
-                                background_compaction=False)
+                                background_compaction=False,
+                                cache_capacity=0)
         half = self.ingest_half(service, suffix)
         meta = service.snapshot(path)
         assert meta["num_events"] == service.finder.num_events
@@ -494,6 +526,15 @@ class TestSnapshot:
         np.testing.assert_array_equal(scores_a, scores_b)
         stats = restored.stats()["snapshot"]
         assert stats["restored"] and stats["events_since_restore"] == 0
+        # The touch clocks round-trip; the file keeps one entry per node
+        # (the in-memory arrays carry one more, for the field padding id).
+        for name in ("touch_count", "touch_time"):
+            np.testing.assert_array_equal(getattr(restored._ingestor, name),
+                                          getattr(service._ingestor, name))
+        assert service._ingestor.touch_count.any()
+        _, data = read_snapshot(path)
+        assert data["touch_count"].shape == (NUM_NODES,)
+        data.close()
 
     def test_continued_ingest_equivalence(self, artifact_and_streams,
                                           tmp_path):
@@ -503,7 +544,8 @@ class TestSnapshot:
         t = float(suffix.timestamps[-1]) + 1.0
         service = build_service(artifact_and_streams,
                                 compaction_threshold=70,
-                                background_compaction=False)
+                                background_compaction=False,
+                                cache_capacity=0)
         half = self.ingest_half(service, suffix)
         service.snapshot(path)
         restored = EmbeddingService.from_snapshot(
@@ -513,6 +555,7 @@ class TestSnapshot:
         for src, dst, ts in suffix_blocks(rest, 25):
             service.ingest(src=src, dst=dst, timestamps=ts)
             restored.ingest(src=src, dst=dst, timestamps=ts)
+            restored.embed(probes, t)               # rows to go stale
         np.testing.assert_array_equal(service.embed(probes, t),
                                       restored.embed(probes, t))
         assert restored.finder.num_events == service.finder.num_events
@@ -522,7 +565,8 @@ class TestSnapshot:
         artifact = pretrain_artifact(pre, tiny_config("tgn", "sparse",
                                                       edge_dim=3))
         service = EmbeddingService.from_artifact(
-            artifact, history=pre, background_compaction=False)
+            artifact, history=pre, background_compaction=False,
+            cache_capacity=0)
         half = suffix.num_events // 2
         first = suffix.slice_index(0, half)
         service.ingest(first)
