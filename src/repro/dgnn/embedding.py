@@ -42,9 +42,9 @@ class EmbeddingContext:
     module.  ``reads``, when a list, collects the receptive field: an
     embedding module appends ``(rows, node_ids)`` for every node whose
     state it reads on behalf of request row ``rows[i]`` beyond that row's
-    own node (:meth:`DGNNEncoder.compute_embedding
-    <repro.dgnn.encoder.DGNNEncoder.compute_embedding>` pads them into
-    ``last_field``).
+    own node (:meth:`DGNNEncoder.receptive_field
+    <repro.dgnn.encoder.DGNNEncoder.receptive_field>` pads them into an
+    id matrix).
     """
 
     memory: "MemoryView"

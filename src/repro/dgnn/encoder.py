@@ -128,12 +128,6 @@ class DGNNEncoder(Module):
         self._finder: NeighborFinder | None = None
         self._edge_feats: np.ndarray | ZeroEdgeFeatures | None = None
         self._flushed: MemoryView | None = None
-        # Receptive-field hand-back (the serving cache's freshness test):
-        # with ``track_field`` on, every :meth:`compute_embedding` pass
-        # leaves in ``last_field`` the ``(len(nodes), field_width)`` ids
-        # of the nodes whose state each row was computed from.
-        self.track_field = False
-        self.last_field: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -274,8 +268,14 @@ class DGNNEncoder(Module):
                                             dtype=get_default_dtype()))
         return self.message_fn(self_state, other_state, time_enc, edge_feat)
 
-    def compute_embedding(self, nodes: np.ndarray, ts: np.ndarray) -> Tensor:
-        """Temporal embeddings ``z_i^t`` (paper Eq. 1) for a node batch."""
+    def compute_embedding(self, nodes: np.ndarray, ts: np.ndarray,
+                          reads: list | None = None) -> Tensor:
+        """Temporal embeddings ``z_i^t`` (paper Eq. 1) for a node batch.
+
+        ``reads``, when a list, receives what the embedding module read
+        beyond each row's own node (see :class:`EmbeddingContext`);
+        :meth:`receptive_field` turns it into a padded id matrix.
+        """
         if self._finder is None:
             raise RuntimeError("encoder not attached to a stream; call attach()")
         memory = self.flush_messages()
@@ -285,27 +285,26 @@ class DGNNEncoder(Module):
             finder=self._finder,
             edge_feats=self._edge_feats,
             time_encoder=self.time_encoder,
-            reads=[] if self.track_field else None,
+            reads=reads,
         )
-        nodes = np.asarray(nodes, dtype=np.int64)
-        z = self.embedding_module(ctx, nodes, np.asarray(ts, dtype=np.float64))
-        if self.track_field:
-            self.last_field = self._pad_field(nodes, ctx.reads)
-        return z
+        return self.embedding_module(ctx, np.asarray(nodes, dtype=np.int64),
+                                     np.asarray(ts, dtype=np.float64))
 
     @property
     def field_width(self) -> int:
-        """Columns of ``last_field``: the most node ids one row reads."""
+        """Columns of :meth:`receptive_field`: the most ids one row reads."""
         return self.embedding_module.field_width
 
-    def _pad_field(self, nodes: np.ndarray, reads: list) -> np.ndarray:
-        """``(len(nodes), field_width)`` receptive field of one pass.
+    def receptive_field(self, nodes: np.ndarray, reads: list) -> np.ndarray:
+        """``(len(nodes), field_width)`` node ids each row was computed from.
 
-        Column 0 is the row's own node, then the ids the embedding module
-        collected for it (the sampled neighbour set ``N_i^t`` of Eq. 1,
-        every hop); unused columns hold ``num_nodes``, an id no event
-        ever touches.
+        ``reads`` is what one ``compute_embedding(nodes, ts, reads=reads)``
+        pass collected.  Column 0 is the row's own node, then the ids the
+        embedding module read for it (the sampled neighbour set ``N_i^t``
+        of Eq. 1, every hop); unused columns hold ``num_nodes``, an id no
+        event ever touches.
         """
+        nodes = np.asarray(nodes, dtype=np.int64)
         field = np.full((len(nodes), self.field_width), self.num_nodes,
                         dtype=np.int64)
         field[:, 0] = nodes

@@ -89,7 +89,8 @@ class RowCache:
     clock at compute time, and an LRU ``stamp``.  Row and field storage
     is ``np.empty``: pages are touched only as slots fill.  When no slot
     is free, the least recently used eighth is evicted with one
-    ``argpartition``.
+    ``argpartition``.  ``tkey`` is ``rint(t / time_resolution)`` kept in
+    float64 — no timestamp overflows it — and the null slot's is NaN.
 
     ``touch_count`` / ``touch_time`` are the ingest path's per-node clocks
     (:class:`~repro.serve.ingest.LiveIngestor`, one entry past the node
@@ -115,10 +116,10 @@ class RowCache:
         self.rows = np.empty((capacity + 1, dim), dtype=dtype)
         self._field = np.empty((capacity + 1, width), dtype=np.int64)
         self._node_of = np.empty(capacity, dtype=np.int64)
-        # What the null slot keeps: a field of padding ids, a time no
-        # query has and a zero clock.
+        # What the null slot keeps: a field of padding ids, a zero clock
+        # and a NaN time, which equals no query time (not even NaN).
         self._field[capacity] = len(touch_count) - 1
-        self._tkey = np.full(capacity + 1, np.iinfo(np.int64).min)
+        self._tkey = np.full(capacity + 1, np.nan)
         self._count0 = np.zeros(capacity + 1, dtype=np.int64)
         self._time0 = np.zeros(capacity + 1)
         # Free slots carry the largest stamp, so eviction never picks one.
@@ -374,15 +375,14 @@ class MicroBatchPlanner:
         cache = self.cache
         if cache is None or len(nodes) == 0:
             return self._compute(nodes, ts)[0]
-        # Distinct (node, quantised time) pairs, sorted by node then time.
-        tkeys = np.rint(ts / cache.time_resolution).astype(np.int64)
-        several = tkeys.min() != tkeys.max()    # query times in this pass
-        keys = nodes
-        if several:
-            # Rank the times and fold the rank into the node id.
-            times, rank = np.unique(tkeys, return_inverse=True)
-            keys = nodes * len(times) + rank
-        keys, first, inverse = np.unique(keys, return_index=True,
+        # Quantised in float64: an int64 cast would overflow on large
+        # timestamps and turn NaN into a valid key.
+        tkeys = np.rint(ts / cache.time_resolution)
+        # Distinct (node, time) pairs, sorted by node then time: the rank
+        # of the time is folded into the node id.
+        times, rank = np.unique(tkeys, return_inverse=True)
+        keys, first, inverse = np.unique(nodes * len(times) + rank,
+                                         return_index=True,
                                          return_inverse=True)
         nodes, ts, tkeys = nodes[first], ts[first], tkeys[first]
         slots, serve, stale, refused = cache.lookup(nodes, tkeys)
@@ -398,12 +398,10 @@ class MicroBatchPlanner:
         cached = cache.rows.take(slots[hit], axis=0)
         if len(miss) == 0:
             return cached[inverse]
-        keep = slice(None)
-        if several:
-            # One row per node: of the times asked of a node only the
-            # newest (the last of its run) is cached.
-            newest = np.append(nodes[1:] != nodes[:-1], True)
-            keep = np.flatnonzero(newest[miss])
+        # One row per node: of the times asked of a node only the newest
+        # (the last of its run) is cached.
+        newest = np.append(nodes[1:] != nodes[:-1], True)
+        keep = np.flatnonzero(newest[miss])
         nodes, tkeys = nodes[miss], tkeys[miss]
         fresh, field = self._compute(nodes, ts[miss])
         cache.put(nodes[keep], tkeys[keep], fresh[keep], field[keep])

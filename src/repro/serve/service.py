@@ -247,9 +247,6 @@ class EmbeddingService:
         self._staleness = self.config.staleness_policy
         cache = None
         if self.config.cache_capacity:
-            # The encoder reports each row's receptive field only when a
-            # cache is there to test it.
-            encoder.track_field = True
             cache = RowCache(self.config.cache_capacity, encoder.embed_dim,
                              encoder.field_width,
                              self._ingestor.touch_count,
@@ -412,9 +409,15 @@ class EmbeddingService:
     # queries
     # ------------------------------------------------------------------
     def _embed_pass(self, nodes: np.ndarray, ts: np.ndarray, staged):
-        """One encoder pass — the traced/replayed inference region."""
+        """One encoder pass — the traced/replayed inference region.
+
+        Returns the embeddings and what the pass read for each row
+        (``None`` without a cache to test it; collected per call, so a
+        re-run after a replay mismatch starts from an empty list).
+        """
         self.encoder.flush_staged(staged)
-        return self.encoder.compute_embedding(nodes, ts)
+        reads = None if self.planner.cache is None else []
+        return self.encoder.compute_embedding(nodes, ts, reads=reads), reads
 
     def _compute_rows(self, nodes: np.ndarray, ts: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -428,14 +431,17 @@ class EmbeddingService:
             # Replay is shape-agnostic, so the key names the op stream
             # only: one program (and one set of pooled buffers) per
             # "messages pending or not", whatever the row count.
-            z = self._compiled_embed(nodes, ts, staged, key=staged is None)
+            z, reads = self._compiled_embed(nodes, ts, staged,
+                                            key=staged is None)
             # Replayed outputs live in pooled buffers (valid only until
             # the next pass) and the planner caches rows — copy out.
             rows = np.array(z.data, copy=True)
             # Persist the flush of any pending ingested messages so the
             # store (and every later query) sees the advanced memory.
             self.encoder.end_batch()
-        return rows, self.encoder.last_field
+        if reads is None:
+            return rows, None
+        return rows, self.encoder.receptive_field(nodes, reads)
 
     def _query_arrays(self, nodes, ts) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
@@ -445,6 +451,8 @@ class EmbeddingService:
         if nodes.shape != ts_arr.shape:
             raise ServeError("nodes and ts must have matching shapes "
                              "(or pass a scalar ts)")
+        if not np.isfinite(ts_arr).all():
+            raise ServeError("query times must be finite")
         if len(nodes) and (nodes.min() < 0
                            or nodes.max() >= self.artifact.num_nodes):
             raise ServeError(f"node ids must lie in "
@@ -520,6 +528,8 @@ class EmbeddingService:
         try:
             if k < 0:
                 raise ServeError("k must be >= 0")
+            if not math.isfinite(t):
+                raise ServeError("query times must be finite")
             explicit = candidates is not None
             if candidates is None:
                 candidates = self._candidates

@@ -453,7 +453,6 @@ class TestEmbeddingService:
         np.testing.assert_array_equal(service.embed([1, 2, 1], t),
                                       service.embed([1, 2, 1], t))
         assert service.planner.cache is None
-        assert not service.encoder.track_field
         stats = service.stats()
         assert stats["cache_rows"] == 0
         assert stats["planner"]["cache_hits"] == 0
@@ -470,6 +469,18 @@ class TestEmbeddingService:
             service.score_links([1, 2], [3], 10.0)
         with pytest.raises(ServeError):
             service.ingest()
+        # Non-finite query times are refused, cache or no cache.
+        bare = EmbeddingService.from_artifact(artifact, history=pre,
+                                              cache_capacity=0)
+        for replica in (service, bare):
+            for t in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ServeError):
+                    replica.embed([1, 2], t)
+                with pytest.raises(ServeError):
+                    replica.score_links([1], [2], [t])
+                with pytest.raises(ServeError):
+                    replica.top_k(1, t, 3)
+            assert replica.planner.stats.queries == 0
 
 
 # ======================================================================
@@ -582,6 +593,28 @@ class TestCacheFreshness:
         cached.embed([4, 9, 7], pre.t_max + np.array([2.0, 3.0, 2.0]))
         assert int(stats.cache_hits) - hits == 3
 
+    def test_query_times_beyond_int64_quanta_match_cache_free(self):
+        """``t / time_resolution`` past 2**63 (a microsecond epoch, say):
+        the keys must stay distinct and an uncached node must be computed,
+        not answered from the empty slot."""
+        _, pre, _ = make_split_stream(3)
+        artifact = pretrain_artifact(pre, tiny_config("tgn"))
+        cached = EmbeddingService.from_artifact(artifact, history=pre)
+        oracle = EmbeddingService.from_artifact(artifact, history=pre,
+                                                cache_capacity=0)
+        stats = cached.planner.stats
+        for t in (1e13, 1e13 + 8.0, 4e15, -1e13):
+            want = oracle.embed([1, 2], t)
+            hits = int(stats.cache_hits)
+            np.testing.assert_array_equal(cached.embed([1, 2], t), want)
+            assert int(stats.cache_hits) == hits        # another time
+            np.testing.assert_array_equal(cached.embed([1, 2], t), want)
+            assert int(stats.cache_hits) == hits + 2
+        nodes = np.array([1, 1, 2, 1])
+        ts = np.array([1e13, 1e13 + 8.0, 1e13, 1e13])
+        np.testing.assert_array_equal(cached.embed(nodes, ts),
+                                      oracle.embed(nodes, ts))
+
 
 # ======================================================================
 # Planner / cache units
@@ -674,6 +707,25 @@ class TestPlanner:
         planner.embed(nodes, np.zeros(4))
         assert calls == [2]                        # all served from cache
         assert planner.stats.cache_hits == 2 and planner.stats.deduped == 4
+
+    def test_no_query_time_is_answered_from_the_null_slot(self):
+        """Nodes without a row map to the null slot; whatever the query
+        time - NaN and infinities included - it must never be served."""
+        calls = []
+
+        def compute(nodes, ts):
+            calls.append(len(nodes))
+            return own_rows(nodes, ts)
+
+        planner = MicroBatchPlanner(compute, cache=make_cache(16)[0])
+        nodes = np.array([5, 7], dtype=np.int64)
+        for n, t in enumerate((np.nan, np.inf, -np.inf, 1e300, -1e300)):
+            rows = planner.embed(nodes + 10 * n, np.full(2, t))
+            np.testing.assert_array_equal(rows[:, 0], nodes + 10 * n)
+        assert calls == [2] * 5 and planner.stats.cache_hits == 0
+        # A NaN time equals no time: computed again, never a hit.
+        planner.embed(nodes, np.full(2, np.nan))
+        assert calls == [2] * 6 and planner.stats.cache_hits == 0
 
     def test_pass_cost_is_independent_of_row_count(self, monkeypatch):
         """One 4096-row request, half of it duplicates: one compute call
