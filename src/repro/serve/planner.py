@@ -14,7 +14,7 @@ the two:
   not thread-safe, and the planner is the single entry point the HTTP
   frontend and the in-process client share;
 * a :class:`RowCache` short-cuts repeat queries.  One pass is a handful
-  of array operations whatever the row count: quantise → ``np.unique`` →
+  of array operations whatever the row count: quantise → ``lexsort`` →
   one ``lookup`` → one ``compute`` over the misses → one ``put`` → take.
 
 **One freshness rule.**  An embedding of ``u`` is computed from the
@@ -81,16 +81,15 @@ class RowCache:
 
     ``slot_of[node]`` is the node's slot (the ``TGNMemory.assoc`` idiom:
     a node-indexed map, no dicts); a node without a row maps to the
-    *null slot* ``capacity``, whose entry can never be served, so a pass
-    needs no "is it cached" branch.  A slot holds the row, its quantised
-    query time ``tkey`` (a query of the same node at another time is
-    computed and replaces it), the ``width`` node ids of its receptive
+    *null slot* ``capacity``, whose NaN time equals no query's, so a pass
+    needs no "is it cached" branch.  A slot holds the row, its query time
+    in float64 quanta ``tkey`` (a query of the same node at another time
+    is computed and replaces it), the ``width`` node ids of its receptive
     field (padded with the id one past the node space) with the field's
     clock at compute time, and an LRU ``stamp``.  Row and field storage
     is ``np.empty``: pages are touched only as slots fill.  When no slot
     is free, the least recently used eighth is evicted with one
-    ``argpartition``.  ``tkey`` is ``rint(t / time_resolution)`` kept in
-    float64 — no timestamp overflows it — and the null slot's is NaN.
+    ``argpartition``.
 
     ``touch_count`` / ``touch_time`` are the ingest path's per-node clocks
     (:class:`~repro.serve.ingest.LiveIngestor`, one entry past the node
@@ -168,9 +167,8 @@ class RowCache:
         its clock is read now, so no ingest may separate compute and put.
         Of more rows than the cache holds, the last ``capacity`` are kept.
         """
-        if len(nodes) > self.capacity:
-            nodes, tkeys, rows, field = (a[-self.capacity:] for a in
-                                         (nodes, tkeys, rows, field))
+        nodes, tkeys, rows, field = (a[-self.capacity:]
+                                     for a in (nodes, tkeys, rows, field))
         self._tick += 1
         slots = self.slot_of[nodes]
         # Stamped before evicting: a slot reused here is never a victim
@@ -378,18 +376,21 @@ class MicroBatchPlanner:
         # Quantised in float64: an int64 cast would overflow on large
         # timestamps and turn NaN into a valid key.
         tkeys = np.rint(ts / cache.time_resolution)
-        # Distinct (node, time) pairs, sorted by node then time: the rank
-        # of the time is folded into the node id.
-        times, rank = np.unique(tkeys, return_inverse=True)
-        keys, first, inverse = np.unique(nodes * len(times) + rank,
-                                         return_index=True,
-                                         return_inverse=True)
-        nodes, ts, tkeys = nodes[first], ts[first], tkeys[first]
+        # Distinct (node, time) pairs: sorted by node then time, a query
+        # opens a run where either differs from the row before it.
+        order = np.lexsort((tkeys, nodes))
+        nodes, ts, tkeys = nodes[order], ts[order], tkeys[order]
+        opens = np.ones(len(order), dtype=bool)
+        np.logical_or(nodes[1:] != nodes[:-1], tkeys[1:] != tkeys[:-1],
+                      out=opens[1:])
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.cumsum(opens) - 1
+        nodes, ts, tkeys = nodes[opens], ts[opens], tkeys[opens]
         slots, serve, stale, refused = cache.lookup(nodes, tkeys)
         hit = np.flatnonzero(serve)
         miss = np.flatnonzero(~serve)
         stats = self.stats
-        stats.deduped += len(inverse) - len(keys)
+        stats.deduped += len(inverse) - len(nodes)
         stats.cache_hits += len(hit)
         stats.cache_misses += len(miss)
         stats.stale_hits += stale
@@ -400,12 +401,13 @@ class MicroBatchPlanner:
             return cached[inverse]
         # One row per node: of the times asked of a node only the newest
         # (the last of its run) is cached.
-        newest = np.append(nodes[1:] != nodes[:-1], True)
-        keep = np.flatnonzero(newest[miss])
-        nodes, tkeys = nodes[miss], tkeys[miss]
-        fresh, field = self._compute(nodes, ts[miss])
-        cache.put(nodes[keep], tkeys[keep], fresh[keep], field[keep])
-        rows = np.empty((len(keys), fresh.shape[1]), dtype=fresh.dtype)
+        newest = np.ones(len(nodes), dtype=bool)
+        newest[:-1] = nodes[1:] != nodes[:-1]
+        keep = newest[miss]
+        fresh, field = self._compute(nodes[miss], ts[miss])
+        cache.put(nodes[miss][keep], tkeys[miss][keep], fresh[keep],
+                  field[keep])
+        rows = np.empty((len(nodes), fresh.shape[1]), dtype=fresh.dtype)
         rows[miss] = fresh
         rows[hit] = cached
         return rows[inverse]
