@@ -32,7 +32,4 @@ class TimeEncoder(Module):
         self.phase = Parameter(np.zeros(dim))
 
     def forward(self, deltas) -> Tensor:
-        deltas = deltas if isinstance(deltas, Tensor) else Tensor(np.asarray(deltas, dtype=np.float64))
-        expanded = deltas.reshape(*deltas.shape, 1)
-        angles = expanded * self.omega + self.phase
-        return F.cos(angles)
+        return F.time_encode(deltas, self.omega, self.phase)

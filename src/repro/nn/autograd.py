@@ -117,47 +117,55 @@ class SparseRowGrad:
     a large table accumulates ``(indices, grad_rows)`` pairs instead of
     allocating one dense zeros table per lookup.  Densified lazily the
     first time :attr:`Tensor.grad` is read.
+    Rows are held flat (``indices`` 1-D, ``values`` one row each); later
+    contributions (:meth:`append`) stay separate chunks, joined once when
+    :attr:`indices` / :attr:`values` are read.
     """
 
-    __slots__ = ("shape", "indices", "values")
+    __slots__ = ("shape", "_chunks")
 
     def __init__(self, shape: tuple, indices: np.ndarray, values: np.ndarray):
         self.shape = tuple(shape)
-        self.indices = indices
-        self.values = values
+        self._chunks = [(np.reshape(indices, -1),
+                         np.reshape(values, (-1,) + self.shape[1:]))]
+
+    def _joined(self) -> tuple[np.ndarray, np.ndarray]:
+        if len(self._chunks) > 1:
+            self._chunks = [tuple(map(np.concatenate, zip(*self._chunks)))]
+        return self._chunks[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._joined()[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._joined()[1]
 
     @property
     def dtype(self) -> np.dtype:
-        return self.values.dtype
+        return self._chunks[0][1].dtype
 
     @property
     def nnz(self) -> int:
-        return int(self.indices.size)
+        return sum(int(idx.size) for idx, _ in self._chunks)
+
+    def append(self, other: "SparseRowGrad") -> None:
+        """Add ``other`` in.  Its rows are copied (in this gradient's
+        dtype): they may sit in a buffer that is reused before the read."""
+        self._chunks.extend((idx, np.array(vals, dtype=self.dtype))
+                            for idx, vals in other._chunks)
 
     def coalesce(self) -> "SparseRowGrad":
         """Merge duplicate row indices by summation."""
-        flat_idx = self.indices.reshape(-1)
-        rows = self.values.reshape(flat_idx.shape[0], -1)
-        uniq, inverse = np.unique(flat_idx, return_inverse=True)
-        summed = np.zeros((len(uniq), rows.shape[1]), dtype=rows.dtype)
-        _backends.scatter_add_rows(summed, inverse, rows)
-        return SparseRowGrad(self.shape,
-                             uniq, summed.reshape((len(uniq),) + self.shape[1:]))
+        return SparseRowGrad(
+            self.shape,
+            *_backends.sum_duplicate_rows(self.indices, self.values))
 
     def to_dense(self) -> np.ndarray:
-        full = np.zeros(self.shape, dtype=self.values.dtype)
+        full = np.zeros(self.shape, dtype=self.dtype)
         _backends.scatter_add_rows(full, self.indices, self.values)
         return full
-
-
-def _concat_sparse(a: SparseRowGrad, b: SparseRowGrad) -> SparseRowGrad:
-    """Stack two sparse row grads (duplicates allowed; coalesced lazily)."""
-    a_idx, b_idx = a.indices.reshape(-1), b.indices.reshape(-1)
-    a_vals = a.values.reshape((a_idx.shape[0],) + a.shape[1:])
-    b_vals = b.values.reshape((b_idx.shape[0],) + b.shape[1:])
-    return SparseRowGrad(a.shape,
-                         np.concatenate([a_idx, b_idx]),
-                         np.concatenate([a_vals, b_vals]))
 
 
 class no_grad:
@@ -447,7 +455,7 @@ class Tensor:
                     grad.shape, grad.indices,
                     np.array(grad.values, dtype=self.data.dtype, copy=True))
             elif isinstance(current, SparseRowGrad):
-                self._grad = _concat_sparse(current, grad)
+                current.append(grad)
             else:
                 _backends.scatter_add_rows(current, grad.indices,
                                            grad.values)

@@ -25,9 +25,11 @@ Every shim returns ``None`` for shapes/dtypes it does not handle (non
 2-D values, non-float buffers), in which case the bound kernel falls
 back to the primitive's numpy implementation — per-kernel transparent
 fallback, as the backend contract requires.  Scatter loops accumulate
-in the same sequential row order as ``np.add.at``; elementwise kernels
-may differ from numpy by rounding of intermediates, which is why the
-equivalence suite checks them under dtype-scaled tolerances.
+in sequential row order (``np.add.at``'s), the numpy backend sums each
+run of duplicates first, and elementwise kernels may differ from numpy
+by rounding of intermediates, which is why the equivalence suite checks
+all of them under dtype-scaled tolerances.  The BLAS-bound ``linear`` /
+``gru_cell`` / ``time_encode`` primitives keep their numpy kernels.
 """
 
 from __future__ import annotations
@@ -343,7 +345,7 @@ class NumbaBackend(KernelBackend):
                             np.ascontiguousarray(idx, dtype=np.int64),
                             out.reshape(rows, cols))
             return
-        np.add.at(out, indices, values)
+        super().scatter_add_rows(out, indices, values)
 
     def scatter_max_rows(self, out, indices, values):
         idx = np.asarray(indices)

@@ -45,8 +45,8 @@ from time import perf_counter
 import numpy as np
 
 from . import backends as _backends
-from .autograd import (SparseRowGrad, Tensor, _concat_sparse, _eager_apply,
-                       get_tracer, set_tracer)
+from .autograd import (SparseRowGrad, Tensor, _eager_apply, get_tracer,
+                       set_tracer)
 from .. import obs as _obs
 
 __all__ = ["CompiledStep", "ReplayMismatch"]
@@ -89,7 +89,7 @@ class _GradCell:
     """Gradient accumulator for one intermediate slot.
 
     Replicates :meth:`Tensor._accumulate` bit-for-bit (copy-on-first-store
-    with dtype cast, in-place adds, sparse concat/densify), with one
+    with dtype cast, in-place adds, sparse append/densify), with one
     optimization: a *fresh* dense first contribution of the right dtype is
     adopted without the copy — later contributions add into it in place,
     producing the same values in the same order.
@@ -114,7 +114,7 @@ class _GradCell:
                     np.array(g.values, dtype=self.dtype, copy=True))
                 self.sparse = True
             elif self.sparse:
-                self.value = _concat_sparse(self.value, g)
+                self.value.append(g)
             else:
                 _backends.scatter_add_rows(self.value, g.indices, g.values)
         else:
@@ -609,6 +609,9 @@ class CompiledStep:
                                help=f"CompiledStep {name} count",
                                replace=True)
             for name in ("traces", "replays", "mismatches", "eager")}
+        self._program_ops = _obs.gauge(
+            "repro_compile_program_ops", labels=labels,
+            help="forward ops in the most recently built compiled program")
         self._kernel_stats: dict | None = {} if profile else None
 
     def __call__(self, *args, key=None, **kwargs):
@@ -656,7 +659,8 @@ class CompiledStep:
         if tr.failed is None and self.mode == "train" and tr.steps is None:
             tr.fail("traced step never called backward()")
         if tr.failed is None:
-            self._programs[key] = tr.build(self.backend)
+            program = self._programs[key] = tr.build(self.backend)
+            self._program_ops.set(len(program.records))
         else:
             self.last_failure = tr.failed
             self._note_failure(key)

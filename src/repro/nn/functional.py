@@ -31,7 +31,7 @@ __all__ = [
     "clip", "sqrt", "abs_", "where", "scatter_mean", "scatter_sum",
     "scatter_max", "l2_normalize",
     "pairwise_sq_dist", "euclidean_distance", "cosine_similarity",
-    "scatter_rows", "cos",
+    "scatter_rows", "cos", "linear", "gru_cell", "time_encode",
 ]
 
 
@@ -152,10 +152,22 @@ def tanh(x: Tensor) -> Tensor:
     return apply_op(_TANH, (as_tensor(x),))
 
 
+def _sigmoid_into(x, out=None):
+    """``0.5 * (1 + tanh(x / 2))`` written to ``out`` (which may be ``x``).
+
+    One transcendental per element, nothing can overflow or underflow;
+    exact at 0, exactly 0 / 1 in the far tails (error below one ulp of 1).
+    """
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
 def _sigmoid_fwd(args, params, need_ctx, out):
     (x,) = args
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500))),
-                    np.exp(np.clip(x, -500, 500)) / (1.0 + np.exp(np.clip(x, -500, 500))))
+    data = _sigmoid_into(x, None if out is None else out.get(x.shape))
     return data, (data,)
 
 
@@ -248,6 +260,144 @@ _COS = defchain(defvjp(primitive("cos", _cos_fwd), _cos_vjp), _cos_ew)
 def cos(x: Tensor) -> Tensor:
     """Elementwise cosine (the harmonic time-encoding kernel)."""
     return apply_op(_COS, (as_tensor(x),))
+
+
+# ----------------------------------------------------------------------
+# fused affine / recurrent / time-encoding kernels (one tape node each)
+# ----------------------------------------------------------------------
+def _linear_fwd(args, params, need_ctx, out):
+    x, w = args[0], args[1]
+    buf = None if out is None else out.get(x.shape[:-1] + w.shape[1:])
+    data = np.matmul(x, w, out=buf)
+    if len(args) == 3:
+        data += args[2]
+    return data, ((x, w) if need_ctx else None)
+
+
+def _linear_vjp(ctx, grad, needs, params):
+    x, w = ctx
+    g2 = grad.reshape(-1, w.shape[1])
+    gx = grad @ w.T if needs[0] else None
+    gw = x.reshape(-1, w.shape[0]).T @ g2 if needs[1] else None
+    if len(needs) == 2:
+        return gx, gw
+    return gx, gw, (g2.sum(axis=0) if needs[2] else None)
+
+
+_LINEAR = defvjp(primitive("linear", _linear_fwd), _linear_vjp)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ weight + bias`` as one tape node.
+
+    ``x`` is ``(..., in)``, ``weight`` ``(in, out)``, ``bias`` ``(out,)``
+    or absent.  The bias is added in place on the matmul's output and its
+    gradient is a column sum, so no broadcast add is ever recorded.
+    """
+    inputs = (as_tensor(x), weight) + (() if bias is None else (bias,))
+    return apply_op(_LINEAR, inputs)
+
+
+def _gru_cell_fwd(args, params, need_ctx, out):
+    x, h, w_xz, w_hz, b_z, w_xr, w_hr, b_r, w_xn, w_hn, b_n = args
+    # Gate-major packing: ``gates[k]`` is one contiguous (B, H) block.
+    w_x = np.stack((w_xz, w_xr, w_xn))
+    w_h = np.stack((w_hz, w_hr))
+    gates = np.matmul(x, w_x)                   # z | r | n, input side
+    gates += np.stack((b_z, b_r, b_n))[:, None]
+    zr = gates[:2]
+    zr += np.matmul(h, w_h)
+    _sigmoid_into(zr, zr)
+    z, r, n = gates
+    hr = h * r
+    n += hr @ w_hn
+    np.tanh(n, out=n)                           # gates is now activated
+    data = np.subtract(1.0, z, out=None if out is None else out.get(h.shape))
+    data *= n
+    data += z * h
+    return data, ((x, h, w_x, w_h, w_hn, gates, hr) if need_ctx else None)
+
+
+def _gru_cell_vjp(ctx, grad, needs, params):
+    x, h, w_x, w_h, w_hn, gates, hr = ctx
+    z, r, n = gates
+    da = np.empty_like(gates)                   # pre-activation gradients
+    da_z, da_r, da_n = da
+    np.subtract(1.0, z, out=da_n)
+    da_n *= grad
+    da_n *= 1.0 - n * n
+    d_hr = da_n @ w_hn.T
+    np.subtract(h, n, out=da_z)
+    da_z *= grad
+    da_z *= z * (1.0 - z)
+    np.multiply(d_hr, h, out=da_r)
+    da_r *= r * (1.0 - r)
+    gx = gh = None
+    if needs[0]:
+        gx = np.matmul(da, w_x.transpose(0, 2, 1)).sum(axis=0)
+    if needs[1]:
+        gh = np.matmul(da[:2], w_h.transpose(0, 2, 1)).sum(axis=0)
+        gh += grad * z
+        gh += d_hr * r
+    g_wx, g_wh, g_b = np.matmul(x.T, da), np.matmul(h.T, da[:2]), da.sum(axis=1)
+    grads = (gx, gh, g_wx[0], g_wh[0], g_b[0], g_wx[1], g_wh[1], g_b[1],
+             g_wx[2], hr.T @ da_n, g_b[2])
+    return tuple(gi if need else None for gi, need in zip(grads, needs))
+
+
+_GRU_CELL = defvjp(primitive("gru_cell", _gru_cell_fwd), _gru_cell_vjp)
+
+
+def gru_cell(x: Tensor, h: Tensor, w_xz: Tensor, w_hz: Tensor, b_z: Tensor,
+             w_xr: Tensor, w_hr: Tensor, b_r: Tensor, w_xn: Tensor,
+             w_hn: Tensor, b_n: Tensor) -> Tensor:
+    """One GRU step (Cho et al., 2014) as one tape node.
+
+    ``z = σ(x W_xz + h W_hz + b_z)``, ``r = σ(x W_xr + h W_hr + b_r)``,
+    ``n = tanh(x W_xn + (h ⊙ r) W_hn + b_n)``, ``h' = z ⊙ h + (1 − z) ⊙ n``
+    for ``x`` ``(B, in)`` and ``h`` ``(B, hidden)``.  The input side
+    of all three gates is one matmul against the stacked
+    ``[W_xz | W_xr | W_xn]`` and the state side of ``z``/``r`` one against
+    ``[W_hz | W_hr]``; the backward keeps the activated gates and
+    ``h ⊙ r`` only and skips the gradient of a constant ``x`` or ``h``.
+    """
+    x, h = as_tensor(x), as_tensor(h)
+    if x.ndim != 2 or h.ndim != 2:
+        raise ValueError(f"gru_cell takes (batch, features) inputs, got "
+                         f"{x.shape} and {h.shape}")
+    return apply_op(_GRU_CELL, (x, h, w_xz, w_hz, b_z, w_xr, w_hr, b_r,
+                                w_xn, w_hn, b_n))
+
+
+def _time_encode_fwd(args, params, need_ctx, out):
+    deltas, omega, phase = args
+    buf = None if out is None else out.get(deltas.shape + omega.shape)
+    data = np.multiply(deltas[..., None], omega, out=buf)
+    data += phase
+    ctx = (deltas, omega, np.sin(data)) if need_ctx else None
+    return np.cos(data, out=data), ctx
+
+
+def _time_encode_vjp(ctx, grad, needs, params):
+    deltas, omega, sin = ctx
+    minus_g = (grad * sin).reshape(-1, omega.shape[0])   # -dL/d(angle)
+    return (-(minus_g @ omega).reshape(deltas.shape) if needs[0] else None,
+            -(deltas.reshape(-1) @ minus_g) if needs[1] else None,
+            -minus_g.sum(axis=0) if needs[2] else None)
+
+
+_TIME_ENCODE = defvjp(primitive("time_encode", _time_encode_fwd),
+                      _time_encode_vjp)
+
+
+def time_encode(deltas, omega: Tensor, phase: Tensor) -> Tensor:
+    """Harmonic time encoding ``cos(Δt · ω + φ)`` as one tape node.
+
+    ``deltas`` is ``(...,)``, ``omega`` and ``phase`` are ``(dim,)``; the
+    result is ``(..., dim)``.  The gradients of ``ω`` and ``φ`` are a
+    dot product and a column sum over the flattened deltas.
+    """
+    return apply_op(_TIME_ENCODE, (as_tensor(deltas), omega, phase))
 
 
 # ----------------------------------------------------------------------

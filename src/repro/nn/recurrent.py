@@ -31,7 +31,7 @@ class RNNCell(Module):
         self.bias = Parameter(init.zeros((hidden_dim,)))
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        return F.tanh(x @ self.w_x + h @ self.w_h + self.bias)
+        return F.tanh(F.linear(x, self.w_x, self.bias) + h @ self.w_h)
 
 
 class GRUCell(Module):
@@ -55,10 +55,9 @@ class GRUCell(Module):
         self.b_n = Parameter(init.zeros((hidden_dim,)))
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        update = F.sigmoid(x @ self.w_xz + h @ self.w_hz + self.b_z)
-        reset = F.sigmoid(x @ self.w_xr + h @ self.w_hr + self.b_r)
-        candidate = F.tanh(x @ self.w_xn + (h * reset) @ self.w_hn + self.b_n)
-        return update * h + (Tensor(1.0) - update) * candidate
+        return F.gru_cell(x, h, self.w_xz, self.w_hz, self.b_z,
+                          self.w_xr, self.w_hr, self.b_r,
+                          self.w_xn, self.w_hn, self.b_n)
 
 
 class LSTMCell(Module):
@@ -81,7 +80,7 @@ class LSTMCell(Module):
 
     def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
         h, c = state
-        gates = x @ self.w_x + h @ self.w_h + self.bias
+        gates = F.linear(x, self.w_x, self.bias) + h @ self.w_h
         d = self.hidden_dim
         i = F.sigmoid(gates[:, 0 * d:1 * d])
         f = F.sigmoid(gates[:, 1 * d:2 * d])

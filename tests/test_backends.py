@@ -23,6 +23,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import CompiledStep, Tensor, backends, functional as F
 from repro.nn.backends import chaingen, numba_backend
@@ -71,17 +73,96 @@ class TestRegistry:
         assert backends.active_backend().name == "numpy"
 
 
+def assert_scatter_close(out, base, idx, values):
+    """``out == base`` with ``base[idx] += values`` to ``n_dup * eps``.
+
+    The reference is ``np.add.at`` in float64.  A cell that receives
+    ``n`` rows is a sum of ``n + 1`` terms, and any summation order
+    rounds it within ``n * eps * (|base| + sum of |rows|)`` — the bound
+    every backend's ``scatter_add_rows`` is held to (none promises
+    ``np.add.at``'s bits: numpy sums each run of duplicates first, the
+    numba kernel adds row by row).
+    """
+    idx = np.asarray(idx).reshape(-1)
+    rows = np.asarray(values, dtype=np.float64).reshape((idx.size,)
+                                                        + base.shape[1:])
+    expected = base.astype(np.float64)
+    np.add.at(expected, idx, rows)
+    scale = np.abs(base).astype(np.float64)
+    np.add.at(scale, idx, np.abs(rows))
+    n_dup = np.bincount(idx % len(base), minlength=1).max() if idx.size else 0
+    bound = (n_dup + 1) * np.finfo(out.dtype).eps * scale
+    assert (np.abs(out - expected) <= bound).all(), \
+        np.abs(out - expected).max()
+
+
+def _row_scatter_case(rng, n, num_rows, tail, dtype, index_dtype=np.int64):
+    idx = rng.integers(0, num_rows, size=n).astype(index_dtype)
+    values = rng.normal(size=(n,) + tail).astype(dtype)
+    base = rng.normal(size=(num_rows,) + tail).astype(dtype)
+    return base, idx, values
+
+
 class TestScatterDispatch:
-    def test_numpy_scatter_matches_ufunc_at(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", [
+        "random", "empty", "single", "all-duplicate", "sorted", "int32",
+        "1-d", "negative", "long-runs"])
+    def test_numpy_scatter_matches_ufunc_at(self, dtype, case):
+        rng = np.random.default_rng(0)
+        base, idx, values = _row_scatter_case(rng, 40, 5, (4,), dtype)
+        if case == "empty":
+            idx, values = idx[:0], values[:0]
+        elif case == "single":
+            idx, values = idx[:1], values[:1]
+        elif case == "all-duplicate":
+            idx = np.full_like(idx, 3)
+        elif case == "sorted":
+            idx = np.sort(idx)
+        elif case == "int32":
+            idx = idx.astype(np.int32)
+        elif case == "1-d":
+            base, idx, values = _row_scatter_case(rng, 40, 5, (), dtype)
+        elif case == "negative":
+            idx = idx - 5 * (np.arange(len(idx)) % 2)   # -5..-1 wrap to 0..4
+        elif case == "long-runs":
+            # Enough bytes for several reduction blocks, runs longer than one.
+            base, idx, values = _row_scatter_case(rng, 60_000, 3, (16,), dtype)
+        out = base.copy()
+        backends.scatter_add_rows(out, idx, values)
+        assert out.dtype == dtype
+        assert_scatter_close(out, base, idx, values)
+        if case == "empty":
+            assert np.array_equal(out, base)
+
+    @given(st.integers(0, 120), st.integers(1, 9), st.integers(0, 5),
+           st.sampled_from([np.float32, np.float64]),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_numpy_scatter_property(self, n, num_rows, cols, dtype, seed):
+        """Within the bound for any input, in any order of its rows."""
+        rng = np.random.default_rng(seed)
+        base, idx, values = _row_scatter_case(rng, n, num_rows,
+                                          (cols,) if cols else (), dtype)
+        out = base.copy()
+        backends.scatter_add_rows(out, idx, values)
+        assert_scatter_close(out, base, idx, values)
+        perm = rng.permutation(n)
+        again = base.copy()
+        backends.scatter_add_rows(again, idx[perm], values[perm])
+        assert_scatter_close(again, base, idx, values)
+
+    def test_sum_duplicate_rows_sorted_unique(self):
+        idx = np.array([[4, 1], [4, 0]])
+        values = np.arange(8.0).reshape(2, 2, 2)
+        rows, sums = backends.sum_duplicate_rows(idx, values)
+        np.testing.assert_array_equal(rows, [0, 1, 4])
+        np.testing.assert_array_equal(sums, [[6, 7], [2, 3], [4, 6]])
+
+    def test_numpy_scatter_max_matches_ufunc_at(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(12, 4)).astype(np.float32)
         idx = rng.integers(0, 5, size=12)
-        expected = np.zeros((5, 4), np.float32)
-        np.add.at(expected, idx, values)
-        out = np.zeros((5, 4), np.float32)
-        backends.scatter_add_rows(out, idx, values)
-        assert np.array_equal(out, expected)
-
         expected_max = np.full((5, 4), -np.inf, np.float32)
         np.maximum.at(expected_max, idx, values)
         out_max = np.full((5, 4), -np.inf, np.float32)
@@ -367,16 +448,20 @@ def test_numba_sigmoid_matches_numpy(dtype):
 
 
 @needs_numba
-def test_numba_scatter_rows_override_matches_add_at():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_numba_scatter_rows_override_matches_add_at(dtype):
+    """The sequential jitted kernel is held to the same ``n_dup * eps``
+    tolerance as the numpy backend's sorted reduction, not to bits."""
     backend = backends.get_backend("numba")
-    rng = np.random.default_rng(1)
-    values = rng.normal(size=(30, 5)).astype(np.float64)
-    idx = rng.integers(0, 9, size=30)
-    expected = np.zeros((9, 5))
-    np.add.at(expected, idx, values)
-    out = np.zeros((9, 5))
+    base, idx, values = _row_scatter_case(np.random.default_rng(1), 30, 9,
+                                          (5,), dtype)
+    out = base.copy()
     backend.scatter_add_rows(out, idx, values)
-    np.testing.assert_allclose(out, expected, rtol=1e-12)
+    assert_scatter_close(out, base, idx, values)
+    # Layouts the kernel declines (here N-d indices) take the numpy path.
+    out = base.copy()
+    backend.scatter_add_rows(out, idx.reshape(5, 6), values.reshape(5, 6, 5))
+    assert_scatter_close(out, base, idx, values)
 
 
 @needs_numba

@@ -15,6 +15,7 @@ import pytest
 from repro.core.config import CPDGConfig
 from repro.core.pretrainer import CPDGPreTrainer
 from repro.datasets import BipartiteInteractionGenerator, InteractionConfig
+from repro import obs
 from repro.nn import MLP, Adam, CompiledStep, Tensor, functional as F
 from repro.nn.autograd import graph_nodes_created, no_grad
 
@@ -91,6 +92,12 @@ class TestCompiledStepTraining:
             assert np.array_equal(p.grad, g)
         assert compiled.stats()["traces"] == 1
         assert compiled.stats()["replays"] == len(xs) - 1
+        # Two fused linears, relu, and the five loss ops; the registry
+        # gauge reports the program just built.
+        assert compiled.program_size(xs[0].shape) == 8
+        gauge = obs.gauge("repro_compile_program_ops",
+                          labels={"mode": "train"})
+        assert gauge.value == 8
 
     def test_replayed_gradients_pass_gradcheck(self):
         net, xs, ys = self._problem()
