@@ -1,24 +1,19 @@
-"""Throughput of the autograd step, by execution mode AND kernel backend.
+"""Throughput of the autograd step, by execution mode.
 
-Times CPDG pre-training (Algorithm 1) at each scale in up to three modes:
+Times CPDG pre-training (Algorithm 1) at each scale in two modes:
 
 * ``eager`` — ``compile_step=False``: pure eager autograd (graph node
   per op, topological sort and closure dispatch per ``backward()``);
-* ``compiled+numpy`` — :class:`~repro.nn.compile.CompiledStep` replay
-  with the baseline kernel backend: recorded numpy kernels into pooled
-  buffers, straight-line backward with fused elementwise chains, zero
-  graph construction.  Bit-identical to eager;
-* ``compiled+numba`` — the same replay with the jitted kernel table and
-  whole-chain kernels from :mod:`repro.nn.backends.numba_backend`.
-  Only measured when the optional numba package is importable; recorded
-  as ``null`` otherwise so the JSON shape is stable across environments.
+* ``compiled`` — :class:`~repro.nn.compile.CompiledStep` replay: the
+  primitives' numpy kernels into pooled buffers, straight-line backward,
+  zero graph construction.  Bit-identical to eager.
 
 The headline steps/sec comes from un-instrumented
 :meth:`CPDGPreTrainer.pretrain` wall time.  A per-stage breakdown
 (forward / backward / optimizer / staging) comes from an instrumented
 replica of the gradient step with timers threaded through the traced
 function — ``time.perf_counter`` is not an autograd op, so the same
-timers run under trace, replay and eager execution, for every backend.
+timers run under trace, replay and eager execution.
 
 Writes ``BENCH_autograd.json`` at the repo root.  Usage::
 
@@ -37,7 +32,7 @@ import numpy as np
 from repro.core import CPDGConfig, CPDGPreTrainer
 from repro.graph import NeighborFinder, chronological_batches
 from repro.graph.events import EventStream
-from repro.nn import Adam, backends, clip_grad_norm, default_dtype
+from repro.nn import Adam, clip_grad_norm, default_dtype
 from repro.nn.compile import CompiledStep
 
 SCALES = {
@@ -56,19 +51,8 @@ SMOKE_SCALES = {
 
 STAGES = ("forward", "backward", "optimizer", "staging")
 
-# mode name -> (compile_step, backend)
-MODES = {
-    "eager": (False, "numpy"),
-    "compiled+numpy": (True, "numpy"),
-    "compiled+numba": (True, "numba"),
-}
-
-
-def active_modes() -> dict[str, tuple[bool, str]]:
-    modes = dict(MODES)
-    if not backends.numba_available():
-        del modes["compiled+numba"]
-    return modes
+# mode name -> compile_step
+MODES = {"eager": False, "compiled": True}
 
 
 def synthetic_stream(num_nodes: int, events: int, seed: int = 0) -> EventStream:
@@ -82,29 +66,22 @@ def synthetic_stream(num_nodes: int, events: int, seed: int = 0) -> EventStream:
     )
 
 
-def scale_config(compile_step: bool, backend: str, params: dict) -> CPDGConfig:
+def scale_config(compile_step: bool, params: dict) -> CPDGConfig:
     return CPDGConfig(
         epochs=params["epochs"], batch_size=params["batch_size"],
         memory_dim=params["memory_dim"], embed_dim=params["embed_dim"],
         edge_dim=0, num_checkpoints=2, precompute_samplers=False,
-        compile_step=compile_step, backend=backend, seed=0)
+        compile_step=compile_step, seed=0)
 
 
-def warmup_backend(backend: str) -> None:
-    """Jit-compile the static kernel table before any timed region."""
-    if backend == "numba" and backends.numba_available():
-        backends.get_backend("numba").warmup()
-
-
-def timed_pretrain(compile_step: bool, backend: str, stream: EventStream,
+def timed_pretrain(compile_step: bool, stream: EventStream,
                    params: dict) -> float:
     """Un-instrumented steps/sec of the real pre-training loop.
 
     Multiple epochs so the one-time trace cost amortizes the way it does
     in real training (the trace happens once per key, not per step).
     """
-    warmup_backend(backend)
-    cfg = scale_config(compile_step, backend, params)
+    cfg = scale_config(compile_step, params)
     trainer = CPDGPreTrainer.from_backbone("tgn", stream.num_nodes, cfg)
     start = time.perf_counter()
     trainer.pretrain(stream)
@@ -113,7 +90,7 @@ def timed_pretrain(compile_step: bool, backend: str, stream: EventStream,
     return steps / elapsed
 
 
-def stage_breakdown(compile_step: bool, backend: str, stream: EventStream,
+def stage_breakdown(compile_step: bool, stream: EventStream,
                     params: dict) -> dict[str, float]:
     """Seconds/step per stage, from an instrumented gradient step.
 
@@ -122,11 +99,10 @@ def stage_breakdown(compile_step: bool, backend: str, stream: EventStream,
     loss, backward).  The forward/backward timers live *inside* the step
     function, so they measure trace, replay and eager runs alike.
     """
-    warmup_backend(backend)
-    cfg = scale_config(compile_step, backend, params)
+    cfg = scale_config(compile_step, params)
     trainer = CPDGPreTrainer.from_backbone("tgn", stream.num_nodes, cfg)
     encoder, pretext = trainer.encoder, trainer.pretext
-    with default_dtype(cfg.np_dtype), backends.use_backend(backend):
+    with default_dtype(cfg.np_dtype):
         encoder.attach(stream, NeighborFinder(stream))
         encoder.reset_memory()
         params_all = encoder.parameters() + pretext.parameters()
@@ -149,8 +125,7 @@ def stage_breakdown(compile_step: bool, backend: str, stream: EventStream,
             totals["backward"] += t2 - t1
             return loss.item()
 
-        compiled = CompiledStep(train_step, enabled=compile_step,
-                                backend=backend)
+        compiled = CompiledStep(train_step, enabled=compile_step)
         steps = 0
         # Pass 0 is warmup (traces happen there); timed passes measure
         # the steady state both modes reach after the first epoch.
@@ -182,36 +157,28 @@ def stage_breakdown(compile_step: bool, backend: str, stream: EventStream,
 
 def bench_scale(name: str, params: dict, repeats: int) -> dict:
     stream = synthetic_stream(params["num_nodes"], params["events"])
-    modes = active_modes()
-    rates = {mode: max(timed_pretrain(flag, be, stream, params)
+    rates = {mode: max(timed_pretrain(flag, stream, params)
                        for _ in range(repeats))
-             for mode, (flag, be) in modes.items()}
+             for mode, flag in MODES.items()}
     # Pair the modes back-to-back within each repeat and keep the best
     # backward ratio, so machine-load drift between runs cancels instead
     # of skewing the ratios.
     best = None
     for _ in range(repeats):
-        stages = {mode: stage_breakdown(flag, be, stream, params)
-                  for mode, (flag, be) in modes.items()}
+        stages = {mode: stage_breakdown(flag, stream, params)
+                  for mode, flag in MODES.items()}
         ratio = (stages["eager"]["backward"]
-                 / max(stages["compiled+numpy"]["backward"], 1e-12))
+                 / max(stages["compiled"]["backward"], 1e-12))
         if best is None or ratio > best[0]:
             best = (ratio, stages)
     backward_speedup, stages = best
-    missing = {mode: None for mode in MODES if mode not in modes}
-    numba_rate = rates.get("compiled+numba")
     return {
         **{k: params[k] for k in ("num_nodes", "events", "batch_size",
                                   "memory_dim")},
-        "steps_per_sec": {**{m: round(r, 2) for m, r in rates.items()},
-                          **missing},
-        "speedup_compiled": round(rates["compiled+numpy"] / rates["eager"],
-                                  2),
+        "steps_per_sec": {m: round(r, 2) for m, r in rates.items()},
+        "speedup_compiled": round(rates["compiled"] / rates["eager"], 2),
         "backward_speedup": round(backward_speedup, 2),
-        "speedup_numba_vs_numpy": (
-            None if numba_rate is None
-            else round(numba_rate / rates["compiled+numpy"], 2)),
-        "stage_seconds_per_step": {**stages, **missing},
+        "stage_seconds_per_step": stages,
     }
 
 
@@ -237,28 +204,19 @@ def main() -> int:
         "dtype": "float32",
         "modes": {
             "eager": "compile_step=false (eager autograd: graph per step)",
-            "compiled+numpy": "CompiledStep trace/replay, numpy kernels "
-                              "(bit-identical to eager)",
-            "compiled+numba": "CompiledStep replay with the jitted kernel "
-                              "table + whole-chain kernels (null when "
-                              "numba is not installed)",
+            "compiled": "CompiledStep trace/replay (bit-identical to eager)",
         },
-        "numba_available": backends.numba_available(),
         "smoke": bool(args.smoke),
         "cases": cases,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     for name, row in cases.items():
         rates = row["steps_per_sec"]
-        numba = rates.get("compiled+numba")
         print(f"{name:8s} nodes={row['num_nodes']:>7d} "
               f"eager {rates['eager']:>8.2f} -> "
-              f"numpy {rates['compiled+numpy']:>8.2f} steps/s "
+              f"compiled {rates['compiled']:>8.2f} steps/s "
               f"({row['speedup_compiled']:.2f}x, "
-              f"backward {row['backward_speedup']:.2f}x)"
-              + (f" -> numba {numba:>8.2f} steps/s "
-                 f"({row['speedup_numba_vs_numpy']:.2f}x vs numpy)"
-                 if numba is not None else "  [numba unavailable]"))
+              f"backward {row['backward_speedup']:.2f}x)")
     print(f"wrote {args.out}")
     if args.smoke:
         return 0
@@ -268,11 +226,6 @@ def main() -> int:
     # stay within the noise floor.
     slow = [n for n, row in cases.items()
             if row["backward_speedup"] < 1.0 or row["speedup_compiled"] < 0.9]
-    # Acceptance target for the numba backend where it can be measured:
-    # >= 1.5x end-to-end over compiled+numpy at the large case.
-    if (backends.numba_available()
-            and (cases["large"]["speedup_numba_vs_numpy"] or 0.0) < 1.5):
-        slow.append("large:numba")
     if slow:
         print(f"regression gate failed for: {', '.join(slow)}")
         return 1

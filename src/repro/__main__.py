@@ -28,6 +28,7 @@ import sys
 from . import obs as _obs
 from .api import (ArtifactError, ConfigError, Pipeline, PretrainArtifact,
                   RunConfig, parse_set_args)
+from .serve.http import add_serve_arguments, serve_from_args
 from .stream import StreamError
 
 
@@ -162,39 +163,6 @@ def _cmd_fabric_worker(args: argparse.Namespace) -> int:
     if args.quiet:
         argv.append("--quiet")
     return worker_main(argv)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve.http import main as serve_main
-    argv = ["--artifact", args.artifact, "--host", args.host,
-            "--port", str(args.port),
-            "--cache-capacity", str(args.cache_capacity),
-            "--window-ms", str(args.window_ms),
-            "--compaction-threshold", str(args.compaction_threshold)]
-    if args.no_verify_fingerprint:
-        argv.append("--no-verify-fingerprint")
-    if args.no_compile:
-        argv.append("--no-compile")
-    argv += ["--backend", args.backend]
-    if args.profile_kernels:
-        argv.append("--profile-kernels")
-    argv += ["--staleness-events", str(args.staleness_events)]
-    if args.staleness_time is not None:
-        argv += ["--staleness-time", str(args.staleness_time)]
-    if args.index:
-        argv.append("--index")
-    argv += ["--index-nlist", str(args.index_nlist),
-             "--index-nprobe", str(args.index_nprobe),
-             "--index-shortlist", str(args.index_shortlist)]
-    if args.no_background_compaction:
-        argv.append("--no-background-compaction")
-    if args.restore_snapshot is not None:
-        argv += ["--restore-snapshot", args.restore_snapshot]
-    if args.trace is not None:
-        argv += ["--trace", args.trace]
-    if args.quiet:
-        argv.append("--quiet")
-    return serve_main(argv)
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -350,49 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     srv = sub.add_parser(
         "serve", help="serve embedding / link-score queries over HTTP "
                       "from a saved artifact")
-    srv.add_argument("--artifact", required=True, metavar="FILE")
-    srv.add_argument("--host", default="127.0.0.1")
-    srv.add_argument("--port", type=int, default=8471)
-    srv.add_argument("--cache-capacity", type=int, default=65536,
-                     help="embedding row cache slots (0 disables the cache)")
-    srv.add_argument("--window-ms", type=float, default=0.0,
-                     help="micro-batch coalescing window in ms")
-    srv.add_argument("--compaction-threshold", type=int, default=4096,
-                     help="ingested events buffered before CSR merge")
-    srv.add_argument("--no-verify-fingerprint", action="store_true")
-    srv.add_argument("--no-compile", action="store_true",
-                     help="serve with pure eager inference (no replay "
-                          "compilation)")
-    srv.add_argument("--backend", choices=("numpy", "numba"),
-                     default="numpy",
-                     help="kernel backend for the compiled encoder pass")
-    srv.add_argument("--profile-kernels", action="store_true",
-                     help="expose per-kernel replay times under /stats")
-    srv.add_argument("--staleness-events", type=float, default=0.0,
-                     help="serve cached embeddings aged by at most this "
-                          "many ingested blocks (0 = exact)")
-    srv.add_argument("--staleness-time", type=float, default=None,
-                     help="serve cached embeddings aged by at most this "
-                          "event-time span (default: unbounded)")
-    srv.add_argument("--index", action="store_true",
-                     help="answer top_k through the coarse-quantization "
-                          "candidate index (exact full scan otherwise)")
-    srv.add_argument("--index-nlist", type=int, default=0,
-                     help="inverted lists (0 = auto ~sqrt(catalog))")
-    srv.add_argument("--index-nprobe", type=int, default=4,
-                     help="lists probed per indexed query")
-    srv.add_argument("--index-shortlist", type=int, default=128,
-                     help="candidates exactly rescored per indexed query")
-    srv.add_argument("--no-background-compaction", action="store_true",
-                     help="merge the delta CSR synchronously on the "
-                          "ingest path instead of in a background thread")
-    srv.add_argument("--restore-snapshot", metavar="FILE", default=None,
-                     help="boot from a live-state snapshot (see POST "
-                          "/snapshot) instead of the bare artifact")
-    srv.add_argument("--trace", metavar="FILE", default=None,
-                     help="enable span tracing and append JSONL span "
-                          "records to FILE")
-    srv.add_argument("--quiet", action="store_true")
+    add_serve_arguments(srv)
 
     fw = sub.add_parser(
         "fabric-worker", help="join a distributed batch-production fabric "
@@ -434,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     handlers = {"pretrain": _cmd_pretrain, "finetune": _cmd_finetune,
-                "evaluate": _cmd_evaluate, "serve": _cmd_serve,
+                "evaluate": _cmd_evaluate, "serve": serve_from_args,
                 "fabric-worker": _cmd_fabric_worker, "obs": _cmd_obs,
                 "list": _cmd_list, "run": _cmd_run, "profile": _cmd_profile}
     try:

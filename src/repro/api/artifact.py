@@ -24,7 +24,6 @@ from ..core.checkpoints import MemoryCheckpoints
 from ..core.config import CPDGConfig
 from ..core.pretrainer import PretrainResult
 from ..graph.events import EventStream
-from ..nn import backends as nn_backends
 from ..nn.serialization import save_arrays
 from .config import ConfigError, RunConfig
 
@@ -183,14 +182,6 @@ class PretrainArtifact:
             # Advisory (not required on load): precision the memory was
             # trained/stored at — npz round-trips array dtypes verbatim.
             "memory_dtype": str(np.asarray(result.memory_state).dtype),
-            # Advisory: kernel backend the run asked for and what it
-            # resolved to in this process (numba requests degrade to
-            # numpy when the optional dependency is missing).
-            "kernel_backend": {
-                "requested": self.run_config.pretrain.backend,
-                "active": nn_backends.resolve_backend(
-                    self.run_config.pretrain.backend).name,
-            },
         }
         if self.finetuned is not None:
             bundle = self.finetuned

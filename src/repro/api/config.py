@@ -36,8 +36,12 @@ _TASK_ALIASES = {"link": "link_prediction", "node": "node_classification"}
 # Override aliases fanning one ``--set`` key out to several leaf fields.
 _OVERRIDE_ALIASES = {
     "nn.compile": ("pretrain.compile_step", "finetune.compile_step"),
-    "nn.backend": ("pretrain.backend", "finetune.backend"),
 }
+
+# Section keys that earlier builds wrote into run-config JSON and artifact
+# metadata and that no longer exist.  ``from_dict`` drops them so those
+# files keep loading; ``--set`` still rejects them like any unknown key.
+_RETIRED_KEYS = {"pretrain": {"backend"}, "finetune": {"backend"}}
 
 
 class ConfigError(ValueError):
@@ -157,7 +161,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        """Strict inverse of :meth:`to_dict` — unknown keys are errors."""
+        """Strict inverse of :meth:`to_dict` — unknown keys are errors,
+        except the retired keys files from earlier builds still carry."""
         if not isinstance(payload, dict):
             raise ConfigError(f"expected a mapping, got {type(payload).__name__}")
         sections = {"data": DataConfig, "pretrain": CPDGConfig,
@@ -237,8 +242,9 @@ def _section_from_dict(section_cls, section_name: str, value) -> object:
         return value
     if not isinstance(value, dict):
         raise ConfigError(f"section {section_name!r} must be a mapping")
-    known = {f.name for f in fields(section_cls)}
-    unknown = set(value) - known
+    retired = _RETIRED_KEYS.get(section_name, ())
+    value = {key: item for key, item in value.items() if key not in retired}
+    unknown = set(value) - {f.name for f in fields(section_cls)}
     if unknown:
         raise ConfigError(f"unknown keys in section {section_name!r}: "
                           f"{sorted(unknown)}")

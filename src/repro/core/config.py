@@ -58,19 +58,11 @@ class CPDGConfig:
 
     # Compiled training step (repro.nn.compile).  When True the per-batch
     # forward+backward is traced once per batch signature and replayed as
-    # a straight-line program with fused elementwise backward chains and
-    # pre-allocated buffers — bit-identical to eager, with transparent
-    # eager fallback on shape changes.  ``--set nn.compile=false`` (or
-    # this flag) restores pure eager autograd.
+    # a straight-line program with pre-allocated buffers — bit-identical
+    # to eager, with transparent eager fallback on shape changes.
+    # ``--set nn.compile=false`` (or this flag) restores pure eager
+    # autograd.
     compile_step: bool = True
-
-    # Kernel backend for the compiled tape (repro.nn.backends): "numpy"
-    # runs the primitives' own kernels (bit-identical to eager); "numba"
-    # binds the jitted kernel table and compiles fused backward chains
-    # to single kernels when the optional numba package is installed,
-    # falling back to numpy transparently (one warning) when it is not.
-    # ``--set nn.backend=numba`` sets both stages at once.
-    backend: str = "numpy"
 
     # Memory engine: "sparse" flushes O(touched rows) per batch; "dense"
     # is the full-matrix reference path kept for equivalence tests and
@@ -125,9 +117,6 @@ class CPDGConfig:
             raise ValueError("sampler_cache_capacity must be positive or None")
         if self.memory_engine not in ("sparse", "dense"):
             raise ValueError(f"unknown memory engine {self.memory_engine!r}")
-        if self.backend not in ("numpy", "numba"):
-            raise ValueError(f"unknown kernel backend {self.backend!r}; "
-                             "expected 'numpy' or 'numba'")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unknown dtype {self.dtype!r}; "
                              "expected 'float32' or 'float64'")

@@ -38,7 +38,6 @@ from ..dgnn.encoder import DGNNEncoder, embed_together, make_encoder
 from ..graph.events import EventStream
 from ..graph.neighbor_finder import NeighborFinder
 from ..nn.autograd import Tensor, default_dtype
-from ..nn import backends as _backends
 from ..nn.compile import CompiledStep
 from ..nn.optim import Adam, clip_grad_norm
 from .checkpoints import CheckpointSchedule, MemoryCheckpoints
@@ -231,8 +230,7 @@ class CPDGPreTrainer:
                 loss.backward()
             return loss_eta.item(), loss_eps.item(), loss_tlp.item()
 
-        compiled = CompiledStep(train_step, enabled=cfg.compile_step,
-                                backend=cfg.backend)
+        compiled = CompiledStep(train_step, enabled=cfg.compile_step)
 
         def step_key(prepared, staged):
             # Every shape/branch degree of freedom of train_step: batch
@@ -250,12 +248,9 @@ class CPDGPreTrainer:
         step = 0
         current_epoch = -1
         try:
-            # Route eager-path row scatters (readout forwards, sparse
-            # embedding backward) through the configured backend too —
-            # replay only accelerates what happens inside traced steps.
             steps_total = _obs.counter("repro_pretrain_steps_total",
                                        help="completed gradient steps")
-            with _backends.use_backend(cfg.backend), producer:
+            with producer:
                 batches = iter(producer)
                 while True:
                     # Manual iteration so the wait for the next prepared

@@ -6,13 +6,12 @@ layers needed by DGNN encoders (linear/MLP/embedding/recurrent cells/
 attention/time encoding), optimizers and the losses the paper uses.
 """
 
-from . import backends, functional
+from . import functional
 from .attention import AdditiveAttention, TemporalAttention
 from .autograd import (Node, Primitive, SparseRowGrad, Tensor, apply_op,
-                       as_tensor, default_dtype, defchain, defvjp,
-                       get_default_dtype, graph_nodes_created,
-                       is_grad_enabled, no_grad, primitive,
-                       set_default_dtype)
+                       as_tensor, default_dtype, defvjp, get_default_dtype,
+                       graph_nodes_created, is_grad_enabled, no_grad,
+                       primitive, set_default_dtype)
 from .compile import CompiledStep, ReplayMismatch
 from .layers import MLP, Dropout, Embedding, Identity, LayerNorm, Linear, Sequential
 from .losses import (bce_with_logits, binary_cross_entropy, info_nce_loss,
@@ -28,9 +27,8 @@ from .serialization import load_arrays, load_module, save_arrays, save_module
 
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled", "functional",
-    "backends",
     "SparseRowGrad", "default_dtype", "get_default_dtype", "set_default_dtype",
-    "Primitive", "Node", "primitive", "defvjp", "defchain", "apply_op",
+    "Primitive", "Node", "primitive", "defvjp", "apply_op",
     "graph_nodes_created", "CompiledStep", "ReplayMismatch",
     "Module", "Parameter",
     "Linear", "MLP", "Embedding", "LayerNorm", "Dropout", "Sequential", "Identity",

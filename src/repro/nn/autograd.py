@@ -12,8 +12,7 @@ Design notes
   style: applying a primitive records one ``(op, inputs, output, ctx)``
   :class:`Node` instead of a per-op backward closure.  The registry is what
   makes the op stream *compilable* — :mod:`repro.nn.compile` traces the
-  node tape once and replays it without rebuilding the graph; it is also
-  the seam an alternative backend (numba, GPU) would plug into.
+  node tape once and replays it without rebuilding the graph.
 * Broadcasting is fully supported: binary VJPs *unbroadcast* gradients
   (sum over broadcast axes) on the way back.
 * Gradients accumulate, mirroring PyTorch semantics: calling
@@ -29,12 +28,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import backends as _backends
+from .scatter import scatter_add_rows, sum_duplicate_rows
 
 __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled",
            "SparseRowGrad", "default_dtype", "get_default_dtype",
            "set_default_dtype", "Primitive", "Node", "primitive", "defvjp",
-           "defchain", "apply_op", "graph_nodes_created"]
+           "apply_op", "graph_nodes_created"]
 
 _GRAD_ENABLED = True
 _DEFAULT_DTYPE = np.dtype(np.float64)
@@ -159,12 +158,11 @@ class SparseRowGrad:
     def coalesce(self) -> "SparseRowGrad":
         """Merge duplicate row indices by summation."""
         return SparseRowGrad(
-            self.shape,
-            *_backends.sum_duplicate_rows(self.indices, self.values))
+            self.shape, *sum_duplicate_rows(self.indices, self.values))
 
     def to_dense(self) -> np.ndarray:
         full = np.zeros(self.shape, dtype=self.dtype)
-        _backends.scatter_add_rows(full, self.indices, self.values)
+        scatter_add_rows(full, self.indices, self.values)
         return full
 
 
@@ -225,20 +223,14 @@ class Primitive:
 
     ``vjp(ctx, grad, needs, params)`` returns one gradient (array,
     :class:`SparseRowGrad` or None) per input, in input order.
-
-    ``ew(ctx, params, needs, src, dst)`` — optional in-place elementwise
-    VJP used for fused backward chains: writes ``vjp(src)`` into ``dst``
-    (``dst`` may alias ``src``) assuming a single gradient-needing input
-    and no broadcasting.
     """
 
-    __slots__ = ("name", "fwd", "vjp", "ew")
+    __slots__ = ("name", "fwd", "vjp")
 
     def __init__(self, name: str, fwd):
         self.name = name
         self.fwd = fwd
         self.vjp = None
-        self.ew = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Primitive({self.name!r})"
@@ -257,12 +249,6 @@ def primitive(name: str, fwd) -> Primitive:
 def defvjp(prim: Primitive, vjp) -> Primitive:
     """Attach the VJP rule to ``prim`` (one gradient per input)."""
     prim.vjp = vjp
-    return prim
-
-
-def defchain(prim: Primitive, ew) -> Primitive:
-    """Attach the in-place elementwise VJP used for fused backward chains."""
-    prim.ew = ew
     return prim
 
 
@@ -457,8 +443,7 @@ class Tensor:
             elif isinstance(current, SparseRowGrad):
                 current.append(grad)
             else:
-                _backends.scatter_add_rows(current, grad.indices,
-                                           grad.values)
+                scatter_add_rows(current, grad.indices, grad.values)
         else:
             if current is None:
                 self._grad = np.array(grad, dtype=self.data.dtype, copy=True)
@@ -649,12 +634,7 @@ def _add_vjp(ctx, grad, needs, params):
             _unbroadcast(grad, b_shape) if needs[1] else None)
 
 
-def _add_ew(ctx, params, needs, src, dst):
-    if dst is not src:
-        np.copyto(dst, src)
-
-
-_ADD = defchain(defvjp(primitive("add", _add_fwd), _add_vjp), _add_ew)
+_ADD = defvjp(primitive("add", _add_fwd), _add_vjp)
 
 
 def _mul_fwd(args, params, need_ctx, out):
@@ -673,12 +653,7 @@ def _mul_vjp(ctx, grad, needs, params):
             _unbroadcast(grad * a, b.shape) if needs[1] else None)
 
 
-def _mul_ew(ctx, params, needs, src, dst):
-    a, b = ctx
-    np.multiply(src, b if needs[0] else a, out=dst)
-
-
-_MUL = defchain(defvjp(primitive("mul", _mul_fwd), _mul_vjp), _mul_ew)
+_MUL = defvjp(primitive("mul", _mul_fwd), _mul_vjp)
 
 
 def _neg_fwd(args, params, need_ctx, out):
@@ -691,11 +666,7 @@ def _neg_vjp(ctx, grad, needs, params):
     return (-grad,)
 
 
-def _neg_ew(ctx, params, needs, src, dst):
-    np.negative(src, out=dst)
-
-
-_NEG = defchain(defvjp(primitive("neg", _neg_fwd), _neg_vjp), _neg_ew)
+_NEG = defvjp(primitive("neg", _neg_fwd), _neg_vjp)
 
 
 def _pow_fwd(args, params, need_ctx, out):
@@ -714,14 +685,7 @@ def _pow_vjp(ctx, grad, needs, params):
     return (grad * exponent * a ** (exponent - 1.0),)
 
 
-def _pow_ew(ctx, params, needs, src, dst):
-    (a,) = ctx
-    exponent = params["exponent"]
-    np.multiply(src, exponent, out=dst)
-    dst *= a ** (exponent - 1.0)
-
-
-_POW = defchain(defvjp(primitive("pow", _pow_fwd), _pow_vjp), _pow_ew)
+_POW = defvjp(primitive("pow", _pow_fwd), _pow_vjp)
 
 
 def _matmul_fwd(args, params, need_ctx, out):

@@ -12,11 +12,8 @@ removes it:
   :class:`~repro.nn.autograd.Primitive` application (and the backward
   processing order) onto a flat tape.
 * **Compile** — the tape becomes a :class:`_Program`: per-op output
-  buffers (grow-on-demand pools), a straight-line backward item list with
-  gradient cells replicating eager accumulation bit-for-bit, and *fused
-  chains* — consecutive single-consumer elementwise VJPs (exp, sigmoid,
-  tanh, relu, mul, …) collapsed into in-place kernel runs over one
-  scratch buffer.
+  buffers (grow-on-demand pools) and a straight-line backward item list
+  with gradient cells replicating eager accumulation bit-for-bit.
 * **Replay** — subsequent calls re-execute the Python function, but every
   ``apply_op`` is intercepted: the op is validated against the recorded
   program (primitive identity, input wiring, leaf dtypes) and its kernel
@@ -29,10 +26,9 @@ removes it:
   idempotent per batch (pop mutable inputs *outside* and pass them in —
   see :meth:`~repro.dgnn.encoder.DGNNEncoder.take_staged`).
 
-Replayed results are bit-identical to eager execution: kernels reuse the
-same ufunc call sequence, gradient cells replicate ``_accumulate``'s
-copy/add/sparse semantics in the same order, and fused chains apply the
-same scalar operations in the same sequence, merely into a reused buffer.
+Replayed results are bit-identical to eager execution: replay runs the
+primitives' own kernels (the same ufunc call sequence) and gradient cells
+replicate ``_accumulate``'s copy/add/sparse semantics in the same order.
 
 Pooled output buffers are valid until the *next* call of the same
 ``CompiledStep`` — consumers that hold tensor data across steps must copy.
@@ -44,9 +40,9 @@ from time import perf_counter
 
 import numpy as np
 
-from . import backends as _backends
 from .autograd import (SparseRowGrad, Tensor, _eager_apply, get_tracer,
                        set_tracer)
+from .scatter import scatter_add_rows
 from .. import obs as _obs
 
 __all__ = ["CompiledStep", "ReplayMismatch"]
@@ -116,7 +112,7 @@ class _GradCell:
             elif self.sparse:
                 self.value.append(g)
             else:
-                _backends.scatter_add_rows(self.value, g.indices, g.values)
+                scatter_add_rows(self.value, g.indices, g.values)
         else:
             if self.value is None:
                 if borrowed or g.dtype != self.dtype:
@@ -139,21 +135,14 @@ class _GradCell:
 
 
 class _FwdRec:
-    """One forward op of a compiled program.
+    """One forward op of a compiled program."""
 
-    ``fwd_k``/``vjp_k`` are the kernels actually run during replay —
-    the kernel backend's replacement when it offers one for the
-    primitive, the primitive's own numpy kernel otherwise (bound once
-    at build time so the replay hot path never does a lookup).
-    """
-
-    __slots__ = ("prim", "in_slots", "in_requires", "in_shapes", "need_ctx",
-                 "out_slot", "out_dtype", "out_shape", "out_tensor",
-                 "out_buf", "ctx", "params", "fwd_k", "vjp_k")
+    __slots__ = ("prim", "in_slots", "in_requires", "need_ctx", "out_slot",
+                 "out_dtype", "out_tensor", "out_buf", "ctx", "params")
 
 
 class _BwdStep:
-    """One un-fused backward item: VJP + per-target accumulation."""
+    """One backward item: VJP + per-target accumulation."""
 
     __slots__ = ("rec", "targets", "label")
 
@@ -168,7 +157,7 @@ class _BwdStep:
         g = cells[rec.out_slot].read()
         if g is None:
             raise ReplayMismatch("missing gradient during replay")
-        grads = rec.vjp_k(rec.ctx, g, rec.in_requires, rec.params)
+        grads = rec.prim.vjp(rec.ctx, g, rec.in_requires, rec.params)
         for pos, slot, leaf in self.targets:
             gi = grads[pos]
             if gi is None:
@@ -179,72 +168,6 @@ class _BwdStep:
                 borrowed = gi is g or (isinstance(gi, np.ndarray)
                                        and gi.base is not None)
                 cells[slot].add(gi, borrowed)
-
-
-class _FusedChain:
-    """Consecutive single-consumer elementwise VJPs run in one buffer.
-
-    The chain's incoming gradient is read once, each member's ``ew``
-    kernel transforms it in place (same ufunc sequence as the individual
-    VJPs, so the result is bit-identical), and only the final target is
-    accumulated — the intermediate gradient tensors never materialize.
-
-    When the kernel backend can lower the chain (see
-    :mod:`repro.nn.backends.chaingen`), the whole thing instead runs as
-    ONE compiled kernel — a single loop carrying the gradient scalar
-    through every op, no per-op dispatch or scratch traffic.  The numpy
-    ew sequence stays as the fallback for layouts the kernel declines.
-    """
-
-    __slots__ = ("members", "src_slot", "target", "buf", "kernel", "label")
-
-    def __init__(self, steps: list[_BwdStep], backend=None):
-        self.members = tuple((s.rec, s.targets[0][0]) for s in steps)
-        self.src_slot = steps[0].rec.out_slot
-        self.target = steps[-1].targets[0]      # (pos, slot, is_leaf)
-        self.buf = _Buf(steps[0].rec.out_dtype)
-        self.label = "chain:" + "+".join(s.rec.prim.name for s in steps)
-        self.kernel = None
-        if backend is not None:
-            self.kernel = backend.compile_chain(
-                [(s.rec.prim.name, s.rec.in_shapes, s.targets[0][0],
-                  s.rec.out_shape) for s in steps],
-                steps[0].rec.out_dtype)
-
-    def run(self, rp: "_Replay") -> None:
-        g = rp.p.cells[self.src_slot].read()
-        if g is None or not isinstance(g, np.ndarray):
-            raise ReplayMismatch("missing or sparse gradient at fused chain")
-        if not g.flags.c_contiguous:
-            # The scratch buffer is C-contiguous but eager would thread the
-            # incoming layout through every VJP, and downstream reductions
-            # are sensitive to memory order.  Run the members un-fused so
-            # the gradients keep the eager layouts (and bits).
-            final = g
-            for rec, pos in self.members:
-                final = rec.prim.vjp(rec.ctx, final, rec.in_requires,
-                                     rec.params)[pos]
-            borrowed = final is g or (isinstance(final, np.ndarray)
-                                      and final.base is not None)
-        else:
-            dst = self.buf.get(g.shape)
-            done = False
-            if self.kernel is not None:
-                done = self.kernel.run(
-                    g, dst, [(rec.ctx, rec.params) for rec, _ in self.members])
-            if not done:
-                src = g
-                for rec, _pos in self.members:
-                    rec.prim.ew(rec.ctx, rec.params, rec.in_requires, src,
-                                dst)
-                    src = dst
-            final = dst
-            borrowed = False
-        _pos, slot, leaf = self.target
-        if leaf:
-            rp.slot_obj[slot]._accumulate(final)
-        else:
-            rp.p.cells[slot].add(final, borrowed)
 
 
 class _Program:
@@ -264,8 +187,8 @@ class _Trace:
         self.mode = mode
         self.slots: list[tuple[Tensor, bool]] = []   # (tensor, is_leaf)
         self.by_id: dict[int, int] = {}
-        # (prim, in_slots, in_requires, in_shapes, out_slot, out_requires,
-        #  out_shape, out_dtype, out_contiguous)
+        # (prim, in_slots, in_requires, out_slot, out_requires, out_dtype,
+        #  out_contiguous)
         self.records: list[tuple] = []
         self.failed: str | None = None
         self.loss_slot: int | None = None
@@ -298,9 +221,8 @@ class _Trace:
         o = self._new_slot(out, False)
         self.records.append((prim, tuple(in_slots),
                              tuple(t.requires_grad for t in inputs),
-                             tuple(t.data.shape for t in inputs),
-                             o, out.requires_grad, out.data.shape,
-                             out.data.dtype, out.data.flags.c_contiguous))
+                             o, out.requires_grad, out.data.dtype,
+                             out.data.flags.c_contiguous))
         return out
 
     # -- hooks called from Tensor.backward while tracing ----------------
@@ -332,8 +254,7 @@ class _Trace:
         self.steps.append(self.by_id[id(tensor)])
 
     # -- program construction -------------------------------------------
-    def build(self, backend=None) -> _Program:
-        backend = backend or _backends.get_backend("numpy")
+    def build(self) -> _Program:
         train = self.mode == "train"
         p = _Program()
         p.train = train
@@ -346,21 +267,15 @@ class _Trace:
 
         recs: list[_FwdRec] = []
         rec_of_slot: dict[int, _FwdRec] = {}
-        raw_of_slot: dict[int, tuple] = {}
-        for raw in self.records:
-            (prim, in_slots, in_requires, in_shapes, o, out_req,
-             out_shape, out_dtype, out_contig) = raw
+        for (prim, in_slots, in_requires, o, out_req, out_dtype,
+             out_contig) in self.records:
             r = _FwdRec()
             r.prim = prim
             r.in_slots = in_slots
             r.in_requires = in_requires
-            r.in_shapes = in_shapes
             r.need_ctx = out_req if train else False
             r.out_slot = o
             r.out_dtype = out_dtype
-            r.out_shape = out_shape
-            r.fwd_k = backend.fwd_kernel(prim) or prim.fwd
-            r.vjp_k = backend.vjp_kernel(prim) or prim.vjp
             # Pooled buffers are C-contiguous; when the traced output was
             # not (ufuncs propagate the layout of transpose-view operands,
             # and reduction bits depend on memory order), replay must let
@@ -381,7 +296,6 @@ class _Trace:
             p.slot_tensor[o] = tensor
             recs.append(r)
             rec_of_slot[o] = r
-            raw_of_slot[o] = raw
         p.records = recs
 
         p.items = []
@@ -391,46 +305,8 @@ class _Trace:
         if not train:
             return p
 
-        # Backward items in the recorded (eager) processing order.
-        steps: list[_BwdStep] = []
-        contributors: dict[int, int] = {p.loss_slot: 1}
-        chainable: list[bool] = []
-        for s in self.steps:
-            rec = rec_of_slot[s]
-            raw = raw_of_slot[s]
-            targets = tuple(
-                (pos, slot, p.slot_leaf[slot])
-                for pos, slot in enumerate(rec.in_slots)
-                if rec.in_requires[pos])
-            steps.append(_BwdStep(rec, targets))
-            for _pos, slot, leaf in targets:
-                if not leaf:
-                    contributors[slot] = contributors.get(slot, 0) + 1
-            # Chain-fusable: one gradient target and a shape-preserving
-            # elementwise VJP (trace shapes; broadcasting disqualifies).
-            ok = (rec.prim.ew is not None and len(targets) == 1
-                  and raw[6] == raw[3][targets[0][0]])
-            chainable.append(ok)
-
-        i = 0
-        while i < len(steps):
-            chain = [steps[i]]
-            while chainable[i + len(chain) - 1]:
-                _pos, slot, leaf = chain[-1].targets[0]
-                if leaf or contributors.get(slot) != 1:
-                    break
-                j = i + len(chain)
-                if (j >= len(steps) or steps[j].rec.out_slot != slot
-                        or not chainable[j]):
-                    break
-                chain.append(steps[j])
-            if len(chain) > 1:
-                p.items.append(_FusedChain(chain, backend))
-            else:
-                p.items.append(chain[0])
-            i += len(chain)
-
-        # Gradient cells for every slot the backward reads or feeds.
+        # Backward items in the recorded (eager) processing order, and a
+        # gradient cell for every slot the backward reads or feeds.
         def _need_cell(slot: int) -> None:
             if p.cells[slot] is None:
                 cell = _GradCell(p.slot_dtype[slot])
@@ -438,17 +314,17 @@ class _Trace:
                 p.cells_used.append(cell)
 
         _need_cell(p.loss_slot)
-        for item in p.items:
-            if isinstance(item, _FusedChain):
-                _need_cell(item.src_slot)
-                _pos, slot, leaf = item.target
+        for s in self.steps:
+            rec = rec_of_slot[s]
+            targets = tuple(
+                (pos, slot, p.slot_leaf[slot])
+                for pos, slot in enumerate(rec.in_slots)
+                if rec.in_requires[pos])
+            p.items.append(_BwdStep(rec, targets))
+            _need_cell(s)
+            for _pos, slot, leaf in targets:
                 if not leaf:
                     _need_cell(slot)
-            else:
-                _need_cell(item.rec.out_slot)
-                for _pos, slot, leaf in item.targets:
-                    if not leaf:
-                        _need_cell(slot)
         p.seed_buf = _Buf(p.slot_dtype[p.loss_slot])
         return p
 
@@ -500,12 +376,12 @@ class _Replay:
             else:
                 raise ReplayMismatch("op wiring changed")
         if self.prof is None:
-            data, ctx = rec.fwd_k(tuple(t.data for t in inputs), params,
-                                  rec.need_ctx, rec.out_buf)
+            data, ctx = prim.fwd(tuple(t.data for t in inputs), params,
+                                 rec.need_ctx, rec.out_buf)
         else:
             t0 = perf_counter()
-            data, ctx = rec.fwd_k(tuple(t.data for t in inputs), params,
-                                  rec.need_ctx, rec.out_buf)
+            data, ctx = prim.fwd(tuple(t.data for t in inputs), params,
+                                 rec.need_ctx, rec.out_buf)
             _bump(self.prof, "fwd:" + rec.prim.name, perf_counter() - t0)
         if not isinstance(data, np.ndarray) or data.dtype != rec.out_dtype:
             data = np.asarray(data, dtype=rec.out_dtype)
@@ -564,13 +440,6 @@ class CompiledStep:
     enabled:
         When false, calls pass straight through to ``fn`` (the
         ``nn.compile=false`` escape hatch).
-    backend:
-        Kernel backend name (``"numpy"``/``"numba"``/``"pyloop"``) or a
-        :class:`~repro.nn.backends.KernelBackend` instance; ``None``
-        uses the process's active backend.  Unavailable backends resolve
-        to numpy (one warning).  The backend's kernels are bound into
-        the program at build time; the first (traced) step always runs
-        the primitives' own numpy kernels.
     profile:
         When true, replay records per-kernel call counts and cumulative
         seconds (``stats()["kernels"]``).  Off by default — the timer
@@ -585,16 +454,12 @@ class CompiledStep:
     """
 
     def __init__(self, fn, *, mode: str = "train", enabled: bool = True,
-                 backend=None, profile: bool = False, max_retraces: int = 4):
+                 profile: bool = False, max_retraces: int = 4):
         if mode not in ("train", "inference"):
             raise ValueError(f"unknown CompiledStep mode {mode!r}")
         self.fn = fn
         self.mode = mode
         self.enabled = enabled
-        self.requested_backend = (backend if isinstance(backend, (str,
-                                                                  type(None)))
-                                  else backend.name)
-        self.backend = _backends.resolve_backend(backend)
         self.max_retraces = max_retraces
         self._programs: dict = {}
         self._failures: dict = {}
@@ -659,7 +524,7 @@ class CompiledStep:
         if tr.failed is None and self.mode == "train" and tr.steps is None:
             tr.fail("traced step never called backward()")
         if tr.failed is None:
-            program = self._programs[key] = tr.build(self.backend)
+            program = self._programs[key] = tr.build()
             self._program_ops.set(len(program.records))
         else:
             self.last_failure = tr.failed
@@ -674,18 +539,15 @@ class CompiledStep:
 
     # -- introspection ---------------------------------------------------
     def stats(self) -> dict:
-        """Counters + backend identity + (when profiling) kernel times.
+        """Counters + (when profiling) kernel times.
 
-        Always contains ``traces``/``replays``/``mismatches``/``eager``
-        and ``backend`` (requested vs resolved-active name).
+        Always contains ``traces``/``replays``/``mismatches``/``eager``.
         ``kernels`` is ``None`` unless constructed with
         ``profile=True``, in which case it maps replayed kernel labels
-        (``fwd:<prim>``, ``bwd:<prim>``, ``chain:<a>+<b>+…``) to
-        ``{"calls", "seconds"}`` accumulated across all replays.
+        (``fwd:<prim>``, ``bwd:<prim>``) to ``{"calls", "seconds"}``
+        accumulated across all replays.
         """
         info = {name: int(c) for name, c in self.counters.items()}
-        info["backend"] = {"requested": self.requested_backend,
-                           "active": self.backend.name}
         if self._kernel_stats is None:
             info["kernels"] = None
         else:

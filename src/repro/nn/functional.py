@@ -3,9 +3,7 @@
 Every op here is a registered :class:`~repro.nn.autograd.Primitive`: a
 forward kernel plus a VJP rule in the registry, applied through
 :func:`~repro.nn.autograd.apply_op` so the compiled trace/replay engine
-(:mod:`repro.nn.compile`) sees one uniform op stream.  Elementwise ops
-additionally register an in-place chain kernel (``defchain``) that the
-compiler fuses into single-buffer backward chains.  Numerically delicate
+(:mod:`repro.nn.compile`) sees one uniform op stream.  Numerically delicate
 ops (softmax, log-sigmoid, logsumexp) use the standard stabilised forms.
 
 Ragged batches — rows with differing numbers of slots, stored back to
@@ -19,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import backends as _backends
 from .autograd import (SparseRowGrad, Tensor, _unbroadcast, apply_op,
-                       as_tensor, defchain, defvjp, primitive)
+                       as_tensor, defvjp, primitive)
+from .scatter import scatter_add_rows, scatter_max_rows
 
 __all__ = [
     "exp", "log", "tanh", "sigmoid", "relu", "leaky_relu", "softmax",
@@ -36,7 +34,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# unary elementwise (all chain-fusable)
+# unary elementwise
 # ----------------------------------------------------------------------
 def _exp_fwd(args, params, need_ctx, out):
     (x,) = args
@@ -48,11 +46,7 @@ def _exp_vjp(ctx, grad, needs, params):
     return (grad * ctx[0],)
 
 
-def _exp_ew(ctx, params, needs, src, dst):
-    np.multiply(src, ctx[0], out=dst)
-
-
-_EXP = defchain(defvjp(primitive("exp", _exp_fwd), _exp_vjp), _exp_ew)
+_EXP = defvjp(primitive("exp", _exp_fwd), _exp_vjp)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -70,11 +64,7 @@ def _log_vjp(ctx, grad, needs, params):
     return (grad / ctx[0],)
 
 
-def _log_ew(ctx, params, needs, src, dst):
-    np.divide(src, ctx[0], out=dst)
-
-
-_LOG = defchain(defvjp(primitive("log", _log_fwd), _log_vjp), _log_ew)
+_LOG = defvjp(primitive("log", _log_fwd), _log_vjp)
 
 
 def log(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -96,12 +86,7 @@ def _sqrt_vjp(ctx, grad, needs, params):
     return (grad * 0.5 / np.maximum(ctx[0], params["eps"]),)
 
 
-def _sqrt_ew(ctx, params, needs, src, dst):
-    np.multiply(src, 0.5, out=dst)
-    dst /= np.maximum(ctx[0], params["eps"])
-
-
-_SQRT = defchain(defvjp(primitive("sqrt", _sqrt_fwd), _sqrt_vjp), _sqrt_ew)
+_SQRT = defvjp(primitive("sqrt", _sqrt_fwd), _sqrt_vjp)
 
 
 def sqrt(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -118,11 +103,7 @@ def _abs_vjp(ctx, grad, needs, params):
     return (grad * ctx[0],)
 
 
-def _abs_ew(ctx, params, needs, src, dst):
-    np.multiply(src, ctx[0], out=dst)
-
-
-_ABS = defchain(defvjp(primitive("abs", _abs_fwd), _abs_vjp), _abs_ew)
+_ABS = defvjp(primitive("abs", _abs_fwd), _abs_vjp)
 
 
 def abs_(x: Tensor) -> Tensor:
@@ -140,12 +121,7 @@ def _tanh_vjp(ctx, grad, needs, params):
     return (grad * (1.0 - data * data),)
 
 
-def _tanh_ew(ctx, params, needs, src, dst):
-    data = ctx[0]
-    np.multiply(src, 1.0 - data * data, out=dst)
-
-
-_TANH = defchain(defvjp(primitive("tanh", _tanh_fwd), _tanh_vjp), _tanh_ew)
+_TANH = defvjp(primitive("tanh", _tanh_fwd), _tanh_vjp)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -176,14 +152,7 @@ def _sigmoid_vjp(ctx, grad, needs, params):
     return (grad * data * (1.0 - data),)
 
 
-def _sigmoid_ew(ctx, params, needs, src, dst):
-    data = ctx[0]
-    np.multiply(src, data, out=dst)
-    dst *= (1.0 - data)
-
-
-_SIGMOID = defchain(defvjp(primitive("sigmoid", _sigmoid_fwd), _sigmoid_vjp),
-                    _sigmoid_ew)
+_SIGMOID = defvjp(primitive("sigmoid", _sigmoid_fwd), _sigmoid_vjp)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -201,11 +170,7 @@ def _relu_vjp(ctx, grad, needs, params):
     return (grad * ctx[0],)
 
 
-def _relu_ew(ctx, params, needs, src, dst):
-    np.multiply(src, ctx[0], out=dst)
-
-
-_RELU = defchain(defvjp(primitive("relu", _relu_fwd), _relu_vjp), _relu_ew)
+_RELU = defvjp(primitive("relu", _relu_fwd), _relu_vjp)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -226,12 +191,8 @@ def _leaky_relu_vjp(ctx, grad, needs, params):
     return (grad * ctx[0],)
 
 
-def _leaky_relu_ew(ctx, params, needs, src, dst):
-    np.multiply(src, ctx[0], out=dst)
-
-
-_LEAKY_RELU = defchain(defvjp(primitive("leaky_relu", _leaky_relu_fwd),
-                              _leaky_relu_vjp), _leaky_relu_ew)
+_LEAKY_RELU = defvjp(primitive("leaky_relu", _leaky_relu_fwd),
+                     _leaky_relu_vjp)
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
@@ -249,12 +210,7 @@ def _cos_vjp(ctx, grad, needs, params):
     return (-grad * ctx[0],)
 
 
-def _cos_ew(ctx, params, needs, src, dst):
-    np.negative(src, out=dst)
-    dst *= ctx[0]
-
-
-_COS = defchain(defvjp(primitive("cos", _cos_fwd), _cos_vjp), _cos_ew)
+_COS = defvjp(primitive("cos", _cos_fwd), _cos_vjp)
 
 
 def cos(x: Tensor) -> Tensor:
@@ -712,12 +668,7 @@ def _dropout_vjp(ctx, grad, needs, params):
     return (grad * ctx[0],)
 
 
-def _dropout_ew(ctx, params, needs, src, dst):
-    np.multiply(src, ctx[0], out=dst)
-
-
-_DROPOUT = defchain(defvjp(primitive("dropout", _dropout_fwd), _dropout_vjp),
-                    _dropout_ew)
+_DROPOUT = defvjp(primitive("dropout", _dropout_fwd), _dropout_vjp)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
@@ -741,11 +692,7 @@ def _clip_vjp(ctx, grad, needs, params):
     return (grad * ctx[0],)
 
 
-def _clip_ew(ctx, params, needs, src, dst):
-    np.multiply(src, ctx[0], out=dst)
-
-
-_CLIP = defchain(defvjp(primitive("clip", _clip_fwd), _clip_vjp), _clip_ew)
+_CLIP = defvjp(primitive("clip", _clip_fwd), _clip_vjp)
 
 
 def clip(x: Tensor, low: float, high: float) -> Tensor:
@@ -790,7 +737,7 @@ def _add_rows_by_group(sums, groups, values, counts=None) -> None:
         starts = (np.cumsum(counts) - counts)[filled]
         sums[filled] = np.add.reduceat(values, starts, axis=0)
     else:
-        _backends.scatter_add_rows(sums, groups, values)
+        scatter_add_rows(sums, groups, values)
 
 
 def _scatter_mean_fwd(args, params, need_ctx, out):
@@ -864,13 +811,13 @@ def _scatter_max_fwd(args, params, need_ctx, out):
     groups, num_groups = params["groups"], params["num_groups"]
     maxes = np.full((num_groups, values.shape[-1]), -np.inf,
                     dtype=values.dtype)
-    _backends.scatter_max_rows(maxes, groups, values)
+    scatter_max_rows(maxes, groups, values)
     data = np.where(np.isneginf(maxes), 0.0, maxes)
     ctx = None
     if need_ctx:
         argmask = (values == maxes[groups]).astype(values.dtype)
         ties = np.zeros((num_groups, values.shape[-1]), dtype=values.dtype)
-        _backends.scatter_add_rows(ties, groups, argmask)
+        scatter_add_rows(ties, groups, argmask)
         argmask /= np.maximum(ties, 1.0)[groups]
         ctx = (argmask,)
     return data, ctx

@@ -21,12 +21,12 @@ query engine whose memory keeps evolving as live events arrive.
 * :class:`CoarseQuantIndex` — pure-numpy IVF shortlist for ``top_k``
   over large candidate catalogs (always exactly rescored);
 * :mod:`repro.serve.http` — stdlib JSON HTTP frontend plus in-process
-  and HTTP clients (``repro serve`` / ``repro-serve``).
+  and HTTP clients (``repro serve``).
 """
 
 from .dynamic_finder import (BackgroundCompactor, DynamicNeighborFinder,
                              IngestError)
-from .http import HttpClient, LocalClient, main, start_http_server
+from .http import HttpClient, LocalClient, start_http_server
 from .index import CoarseQuantIndex, IndexStats
 from .ingest import IngestStats, LiveIngestor
 from .planner import (MicroBatchPlanner, PlannerStats, RowCache,
@@ -43,5 +43,5 @@ __all__ = [
     "EmbeddingService", "ServeConfig", "ServeError",
     "SnapshotError", "read_snapshot", "write_snapshot",
     "verify_snapshot_meta",
-    "LocalClient", "HttpClient", "start_http_server", "main",
+    "LocalClient", "HttpClient", "start_http_server",
 ]

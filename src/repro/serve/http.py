@@ -19,8 +19,8 @@ GET    /health     liveness probe
 
 :class:`LocalClient` speaks the same request/response dictionaries
 in-process (no socket), so tests can assert the HTTP round trip is
-value-identical to local calls.  ``main`` is the ``repro serve`` CLI
-entry point (also installed as the ``repro-serve`` console script).
+value-identical to local calls.  ``add_serve_arguments`` declares the
+``repro serve`` flags and ``serve_from_args`` runs the parsed command.
 """
 
 from __future__ import annotations
@@ -255,12 +255,8 @@ class HttpClient:
         return self._get("/health")
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``repro serve`` / ``repro-serve``: HTTP serving from an artifact."""
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
-        description="serve embedding / link-score queries over a saved "
-                    "CPDG pre-training artifact")
+def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the ``repro serve`` flags on ``parser``."""
     parser.add_argument("--artifact", required=True, metavar="FILE",
                         help="PretrainArtifact written by `repro pretrain` "
                              "or Pipeline.export_for_serving()")
@@ -277,11 +273,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-compile", action="store_true",
                         help="disable the replay-compiled encoder pass "
                              "(pure eager inference)")
-    parser.add_argument("--backend", choices=("numpy", "numba"),
-                        default="numpy",
-                        help="kernel backend for the compiled encoder pass "
-                             "(numba falls back to numpy when the optional "
-                             "dependency is missing)")
     parser.add_argument("--profile-kernels", action="store_true",
                         help="record per-kernel replay counts and seconds "
                              "(surfaced under /stats compile.kernels)")
@@ -311,8 +302,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="enable span tracing and append JSONL span "
                              "records to FILE")
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
 
+
+def serve_from_args(args: argparse.Namespace) -> int:
+    """``repro serve``: HTTP serving from an artifact, given the parsed
+    flags of :func:`add_serve_arguments`."""
     if args.trace:
         _obs.configure(enabled=True, trace_path=args.trace)
 
@@ -322,7 +316,6 @@ def main(argv: list[str] | None = None) -> int:
         compaction_threshold=args.compaction_threshold,
         verify_fingerprint=not args.no_verify_fingerprint,
         compile=not args.no_compile,
-        backend=args.backend,
         profile_kernels=args.profile_kernels,
         staleness_events=args.staleness_events,
         index=args.index,
@@ -349,7 +342,3 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive
         print("shutting down")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

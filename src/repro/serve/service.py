@@ -96,7 +96,6 @@ class ServeConfig:
     verify_fingerprint: bool = True      # history must match the artifact
     use_finetuned: bool | None = None    # None = auto (when bundle exists)
     compile: bool = True                 # replay-compile the encoder pass
-    backend: str = "numpy"               # kernel backend for the replay
     profile_kernels: bool = False        # per-kernel timers in /stats
     # --- serving fast path -------------------------------------------
     staleness_events: float = 0.0        # cached-row touch budget (0=exact)
@@ -122,9 +121,6 @@ class ServeConfig:
             raise ServeError("index_nprobe must be >= 1")
         if self.index_shortlist < 1:
             raise ServeError("index_shortlist must be >= 1")
-        if self.backend not in ("numpy", "numba"):
-            raise ServeError(f"unknown kernel backend {self.backend!r}; "
-                             "expected 'numpy' or 'numba'")
 
     @property
     def staleness_policy(self) -> StalenessPolicy:
@@ -242,7 +238,7 @@ class EmbeddingService:
             self._ingestor.touch_time[:-1] = data["touch_time"]
         self._compiled_embed = CompiledStep(
             self._embed_pass, mode="inference",
-            enabled=self.config.compile, backend=self.config.backend,
+            enabled=self.config.compile,
             profile=self.config.profile_kernels)
         self._staleness = self.config.staleness_policy
         cache = None
@@ -689,10 +685,9 @@ class EmbeddingService:
                 "candidates": int(len(self._candidates)),
                 "snapshot": snapshot,
                 "planner": self.planner.stats.as_row(),
-                # Counters + backend identity + per-kernel seconds when
-                # profile_kernels is on (kernel-time attribution).
+                # Counters + per-kernel seconds when profile_kernels is
+                # on (kernel-time attribution).
                 "compile": self._compiled_embed.stats(),
-                "backend": self._compiled_embed.backend.name,
                 "cache_rows": 0 if cache is None else len(cache),
                 "ingest": self._ingestor.stats.as_row(),
             }

@@ -394,13 +394,10 @@ class MultiprocessProducer(BatchProducer):
             seq, payload = self._receive()
             if seq == _ERROR:
                 self.close()
-                if isinstance(payload, dict):
-                    raise StreamError(
-                        f"batch producer worker failed: "
-                        f"{payload.get('worker')} (seq={payload.get('seq')}, "
-                        f"stage={payload.get('stage')}):\n"
-                        f"{payload.get('traceback')}")
-                raise StreamError(f"batch producer worker failed:\n{payload}")
+                raise StreamError(
+                    f"batch producer worker failed: "
+                    f"{payload['worker']} (seq={payload['seq']}, "
+                    f"stage={payload['stage']}):\n{payload['traceback']}")
             holdback[seq] = payload
             # A result parked out of order still counts as in flight, so
             # the prefetch window also bounds the holdback buffer (a
@@ -449,11 +446,8 @@ class MultiprocessProducer(BatchProducer):
                         f"{self._timeout:.0f}s")
                 continue
             if seq == _HEARTBEAT:
-                if isinstance(payload, tuple):
-                    name, worker_seq, stage = payload
-                    self._worker_status[name] = (worker_seq, stage)
-                else:  # bare-name heartbeat (pre-attribution form)
-                    name = payload
+                name, worker_seq, stage = payload
+                self._worker_status[name] = (worker_seq, stage)
                 self._last_alive[name] = time.monotonic()
                 continue
             return seq, payload

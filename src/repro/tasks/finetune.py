@@ -45,9 +45,6 @@ class FineTuneConfig:
     # Trace/replay the per-batch gradient step (repro.nn.compile);
     # bit-identical to eager with transparent fallback on shape changes.
     compile_step: bool = True
-    # Kernel backend for the compiled tape ("numpy" or "numba"; numba
-    # falls back to numpy when not installed — see repro.nn.backends).
-    backend: str = "numpy"
     # Streaming batch pipeline (repro.stream): 0 = in-process production,
     # N >= 1 = spawn workers; prefetch bounds in-flight batches.
     num_workers: int = 0

@@ -135,8 +135,7 @@ class LinkPredictionTask:
             loss.backward()
             return loss.item()
 
-        compiled = CompiledStep(train_step, enabled=cfg.compile_step,
-                                backend=cfg.backend)
+        compiled = CompiledStep(train_step, enabled=cfg.compile_step)
 
         producer = training_producer(self.split.train, cfg,
                                      neg_candidates=self._neg_sampler.candidates)

@@ -114,8 +114,7 @@ class NodeClassificationTask:
             loss.backward()
             return loss.item()
 
-        compiled = CompiledStep(train_step, enabled=cfg.compile_step,
-                                backend=cfg.backend)
+        compiled = CompiledStep(train_step, enabled=cfg.compile_step)
 
         producer = training_producer(self.split.train, cfg)
         last_batch = producer.plan.batches_per_epoch - 1

@@ -38,6 +38,12 @@ class TestRoundTrip:
         payload = json.loads(path.read_text())
         assert payload["strategy"] == "full"
         assert RunConfig.from_json(str(path)) == config
+        # Files written before the kernel-backend option was retired carry
+        # it in both stage sections; they load as if it were absent.
+        payload["pretrain"]["backend"] = "numpy"
+        payload["finetune"]["backend"] = "numpy"
+        path.write_text(json.dumps(payload))
+        assert RunConfig.from_json(str(path)) == config
 
     def test_from_json_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -103,6 +109,10 @@ class TestOverrides:
             RunConfig().with_overrides({"pretrain.bogus": 1})
         with pytest.raises(ConfigError, match="nonsection"):
             RunConfig().with_overrides({"nonsection.beta": 1})
+        # Retired keys are tolerated in files, not on the command line.
+        for key in ("nn.backend", "pretrain.backend", "finetune.backend"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                RunConfig().with_overrides({key: "numpy"})
 
     def test_section_as_leaf_rejected(self):
         with pytest.raises(ConfigError, match="section"):

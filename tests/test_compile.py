@@ -17,7 +17,7 @@ from repro.core.pretrainer import CPDGPreTrainer
 from repro.datasets import BipartiteInteractionGenerator, InteractionConfig
 from repro import obs
 from repro.nn import MLP, Adam, CompiledStep, Tensor, functional as F
-from repro.nn.autograd import graph_nodes_created, no_grad
+from repro.nn.autograd import default_dtype, graph_nodes_created, no_grad
 
 from .conftest import numeric_gradient
 
@@ -206,6 +206,50 @@ class TestCompiledStepTraining:
         for p, g in zip(net.parameters(), eager_grads):
             assert np.array_equal(p.grad, g)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elementwise_runs_replay_bit_identically(self, dtype):
+        """Loss-side runs of single-consumer elementwise VJPs — softplus
+        ``log(exp(-|h|) + 1)``, ``-sqrt(d + eps)``, a hinge
+        ``relu(h + m)``, ``h * a * b`` — replay as one VJP call per op,
+        exactly as eager runs them, also when the gradient entering the
+        run is a transposed (non-C-contiguous) view."""
+        rng = np.random.default_rng(2)
+        xs = rng.normal(size=(4, 6, 5)).astype(dtype)
+        gate = rng.uniform(0.5, 1.5, size=(1, 5)).astype(dtype)
+        mix = rng.normal(size=(6, 3)).astype(dtype)
+
+        def make(w):
+            def step(x):
+                w.zero_grad()
+                h = Tensor(x) * w
+                softplus = F.log(F.exp(-F.abs_(h)) + 1.0)
+                dist = -F.sqrt(h * h + 1e-3)
+                hinge = F.relu(h + 0.25)
+                scaled = h * Tensor(gate) * 0.5
+                # transpose's VJP hands the hinge run ``grad.T``, a view.
+                loss = (softplus.mean() + dist.mean() + scaled.sum()
+                        + ((hinge.T @ Tensor(mix)) ** 2).sum())
+                loss.backward()
+                return loss.item()
+            return step
+
+        def weight():
+            return Tensor(np.linspace(-1.0, 1.0, 30, dtype=dtype)
+                          .reshape(6, 5), requires_grad=True)
+
+        with default_dtype(dtype):
+            w_eager = weight()
+            eager_step = make(w_eager)
+            eager = [(eager_step(x), w_eager.grad.copy()) for x in xs]
+            w = weight()
+            compiled = CompiledStep(make(w))
+            for x, (loss, grad) in zip(xs, eager):
+                assert compiled(x, key="k") == loss
+                assert w.grad.dtype == dtype
+                assert np.array_equal(w.grad, grad)
+        stats = compiled.stats()
+        assert (stats["replays"], stats["mismatches"]) == (len(xs) - 1, 0)
+
     def test_disabled_passes_through(self):
         net, xs, ys = self._problem()
         compiled = CompiledStep(self._step_fn(net), enabled=False)
@@ -213,8 +257,6 @@ class TestCompiledStepTraining:
             compiled(x, y, key="k")
         assert compiled.counters == {"traces": 0, "replays": 0,
                                      "mismatches": 0, "eager": len(xs)}
-        assert compiled.stats()["backend"] == {"requested": None,
-                                               "active": "numpy"}
         assert compiled.stats()["kernels"] is None
         assert compiled.program_size("k") is None
 

@@ -24,7 +24,7 @@ from repro.api import PretrainArtifact
 from repro.core.checkpoints import MemoryCheckpoints
 from repro.core.eie import EIEModule
 from repro.nn import (AdditiveAttention, CompiledStep, GRUCell, Linear,
-                      LSTMCell, RNNCell, Tensor, backends, functional as F)
+                      LSTMCell, RNNCell, Tensor, functional as F)
 from repro.nn.autograd import default_dtype
 from repro.nn.gradcheck import check_gradients
 
@@ -324,26 +324,6 @@ def test_compiled_eie_gru_unroll_is_bit_identical_to_eager():
     names = [rec.prim.name for rec in program.records]
     assert names.count("gru_cell") == 3 and names.count("linear") == 2
     assert "sigmoid" not in names and "matmul" not in names
-
-
-@pytest.mark.parametrize("name", ["pyloop", "numba"])
-def test_other_backends_use_the_numpy_kernels_silently(name):
-    """No backend replaces the fused kernels, and asking costs no warning
-    per call (an unavailable numba warns once, at resolution)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        backend = backends.resolve_backend(name)
-    module = _eie_module()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for prim in (F._LINEAR, F._GRU_CELL, F._TIME_ENCODE):
-            assert backend.fwd_kernel(prim) is None
-            assert backend.vjp_kernel(prim) is None
-        compiled = CompiledStep(_eie_step(module), backend=backend)
-        rng = np.random.default_rng(4)
-        losses = [compiled(rng.normal(size=(12, 5)), rng.integers(0, 40, 12),
-                           key="eie") for _ in range(3)]
-    assert compiled.stats()["replays"] == 2 and np.isfinite(losses).all()
 
 
 # ----------------------------------------------------------------------
