@@ -21,8 +21,10 @@ scale ``BENCH_pretrain.json`` uses — and measures the serving hot paths:
 ``--smoke`` shrinks every scale for CI and additionally *asserts* the
 fast path's correctness anchors against a ``cache_capacity=0`` service:
 the exact policy and a staleness bound of zero both answer bit-identically
-to it under interleaved probes and ingests, and a replica restored from
-its snapshot keeps doing so after continued ingest.
+to it under interleaved probes and ingests (stamped after the newest event,
+which the finder's most-recent ring answers, and at a past time, which its
+CSRs answer), and a replica restored from its snapshot keeps doing so after
+continued ingest.
 
 Each run is appended: the previous contents of the output file move into
 its ``history`` list.
@@ -44,6 +46,7 @@ import numpy as np
 from repro.api import PretrainArtifact, RunConfig, stream_fingerprint
 from repro.core import CPDGConfig, CPDGPreTrainer
 from repro.graph.events import EventStream
+from repro import obs
 from repro.obs import summarize_latencies
 from repro.serve import EmbeddingService
 
@@ -244,6 +247,9 @@ def smoke_checks(artifact: PretrainArtifact, base: EventStream,
     probes = np.arange(0, params["num_nodes"],
                        max(params["num_nodes"] // 64, 1))
     t = float(live.timestamps[-1]) + 1.0
+    # One probe that is older than what the blocks ingest: the finder
+    # answers it from its CSRs, next to `t` which its ring answers.
+    past = float(live.timestamps[0])
     oracle = make_service(artifact, base, params, cache_capacity=0,
                           background_compaction=False)
     exact = make_service(artifact, base, params,
@@ -261,9 +267,11 @@ def smoke_checks(artifact: PretrainArtifact, base: EventStream,
                 service.ingest(src=live.src[start:stop],
                                dst=live.dst[start:stop],
                                timestamps=live.timestamps[start:stop])
-            want = oracle.embed(probes, t)
-            for service in replicas:
-                assert np.array_equal(service.embed(probes, t), want), what
+            for stamp in (t, past):
+                want = oracle.embed(probes, stamp)
+                for service in replicas:
+                    assert np.array_equal(service.embed(probes, stamp),
+                                          want), what
 
     for service in replicas:
         service.embed(probes, t)
@@ -283,6 +291,11 @@ def smoke_checks(artifact: PretrainArtifact, base: EventStream,
     replicas.append(restored)
     ingest_and_compare(half, live.num_events,
                        "a replica diverged after continued ingest")
+    # The registry holds the newest finder's counters: the restored one's.
+    paths = obs.snapshot()
+    assert min(paths['repro_serve_neighbor_queries_total{path="ring"}'],
+               paths['repro_serve_neighbor_queries_total{path="csr"}']) > 0, \
+        "the anchors must cover the ring and the CSR fallback"
     print(f"smoke checks passed @ {params['num_nodes']} nodes "
           "(exact and bound-0 vs cache-free, snapshot round trip)")
 

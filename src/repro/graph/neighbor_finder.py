@@ -118,7 +118,16 @@ def most_recent_slots(finder, nodes: np.ndarray, ts: np.ndarray,
     finder or the serving layer's dynamic one).  Most rows of a sparse
     interaction graph have fewer than ``count`` events, so the encoder
     projects and attends over far fewer key rows than ``B * count``.
+
+    A finder that can produce the ragged slots itself (the dynamic one,
+    from its most-recent ring) is asked first through ``recent_slots``;
+    it returns ``None`` for a batch it cannot answer that way.
     """
+    recent_slots = getattr(finder, "recent_slots", None)
+    if recent_slots is not None:
+        slots = recent_slots(nodes, ts, count)
+        if slots is not None:
+            return slots
     neighbors, times, event_ids, mask = finder.batch_most_recent(nodes, ts,
                                                                  count)
     keep = ~mask

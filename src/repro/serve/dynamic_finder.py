@@ -38,6 +38,38 @@ dereference ``finder.neighbors[flat]`` with raw cut indices) and the PR-4
 ``produce_batch`` run unchanged on a live graph.  Every query is
 bit-identical to a ``NeighborFinder`` rebuilt from scratch over the
 concatenated event list — the property :mod:`tests.test_serve` asserts.
+
+**The most-recent ring.**  The encoder asks one question on every pass:
+the newest ``count`` neighbours of each row before its query time.  Next
+to the CSRs the finder keeps, per node *that has history*, a ring of its
+newest ``W`` entries (``W`` = the encoder's ``n_neighbors``):
+
+* ``slot_of[node]`` (``int32``, the ``TGNMemory.assoc`` / ``RowCache``
+  idiom) maps a node to its ring row; nodes without history map to row 0,
+  an all-zero row of degree 0 whose newest time is ``-inf`` — so a query
+  needs no "is it known" branch and a history-less row reads exactly the
+  zero dummy slot a padded query would give it;
+* ``neighbors`` / ``times`` / ``event_ids`` are ``(rows, W)`` arrays in
+  which entry number ``p`` of a node's whole history (0-based, base and
+  delta alike) lives in column ``p mod W``; ``degree[row]`` is the number
+  of entries the node ever had and ``newest[row]`` the time of the last;
+* rows are handed out in order of first appearance and the arrays grow by
+  doubling (``np.empty``: untouched rows cost no resident page), so memory
+  follows the active nodes, not the node space.
+
+The ring is filled from the base CSR at construction and advanced inside
+:meth:`DynamicNeighborFinder.append` by one stable sort of the block's
+interleaved endpoints.  **Answerability rule:** :meth:`recent_slots`
+answers a whole ``(nodes, ts, count)`` batch iff ``1 <= count <= W`` and
+every queried row's newest entry is strictly older than its ``ts`` — then
+"before ``ts``" is the node's whole history and the newest ``count`` of it
+is in the ring; otherwise it returns ``None`` and the caller takes
+:meth:`batch_most_recent`.  The answer holds the same entries in the same
+order as that path.  Compaction (inline or background) and snapshots
+never touch the ring: a merge only changes *where* the CSR stores an
+entry, not which entries a node has, and a restored finder refills the
+ring from its base and replayed delta.  Like every other piece of finder
+state the ring is not thread-safe; the service lock serialises it.
 """
 
 from __future__ import annotations
@@ -48,9 +80,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import obs as _obs
 from ..graph.events import EventStream
-from ..graph.neighbor_finder import (NeighborFinder, build_temporal_csr,
-                                     segment_cut)
+from ..graph.neighbor_finder import (NeighborFinder, NeighborSlots,
+                                     build_temporal_csr, segment_cut)
 
 __all__ = ["BackgroundCompactor", "CompactionJob", "DynamicNeighborFinder",
            "IngestError"]
@@ -134,6 +167,131 @@ class _VirtualColumn:
         return full if dtype is None else full.astype(dtype)
 
 
+class _RecentRing:
+    """The newest ``width`` history entries of every node that has any.
+
+    Layout and invariants are in the module docstring.  Row 0 is the
+    null row every history-less node maps to.
+    """
+
+    _ARRAYS = ("neighbors", "times", "event_ids", "degree", "newest")
+
+    def __init__(self, base: NeighborFinder, width: int):
+        if width < 1:
+            raise ValueError("ring width must be >= 1")
+        self.width = width
+        self.slot_of = np.zeros(base.num_nodes, dtype=np.int32)
+        self.neighbors = np.zeros((1, width), dtype=np.int64)
+        self.times = np.zeros((1, width), dtype=np.float64)
+        self.event_ids = np.zeros((1, width), dtype=np.int64)
+        self.degree = np.zeros(1, dtype=np.int64)
+        self.newest = np.full(1, -np.inf)
+        self.used = 1                                   # rows handed out
+        self._answered, self._declined = (
+            _obs.counter("repro_serve_neighbor_queries_total",
+                         labels={"path": path}, replace=True,
+                         help="encoder neighbour queries by answering path")
+            for path in ("ring", "csr"))
+        self._rows_gauge = _obs.gauge(
+            "repro_serve_neighbor_ring_slots", replace=True,
+            help="ring rows in use (nodes with history)")
+        # A CSR is the sorted form `_absorb` wants: grouped by node,
+        # chronological within a node.
+        indptr = np.asarray(base.indptr)
+        self._absorb(np.repeat(np.arange(base.num_nodes), np.diff(indptr)),
+                     np.asarray(base.neighbors), np.asarray(base.times),
+                     np.asarray(base.event_ids))
+
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` ring rows, at least doubling."""
+        if rows <= len(self.degree):
+            return
+        capacity = max(rows, 2 * len(self.degree), 64)
+        for name in self._ARRAYS:
+            old = getattr(self, name)
+            new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[:self.used] = old[:self.used]
+            setattr(self, name, new)
+
+    def push(self, src: np.ndarray, dst: np.ndarray, timestamps: np.ndarray,
+             event_ids: np.ndarray) -> None:
+        """Advance the ring by one validated, time-sorted event block."""
+        # Interleaved (src0, dst0, src1, dst1, ...) so one stable sort by
+        # node leaves each node's entries in event order.
+        endpoints = np.empty(2 * len(src), dtype=np.int64)
+        endpoints[0::2] = src
+        endpoints[1::2] = dst
+        order = np.argsort(endpoints, kind="stable")
+        event = order >> 1
+        peers = np.where(order & 1, src[event], dst[event])
+        self._absorb(endpoints[order], peers, timestamps[event],
+                     event_ids[event])
+
+    def _absorb(self, nodes: np.ndarray, peers: np.ndarray,
+                times: np.ndarray, event_ids: np.ndarray) -> None:
+        """Append entries grouped by node, chronological within a node."""
+        total = len(nodes)
+        if total == 0:
+            return
+        opens = np.ones(total, dtype=bool)
+        np.not_equal(nodes[1:], nodes[:-1], out=opens[1:])
+        first = np.flatnonzero(opens)
+        counts = np.diff(first, append=total)
+        owners = nodes[first]
+        rows = self.slot_of[owners]
+        fresh = np.flatnonzero(rows == 0)
+        if len(fresh):
+            self._reserve(self.used + len(fresh))
+            taken = np.arange(self.used, self.used + len(fresh),
+                              dtype=np.int32)
+            rows[fresh] = taken
+            self.slot_of[owners[fresh]] = taken
+            self.degree[taken] = 0
+            self.used += len(fresh)
+            self._rows_gauge.set(self.used - 1)
+        before = self.degree[rows]
+        after = before + counts
+        # Number of each entry in its node's whole history.  Only the last
+        # `width` of a node's run can still be in the ring afterwards;
+        # without the rest no ring cell is written twice below.
+        position = np.arange(total) + np.repeat(before - first, counts)
+        keep = np.flatnonzero(position >= np.repeat(after - self.width,
+                                                    counts))
+        position = position[keep]
+        flat = (np.repeat(rows.astype(np.int64) * self.width, counts)[keep]
+                + position % self.width)
+        self.neighbors.reshape(-1)[flat] = peers[keep]
+        self.times.reshape(-1)[flat] = times[keep]
+        self.event_ids.reshape(-1)[flat] = event_ids[keep]
+        self.degree[rows] = after
+        self.newest[rows] = times[first + counts - 1]
+
+    def slots(self, nodes: np.ndarray, ts: np.ndarray,
+              count: int) -> NeighborSlots | None:
+        """Ragged newest-``count`` slots, or ``None`` (answerability rule)."""
+        ring_rows = self.slot_of[nodes]
+        if not (0 < count <= self.width
+                and (self.newest[ring_rows] < ts).all()):
+            self._declined += 1
+            return None
+        self._answered += 1
+        degree = self.degree[ring_rows]
+        valid = np.minimum(degree, count)
+        # A history-less row keeps one slot: column 0 of the null row.
+        per_row = np.maximum(valid, 1)
+        starts = np.cumsum(per_row) - per_row
+        rows = np.repeat(np.arange(len(per_row)), per_row)
+        position = np.arange(len(rows)) + (degree - valid - starts)[rows]
+        flat = ((ring_rows.astype(np.int64) * self.width)[rows]
+                + position % self.width)
+        return NeighborSlots(
+            rows=rows, starts=starts,
+            neighbors=self.neighbors.reshape(-1)[flat],
+            times=self.times.reshape(-1)[flat],
+            event_ids=self.event_ids.reshape(-1)[flat],
+            dummy=(valid == 0)[rows])
+
+
 class DynamicNeighborFinder:
     """Live-updatable temporal CSR with ``NeighborFinder`` semantics.
 
@@ -145,13 +303,18 @@ class DynamicNeighborFinder:
     compaction_threshold:
         Delta size (in events) beyond which an append triggers an
         automatic :meth:`compact`.  ``None`` disables auto-compaction.
+    ring_width:
+        Entries kept per node in the most-recent ring; the service passes
+        its encoder's ``n_neighbors`` (whose default this repeats).
     """
 
     def __init__(self, base: EventStream | NeighborFinder,
-                 compaction_threshold: int | None = 4096):
+                 compaction_threshold: int | None = 4096,
+                 ring_width: int = 10):
         if isinstance(base, EventStream):
             base = NeighborFinder(base)
         self._base = base
+        self._ring = _RecentRing(base, ring_width)
         self.num_nodes = base.num_nodes
         self.compaction_threshold = compaction_threshold
         # Raw append buffers (event granularity, not CSR-entry granularity).
@@ -237,6 +400,7 @@ class DynamicNeighborFinder:
         self._buf_dst.append(dst)
         self._buf_ts.append(timestamps)
         self._buf_eid.append(event_ids)
+        self._ring.push(src, dst, timestamps, event_ids)
         self._delta_events += len(src)
         self._dirty = True
         self._t_max = float(timestamps[-1])
@@ -444,6 +608,15 @@ class DynamicNeighborFinder:
                                     np.broadcast_to(d_col, from_delta.shape
                                                     )[from_delta]]
         return out_n, out_t, out_e, ~valid
+
+    def recent_slots(self, nodes: np.ndarray, ts: np.ndarray,
+                     count: int) -> NeighborSlots | None:
+        """:func:`~repro.graph.neighbor_finder.most_recent_slots` answered
+        from the ring — no bisection, no delta lowering, no padding — or
+        ``None`` when the batch needs :meth:`batch_most_recent` (see the
+        answerability rule in the module docstring)."""
+        return self._ring.slots(np.asarray(nodes, dtype=np.int64),
+                                np.asarray(ts, dtype=np.float64), count)
 
     def batch_sample_uniform(self, nodes: np.ndarray, ts: np.ndarray,
                              count: int, rng: np.random.Generator

@@ -221,7 +221,8 @@ class EmbeddingService:
         else:
             self.finder = DynamicNeighborFinder(
                 NeighborFinder(history),
-                compaction_threshold=self.config.compaction_threshold)
+                compaction_threshold=self.config.compaction_threshold,
+                ring_width=encoder.n_neighbors)
             encoder.attach(history, self.finder)
             self._candidates = np.unique(history.dst)
             edge_table = (encoder._edge_feats
@@ -286,7 +287,8 @@ class EmbeddingService:
             np.asarray(data["base_times"]),
             np.asarray(data["base_event_ids"]))
         self.finder = DynamicNeighborFinder(
-            base, compaction_threshold=self.config.compaction_threshold)
+            base, compaction_threshold=self.config.compaction_threshold,
+            ring_width=encoder.n_neighbors)
         if len(data["delta_src"]):
             self.finder.append(np.asarray(data["delta_src"]),
                                np.asarray(data["delta_dst"]),

@@ -411,6 +411,36 @@ class TestServeMetricsEndpoint:
         finally:
             server.shutdown()
 
+    def test_neighbor_query_paths_and_ring_rows(self):
+        """Which path answered the encoder's neighbour queries (the ring,
+        or the CSRs for a query at or before a row's newest event), and
+        how many nodes the ring holds."""
+        service = _tiny_service()
+        server, _ = start_http_server(service)
+        try:
+            client = HttpClient(
+                f"http://127.0.0.1:{server.server_address[1]}")
+            client.embed([1, 2, 3], 150.0)          # after every event
+            text = client.metrics()
+            assert _count_of(text, "repro_serve_neighbor_queries_total",
+                             path="ring") == 1
+            assert _count_of(text, "repro_serve_neighbor_queries_total",
+                             path="csr") == 0
+            # Every node with history is some entry's neighbour.
+            active = len(np.unique(service.finder._base.neighbors))
+            assert _count_of(text, "repro_serve_neighbor_ring_slots"
+                             ) == active
+            client.embed([1, 2, 3], 50.0)           # a past timestamp
+            client.ingest([1], [NUM_NODES - 1], [151.0])
+            text = client.metrics()
+            assert _count_of(text, "repro_serve_neighbor_queries_total",
+                             path="ring") == 1
+            assert _count_of(text, "repro_serve_neighbor_queries_total",
+                             path="csr") == 1
+            assert "# TYPE repro_serve_neighbor_ring_slots gauge" in text
+        finally:
+            server.shutdown()
+
     def test_metrics_content_type(self):
         import urllib.request
 
