@@ -551,18 +551,15 @@ class EmbeddingService:
         finally:
             self._request_hist["top_k"].observe(time.perf_counter() - start)
 
-    def _embed_catalog(self, nodes: np.ndarray, t: float) -> np.ndarray:
-        """Embed catalog rows at ``t`` through the planner (cache-warm)."""
-        return self.planner.embed(np.asarray(nodes, dtype=np.int64),
-                                  np.full(len(nodes), float(t)))
-
     def _indexed_shortlist(self, src: int, t: float, k: int) -> np.ndarray:
         """Maintain the IVF index and return the approximate shortlist.
 
-        Embedding passes run *outside* the service lock (they take it
-        through the planner); index mutations happen under it.  Races
-        with concurrent ingest only affect which vectors the shortlist
-        is ranked by — the shortlist is always exactly rescored.
+        The catalog rows the index lacks or holds stale, and the query
+        ``src``, are embedded at ``t`` in **one** planner pass (cache-warm),
+        *outside* the service lock (the planner takes it); index mutations
+        happen under it.  Races with concurrent ingest only affect which
+        vectors the shortlist is ranked by — the shortlist is always
+        exactly rescored.
         """
         with self._lock:
             if self._index is None:
@@ -575,26 +572,24 @@ class EmbeddingService:
             dirty, self._index_dirty = (self._index_dirty,
                                         np.empty(0, dtype=np.int64))
         if rebuild:
-            vectors = self._embed_catalog(catalog, t)
-            with self._lock:
-                index.build(catalog, vectors)
+            rows = catalog
         else:
             known = index.ids()
             stale = np.intersect1d(dirty, known)
             fresh = np.setdiff1d(catalog, known)
-            if len(stale):
-                vectors = self._embed_catalog(stale, t)
-                with self._lock:
-                    index.replace(stale, vectors)
-            if len(fresh):
-                vectors = self._embed_catalog(fresh, t)
-                with self._lock:
-                    index.add(fresh, vectors)
-        query = self.planner.embed(np.asarray([src], dtype=np.int64),
-                                   np.asarray([t]))[0]
-        size = max(k, self.config.index_shortlist)
+            rows = np.concatenate([stale, fresh])
+        vectors = self.planner.embed(np.append(rows, src),
+                                     np.full(len(rows) + 1, t))
         with self._lock:
-            return index.search(query, size)
+            if rebuild:
+                index.build(catalog, vectors[:-1])
+            else:
+                if len(stale):
+                    index.replace(stale, vectors[:len(stale)])
+                if len(fresh):
+                    index.add(fresh, vectors[len(stale):-1])
+            return index.search(vectors[-1],
+                                max(k, self.config.index_shortlist))
 
     # ------------------------------------------------------------------
     # live ingestion

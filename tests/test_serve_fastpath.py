@@ -364,6 +364,31 @@ class TestIndexedTopK:
         np.testing.assert_array_equal(scores, scores_e)
         assert len(service._index) >= built
 
+    def test_one_planner_pass_per_shortlist(self, artifact_and_streams):
+        """Index upkeep (stale rows, new candidates) and the query vector
+        share one planner pass; the exact rescoring is the second."""
+        _, _, pre, suffix = artifact_and_streams
+        service = build_service(artifact_and_streams, index=True)
+        requests = service.planner.stats.requests
+        try:
+            service.top_k(0, float(suffix.timestamps[0]), 5)    # rebuild
+            assert int(requests) == 2
+            src, dst, ts = next(suffix_blocks(suffix, 40))
+            # One destination the catalog has never seen, next to known ones.
+            newcomer = np.setdiff1d(np.arange(NUM_NODES),
+                                    service._candidates)[:1]
+            assert len(newcomer)
+            dst = np.concatenate([newcomer, dst[1:]])
+            built = len(service._index)
+            service.ingest(src=src, dst=dst, timestamps=ts)
+            assert len(service._index_dirty)
+            service.top_k(int(src[0]), float(ts[-1]) + 1.0, 5)
+            assert int(requests) == 4
+            assert len(service._index) == built + 1
+            assert len(service._index_dirty) == 0
+        finally:
+            service.close()
+
     def test_top_k_edge_cases(self, artifact_and_streams):
         _, _, _, suffix = artifact_and_streams
         t = float(suffix.timestamps[0])
