@@ -1,7 +1,10 @@
 """Throughput, reassembly latency and reclaim latency of the fabric.
 
-Drives the distributed batch-production fabric with real
-``repro fabric-worker`` subprocesses over localhost TCP and measures
+Drives the batch-production fabric with real ``repro fabric-worker``
+subprocesses over localhost TCP (the remote-worker path; ``num_workers``
+runs the same workers over ``AF_UNIX`` and is timed by
+``run_stream_bench.py``), all reading the flat memory-mapped shards, and
+measures
 
 * **production rate** (batches/s) — serial in-process baseline vs the
   fabric with 1 and 2 workers, over the same Zipf stream as
@@ -226,10 +229,11 @@ def main() -> int:
         "machine": {"cores": cores},
         "smoke": bool(args.smoke),
         "note": "workers are real 'repro fabric-worker' subprocesses over "
-                "localhost TCP; with fewer cores than processes the "
-                "fabric rate is IPC-bound and serial wins — the fabric "
-                "buys wall-clock only with remote/spare cores, while "
-                "bit-identity and reclaim behaviour hold everywhere",
+                "localhost TCP reading flat memory-mapped shards; these "
+                "are production-only rates (no gradient step competes "
+                "for a core), so they bound what workers can deliver, "
+                "not what a trainer gains — BENCH_stream.json has that. "
+                "Bit-identity and reclaim behaviour hold everywhere",
         "cases": cases,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -372,9 +372,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StreamError as exc:
-        # Producer misconfiguration (no spawn support, stream too small to
-        # shard, dead/rejected workers): one actionable line, not a
-        # multiprocessing traceback.
+        # Producer trouble (no spawn / AF_UNIX support, dead, frozen or
+        # rejected workers): one actionable line, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         if args.command == "fabric-worker":
             print("hint: check the coordinator address and that --shards "

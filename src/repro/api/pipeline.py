@@ -122,9 +122,9 @@ class Pipeline:
         ``stream`` defaults to the pre-training stream resolved from
         ``config.data``; pass one explicitly to pre-train on custom data.
         ``num_workers`` overrides ``config.pretrain.num_workers`` for this
-        run (0 = in-process batch production, N = spawn workers over
-        memory-mapped graph shards); per-batch seeding keeps the result
-        bit-identical either way.
+        run (0 = in-process batch production, N = local fabric workers
+        over memory-mapped graph shards); per-batch seeding keeps the
+        result bit-identical either way.
         """
         # One-shot override: the trainer (and the artifact's embedded
         # as-run config) see it, but the pipeline's own config is

@@ -72,9 +72,10 @@ class CPDGConfig:
     dtype: str = "float32"
 
     # Streaming batch pipeline (repro.stream).  ``num_workers=0`` produces
-    # batches in-process; N >= 1 fans sampling + staging out over N spawn
-    # workers sharing memory-mapped graph shards.  Per-batch seeding makes
-    # both paths bit-identical.  ``prefetch_batches`` bounds in-flight
+    # batches in-process; N >= 1 fans sampling + staging out over N local
+    # fabric workers (spawned processes on a private AF_UNIX socket)
+    # sharing memory-mapped graph shards.  Per-batch seeding makes both
+    # paths bit-identical.  ``prefetch_batches`` bounds in-flight
     # batches (backpressure); ``mmap_graph`` makes the trainer itself read
     # the CSR from memory-mapped shards (event streams exceeding RAM).
     num_workers: int = 0
@@ -84,13 +85,11 @@ class CPDGConfig:
     # Distributed batch-production fabric (repro.fabric).  ``fabric`` is a
     # ``host:port`` the coordinator listens on (port 0 = ephemeral); the
     # graph is exported to ``shard_dir`` (a temp dir when None) and remote
-    # ``repro fabric-worker`` processes mount it.  ``fabric_ranges`` splits
-    # the CSR into that many node ranges workers memory-map lazily;
-    # ``fabric_lease_timeout`` is how long a worker owes a leased batch
-    # before it is re-leased elsewhere.
+    # ``repro fabric-worker`` processes mount it.
+    # ``fabric_lease_timeout`` is how long a worker — remote or local —
+    # owes a leased batch before it is re-leased elsewhere.
     fabric: str | None = None
     shard_dir: str | None = None
-    fabric_ranges: int = 8
     fabric_lease_timeout: float = 30.0
 
     seed: int = 0
@@ -137,7 +136,5 @@ class CPDGConfig:
             if self.num_workers > 0:
                 raise ValueError("fabric and num_workers are mutually "
                                  "exclusive batch-production backends")
-        if self.fabric_ranges < 1:
-            raise ValueError("fabric_ranges must be >= 1")
         if self.fabric_lease_timeout <= 0:
             raise ValueError("fabric_lease_timeout must be positive")

@@ -7,9 +7,9 @@ of the graph once seeds derive from batch coordinates — and live in
 :mod:`repro.stream`.  This trainer is the consumer: it iterates
 :class:`~repro.stream.PreparedBatch`es from a
 :class:`~repro.stream.BatchProducer` (in-process by default,
-``config.num_workers`` spawn workers over memory-mapped graph shards
-otherwise) and keeps only encoder / memory / optimizer state.  Per batch
-it
+``config.num_workers`` local fabric workers over memory-mapped graph
+shards otherwise) and keeps only encoder / memory / optimizer state.
+Per batch it
 
 1. computes centre-node embeddings with the DGNN encoder,
 2. pools the pre-sampled temporal positive/negative subgraphs and
@@ -21,7 +21,7 @@ it
 
 while snapshotting the memory ``L`` times uniformly over training for the
 EIE module (Eq. 18).  Because every batch's randomness is keyed by
-``(seed, epoch, batch_idx)``, serial and multiprocess runs produce
+``(seed, epoch, batch_idx)``, serial and worker-produced runs yield
 bit-identical loss histories.  Ablation flags reproduce the w/o-TC and
 w/o-SC variants of Figure 5.
 """
@@ -110,7 +110,7 @@ class CPDGPreTrainer:
         """The production recipe Algorithm 1 needs for ``stream``
         (a :class:`~repro.stream.ProducerSpec`)."""
         # Imported here (not at module level): repro.stream's producers
-        # import the samplers from repro.core, and spawn workers import
+        # import the samplers from repro.core, and worker processes import
         # repro.stream first — a module-level import either way would be
         # circular.
         from ..stream import ProducerSpec
@@ -175,7 +175,6 @@ class CPDGPreTrainer:
                                  stream=stream, finder=finder,
                                  fabric=cfg.fabric,
                                  fabric_options=dict(
-                                     num_ranges=cfg.fabric_ranges,
                                      lease_timeout=cfg.fabric_lease_timeout))
         if verbose and cfg.fabric is not None:
             host, port = producer.address

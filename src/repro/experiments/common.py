@@ -248,7 +248,7 @@ def run_cpdg(backbone: str, num_nodes: int, pretrain_stream: EventStream,
     cfg_items = {k: v for k, v in sorted(dataclasses.asdict(cfg).items())
                  if k not in ("num_workers", "prefetch_batches",
                               "mmap_graph", "fabric", "shard_dir",
-                              "fabric_ranges", "fabric_lease_timeout")}
+                              "fabric_lease_timeout")}
     key = ("cpdg", backbone, stream_fingerprint(pretrain_stream),
            tuple(cfg_items.items()), *cache_key_extra)
     artifact = (cache.get_artifact(key, compute) if cache is not None

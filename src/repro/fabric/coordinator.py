@@ -22,6 +22,7 @@ the in-process producers enforce.
 
 from __future__ import annotations
 
+import os
 import queue
 import selectors
 import socket
@@ -68,8 +69,10 @@ class FabricCoordinator:
     plan:
         The work-item enumeration all parties share.
     bind:
-        ``(host, port)`` to listen on; port 0 picks an ephemeral port
-        (read :attr:`address` for the bound one).
+        ``(host, port)`` to listen on over TCP — port 0 picks an
+        ephemeral port (read :attr:`address` for the bound one) — or a
+        filesystem path for an ``AF_UNIX`` socket, which only processes
+        that can enter its directory can reach.
     prefetch:
         Maximum work items past the consumer cursor that may be leased —
         bounds both in-flight production and the reassembly holdback.
@@ -84,7 +87,7 @@ class FabricCoordinator:
     _TICK = 0.05
 
     def __init__(self, spec: ProducerSpec, plan: BatchPlan,
-                 bind: tuple[str, int] = ("127.0.0.1", 0), *,
+                 bind: str | tuple[str, int] = ("127.0.0.1", 0), *,
                  prefetch: int = 8, lease_timeout: float = 30.0,
                  heartbeat_timeout: float = 10.0):
         if spec.shard_dir is None:
@@ -113,11 +116,20 @@ class FabricCoordinator:
         self._connections: dict[socket.socket, _Connection] = {}
         self._names_used: set[str] = set()
         self._counts = {"joined": 0, "rejected": 0, "left": 0}
+        # name → [monotonic time of its last frame, last leased seq]; kept
+        # after the worker is dropped, for the producer's post-mortem
+        # (advisory: the loop thread updates the slots unlocked).
+        self.trail: dict[str, list] = {}
 
         self._selector = selectors.DefaultSelector()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._unix_path = bind if isinstance(bind, str) else None
+        self._listener = socket.socket(
+            socket.AF_INET if self._unix_path is None else socket.AF_UNIX,
+            socket.SOCK_STREAM)
         try:
+            if self._unix_path is None:
+                self._listener.setsockopt(socket.SOL_SOCKET,
+                                          socket.SO_REUSEADDR, 1)
             self._listener.bind(bind)
             self._listener.listen(128)
             self._listener.setblocking(False)
@@ -126,7 +138,8 @@ class FabricCoordinator:
         except OSError:
             self._listener.close()
             raise
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self.address: str | tuple[str, int] = (
+            self._unix_path or self._listener.getsockname()[:2])
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -144,8 +157,16 @@ class FabricCoordinator:
             self._thread.join(timeout)
             self._thread = None
         else:  # never started: release the listener directly
-            self._selector.close()
-            self._listener.close()
+            self._close_listener()
+
+    def _close_listener(self) -> None:
+        self._selector.close()
+        self._listener.close()
+        if self._unix_path is not None:
+            try:
+                os.unlink(self._unix_path)
+            except OSError:
+                pass
 
     # consumer-side API ------------------------------------------------
     def advance(self, seq: int) -> None:
@@ -223,8 +244,7 @@ class FabricCoordinator:
             self._broadcast_shutdown()
             for conn in list(self._connections.values()):
                 self._drop(conn, reclaim=False)
-            self._selector.close()
-            self._listener.close()
+            self._close_listener()
 
     def _broadcast_shutdown(self) -> None:
         """Best-effort SHUTDOWN so workers exit instead of timing out."""
@@ -316,6 +336,8 @@ class FabricCoordinator:
     def _handle(self, conn: _Connection, message: dict) -> None:
         kind = message.get("type")
         conn.last_seen = time.monotonic()
+        if conn.active:
+            self.trail[conn.name][0] = conn.last_seen
         if kind == HELLO:
             self._handshake(conn, message)
         elif kind == RESULT and conn.active:
@@ -354,7 +376,9 @@ class FabricCoordinator:
                                f"(worker {str(worker_fp)[:12]}…, "
                                f"coordinator {self.shard_fp[:12]}…)")
             return
-        base = str(message.get("name") or f"worker-{conn.addr[0]}")
+        # An AF_UNIX peer has no address to name it after.
+        base = str(message.get("name")
+                   or f"worker-{conn.addr[0] if conn.addr else 'local'}")
         name, suffix = base, 2
         with self._lock:
             while name in self._names_used:
@@ -362,6 +386,7 @@ class FabricCoordinator:
                 suffix += 1
             self._names_used.add(name)
             self._counts["joined"] += 1
+            self.trail[name] = [conn.last_seen, None]
         conn.name = name
         conn.capacity = max(1, int(message.get("capacity", 1)))
         conn.active = True
@@ -422,6 +447,7 @@ class FabricCoordinator:
                         avoid_repeat=len(eligible) > 1)
                 if item is None:
                     continue
+                self.trail[conn.name][1] = item.seq
                 lease_msg = {"type": LEASE, "item": item,
                              "deadline": now + self.lease_timeout}
                 ctx = _obs.current_context()

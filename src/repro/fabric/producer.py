@@ -2,17 +2,27 @@
 
 To the trainer this is just another :class:`~repro.stream.BatchProducer`:
 iterate it and bit-identical :class:`~repro.stream.PreparedBatch`es come
-out in plan order.  Underneath it exports the graph (and a range-sharded
-CSR) to a shard directory, starts a :class:`FabricCoordinator`, and
-reassembles out-of-order results from however many workers happen to be
-connected — zero at the start is fine; the run simply waits (up to
-``timeout``) for the first worker to join.
+out in plan order.  Underneath it makes sure a shard directory carries
+the graph (flat ``.npy`` files, CSR included when the spec samples),
+starts a :class:`FabricCoordinator`, and reassembles out-of-order
+results from however many workers happen to be connected.
+
+``num_workers=N`` spawns N local :class:`FabricWorker` processes on an
+``AF_UNIX`` socket in a private directory — no TCP port is opened — and
+supervises them: one that dies or freezes is dropped by the coordinator
+and its leases re-leased; once none is left the consumer fails within
+seconds, naming each.  Otherwise the coordinator listens on ``bind``
+(TCP) for remote ``repro fabric-worker`` processes — zero at the start
+is fine; the run waits (up to ``timeout``) for the first to join.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 import queue as queue_module
 import shutil
+import socket
 import tempfile
 import time
 from dataclasses import replace
@@ -21,103 +31,115 @@ from .. import obs as _obs
 from ..graph.events import EventStream
 from ..graph.neighbor_finder import NeighborFinder
 from ..stream import (BatchPlan, BatchProducer, ProducerSpec, StreamError,
-                      export_graph_shards, export_range_shards,
-                      has_csr_shards, has_range_shards, open_stream_shards)
-from ..stream.producer import _shard_num_events
+                      export_stream_shards, has_csr_shards,
+                      open_stream_shards)
 from .coordinator import FabricCoordinator
-from .protocol import format_address
+from .protocol import FabricError, format_address, parse_address
+from .worker import FabricWorker
 
 __all__ = ["FabricProducer"]
 
 
 class FabricProducer(BatchProducer):
-    """Distributed batch production behind the standard producer seam.
+    """Batch production outside the trainer process.
 
     Parameters
     ----------
     spec, plan:
-        As for the other producers.  When ``spec.shard_dir`` is ``None``
+        As for the serial producer.  When ``spec.shard_dir`` is ``None``
         the graph is exported to a temporary directory (cleaned on
         :meth:`close`); give a persistent ``shard_dir`` when remote
         workers must mount the same export.
     bind:
         ``"host:port"`` pair for the coordinator to listen on
         (``(host, port)`` tuples also accepted); port 0 → ephemeral.
+        Default: loopback, ephemeral.  Not with ``num_workers``.
+    num_workers:
+        Local worker processes to spawn and supervise over an
+        ``AF_UNIX`` socket; 0 → workers join over ``bind`` on their own.
     prefetch_batches:
         In-flight bound: leases granted past the consumer cursor, and
         therefore also the reassembly holdback size.
     lease_timeout / heartbeat_timeout:
-        Reclamation knobs, passed through to the coordinator.
+        Reclamation knobs, passed through to the coordinator; local
+        workers beat four times per ``heartbeat_timeout``.
     timeout:
         Consumer-side stall limit — with no completed batch for this
         long, the run aborts with a diagnostic (including whether any
         worker ever connected).
-    num_ranges:
-        Ranges for the lazy CSR export (ignored when the shard dir
-        already carries range shards or the spec needs no finder).
     """
 
     def __init__(self, spec: ProducerSpec, plan: BatchPlan | None = None, *,
-                 bind: str | tuple[str, int] = ("127.0.0.1", 0),
+                 bind: str | tuple[str, int] | None = None,
+                 num_workers: int = 0,
                  prefetch_batches: int = 8, lease_timeout: float = 30.0,
                  heartbeat_timeout: float = 10.0, timeout: float = 600.0,
-                 num_ranges: int = 8,
                  stream: EventStream | None = None,
                  finder: NeighborFinder | None = None):
+        # __del__/close() must work however early __init__ fails.
         self._closed = False
         self._tmpdir: str | None = None
+        self._workers: list = []
         self.coordinator: FabricCoordinator | None = None
         self.reassembly_waits: list[float] = []
         self._timeout = float(timeout)
 
-        if isinstance(bind, str):
-            from .protocol import parse_address
+        if num_workers > 0:
+            if bind is not None:
+                raise ValueError("bind and num_workers are mutually exclusive:"
+                                 " local workers use a private AF_UNIX socket")
+            spawn = _local_worker_context()
+        elif bind is None:
+            bind = ("127.0.0.1", 0)
+        elif isinstance(bind, str):
             bind = parse_address(bind)
         if stream is not None and spec.stream is None:
             spec = replace(spec, stream=stream)
-        if plan is None:
-            num_events = (spec.stream.num_events if spec.stream is not None
-                          else _shard_num_events(spec.shard_dir))
-            plan = spec.make_plan(num_events)
-        self.plan = plan
+        if spec.stream is None and spec.shard_dir is None:
+            raise ValueError("ProducerSpec needs a stream or a shard_dir")
 
         try:
-            if spec.shard_dir is None:
-                if spec.stream is None:
-                    raise ValueError(
-                        "ProducerSpec needs a stream or a shard_dir")
+            if spec.shard_dir is None or num_workers > 0:
+                # mkdtemp → mode 0700: the temporary shard export and
+                # the local workers' socket are this user's only.
                 self._tmpdir = tempfile.mkdtemp(prefix="repro-fabric-")
-                export_finder = finder
-                if spec.needs_finder and export_finder is None:
-                    export_finder = NeighborFinder(spec.stream)
-                export_graph_shards(spec.stream, self._tmpdir,
-                                    finder=export_finder)
-                spec = replace(spec, shard_dir=self._tmpdir)
-                finder = export_finder
-            if spec.needs_finder and not has_range_shards(spec.shard_dir):
-                range_finder = finder
-                if range_finder is None:
-                    if has_csr_shards(spec.shard_dir):
-                        _, range_finder = _open_csr(spec.shard_dir)
-                    else:
-                        graph = (spec.stream
-                                 or open_stream_shards(spec.shard_dir))
-                        range_finder = NeighborFinder(graph)
-                export_range_shards(range_finder, spec.shard_dir,
-                                    num_ranges=max(1, int(num_ranges)))
+            if spec.shard_dir is None:
+                spec = replace(spec, shard_dir=export_stream_shards(
+                    spec.stream, self._tmpdir))
+            need_csr = spec.needs_finder and not has_csr_shards(spec.shard_dir)
+            if need_csr or plan is None:
+                graph = spec.stream or open_stream_shards(spec.shard_dir)
+                if need_csr:
+                    (finder or NeighborFinder(graph)).export(spec.shard_dir)
+                if plan is None:
+                    plan = spec.make_plan(graph.num_events)
+            self.plan = plan
+            # Workers must never receive in-memory graph arrays by pickle.
             self.spec = replace(spec, stream=None)
+            if num_workers > 0:
+                bind = os.path.join(self._tmpdir, "coordinator.sock")
             self.coordinator = FabricCoordinator(
-                self.spec, plan, bind,
+                self.spec, self.plan, bind,
                 prefetch=max(int(prefetch_batches), 1),
                 lease_timeout=lease_timeout,
                 heartbeat_timeout=heartbeat_timeout).start()
+            self._spawned_at = time.monotonic()
+            for i in range(num_workers):
+                worker = FabricWorker(
+                    bind, self.spec.shard_dir, name=f"local-{i}",
+                    heartbeat_interval=min(1.0, heartbeat_timeout / 4))
+                process = spawn.Process(target=_serve_local, args=(worker,),
+                                        daemon=True, name=worker.name)
+                process.start()
+                self._workers.append(process)
         except BaseException:
-            self.close()
+            self.close(grace=0.0)
             raise
 
     # ------------------------------------------------------------------
     @property
-    def address(self) -> tuple[str, int]:
+    def address(self) -> str | tuple[str, int]:
+        """``(host, port)``, or the socket path when workers are local."""
         return self.coordinator.address
 
     @property
@@ -144,9 +166,10 @@ class FabricProducer(BatchProducer):
                 seq, batch, arrived = coord.results.get(timeout=0.5)
             except queue_module.Empty:
                 self._check_failed()
+                self._check_local_workers()
                 if time.monotonic() - last_progress > self._timeout:
                     connected = coord.workers_connected()
-                    ever = coord.workers_ever_joined
+                    ever = coord.workers_ever_joined or self._workers
                     hint = ("" if ever else
                             "; no worker has joined — start one with: "
                             + self.worker_mount_hint())
@@ -180,6 +203,30 @@ class FabricProducer(BatchProducer):
             self.close()
             raise StreamError("fabric coordinator thread died")
 
+    def _check_local_workers(self) -> None:
+        """Fail by name once every local worker is dead or silent; while
+        one serves, the coordinator drops the dead (socket EOF) and the
+        frozen (``heartbeat_timeout``) and re-leases their items."""
+        coord = self.coordinator
+        if not self._workers or coord.workers_connected() or coord.finished:
+            return
+        now = time.monotonic()
+        verdicts = []
+        for process in self._workers:
+            seen, seq = coord.trail.get(process.name, (None, None))
+            silent = now - (seen or self._spawned_at)
+            if process.exitcode is not None:
+                verdict = f"exit code {process.exitcode}"
+            elif silent > coord.heartbeat_timeout:
+                verdict = f"alive but silent for {silent:.1f}s"
+            else:
+                return  # still starting up
+            verdicts.append(f"{process.name} ({verdict}, "
+                            f"last leased seq={seq})")
+        self.close(grace=0.0)
+        raise StreamError("every local fabric worker is gone: "
+                          + ", ".join(verdicts))
+
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         stats = self.coordinator.stats() if self.coordinator else {}
@@ -190,14 +237,28 @@ class FabricProducer(BatchProducer):
             stats["reassembly_wait_p99_s"] = summary["p99"]
         return stats
 
-    def close(self) -> None:
+    def close(self, grace: float = 3.0) -> None:
+        """Stop the coordinator, reap local workers (``grace`` seconds to
+        exit on SHUTDOWN, then SIGTERM, then SIGKILL — the only signal a
+        stopped process takes), remove the private directory; idempotent."""
         if self._closed:
             return
         self._closed = True
-        if self.coordinator is not None:
-            self.coordinator.close()
-        if self._tmpdir is not None:
-            shutil.rmtree(self._tmpdir, ignore_errors=True)
+        try:
+            if self.coordinator is not None:
+                self.coordinator.close()
+            for wait, escalate in ((grace, None), (1.0, "terminate"),
+                                   (5.0, "kill")):
+                alive = [p for p in self._workers if p.is_alive()]
+                if escalate is not None:
+                    for process in alive:
+                        getattr(process, escalate)()
+                deadline = time.monotonic() + wait
+                for process in alive:
+                    process.join(max(deadline - time.monotonic(), 0.0))
+        finally:
+            if self._tmpdir is not None:
+                shutil.rmtree(self._tmpdir, ignore_errors=True)
 
     def __del__(self):  # best-effort safety net
         try:
@@ -206,6 +267,22 @@ class FabricProducer(BatchProducer):
             pass
 
 
-def _open_csr(shard_dir: str):
-    from ..stream.shards import open_graph_shards
-    return open_graph_shards(shard_dir, mmap=True)
+def _serve_local(worker: FabricWorker) -> None:
+    """Entry point of a spawned local worker process."""
+    try:
+        worker.run()
+    except FabricError as exc:
+        # Socket already removed: the run ended before this worker was up.
+        if os.path.exists(worker.address):
+            raise SystemExit(f"[fabric worker {worker.name}] {exc}")
+
+
+def _local_worker_context():
+    """The ``spawn`` context local workers start from (a fork would
+    copy the trainer's threads' locks), if the platform can run them."""
+    if hasattr(socket, "AF_UNIX") and "spawn" in mp.get_all_start_methods():
+        return mp.get_context("spawn")
+    raise StreamError(  # pragma: no cover - platform-specific
+        "local fabric workers need AF_UNIX sockets and the 'spawn' start "
+        "method, which this platform does not provide; run with "
+        "num_workers=0")

@@ -8,10 +8,10 @@ Because production is a pure function of ``(graph, work item)``, a
 worker can crash, rejoin, or duplicate another worker's item without
 affecting what the trainer sees.
 
-Workers open the graph through **range-sharded CSR** when the shard
-directory carries one (:func:`~repro.stream.open_range_sharded_finder`):
-adjacency segments are memory-mapped lazily, so a worker only pages in
-the node ranges its leased items actually sample.
+Every worker — spawned locally by :class:`~repro.fabric.FabricProducer`
+for ``num_workers``, or a remote ``repro fabric-worker`` — opens the flat
+memory-mapped shards every other reader uses
+(:class:`~repro.stream.SamplingContext` over the mounted directory).
 
 This module is also the ``repro fabric-worker`` CLI entry point.
 """
@@ -27,9 +27,7 @@ import traceback
 from dataclasses import replace
 
 from .. import obs as _obs
-from ..stream import (SamplingContext, has_range_shards,
-                      open_range_sharded_finder, open_stream_shards,
-                      produce_batch, shard_fingerprint)
+from ..stream import SamplingContext, produce_batch, shard_fingerprint
 from .protocol import (BYE, ERROR, HEARTBEAT, HELLO, LEASE,
                        PROTOCOL_VERSION, REJECT, RESULT, SHUTDOWN, WELCOME,
                        FabricError, format_address, parse_address,
@@ -44,7 +42,8 @@ class FabricWorker:
     Parameters
     ----------
     address:
-        ``(host, port)`` of the coordinator.
+        ``(host, port)`` of the coordinator, or the path of its
+        ``AF_UNIX`` socket.
     shard_dir:
         Local mount of the run's exported graph shards.  Its fingerprint
         is checked against the coordinator's during the handshake.
@@ -64,7 +63,7 @@ class FabricWorker:
         worker start *before* its coordinator (or outlive a restart).
     """
 
-    def __init__(self, address: tuple[str, int], shard_dir: str, *,
+    def __init__(self, address: str | tuple[str, int], shard_dir: str, *,
                  name: str | None = None, capacity: int = 2,
                  mmap: bool = True, heartbeat_interval: float = 1.0,
                  retry_for: float = 0.0):
@@ -75,7 +74,6 @@ class FabricWorker:
         self.mmap = mmap
         self.heartbeat_interval = float(heartbeat_interval)
         self.retry_for = float(retry_for)
-        self._finder = None
 
     # ------------------------------------------------------------------
     def run(self, max_results: int | None = None) -> dict:
@@ -108,7 +106,7 @@ class FabricWorker:
             self.name = reply.get("name", self.name)
             spec = replace(reply["spec"], stream=None,
                            shard_dir=self.shard_dir, mmap=self.mmap)
-            ctx = self._make_context(spec)
+            ctx = SamplingContext(spec)
 
             heartbeat = threading.Thread(
                 target=self._heartbeat_loop, args=(sock, stop, send_lock),
@@ -160,27 +158,15 @@ class FabricWorker:
                 sock.close()
             except OSError:
                 pass
-        stats = {"name": self.name, "produced": produced,
-                 "graceful": graceful}
-        store = getattr(self._finder, "range_store", None)
-        if store is not None:
-            stats["ranges_opened"] = sorted(store.opened)
-            stats["num_ranges"] = len(store.node_bounds) - 1
-        return stats
+        return {"name": self.name, "produced": produced,
+                "graceful": graceful}
 
     # ------------------------------------------------------------------
     def _connect(self) -> socket.socket:
         deadline = time.monotonic() + self.retry_for
         while True:
             try:
-                sock = socket.create_connection(self.address, timeout=10.0)
-                sock.settimeout(None)
-                try:
-                    sock.setsockopt(socket.IPPROTO_TCP,
-                                    socket.TCP_NODELAY, 1)
-                except OSError:
-                    pass
-                return sock
+                return self._open_socket()
             except OSError as exc:
                 if time.monotonic() >= deadline:
                     raise FabricError(
@@ -188,17 +174,22 @@ class FabricWorker:
                         f"{format_address(self.address)}: {exc}") from exc
                 time.sleep(0.2)
 
-    def _make_context(self, spec) -> SamplingContext:
-        """Resolve the graph, preferring lazy range-sharded CSR."""
-        if spec.needs_finder and has_range_shards(self.shard_dir):
-            stream = open_stream_shards(self.shard_dir, mmap=self.mmap)
-            finder = open_range_sharded_finder(self.shard_dir,
-                                               mmap=self.mmap)
-            ctx = SamplingContext(spec, stream=stream, finder=finder)
-        else:
-            ctx = SamplingContext(spec)
-        self._finder = ctx.finder
-        return ctx
+    def _open_socket(self) -> socket.socket:
+        if isinstance(self.address, str):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                sock.connect(self.address)
+            except OSError:
+                sock.close()
+                raise
+            return sock
+        sock = socket.create_connection(self.address, timeout=10.0)
+        sock.settimeout(None)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass
+        return sock
 
     def _heartbeat_loop(self, sock: socket.socket, stop: threading.Event,
                         send_lock: threading.Lock) -> None:
@@ -252,13 +243,8 @@ def main(argv: list[str] | None = None) -> int:
                           mmap=not args.no_mmap, retry_for=args.retry_for)
     stats = worker.run(max_results=args.max_results)
     if not args.quiet:
-        opened = stats.get("ranges_opened")
-        extra = ""
-        if opened is not None:
-            extra = (f", opened {len(opened)}/{stats['num_ranges']} "
-                     "range shards")
         print(f"[fabric-worker {stats['name']}] produced "
-              f"{stats['produced']} batch(es){extra}")
+              f"{stats['produced']} batch(es)")
     return 0
 
 

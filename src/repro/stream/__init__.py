@@ -8,10 +8,12 @@ staging — is extracted behind a producer/consumer seam:
   work items; :func:`batch_rngs` derives each batch's generators from
   ``(seed, epoch, batch_idx)``, so production is order-independent and
   process-independent.
-* :class:`SerialProducer` runs production in-process;
-  :class:`MultiprocessProducer` fans it out over spawn workers that
+* :class:`SerialProducer` runs production in-process; every other
+  producer :func:`make_producer` builds is a
+  :class:`~repro.fabric.FabricProducer`, whose workers — local processes
+  for ``num_workers=N``, remote ones for ``fabric="host:port"`` —
   memory-map the graph from shards (:mod:`repro.stream.shards`) instead
-  of pickling it.  Both yield bit-identical :class:`PreparedBatch`es.
+  of pickling it.  All yield bit-identical :class:`PreparedBatch`es.
 * Trainers (:class:`~repro.core.pretrainer.CPDGPreTrainer`, the
   fine-tuning tasks) are pure consumers: they iterate prepared batches
   and keep only encoder / memory / optimizer state.
@@ -20,25 +22,18 @@ staging — is extracted behind a producer/consumer seam:
 from .plan import (BatchPlan, BatchRngs, StreamError, WorkItem,
                    batch_rngs, batch_seed_sequence)
 from .prepared import MessageSkeleton, PreparedBatch
-from .producer import (BatchProducer, MultiprocessProducer, ProducerSpec,
-                       SamplingContext, SerialProducer, make_producer,
-                       produce_batch)
-from .shards import (RangeShard, RangeShardStore, ShardedColumn,
-                     export_graph_shards, export_range_shards,
-                     export_stream_shards, has_csr_shards, has_range_shards,
-                     open_graph_shards, open_range_shard,
-                     open_range_sharded_finder, open_stream_shards,
+from .producer import (BatchProducer, ProducerSpec, SamplingContext,
+                       SerialProducer, make_producer, produce_batch)
+from .shards import (export_graph_shards, export_stream_shards,
+                     has_csr_shards, open_graph_shards, open_stream_shards,
                      shard_fingerprint)
 
 __all__ = [
     "BatchPlan", "BatchRngs", "StreamError", "WorkItem",
     "batch_rngs", "batch_seed_sequence",
     "MessageSkeleton", "PreparedBatch",
-    "BatchProducer", "MultiprocessProducer", "ProducerSpec",
-    "SamplingContext", "SerialProducer", "make_producer", "produce_batch",
+    "BatchProducer", "ProducerSpec", "SamplingContext", "SerialProducer",
+    "make_producer", "produce_batch",
     "export_graph_shards", "export_stream_shards", "has_csr_shards",
-    "open_graph_shards", "open_stream_shards",
-    "RangeShard", "RangeShardStore", "ShardedColumn",
-    "export_range_shards", "has_range_shards", "open_range_shard",
-    "open_range_sharded_finder", "shard_fingerprint",
+    "open_graph_shards", "open_stream_shards", "shard_fingerprint",
 ]

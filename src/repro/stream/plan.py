@@ -13,7 +13,7 @@ on every batch sampled before it — producing batches out of order (or
 resuming mid-run) silently changed results.  :func:`batch_rngs` instead
 derives each batch's generators from ``(seed, epoch, batch_idx)`` via
 ``numpy.random.SeedSequence``, making every batch's randomness a pure
-function of its coordinates: serial and multiprocess producers are
+function of its coordinates: serial and worker-process producers are
 bit-identical, and any batch can be regenerated in isolation.
 """
 

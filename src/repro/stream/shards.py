@@ -10,19 +10,18 @@ the event arrays and adjacency through the page cache instead of each
 unpickling a private replica.  The same mechanism lets a single-process
 trainer run streams that exceed RAM (``CPDGConfig.mmap_graph``).
 
-Two extensions serve the distributed fabric (:mod:`repro.fabric`):
+``shard_fingerprint`` digests a shard directory (manifests + per-file
+size and head/tail bytes) so a fabric coordinator
+(:mod:`repro.fabric`) can reject workers that mounted a different graph.
 
-* **Range shards** — ``export_range_shards`` splits the CSR's flat
-  ``neighbors``/``times``/``event_ids`` columns into per-node-range
-  files (balanced by row count, not node count, so hub-heavy ranges
-  stay comparable).  ``open_range_sharded_finder`` rebuilds a full
-  :class:`~repro.graph.neighbor_finder.NeighborFinder` over *lazy*
-  virtual columns that open a range's file only when a query first
-  lands in it — a remote producer therefore maps only the segments its
-  leased frontier touches, never the whole adjacency.
-* **Fingerprinting** — ``shard_fingerprint`` digests a shard directory
-  (manifests + per-file size and head/tail bytes) so a fabric
-  coordinator can reject workers that mounted a different graph.
+This flat layout is the only one: the trainer under ``mmap_graph`` and
+every fabric worker map the same ``csr_*.npy`` files, and the kernel
+pages them in 4 kB at a time, so a worker's resident set already follows
+the node ranges its leases touch.  A ``--shard-dir`` reused from a build
+that also wrote a range-split copy (``csr_range*.npy`` /
+``csr_ranges.json``) still works: readers never open those files, though
+they do enter ``shard_fingerprint`` — on the coordinator's and the
+workers' side alike.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +37,12 @@ from ..graph.neighbor_finder import NeighborFinder
 
 __all__ = ["export_stream_shards", "open_stream_shards",
            "export_graph_shards", "open_graph_shards", "has_csr_shards",
-           "export_range_shards", "open_range_shard", "has_range_shards",
-           "open_range_sharded_finder", "RangeShard", "RangeShardStore",
-           "ShardedColumn", "shard_fingerprint"]
+           "shard_fingerprint"]
 
 _STREAM_META = "stream_meta.json"
 _REQUIRED = ("src", "dst", "timestamps")
 _OPTIONAL = ("edge_feats", "labels")
 _CSR_META = "csr_meta.json"
-_RANGE_META = "csr_ranges.json"
-_RANGE_INDPTR = "csr_range_indptr.npy"
-_RANGE_COLUMNS = {"neighbors": np.int64, "times": np.float64,
-                  "event_ids": np.int64}
 
 
 def export_stream_shards(stream: EventStream, directory: str) -> str:
@@ -117,227 +109,6 @@ def open_graph_shards(directory: str, mmap: bool = True
 
 
 # ----------------------------------------------------------------------
-# range-sharded CSR (the fabric's worker-side view of the adjacency)
-# ----------------------------------------------------------------------
-
-def export_range_shards(finder: NeighborFinder, directory: str,
-                        num_ranges: int = 8) -> dict:
-    """Split the finder's flat CSR columns into per-node-range files.
-
-    Range boundaries are chosen to balance *flat rows* (not nodes), so a
-    power-law graph's hub range is no heavier than the tail ranges.  The
-    full ``indptr`` is written alongside (it is ``num_nodes + 1`` int64 —
-    small next to the doubled event columns) because every query needs
-    it to address the flat space; only the three event-sized columns are
-    range-split.  Returns the manifest dict (also written as
-    ``csr_ranges.json``).
-    """
-    if num_ranges < 1:
-        raise ValueError("num_ranges must be >= 1")
-    os.makedirs(directory, exist_ok=True)
-    indptr = np.ascontiguousarray(finder.indptr, dtype=np.int64)
-    num_nodes = finder.num_nodes
-    total_rows = int(indptr[-1])
-    num_ranges = max(1, min(num_ranges, num_nodes))
-    # Node bounds whose flat spans are as equal as the degree sequence
-    # allows; np.unique drops empty ranges created by giant hubs.
-    targets = np.linspace(0, total_rows, num_ranges + 1)
-    bounds = np.unique(np.searchsorted(indptr, targets, side="left"))
-    bounds[0], bounds[-1] = 0, num_nodes
-    bounds = np.unique(bounds)
-    if len(bounds) < 2:  # degenerate (edgeless) graph: one empty range
-        bounds = np.array([0, num_nodes], dtype=np.int64)
-    offsets = indptr[bounds]
-    for i in range(len(bounds) - 1):
-        lo_f, hi_f = int(offsets[i]), int(offsets[i + 1])
-        for name in _RANGE_COLUMNS:
-            column = getattr(finder, name)
-            np.save(os.path.join(directory, f"csr_range{i:04d}_{name}.npy"),
-                    np.ascontiguousarray(column[lo_f:hi_f]))
-    np.save(os.path.join(directory, _RANGE_INDPTR), indptr)
-    meta = {"num_nodes": int(num_nodes),
-            "num_rows": total_rows,
-            "num_ranges": int(len(bounds) - 1),
-            "node_bounds": [int(b) for b in bounds],
-            "flat_offsets": [int(o) for o in offsets]}
-    with open(os.path.join(directory, _RANGE_META), "w") as fh:
-        json.dump(meta, fh)
-    return meta
-
-
-def has_range_shards(directory: str) -> bool:
-    return os.path.exists(os.path.join(directory, _RANGE_META))
-
-
-@dataclass
-class RangeShard:
-    """One node range's slice of the CSR, with a rebased local indptr.
-
-    ``indptr`` is local to the shard (``indptr[0] == 0``); node ``n`` in
-    ``[node_lo, node_hi)`` owns the local flat slice
-    ``[indptr[n - node_lo], indptr[n - node_lo + 1])``.
-    """
-
-    index: int
-    node_lo: int
-    node_hi: int
-    indptr: np.ndarray
-    neighbors: np.ndarray
-    times: np.ndarray
-    event_ids: np.ndarray
-
-
-class RangeShardStore:
-    """Lazy loader for one directory's range shards.
-
-    ``load(i)`` memory-maps range ``i``'s columns on first touch and
-    records it in :attr:`opened` — the observable contract behind
-    "a worker maps only the ranges its leased frontier touches".
-    """
-
-    def __init__(self, directory: str, mmap: bool = True):
-        meta_path = os.path.join(directory, _RANGE_META)
-        if not os.path.exists(meta_path):
-            raise FileNotFoundError(f"no range shards in {directory!r} "
-                                    f"(missing {_RANGE_META})")
-        with open(meta_path) as fh:
-            self.meta = json.load(fh)
-        self.directory = directory
-        self.mmap = mmap
-        self.num_ranges = int(self.meta["num_ranges"])
-        self.node_bounds = np.asarray(self.meta["node_bounds"],
-                                      dtype=np.int64)
-        self.flat_offsets = np.asarray(self.meta["flat_offsets"],
-                                       dtype=np.int64)
-        self.opened: set[int] = set()
-        self._cache: dict[int, dict[str, np.ndarray]] = {}
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.meta["num_rows"])
-
-    def load(self, index: int) -> dict[str, np.ndarray]:
-        if not 0 <= index < self.num_ranges:
-            raise IndexError(f"range shard {index} out of range "
-                             f"({self.num_ranges})")
-        cached = self._cache.get(index)
-        if cached is None:
-            mode = "r" if self.mmap else None
-            cached = {name: np.load(
-                os.path.join(self.directory,
-                             f"csr_range{index:04d}_{name}.npy"),
-                mmap_mode=mode) for name in _RANGE_COLUMNS}
-            self._cache[index] = cached
-            self.opened.add(index)
-        return cached
-
-    def indptr(self) -> np.ndarray:
-        mode = "r" if self.mmap else None
-        return np.load(os.path.join(self.directory, _RANGE_INDPTR),
-                       mmap_mode=mode)
-
-
-def open_range_shard(directory: str, index: int,
-                     mmap: bool = True) -> RangeShard:
-    """Open one node range's CSR slice (arrays memory-mapped by default)."""
-    store = RangeShardStore(directory, mmap=mmap)
-    arrays = store.load(index)
-    lo = int(store.node_bounds[index])
-    hi = int(store.node_bounds[index + 1])
-    indptr = np.asarray(store.indptr()[lo:hi + 1], dtype=np.int64)
-    return RangeShard(index=index, node_lo=lo, node_hi=hi,
-                      indptr=indptr - indptr[0], **arrays)
-
-
-class ShardedColumn:
-    """A virtual flat array backed by lazily-opened range shards.
-
-    Supports the exact access patterns :class:`NeighborFinder` and the
-    §IV-A samplers use — ``len()``, contiguous slices, scalar ints and
-    1-D/2-D integer fancy indexing — and resolves each one to gathers on
-    only the ranges the requested flat indices fall in.  Every gather
-    returns a plain in-memory ndarray, so results never leak references
-    to the maps.
-    """
-
-    def __init__(self, store: RangeShardStore, name: str):
-        if name not in _RANGE_COLUMNS:
-            raise ValueError(f"unknown range column {name!r}")
-        self._store = store
-        self._name = name
-        self._dtype = np.dtype(_RANGE_COLUMNS[name])
-        self._offsets = store.flat_offsets
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._dtype
-
-    def __len__(self) -> int:
-        return self._store.num_rows
-
-    def _shard_array(self, index: int) -> np.ndarray:
-        return self._store.load(index)[self._name]
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            start, stop, step = idx.indices(len(self))
-            if step != 1:
-                return self[np.arange(start, stop, step, dtype=np.int64)]
-            if start >= stop:
-                return np.empty(0, dtype=self._dtype)
-            first = int(np.searchsorted(self._offsets, start,
-                                        side="right")) - 1
-            last = int(np.searchsorted(self._offsets, stop - 1,
-                                       side="right")) - 1
-            parts = []
-            for s in range(first, last + 1):
-                lo = max(start, int(self._offsets[s])) - int(self._offsets[s])
-                hi = min(stop, int(self._offsets[s + 1])) \
-                    - int(self._offsets[s])
-                parts.append(np.asarray(self._shard_array(s)[lo:hi]))
-            return parts[0].copy() if len(parts) == 1 \
-                else np.concatenate(parts)
-        idx = np.asarray(idx)
-        if idx.ndim == 0:
-            flat = int(idx)
-            s = int(np.searchsorted(self._offsets, flat, side="right")) - 1
-            return self._shard_array(s)[flat - int(self._offsets[s])]
-        flat = np.asarray(idx, dtype=np.int64).ravel()
-        out = np.empty(flat.shape, dtype=self._dtype)
-        if len(flat):
-            which = np.searchsorted(self._offsets[1:], flat, side="right")
-            for s in np.unique(which):
-                sel = which == s
-                arr = self._shard_array(int(s))
-                out[sel] = arr[flat[sel] - int(self._offsets[s])]
-        return out.reshape(idx.shape)
-
-    def __array__(self, dtype=None):
-        # Compatibility fallback: materializes everything (defeats
-        # laziness, so the query paths deliberately never hit it).
-        full = self[0:len(self)]
-        return full if dtype is None else full.astype(dtype)
-
-
-def open_range_sharded_finder(directory: str,
-                              mmap: bool = True) -> NeighborFinder:
-    """A full :class:`NeighborFinder` over lazily-opened range shards.
-
-    The returned finder carries a ``range_store`` attribute
-    (:class:`RangeShardStore`) whose ``opened`` set records which ranges
-    queries have actually touched.
-    """
-    store = RangeShardStore(directory, mmap=mmap)
-    finder = NeighborFinder.from_arrays(
-        store.indptr(),
-        ShardedColumn(store, "neighbors"),
-        ShardedColumn(store, "times"),
-        ShardedColumn(store, "event_ids"))
-    finder.range_store = store
-    return finder
-
-
-# ----------------------------------------------------------------------
 # shard-directory fingerprint (the fabric handshake's graph identity)
 # ----------------------------------------------------------------------
 
@@ -346,9 +117,8 @@ def shard_fingerprint(directory: str) -> str:
 
     Hashes every manifest in full plus, for each ``.npy`` shard, its
     name, size and head/tail 64 KiB — enough to distinguish different
-    graphs (and different exports of the same graph with different
-    sharding) without streaming hundreds of millions of edges through
-    the hash.  Deterministic across machines for identical exports.
+    graphs without streaming hundreds of millions of edges through the
+    hash.  Deterministic across machines for identical exports.
     """
     digest = hashlib.sha256()
     names = sorted(name for name in os.listdir(directory)

@@ -46,7 +46,7 @@ class FineTuneConfig:
     # bit-identical to eager with transparent fallback on shape changes.
     compile_step: bool = True
     # Streaming batch pipeline (repro.stream): 0 = in-process production,
-    # N >= 1 = spawn workers; prefetch bounds in-flight batches.
+    # N >= 1 = local fabric workers; prefetch bounds in-flight batches.
     num_workers: int = 0
     prefetch_batches: int = 4
 

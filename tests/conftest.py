@@ -32,6 +32,13 @@ def tiny_labeled_stream():
     return LabeledInteractionGenerator(config, seed=11).generate(name="tiny-labeled")
 
 
+@pytest.fixture
+def spare_cores(monkeypatch):
+    """``make_producer`` goes serial without a spare core; tests that
+    drive local fabric workers take that path whatever box they run on."""
+    monkeypatch.setattr("repro.stream.producer._usable_cores", lambda: 8)
+
+
 def numeric_gradient(fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function w.r.t. ``array``."""
     grad = np.zeros_like(array)

@@ -42,6 +42,8 @@ class TestRoundTrip:
         # it in both stage sections; they load as if it were absent.
         payload["pretrain"]["backend"] = "numpy"
         payload["finetune"]["backend"] = "numpy"
+        # Likewise the range-shard count of the deleted second CSR layout.
+        payload["pretrain"]["fabric_ranges"] = 4
         path.write_text(json.dumps(payload))
         assert RunConfig.from_json(str(path)) == config
 
@@ -110,7 +112,8 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="nonsection"):
             RunConfig().with_overrides({"nonsection.beta": 1})
         # Retired keys are tolerated in files, not on the command line.
-        for key in ("nn.backend", "pretrain.backend", "finetune.backend"):
+        for key in ("nn.backend", "pretrain.backend", "finetune.backend",
+                    "pretrain.fabric_ranges"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 RunConfig().with_overrides({key: "numpy"})
 

@@ -423,11 +423,12 @@ class TestWideSegments:
         np.testing.assert_array_equal(first.indptr, again.indptr)
         assert not np.array_equal(first.nodes, other.nodes)
 
-    def test_serial_and_spawn_worker_agree(self):
-        """Coordinate-seeded draws: one spawn worker over memory-mapped
-        shards produces the serial producer's wide-segment batches."""
-        from repro.stream import (MultiprocessProducer, ProducerSpec,
-                                  SerialProducer)
+    def test_serial_and_spawn_worker_agree(self, spare_cores):
+        """Coordinate-seeded draws: one spawned fabric worker over
+        memory-mapped shards produces the serial producer's wide-segment
+        batches."""
+        from repro.stream import (ProducerSpec, SerialProducer,
+                                  make_producer)
         rng = np.random.default_rng(4)
         events = 600
         stream = EventStream(
@@ -439,7 +440,8 @@ class TestWideSegments:
         spec = ProducerSpec(batch_size=150, sample_temporal=True, eta=10,
                             depth=2, stream=stream)
         serial = list(SerialProducer(spec))
-        with MultiprocessProducer(spec, num_workers=1) as producer:
+        with make_producer(spec, num_workers=1) as producer:
+            assert len(producer._workers) == 1
             spawned = list(producer)
         assert len(serial) == len(spawned) == 4
         for a, b in zip(serial, spawned):

@@ -3,14 +3,20 @@
 The contract: however workers crash, stall, hoard leases, join late or
 mount the wrong shards, the consumer sees every batch exactly once, in
 plan order, bit-identical to the in-process serial producer — or gets a
-clear error.  Range-sharded CSR must answer every finder query exactly
-like the in-memory adjacency, while memory-mapping only the node ranges
-actually touched.
+clear error.  Workers read the flat memory-mapped shards every other
+reader uses (golden test: ``TestMmapShards`` in test_stream_pipeline);
+local workers (``num_workers``) additionally must open no TCP port,
+survive the loss of all but one of them, fail by name when none is left,
+and never outlive their producer.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import signal
 import socket
+import stat
 import threading
 import time
 from dataclasses import replace
@@ -28,40 +34,16 @@ from repro.fabric.protocol import (HEARTBEAT, HELLO, LEASE, REJECT, RESULT,
 from repro.graph.events import EventStream
 from repro.graph.neighbor_finder import NeighborFinder
 from repro.stream import (BatchPlan, SamplingContext, SerialProducer,
-                          ShardedColumn, StreamError, export_graph_shards,
-                          export_range_shards, open_range_shard,
-                          open_range_sharded_finder, produce_batch,
+                          StreamError, export_graph_shards, make_producer,
+                          open_graph_shards, produce_batch,
                           shard_fingerprint)
 from tests.test_stream_pipeline import (assert_prepared_equal, make_stream,
                                         small_config, spec_for)
 
 
-def exported(stream, directory, num_ranges=4) -> str:
-    finder = NeighborFinder(stream)
-    export_graph_shards(stream, str(directory), finder=finder)
-    export_range_shards(finder, str(directory), num_ranges=num_ranges)
-    return str(directory)
-
-
-def locality_stream(num_blocks=4, events_per_block=60,
-                    nodes_per_block=10) -> EventStream:
-    """Events confined to disjoint node blocks, chronologically blocked —
-    a batch's sampling frontier stays inside its blocks' ranges."""
-    src, dst, ts = [], [], []
-    t0 = 0.0
-    for b in range(num_blocks):
-        rng = np.random.default_rng(b)
-        lo = b * nodes_per_block
-        half = nodes_per_block // 2
-        src.append(rng.integers(lo, lo + half, events_per_block))
-        dst.append(rng.integers(lo + half, lo + nodes_per_block,
-                                events_per_block))
-        ts.append(np.sort(rng.uniform(t0, t0 + 100.0, events_per_block)))
-        t0 += 100.0
-    return EventStream(src=np.concatenate(src), dst=np.concatenate(dst),
-                       timestamps=np.concatenate(ts),
-                       num_nodes=num_blocks * nodes_per_block,
-                       name="locality")
+def exported(stream, directory) -> str:
+    return export_graph_shards(stream, str(directory),
+                               finder=NeighborFinder(stream))
 
 
 class WorkerHarness:
@@ -126,101 +108,50 @@ def run_fabric(spec, *, workers, prefetch=6, lease_timeout=15.0,
 
 
 # ----------------------------------------------------------------------
-# range-sharded CSR
+# shard directories: identity, and leftovers of the range-split layout
 # ----------------------------------------------------------------------
 
 class TestRangeShards:
-    def test_finder_equivalence_over_range_shards(self, tmp_path):
-        stream = make_stream()
-        full = NeighborFinder(stream)
-        exported(stream, tmp_path)
-        sharded = open_range_sharded_finder(str(tmp_path))
-
-        rng = np.random.default_rng(7)
-        nodes = rng.integers(0, stream.num_nodes, 64)
-        ts = rng.uniform(0.0, 120.0, 64)
-        np.testing.assert_array_equal(full.batch_degree(nodes, ts),
-                                      sharded.batch_degree(nodes, ts))
-        for a, b in zip(full.batch_most_recent(nodes, ts, 5),
-                        sharded.batch_most_recent(nodes, ts, 5)):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(
-            full.batch_last_update(nodes, stream.num_events // 2),
-            sharded.batch_last_update(nodes, stream.num_events // 2))
-        for node in (0, 17, stream.num_nodes - 1):
-            for a, b in zip(full.before(node, 60.0),
-                            sharded.before(node, 60.0)):
-                np.testing.assert_array_equal(a, b)
-
-    def test_produce_batch_equivalence_over_range_shards(self, tmp_path):
-        stream = make_stream()
-        cfg = small_config()
-        spec = spec_for(stream, cfg)
-        exported(stream, tmp_path)
-        remote_spec = replace(spec, stream=None, shard_dir=str(tmp_path))
-        ctx = SamplingContext(
-            remote_spec, finder=open_range_sharded_finder(str(tmp_path)))
-        plan = spec.make_plan(stream.num_events)
-        baseline = SamplingContext(spec)
-        for item in plan:
-            assert_prepared_equal(produce_batch(baseline, item),
-                                  produce_batch(ctx, item))
-
-    def test_sharded_column_matches_flat_indexing(self, tmp_path):
-        stream = make_stream()
-        finder = NeighborFinder(stream)
-        export_graph_shards(stream, str(tmp_path), finder=finder)
-        export_range_shards(finder, str(tmp_path), num_ranges=5)
-        sharded = open_range_sharded_finder(str(tmp_path))
-        flat = np.asarray(finder.neighbors)
-        column = sharded.neighbors
-        assert isinstance(column, ShardedColumn)
-        assert len(column) == len(flat)
-        rng = np.random.default_rng(1)
-        fancy1d = rng.integers(0, len(flat), 40)
-        fancy2d = rng.integers(0, len(flat), (8, 5))
-        np.testing.assert_array_equal(column[3:17], flat[3:17])
-        np.testing.assert_array_equal(column[fancy1d], flat[fancy1d])
-        np.testing.assert_array_equal(column[fancy2d], flat[fancy2d])
-        assert column[len(flat) - 1] == flat[-1]
-        np.testing.assert_array_equal(np.asarray(column), flat)
-
-    def test_open_single_range_shard(self, tmp_path):
-        stream = make_stream()
-        exported(stream, tmp_path, num_ranges=4)
-        shard = open_range_shard(str(tmp_path), 0)
-        assert shard.node_lo == 0 and shard.node_hi > 0
-        assert len(shard.indptr) == shard.node_hi - shard.node_lo + 1
-        assert shard.indptr[0] == 0
-        assert len(shard.neighbors) == shard.indptr[-1]
-
-    def test_laziness_only_touched_ranges_open(self, tmp_path):
-        stream = locality_stream()
-        exported(stream, tmp_path, num_ranges=4)
-        spec = replace(
-            spec_for(stream, small_config(batch_size=60, epochs=1)),
-            stream=None, shard_dir=str(tmp_path),
-            sample_structural=False)  # structural roots are stream-wide
-        finder = open_range_sharded_finder(str(tmp_path))
-        ctx = SamplingContext(spec, finder=finder)
-        plan = spec.make_plan(stream.num_events)
-        produce_batch(ctx, plan.item(0))  # events of node block 0 only
-        opened = finder.range_store.opened
-        total = len(finder.range_store.node_bounds) - 1
-        assert opened, "nothing opened — laziness test is vacuous"
-        assert len(opened) < total, \
-            f"batch confined to one node block opened all {total} ranges"
+    """The per-node-range CSR copy is gone; what is left to check is the
+    directory fingerprint and that files an earlier build wrote into a
+    reused ``--shard-dir`` do no harm."""
 
     def test_fingerprint_tracks_content(self, tmp_path):
         stream = make_stream()
         exported(stream, tmp_path)
         before = shard_fingerprint(str(tmp_path))
         assert before == shard_fingerprint(str(tmp_path))
-        target = next(tmp_path.glob("csr_range0000_*.npy"))
+        target = tmp_path / "csr_neighbors.npy"
         blob = bytearray(target.read_bytes())
         blob[-1] ^= 0xFF
         target.write_bytes(bytes(blob))
         assert shard_fingerprint(str(tmp_path)) != before
+
+    def test_stale_range_files_are_ignored_by_readers(self, tmp_path):
+        stream = make_stream()
+        spec = spec_for(stream, small_config())
+        exported(stream, tmp_path)
+        clean = shard_fingerprint(str(tmp_path))
+        # What export_range_shards used to leave behind — here garbage,
+        # so any reader that opened them would fail or diverge.
+        np.save(tmp_path / "csr_range0000_neighbors.npy", np.arange(3))
+        np.save(tmp_path / "csr_range_indptr.npy", np.zeros(2))
+        (tmp_path / "csr_ranges.json").write_text(json.dumps(
+            {"num_ranges": 1, "node_bounds": [0, 1], "flat_offsets": [0, 3],
+             "num_nodes": 1, "num_rows": 3}))
+        reopened, finder = open_graph_shards(str(tmp_path))
+        np.testing.assert_array_equal(finder.neighbors,
+                                      NeighborFinder(stream).neighbors)
+        # Both sides hash the same directory, so the handshake passes and
+        # a worker over it still produces the serial batches.
+        assert shard_fingerprint(str(tmp_path)) != clean
+        batches, _, harness = run_fabric(
+            replace(spec, stream=None, shard_dir=str(tmp_path)),
+            workers=[{"name": "a"}])
+        harness.join()
+        for a, b in zip(SerialProducer(spec), batches):
+            assert_prepared_equal(a, b)
+        assert len(batches) == len(spec.make_plan(stream.num_events))
 
 
 # ----------------------------------------------------------------------
@@ -585,6 +516,129 @@ class TestFabricChaos:
         finally:
             producer.close()
         thread.join(10.0)
+
+
+# ----------------------------------------------------------------------
+# local workers (num_workers): spawned, supervised, AF_UNIX only
+# ----------------------------------------------------------------------
+
+def wait_for_workers(producer, count, timeout=20.0):
+    """Block until ``count`` workers are connected; returns their names
+    in join order (the coordinator's grant order)."""
+    deadline = time.monotonic() + timeout
+    while producer.coordinator.workers_connected() < count:
+        assert time.monotonic() < deadline, "local workers never joined"
+        time.sleep(0.02)
+    return list(producer.stats()["workers"])
+
+
+@pytest.mark.usefixtures("spare_cores")
+class TestLocalWorkers:
+    def local(self, stream, workers=2, **options):
+        return make_producer(spec_for(stream, small_config()),
+                             num_workers=workers, fabric_options=options)
+
+    def serial(self, stream):
+        return list(SerialProducer(spec_for(stream, small_config())))
+
+    def test_no_tcp_socket_and_private_socket_directory(self, monkeypatch):
+        """Frames are unpickled before a peer is identified, so local
+        workers must not be reachable from the network: every socket the
+        trainer process opens is AF_UNIX, inside a 0700 directory."""
+        families = []
+
+        class Recording(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                families.append(self.family)
+
+        monkeypatch.setattr(socket, "socket", Recording)
+        stream = make_stream()
+        with self.local(stream) as producer:
+            path = producer.address
+            mode = stat.S_IMODE(os.stat(os.path.dirname(path)).st_mode)
+            assert stat.S_ISSOCK(os.stat(path).st_mode)
+            batches = list(producer)
+        assert mode == 0o700, oct(mode)
+        assert families and set(families) == {socket.AF_UNIX}, families
+        for a, b in zip(self.serial(stream), batches):
+            assert_prepared_equal(a, b)
+        assert not os.path.exists(os.path.dirname(path))
+
+    def test_one_frozen_worker_is_dropped_and_run_completes(self):
+        """SIGSTOP one of two: the coordinator drops it on missed
+        heartbeats, re-leases its items, and the survivor finishes the
+        plan bit-identical to serial."""
+        stream = make_stream()
+        producer = self.local(stream, heartbeat_timeout=2.0)
+        workers = {p.name: p for p in producer._workers}
+        try:
+            # The first to join is first in the grant rotation, so the
+            # next lease granted after the freeze is stuck with it.
+            victim = wait_for_workers(producer, 2)[0]
+            os.kill(workers[victim].pid, signal.SIGSTOP)
+            batches = list(producer)
+            stats = producer.stats()
+        finally:
+            producer.close(grace=0.0)  # the frozen one takes only SIGKILL
+        reference = self.serial(stream)
+        assert len(batches) == len(reference)
+        for a, b in zip(reference, batches):
+            assert_prepared_equal(a, b)
+        assert stats["reclaimed_disconnect"] >= 1
+        assert any(reason == f"disconnect:{victim}"
+                   for _, reason, _ in stats["reclaim_log"])
+        assert all(not p.is_alive() for p in workers.values())
+
+    def test_all_workers_killed_raises_with_exit_codes(self):
+        stream = make_stream()
+        producer = self.local(stream)
+        workers = list(producer._workers)
+        try:
+            wait_for_workers(producer, 2)
+            iterator = iter(producer)
+            next(iterator)
+            for worker in workers:
+                os.kill(worker.pid, signal.SIGKILL)
+            killed_at = time.monotonic()
+            with pytest.raises(StreamError) as raised:
+                for _ in iterator:
+                    pass
+            elapsed = time.monotonic() - killed_at
+        finally:
+            producer.close()
+        message = str(raised.value)
+        for name in ("local-0", "local-1"):
+            assert f"{name} (exit code {-signal.SIGKILL}" in message, message
+        assert elapsed < 3.0, elapsed
+        assert all(not w.is_alive() for w in workers)
+
+    def test_plan_smaller_than_worker_count_completes(self):
+        """One batch, two workers: the idle one just holds no lease."""
+        stream = make_stream(num_events=30)
+        spec = spec_for(stream, small_config(epochs=1, batch_size=30))
+        with make_producer(spec, num_workers=2) as producer:
+            workers = list(producer._workers)
+            batches = list(producer)
+        assert len(batches) == 1
+        assert_prepared_equal(next(iter(SerialProducer(spec))), batches[0])
+        assert all(not w.is_alive() for w in workers)
+
+    def test_garbage_collection_reaps_workers(self):
+        import gc
+        producer = self.local(make_stream())
+        workers = list(producer._workers)
+        directory = os.path.dirname(producer.address)
+        wait_for_workers(producer, 2)
+        del producer
+        gc.collect()
+        assert all(not w.is_alive() for w in workers)
+        assert not os.path.exists(directory)
+
+    def test_bind_and_num_workers_are_exclusive(self):
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            FabricProducer(spec_for(make_stream(), small_config()),
+                           bind="127.0.0.1:0", num_workers=1)
 
 
 # ----------------------------------------------------------------------

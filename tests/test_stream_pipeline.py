@@ -2,9 +2,10 @@
 
 The contract under test is the one the trainer relies on: batch
 production is a pure function of ``(graph, work item)``, so serial,
-shuffled and multiprocess producers are bit-identical; memory-mapped CSR
-shards answer every batch query exactly like the in-memory adjacency;
-and producers tear down cleanly when the consumer dies.
+shuffled and local-worker (``num_workers``) producers are bit-identical;
+memory-mapped CSR shards answer every batch query exactly like the
+in-memory adjacency; and producers tear down cleanly when the consumer
+dies.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from repro.core import CPDGConfig, CPDGPreTrainer
 from repro.experiments.common import PretrainCache
 from repro.graph.events import EventStream
 from repro.graph.neighbor_finder import NeighborFinder
-from repro.stream import (BatchPlan, MultiprocessProducer, ProducerSpec,
-                          SamplingContext, SerialProducer, StreamError,
-                          batch_rngs, export_graph_shards, make_producer,
+from repro.fabric import FabricProducer
+from repro.stream import (BatchPlan, ProducerSpec, SamplingContext,
+                          SerialProducer, StreamError, batch_rngs,
+                          export_graph_shards, make_producer,
                           open_graph_shards, produce_batch)
 
 
@@ -222,13 +224,14 @@ class TestProduceBatch:
         for seq in in_order:
             assert_prepared_equal(in_order[seq], shuffled[seq])
 
-    def test_serial_and_multiprocess_produce_identically(self):
+    def test_serial_and_multiprocess_produce_identically(self, spare_cores):
         stream = make_stream()
         cfg = small_config()
         spec = spec_for(stream, cfg)
         serial = list(SerialProducer(spec))
-        with MultiprocessProducer(spec_for(stream, cfg),
-                                  num_workers=2) as producer:
+        with make_producer(spec_for(stream, cfg),
+                           num_workers=2) as producer:
+            assert isinstance(producer, FabricProducer)
             parallel = list(producer)
         assert len(serial) == len(parallel) == len(spec.make_plan(
             stream.num_events))
@@ -237,96 +240,111 @@ class TestProduceBatch:
 
 
 class TestMultiprocessLifecycle:
-    def test_teardown_on_consumer_error_leaves_no_workers(self):
+    """``num_workers`` → local fabric workers: teardown and fail-fast.
+    (Freeze / kill / socket cases live in tests/test_fabric.py.)"""
+
+    def test_teardown_on_consumer_error_leaves_no_workers(self, spare_cores):
         stream = make_stream()
-        producer = MultiprocessProducer(spec_for(stream, small_config()),
-                                        num_workers=2)
+        producer = make_producer(spec_for(stream, small_config()),
+                                 num_workers=2)
         workers = list(producer._workers)
-        shard_dir = producer.spec.shard_dir
-        import os
+        shard_dir, socket_path = producer.shard_dir, producer.address
+        assert os.path.exists(socket_path)
         with pytest.raises(RuntimeError, match="consumer died"):
             with producer:
                 for n, _ in enumerate(producer):
                     if n == 1:
                         raise RuntimeError("consumer died")
+        assert len(workers) == 2
         assert all(not w.is_alive() for w in workers)
         assert not os.path.exists(shard_dir)  # temp shards cleaned up
+        assert not os.path.exists(socket_path)
 
-    def test_close_is_idempotent(self):
+    def test_close_is_idempotent(self, spare_cores):
         stream = make_stream()
-        producer = MultiprocessProducer(spec_for(stream, small_config()),
-                                        num_workers=2)
+        producer = make_producer(spec_for(stream, small_config()),
+                                 num_workers=2)
+        workers = list(producer._workers)
         producer.close()
         producer.close()
+        assert all(not w.is_alive() for w in workers)
         with pytest.raises(StreamError):
             list(producer)
 
-    def test_worker_error_propagates_as_stream_error(self):
+    def test_worker_error_propagates_as_stream_error(self, spare_cores):
         stream = make_stream()
         spec = spec_for(stream, small_config())
         # A plan pointing past the stream makes every worker fail fast.
         bad_plan = BatchPlan(stream.num_events * 10, 48, epochs=1, seed=0)
-        producer = MultiprocessProducer(spec, plan=bad_plan, num_workers=2)
+        producer = make_producer(spec, plan=bad_plan, num_workers=2)
         workers = list(producer._workers)
-        with pytest.raises(StreamError, match="worker failed"):
+        with pytest.raises(StreamError, match=r"worker 'local-\d' failed"):
             with producer:
                 list(producer)
         assert all(not w.is_alive() for w in workers)
 
-    def test_stream_too_small_to_shard(self):
-        stream = make_stream(num_events=30)
-        spec = spec_for(stream, small_config(epochs=1, batch_size=30))
-        with pytest.raises(StreamError, match="too small"):
-            MultiprocessProducer(spec, num_workers=4)
-
-    def test_make_producer_dispatch(self, monkeypatch):
+    def test_make_producer_dispatch(self, spare_cores):
         stream = make_stream()
         spec = spec_for(stream, small_config())
         assert isinstance(make_producer(spec, num_workers=0), SerialProducer)
-        # Dispatch is decided by the requested worker count, not by this
-        # machine's core count — pin it so the test is deterministic.
-        monkeypatch.setattr("repro.stream.producer.os.cpu_count", lambda: 8)
         producer = make_producer(spec, num_workers=1)
         try:
-            assert isinstance(producer, MultiprocessProducer)
+            assert isinstance(producer, FabricProducer)
+            assert len(producer._workers) == 1
         finally:
             producer.close()
 
     def test_make_producer_serial_fallback_without_spare_core(
             self, monkeypatch):
-        """On a 1-core machine spawn workers only steal the trainer's
-        time slice; make_producer must warn and go serial instead."""
+        """With one usable core the workers only steal the trainer's
+        time slice; make_producer must warn and go serial instead —
+        whether the machine has one core or the process is pinned to one
+        of several (taskset, container cpusets)."""
         stream = make_stream()
         spec = spec_for(stream, small_config())
+        # Pinned: two cores in the machine, one in the affinity mask.
+        monkeypatch.setattr("repro.stream.producer.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("repro.stream.producer.os.sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        with pytest.warns(RuntimeWarning, match="no spare core"):
+            producer = make_producer(spec, num_workers=2)
+        assert isinstance(producer, SerialProducer)
+        # No affinity API (macOS, Windows): the core count decides.
+        monkeypatch.delattr("repro.stream.producer.os.sched_getaffinity")
         monkeypatch.setattr("repro.stream.producer.os.cpu_count", lambda: 1)
         with pytest.warns(RuntimeWarning, match="no spare core"):
             producer = make_producer(spec, num_workers=2)
         assert isinstance(producer, SerialProducer)
 
-    def test_hung_worker_raises_clear_error(self):
-        """A frozen-but-alive worker (SIGSTOP) must surface as a named
-        StreamError via missed heartbeats, not a 300 s generic stall."""
+    def test_hung_worker_raises_clear_error(self, spare_cores):
+        """Frozen-but-alive workers (SIGSTOP) must surface as a named
+        StreamError via missed heartbeats within seconds, not as the
+        600 s generic stall — and be reaped (only SIGKILL reaches a
+        stopped process)."""
         import signal
+        import time
         stream = make_stream()
-        producer = MultiprocessProducer(
+        heartbeat_timeout = 2.0
+        producer = make_producer(
             spec_for(stream, small_config()), num_workers=2,
-            heartbeat_interval=0.2, hang_timeout=2.0)
+            fabric_options=dict(heartbeat_timeout=heartbeat_timeout))
         workers = list(producer._workers)
         try:
             iterator = iter(producer)
-            next(iterator)  # wait until both workers are up and producing
+            next(iterator)  # wait until a worker is up and producing
             for worker in workers:
                 os.kill(worker.pid, signal.SIGSTOP)
-            with pytest.raises(StreamError, match="hung"):
+            frozen_at = time.monotonic()
+            with pytest.raises(StreamError) as raised:
                 for _ in iterator:
                     pass
+            elapsed = time.monotonic() - frozen_at
         finally:
-            for worker in workers:
-                try:
-                    os.kill(worker.pid, signal.SIGCONT)
-                except (OSError, ProcessLookupError):
-                    pass
-            producer.close(force=True)
+            producer.close(grace=0.0)
+        message = str(raised.value)
+        assert "local-0" in message and "local-1" in message, message
+        assert "silent" in message and "last leased seq=" in message
+        assert elapsed < heartbeat_timeout + 3.0, elapsed
         assert all(not w.is_alive() for w in workers)
 
 
@@ -341,20 +359,25 @@ class TestPretrainEquivalence:
         trainer = CPDGPreTrainer.from_backbone(backbone, stream.num_nodes, cfg)
         return trainer.pretrain(stream)
 
-    def test_workers_bit_identical(self, backbone):
+    def test_workers_bit_identical(self, backbone, spare_cores):
         stream = make_stream()
         serial = self.pretrain(backbone, stream, num_workers=0)
-        parallel = self.pretrain(backbone, stream, num_workers=2)
-        np.testing.assert_array_equal(np.asarray(serial.loss_history),
-                                      np.asarray(parallel.loss_history))
-        np.testing.assert_array_equal(serial.memory_state,
-                                      parallel.memory_state)
-        np.testing.assert_array_equal(serial.last_update,
-                                      parallel.last_update)
-        for key in serial.encoder_state:
-            np.testing.assert_array_equal(serial.encoder_state[key],
-                                          parallel.encoder_state[key],
-                                          err_msg=key)
+        for workers in (1, 2):
+            parallel = self.pretrain(backbone, stream, num_workers=workers)
+            np.testing.assert_array_equal(np.asarray(serial.loss_history),
+                                          np.asarray(parallel.loss_history))
+            np.testing.assert_array_equal(serial.memory_state,
+                                          parallel.memory_state)
+            np.testing.assert_array_equal(serial.last_update,
+                                          parallel.last_update)
+            for key in serial.encoder_state:
+                np.testing.assert_array_equal(serial.encoder_state[key],
+                                              parallel.encoder_state[key],
+                                              err_msg=key)
+            assert len(serial.checkpoints) == len(parallel.checkpoints)
+            for a, b in zip(serial.checkpoints.as_list(),
+                            parallel.checkpoints.as_list()):
+                np.testing.assert_array_equal(a, b)
 
     def test_mmap_graph_bit_identical(self, backbone):
         stream = make_stream()
@@ -393,7 +416,8 @@ class TestPretrainSeedingProperties:
 # ----------------------------------------------------------------------
 
 class TestFinetuneConsumers:
-    def test_link_prediction_workers_match_serial(self, tiny_stream):
+    def test_link_prediction_workers_match_serial(self, tiny_stream,
+                                                  spare_cores):
         from repro.datasets.splits import split_downstream
         from repro.tasks.finetune import (FineTuneConfig,
                                           build_finetuned_encoder)
