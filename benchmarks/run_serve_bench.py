@@ -2,7 +2,7 @@
 
 Builds an :class:`~repro.serve.EmbeddingService` from a freshly
 pre-trained artifact at two scales — MEDIUM and the LARGE 400k-node
-scale ``BENCH_pretrain.json`` uses — and measures the serving hot paths:
+scale ``BENCH_stream.json`` uses — and measures the serving hot paths:
 
 * **query throughput** — batched ``embed`` requests over random query
   nodes; cold pass (every key unseen) and warm pass (same keys again,

@@ -69,31 +69,13 @@ class TestAutogradMicro:
 
 
 class TestSamplerMicro:
-    def test_eta_bfs_reference_throughput(self, benchmark, stream, finder):
-        """The per-root reference arm — the 'before' of BENCH_sampling.json."""
-        sampler = EtaBFSSampler(finder, eta=10, depth=2, seed=0)
-        nodes = stream.src[:50]
-        t = stream.t_max
-
-        def sample_all():
-            return [sampler.sample_reference(int(n), t) for n in nodes]
-
-        benchmark(sample_all)
-
     def test_eta_bfs_batch_throughput(self, benchmark, stream, finder):
-        """Whole-frontier η-BFS over the same roots as the reference arm."""
+        """Whole-frontier η-BFS from 50 roots."""
         sampler = EtaBFSSampler(finder, eta=10, depth=2, seed=0)
         nodes = stream.src[:50]
         ts = np.full(len(nodes), stream.t_max)
 
         benchmark(lambda: sampler.sample_batch(nodes, ts))
-
-    def test_epsilon_dfs_reference_throughput(self, benchmark, stream, finder):
-        sampler = EpsilonDFSSampler(finder, epsilon=10, depth=2)
-        nodes = stream.src[:50]
-        t = stream.t_max
-
-        benchmark(lambda: [sampler.sample_reference(int(n), t) for n in nodes])
 
     def test_epsilon_dfs_batch_throughput(self, benchmark, stream, finder):
         sampler = EpsilonDFSSampler(finder, epsilon=10, depth=2)
@@ -127,12 +109,6 @@ class TestSamplerMicro:
         nodes = stream.src[:200]
         ts = stream.timestamps[:200] + 1.0
         benchmark(lambda: finder.batch_most_recent(nodes, ts, 10))
-
-    def test_neighbor_finder_batch_sample_uniform(self, benchmark, stream, finder):
-        rng = np.random.default_rng(0)
-        nodes = stream.src[:200]
-        ts = stream.timestamps[:200] + 1.0
-        benchmark(lambda: finder.batch_sample_uniform(nodes, ts, 10, rng))
 
     def test_csr_construction(self, benchmark, stream):
         from repro.graph import NeighborFinder as NF

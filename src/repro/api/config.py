@@ -41,7 +41,7 @@ _OVERRIDE_ALIASES = {
 # Section keys that earlier builds wrote into run-config JSON and artifact
 # metadata and that no longer exist.  ``from_dict`` drops them so those
 # files keep loading; ``--set`` still rejects them like any unknown key.
-_RETIRED_KEYS = {"pretrain": {"backend", "fabric_ranges"},
+_RETIRED_KEYS = {"pretrain": {"backend", "fabric_ranges", "memory_engine"},
                  "finetune": {"backend"}}
 
 

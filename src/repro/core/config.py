@@ -64,11 +64,8 @@ class CPDGConfig:
     # autograd.
     compile_step: bool = True
 
-    # Memory engine: "sparse" flushes O(touched rows) per batch; "dense"
-    # is the full-matrix reference path kept for equivalence tests and
-    # benchmarks.  ``dtype`` is the training/storage precision (float32
-    # default halves memory traffic; float64 for strict checks).
-    memory_engine: str = "sparse"
+    # Training/storage precision (float32 default halves memory traffic;
+    # float64 for strict checks).
     dtype: str = "float32"
 
     # Streaming batch pipeline (repro.stream).  ``num_workers=0`` produces
@@ -114,8 +111,6 @@ class CPDGConfig:
         if self.sampler_cache_capacity is not None \
                 and self.sampler_cache_capacity < 1:
             raise ValueError("sampler_cache_capacity must be positive or None")
-        if self.memory_engine not in ("sparse", "dense"):
-            raise ValueError(f"unknown memory engine {self.memory_engine!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"unknown dtype {self.dtype!r}; "
                              "expected 'float32' or 'float64'")

@@ -98,8 +98,7 @@ class CPDGPreTrainer:
                 memory_dim=config.memory_dim, embed_dim=config.embed_dim,
                 time_dim=config.time_dim, edge_dim=config.edge_dim,
                 n_neighbors=config.n_neighbors, n_layers=config.n_layers,
-                delta_scale=delta_scale, memory_engine=config.memory_engine,
-                dtype=config.np_dtype)
+                delta_scale=delta_scale, dtype=config.np_dtype)
         return cls(encoder, config)
 
     # ------------------------------------------------------------------

@@ -12,13 +12,13 @@
 Both samplers expand whole frontiers per hop: ``sample_batch(roots, ts)``
 queries the :class:`~repro.graph.neighbor_finder.NeighborFinder` CSR
 arrays for every frontier node at once and returns an offset-indexed
-:class:`SubgraphBatch`.  Per-root ``sample`` / ``sample_reference`` remain
-for single-root callers and as the validation arm of the equivalence
-tests.
+:class:`SubgraphBatch`.  Per-root ``sample`` is row 0 of a one-row batch;
+the per-root Python walks the batch kernels are checked against live in
+``tests/test_batch_sampling.py``.
 
 The η-BFS draw — η neighbours *without replacement* with probability
 ∝ ``w = softmax(recency / τ)`` per frontier occurrence — is distributed
-exactly as the reference's ``choice(replace=False, p=probs)`` and picks
+exactly as a per-root ``choice(replace=False, p=probs)`` and picks
 one of three regimes from the occurrence's candidate count ``deg``
 alone (no option selects between them):
 
@@ -481,38 +481,6 @@ class EtaBFSSampler:
         return self.sample_batch(np.array([root], dtype=np.int64),
                                  np.array([t], dtype=np.float64)).row(0)
 
-    def sample_reference(self, root: int, t: float) -> np.ndarray:
-        """Per-node reference implementation (pre-vectorization semantics).
-
-        Kept as the validation arm of the batched-vs-reference equivalence
-        tests and the "before" side of the sampling benchmarks.
-        """
-        collected: list[int] = []
-        seen = {int(root)}
-        frontier = [int(root)]
-        for _ in range(self.depth):
-            next_frontier: list[int] = []
-            for node in frontier:
-                neighbors, times, _ = self.finder.before(node, t)
-                if len(neighbors) == 0:
-                    continue
-                probs = self.probability(times, t, self.tau)
-                # Clamp to the non-zero support: choice(replace=False)
-                # raises when the softmax underflows below the draw size.
-                count = min(self.eta, int(np.count_nonzero(probs)))
-                chosen = self._rng.choice(len(neighbors), size=count,
-                                          replace=False, p=probs)
-                for idx in chosen:
-                    picked = int(neighbors[idx])
-                    next_frontier.append(picked)
-                    if picked not in seen:
-                        seen.add(picked)
-                        collected.append(picked)
-            frontier = next_frontier
-            if not frontier:
-                break
-        return np.array(collected, dtype=np.int64)
-
 
 class EpsilonDFSSampler:
     """ε-DFS sampling: expand through the ε most recent neighbours (Eq. 5)."""
@@ -529,7 +497,7 @@ class EpsilonDFSSampler:
         """Draw one ε-DFS subgraph per ``(root, t)`` row, whole-frontier.
 
         Deterministic: agrees element-for-element (ids *and* order) with
-        running :meth:`sample_reference` row by row.  ``rng`` is accepted
+        a per-root walk over ``finder.most_recent``.  ``rng`` is accepted
         (and ignored) so both samplers share one batch interface.
         """
         roots = np.asarray(roots, dtype=np.int64)
@@ -558,25 +526,6 @@ class EpsilonDFSSampler:
         """Return the sampled subgraph's node ids (root excluded)."""
         return self.sample_batch(np.array([root], dtype=np.int64),
                                  np.array([t], dtype=np.float64)).row(0)
-
-    def sample_reference(self, root: int, t: float) -> np.ndarray:
-        """Per-node reference implementation (pre-vectorization semantics)."""
-        collected: list[int] = []
-        seen = {int(root)}
-        frontier = [int(root)]
-        for _ in range(self.depth):
-            next_frontier: list[int] = []
-            for node in frontier:
-                neighbors, _, _ = self.finder.most_recent(node, t, self.epsilon)
-                for picked in map(int, neighbors):
-                    next_frontier.append(picked)
-                    if picked not in seen:
-                        seen.add(picked)
-                        collected.append(picked)
-            frontier = next_frontier
-            if not frontier:
-                break
-        return np.array(collected, dtype=np.int64)
 
 
 class PrecomputedSampler:

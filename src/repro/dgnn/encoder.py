@@ -6,11 +6,9 @@ as in the reference TGN implementation (messages produced by batch *k*
 update the memory inside batch *k+1*'s autograd graph, giving the message
 and updater parameters gradients under one-batch truncated BPTT).
 
-The memory hot path is sparse by default: :meth:`flush_messages` opens a
+The memory hot path is sparse: :meth:`flush_messages` opens a
 :class:`~repro.dgnn.memory.MemoryView` that gathers/writes only the rows
-the batch touches (``memory_engine="sparse"``), with the full-matrix
-reference engine available as ``memory_engine="dense"`` for equivalence
-tests and benchmarks.
+the batch touches.
 
 Typical batch loop::
 
@@ -38,7 +36,7 @@ from ..nn.module import Module
 from .aggregators import make_aggregator
 from .embedding import (EmbeddingContext, IdentityEmbedding,
                         TemporalAttentionEmbedding, TimeProjectionEmbedding)
-from .memory import MEMORY_ENGINES, Memory, MemoryView, RawMessageStore
+from .memory import Memory, MemoryView, RawMessageStore
 from .messages import AttentionMessage, IdentityMessage, MLPMessage
 from .time_encoding import TimeEncoder
 from .updaters import make_updater
@@ -90,9 +88,8 @@ class DGNNEncoder(Module):
     """Generic memory-based dynamic graph encoder.
 
     Parameters mirror paper Table III; see :func:`make_encoder` for the
-    three named configurations.  ``memory_engine`` selects the flush
-    engine ("sparse" default, "dense" reference) and ``dtype`` the memory
-    storage precision.
+    three named configurations.  ``dtype`` is the memory storage
+    precision.
     """
 
     def __init__(self, num_nodes: int, memory_dim: int, embed_dim: int,
@@ -100,19 +97,14 @@ class DGNNEncoder(Module):
                  message: str = "identity", aggregator: str = "last",
                  updater: str = "gru", embedding: str = "attention",
                  n_neighbors: int = 10, n_layers: int = 1, num_heads: int = 2,
-                 delta_scale: float = 1.0, memory_engine: str = "sparse",
-                 dtype=np.float64):
+                 delta_scale: float = 1.0, dtype=np.float64):
         super().__init__()
-        if memory_engine not in MEMORY_ENGINES:
-            raise ValueError(f"unknown memory engine {memory_engine!r}; "
-                             f"expected one of {MEMORY_ENGINES}")
         self.num_nodes = num_nodes
         self.memory_dim = memory_dim
         self.embed_dim = embed_dim
         self.time_dim = time_dim
         self.edge_dim = edge_dim
         self.n_neighbors = n_neighbors
-        self.memory_engine = memory_engine
 
         self.time_encoder = TimeEncoder(time_dim)
         self.message_fn = self._build_message(message, rng)
@@ -233,7 +225,7 @@ class DGNNEncoder(Module):
         Pure given ``staged`` and the persisted memory, hence safely
         re-runnable within one batch; overwrites the cached batch view.
         """
-        view = self._memory.view(self.memory_engine)
+        view = self._memory.view()
         if staged is not None:
             if self.aggregator.keep_all_messages:
                 nodes, groups = staged.groups_per_node()
@@ -382,8 +374,7 @@ class DGNNEncoder(Module):
 def make_encoder(backbone: str, num_nodes: int, rng: np.random.Generator,
                  memory_dim: int = 32, embed_dim: int = 32, time_dim: int = 8,
                  edge_dim: int = 4, n_neighbors: int = 10, n_layers: int = 1,
-                 delta_scale: float = 1.0, memory_engine: str = "sparse",
-                 dtype=np.float64) -> DGNNEncoder:
+                 delta_scale: float = 1.0, dtype=np.float64) -> DGNNEncoder:
     """Build a named DGNN backbone per paper Table III.
 
     ========  ==========  =======  =======  =========
@@ -398,8 +389,7 @@ def make_encoder(backbone: str, num_nodes: int, rng: np.random.Generator,
     common = dict(num_nodes=num_nodes, memory_dim=memory_dim,
                   embed_dim=embed_dim, time_dim=time_dim, edge_dim=edge_dim,
                   rng=rng, n_neighbors=n_neighbors, n_layers=n_layers,
-                  delta_scale=delta_scale, memory_engine=memory_engine,
-                  dtype=dtype)
+                  delta_scale=delta_scale, dtype=dtype)
     if backbone == "jodie":
         return DGNNEncoder(message="identity", aggregator="last",
                            updater="rnn", embedding="time", **common)

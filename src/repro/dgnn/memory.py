@@ -1,21 +1,14 @@
-"""The DGNN memory ``M`` (paper §III-B) and its batch views.
+"""The DGNN memory ``M`` (paper §III-B) and its batch view.
 
 Stores one state vector ``s_i^t`` per node plus its last-update time.
 States persist *detached* between batches (TGN-style one-batch truncated
 BPTT): within a batch the updater writes rows through the autograd graph,
 then the view persists them back into the plain backing arrays.
 
-Two flush engines expose the same :class:`MemoryView` protocol:
-
-* :class:`SparseMemoryView` — the production engine.  A batch gathers
-  only the rows it needs (updater writes, embedding lookups, contrast
-  subgraph nodes), autograd threads through those rows alone, and
-  ``persist()`` scatters the delta back — per-batch cost is
-  ``O(touched_rows × dim)`` regardless of ``num_nodes``.
-* :class:`DenseMemoryView` — the reference engine: one full-matrix copy
-  per flush plus differentiable full-table writes, the shape of the
-  original TGN-style implementation.  Retained for equivalence tests and
-  the before/after rows of ``BENCH_pretrain.json``.
+:class:`MemoryView` is one batch's window onto the store, at a per-batch
+cost of ``O(touched_rows × dim)`` regardless of ``num_nodes``.  The
+full-matrix flush of the original TGN-style implementation is the oracle
+the tests (``TestEngineEquivalence``) hold the view to, bit for bit.
 
 The memory is also the object the EIE module checkpoints during
 pre-training (paper Eq. 18) — :meth:`Memory.checkpoint` snapshots the raw
@@ -32,10 +25,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.autograd import Tensor
 
-__all__ = ["MEMORY_ENGINES", "Memory", "MemoryView", "DenseMemoryView",
-           "SparseMemoryView", "RawMessageStore", "StagedMessages"]
-
-MEMORY_ENGINES = ("sparse", "dense")
+__all__ = ["Memory", "MemoryView", "RawMessageStore", "StagedMessages"]
 
 # numpy advises its own allocations of this size and more into
 # transparent huge pages.
@@ -111,10 +101,6 @@ class Memory:
         """Detached copies of the state rows of ``nodes``."""
         return self._state[np.asarray(nodes, dtype=np.int64)]
 
-    def as_tensor(self) -> Tensor:
-        """A detached leaf tensor of the full memory (copy-on-read)."""
-        return Tensor(self._state.copy(), requires_grad=False)
-
     def persist(self, state: np.ndarray) -> None:
         """Store updated (already detached) state values."""
         if state.shape != self._state.shape:
@@ -159,20 +145,13 @@ class Memory:
         other.last_update = self.last_update.copy()
         return other
 
-    def view(self, engine: str = "sparse") -> "MemoryView":
+    def view(self) -> "MemoryView":
         """Open a one-batch flush view over this store."""
-        if engine == "sparse":
-            return SparseMemoryView(self)
-        if engine == "dense":
-            return DenseMemoryView(self)
-        raise ValueError(f"unknown memory engine {engine!r}; "
-                         f"expected one of {MEMORY_ENGINES}")
+        return MemoryView(self)
 
 
 class MemoryView:
     """One batch's differentiable window onto a :class:`Memory` store.
-
-    Protocol shared by both engines:
 
     * :meth:`gather` — in-graph rows for arbitrary node ids (embedding
       lookups, contrast subgraph readouts);
@@ -180,78 +159,20 @@ class MemoryView:
       into the view so later gathers see them;
     * :meth:`current_rows` — detached numpy rows (raw-message staging);
     * :meth:`persist` — store the batch's final values back, detached.
-    """
 
-    store: Memory
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.store.num_nodes, self.store.dim)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.store.num_nodes
-
-    @property
-    def dim(self) -> int:
-        return self.store.dim
-
-    def gather(self, nodes: np.ndarray) -> Tensor:
-        raise NotImplementedError
-
-    def write(self, nodes: np.ndarray, rows: Tensor) -> None:
-        raise NotImplementedError
-
-    def current_rows(self, nodes: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def persist(self) -> None:
-        raise NotImplementedError
-
-
-class DenseMemoryView(MemoryView):
-    """Reference engine: full-matrix flush, O(num_nodes) per batch."""
-
-    def __init__(self, store: Memory):
-        self.store = store
-        self._tensor = store.as_tensor()
-        self.touched: np.ndarray = np.empty(0, dtype=np.int64)
-
-    def gather(self, nodes: np.ndarray) -> Tensor:
-        return F.embedding_lookup(self._tensor,
-                                  np.asarray(nodes, dtype=np.int64))
-
-    def write(self, nodes: np.ndarray, rows: Tensor) -> None:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if len(nodes) == 0:
-            return
-        self._tensor = F.scatter_rows(self._tensor, nodes, rows)
-        self.touched = np.union1d(self.touched, nodes)
-
-    def current_rows(self, nodes: np.ndarray) -> np.ndarray:
-        return self._tensor.data[np.asarray(nodes, dtype=np.int64)]
-
-    def persist(self) -> None:
-        self.store.persist(self._tensor.data)
-
-    def dense(self) -> Tensor:
-        """The full in-graph memory tensor (reference-path consumers)."""
-        return self._tensor
-
-
-class SparseMemoryView(MemoryView):
-    """Sparse-delta engine: per-batch cost scales with touched rows.
-
-    Updated rows live in a small ``(K, dim)`` in-graph tensor keyed by a
-    sorted node-id array; gathers overlay those rows onto detached
-    backing-store rows, so gradients flow through exactly the rows the
-    batch wrote and nothing the size of the graph is ever allocated.
+    Written rows live in a small ``(K, dim)`` in-graph tensor keyed by a
+    sorted node-id array and gathers overlay them onto detached store
+    rows: gradients reach exactly the written rows, nothing is graph-sized.
     """
 
     def __init__(self, store: Memory):
         self.store = store
         self._delta_nodes: np.ndarray | None = None   # sorted unique ids
         self._delta_rows: Tensor | None = None        # (K, dim), in-graph
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.store.num_nodes, self.store.dim)
 
     @property
     def touched(self) -> np.ndarray:
@@ -287,9 +208,10 @@ class SparseMemoryView(MemoryView):
             return
         if self._delta_nodes is None:
             order = np.argsort(nodes, kind="stable")
-            if len(np.unique(nodes)) != len(nodes):
+            ordered = nodes[order]
+            if (ordered[1:] == ordered[:-1]).any():
                 raise ValueError("memory write requires unique node ids")
-            self._delta_nodes = nodes[order]
+            self._delta_nodes = ordered
             self._delta_rows = (rows if np.array_equal(order,
                                                        np.arange(len(nodes)))
                                 else F.embedding_lookup(rows, order))
@@ -317,13 +239,6 @@ class SparseMemoryView(MemoryView):
             self.store.persist_rows(self._delta_nodes,
                                     np.asarray(self._delta_rows.data,
                                                dtype=self.store.dtype))
-
-    def dense(self) -> Tensor:
-        """Materialise the full matrix (compat/testing only — O(num_nodes))."""
-        full = self.store.as_tensor()
-        if self._delta_nodes is None:
-            return full
-        return F.scatter_rows(full, self._delta_nodes, self._delta_rows)
 
 
 @dataclass
@@ -406,8 +321,7 @@ class RawMessageStore:
     def pop_all(self) -> StagedMessages | None:
         """Concatenate and clear all staged blocks (None when empty)."""
         staged = self.peek_all()
-        self._blocks = []
-        self._num_rows = 0
+        self.clear()
         return staged
 
     def peek_all(self) -> StagedMessages | None:

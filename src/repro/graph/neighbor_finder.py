@@ -10,12 +10,17 @@ The adjacency is one flat CSR structure (``indptr`` / ``neighbors`` /
 construction touches no per-event Python loop and queries come in two
 flavours:
 
-* per-node (``before`` / ``most_recent`` / ``sample_uniform``) — thin
-  ``O(log deg)`` slices of the CSR arrays, kept for single-root callers;
+* per-node (``before`` / ``most_recent`` / ``degree``) — thin
+  ``O(log deg)`` slices of the CSR arrays, for single-root callers and
+  as the oracle of the batch queries;
 * batch-first (``batch_before`` / ``batch_most_recent`` /
-  ``batch_sample_uniform``) — operate on whole ``(nodes, ts)`` arrays via
-  a vectorized segment binary search, so cost scales with event count
+  ``batch_last_update``) — operate on whole ``(nodes, ts)`` arrays via a
+  vectorized segment binary search, so cost scales with event count
   rather than Python interpreter speed.
+
+The uniform-history control arm of prior DGNN work (TGAT/TGN) is not a
+finder query: the experiments run it as
+``EtaBFSSampler(probability="uniform")``.
 
 The CSR is also portable: :meth:`NeighborFinder.export` writes the four
 arrays as ``.npy`` shards and :meth:`NeighborFinder.open` reconstructs a
@@ -115,7 +120,7 @@ def most_recent_slots(finder, nodes: np.ndarray, ts: np.ndarray,
     """``finder.batch_most_recent`` with the padded slots dropped.
 
     ``finder`` is anything with the padded batch query (the static CSR
-    finder or the serving layer's dynamic one).  Most rows of a sparse
+    finder or the serving layer's live one).  Most rows of a sparse
     interaction graph have fewer than ``count`` events, so the encoder
     projects and attends over far fewer key rows than ``B * count``.
 
@@ -273,19 +278,6 @@ class NeighborFinder:
                 self._times[lo:cut],
                 self._event_ids[lo:cut])
 
-    def sample_uniform(self, node: int, t: float, count: int,
-                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Uniformly sample ``count`` historical events before ``t``.
-
-        The uniform scheme of prior DGNN work (TGAT/TGN) that CPDG's
-        temporal-aware sampler replaces; kept as the control arm.
-        """
-        neighbors, times, ids = self.before(node, t)
-        if len(neighbors) == 0:
-            return neighbors, times, ids
-        chosen = rng.integers(0, len(neighbors), size=count)
-        return neighbors[chosen], times[chosen], ids[chosen]
-
     # ------------------------------------------------------------------
     # batch-first queries
     # ------------------------------------------------------------------
@@ -371,29 +363,3 @@ class NeighborFinder:
         out_times = np.where(valid, self._times[safe], 0.0)
         out_events = np.where(valid, self._event_ids[safe], 0)
         return out_neighbors, out_times, out_events, ~valid
-
-    def batch_sample_uniform(self, nodes: np.ndarray, ts: np.ndarray, count: int,
-                             rng: np.random.Generator
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`sample_uniform`: ``count`` draws with replacement.
-
-        Returns ``(neighbors, times, event_ids, mask)`` with shapes
-        ``(B, count)``; rows with empty history are fully masked.
-        """
-        starts, ends = self.batch_before(nodes, ts)
-        deg = ends - starts
-        if len(self._neighbors) == 0:
-            batch = len(deg)
-            return (np.zeros((batch, count), dtype=np.int64),
-                    np.zeros((batch, count), dtype=np.float64),
-                    np.zeros((batch, count), dtype=np.int64),
-                    np.ones((batch, count), dtype=bool))
-        empty = deg == 0
-        offsets = (rng.random((len(deg), count)) * np.maximum(deg, 1)[:, None]).astype(np.int64)
-        idx = starts[:, None] + offsets
-        safe = np.where(empty[:, None], 0, idx)
-        mask = np.broadcast_to(empty[:, None], safe.shape)
-        return (np.where(mask, 0, self._neighbors[safe]),
-                np.where(mask, 0.0, self._times[safe]),
-                np.where(mask, 0, self._event_ids[safe]),
-                mask.copy())

@@ -8,8 +8,8 @@ query engine whose memory keeps evolving as live events arrive.
   ``embed`` / ``score_links`` / ``top_k`` / ``ingest``, plus
   ``snapshot(path)`` / ``from_snapshot`` replica persistence;
 * :class:`DynamicNeighborFinder` — append-only temporal CSR (delta
-  buffer + periodic compaction) with the full ``NeighborFinder`` query
-  contract, so samplers and batch producers run unchanged on live graphs;
+  buffer + periodic compaction) plus a most-recent ring, answering the
+  encoder's neighbour query (``most_recent_slots``) on a live graph;
 * :class:`BackgroundCompactor` — generation-swapped delta merges off the
   request path (the default; disable per ``ServeConfig``);
 * :class:`LiveIngestor` — replay-equivalent memory advancement through

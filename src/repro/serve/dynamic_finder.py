@@ -1,9 +1,15 @@
 """Append-only temporal adjacency for live serving.
 
-:class:`DynamicNeighborFinder` answers the full
-:class:`~repro.graph.neighbor_finder.NeighborFinder` query contract over
-a graph that keeps growing while queries are served.  Internally it is a
-two-level LSM-style structure:
+:class:`DynamicNeighborFinder` is the answer to
+:func:`~repro.graph.neighbor_finder.most_recent_slots` — the one question
+the encoder asks: the newest ``count`` neighbours of each row before its
+query time — on a graph that keeps growing while queries are served.  It
+is **not** a drop-in :class:`~repro.graph.neighbor_finder.NeighborFinder`:
+it has no flat CSR columns and no ``batch_before``, so a subgraph sampler
+pointed at it fails on ``batch_before`` by name.  Sampling wants a static
+finder built over the events (``NeighborFinder(stream)``).
+
+Internally it is a two-level LSM-style structure:
 
 * **base** — a compacted flat CSR (``indptr`` / ``neighbors`` / ``times``
   / ``event_ids``), identical to a freshly built ``NeighborFinder``;
@@ -11,10 +17,15 @@ two-level LSM-style structure:
   into a small CSR of its own (with *global* event ids) the first time a
   query arrives after an append.
 
-Appends are O(batch); queries touch the base CSR plus a delta the size of
-the un-compacted tail; :meth:`compact` (triggered automatically once the
+Appends are O(batch); :meth:`~DynamicNeighborFinder.batch_most_recent`
+touches the base CSR plus a delta the size of the un-compacted tail;
+:meth:`~DynamicNeighborFinder.compact` (triggered automatically once the
 delta outgrows ``compaction_threshold`` events) merges the delta into the
-base in one vectorized O(E) pass.
+base in one vectorized O(E) pass.  Live events are time-monotone (every
+appended timestamp is >= everything already indexed), so every delta
+entry of a node is newer than every base entry of it; the answer is
+bit-identical to a ``NeighborFinder`` rebuilt from scratch over the
+concatenated event list — the property :mod:`tests.test_serve` asserts.
 
 Compaction can also run **off the request path**: the job API splits the
 merge into :meth:`compaction_job` (snapshot the immutable base + lowered
@@ -26,18 +37,6 @@ covered; events appended mid-build stay in the delta).
 :class:`BackgroundCompactor` runs that cycle on a daemon thread so ingest
 p99 no longer pays the merge pause — queries are bit-identical either
 way, the generation swap only changes *where* entries are stored.
-
-The flat-index contract is preserved exactly: ``batch_before`` returns
-``(starts, ends)`` into a **virtual address space** in which every node's
-history is contiguous — base entries first, delta entries after — and the
-``neighbors`` / ``times`` / ``event_ids`` properties are gather objects
-over that space.  Because live events are time-monotone (every appended
-timestamp is >= everything already indexed), a node's before-``t`` slice
-is always a contiguous virtual range, so the PR-2 samplers (which
-dereference ``finder.neighbors[flat]`` with raw cut indices) and the PR-4
-``produce_batch`` run unchanged on a live graph.  Every query is
-bit-identical to a ``NeighborFinder`` rebuilt from scratch over the
-concatenated event list — the property :mod:`tests.test_serve` asserts.
 
 **The most-recent ring.**  The encoder asks one question on every pass:
 the newest ``count`` neighbours of each row before its query time.  Next
@@ -59,13 +58,14 @@ newest ``W`` entries (``W`` = the encoder's ``n_neighbors``):
 
 The ring is filled from the base CSR at construction and advanced inside
 :meth:`DynamicNeighborFinder.append` by one stable sort of the block's
-interleaved endpoints.  **Answerability rule:** :meth:`recent_slots`
-answers a whole ``(nodes, ts, count)`` batch iff ``1 <= count <= W`` and
-every queried row's newest entry is strictly older than its ``ts`` — then
-"before ``ts``" is the node's whole history and the newest ``count`` of it
-is in the ring; otherwise it returns ``None`` and the caller takes
-:meth:`batch_most_recent`.  The answer holds the same entries in the same
-order as that path.  Compaction (inline or background) and snapshots
+interleaved endpoints.  **Answerability rule:**
+:meth:`~DynamicNeighborFinder.recent_slots` answers a whole
+``(nodes, ts, count)`` batch iff ``1 <= count <= W`` and every queried
+row's newest entry is strictly older than its ``ts`` — then "before
+``ts``" is the node's whole history and the newest ``count`` of it is in
+the ring; otherwise it returns ``None`` and the caller takes
+:meth:`~DynamicNeighborFinder.batch_most_recent`.  The answer holds the
+same entries in the same order as that path.  Compaction (inline or background) and snapshots
 never touch the ring: a merge only changes *where* the CSR stores an
 entry, not which entries a node has, and a restored finder refills the
 ring from its base and replayed delta.  Like every other piece of finder
@@ -83,7 +83,7 @@ import numpy as np
 from .. import obs as _obs
 from ..graph.events import EventStream
 from ..graph.neighbor_finder import (NeighborFinder, NeighborSlots,
-                                     build_temporal_csr, segment_cut)
+                                     build_temporal_csr)
 
 __all__ = ["BackgroundCompactor", "CompactionJob", "DynamicNeighborFinder",
            "IngestError"]
@@ -140,31 +140,6 @@ def merge_csr(base: NeighborFinder, delta: NeighborFinder,
         merged[name] = out
     return (indptr, merged["neighbors"], merged["times"],
             merged["event_ids"])
-
-
-class _VirtualColumn:
-    """Flat gather view of one column over the base + delta CSRs.
-
-    Index ``v`` maps to node ``i = searchsorted(vindptr, v, 'right') - 1``
-    at per-node offset ``v - vindptr[i]``: offsets below the node's base
-    degree read the base CSR, the rest read the delta CSR.  Supports the
-    fancy indexing the samplers use (``column[flat_index_array]``).
-    """
-
-    def __init__(self, owner: "DynamicNeighborFinder", name: str):
-        self._owner = owner
-        self._name = name
-
-    def __getitem__(self, index) -> np.ndarray:
-        return self._owner._gather(self._name, index)
-
-    def __len__(self) -> int:
-        return self._owner.num_entries
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        full = self._owner._gather(
-            self._name, np.arange(self._owner.num_entries, dtype=np.int64))
-        return full if dtype is None else full.astype(dtype)
 
 
 class _RecentRing:
@@ -293,7 +268,7 @@ class _RecentRing:
 
 
 class DynamicNeighborFinder:
-    """Live-updatable temporal CSR with ``NeighborFinder`` semantics.
+    """Live-updatable most-recent-neighbour index (see module docstring).
 
     Parameters
     ----------
@@ -325,7 +300,6 @@ class DynamicNeighborFinder:
         self._delta: NeighborFinder | None = None   # lowered delta CSR
         self._delta_events = 0
         self._dirty = False
-        self._vindptr: np.ndarray | None = None     # cached merged indptr
         self.compactions = 0
         # When set (by BackgroundCompactor.attach), threshold crossings
         # signal the hook instead of compacting inline.
@@ -351,20 +325,15 @@ class DynamicNeighborFinder:
         """Events appended since the last compaction."""
         return self._delta_events
 
-    @property
-    def num_entries(self) -> int:
-        """Total flat CSR entries (each event counts under both endpoints)."""
-        return int(self._base.indptr[-1]) + 2 * self._delta_events
-
     def append(self, src: np.ndarray, dst: np.ndarray,
                timestamps: np.ndarray,
                event_ids: np.ndarray | None = None) -> np.ndarray:
         """Index a block of new events; returns their global event ids.
 
-        Live-stream invariants are enforced: node ids must fit the node
-        space, timestamps must be non-decreasing and >= every timestamp
-        already indexed, and explicit ``event_ids`` must continue the
-        global sequence.
+        Live-stream invariants are enforced before anything is mutated:
+        node ids must fit the node space, timestamps must be finite,
+        non-decreasing and >= every timestamp already indexed, and
+        explicit ``event_ids`` must continue the global sequence.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -378,6 +347,10 @@ class DynamicNeighborFinder:
             raise IngestError(
                 f"event endpoints must lie in [0, {self.num_nodes}); the "
                 "node space is fixed at service construction")
+        # NaN compares false both ways, so the order checks below would
+        # wave it through (and one +inf would outlaw every later block).
+        if not np.isfinite(timestamps).all():
+            raise IngestError("appended timestamps must be finite")
         if np.any(np.diff(timestamps) < 0):
             raise IngestError("appended timestamps must be non-decreasing")
         if timestamps[0] < self._t_max:
@@ -416,20 +389,13 @@ class DynamicNeighborFinder:
         return event_ids
 
     def _refresh_delta(self) -> NeighborFinder | None:
-        """Lower buffered appends into the delta CSR (lazy, amortized).
-
-        Also memoizes the merged virtual ``indptr`` — queries on the hot
-        path read it several times per request, and an O(num_nodes) add
-        per read would dominate small batches at large node counts.
-        """
+        """Lower buffered appends into the delta CSR (lazy, amortized)."""
         if self._dirty:
-            arrays = build_temporal_csr(
+            self._delta = NeighborFinder.from_arrays(*build_temporal_csr(
                 np.concatenate(self._buf_src), np.concatenate(self._buf_dst),
                 np.concatenate(self._buf_ts), np.concatenate(self._buf_eid),
-                self.num_nodes)
-            self._delta = NeighborFinder.from_arrays(*arrays)
+                self.num_nodes))
             self._dirty = False
-            self._vindptr = np.asarray(self._base.indptr) + arrays[0]
         return self._delta
 
     def compact(self) -> None:
@@ -485,89 +451,13 @@ class DynamicNeighborFinder:
         del self._buf_eid[:job.blocks]
         self._delta_events -= job.events
         self._delta = None
-        self._vindptr = None
         self._dirty = bool(self._buf_src)
         self.compactions += 1
         return True
 
     # ------------------------------------------------------------------
-    # virtual flat address space
+    # the encoder's neighbour query
     # ------------------------------------------------------------------
-    @property
-    def indptr(self) -> np.ndarray:
-        if self._refresh_delta() is None:
-            return self._base.indptr
-        return self._vindptr
-
-    @property
-    def neighbors(self):
-        delta = self._refresh_delta()
-        if delta is None:
-            return self._base.neighbors
-        return _VirtualColumn(self, "neighbors")
-
-    @property
-    def times(self):
-        delta = self._refresh_delta()
-        if delta is None:
-            return self._base.times
-        return _VirtualColumn(self, "times")
-
-    @property
-    def event_ids(self):
-        delta = self._refresh_delta()
-        if delta is None:
-            return self._base.event_ids
-        return _VirtualColumn(self, "event_ids")
-
-    def _gather(self, name: str, index) -> np.ndarray:
-        """Resolve virtual flat indices against base + delta columns."""
-        delta = self._refresh_delta()
-        index = np.asarray(index, dtype=np.int64)
-        shape = index.shape
-        flat = index.reshape(-1)
-        base_col = np.asarray(getattr(self._base, name))
-        if delta is None:
-            return base_col[flat].reshape(shape)
-        vindptr = self.indptr
-        nodes = np.searchsorted(vindptr, flat, side="right") - 1
-        offset = flat - vindptr[nodes]
-        bip = np.asarray(self._base.indptr)
-        base_deg = bip[nodes + 1] - bip[nodes]
-        in_base = offset < base_deg
-        delta_col = getattr(delta, name)
-        out = np.empty(len(flat), dtype=base_col.dtype)
-        out[in_base] = base_col[(bip[nodes] + offset)[in_base]]
-        rest = ~in_base
-        out[rest] = delta_col[(delta.indptr[nodes] + offset
-                               - base_deg)[rest]]
-        return out.reshape(shape)
-
-    # ------------------------------------------------------------------
-    # batch-first queries (NeighborFinder contract)
-    # ------------------------------------------------------------------
-    def batch_before(self, nodes: np.ndarray, ts: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Virtual ``(starts, ends)`` of each node's strictly-before slice.
-
-        Contiguity holds because delta timestamps are >= every base
-        timestamp: whenever a row's cut admits any delta entry, it admits
-        the node's whole base slice first.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        ts = np.asarray(ts, dtype=np.float64)
-        delta = self._refresh_delta()
-        b_starts, b_ends = self._base.batch_before(nodes, ts)
-        if delta is None:
-            return b_starts, b_ends
-        d_starts, d_ends = delta.batch_before(nodes, ts)
-        starts = self.indptr[nodes]
-        return starts, starts + (b_ends - b_starts) + (d_ends - d_starts)
-
-    def batch_degree(self, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        starts, ends = self.batch_before(nodes, ts)
-        return ends - starts
-
     def batch_most_recent(self, nodes: np.ndarray, ts: np.ndarray, count: int
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray]:
@@ -617,100 +507,6 @@ class DynamicNeighborFinder:
         answerability rule in the module docstring)."""
         return self._ring.slots(np.asarray(nodes, dtype=np.int64),
                                 np.asarray(ts, dtype=np.float64), count)
-
-    def batch_sample_uniform(self, nodes: np.ndarray, ts: np.ndarray,
-                             count: int, rng: np.random.Generator
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                        np.ndarray]:
-        """With-replacement uniform draw — same draw recipe as the static
-        finder (``floor(U * deg)``), so identical ``rng`` state yields
-        identical samples to a rebuilt ``NeighborFinder``."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        ts = np.asarray(ts, dtype=np.float64)
-        if self._refresh_delta() is None:
-            return self._base.batch_sample_uniform(nodes, ts, count, rng)
-        starts, ends = self.batch_before(nodes, ts)
-        deg = ends - starts
-        if self.num_entries == 0:
-            batch = len(deg)
-            return (np.zeros((batch, count), dtype=np.int64),
-                    np.zeros((batch, count), dtype=np.float64),
-                    np.zeros((batch, count), dtype=np.int64),
-                    np.ones((batch, count), dtype=bool))
-        empty = deg == 0
-        offsets = (rng.random((len(deg), count))
-                   * np.maximum(deg, 1)[:, None]).astype(np.int64)
-        idx = starts[:, None] + offsets
-        safe = np.where(empty[:, None], 0, idx)
-        mask = np.broadcast_to(empty[:, None], safe.shape)
-        return (np.where(mask, 0, self._gather("neighbors", safe)),
-                np.where(mask, 0.0, self._gather("times", safe)),
-                np.where(mask, 0, self._gather("event_ids", safe)),
-                mask.copy())
-
-    def batch_last_update(self, nodes: np.ndarray, event_cut: int,
-                          base: np.ndarray | None = None) -> np.ndarray:
-        """Most recent event time per node among events with id < cut.
-
-        Delta event ids extend the base sequence, so the newest qualifying
-        event is the delta's answer when it has one, else the base's.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        delta = self._refresh_delta()
-        if delta is None:
-            return self._base.batch_last_update(nodes, event_cut, base=base)
-        floor = np.zeros(len(nodes)) if base is None \
-            else np.asarray(base, dtype=np.float64)[nodes]
-        out = floor.copy()
-        thresholds = np.full(len(nodes), event_cut, dtype=np.int64)
-        for part in (self._base, delta):
-            starts = np.asarray(part.indptr)[nodes]
-            cut = segment_cut(part.event_ids, np.asarray(part.indptr),
-                              nodes, thresholds, starts=starts)
-            has = cut > starts
-            if has.any():
-                prev = np.asarray(part.times)[np.maximum(cut - 1, 0)]
-                out = np.where(has, np.maximum(prev, out), out)
-        return out
-
-    # ------------------------------------------------------------------
-    # per-node queries
-    # ------------------------------------------------------------------
-    def degree(self, node: int, t: float = np.inf) -> int:
-        return int(self.batch_degree(np.array([node]), np.array([t]))[0])
-
-    def before(self, node: int, t: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All ``(neighbors, times, event_ids)`` strictly before ``t``."""
-        delta = self._refresh_delta()
-        parts = [self._base.before(node, t)]
-        if delta is not None:
-            parts.append(delta.before(node, t))
-        return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
-
-    def most_recent(self, node: int, t: float, count: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        neighbors, times, ids = self.before(node, t)
-        return neighbors[-count:] if count else neighbors[:0], \
-            times[-count:] if count else times[:0], \
-            ids[-count:] if count else ids[:0]
-
-    def sample_uniform(self, node: int, t: float, count: int,
-                       rng: np.random.Generator
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        neighbors, times, ids = self.before(node, t)
-        if len(neighbors) == 0:
-            return neighbors, times, ids
-        chosen = rng.integers(0, len(neighbors), size=count)
-        return neighbors[chosen], times[chosen], ids[chosen]
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def export(self, directory: str) -> None:
-        """Compact, then write the merged CSR as standard graph shards."""
-        self.compact()
-        self._base.export(directory)
 
 
 class BackgroundCompactor:

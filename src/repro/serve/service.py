@@ -2,7 +2,7 @@
 engine.
 
 ``EmbeddingService.from_artifact(path)`` reconstructs the frozen encoder
-(+ sparse memory engine) a :class:`~repro.api.artifact.PretrainArtifact`
+(+ sparse-delta memory) a :class:`~repro.api.artifact.PretrainArtifact`
 describes and serves three query families over it:
 
 * ``embed(nodes, ts)`` — temporal embeddings ``z_i^t`` at query time,
@@ -204,7 +204,6 @@ class EmbeddingService:
                 n_neighbors=pretrain_cfg.n_neighbors,
                 n_layers=pretrain_cfg.n_layers,
                 delta_scale=artifact.delta_scale,
-                memory_engine=pretrain_cfg.memory_engine,
                 dtype=pretrain_cfg.np_dtype)
             encoder.load_state_dict(bundle.encoder_state if use_ft
                                     else artifact.result.encoder_state)

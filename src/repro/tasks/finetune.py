@@ -131,8 +131,7 @@ def build_finetuned_encoder(backbone: str, num_nodes: int,
             memory_dim=model_config.memory_dim, embed_dim=model_config.embed_dim,
             time_dim=model_config.time_dim, edge_dim=model_config.edge_dim,
             n_neighbors=model_config.n_neighbors, n_layers=model_config.n_layers,
-            delta_scale=delta_scale, memory_engine=model_config.memory_engine,
-            dtype=model_config.np_dtype)
+            delta_scale=delta_scale, dtype=model_config.np_dtype)
 
         eie = None
         if strategy == "none":

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.datasets import (InteractionConfig, BipartiteInteractionGenerator,
                             LabeledConfig, LabeledInteractionGenerator)
+
+# Tier-1 is deterministic: every property test draws the same examples on
+# every run (no example database, no wall-clock deadline), so a failure
+# reproduces and the suite's run time does not depend on the draw.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

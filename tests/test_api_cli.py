@@ -87,10 +87,11 @@ class TestPipelineCommands:
                      "--set", "pretrain.bogus=1"]) == 2
         assert "unknown config key" in capsys.readouterr().err
         # A retired key loads from old files but not from the command line.
-        assert main(["pretrain", "--dump-config",
-                     "--set", "pretrain.fabric_ranges=4"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "fabric_ranges" in err, err
+        for key, value in (("fabric_ranges", "4"), ("memory_engine", "dense")):
+            assert main(["pretrain", "--dump-config",
+                         "--set", f"pretrain.{key}={value}"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err, err
 
     def test_evaluate_without_artifact_needs_strategy_none(self, capsys):
         assert main(["evaluate", "--quiet"]) == 2

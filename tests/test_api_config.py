@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.api import (ConfigError, DataConfig, RunConfig, dataset_names,
-                       normalize_task, parse_override, parse_set_args,
-                       resolve_data)
+from repro.api import (ConfigError, DataConfig, PretrainArtifact, RunConfig,
+                       dataset_names, normalize_task, parse_override,
+                       parse_set_args, resolve_data)
+
+from . import parent_fixtures as parent
 
 
 class TestRoundTrip:
@@ -42,10 +45,31 @@ class TestRoundTrip:
         # it in both stage sections; they load as if it were absent.
         payload["pretrain"]["backend"] = "numpy"
         payload["finetune"]["backend"] = "numpy"
-        # Likewise the range-shard count of the deleted second CSR layout.
+        # Likewise the range-shard count of the deleted second CSR layout
+        # and the selector of the deleted dense memory engine.
         payload["pretrain"]["fabric_ranges"] = 4
+        payload["pretrain"]["memory_engine"] = "dense"
         path.write_text(json.dumps(payload))
         assert RunConfig.from_json(str(path)) == config
+
+    def test_artifact_that_selected_the_dense_engine_loads_and_serves(
+            self, tmp_path):
+        """The engines were bit-identical, so a file that asked for the
+        deleted one serves the rows the frozen artifact always served."""
+        with np.load(parent.ARTIFACT_PATH) as frozen:
+            arrays = {key: frozen[key] for key in frozen.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        assert meta["run_config"]["pretrain"]["memory_engine"] == "sparse"
+        meta["run_config"]["pretrain"]["memory_engine"] = "dense"
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        path = tmp_path / "dense.npz"
+        np.savez(path, **arrays)
+        artifact = PretrainArtifact.load(str(path))
+        assert not hasattr(artifact.run_config.pretrain, "memory_engine")
+        with np.load(parent.EXPECTED_PATH) as frozen:
+            expected = frozen["embeddings"]
+        np.testing.assert_allclose(parent.serve_embeddings(artifact),
+                                   expected, rtol=0, atol=1e-6)
 
     def test_from_json_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -113,7 +137,7 @@ class TestOverrides:
             RunConfig().with_overrides({"nonsection.beta": 1})
         # Retired keys are tolerated in files, not on the command line.
         for key in ("nn.backend", "pretrain.backend", "finetune.backend",
-                    "pretrain.fabric_ranges"):
+                    "pretrain.fabric_ranges", "pretrain.memory_engine"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 RunConfig().with_overrides({key: "numpy"})
 

@@ -1,17 +1,19 @@
 """Batched-vs-reference equivalence for the CSR sampling engine.
 
 Property tests (hypothesis over random event streams) asserting that the
-vectorized batch queries — ``batch_before`` / ``batch_most_recent`` /
-``batch_sample_uniform`` — and the whole-frontier ``sample_batch`` kernels
-agree with the per-node reference implementations element-for-element,
-including empty-history and all-padded rows.
+vectorized batch queries — ``batch_before`` / ``batch_most_recent`` — and
+the whole-frontier ``sample_batch`` kernels agree with the per-node
+reference implementations element-for-element, including empty-history
+and all-padded rows.  The per-root η-BFS / ε-DFS walks the kernels
+replaced live here, as the oracles :func:`eta_bfs_reference` and
+:func:`eps_dfs_reference`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (EpsilonDFSSampler, EtaBFSSampler, PrecomputedSampler,
@@ -40,6 +42,52 @@ def random_queries(seed: int, num_nodes: int, batch: int
     ts = rng.random(batch) * 130.0  # beyond t_max to cover full histories
     ts[: batch // 4] = 0.0          # guaranteed all-padded rows
     return nodes, ts
+
+
+def _walk(root: int, depth: int, expand) -> np.ndarray:
+    """Frontier walk shared by both oracles: ``expand(node)`` yields the
+    picks of one frontier occurrence; first sightings are collected."""
+    collected: list[int] = []
+    seen = {int(root)}
+    frontier = [int(root)]
+    for _ in range(depth):
+        next_frontier: list[int] = []
+        for node in frontier:
+            for picked in map(int, expand(node)):
+                next_frontier.append(picked)
+                if picked not in seen:
+                    seen.add(picked)
+                    collected.append(picked)
+        frontier = next_frontier
+        if not frontier:
+            break
+    return np.array(collected, dtype=np.int64)
+
+
+def eta_bfs_reference(sampler: EtaBFSSampler, root: int, t: float
+                      ) -> np.ndarray:
+    """Per-root η-BFS (pre-vectorization semantics): every frontier node
+    draws with ``choice(replace=False, p=Eq. 7/8)`` from the sampler's
+    own generator."""
+    def expand(node):
+        neighbors, times, _ = sampler.finder.before(node, t)
+        if len(neighbors) == 0:
+            return ()
+        probs = sampler.probability(times, t, sampler.tau)
+        # Clamp to the non-zero support: choice(replace=False) raises
+        # when the softmax underflows below the draw size.
+        count = min(sampler.eta, int(np.count_nonzero(probs)))
+        return neighbors[sampler._rng.choice(len(neighbors), size=count,
+                                             replace=False, p=probs)]
+    return _walk(root, sampler.depth, expand)
+
+
+def eps_dfs_reference(sampler: EpsilonDFSSampler, root: int, t: float
+                      ) -> np.ndarray:
+    """Per-root ε-DFS: the ε most recent neighbours of every frontier
+    node (Eq. 5), in chronological order."""
+    return _walk(root, sampler.depth, lambda node: sampler.finder.most_recent(
+        node, t, sampler.epsilon)[0])
 
 
 stream_params = st.tuples(
@@ -87,24 +135,6 @@ class TestBatchQueries:
             np.testing.assert_array_equal(out_e[i, count - k:], events)
             assert out_n[i, :count - k].sum() == 0
 
-    @settings(max_examples=15, deadline=None)
-    @given(stream_params)
-    def test_batch_sample_uniform_draws_from_history(self, params):
-        seed, num_nodes, num_events = params
-        finder = NeighborFinder(random_stream(seed, num_nodes, num_events))
-        nodes, ts = random_queries(seed, num_nodes, 32)
-        rng = np.random.default_rng(0)
-        out_n, out_t, out_e, mask = finder.batch_sample_uniform(nodes, ts, 6, rng)
-        for i in range(len(nodes)):
-            neighbors, times, events = finder.before(int(nodes[i]), float(ts[i]))
-            if len(neighbors) == 0:
-                assert mask[i].all()
-                continue
-            assert not mask[i].any()
-            valid_events = set(events.tolist())
-            assert set(out_e[i].tolist()) <= valid_events
-            assert (out_t[i] < ts[i]).all()
-
     def test_empty_query_batch(self):
         finder = NeighborFinder(random_stream(1, 10, 50))
         none = np.empty(0, dtype=np.int64)
@@ -112,9 +142,6 @@ class TestBatchQueries:
         starts, ends = finder.batch_before(none, no_ts)
         assert len(starts) == len(ends) == 0
         out = finder.batch_most_recent(none, no_ts, 5)
-        assert all(a.shape == (0, 5) for a in out)
-        out = finder.batch_sample_uniform(none, no_ts, 5,
-                                          np.random.default_rng(0))
         assert all(a.shape == (0, 5) for a in out)
 
     def test_empty_stream_all_padded(self):
@@ -125,9 +152,6 @@ class TestBatchQueries:
         starts, ends = finder.batch_before(nodes, ts)
         assert (starts == ends).all()
         _, _, _, mask = finder.batch_most_recent(nodes, ts, 4)
-        assert mask.all()
-        _, _, _, mask = finder.batch_sample_uniform(
-            nodes, ts, 4, np.random.default_rng(0))
         assert mask.all()
 
 
@@ -143,7 +167,7 @@ class TestEpsilonDFSEquivalence:
         batch = sampler.sample_batch(nodes, ts)
         assert len(batch) == 24
         for i in range(24):
-            reference = sampler.sample_reference(int(nodes[i]), float(ts[i]))
+            reference = eps_dfs_reference(sampler, int(nodes[i]), float(ts[i]))
             np.testing.assert_array_equal(batch.row(i), reference)
 
     def test_per_root_sample_is_batch_row(self):
@@ -162,12 +186,15 @@ class TestEtaBFSEquivalence:
         sampled node *sets* are deterministic and must coincide."""
         seed, num_nodes, num_events = params
         finder = NeighborFinder(random_stream(seed, num_nodes, num_events))
+        # Nothing is cut at η = 1000, so one root's last frontier can hold
+        # max_degree ** depth occurrences (300 ** 3 on a two-node graph).
+        assume(int(np.diff(finder.indptr).max()) ** depth <= 4096)
         sampler = EtaBFSSampler(finder, eta=1000, depth=depth,
                                 probability="uniform", seed=0)
         nodes, ts = random_queries(seed, num_nodes, 16)
         batch = sampler.sample_batch(nodes, ts)
         for i in range(16):
-            reference = sampler.sample_reference(int(nodes[i]), float(ts[i]))
+            reference = eta_bfs_reference(sampler, int(nodes[i]), float(ts[i]))
             assert set(batch.row(i).tolist()) == set(reference.tolist())
 
     @settings(max_examples=15, deadline=None)
@@ -199,7 +226,7 @@ class TestEtaBFSEquivalence:
         batch_counts = np.bincount(batch.nodes, minlength=6)
         ref_counts = np.zeros(6, dtype=np.int64)
         for _ in range(trials):
-            for node in sampler.sample_reference(0, 6.0):
+            for node in eta_bfs_reference(sampler, 0, 6.0):
                 ref_counts[node] += 1
         # Same expected frequencies: compare within 4-sigma of binomial noise.
         probs = ref_counts[1:] / trials
@@ -245,9 +272,8 @@ class TestUnderflowRegression:
         finder = self.wide_spread_finder()
         sampler = EtaBFSSampler(finder, eta=4, depth=1, probability=mode,
                                 tau=1e-5, seed=0)
-        for path in (sampler.sample, sampler.sample_reference):
-            result = path(0, 6.0)
-            assert result.tolist() == [survivor]
+        assert sampler.sample(0, 6.0).tolist() == [survivor]
+        assert eta_bfs_reference(sampler, 0, 6.0).tolist() == [survivor]
 
     @pytest.mark.parametrize("mode", ["chronological", "reverse"])
     def test_batch_draw_clamped(self, mode):
@@ -318,7 +344,7 @@ class TestWideSegments:
         # Depth 2 adds the hub and loses a draw whenever the hub draws the
         # root back.
         assert np.isin(batch.counts(), [10, 11] if depth == 2 else [10]).all()
-        reference = np.concatenate([sampler.sample_reference(root, 101.0)
+        reference = np.concatenate([eta_bfs_reference(sampler, root, 101.0)
                                     for _ in range(ref_trials)])
 
         def leaves(picks):  # drop the hub itself
@@ -365,7 +391,7 @@ class TestWideSegments:
                 np.arange(support) + 1
         sampler = EtaBFSSampler(star_finder(times), eta=10, depth=1,
                                 probability=mode, tau=1e-3, seed=0)
-        expected = len(sampler.sample_reference(0, 1001.0))
+        expected = len(eta_bfs_reference(sampler, 0, 1001.0))
         assert expected == min(10, support)
         batch = sampler.sample_batch(np.zeros(50, dtype=np.int64),
                                      np.full(50, 1001.0))
@@ -450,31 +476,6 @@ class TestWideSegments:
                                               getattr(b, name).nodes)
                 np.testing.assert_array_equal(getattr(a, name).indptr,
                                               getattr(b, name).indptr)
-
-    def test_dynamic_finder_with_delta(self):
-        """Every gather goes through ``finder.times[...]`` /
-        ``finder.neighbors[...]``, so a live graph with an un-compacted
-        delta draws what the rebuilt CSR draws."""
-        from repro.serve.dynamic_finder import DynamicNeighborFinder
-        times = self.hub_times()
-        static = star_finder(times)
-        base = 900
-        live = DynamicNeighborFinder(EventStream(
-            src=np.zeros(base, dtype=np.int64), dst=np.arange(1, base + 1),
-            timestamps=times[:base], num_nodes=len(times) + 2),
-            compaction_threshold=None)
-        live.append(np.zeros(len(times) - base, dtype=np.int64),
-                    np.arange(base + 1, len(times) + 1), times[base:])
-        assert live.delta_events == len(times) - base
-        roots = np.zeros(24, dtype=np.int64)
-        ts = np.linspace(30.0, 101.0, 24)
-        for mode in ("chronological", "reverse", "uniform"):
-            expected = EtaBFSSampler(static, 10, 1, probability=mode) \
-                .sample_batch(roots, ts, rng=np.random.default_rng(7))
-            actual = EtaBFSSampler(live, 10, 1, probability=mode) \
-                .sample_batch(roots, ts, rng=np.random.default_rng(7))
-            np.testing.assert_array_equal(expected.nodes, actual.nodes)
-            np.testing.assert_array_equal(expected.indptr, actual.indptr)
 
     def test_cost_is_independent_of_hub_degree(self):
         """Count-based, no timers: 64 rows with distinct ``t`` all reach

@@ -110,11 +110,6 @@ class TestNeighborFinder:
         assert times.tolist() == [2.0, 4.0]
         assert neighbors.tolist() == [1, 2]
 
-    def test_sample_uniform_empty_history(self, rng):
-        finder = NeighborFinder(make_stream())
-        neighbors, _, _ = finder.sample_uniform(2, 1.0, 5, rng)
-        assert len(neighbors) == 0
-
     def test_batch_most_recent_padding(self):
         finder = NeighborFinder(make_stream())
         neighbors, times, events, mask = finder.batch_most_recent(

@@ -1,7 +1,8 @@
-"""Sparse-delta memory engine: equivalence, dtype and gradient tests.
+"""Sparse-delta memory view: equivalence, dtype and gradient tests.
 
-The sparse engine (``memory_engine="sparse"``) must be *bit-identical* to
-the retained dense reference engine across all three backbones: memory
+:class:`~repro.dgnn.memory.MemoryView` must be *bit-identical* to the
+full-matrix flush of the original TGN-style implementation — kept here as
+the oracle :class:`DenseMemoryView` — across all three backbones: memory
 state, embeddings and parameter gradients, including the empty-pending
 first batch and batches with repeated nodes.  Plus unit coverage for
 :class:`SparseRowGrad` accumulation, :class:`ZeroEdgeFeatures`,
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.core import CPDGConfig, CPDGPreTrainer
-from repro.dgnn import (BACKBONES, DenseMemoryView, Memory, RawMessageStore,
-                        SparseMemoryView, ZeroEdgeFeatures, make_encoder)
+from repro.dgnn import (BACKBONES, Memory, MemoryView, RawMessageStore,
+                        ZeroEdgeFeatures, make_encoder)
 from repro.graph import chronological_batches
 from repro.graph.events import EventStream
 from repro.nn import (Adam, Parameter, SparseRowGrad, Tensor, clip_grad_norm,
@@ -40,14 +41,53 @@ def synthetic_stream(num_nodes=40, events=240, seed=0, edge_feats=True,
     )
 
 
+class DenseMemoryView:
+    """The oracle: one full-matrix copy per flush, differentiable
+    full-table writes, a whole-matrix persist — O(num_nodes) per batch."""
+
+    def __init__(self, store: Memory):
+        self.store = store
+        self._tensor = Tensor(np.array(store._state, copy=True))
+        self.touched = np.empty(0, dtype=np.int64)
+
+    @property
+    def shape(self):
+        return self._tensor.shape
+
+    def gather(self, nodes):
+        return F.embedding_lookup(self._tensor,
+                                  np.asarray(nodes, dtype=np.int64))
+
+    def write(self, nodes, rows):
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if len(nodes):
+            self._tensor = F.scatter_rows(self._tensor, nodes, rows)
+            self.touched = np.union1d(self.touched, nodes)
+
+    def current_rows(self, nodes):
+        return self._tensor.data[np.asarray(nodes, dtype=np.int64)]
+
+    def persist(self):
+        self.store.persist(self._tensor.data)
+
+
+def use_dense_oracle(encoder):
+    """Make every flush of ``encoder`` open the dense oracle view."""
+    store = encoder.memory
+    store.view = lambda: DenseMemoryView(store)
+    return encoder
+
+
 def build_pair(backbone, stream, **kwargs):
-    """Identically initialised dense/sparse encoders."""
+    """Identically initialised encoders: dense oracle / production view."""
     encoders = {}
     for engine in ("dense", "sparse"):
         rng = np.random.default_rng(7)
         enc = make_encoder(backbone, stream.num_nodes, rng, memory_dim=8,
                            embed_dim=8, time_dim=4, edge_dim=4, n_neighbors=3,
-                           memory_engine=engine, **kwargs)
+                           **kwargs)
+        if engine == "dense":
+            use_dense_oracle(enc)
         enc.attach(stream)
         enc.reset_memory()
         encoders[engine] = enc
@@ -103,22 +143,26 @@ class TestEngineEquivalence:
         nodes = np.array([0, 3, 3, 21])
         for enc in encoders.values():
             assert len(enc._messages) == 0
+        assert isinstance(encoders["dense"].flush_messages(), DenseMemoryView)
+        assert type(encoders["sparse"].flush_messages()) is MemoryView
         rows = {engine: enc.flush_messages().gather(nodes).data
                 for engine, enc in encoders.items()}
         np.testing.assert_array_equal(rows["dense"], rows["sparse"])
 
     def test_seeded_pretrain_loss_history_regression(self):
-        """End-to-end Algorithm 1: dense and sparse engines must produce
-        the same per-batch loss history and final memory."""
+        """End-to-end Algorithm 1: the dense oracle and the production
+        view must produce the same per-batch loss history and final
+        memory."""
         stream = synthetic_stream(num_nodes=30, events=180)
+        cfg = CPDGConfig(epochs=2, batch_size=60, memory_dim=8, embed_dim=8,
+                         time_dim=4, edge_dim=4, n_neighbors=3, eta=3,
+                         epsilon=3, num_checkpoints=2, dtype="float64",
+                         seed=3)
         results = {}
         for engine in ("dense", "sparse"):
-            cfg = CPDGConfig(epochs=2, batch_size=60, memory_dim=8,
-                             embed_dim=8, time_dim=4, edge_dim=4,
-                             n_neighbors=3, eta=3, epsilon=3,
-                             num_checkpoints=2, memory_engine=engine,
-                             dtype="float64", seed=3)
             trainer = CPDGPreTrainer.from_backbone("tgn", stream.num_nodes, cfg)
+            if engine == "dense":
+                use_dense_oracle(trainer.encoder)
             results[engine] = trainer.pretrain(stream)
         hist_dense = np.asarray(results["dense"].loss_history)
         hist_sparse = np.asarray(results["sparse"].loss_history)
@@ -222,7 +266,7 @@ class TestSparseMemoryView:
     def test_gather_overlays_delta_rows(self):
         mem = Memory(6, 3)
         mem.state[:] = np.arange(18, dtype=float).reshape(6, 3)
-        view = SparseMemoryView(mem)
+        view = MemoryView(mem)
         view.write(np.array([4, 1]), Tensor(np.full((2, 3), -1.0)))
         out = view.gather(np.array([0, 1, 4, 5, 1])).data
         np.testing.assert_array_equal(out[0], mem.state[0])
@@ -233,7 +277,7 @@ class TestSparseMemoryView:
 
     def test_persist_writes_only_touched_rows(self):
         mem = Memory(5, 2)
-        view = SparseMemoryView(mem)
+        view = MemoryView(mem)
         view.write(np.array([2]), Tensor(np.ones((1, 2))))
         view.persist()
         assert mem.state[2].sum() == 2.0
@@ -242,7 +286,7 @@ class TestSparseMemoryView:
 
     def test_second_write_merges_delta(self):
         mem = Memory(6, 2)
-        view = SparseMemoryView(mem)
+        view = MemoryView(mem)
         view.write(np.array([1, 3]), Tensor(np.ones((2, 2))))
         view.write(np.array([3, 5]), Tensor(np.full((2, 2), 2.0)))
         np.testing.assert_array_equal(view.touched, [1, 3, 5])
@@ -250,13 +294,13 @@ class TestSparseMemoryView:
         np.testing.assert_array_equal(out, [[1, 1], [2, 2], [2, 2]])
 
     def test_write_rejects_duplicate_nodes(self):
-        view = SparseMemoryView(Memory(4, 2))
+        view = MemoryView(Memory(4, 2))
         with pytest.raises(ValueError):
             view.write(np.array([1, 1]), Tensor(np.ones((2, 2))))
 
     def test_empty_write_is_a_noop(self):
         mem = Memory(4, 2)
-        view = SparseMemoryView(mem)
+        view = MemoryView(mem)
         view.write(np.empty(0, dtype=np.int64), Tensor(np.empty((0, 2))))
         out = view.gather(np.array([3])).data  # must not raise
         np.testing.assert_array_equal(out, [[0.0, 0.0]])
@@ -265,28 +309,12 @@ class TestSparseMemoryView:
 
     def test_gradients_flow_through_written_rows_only(self):
         mem = Memory(5, 2)
-        view = SparseMemoryView(mem)
+        view = MemoryView(mem)
         rows = Tensor(np.ones((2, 2)), requires_grad=True)
         view.write(np.array([0, 3]), rows)
         out = view.gather(np.array([0, 1, 3, 3]))
         out.sum().backward()
         np.testing.assert_array_equal(rows.grad, [[1.0, 1.0], [2.0, 2.0]])
-
-    def test_dense_view_matches_legacy_full_matrix_semantics(self):
-        mem = Memory(4, 2)
-        mem.state[:] = 1.0
-        view = DenseMemoryView(mem)
-        view.write(np.array([2]), Tensor(np.zeros((1, 2))))
-        full = view.dense().data
-        assert full.shape == (4, 2)
-        assert full[2].sum() == 0.0
-        view.persist()
-        assert mem.state[2].sum() == 0.0
-        assert mem.state[0].sum() == 2.0
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Memory(4, 2).view("hologram")
 
 
 class TestWrittenRows:
@@ -537,8 +565,8 @@ class TestDtype:
     def test_config_rejects_unknown_dtype_and_engine(self):
         with pytest.raises(ValueError):
             CPDGConfig(dtype="float16").validate()
-        with pytest.raises(ValueError):
-            CPDGConfig(memory_engine="mmap").validate()
+        with pytest.raises(TypeError):      # no engine left to select
+            CPDGConfig(memory_engine="mmap")
 
     def test_memory_persist_preserves_dtype(self):
         mem = Memory(3, 2, dtype=np.float32)

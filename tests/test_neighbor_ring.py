@@ -274,7 +274,7 @@ def test_rejected_append_changes_nothing():
 @pytest.fixture(scope="module")
 def artifact_and_streams():
     full, pre, suffix = make_split_stream(seed=3)
-    return pretrain_artifact(pre, tiny_config("tgn", "sparse")), pre, suffix
+    return pretrain_artifact(pre, tiny_config("tgn")), pre, suffix
 
 
 def test_service_ring_survives_compaction_and_restore(artifact_and_streams,

@@ -363,7 +363,7 @@ def _tiny_service() -> EmbeddingService:
         num_nodes=NUM_NODES, name="obs-test")
     config = RunConfig(pretrain=CPDGConfig(
         epochs=1, batch_size=80, memory_dim=8, embed_dim=8, time_dim=4,
-        n_neighbors=5, num_checkpoints=2, seed=0, memory_engine="sparse"))
+        n_neighbors=5, num_checkpoints=2, seed=0))
     trainer = CPDGPreTrainer.from_backbone(
         config.backbone, stream.num_nodes, config.pretrain, delta_scale=1.0)
     artifact = PretrainArtifact(

@@ -3,13 +3,12 @@ ingestion, the query planner/cache, the HTTP frontend, and artifact v2.
 
 The load-bearing guarantees:
 
-* every `DynamicNeighborFinder` query is bit-identical to a
+* what the encoder asks a `DynamicNeighborFinder` (`batch_most_recent`,
+  `most_recent_slots` through the ring) is bit-identical to a
   `NeighborFinder` rebuilt from scratch over the concatenated events —
-  before *and* after compaction — so the PR-2 samplers and PR-4
-  `produce_batch` run unchanged on a live graph;
+  before *and* after compaction;
 * `EmbeddingService.embed` after `ingest` is bit-identical to an offline
-  encoder that replayed the concatenated stream (dense and sparse memory
-  engines, all three backbones);
+  encoder that replayed the concatenated stream (all three backbones);
 * format-v2 artifacts round-trip the fine-tuned bundle and still read
   v1 files.
 """
@@ -27,17 +26,16 @@ from repro.api import (ARTIFACT_FORMAT_VERSION, FineTunedBundle, Pipeline,
 from repro.api.config import DataConfig
 from repro.core import CPDGConfig
 from repro.core.pretrainer import CPDGPreTrainer
-from repro.core.samplers import EpsilonDFSSampler, EtaBFSSampler
+from repro.core.samplers import EtaBFSSampler
 from repro.dgnn.encoder import make_encoder
 from repro.graph.batching import EventBatch
 from repro.graph.events import EventStream
-from repro.graph.neighbor_finder import NeighborFinder
+from repro.graph.neighbor_finder import NeighborFinder, most_recent_slots
 from repro.nn.autograd import default_dtype, no_grad
 from repro.serve import (DynamicNeighborFinder, EmbeddingService,
                          HttpClient, IngestError, LocalClient,
                          MicroBatchPlanner, RowCache, ServeError,
                          StalenessPolicy, start_http_server)
-from repro.stream import ProducerSpec, SamplingContext, produce_batch
 from repro.tasks import FineTuneConfig
 from repro.tasks.ranking import top_k_from_scores
 
@@ -60,12 +58,10 @@ def make_split_stream(seed: int = 3, edge_dim: int = 0):
             full.slice_index(PRETRAIN_EVENTS, total))
 
 
-def tiny_config(backbone: str = "tgn", engine: str = "sparse",
-                edge_dim: int = 0) -> RunConfig:
+def tiny_config(backbone: str = "tgn", edge_dim: int = 0) -> RunConfig:
     return RunConfig(backbone=backbone, pretrain=CPDGConfig(
         epochs=1, batch_size=90, memory_dim=8, embed_dim=8, time_dim=4,
-        edge_dim=edge_dim, n_neighbors=5, num_checkpoints=2, seed=0,
-        memory_engine=engine))
+        edge_dim=edge_dim, n_neighbors=5, num_checkpoints=2, seed=0))
 
 
 def pretrain_artifact(stream: EventStream, config: RunConfig
@@ -92,8 +88,7 @@ def offline_replay_embed(artifact: PretrainArtifact, full: EventStream,
             memory_dim=config.memory_dim, embed_dim=config.embed_dim,
             time_dim=config.time_dim, edge_dim=config.edge_dim,
             n_neighbors=config.n_neighbors, n_layers=config.n_layers,
-            delta_scale=artifact.delta_scale,
-            memory_engine=config.memory_engine, dtype=config.np_dtype)
+            delta_scale=artifact.delta_scale, dtype=config.np_dtype)
         encoder.load_state_dict(artifact.result.encoder_state)
         encoder.load_memory(artifact.result.memory_state,
                             artifact.result.last_update)
@@ -113,6 +108,23 @@ def offline_replay_embed(artifact: PretrainArtifact, full: EventStream,
     return np.asarray(z.data)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def finder_state(finder: DynamicNeighborFinder) -> tuple:
+    """A copy of everything an accepted append changes."""
+    ring = finder._ring
+    return (finder.num_events, finder.delta_events, finder._t_max,
+            len(finder._buf_ts), ring.used, ring.slot_of.copy(),
+            *(getattr(ring, name)[:ring.used].copy()
+              for name in ring._ARRAYS))
+
+
+def assert_same_state(before: tuple, after: tuple) -> None:
+    for was, now in zip(before, after, strict=True):
+        np.testing.assert_array_equal(was, now)
+
+
 # ======================================================================
 # DynamicNeighborFinder: delta vs compacted vs rebuilt-from-scratch
 # ======================================================================
@@ -130,51 +142,25 @@ class TestDynamicNeighborFinder:
 
     def _assert_equivalent(self, ref: NeighborFinder,
                            dyn: DynamicNeighborFinder, seed: int) -> None:
+        """Everything the encoder can ask: the padded query at past and
+        future times, and the ragged slots (ring when every row is asked
+        after its newest event, padded path otherwise)."""
         rng = np.random.default_rng(seed)
         nodes = rng.integers(0, NUM_NODES, 300)
         ts = rng.uniform(0.0, 130.0, 300)
-        r_starts, r_ends = ref.batch_before(nodes, ts)
-        d_starts, d_ends = dyn.batch_before(nodes, ts)
-        np.testing.assert_array_equal(r_starts, d_starts)
-        np.testing.assert_array_equal(r_ends, d_ends)
-        np.testing.assert_array_equal(np.asarray(ref.indptr),
-                                      np.asarray(dyn.indptr))
-        # The flat-index contract: dereferencing the cut range through the
-        # virtual columns yields the rebuilt finder's slices.
-        flat = np.concatenate([np.arange(a, b)
-                               for a, b in zip(r_starts, r_ends)])
-        for name in ("neighbors", "times", "event_ids"):
-            np.testing.assert_array_equal(
-                np.asarray(getattr(ref, name))[flat],
-                getattr(dyn, name)[flat], err_msg=name)
         for count in (1, 4, 9):
             expected = ref.batch_most_recent(nodes, ts, count)
             actual = dyn.batch_most_recent(nodes, ts, count)
             for exp, act in zip(expected, actual):
                 np.testing.assert_array_equal(exp, act)
-        expected = ref.batch_sample_uniform(nodes, ts, 6,
-                                            np.random.default_rng(99))
-        actual = dyn.batch_sample_uniform(nodes, ts, 6,
-                                          np.random.default_rng(99))
-        for exp, act in zip(expected, actual):
-            np.testing.assert_array_equal(exp, act)
-        for cut in (0, PRETRAIN_EVENTS // 2, PRETRAIN_EVENTS,
-                    PRETRAIN_EVENTS + SUFFIX_EVENTS):
-            np.testing.assert_array_equal(
-                ref.batch_last_update(nodes, cut),
-                dyn.batch_last_update(nodes, cut))
-        base = np.random.default_rng(1).uniform(0, 5, NUM_NODES)
-        np.testing.assert_array_equal(
-            ref.batch_last_update(nodes, PRETRAIN_EVENTS + 10, base=base),
-            dyn.batch_last_update(nodes, PRETRAIN_EVENTS + 10, base=base))
-        for node in range(0, NUM_NODES, 11):
-            for t in (0.0, 50.0, 99.0, 200.0):
-                for exp, act in zip(ref.before(node, t), dyn.before(node, t)):
+            for when in (ts, np.full(300, 130.0)):
+                expected = most_recent_slots(ref, nodes, when, count)
+                actual = most_recent_slots(dyn, nodes, when, count)
+                for exp, act in zip(expected, actual):
                     np.testing.assert_array_equal(exp, act)
-                for exp, act in zip(ref.most_recent(node, t, 3),
-                                    dyn.most_recent(node, t, 3)):
-                    np.testing.assert_array_equal(exp, act)
-                assert ref.degree(node, t) == dyn.degree(node, t)
+        answered = int(dyn._ring._answered)
+        assert dyn.recent_slots(nodes, np.full(300, 130.0), 9) is not None
+        assert int(dyn._ring._answered) == answered + 1
 
     @pytest.mark.parametrize("seed", [0, 7, 21])
     @pytest.mark.parametrize("chunk", [1, 17, SUFFIX_EVENTS])
@@ -189,54 +175,15 @@ class TestDynamicNeighborFinder:
         dyn.compact()
         assert dyn.delta_events == 0 and dyn.compactions == 1
         self._assert_equivalent(ref, dyn, seed)
+        # The merged base is what the snapshot writer reads.
         for name in ("indptr", "neighbors", "times", "event_ids"):
-            np.testing.assert_array_equal(np.asarray(getattr(ref, name)),
-                                          np.asarray(getattr(dyn, name)))
+            np.testing.assert_array_equal(getattr(ref, name),
+                                          getattr(dyn._base, name), name)
 
     def test_auto_compaction_threshold(self):
         _, dyn = self._grown(0, 17, threshold=50)
         assert dyn.compactions >= 1
         assert dyn.delta_events < 50
-
-    def test_samplers_run_unchanged_on_live_graph(self):
-        ref, dyn = self._grown(5, 13, threshold=None)
-        rng = np.random.default_rng(5)
-        roots = rng.integers(0, NUM_NODES, 40)
-        ts = rng.uniform(10.0, 130.0, 40)
-        for kwargs in (dict(probability="chronological"),
-                       dict(probability="reverse")):
-            exp = EtaBFSSampler(ref, 4, 2, **kwargs).sample_batch(
-                roots, ts, rng=np.random.default_rng(11))
-            act = EtaBFSSampler(dyn, 4, 2, **kwargs).sample_batch(
-                roots, ts, rng=np.random.default_rng(11))
-            np.testing.assert_array_equal(exp.nodes, act.nodes)
-            np.testing.assert_array_equal(exp.indptr, act.indptr)
-        exp = EpsilonDFSSampler(ref, 4, 2).sample_batch(roots, ts)
-        act = EpsilonDFSSampler(dyn, 4, 2).sample_batch(roots, ts)
-        np.testing.assert_array_equal(exp.nodes, act.nodes)
-        np.testing.assert_array_equal(exp.indptr, act.indptr)
-
-    def test_produce_batch_runs_unchanged_on_live_graph(self):
-        full, _, _ = make_split_stream(4)
-        ref, dyn = self._grown(4, 29, threshold=None)
-        spec = ProducerSpec(batch_size=50, seed=0, sample_temporal=True,
-                            sample_structural=True, eta=4, epsilon=4,
-                            depth=2, compute_messages=True, stream=full)
-        items = list(spec.make_plan(full.num_events))
-        ctx_ref = SamplingContext(spec, stream=full, finder=ref)
-        ctx_dyn = SamplingContext(spec, stream=full, finder=dyn)
-        for item in items[:3]:
-            expected = produce_batch(ctx_ref, item)
-            actual = produce_batch(ctx_dyn, item)
-            np.testing.assert_array_equal(expected.batch.neg_dst,
-                                          actual.batch.neg_dst)
-            for attr in ("temporal_pos", "temporal_neg",
-                         "structural_pos", "structural_neg"):
-                exp, act = getattr(expected, attr), getattr(actual, attr)
-                np.testing.assert_array_equal(exp.nodes, act.nodes)
-                np.testing.assert_array_equal(exp.indptr, act.indptr)
-            np.testing.assert_array_equal(expected.messages.delta_t,
-                                          actual.messages.delta_t)
 
     def test_append_validation(self):
         _, pre, _ = make_split_stream(0)
@@ -252,13 +199,29 @@ class TestDynamicNeighborFinder:
             dyn.append([1], [2], [t_next], event_ids=[999])   # id gap
         assert dyn.num_events == PRETRAIN_EVENTS
 
-    def test_export_compacts_first(self, tmp_path):
-        ref, dyn = self._grown(0, 17, threshold=None)
-        dyn.export(str(tmp_path / "shards"))
-        reopened = NeighborFinder.open(str(tmp_path / "shards"), mmap=False)
-        for name in ("indptr", "neighbors", "times", "event_ids"):
-            np.testing.assert_array_equal(np.asarray(getattr(ref, name)),
-                                          np.asarray(getattr(reopened, name)))
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_append_rejects_non_finite_timestamps(self, bad):
+        """NaN passes both order checks (every comparison is false) and
+        one +inf would outlaw every later finite block."""
+        _, pre, _ = make_split_stream(0)
+        dyn = DynamicNeighborFinder(pre)
+        t_next = pre.t_max + 1.0
+        before = finder_state(dyn)
+        for block in ([bad], [t_next, bad], [bad, t_next]):
+            with pytest.raises(IngestError, match="finite"):
+                dyn.append([0] * len(block), [3] * len(block), block)
+        assert_same_state(before, finder_state(dyn))
+        assert dyn.append([1], [2], [t_next]).tolist() == [PRETRAIN_EVENTS]
+        assert dyn._t_max == t_next and dyn.num_events == PRETRAIN_EVENTS + 1
+        slots = dyn.recent_slots(np.array([1]), np.array([t_next + 1.0]), 1)
+        assert slots.neighbors.tolist() == [2]
+
+    def test_a_sampler_pointed_at_the_live_finder_fails_by_name(self):
+        """The live finder answers the encoder, not the samplers."""
+        _, dyn = self._grown(5, 13)
+        sampler = EtaBFSSampler(dyn, 4, 2)
+        with pytest.raises(AttributeError, match="batch_before"):
+            sampler.sample_batch(np.array([3]), np.array([120.0]))
 
 
 # ======================================================================
@@ -283,8 +246,7 @@ class TestEmbeddingService:
                 memory_dim=config.memory_dim, embed_dim=config.embed_dim,
                 time_dim=config.time_dim, edge_dim=config.edge_dim,
                 n_neighbors=config.n_neighbors, n_layers=config.n_layers,
-                delta_scale=1.0, memory_engine=config.memory_engine,
-                dtype=config.np_dtype)
+                delta_scale=1.0, dtype=config.np_dtype)
             encoder.load_state_dict(artifact.result.encoder_state)
             encoder.load_memory(artifact.result.memory_state,
                                 artifact.result.last_update)
@@ -294,13 +256,14 @@ class TestEmbeddingService:
                     encoder.compute_embedding(nodes, ts).data)
         np.testing.assert_array_equal(served, offline)
 
-    @pytest.mark.parametrize("backbone", ["tgn", "jodie", "dyrep"])
-    @pytest.mark.parametrize("engine", ["sparse", "dense"])
-    def test_ingest_replay_equivalence(self, backbone, engine):
+    # ids: the names these cases carry in the tier-1 floor list.
+    @pytest.mark.parametrize("backbone", ["tgn", "jodie", "dyrep"],
+                             ids="sparse-{}".format)
+    def test_ingest_replay_equivalence(self, backbone):
         """The acceptance criterion: serve-time ingestion == offline
         replay over the concatenated stream, bit for bit."""
         full, pre, suffix = make_split_stream(3)
-        artifact = pretrain_artifact(pre, tiny_config(backbone, engine))
+        artifact = pretrain_artifact(pre, tiny_config(backbone))
         service = EmbeddingService.from_artifact(
             artifact, history=pre, compaction_threshold=50)
         service.ingest(suffix, block_size=40)
@@ -309,6 +272,26 @@ class TestEmbeddingService:
         served = service.embed(nodes, ts)
         offline = offline_replay_embed(artifact, full, suffix, nodes, ts)
         np.testing.assert_array_equal(served, offline)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_ingest_rejects_non_finite_timestamps(self, bad):
+        full, pre, suffix = make_split_stream(3)
+        artifact = pretrain_artifact(pre, tiny_config())
+        service = EmbeddingService.from_artifact(artifact, history=pre)
+        clean = EmbeddingService.from_artifact(artifact, history=pre,
+                                               cache_capacity=0)
+        before = finder_state(service.finder)
+        with pytest.raises(IngestError, match="finite"):
+            service.ingest(src=[1], dst=[40], timestamps=[bad])
+        assert_same_state(before, finder_state(service.finder))
+        assert service.stats()["ingest"]["events"] == 0
+        # The replica is as able to ingest as one that never saw the block.
+        for replica in (service, clean):
+            assert replica.ingest(suffix, block_size=40) == SUFFIX_EVENTS
+        nodes = np.arange(NUM_NODES)
+        ts = np.full(NUM_NODES, full.t_max + 5.0)
+        np.testing.assert_array_equal(service.embed(nodes, ts),
+                                      clean.embed(nodes, ts))
 
     def test_ingest_replay_equivalence_with_edge_features(self):
         full, pre, suffix = make_split_stream(9, edge_dim=3)
@@ -835,6 +818,28 @@ class TestHttpFrontend:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{base}/nope", timeout=10)
             assert excinfo.value.code == 404
+        finally:
+            server.shutdown()
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_http_ingest_rejects_non_finite_timestamps(self, service, bad):
+        """``json.loads`` passes NaN / Infinity through ``POST /ingest``."""
+        import urllib.error
+
+        server, _ = start_http_server(service)
+        try:
+            client = HttpClient(f"http://127.0.0.1:"
+                                f"{server.server_address[1]}")
+            before = finder_state(service.finder)
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                client.ingest([1], [40], [bad])
+            assert excinfo.value.code == 400
+            assert "finite" in json.loads(excinfo.value.read())["error"]
+            assert_same_state(before, finder_state(service.finder))
+            t_next = service.finder._t_max + 1.0
+            assert client.ingest([1], [40], [t_next]) == {"ingested": 1}
+            assert client.stats()["graph"]["num_events"] \
+                == PRETRAIN_EVENTS + 1
         finally:
             server.shutdown()
 

@@ -46,7 +46,7 @@ from .test_serve import (NUM_NODES, make_split_stream, pretrain_artifact,
 @pytest.fixture(scope="module")
 def artifact_and_streams():
     full, pre, suffix = make_split_stream(seed=3)
-    artifact = pretrain_artifact(pre, tiny_config("tgn", "sparse"))
+    artifact = pretrain_artifact(pre, tiny_config("tgn"))
     return artifact, full, pre, suffix
 
 
@@ -159,7 +159,8 @@ class TestStalenessBoundedCache:
         oracle = build_service(artifact_and_streams, cache_capacity=0)
         u, other, bystander = 5, 11, 17
         t = float(suffix.timestamps[-1]) + 1.0
-        neighbour = int(service.finder.most_recent(u, t, 5)[0][-1])
+        neighbour = int(service.finder.batch_most_recent(
+            np.array([u]), np.array([t]), 5)[0][0, -1])
 
         def touch(at):
             for replica in (service, oracle):
@@ -429,9 +430,8 @@ class TestBackgroundCompaction:
         scratch = DynamicNeighborFinder(full)
         nodes = np.arange(NUM_NODES)
         t = np.full(NUM_NODES, full.timestamps[-1] + 1.0)
-        for name in ("batch_degree",):
-            np.testing.assert_array_equal(getattr(finder, name)(nodes, t),
-                                          getattr(scratch, name)(nodes, t))
+        np.testing.assert_array_equal(finder._base.indptr,
+                                      scratch._base.indptr)
         nbrs_a, ts_a, _, mask_a = finder.batch_most_recent(nodes, t, 5)
         nbrs_b, ts_b, _, mask_b = scratch.batch_most_recent(nodes, t, 5)
         np.testing.assert_array_equal(nbrs_a, nbrs_b)
@@ -587,8 +587,7 @@ class TestSnapshot:
 
     def test_edge_featured_round_trip(self, tmp_path):
         full, pre, suffix = make_split_stream(seed=5, edge_dim=3)
-        artifact = pretrain_artifact(pre, tiny_config("tgn", "sparse",
-                                                      edge_dim=3))
+        artifact = pretrain_artifact(pre, tiny_config("tgn", edge_dim=3))
         service = EmbeddingService.from_artifact(
             artifact, history=pre, background_compaction=False,
             cache_capacity=0)
@@ -616,7 +615,7 @@ class TestSnapshot:
                                 background_compaction=False)
         service.snapshot(path)
         other_full, other_pre, _ = make_split_stream(seed=11)
-        other = pretrain_artifact(other_pre, tiny_config("tgn", "sparse"))
+        other = pretrain_artifact(other_pre, tiny_config("tgn"))
         with pytest.raises(SnapshotError, match="fingerprint"):
             EmbeddingService.from_snapshot(other, path)
 

@@ -147,12 +147,6 @@ class TestMmapShards:
         for a, b in zip(finder.batch_most_recent(nodes, ts, 4),
                         mapped.batch_most_recent(nodes, ts, 4)):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(
-                finder.batch_sample_uniform(nodes, ts, 3,
-                                            np.random.default_rng(0)),
-                mapped.batch_sample_uniform(nodes, ts, 3,
-                                            np.random.default_rng(0))):
-            np.testing.assert_array_equal(a, b)
         # Per-node queries agree too.
         for node in (0, 7, stream.num_nodes - 1):
             for a, b in zip(finder.before(node, 55.0),
