@@ -65,11 +65,12 @@ row's newest entry is strictly older than its ``ts`` — then "before
 ``ts``" is the node's whole history and the newest ``count`` of it is in
 the ring; otherwise it returns ``None`` and the caller takes
 :meth:`~DynamicNeighborFinder.batch_most_recent`.  The answer holds the
-same entries in the same order as that path.  Compaction (inline or background) and snapshots
-never touch the ring: a merge only changes *where* the CSR stores an
-entry, not which entries a node has, and a restored finder refills the
-ring from its base and replayed delta.  Like every other piece of finder
-state the ring is not thread-safe; the service lock serialises it.
+same entries in the same order as that path.  Compaction (inline or
+background) and snapshots never touch the ring: a merge only changes
+*where* the CSR stores an entry, not which entries a node has, and a
+restored finder refills the ring from its base and replayed delta.  Like
+every other piece of finder state the ring is not thread-safe; the
+service lock serialises it.
 """
 
 from __future__ import annotations

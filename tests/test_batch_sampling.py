@@ -167,7 +167,8 @@ class TestEpsilonDFSEquivalence:
         batch = sampler.sample_batch(nodes, ts)
         assert len(batch) == 24
         for i in range(24):
-            reference = eps_dfs_reference(sampler, int(nodes[i]), float(ts[i]))
+            reference = eps_dfs_reference(sampler, int(nodes[i]),
+                                          float(ts[i]))
             np.testing.assert_array_equal(batch.row(i), reference)
 
     def test_per_root_sample_is_batch_row(self):
@@ -194,7 +195,8 @@ class TestEtaBFSEquivalence:
         nodes, ts = random_queries(seed, num_nodes, 16)
         batch = sampler.sample_batch(nodes, ts)
         for i in range(16):
-            reference = eta_bfs_reference(sampler, int(nodes[i]), float(ts[i]))
+            reference = eta_bfs_reference(sampler, int(nodes[i]),
+                                          float(ts[i]))
             assert set(batch.row(i).tolist()) == set(reference.tolist())
 
     @settings(max_examples=15, deadline=None)
