@@ -26,6 +26,8 @@ Design notes
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .scatter import scatter_add_rows, sum_duplicate_rows
@@ -35,15 +37,28 @@ __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled",
            "set_default_dtype", "Primitive", "Node", "primitive", "defvjp",
            "apply_op", "graph_nodes_created"]
 
-_GRAD_ENABLED = True
-_DEFAULT_DTYPE = np.dtype(np.float64)
+
+class _EngineState(threading.local):
+    """Per-thread engine state; the class attributes are the defaults every
+    thread starts from.
+
+    ``no_grad``, ``default_dtype`` and the trace/replay engine are scopes a
+    thread opens around *its own* ops: two services, or a service and a
+    trainer, computing on two threads of one process must neither see nor
+    restore each other's.
+    """
+
+    grad_enabled = True
+    default_dtype = np.dtype(np.float64)
+    # The active trace/replay engine (see repro.nn.compile); None = eager.
+    tracer = None
+
+
+_STATE = _EngineState()
 
 # Monotone count of graph nodes recorded since process start.  The serving
 # path asserts this stays flat during inference (no tape allocation).
 _NODES_CREATED = 0
-
-# The active trace/replay engine (see repro.nn.compile); None = plain eager.
-_TRACER = None
 
 
 def graph_nodes_created() -> int:
@@ -61,34 +76,32 @@ def set_tracer(tracer):
     Returns the previously installed tracer (None when eager).  Used only
     by :mod:`repro.nn.compile`.
     """
-    global _TRACER
-    previous = _TRACER
-    _TRACER = tracer
+    previous = _STATE.tracer
+    _STATE.tracer = tracer
     return previous
 
 
 def get_tracer():
-    return _TRACER
+    return _STATE.tracer
 
 
 def get_default_dtype() -> np.dtype:
     """Dtype new tensors are created with (float64 unless overridden)."""
-    return _DEFAULT_DTYPE
+    return _STATE.default_dtype
 
 
 def set_default_dtype(dtype) -> np.dtype:
-    """Set the global tensor dtype; returns the previous one.
+    """Set the calling thread's tensor dtype; returns the previous one.
 
     Only floating dtypes are meaningful — training in float32 halves the
     memory traffic of the DGNN hot path while float64 remains the default
     for numerically strict gradient checks.
     """
-    global _DEFAULT_DTYPE
-    previous = _DEFAULT_DTYPE
+    previous = _STATE.default_dtype
     resolved = np.dtype(dtype)
     if resolved.kind != "f":
         raise ValueError(f"default dtype must be floating, got {resolved}")
-    _DEFAULT_DTYPE = resolved
+    _STATE.default_dtype = resolved
     return previous
 
 
@@ -174,20 +187,18 @@ class no_grad:
     """
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._previous = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._previous = _STATE.grad_enabled
+        _STATE.grad_enabled = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._previous
+        _STATE.grad_enabled = self._previous
         return False
 
 
 def is_grad_enabled() -> bool:
     """Return whether new operations are currently recorded on the graph."""
-    return _GRAD_ENABLED
+    return _STATE.grad_enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -267,7 +278,7 @@ class Node:
 def _wrap(data) -> "Tensor":
     """Wrap a kernel output without re-running ``Tensor.__init__`` checks."""
     out = Tensor.__new__(Tensor)
-    out.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+    out.data = np.asarray(data, dtype=_STATE.default_dtype)
     out._grad = None
     out.requires_grad = False
     out._backward = None
@@ -282,7 +293,7 @@ def _eager_apply(prim: Primitive, inputs: tuple, params) -> "Tensor":
     """Apply ``prim`` eagerly, recording a :class:`Node` when needed."""
     global _NODES_CREATED
     requires = False
-    if _GRAD_ENABLED:
+    if _STATE.grad_enabled:
         for t in inputs:
             if t.requires_grad:
                 requires = True
@@ -303,7 +314,7 @@ def apply_op(prim: Primitive, inputs: tuple, params=None) -> "Tensor":
     otherwise runs the plain eager path (fast no-graph route under
     :class:`no_grad`).
     """
-    tr = _TRACER
+    tr = _STATE.tracer
     if tr is not None:
         return tr.apply(prim, inputs, params)
     return _eager_apply(prim, inputs, params)
@@ -327,9 +338,9 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=_STATE.default_dtype)
         self._grad: np.ndarray | SparseRowGrad | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _STATE.grad_enabled
         self._backward = None
         self._parents: tuple = ()
         self._node: Node | None = None
@@ -419,7 +430,7 @@ class Tensor:
         but abort compiled tracing (transparent eager fallback).
         """
         global _NODES_CREATED
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _STATE.grad_enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             _NODES_CREATED += 1
@@ -465,7 +476,7 @@ class Tensor:
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
-        tr = _TRACER
+        tr = _STATE.tracer
         if tr is not None and tr.replaying:
             tr.replay_backward(self, grad)
             return

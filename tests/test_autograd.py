@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, as_tensor, no_grad, is_grad_enabled
+from repro.nn import (Tensor, as_tensor, default_dtype, get_default_dtype,
+                      is_grad_enabled, no_grad)
 from repro.nn import functional as F
 
 from .conftest import numeric_gradient
@@ -196,6 +199,49 @@ class TestNoGrad:
             with no_grad():
                 assert not is_grad_enabled()
             assert not is_grad_enabled()
+
+    def test_scopes_are_per_thread(self):
+        """A ``no_grad`` / ``default_dtype`` scope held open on one thread
+        is invisible to another, and exits interleaved across threads
+        (A enters, B enters, A exits, B exits) leave every thread — and
+        the process — at the defaults."""
+        a_inside, b_inside, a_left = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def state():
+            return is_grad_enabled(), get_default_dtype()
+
+        def thread_a():
+            with no_grad(), default_dtype(np.float32):
+                a_inside.set()
+                b_inside.wait(10.0)
+            seen["a_after"] = state()
+            a_left.set()
+
+        def thread_b():
+            a_inside.wait(10.0)
+            seen["b_before"] = state()
+            with no_grad(), default_dtype(np.float32):
+                b_inside.set()
+                a_left.wait(10.0)
+                seen["b_inside"] = state()
+            seen["b_after"] = state()
+
+        threads = [threading.Thread(target=thread_a),
+                   threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        a_inside.wait(10.0)
+        seen["main_during"] = state()
+        for thread in threads:
+            thread.join(10.0)
+            assert not thread.is_alive()
+        seen["main_after"] = state()
+        defaults = (True, np.dtype(np.float64))
+        assert seen == {"b_before": defaults, "main_during": defaults,
+                        "b_inside": (False, np.dtype(np.float32)),
+                        "a_after": defaults, "b_after": defaults,
+                        "main_after": defaults}
 
 
 class TestNumericalGradients:

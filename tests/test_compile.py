@@ -8,6 +8,8 @@ diverges from the recorded program.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,54 @@ class TestCompiledStepTraining:
                 assert np.array_equal(w.grad, grad)
         stats = compiled.stats()
         assert (stats["replays"], stats["mismatches"]) == (len(xs) - 1, 0)
+
+    def test_replay_paused_on_one_thread_leaves_another_eager(self):
+        """A replay installs its engine for its own thread only: while
+        one is paused mid-program, an op applied on another thread runs
+        eagerly (and differentiates), and the replay then finishes with
+        no mismatch and eager's bits."""
+        net, xs, ys = self._problem()
+        step = self._step_fn(net)
+        eager_losses = [step(x, y) for x, y in zip(xs[:2], ys[:2])]
+        eager_grads = [p.grad.copy() for p in net.parameters()]
+
+        net2, _, _ = self._problem()
+        paused, resume = threading.Event(), threading.Event()
+        pause = False
+
+        def step2(x, y):
+            net2.zero_grad()
+            pred = net2(Tensor(x))
+            if pause:
+                paused.set()
+                resume.wait(10.0)
+            loss = ((pred - Tensor(y)) ** 2).mean()
+            loss.backward()
+            return loss.item()
+
+        compiled = CompiledStep(step2)
+        assert compiled(xs[0], ys[0], key="k") == eager_losses[0]   # trace
+        pause = True
+        replayed = []
+        worker = threading.Thread(
+            target=lambda: replayed.append(compiled(xs[1], ys[1], key="k")))
+        worker.start()
+        try:
+            assert paused.wait(10.0)
+            w = Tensor(np.ones(3), requires_grad=True)
+            out = (w * 2.0).sum()
+            assert out._node is not None          # a real eager graph node
+            out.backward()
+            assert np.array_equal(w.grad, np.full(3, 2.0))
+        finally:
+            resume.set()
+            worker.join(10.0)
+        assert not worker.is_alive()
+        assert replayed == [eager_losses[1]]
+        assert compiled.counters["mismatches"] == 0
+        assert compiled.counters["replays"] == 1
+        for p, g in zip(net2.parameters(), eager_grads):
+            assert np.array_equal(p.grad, g)
 
     def test_disabled_passes_through(self):
         net, xs, ys = self._problem()
