@@ -1,6 +1,7 @@
-"""Compiled autograd: trace a step once, replay it as a straight-line program.
+"""Compiled autograd: trace a train step once, replay it as a straight-line
+program.
 
-The batch loops of this codebase are *shape-stable*: every
+The training loops of this codebase are *shape-stable*: every
 :class:`~repro.stream.PreparedBatch` of the same size runs the exact same
 op sequence, so the per-step cost of rebuilding the autograd graph —
 node allocation, topological sort, closure dispatch, gradient first-store
@@ -29,9 +30,22 @@ removes it:
 Replayed results are bit-identical to eager execution: replay runs the
 primitives' own kernels (the same ufunc call sequence) and gradient cells
 replicate ``_accumulate``'s copy/add/sparse semantics in the same order.
+Eager autograd is the oracle of replay (``compile_step=False`` /
+``nn.compile=false``), never the other way round.
 
 Pooled output buffers are valid until the *next* call of the same
 ``CompiledStep`` — consumers that hold tensor data across steps must copy.
+
+**A train-step engine only.**  Replay removes graph construction and the
+backward walk; a forward pass under ``no_grad`` builds no graph, so
+replaying one only adds per-op validation.  Measured per stage on the four
+``bench/`` workloads at the commit before serving went eager: training
+replay pays (``pretrain-hub`` 0.920 → 0.767 s, ``transfer-e2e`` 1.940 →
+1.785 s, 6 of 6 pairs each), inference replay lost to eager in 10 of 10
+pairs on ``serve-read`` (1.598 against 1.397 s) and did not resolve on
+``serve-ingest`` — so :mod:`repro.serve` runs the plain eager pass and the
+forward-only program mode is gone.  The installed engine is per thread
+(:mod:`repro.nn.autograd`): a replay never intercepts another thread's ops.
 """
 
 from __future__ import annotations
@@ -175,7 +189,7 @@ class _Program:
 
     __slots__ = ("records", "n_slots", "slot_leaf", "slot_requires",
                  "slot_dtype", "slot_tensor", "loss_slot", "items", "cells",
-                 "cells_used", "seed_buf", "train")
+                 "cells_used", "seed_buf")
 
 
 class _Trace:
@@ -183,8 +197,7 @@ class _Trace:
 
     replaying = False
 
-    def __init__(self, mode: str):
-        self.mode = mode
+    def __init__(self):
         self.slots: list[tuple[Tensor, bool]] = []   # (tensor, is_leaf)
         self.by_id: dict[int, int] = {}
         # (prim, in_slots, in_requires, out_slot, out_requires, out_dtype,
@@ -232,9 +245,6 @@ class _Trace:
         if self.steps is not None:
             self.fail("multiple backward() calls in one step")
             return
-        if self.mode != "train":
-            self.fail("backward() inside an inference step")
-            return
         s = self.by_id.get(id(tensor))
         if s is None or self.slots[s][1]:
             self.fail("backward() target was not produced by the traced step")
@@ -255,9 +265,7 @@ class _Trace:
 
     # -- program construction -------------------------------------------
     def build(self) -> _Program:
-        train = self.mode == "train"
         p = _Program()
-        p.train = train
         p.n_slots = len(self.slots)
         p.slot_leaf = [leaf for _, leaf in self.slots]
         p.slot_requires = [t.requires_grad for t, _ in self.slots]
@@ -273,7 +281,7 @@ class _Trace:
             r.prim = prim
             r.in_slots = in_slots
             r.in_requires = in_requires
-            r.need_ctx = out_req if train else False
+            r.need_ctx = out_req
             r.out_slot = o
             r.out_dtype = out_dtype
             # Pooled buffers are C-contiguous; when the traced output was
@@ -301,9 +309,6 @@ class _Trace:
         p.items = []
         p.cells = [None] * p.n_slots
         p.cells_used = []
-        p.seed_buf = None
-        if not train:
-            return p
 
         # Backward items in the recorded (eager) processing order, and a
         # gradient cell for every slot the backward reads or feeds.
@@ -394,8 +399,6 @@ class _Replay:
 
     def replay_backward(self, tensor: Tensor, grad) -> None:
         p = self.p
-        if not p.train:
-            raise ReplayMismatch("backward() during inference replay")
         if self.backward_done:
             raise ReplayMismatch("multiple backward() calls")
         if self.cursor != len(p.records):
@@ -424,19 +427,15 @@ class _Replay:
 
 
 class CompiledStep:
-    """Trace-and-replay wrapper for a shape-stable train/inference step.
+    """Trace-and-replay wrapper for a shape-stable train step.
 
     Parameters
     ----------
     fn:
-        The step function.  For ``mode="train"`` it must run exactly one
-        ``backward()`` (and should zero grads itself so an aborted replay
-        can re-run it); for ``mode="inference"`` it must not call
-        backward (run it under ``no_grad``).  It must be re-runnable for
-        one batch: pop mutable state outside and pass it as an argument.
-    mode:
-        ``"train"`` records forward + backward; ``"inference"`` records
-        the forward program only.
+        The step function.  It must run exactly one ``backward()`` (and
+        should zero grads itself so an aborted replay can re-run it), and
+        it must be re-runnable for one batch: pop mutable state outside
+        and pass it as an argument.
     enabled:
         When false, calls pass straight through to ``fn`` (the
         ``nn.compile=false`` escape hatch).
@@ -453,29 +452,25 @@ class CompiledStep:
     emptiness, …); each key gets its own program.
     """
 
-    def __init__(self, fn, *, mode: str = "train", enabled: bool = True,
-                 profile: bool = False, max_retraces: int = 4):
-        if mode not in ("train", "inference"):
-            raise ValueError(f"unknown CompiledStep mode {mode!r}")
+    def __init__(self, fn, *, enabled: bool = True, profile: bool = False,
+                 max_retraces: int = 4):
         self.fn = fn
-        self.mode = mode
         self.enabled = enabled
         self.max_retraces = max_retraces
         self._programs: dict = {}
         self._failures: dict = {}
         self._dead: set = set()
         self.last_failure: str | None = None
-        # Registry-backed counters (repro_compile_*_total{mode=}); the
-        # dict shape is part of the public surface, and each Counter
-        # compares equal to its int value so existing consumers hold.
-        labels = {"mode": mode}
+        # Registry-backed counters (repro_compile_*_total); the dict shape
+        # is part of the public surface, and each Counter compares equal
+        # to its int value so existing consumers hold.
         self.counters = {
-            name: _obs.counter(f"repro_compile_{name}_total", labels=labels,
+            name: _obs.counter(f"repro_compile_{name}_total",
                                help=f"CompiledStep {name} count",
                                replace=True)
             for name in ("traces", "replays", "mismatches", "eager")}
         self._program_ops = _obs.gauge(
-            "repro_compile_program_ops", labels=labels,
+            "repro_compile_program_ops",
             help="forward ops in the most recently built compiled program")
         self._kernel_stats: dict | None = {} if profile else None
 
@@ -494,7 +489,7 @@ class CompiledStep:
             result = self.fn(*args, **kwargs)
             if rep.cursor != len(program.records):
                 raise ReplayMismatch("step replayed fewer ops than recorded")
-            if program.train and not rep.backward_done:
+            if not rep.backward_done:
                 raise ReplayMismatch("step skipped backward during replay")
             self.counters["replays"] += 1
             return result
@@ -514,14 +509,14 @@ class CompiledStep:
         return self._trace(key, args, kwargs)
 
     def _trace(self, key, args, kwargs):
-        tr = _Trace(self.mode)
+        tr = _Trace()
         prev = set_tracer(tr)
         try:
             result = self.fn(*args, **kwargs)
         finally:
             set_tracer(prev)
         self.counters["traces"] += 1
-        if tr.failed is None and self.mode == "train" and tr.steps is None:
+        if tr.failed is None and tr.steps is None:
             tr.fail("traced step never called backward()")
         if tr.failed is None:
             program = self._programs[key] = tr.build()

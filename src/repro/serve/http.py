@@ -2,7 +2,8 @@
 
 Pure stdlib (``http.server``), threaded — concurrent requests enter the
 service through the micro-batching planner, which is where coalescing
-happens.  Endpoints:
+happens; whichever request thread leads a batch runs the eager encoder
+pass under its own (per-thread) ``no_grad`` / dtype scope.  Endpoints:
 
 ====== =========== ==================================================
 POST   /embed      ``{"nodes": [...], "ts": <scalar or list>}``
@@ -270,12 +271,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         help="ingested events buffered before CSR merge")
     parser.add_argument("--no-verify-fingerprint", action="store_true",
                         help="skip the history-vs-artifact fingerprint check")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="disable the replay-compiled encoder pass "
-                             "(pure eager inference)")
-    parser.add_argument("--profile-kernels", action="store_true",
-                        help="record per-kernel replay counts and seconds "
-                             "(surfaced under /stats compile.kernels)")
     parser.add_argument("--staleness-events", type=float, default=0.0,
                         help="serve cached rows touched by up to this many "
                              "ingested blocks (0 = exact, the default)")
@@ -315,8 +310,6 @@ def serve_from_args(args: argparse.Namespace) -> int:
         window=args.window_ms / 1000.0,
         compaction_threshold=args.compaction_threshold,
         verify_fingerprint=not args.no_verify_fingerprint,
-        compile=not args.no_compile,
-        profile_kernels=args.profile_kernels,
         staleness_events=args.staleness_events,
         index=args.index,
         index_nlist=args.index_nlist,

@@ -28,6 +28,12 @@ replay-equivalent — embeddings after ingesting a suffix are bit-identical
 to an offline replay over the concatenated stream (asserted in
 ``tests/test_serve.py``).
 
+Rows are computed by the plain eager encoder pass under ``no_grad`` (0
+autograd nodes; the ``serve.compute`` span).  There is no compiled
+inference path — replaying a forward-only program measured slower than
+eager on ``serve-read`` (numbers in :mod:`repro.nn.compile`) — and
+``no_grad`` / dtype scopes are per thread.
+
 **The serving fast path** stacks three optional trade-offs on top, each
 off by default and each leaving the exact path available:
 
@@ -69,7 +75,6 @@ from ..dgnn.encoder import ZeroEdgeFeatures, make_encoder
 from ..graph.events import EventStream
 from ..graph.neighbor_finder import NeighborFinder
 from ..nn.autograd import Tensor, default_dtype, no_grad
-from ..nn.compile import CompiledStep
 from ..tasks.ranking import top_k_from_scores
 from .dynamic_finder import BackgroundCompactor, DynamicNeighborFinder
 from .index import CoarseQuantIndex
@@ -95,8 +100,6 @@ class ServeConfig:
     compaction_threshold: int = 4096     # delta events before CSR merge
     verify_fingerprint: bool = True      # history must match the artifact
     use_finetuned: bool | None = None    # None = auto (when bundle exists)
-    compile: bool = True                 # replay-compile the encoder pass
-    profile_kernels: bool = False        # per-kernel timers in /stats
     # --- serving fast path -------------------------------------------
     staleness_events: float = 0.0        # cached-row touch budget (0=exact)
     staleness_time: float = math.inf     # event-time cap on those touches
@@ -236,10 +239,6 @@ class EmbeddingService:
             _, data = _snapshot
             self._ingestor.touch_count[:-1] = data["touch_count"]
             self._ingestor.touch_time[:-1] = data["touch_time"]
-        self._compiled_embed = CompiledStep(
-            self._embed_pass, mode="inference",
-            enabled=self.config.compile,
-            profile=self.config.profile_kernels)
         self._staleness = self.config.staleness_policy
         cache = None
         if self.config.cache_capacity:
@@ -405,34 +404,19 @@ class EmbeddingService:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _embed_pass(self, nodes: np.ndarray, ts: np.ndarray, staged):
-        """One encoder pass — the traced/replayed inference region.
-
-        Returns the embeddings and what the pass read for each row
-        (``None`` without a cache to test it; collected per call, so a
-        re-run after a replay mismatch starts from an empty list).
-        """
-        self.encoder.flush_staged(staged)
-        reads = None if self.planner.cache is None else []
-        return self.encoder.compute_embedding(nodes, ts, reads=reads), reads
-
     def _compute_rows(self, nodes: np.ndarray, ts: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The planner's batched kernel: one encoder pass; detached rows
-        and the receptive field of each (``None`` with the cache off)."""
+        """The planner's batched kernel: one eager encoder pass under
+        ``no_grad``; detached rows and the receptive field of each
+        (``None`` with the cache off)."""
         if len(nodes) == 0:
             return (np.zeros((0, self.encoder.embed_dim), dtype=self._dtype),
                     None)
-        with default_dtype(self._dtype), no_grad():
-            staged = self.encoder.take_staged()
-            # Replay is shape-agnostic, so the key names the op stream
-            # only: one program (and one set of pooled buffers) per
-            # "messages pending or not", whatever the row count.
-            z, reads = self._compiled_embed(nodes, ts, staged,
-                                            key=staged is None)
-            # Replayed outputs live in pooled buffers (valid only until
-            # the next pass) and the planner caches rows — copy out.
-            rows = np.array(z.data, copy=True)
+        # What the pass reads for each row; nobody tests it without a cache.
+        reads = None if self.planner.cache is None else []
+        with _obs.span("serve.compute", rows=len(nodes)), \
+                default_dtype(self._dtype), no_grad():
+            rows = self.encoder.compute_embedding(nodes, ts, reads=reads).data
             # Persist the flush of any pending ingested messages so the
             # store (and every later query) sees the advanced memory.
             self.encoder.end_batch()
@@ -681,9 +665,6 @@ class EmbeddingService:
                 "candidates": int(len(self._candidates)),
                 "snapshot": snapshot,
                 "planner": self.planner.stats.as_row(),
-                # Counters + per-kernel seconds when profile_kernels is
-                # on (kernel-time attribution).
-                "compile": self._compiled_embed.stats(),
                 "cache_rows": 0 if cache is None else len(cache),
                 "ingest": self._ingestor.stats.as_row(),
             }

@@ -2,8 +2,8 @@
 
 The contract under test is *bit-identity*: a replayed step must produce
 exactly the floats eager execution produces — same loss history, same
-parameters, same memory — across backbones and the inference fast path, with transparent eager fallback when the op stream
-diverges from the recorded program.
+parameters, same memory — across backbones, with transparent eager
+fallback when the op stream diverges from the recorded program.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.core.pretrainer import CPDGPreTrainer
 from repro.datasets import BipartiteInteractionGenerator, InteractionConfig
 from repro import obs
 from repro.nn import MLP, Adam, CompiledStep, Tensor, functional as F
-from repro.nn.autograd import default_dtype, graph_nodes_created, no_grad
+from repro.nn.autograd import default_dtype, no_grad
 
 from .conftest import numeric_gradient
 
@@ -97,9 +97,7 @@ class TestCompiledStepTraining:
         # Two fused linears, relu, and the five loss ops; the registry
         # gauge reports the program just built.
         assert compiled.program_size(xs[0].shape) == 8
-        gauge = obs.gauge("repro_compile_program_ops",
-                          labels={"mode": "train"})
-        assert gauge.value == 8
+        assert obs.gauge("repro_compile_program_ops").value == 8
 
     def test_replayed_gradients_pass_gradcheck(self):
         net, xs, ys = self._problem()
@@ -309,50 +307,6 @@ class TestCompiledStepTraining:
                                      "mismatches": 0, "eager": len(xs)}
         assert compiled.stats()["kernels"] is None
         assert compiled.program_size("k") is None
-
-
-class TestInferenceMode:
-    """The no-graph inference fast path."""
-
-    def _encoder_like(self):
-        rng = np.random.default_rng(4)
-        net = MLP([6, 12, 6], rng)
-        return net
-
-    def test_inference_replay_is_bit_identical_and_nodeless(self):
-        net = self._encoder_like()
-        rng = np.random.default_rng(9)
-        xs = rng.normal(size=(5, 7, 6))
-
-        def embed(x):
-            return F.tanh(net(Tensor(x)))
-
-        with no_grad():
-            eager = [embed(x).data.copy() for x in xs]
-        compiled = CompiledStep(embed, mode="inference")
-        before = graph_nodes_created()
-        with no_grad():
-            replayed = [np.array(compiled(x, key="k").data, copy=True)
-                        for x in xs]
-        assert graph_nodes_created() == before
-        for a, b in zip(eager, replayed):
-            assert np.array_equal(a, b)
-        assert compiled.stats()["replays"] == len(xs) - 1
-
-    def test_backward_during_inference_trace_demotes(self):
-        net = self._encoder_like()
-
-        def bad(x):
-            net.zero_grad()
-            loss = net(Tensor(x)).sum()
-            loss.backward()
-            return loss.item()
-
-        compiled = CompiledStep(bad, mode="inference")
-        x = np.ones((3, 6))
-        value = compiled(x, key="k")            # trace fails, result stays eager
-        assert compiled.program_size("k") is None
-        assert value == pytest.approx(bad(x))
 
 
 class TestTensorItem:

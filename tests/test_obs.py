@@ -382,6 +382,22 @@ def _count_of(text: str, metric: str, **labels) -> int:
     return int(match.group(1))
 
 
+class TestServeSpans:
+
+    def test_traced_embed_emits_compute_under_embed(self):
+        """The encoder pass is a span of its own, the child of the
+        request that caused it, carrying the rows it computed."""
+        service = _tiny_service()
+        obs.configure(enabled=True)
+        service.embed([1, 2, 3, 3], 150.0)
+        spans = {record["name"]: record for record in obs.trace_buffer()}
+        compute, embed = spans["serve.compute"], spans["serve.embed"]
+        assert compute["trace"] == embed["trace"]
+        assert compute["parent"] == embed["span"]
+        assert embed["attrs"] == {"rows": 4}
+        assert compute["attrs"] == {"rows": 3}      # duplicates coalesced
+
+
 class TestServeMetricsEndpoint:
 
     def test_get_metrics_reflects_requests(self):

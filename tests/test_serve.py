@@ -304,55 +304,70 @@ class TestEmbeddingService:
                                        block=30)
         np.testing.assert_array_equal(service.embed(nodes, ts), offline)
 
-    def test_compiled_serving_builds_no_graph_nodes(self):
-        """Regression: the serve embed path runs fully under no_grad and
-        replays with zero autograd-node construction after the trace."""
+    def test_serving_builds_no_graph_nodes(self):
+        """Regression: the serve embed path runs fully under no_grad —
+        embed → ingest → embed constructs zero autograd nodes — and
+        equals the offline replay before and after the ingest."""
         from repro.nn.autograd import graph_nodes_created
-        _, pre, suffix = make_split_stream(3)
+        full, pre, suffix = make_split_stream(3)
         artifact = pretrain_artifact(pre, tiny_config("tgn"))
         service = EmbeddingService.from_artifact(artifact, history=pre)
         nodes = np.arange(0, NUM_NODES, 4)
         ts = np.full(len(nodes), pre.t_max + 1.0)
-        eager_service = EmbeddingService.from_artifact(
-            artifact, history=pre, compile=False)
-        first = service.embed(nodes, ts)               # traces once
-        np.testing.assert_array_equal(first, eager_service.embed(nodes, ts))
-        eager_pre_ingest = eager_service.embed(nodes, ts + 1.0)
+        nothing, head = suffix.slice_index(0, 0), suffix.slice_index(0, 40)
+        np.testing.assert_array_equal(
+            service.embed(nodes, ts),
+            offline_replay_embed(artifact, pre, nothing, nodes, ts))
+        offline_pre_ingest = offline_replay_embed(artifact, pre, nothing,
+                                                  nodes, ts + 1.0)
+        offline_post_ingest = offline_replay_embed(
+            artifact, full.slice_index(0, PRETRAIN_EVENTS + 40), head,
+            nodes, ts + 2.0)
         before = graph_nodes_created()
-        served = service.embed(nodes, ts + 1.0)        # replays
-        service.ingest(suffix.slice_index(0, 40))
+        served = service.embed(nodes, ts + 1.0)
+        service.ingest(head)
         served2 = service.embed(nodes, ts + 2.0)
         assert graph_nodes_created() == before
-        np.testing.assert_array_equal(served, eager_pre_ingest)
-        eager_service.ingest(suffix.slice_index(0, 40))
-        np.testing.assert_array_equal(
-            served2, eager_service.embed(nodes, ts + 2.0))
-        stats = service.stats()["compile"]
-        assert stats["replays"] >= 1 and stats["mismatches"] == 0
+        np.testing.assert_array_equal(served, offline_pre_ingest)
+        np.testing.assert_array_equal(served2, offline_post_ingest)
 
-    def test_one_program_serves_every_row_count(self):
-        """The inference step is keyed by op stream (messages pending or
-        not), not by row count: 50 requests of 50 distinct sizes trace at
-        most twice and still equal the eager service bit for bit."""
-        _, pre, suffix = make_split_stream(3)
+    def test_every_row_count_matches_offline_replay(self):
+        """50 requests of 50 distinct sizes, ingests interleaved (so the
+        pass alternates between flushing pending messages and not), each
+        equal to the offline replay of what was ingested so far."""
+        full, pre, suffix = make_split_stream(3)
         artifact = pretrain_artifact(pre, tiny_config("tgn"))
-        knobs = dict(history=pre, cache_capacity=0)
-        service = EmbeddingService.from_artifact(artifact, **knobs)
-        eager = EmbeddingService.from_artifact(artifact, compile=False,
-                                               **knobs)
+        service = EmbeddingService.from_artifact(artifact, history=pre)
         rng = np.random.default_rng(5)
+        ingested = 0
         for i, size in enumerate(rng.permutation(np.arange(1, 51))):
-            if i % 10 == 5:                  # alternate the op stream too
-                block = suffix.slice_index(4 * i, 4 * i + 4)
-                service.ingest(block)
-                eager.ingest(block)
+            if i % 10 == 5:
+                service.ingest(suffix.slice_index(ingested, ingested + 8))
+                ingested += 8
             nodes = rng.integers(0, NUM_NODES, size)
-            t = suffix.t_max + 1.0 + i
-            np.testing.assert_array_equal(service.embed(nodes, t),
-                                          eager.embed(nodes, t))
-        stats = service.stats()["compile"]
-        assert stats["traces"] <= 2 and stats["mismatches"] == 0
-        assert stats["replays"] >= 48
+            ts = np.full(size, suffix.t_max + 1.0 + i)
+            offline = offline_replay_embed(
+                artifact, full.slice_index(0, PRETRAIN_EVENTS + ingested),
+                suffix.slice_index(0, ingested), nodes, ts, block=8)
+            np.testing.assert_array_equal(service.embed(nodes, ts), offline)
+        assert ingested == 40
+
+    def test_inference_replay_switches_are_gone(self, capsys):
+        """Serving has one engine: the knob, the flag and the constructor
+        parameter that selected inference replay are errors, not no-ops."""
+        from repro.__main__ import main
+        from repro.nn import CompiledStep
+        from repro.serve import ServeConfig
+        with pytest.raises(TypeError):
+            CompiledStep(lambda: None, mode="inference")
+        for knob in ({"compile": False}, {"profile_kernels": True}):
+            with pytest.raises(TypeError):
+                ServeConfig(**knob)
+        for flag in ("--no-compile", "--profile-kernels"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["serve", "--artifact", "unused.npz", flag])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_featured_service_requires_edge_feats_on_ingest(self):
         _, pre, suffix = make_split_stream(9, edge_dim=3)
