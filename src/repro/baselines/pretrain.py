@@ -2,7 +2,8 @@
 
 All baselines are pre-trained on the same stream as CPDG and then
 fine-tuned through the shared downstream harness (full fine-tuning, as the
-paper does for every baseline).  Four loop shapes cover the zoo:
+paper does for every baseline).  One loop (:func:`_pretrain`) runs every
+objective; six entry points name the loss and its extra modules:
 
 * :func:`pretrain_static_link_prediction` — GraphSAGE / GAT / GIN
   (task-supervised static, link prediction pretext);
@@ -45,62 +46,57 @@ class BaselinePretrainConfig:
     seed: int = 0
 
 
-def _loop(stream: EventStream, cfg: BaselinePretrainConfig,
-          rng: np.random.Generator):
-    """Yield batches over ``cfg.epochs`` chronological passes."""
-    for epoch in range(cfg.epochs):
+def _pretrain(encoder, stream: EventStream, cfg: BaselinePretrainConfig,
+              rng: np.random.Generator, modules: tuple, batch_loss
+              ) -> list[float]:
+    """The optimisation loop of every baseline: ``cfg.epochs``
+    chronological passes of ``batch_loss(batch)`` → backward → clip →
+    Adam step over the encoder's and ``modules``' parameters.
+
+    The memory protocol runs for every encoder — each pass starts from a
+    reset memory and every batch is registered after its step — and is a
+    no-op for the static ones.
+    """
+    encoder.attach(stream)
+    params = encoder.parameters()
+    for module in modules:
+        params = params + module.parameters()
+    optimizer = Adam(params, lr=cfg.learning_rate)
+    losses = []
+    for _ in range(cfg.epochs):
+        encoder.reset_memory()
         for batch in chronological_batches(stream, cfg.batch_size, rng):
-            yield epoch, batch
-
-
-def pretrain_static_link_prediction(encoder, stream: EventStream,
-                                    cfg: BaselinePretrainConfig) -> list[float]:
-    """Link-prediction pre-training for the static GNNs."""
-    rng = np.random.default_rng(cfg.seed)
-    head = LinkPredictionHead(encoder.embed_dim, rng)
-    encoder.attach(stream)
-    params = encoder.parameters() + head.parameters()
-    optimizer = Adam(params, lr=cfg.learning_rate)
-    losses = []
-    for _, batch in _loop(stream, cfg, rng):
-        z_src, z_dst, z_neg = embed_together(
-            encoder.compute_embedding, batch.timestamps,
-            batch.src, batch.dst, batch.neg_dst)
-        loss = head.loss(z_src, z_dst, z_neg)
-        optimizer.zero_grad()
-        loss.backward()
-        clip_grad_norm(params, cfg.grad_clip)
-        optimizer.step()
-        losses.append(loss.item())
+            loss = batch_loss(batch)
+            optimizer.zero_grad()
+            loss.backward()
+            clip_grad_norm(params, cfg.grad_clip)
+            optimizer.step()
+            encoder.register_batch(batch)
+            encoder.end_batch()
+            losses.append(loss.item())
     return losses
 
 
-def pretrain_dynamic_link_prediction(encoder, stream: EventStream,
-                                     cfg: BaselinePretrainConfig) -> list[float]:
-    """Temporal-link-prediction pre-training for memory DGNNs
-    (the DyRep / JODIE / TGN baselines of paper §V-B)."""
+def pretrain_link_prediction(encoder, stream: EventStream,
+                             cfg: BaselinePretrainConfig) -> list[float]:
+    """Link-prediction pre-training: the static GNNs, and — the memory
+    walk restarting every epoch — the DyRep / JODIE / TGN baselines of
+    paper §V-B (temporal link prediction with memory)."""
     rng = np.random.default_rng(cfg.seed)
     head = LinkPredictionHead(encoder.embed_dim, rng)
-    encoder.attach(stream)
-    encoder.reset_memory()
-    params = encoder.parameters() + head.parameters()
-    optimizer = Adam(params, lr=cfg.learning_rate)
-    losses = []
-    for epoch, batch in _loop(stream, cfg, rng):
-        if batch.event_ids[0] == 0:   # new epoch: restart the memory walk
-            encoder.reset_memory()
+
+    def batch_loss(batch):
         z_src, z_dst, z_neg = embed_together(
             encoder.compute_embedding, batch.timestamps,
             batch.src, batch.dst, batch.neg_dst)
-        loss = head.loss(z_src, z_dst, z_neg)
-        optimizer.zero_grad()
-        loss.backward()
-        clip_grad_norm(params, cfg.grad_clip)
-        optimizer.step()
-        encoder.register_batch(batch)
-        encoder.end_batch()
-        losses.append(loss.item())
-    return losses
+        return head.loss(z_src, z_dst, z_neg)
+
+    return _pretrain(encoder, stream, cfg, rng, (head,), batch_loss)
+
+
+# The registry's names for the two families that share the pretext.
+pretrain_static_link_prediction = pretrain_link_prediction
+pretrain_dynamic_link_prediction = pretrain_link_prediction
 
 
 def pretrain_dgi(encoder, stream: EventStream,
@@ -108,20 +104,13 @@ def pretrain_dgi(encoder, stream: EventStream,
     """DGI local-global mutual-information pre-training."""
     rng = np.random.default_rng(cfg.seed)
     discriminator = DGIDiscriminator(encoder.embed_dim, rng)
-    encoder.attach(stream)
-    params = encoder.parameters() + discriminator.parameters()
-    optimizer = Adam(params, lr=cfg.learning_rate)
-    losses = []
-    for _, batch in _loop(stream, cfg, rng):
+
+    def batch_loss(batch):
         nodes = np.concatenate([batch.src, batch.dst])
         ts = np.concatenate([batch.timestamps, batch.timestamps])
-        loss = dgi_loss(encoder, discriminator, nodes, ts, rng)
-        optimizer.zero_grad()
-        loss.backward()
-        clip_grad_norm(params, cfg.grad_clip)
-        optimizer.step()
-        losses.append(loss.item())
-    return losses
+        return dgi_loss(encoder, discriminator, nodes, ts, rng)
+
+    return _pretrain(encoder, stream, cfg, rng, (discriminator,), batch_loss)
 
 
 def pretrain_gptgnn(encoder, stream: EventStream,
@@ -130,18 +119,9 @@ def pretrain_gptgnn(encoder, stream: EventStream,
     rng = np.random.default_rng(cfg.seed)
     edge_dim = stream.edge_feats.shape[1] if stream.edge_feats is not None else 0
     heads = GPTGNNHeads(encoder.embed_dim, edge_dim, rng)
-    encoder.attach(stream)
-    params = encoder.parameters() + heads.parameters()
-    optimizer = Adam(params, lr=cfg.learning_rate)
-    losses = []
-    for _, batch in _loop(stream, cfg, rng):
-        loss = gptgnn_loss(encoder, heads, batch, stream.edge_feats)
-        optimizer.zero_grad()
-        loss.backward()
-        clip_grad_norm(params, cfg.grad_clip)
-        optimizer.step()
-        losses.append(loss.item())
-    return losses
+    return _pretrain(
+        encoder, stream, cfg, rng, (heads,),
+        lambda batch: gptgnn_loss(encoder, heads, batch, stream.edge_feats))
 
 
 def pretrain_ddgcl(encoder, stream: EventStream,
@@ -149,36 +129,19 @@ def pretrain_ddgcl(encoder, stream: EventStream,
     """DDGCL two-temporal-view contrastive pre-training."""
     rng = np.random.default_rng(cfg.seed)
     critic = DDGCLCritic(encoder.embed_dim, encoder.time_dim, rng)
-    encoder.attach(stream)
     view_gap = max(stream.timespan * 0.05, 1e-3)
-    params = encoder.parameters() + critic.parameters()
-    optimizer = Adam(params, lr=cfg.learning_rate)
-    losses = []
-    for _, batch in _loop(stream, cfg, rng):
-        loss = ddgcl_loss(encoder, critic, batch.src, batch.timestamps,
-                          view_gap, rng)
-        optimizer.zero_grad()
-        loss.backward()
-        clip_grad_norm(params, cfg.grad_clip)
-        optimizer.step()
-        losses.append(loss.item())
-    return losses
+    return _pretrain(
+        encoder, stream, cfg, rng, (critic,),
+        lambda batch: ddgcl_loss(encoder, critic, batch.src,
+                                 batch.timestamps, view_gap, rng))
 
 
 def pretrain_selfrgnn(encoder, stream: EventStream,
                       cfg: BaselinePretrainConfig) -> list[float]:
     """SelfRGNN curvature-view self-contrast pre-training."""
     rng = np.random.default_rng(cfg.seed)
-    encoder.attach(stream)
     time_shift = max(stream.timespan * 0.05, 1e-3)
-    params = encoder.parameters()
-    optimizer = Adam(params, lr=cfg.learning_rate)
-    losses = []
-    for _, batch in _loop(stream, cfg, rng):
-        loss = selfrgnn_loss(encoder, batch.src, batch.timestamps, time_shift)
-        optimizer.zero_grad()
-        loss.backward()
-        clip_grad_norm(params, cfg.grad_clip)
-        optimizer.step()
-        losses.append(loss.item())
-    return losses
+    return _pretrain(
+        encoder, stream, cfg, rng, (),
+        lambda batch: selfrgnn_loss(encoder, batch.src, batch.timestamps,
+                                    time_shift))

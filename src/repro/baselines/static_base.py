@@ -67,12 +67,6 @@ class StaticEncoderBase(Module):
     def flush_messages(self) -> None:
         return None
 
-    def take_staged(self) -> None:  # no message queue to pop
-        return None
-
-    def flush_staged(self, staged) -> None:
-        return None
-
     def register_batch(self, batch: EventBatch) -> None:
         return None
 

@@ -8,6 +8,10 @@ the optional EIE module per fine-tuning strategy:
 * ``eie-mean`` / ``eie-attn`` / ``eie-gru`` — EIE-enhanced fine-tuning
   (paper Table XI);
 * ``none``      — no pre-training at all (randomly initialised encoder).
+
+:class:`FineTuneTask` is the one training loop both downstream tasks run
+(:meth:`FineTuneTask.fit`); a task supplies its step loss and its
+validation call.
 """
 
 from __future__ import annotations
@@ -20,13 +24,18 @@ import numpy as np
 from ..core.config import CPDGConfig
 from ..core.eie import EIEModule
 from ..core.pretrainer import PretrainResult
+from ..datasets.splits import DownstreamSplit
 from ..dgnn.encoder import DGNNEncoder, make_encoder
 from ..graph.events import EventStream
-from ..nn.autograd import default_dtype
+from ..nn.autograd import Tensor, default_dtype
+from ..nn.compile import CompiledStep
+from ..nn.optim import Adam, clip_grad_norm
 from ..stream import BatchProducer, ProducerSpec, make_producer
+from .early_stopping import EarlyStopper
 
-__all__ = ["FineTuneConfig", "FineTuneStrategy", "build_finetuned_encoder",
-           "training_producer", "in_strategy_dtype", "STRATEGIES"]
+__all__ = ["FineTuneConfig", "FineTuneStrategy", "FineTuneTask",
+           "build_finetuned_encoder", "training_producer",
+           "in_strategy_dtype", "STRATEGIES"]
 
 STRATEGIES = ("none", "full", "eie-mean", "eie-attn", "eie-gru")
 
@@ -106,6 +115,136 @@ def training_producer(stream: EventStream, config: FineTuneConfig,
         compute_messages=False, neg_candidates=neg_candidates, stream=stream)
     return make_producer(spec, num_workers=config.num_workers,
                          prefetch_batches=config.prefetch_batches)
+
+
+class FineTuneTask:
+    """One strategy fine-tuned on one downstream split: the state and the
+    training loop the downstream tasks share.
+
+    ``head`` is the task's scoring module, built by the subclass from
+    ``rng`` (under the strategy's dtype) before the stream is attached.
+    """
+
+    def __init__(self, strategy: FineTuneStrategy, split: DownstreamSplit,
+                 config: FineTuneConfig, rng: np.random.Generator, head):
+        self.strategy = strategy
+        self.split = split
+        self.config = config
+        self._rng = rng
+        self.head = head
+        # Attach the full downstream stream: NeighborFinder queries are
+        # strictly-before-t, so no future leakage is possible.
+        self._full_stream = EventStream.concatenate(
+            [split.train, split.val, split.test], name="downstream")
+        strategy.encoder.attach(self._full_stream)
+        self._initial_memory = strategy.encoder.memory_snapshot()
+
+    def _embed(self, nodes: np.ndarray, ts: np.ndarray) -> Tensor:
+        """Encoder embeddings with the optional EIE enhancement."""
+        z = self.strategy.encoder.compute_embedding(nodes, ts)
+        if self.strategy.eie is not None:
+            z = self.strategy.eie(z, nodes)
+        return z
+
+    def _all_modules(self) -> list:
+        modules = [self.strategy.encoder, self.head]
+        if self.strategy.eie is not None:
+            modules.append(self.strategy.eie)
+        return modules
+
+    def _restore_memory(self) -> None:
+        state, last_update = self._initial_memory
+        self.strategy.encoder.load_memory(state, last_update)
+
+    def _absorb(self, batch) -> None:
+        """Fold an observed (not trained-on) batch into the memory.
+
+        Pending messages are flushed first, so the ingested events build
+        on up-to-date states even when nothing was embedded this batch.
+        """
+        encoder = self.strategy.encoder
+        encoder.flush_messages()
+        encoder.register_batch(batch)
+        encoder.end_batch()
+
+    def fit(self, step_loss, validate, *, tag: str, neg_candidates=None,
+            verbose: bool = False) -> list[dict]:
+        """Fine-tune with early stopping; returns per-epoch history.
+
+        ``step_loss(batch)`` is one batch's scalar loss; ``validate()``
+        returns the epoch's validation columns, ``val_auc`` (the
+        early-stopping metric) first.  The loop is a pure consumer of
+        :class:`~repro.stream.PreparedBatch` (chronological slices with
+        per-batch-seeded negatives, produced in-process or on
+        ``config.num_workers`` workers); every epoch restarts the memory
+        from the post-pre-training state, and the best epoch's parameters
+        are restored at the end.
+        """
+        cfg = self.config
+        encoder = self.strategy.encoder
+        modules = self._all_modules()
+        params = [p for module in modules for p in module.parameters()]
+        optimizer = Adam(params, lr=cfg.learning_rate)
+        stopper = EarlyStopper(patience=cfg.patience)
+        best_states = [m.state_dict() for m in modules]
+        history: list[dict] = []
+
+        # Memoryless encoders (static baselines, TGAT) have no staged
+        # message queue; treat them as always-empty.
+        take_staged = getattr(encoder, "take_staged", lambda: None)
+        flush_staged = getattr(encoder, "flush_staged", lambda staged: None)
+
+        def train_step(batch, staged):
+            optimizer.zero_grad()
+            flush_staged(staged)
+            loss = step_loss(batch)
+            loss.backward()
+            return loss.item()
+
+        compiled = CompiledStep(train_step, enabled=cfg.compile_step)
+
+        producer = training_producer(self.split.train, cfg,
+                                     neg_candidates=neg_candidates)
+        last_batch = producer.plan.batches_per_epoch - 1
+        with producer:
+            for prepared in producer:
+                if prepared.batch_idx == 0:
+                    self._restore_memory()
+                    epoch_loss = 0.0
+                    n_batches = 0
+                batch = prepared.batch
+                staged = take_staged()
+                loss_v = compiled(batch, staged,
+                                  key=(len(batch), staged is None))
+                clip_grad_norm(params, cfg.grad_clip)
+                optimizer.step()
+                encoder.register_batch(batch)
+                encoder.end_batch()
+                epoch_loss += loss_v
+                n_batches += 1
+                if prepared.batch_idx != last_batch:
+                    continue
+
+                epoch = prepared.epoch
+                row = {"epoch": epoch, "loss": epoch_loss / max(n_batches, 1),
+                       **validate()}
+                history.append(row)
+                if verbose:
+                    print(f"[{tag}] epoch {epoch}: loss={row['loss']:.4f} "
+                          f"val_auc={row['val_auc']:.4f}")
+                # An undefined AUC (one class in the validation segment)
+                # must not become a "best" no later epoch can beat.
+                val_auc = row["val_auc"]
+                stop = stopper.update(val_auc if np.isfinite(val_auc)
+                                      else 0.5)
+                if stopper.best_round == epoch:
+                    best_states = [m.state_dict() for m in modules]
+                if stop:
+                    break
+
+        for module, state in zip(modules, best_states):
+            module.load_state_dict(state)
+        return history
 
 
 def build_finetuned_encoder(backbone: str, num_nodes: int,

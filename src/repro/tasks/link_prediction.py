@@ -24,13 +24,10 @@ from ..core.pretext import LinkPredictionHead
 from ..dgnn.encoder import embed_together
 from ..graph.batching import RandomDestinationSampler, chronological_batches
 from ..graph.events import EventStream
-from ..nn.autograd import Tensor, default_dtype, no_grad
-from ..nn.compile import CompiledStep
-from ..nn.optim import Adam, clip_grad_norm
+from ..nn.autograd import default_dtype, no_grad
 from ..datasets.splits import DownstreamSplit
-from .early_stopping import EarlyStopper
-from .finetune import (FineTuneConfig, FineTuneStrategy, in_strategy_dtype,
-                       training_producer)
+from .finetune import (FineTuneConfig, FineTuneStrategy, FineTuneTask,
+                       in_strategy_dtype)
 from .metrics import average_precision_score, roc_auc_score
 
 __all__ = ["LinkPredictionMetrics", "LinkPredictionTask"]
@@ -49,135 +46,36 @@ class LinkPredictionMetrics:
                 "n": self.num_events}
 
 
-class LinkPredictionTask:
+class LinkPredictionTask(FineTuneTask):
     """Fine-tune and evaluate one strategy on one downstream split."""
 
     def __init__(self, strategy: FineTuneStrategy, split: DownstreamSplit,
                  config: FineTuneConfig):
-        self.strategy = strategy
-        self.split = split
-        self.config = config
-        self._rng = np.random.default_rng(config.seed + 17)
+        rng = np.random.default_rng(config.seed + 17)
         with default_dtype(strategy.dtype):
-            self.head = LinkPredictionHead(strategy.head_input_dim, self._rng)
-        # Attach the full downstream stream: NeighborFinder queries are
-        # strictly-before-t, so no future leakage is possible.
-        self._full_stream = EventStream.concatenate(
-            [split.train, split.val, split.test], name="downstream")
-        strategy.encoder.attach(self._full_stream)
-        self._initial_memory = strategy.encoder.memory_snapshot()
-        self._neg_sampler = RandomDestinationSampler(self._full_stream, self._rng)
-
-    # ------------------------------------------------------------------
-    # embedding with optional EIE enhancement
-    # ------------------------------------------------------------------
-    def _embed(self, nodes: np.ndarray, ts: np.ndarray) -> Tensor:
-        z = self.strategy.encoder.compute_embedding(nodes, ts)
-        if self.strategy.eie is not None:
-            z = self.strategy.eie(z, nodes)
-        return z
-
-    def _trainable_params(self):
-        params = self.strategy.encoder.parameters() + self.head.parameters()
-        if self.strategy.eie is not None:
-            params += self.strategy.eie.parameters()
-        return params
-
-    def _all_modules(self):
-        modules = [self.strategy.encoder, self.head]
-        if self.strategy.eie is not None:
-            modules.append(self.strategy.eie)
-        return modules
-
-    def _state_dicts(self):
-        return [m.state_dict() for m in self._all_modules()]
-
-    def _load_state_dicts(self, states) -> None:
-        for module, state in zip(self._all_modules(), states):
-            module.load_state_dict(state)
-
-    def _restore_memory(self) -> None:
-        state, last_update = self._initial_memory
-        self.strategy.encoder.load_memory(state, last_update)
+            head = LinkPredictionHead(strategy.head_input_dim, rng)
+        super().__init__(strategy, split, config, rng, head)
+        self._neg_sampler = RandomDestinationSampler(self._full_stream, rng)
 
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
     @in_strategy_dtype
     def train(self, verbose: bool = False) -> list[dict]:
-        """Fine-tune with early stopping; returns per-epoch history.
-
-        The loop is a pure consumer of :class:`~repro.stream.PreparedBatch`
-        (chronological slices with per-batch-seeded negatives, produced
-        in-process or on ``config.num_workers`` worker processes); only
-        encoder / head / optimizer state lives here.
-        """
-        cfg = self.config
-        encoder = self.strategy.encoder
-        params = self._trainable_params()
-        optimizer = Adam(params, lr=cfg.learning_rate)
-        stopper = EarlyStopper(patience=cfg.patience)
-        best_states = self._state_dicts()
-        history: list[dict] = []
-
-        # Memoryless encoders (static baselines, TGAT) have no staged
-        # message queue; treat them as always-empty.
-        take_staged = getattr(encoder, "take_staged", lambda: None)
-        flush_staged = getattr(encoder, "flush_staged", lambda staged: None)
-
-        def train_step(batch, staged):
-            optimizer.zero_grad()
-            flush_staged(staged)
+        """Fine-tune with early stopping on validation AUC; returns the
+        per-epoch history (:meth:`FineTuneTask.fit`)."""
+        def step_loss(batch):
             z_src, z_dst, z_neg = embed_together(
                 self._embed, batch.timestamps,
                 batch.src, batch.dst, batch.neg_dst)
-            loss = self.head.loss(z_src, z_dst, z_neg)
-            loss.backward()
-            return loss.item()
+            return self.head.loss(z_src, z_dst, z_neg)
 
-        compiled = CompiledStep(train_step, enabled=cfg.compile_step)
+        def validate():
+            metrics = self._score_stream(self.split.val)
+            return {"val_auc": metrics.auc, "val_ap": metrics.ap}
 
-        producer = training_producer(self.split.train, cfg,
-                                     neg_candidates=self._neg_sampler.candidates)
-        last_batch = producer.plan.batches_per_epoch - 1
-        epoch_loss = 0.0
-        n_batches = 0
-        with producer:
-            for prepared in producer:
-                if prepared.batch_idx == 0:
-                    self._restore_memory()
-                    epoch_loss = 0.0
-                    n_batches = 0
-                batch = prepared.batch
-                staged = take_staged()
-                loss_v = compiled(batch, staged,
-                                  key=(len(batch), staged is None))
-                clip_grad_norm(params, cfg.grad_clip)
-                optimizer.step()
-                encoder.register_batch(batch)
-                encoder.end_batch()
-                epoch_loss += loss_v
-                n_batches += 1
-                if prepared.batch_idx != last_batch:
-                    continue
-
-                epoch = prepared.epoch
-                val_metrics = self._score_stream(self.split.val)
-                history.append({"epoch": epoch,
-                                "loss": epoch_loss / max(n_batches, 1),
-                                "val_auc": val_metrics.auc,
-                                "val_ap": val_metrics.ap})
-                if verbose:
-                    print(f"[lp] epoch {epoch}: loss={history[-1]['loss']:.4f} "
-                          f"val_auc={val_metrics.auc:.4f}")
-                stop = stopper.update(val_metrics.auc)
-                if stopper.best_round == epoch:
-                    best_states = self._state_dicts()
-                if stop:
-                    break
-
-        self._load_state_dicts(best_states)
-        return history
+        return self.fit(step_loss, validate, tag="lp", verbose=verbose,
+                        neg_candidates=self._neg_sampler.candidates)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -193,7 +91,6 @@ class LinkPredictionTask:
         reflects all earlier downstream history; by default the training
         stream is replayed before scoring.
         """
-        encoder = self.strategy.encoder
         self._restore_memory()
         warmups = warmup_streams if warmup_streams is not None else [self.split.train]
         with no_grad():
@@ -213,7 +110,6 @@ class LinkPredictionTask:
     def _replay(self, stream: EventStream, score: bool = False,
                 restrict_new_nodes: set | None = None):
         """Walk ``stream`` chronologically, optionally scoring events."""
-        encoder = self.strategy.encoder
         all_labels: list[np.ndarray] = []
         all_scores: list[np.ndarray] = []
         for batch in chronological_batches(stream, self.config.batch_size,
@@ -234,11 +130,7 @@ class LinkPredictionTask:
                     all_scores.append(np.concatenate([pos_p, neg_p]))
                     all_labels.append(np.concatenate([
                         np.ones(len(pos_p)), np.zeros(len(neg_p))]))
-            # Flush pending messages so the ingested events build on
-            # up-to-date states even when nothing was scored this batch.
-            encoder.flush_messages()
-            encoder.register_batch(batch)
-            encoder.end_batch()
+            self._absorb(batch)
         if score:
             if all_labels:
                 return np.concatenate(all_labels), np.concatenate(all_scores)
@@ -269,7 +161,6 @@ class LinkPredictionTask:
         """
         from .ranking import summarize_ranks
 
-        encoder = self.strategy.encoder
         self._restore_memory()
         pos_all: list[np.ndarray] = []
         neg_all: list[np.ndarray] = []
@@ -290,9 +181,7 @@ class LinkPredictionTask:
                                                    candidates, src_rep)
                 scores = self.head.score(z_src_rep, z_cand).data
                 neg_all.append(scores.reshape(b, num_candidates))
-                encoder.flush_messages()
-                encoder.register_batch(batch)
-                encoder.end_batch()
+                self._absorb(batch)
         return summarize_ranks(np.concatenate(pos_all), np.vstack(neg_all))
 
     def run(self, verbose: bool = False, inductive: bool = False
