@@ -39,13 +39,11 @@ __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled",
 
 
 class _EngineState(threading.local):
-    """Per-thread engine state; the class attributes are the defaults every
-    thread starts from.
+    """Per-thread engine state (class attributes = every thread's defaults).
 
-    ``no_grad``, ``default_dtype`` and the trace/replay engine are scopes a
-    thread opens around *its own* ops: two services, or a service and a
-    trainer, computing on two threads of one process must neither see nor
-    restore each other's.
+    ``no_grad``, ``default_dtype`` and the trace/replay engine scope a
+    thread's *own* ops: a service and a trainer on two threads of one
+    process must neither see nor restore each other's.
     """
 
     grad_enabled = True

@@ -39,12 +39,12 @@ Pooled output buffers are valid until the *next* call of the same
 **A train-step engine only.**  Replay removes graph construction and the
 backward walk; a forward pass under ``no_grad`` builds no graph, so
 replaying one only adds per-op validation.  Measured per stage on the four
-``bench/`` workloads at the commit before serving went eager: training
-replay pays (``pretrain-hub`` 0.920 → 0.767 s, ``transfer-e2e`` 1.940 →
-1.785 s, 6 of 6 pairs each), inference replay lost to eager in 10 of 10
-pairs on ``serve-read`` (1.598 against 1.397 s) and did not resolve on
-``serve-ingest`` — so :mod:`repro.serve` runs the plain eager pass and the
-forward-only program mode is gone.  The installed engine is per thread
+``bench/`` workloads at the commit before serving went eager (eager →
+replay): ``pretrain-hub`` 0.921 → 0.790 s, 6 of 6 pairs; ``transfer-e2e``
+1.971 → 1.951 s, 8 of 12, unresolved; ``serve-read`` 1.416 → 1.600 s,
+eager ahead in 10 of 10; ``serve-ingest`` 1.134 → 1.155 s, unresolved —
+so :mod:`repro.serve` runs the plain eager pass and the forward-only
+program mode is gone.  The installed engine is per thread
 (:mod:`repro.nn.autograd`): a replay never intercepts another thread's ops.
 """
 

@@ -221,6 +221,24 @@ class TestLinkPredictionTask:
         for key in state_e:
             assert np.array_equal(state_c[key], state_e[key]), key
 
+    def test_undefined_validation_auc_is_not_a_best_epoch(self, tiny_stream,
+                                                          monkeypatch):
+        """A NaN validation AUC in the first epoch (one class in the
+        segment) counts as 0.5: later epochs still improve on it instead
+        of running out of patience against a NaN "best"."""
+        from repro.tasks import LinkPredictionMetrics
+        ft = FineTuneConfig(epochs=4, batch_size=64, patience=2, seed=0)
+        strat = build_finetuned_encoder("tgn", tiny_stream.num_nodes,
+                                        tiny_cfg(), None, "none", ft)
+        task = LinkPredictionTask(strat, split_downstream(tiny_stream), ft)
+        aucs = iter([float("nan"), 0.6, 0.7, 0.8])
+        monkeypatch.setattr(
+            task, "_score_stream",
+            lambda stream: LinkPredictionMetrics(next(aucs), 0.5, 1))
+        history = task.train()
+        assert [row["epoch"] for row in history] == [0, 1, 2, 3]
+        assert np.isnan(history[0]["val_auc"])
+
     def test_learns_better_than_random(self, tiny_stream):
         """With enough epochs the task should clearly beat AUC 0.5."""
         ft = FineTuneConfig(epochs=5, batch_size=64, patience=3, seed=0)
