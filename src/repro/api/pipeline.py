@@ -155,6 +155,7 @@ class Pipeline:
             dataset_name=dataset_name,
         )
         self._runner = None
+        _obs.record_peak_rss()
         return self
 
     # ------------------------------------------------------------------
@@ -224,6 +225,7 @@ class Pipeline:
                 eie_state=(built.eie.state_dict()
                            if built.eie is not None else None),
                 history=list(self.history))
+        _obs.record_peak_rss()
         return self
 
     # ------------------------------------------------------------------
@@ -248,11 +250,14 @@ class Pipeline:
         if inductive is None:
             inductive = self.config.inductive
         if isinstance(self._runner, LinkPredictionTask):
-            return self._runner.evaluate(inductive=inductive)
-        if inductive:
+            metrics = self._runner.evaluate(inductive=inductive)
+        elif inductive:
             raise ConfigError("inductive evaluation only applies to "
                               "link prediction")
-        return self._runner.evaluate()
+        else:
+            metrics = self._runner.evaluate()
+        _obs.record_peak_rss()
+        return metrics
 
     def evaluate_ranking(self, num_candidates: int = 20):
         """Ranked-retrieval metrics (MRR / Hits@K) for link prediction."""

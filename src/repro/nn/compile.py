@@ -33,19 +33,20 @@ replicate ``_accumulate``'s copy/add/sparse semantics in the same order.
 Eager autograd is the oracle of replay (``compile_step=False`` /
 ``nn.compile=false``), never the other way round.
 
-Pooled output buffers are valid until the *next* call of the same
-``CompiledStep`` — consumers that hold tensor data across steps must copy.
+**Memory.**  A program (pooled output buffers, saved contexts, gradient
+cells) lives exactly as long as its ``CompiledStep``: intermediates name it
+by an identity token, so dropping the step frees it by reference counting
+instead of at the next cycle collection (``transfer-e2e`` peak RSS ≈ 200 →
+157 MB: pre-training's programs no longer stack under fine-tuning's).  It
+stays warm between steps on purpose — freeing it after every backward cost
+``pretrain-hub`` +12 % wall time.  Pooled output buffers are valid until
+the next call of the same step: consumers holding data across steps copy.
 
-**A train-step engine only.**  Replay removes graph construction and the
-backward walk; a forward pass under ``no_grad`` builds no graph, so
-replaying one only adds per-op validation.  Measured per stage on the four
-``bench/`` workloads at the commit before serving went eager (eager →
-replay): ``pretrain-hub`` 0.921 → 0.790 s, 6 of 6 pairs; ``transfer-e2e``
-1.971 → 1.951 s, 8 of 12, unresolved; ``serve-read`` 1.416 → 1.600 s,
-eager ahead in 10 of 10; ``serve-ingest`` 1.134 → 1.155 s, unresolved —
-so :mod:`repro.serve` runs the plain eager pass and the forward-only
-program mode is gone.  The installed engine is per thread
-(:mod:`repro.nn.autograd`): a replay never intercepts another thread's ops.
+**A train-step engine only.**  A forward pass under ``no_grad`` builds no
+graph, so replaying one only adds per-op validation (``serve-read`` eager
+1.416 s, replayed 1.600 s): :mod:`repro.serve` runs the plain eager pass.
+The installed engine is per thread (:mod:`repro.nn.autograd`): a replay
+never intercepts another thread's ops.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ class _Program:
 
     __slots__ = ("records", "n_slots", "slot_leaf", "slot_requires",
                  "slot_dtype", "slot_tensor", "loss_slot", "items", "cells",
-                 "cells_used", "seed_buf")
+                 "cells_used", "seed_buf", "token")
 
 
 class _Trace:
@@ -272,6 +273,7 @@ class _Trace:
         p.slot_dtype = [t.data.dtype for t, _ in self.slots]
         p.slot_tensor = [None] * p.n_slots
         p.loss_slot = self.loss_slot
+        p.token = object()   # intermediates refer to p by this: no ref cycle
 
         recs: list[_FwdRec] = []
         rec_of_slot: dict[int, _FwdRec] = {}
@@ -296,7 +298,7 @@ class _Trace:
             # The traced output tensors become the program's persistent
             # intermediates: replay rebinds their .data in place, so any
             # Python references the step function captured stay valid.
-            tensor._slot = (p, o)
+            tensor._slot = (p.token, o)
             tensor._node = None
             tensor._backward = None
             tensor._parents = ()
@@ -371,7 +373,7 @@ class _Replay:
                 if t._node is not None or t._backward is not None:
                     raise ReplayMismatch("leaf input carries an eager graph")
                 sl = t._slot
-                if sl is not None and sl[0] is p:
+                if sl is not None and sl[0] is p.token:
                     raise ReplayMismatch("intermediate used as leaf")
                 if t.requires_grad != rec.in_requires[k]:
                     raise ReplayMismatch("leaf requires_grad changed")
@@ -404,7 +406,7 @@ class _Replay:
         if self.cursor != len(p.records):
             raise ReplayMismatch("backward() before all recorded ops ran")
         sl = tensor._slot
-        if sl is None or sl[0] is not p or sl[1] != p.loss_slot:
+        if sl is None or sl[0] is not p.token or sl[1] != p.loss_slot:
             raise ReplayMismatch("backward() from a different output")
         if grad is not None:
             g = np.asarray(grad)

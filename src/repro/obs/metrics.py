@@ -34,13 +34,15 @@ small sample counts CI smoke runs produce).
 from __future__ import annotations
 
 import bisect
+import resource
+import sys
 import threading
 
 import numpy as np
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "DEFAULT_BUCKETS", "registry", "counter", "gauge", "histogram",
-           "render_prometheus", "snapshot", "summarize_latencies"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "registry",
+           "DEFAULT_BUCKETS", "counter", "gauge", "histogram", "snapshot",
+           "render_prometheus", "record_peak_rss", "summarize_latencies"]
 
 # Seconds-scale latency edges: 50µs .. 30s, roughly 3 per decade.
 DEFAULT_BUCKETS = (5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2,
@@ -397,6 +399,15 @@ def render_prometheus() -> str:
 
 def snapshot() -> dict:
     return _REGISTRY.snapshot()
+
+
+def record_peak_rss() -> None:
+    """Set ``repro_process_peak_rss_bytes`` to the process's high-water
+    RSS (``getrusage``: ``ru_maxrss`` is kB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    _REGISTRY.gauge("repro_process_peak_rss_bytes",
+                    help="peak resident set size of this process").set(
+        peak if sys.platform == "darwin" else peak * 1024)
 
 
 # ----------------------------------------------------------------------

@@ -81,6 +81,7 @@ class LocalClient:
         return self.service.stats()
 
     def metrics(self) -> str:
+        _obs.record_peak_rss()
         return _obs.render_prometheus()
 
     def health(self) -> dict:

@@ -1,6 +1,9 @@
-"""Shared fixtures: seeded RNGs, small streams, finite-difference helper."""
+"""Shared fixtures: seeded RNGs, small streams, finite-difference helper,
+and the replay-mismatch policy every test runs under."""
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import pytest
@@ -8,12 +11,63 @@ from hypothesis import settings
 
 from repro.datasets import (InteractionConfig, BipartiteInteractionGenerator,
                             LabeledConfig, LabeledInteractionGenerator)
+from repro.nn import CompiledStep
 
 # Tier-1 is deterministic: every property test draws the same examples on
 # every run (no example database, no wall-clock deadline), so a failure
 # reproduces and the suite's run time does not depend on the draw.
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "replay_fallback: the test drives a CompiledStep key "
+        "into a replay mismatch on purpose")
+
+
+@pytest.fixture(autouse=True)
+def replay_mismatch_policy(request, monkeypatch):
+    """Fail a test in which a ``CompiledStep`` key that had already
+    replayed successfully later mismatches.
+
+    In production that falls back to eager silently (counted by
+    ``repro_compile_mismatches_total``); in tier-1 it means a step is not
+    shape-stable under its key, which is a bug to fix, not to absorb.
+    Tests that exercise the fallback on purpose carry
+    ``@pytest.mark.replay_fallback``.
+    """
+    if request.node.get_closest_marker("replay_fallback"):
+        yield
+        return
+    late = watch_late_mismatches(monkeypatch)
+    yield
+    if late:
+        pytest.fail("replay mismatch on a key that had replayed before: "
+                    + "; ".join(late))
+
+
+def watch_late_mismatches(monkeypatch) -> list[str]:
+    """Wrap ``CompiledStep.__call__`` for the test; returns the list each
+    mismatch on an already-replayed key is appended to."""
+    replayed = weakref.WeakKeyDictionary()   # step -> keys that replayed
+    late: list[str] = []
+    call = CompiledStep.__call__
+
+    def checked(self, *args, key=None, **kwargs):
+        replays = int(self.counters["replays"])
+        mismatches = int(self.counters["mismatches"])
+        try:
+            return call(self, *args, key=key, **kwargs)
+        finally:
+            keys = replayed.setdefault(self, set())
+            if self.counters["replays"] > replays:
+                keys.add(key)
+            elif self.counters["mismatches"] > mismatches and key in keys:
+                late.append(f"key {key!r}: {self.last_failure}")
+
+    monkeypatch.setattr(CompiledStep, "__call__", checked)
+    return late
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ fallback when the op stream diverges from the recorded program.
 
 from __future__ import annotations
 
+import gc
+import itertools
 import threading
 
 import numpy as np
@@ -15,12 +17,16 @@ import pytest
 
 from repro.core.config import CPDGConfig
 from repro.core.pretrainer import CPDGPreTrainer
-from repro.datasets import BipartiteInteractionGenerator, InteractionConfig
+from repro.datasets import (BipartiteInteractionGenerator, InteractionConfig,
+                            split_downstream)
 from repro import obs
 from repro.nn import MLP, Adam, CompiledStep, Tensor, functional as F
 from repro.nn.autograd import default_dtype, no_grad
+from repro.nn.compile import _Program
+from repro.tasks import (FineTuneConfig, LinkPredictionTask,
+                         build_finetuned_encoder)
 
-from .conftest import numeric_gradient
+from .conftest import numeric_gradient, watch_late_mismatches
 
 
 def small_stream(num_events: int = 120):
@@ -134,6 +140,7 @@ class TestCompiledStepTraining:
         for p, g in zip(net2.parameters(), eager_grads):
             assert np.array_equal(p.grad, g)
 
+    @pytest.mark.replay_fallback
     def test_op_stream_change_falls_back_and_stays_correct(self):
         # A data-dependent branch changes the op count: replay must
         # detect the divergence, re-run eagerly and produce eager bits.
@@ -165,8 +172,8 @@ class TestCompiledStepTraining:
         for p, g in zip(net2.parameters(), ref_grads):
             assert np.array_equal(p.grad, g)
 
+    @pytest.mark.replay_fallback
     def test_dead_key_after_retrace_budget(self):
-        import itertools
         rng = np.random.default_rng(1)
         net = MLP([4, 4, 1], rng)
         calls = itertools.count()
@@ -184,6 +191,69 @@ class TestCompiledStepTraining:
             compiled(None, key="k")
         assert "k" in compiled._dead
         assert compiled.stats()["eager"] >= 1
+
+    @pytest.mark.replay_fallback
+    def test_intermediate_fed_back_as_leaf_falls_back(self):
+        """A step that carries one call's no-grad intermediate into the
+        next call's first op: on replay that tensor is the program's own
+        persistent intermediate (its data is rebound later in the same
+        program), so it is refused as a leaf and the batch re-runs
+        eagerly with eager's bits."""
+        def build():
+            net, xs, ys = self._problem()
+            carry = {"prev": Tensor(np.zeros(xs.shape[1:]))}
+
+            def step(x, y):
+                net.zero_grad()
+                pred = net(Tensor(x) + carry["prev"])
+                following = F.tanh(Tensor(x))
+                loss = ((pred - Tensor(y)) ** 2).mean()
+                loss.backward()
+                carry["prev"] = following
+                return loss.item()
+            return net, xs, ys, step
+
+        net, xs, ys, step = build()
+        eager = [step(x, y) for x, y in zip(xs, ys)]
+        eager_grads = [p.grad.copy() for p in net.parameters()]
+
+        net2, _, _, step2 = build()
+        compiled = CompiledStep(step2)
+        assert [compiled(x, y, key="k") for x, y in zip(xs, ys)] == eager
+        assert compiled.last_failure == "intermediate used as leaf"
+        stats = compiled.stats()
+        assert (stats["replays"], stats["mismatches"]) == (0, len(xs) - 1)
+        for p, g in zip(net2.parameters(), eager_grads):
+            assert np.array_equal(p.grad, g)
+
+    @pytest.mark.replay_fallback
+    def test_mismatch_policy_flags_only_keys_that_replayed(self,
+                                                           monkeypatch):
+        """The tier-1 policy of ``tests/conftest.py``: a mismatch on a key
+        that never replayed is a re-trace; one on a key that already
+        replayed is reported."""
+        late = watch_late_mismatches(monkeypatch)
+        net = MLP([4, 4, 1], np.random.default_rng(1))
+        runs = itertools.count()
+        # Runs of step (re-runs after a mismatch included): trace, diverge,
+        # re-trace, replay, diverge, re-trace.
+        diverging = {1, 4}
+
+        def step():
+            net.zero_grad()
+            loss = net(Tensor(np.ones((4, 4)))).sum()
+            if next(runs) in diverging:
+                loss = loss * 2.0
+            loss.backward()
+            return loss.item()
+
+        compiled = CompiledStep(step)
+        for _ in range(3):
+            compiled(key="k")
+        assert late == []
+        assert compiled.counters["replays"] == 1
+        compiled(key="k")
+        assert late == ["key 'k': step ran more ops than recorded"]
 
     def test_no_grad_inside_compiled_step(self):
         rng = np.random.default_rng(2)
@@ -250,6 +320,7 @@ class TestCompiledStepTraining:
         stats = compiled.stats()
         assert (stats["replays"], stats["mismatches"]) == (len(xs) - 1, 0)
 
+    @pytest.mark.replay_fallback
     def test_replay_paused_on_one_thread_leaves_another_eager(self):
         """A replay installs its engine for its own thread only: while
         one is paused mid-program, an op applied on another thread runs
@@ -307,6 +378,46 @@ class TestCompiledStepTraining:
                                      "mismatches": 0, "eager": len(xs)}
         assert compiled.stats()["kernels"] is None
         assert compiled.program_size("k") is None
+
+
+class TestProgramLifetime:
+    """A stage's programs are freed by reference counting when the stage
+    returns: only its ``CompiledStep`` owns them, so with the cycle
+    collector off they must still be gone — not left to stack up under
+    the next stage's programs until a collection happens to run."""
+
+    @staticmethod
+    def _programs_left_by(stage):
+        gc.collect()
+        before = [o for o in gc.get_objects() if isinstance(o, _Program)]
+        gc.disable()
+        try:
+            result = stage()
+            left = [o for o in gc.get_objects() if isinstance(o, _Program)
+                    and not any(o is b for b in before)]
+        finally:
+            gc.enable()
+        # The stage did build and replay programs.
+        assert obs.counter("repro_compile_traces_total") >= 1
+        assert obs.counter("repro_compile_replays_total") >= 1
+        return result, left
+
+    def test_pretrain_and_finetune_free_their_programs(self):
+        stream = small_stream(240)
+        config = pretrain_config(True)
+        result, left = self._programs_left_by(
+            lambda: CPDGPreTrainer.from_backbone(
+                "tgn", stream.num_nodes, config).pretrain(stream))
+        assert left == []
+
+        ft = FineTuneConfig(epochs=2, batch_size=40, patience=2,
+                            eie_out_dim=4, seed=0)
+        strategy = build_finetuned_encoder("tgn", stream.num_nodes, config,
+                                           result, "eie-gru", ft)
+        task = LinkPredictionTask(strategy, split_downstream(stream), ft)
+        history, left = self._programs_left_by(task.train)
+        assert len(history) >= 1
+        assert left == []
 
 
 class TestTensorItem:

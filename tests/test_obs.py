@@ -24,8 +24,9 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.api import PretrainArtifact, RunConfig, stream_fingerprint
+from repro.api import Pipeline, PretrainArtifact, RunConfig, stream_fingerprint
 from repro.core import CPDGConfig
+from repro.datasets import split_downstream
 from repro.core.pretrainer import CPDGPreTrainer
 from repro.graph.events import EventStream
 from repro.obs.metrics import DEFAULT_BUCKETS, Counter, Histogram
@@ -344,6 +345,30 @@ class TestReport:
         assert "pretrain.backward" in text and "pretrain.forward" in text
         assert "6 spans across 1 trace(s)" in text
         assert obs.format_report([]) == "trace log contains no spans"
+
+
+# ======================================================================
+# resource gauges
+# ======================================================================
+
+class TestResourceGauges:
+
+    def test_peak_rss_set_at_the_end_of_every_pipeline_stage(
+            self, tiny_stream):
+        pretrain, rest = tiny_stream.split_fraction([0.6, 0.4])
+        pipe = Pipeline(RunConfig.from_dict({
+            "pretrain": dict(eta=3, epsilon=3, depth=1, epochs=1,
+                             batch_size=64, memory_dim=8, embed_dim=8,
+                             time_dim=4, n_neighbors=3, num_checkpoints=2,
+                             seed=0),
+            "finetune": {"epochs": 1, "batch_size": 64, "eie_out_dim": 4}}))
+        peak = obs.gauge("repro_process_peak_rss_bytes")
+        for stage in (lambda: pipe.pretrain(pretrain),
+                      lambda: pipe.finetune(split=split_downstream(rest)),
+                      pipe.evaluate):
+            peak.set(0)
+            stage()
+            assert peak.value > 2 ** 20      # bytes, not kilobytes
 
 
 # ======================================================================
