@@ -36,11 +36,11 @@ Eager autograd is the oracle of replay (``compile_step=False`` /
 **Memory.**  A program (pooled output buffers, saved contexts, gradient
 cells) lives exactly as long as its ``CompiledStep``: intermediates name it
 by an identity token, so dropping the step frees it by reference counting
-instead of at the next cycle collection (``transfer-e2e`` peak RSS ≈ 200 →
-157 MB: pre-training's programs no longer stack under fine-tuning's).  It
-stays warm between steps on purpose — freeing it after every backward cost
-``pretrain-hub`` +12 % wall time.  Pooled output buffers are valid until
-the next call of the same step: consumers holding data across steps copy.
+instead of at the next cycle collection (``transfer-e2e`` peak RSS 197 →
+155 MB: pre-training's programs no longer stack under fine-tuning's).
+Contexts and cells stay warm between steps on purpose: releasing them after
+every backward cost ``pretrain-hub`` +13 % wall time.  Pooled output
+buffers are valid until the next call of the same step: copy to keep them.
 
 **A train-step engine only.**  A forward pass under ``no_grad`` builds no
 graph, so replaying one only adds per-op validation (``serve-read`` eager
