@@ -8,6 +8,20 @@ import pytest
 from repro.experiments import (EXPERIMENTS, SCALES, Cell, ExperimentResult,
                                PretrainCache, aggregate, run_experiment)
 
+from . import golden_experiments
+
+
+def run_checked(name: str) -> ExperimentResult:
+    """Run the tiny slice of ``name`` and hold every recorded cell and the
+    pre-training count to ``tests/fixtures/golden_experiments.npz``."""
+    result, pretrain_calls = golden_experiments.run_slice(name)
+    current = golden_experiments.cells(name, result, pretrain_calls)
+    for key, expected in golden_experiments.recorded(name).items():
+        assert key in current, key
+        # assert_array_equal treats NaN == NaN (an undefined AUC stays one).
+        np.testing.assert_array_equal(current[key], expected, err_msg=key)
+    return result
+
 
 class TestPlumbing:
     def test_registry_covers_every_paper_artifact(self):
@@ -73,65 +87,51 @@ class TestRunnersTiny:
         assert ops["eie-gru"] > ops["eie-mean"] > ops["full"] > 0
 
     def test_table8_rows(self):
-        result = run_experiment("table8", scale="tiny",
-                                backbones=("jodie",), verbose=False)
+        result = run_checked("table8")
         methods = [row["method"] for row in result.rows]
         assert methods == ["jodie", "cpdg(jodie)"]
         for row in result.rows:
             assert isinstance(row["AUC"], Cell)
 
     def test_table7_slice(self):
-        result = run_experiment(
-            "table7", scale="tiny", settings=("time",),
-            methods=("tgn", "cpdg(tgn)"),
-            targets=(("amazon", "beauty", "arts"),), verbose=False)
+        result = run_checked("table7")
         assert len(result.rows) == 2
         assert {row["method"] for row in result.rows} == {"tgn", "cpdg(tgn)"}
 
     def test_table9_slice(self):
-        result = run_experiment("table9", scale="tiny",
-                                datasets=("mooc",),
-                                methods=("jodie", "cpdg(jodie)"),
-                                verbose=False)
+        result = run_checked("table9")
         assert len(result.rows) == 2
         for row in result.rows:
             assert np.isnan(row["AUC"].mean) or 0.0 <= row["AUC"].mean <= 1.0
 
     def test_table10_slice(self):
-        result = run_experiment(
-            "table10", scale="tiny",
-            targets=(("amazon", "beauty", "arts"),), verbose=False)
+        result = run_checked("table10")
         methods = [row["method"] for row in result.rows]
         assert methods[0] == "No Pre-train"
         assert "CPDG (T)" in methods
         assert len(result.rows) == 4
 
     def test_table11_strategies(self):
-        result = run_experiment("table11", scale="tiny", fields=("beauty",),
-                                verbose=False)
+        result = run_checked("table11")
         strategies = [row["strategy"] for row in result.rows]
         assert strategies == ["Full", "EIE-mean", "EIE-attn", "EIE-GRU"]
 
     def test_figure6_beta_series(self):
-        result = run_experiment("figure6", scale="tiny", fields=("beauty",),
-                                betas=(0.1, 0.9), verbose=False)
+        result = run_checked("figure6")
         betas = [row["beta"] for row in result.rows]
         assert betas == [0.1, 0.9]
 
     def test_figure7_grid(self):
-        result = run_experiment("figure7", scale="tiny", widths=(2,),
-                                depths=(1, 2), verbose=False)
+        result = run_checked("figure7")
         assert len(result.rows) == 2
         assert {row["depth"] for row in result.rows} == {1, 2}
 
     def test_figure8_lengths(self):
-        result = run_experiment("figure8", scale="tiny",
-                                datasets=("mooc",), lengths=(1, 3),
-                                verbose=False)
+        result = run_checked("figure8")
         assert [row["L"] for row in result.rows] == [1, 3]
 
     def test_figure5_variants(self):
-        result = run_experiment("figure5", scale="tiny", verbose=False)
+        result = run_checked("figure5")
         variants = {row["variant"] for row in result.rows}
         assert variants == {"CPDG", "w/o TC", "w/o SC", "w/o EIE"}
         datasets = {row["dataset"] for row in result.rows}
