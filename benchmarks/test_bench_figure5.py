@@ -1,6 +1,6 @@
 """Bench: regenerate Figure 5 (ablation: w/o TC / SC / EIE)."""
 
-from repro.experiments import run_experiment
+from repro.experiments import DELTA, run_experiment
 
 from .conftest import run_once
 
@@ -10,4 +10,5 @@ def test_figure5_ablation(benchmark, scale):
                       verbose=False)
     print("\n" + result.format_table())
     variants = {row["variant"] for row in result.rows}
-    assert variants == {"CPDG", "w/o TC", "w/o SC", "w/o EIE"}
+    assert variants == {"none", "CPDG", "w/o TC", "w/o SC", "w/o EIE"}
+    assert DELTA in result.columns

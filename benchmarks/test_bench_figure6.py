@@ -1,6 +1,6 @@
 """Bench: regenerate Figure 6 (beta sweep)."""
 
-from repro.experiments import run_experiment
+from repro.experiments import DELTA, run_experiment
 
 from .conftest import run_once
 
@@ -12,3 +12,4 @@ def test_figure6_beta_sweep(benchmark, scale):
     result = run_once(benchmark, run_experiment, "figure6", **kwargs)
     print("\n" + result.format_table())
     assert len({row["beta"] for row in result.rows}) >= 3
+    assert DELTA in result.columns

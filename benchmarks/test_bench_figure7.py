@@ -1,6 +1,6 @@
 """Bench: regenerate Figure 7 (eta/epsilon x k sweep)."""
 
-from repro.experiments import run_experiment
+from repro.experiments import DELTA, run_experiment
 
 from .conftest import run_once
 
@@ -13,3 +13,4 @@ def test_figure7_width_depth_sweep(benchmark, scale):
     result = run_once(benchmark, run_experiment, "figure7", **kwargs)
     print("\n" + result.format_table())
     assert len(result.rows) >= 4
+    assert DELTA in result.columns

@@ -1,6 +1,6 @@
 """Bench: regenerate Figure 8 (checkpoint length L sweep)."""
 
-from repro.experiments import run_experiment
+from repro.experiments import DELTA, run_experiment
 
 from .conftest import run_once
 
@@ -12,3 +12,4 @@ def test_figure8_checkpoint_length_sweep(benchmark, scale):
     result = run_once(benchmark, run_experiment, "figure8", **kwargs)
     print("\n" + result.format_table())
     assert len({row["L"] for row in result.rows}) >= 3
+    assert DELTA in result.columns

@@ -1,6 +1,6 @@
 """Bench: regenerate Table X (inductive link prediction)."""
 
-from repro.experiments import run_experiment
+from repro.experiments import DELTA, run_experiment
 
 from .conftest import run_once
 
@@ -14,3 +14,4 @@ def test_table10_inductive(benchmark, scale):
     print("\n" + result.format_table())
     methods = {row["method"] for row in result.rows}
     assert {"No Pre-train", "CPDG (T)", "CPDG (F)", "CPDG (T+F)"} == methods
+    assert DELTA in result.columns

@@ -1,6 +1,6 @@
 """Bench: regenerate Table XI (fine-tuning strategy comparison)."""
 
-from repro.experiments import run_experiment
+from repro.experiments import DELTA, run_experiment
 
 from .conftest import run_once
 
@@ -10,4 +10,5 @@ def test_table11_finetune_strategies(benchmark, scale):
                       verbose=False)
     print("\n" + result.format_table())
     strategies = {row["strategy"] for row in result.rows}
-    assert strategies == {"Full", "EIE-mean", "EIE-attn", "EIE-GRU"}
+    assert strategies == {"none", "Full", "EIE-mean", "EIE-attn", "EIE-GRU"}
+    assert DELTA in result.columns

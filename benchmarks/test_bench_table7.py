@@ -7,7 +7,7 @@ setting, at ``default``/``full`` the complete grid runs.
 
 import os
 
-from repro.experiments import run_experiment
+from repro.experiments import DELTA, run_experiment
 
 from .conftest import run_once
 
@@ -26,3 +26,4 @@ def test_table7_link_prediction_transfer(benchmark, scale):
     print("\n" + result.format_table())
     settings = {row["setting"] for row in result.rows}
     assert settings == {"time", "field", "time+field"}
+    assert DELTA in result.columns

@@ -1,6 +1,6 @@
 """Bench: regenerate Table VIII (Meituan industrial dataset)."""
 
-from repro.experiments import run_experiment
+from repro.experiments import DELTA, run_experiment
 
 from .conftest import run_once
 
@@ -11,3 +11,4 @@ def test_table8_meituan(benchmark, scale):
     print("\n" + result.format_table())
     methods = [row["method"] for row in result.rows]
     assert "tgn" in methods and "cpdg(tgn)" in methods
+    assert DELTA in result.columns

@@ -1,6 +1,6 @@
 """Bench: regenerate Table IX (dynamic node classification)."""
 
-from repro.experiments import run_experiment
+from repro.experiments import DELTA, run_experiment
 
 from .conftest import run_once
 
@@ -15,3 +15,4 @@ def test_table9_node_classification(benchmark, scale):
     print("\n" + result.format_table())
     datasets = {row["dataset"] for row in result.rows}
     assert datasets == {"wikipedia", "mooc", "reddit"}
+    assert DELTA in result.columns

@@ -1,36 +1,22 @@
 """Design-choice ablations beyond the paper's own (DESIGN.md §5).
 
-Four controlled comparisons, all on the Amazon-Beauty time transfer with
-the JODIE backbone:
+Three controlled comparisons, all arms of one transfer trial per seed on
+the Amazon-Beauty time transfer with the JODIE backbone, each with the
+paired ``ΔAUC vs none``:
 
 * **readout** — mean (paper) vs max vs sum subgraph pooling (Eq. 9);
 * **objective** — triplet margin (paper Eq. 11/14) vs in-batch InfoNCE;
 * **sampler** — temporal-aware η-BFS probabilities (Eq. 6-8) vs the
-  uniform sampling of prior work;
-* **precompute** — cached vs online subgraph sampling wall-clock (the
-  §IV-A preprocessing note), measured rather than scored.
+  uniform sampling of prior work, emulated by τ → ∞ (the softmax over
+  temporal scores becomes uniform).
 """
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from ..core.probability import uniform_probability
-from ..core.samplers import EpsilonDFSSampler, EtaBFSSampler, PrecomputedSampler
-from ..datasets.registry import DEFAULT_SPLIT_TIME, amazon_universe
-from ..datasets.splits import make_transfer_split
-from ..graph.neighbor_finder import NeighborFinder
-from .common import SCALES, ExperimentResult, aggregate, run_cpdg
+from .common import (DELTA, SCALES, Arm, ExperimentResult, PretrainCache,
+                     paired_rows)
 
 __all__ = ["run"]
-
-
-def _uniform_probability_patch(contrast) -> None:
-    """Swap both η-BFS samplers of a TemporalContrast to uniform draws."""
-    contrast.positive_sampler.probability = uniform_probability
-    contrast.negative_sampler.probability = uniform_probability
 
 
 def run(scale: str = "default", backbone: str = "jodie", verbose: bool = True
@@ -38,63 +24,17 @@ def run(scale: str = "default", backbone: str = "jodie", verbose: bool = True
     """Run the ablation grid; returns one row per arm."""
     exp = SCALES[scale]
     result = ExperimentResult(
-        experiment="Ablations: readout / objective / sampler / precompute",
-        columns=["arm", "variant", "AUC", "AP"])
-    universe = amazon_universe(exp.data)
-    split = make_transfer_split("time", universe.stream("beauty"),
-                                universe.stream("arts"), DEFAULT_SPLIT_TIME)
-
-    def run_arm(arm: str, variant: str, cfg) -> None:
-        aucs, aps = [], []
-        for seed in exp.seeds:
-            metrics = run_cpdg(backbone, universe.num_nodes, split.pretrain,
-                               split.downstream, exp, seed,
-                               strategy="eie-gru", cpdg_config=cfg)
-            aucs.append(metrics.auc)
-            aps.append(metrics.ap)
-        result.add_row(arm=arm, variant=variant, AUC=aggregate(aucs),
-                       AP=aggregate(aps))
-        if verbose:
-            row = result.rows[-1]
-            print(f"[ablations] {arm:10s} {variant:10s} AUC={row['AUC']}")
-
-    for readout in ("mean", "max", "sum"):
-        run_arm("readout", readout, exp.cpdg.with_overrides(readout=readout))
-    for objective in ("triplet", "infonce"):
-        run_arm("objective", objective,
-                exp.cpdg.with_overrides(objective=objective))
-
-    # Sampler ablation: uniform probabilities collapse the TP/TN views,
-    # emulated by tau -> infinity (softmax becomes uniform).
-    run_arm("sampler", "temporal", exp.cpdg)
-    run_arm("sampler", "uniform", exp.cpdg.with_overrides(tau=1e6))
-
-    # Precompute timing (measured, not scored).
-    finder = NeighborFinder(split.pretrain)
-    nodes = split.pretrain.src[:200]
-    t_query = split.pretrain.t_max
-    online = EpsilonDFSSampler(finder, exp.cpdg.epsilon, exp.cpdg.depth)
-    cached = PrecomputedSampler(
-        EpsilonDFSSampler(finder, exp.cpdg.epsilon, exp.cpdg.depth))
-    for node in nodes:
-        cached.sample(int(node), t_query)   # warm
-
-    start = time.perf_counter()
-    for node in nodes:
-        online.sample(int(node), t_query)
-    online_s = time.perf_counter() - start
-    start = time.perf_counter()
-    for node in nodes:
-        cached.sample(int(node), t_query)
-    cached_s = time.perf_counter() - start
-    result.add_row(arm="precompute",
-                   variant=f"online: {online_s * 1e3:.1f}ms/200 roots",
-                   AUC=aggregate([np.nan]), AP=aggregate([np.nan]))
-    result.add_row(arm="precompute",
-                   variant=f"cached: {cached_s * 1e3:.1f}ms/200 roots",
-                   AUC=aggregate([np.nan]), AP=aggregate([np.nan]))
-    if verbose:
-        speedup = online_s / max(cached_s, 1e-9)
-        print(f"[ablations] precompute speedup: {speedup:.1f}x "
-              f"({online_s * 1e3:.1f}ms -> {cached_s * 1e3:.1f}ms per 200 roots)")
+        experiment="Ablations: readout / objective / sampler",
+        columns=["arm", "variant", "AUC", "AP", DELTA])
+    data = exp.resolve("amazon:beauty", "time", "arts")
+    variants = ([("readout", r, {"readout": r}) for r in ("mean", "max", "sum")]
+                + [("objective", o, {"objective": o})
+                   for o in ("triplet", "infonce")]
+                + [("sampler", "temporal", {}),
+                   ("sampler", "uniform", {"tau": 1e6})])
+    arms = [Arm((arm, variant), cpdg=exp.cpdg.with_overrides(**overrides))
+            for arm, variant, overrides in variants]
+    rows = paired_rows(exp, data, arms, cache=PretrainCache(),
+                       backbone=backbone)
+    result.add_arms(rows, ("arm", "variant"), verbose)
     return result

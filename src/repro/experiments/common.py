@@ -1,21 +1,27 @@
-"""Shared experiment machinery: scales, runners, result tables.
+"""Shared experiment machinery: scales, the paired transfer trial, tables.
 
-Every table/figure runner in this package works the same way:
+Every transfer table/figure runner in this package works the same way:
 
 * pick an :class:`ExperimentScale` ("tiny" for tests, "default" for the
-  benchmark harness) that fixes dataset sizes, model dims and epochs;
-* call :func:`run_cpdg` / :func:`run_baseline` / :func:`run_no_pretrain`
-  per cell, averaging over ``seeds``;
-* collect :class:`Cell` values into an :class:`ExperimentResult` whose
+  benchmark harness) that fixes dataset sizes, model dims, epochs, seeds;
+* list its :class:`Arm` s — CPDG backbones, fine-tuning strategies,
+  config variants, baselines;
+* :func:`paired_rows` runs one :func:`transfer_trial` per seed: the
+  ``none`` control and every arm on the same split, the same fine-tune
+  seed and so the same scored negatives.  Each arm's row holds AUC (and
+  AP) as mean ± std over seeds (:func:`aggregate`) and ``ΔAUC vs none``,
+  the paired per-seed difference with a bootstrap interval
+  (:func:`paired_delta`);
+* collect the rows into an :class:`ExperimentResult` whose
   ``format_table()`` prints the same rows the paper reports.
 
-The CPDG cells drive :class:`repro.api.Pipeline` — the same facade behind
-the CLI — with explicit streams/splits; only the baseline cells wire their
+CPDG arms drive :class:`repro.api.Pipeline` — the same facade behind the
+CLI — with explicit streams/splits; only baseline arms wire their
 method-specific encoders by hand.  Pre-training is cached per ``(method,
-stream identity, seed)`` within a runner (as in-memory
-:class:`~repro.api.PretrainArtifact` objects) so that field / time+field
-settings — where the paper pre-trains once on the source field and
-fine-tunes on two targets — pay for each pre-training only once.
+stream fingerprint, config, seed)`` (:class:`PretrainCache`), so field /
+time+field settings — where the paper pre-trains once on the source field
+and fine-tunes on two targets — and arms that differ only downstream pay
+for each pre-training once.
 """
 
 from __future__ import annotations
@@ -27,22 +33,31 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..api import (ArtifactError, Pipeline, PretrainArtifact, RunConfig,
+from ..api import (ArtifactError, DataConfig, Pipeline, PretrainArtifact,
+                   ResolvedData, RunConfig, normalize_task, resolve_data,
                    stream_fingerprint)
 from ..baselines.pretrain import BaselinePretrainConfig
 from ..baselines.registry import BASELINES
 from ..core.config import CPDGConfig
-from ..datasets.registry import MEDIUM, SMALL, DatasetScale
-from ..datasets.splits import DownstreamSplit
+from ..datasets.registry import (LABELED_DATASETS, MEDIUM, SMALL,
+                                 DatasetScale, labeled_stream)
+from ..datasets.splits import DownstreamSplit, node_classification_split
 from ..graph.events import EventStream
 from ..tasks.finetune import FineTuneConfig, FineTuneStrategy
-from ..tasks.link_prediction import LinkPredictionMetrics, LinkPredictionTask
-from ..tasks.node_classification import (NodeClassificationMetrics,
-                                         NodeClassificationTask)
+from ..tasks.link_prediction import LinkPredictionTask
+from ..tasks.node_classification import NodeClassificationTask
 
 __all__ = ["ExperimentScale", "SCALES", "Cell", "ExperimentResult",
-           "run_cpdg", "run_baseline", "run_no_pretrain", "PretrainCache",
-           "aggregate"]
+           "PretrainCache", "aggregate", "PairedDelta", "paired_delta",
+           "Arm", "method_arm", "transfer_trial", "paired_rows", "NONE",
+           "DELTA"]
+
+NONE = "none"
+DELTA = "ΔAUC vs none"
+# The percentile bootstrap behind every ΔAUC interval.  Fixed, so a
+# table is a pure function of its runs.
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -56,8 +71,20 @@ class ExperimentScale:
     baseline: BaselinePretrainConfig
     seeds: tuple[int, ...] = (0,)
 
-    def cpdg_with(self, **kwargs) -> CPDGConfig:
-        return self.cpdg.with_overrides(**kwargs)
+    def resolve(self, dataset: str, transfer: str = "time",
+                source: str | None = None) -> ResolvedData:
+        """Pre-train stream + downstream split of ``dataset`` at this
+        scale's data size: a labelled stream under the paper's 6:2:1:1
+        split, anything else as :func:`repro.api.resolve_data` gives the
+        pipeline CLI (``amazon:beauty`` under ``transfer`` from
+        ``source``; Meituan 6:4)."""
+        if dataset in LABELED_DATASETS:
+            stream = labeled_stream(dataset, self.data)
+            return ResolvedData(dataset, *node_classification_split(stream),
+                                stream.num_nodes)
+        return resolve_data(DataConfig(
+            dataset=dataset, transfer=transfer, source_field=source,
+            **dataclasses.asdict(self.data)))
 
 
 _TINY_CPDG = CPDGConfig(eta=4, epsilon=4, depth=2, epochs=1, batch_size=100,
@@ -121,6 +148,36 @@ def aggregate(values: list[float]) -> Cell:
 
 
 @dataclass
+class PairedDelta:
+    """One arm's AUC minus its trial's ``none`` AUC, paired by seed."""
+
+    per_seed: tuple[float, ...]
+    mean: float
+    low: float
+    high: float
+
+    def __str__(self) -> str:
+        if np.isnan(self.mean):
+            return "NaN"
+        return f"{self.mean:+.4f} [{self.low:+.4f}, {self.high:+.4f}]"
+
+
+def paired_delta(values: list[float], control: list[float]) -> PairedDelta:
+    """Mean over seeds of ``value − control`` and its 95 % percentile-
+    bootstrap interval (seeds whose AUC is undefined drop out).  One seed
+    gives a point: the interval collapses onto the mean."""
+    diffs = np.asarray(values, np.float64) - np.asarray(control, np.float64)
+    finite = diffs[np.isfinite(diffs)]
+    if not len(finite):
+        return PairedDelta(tuple(diffs.tolist()), *[float("nan")] * 3)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    draws = rng.integers(0, len(finite), (BOOTSTRAP_RESAMPLES, len(finite)))
+    low, high = np.percentile(finite[draws].mean(axis=1), [2.5, 97.5])
+    return PairedDelta(tuple(diffs.tolist()), float(finite.mean()),
+                       float(low), float(high))
+
+
+@dataclass
 class ExperimentResult:
     """Rows of one regenerated table/figure."""
 
@@ -130,6 +187,22 @@ class ExperimentResult:
 
     def add_row(self, **values) -> None:
         self.rows.append(values)
+
+    def add_arms(self, rows: list[dict], key="method", verbose: bool = False,
+                 **context) -> None:
+        """Add :func:`paired_rows` output under the ``context`` columns.
+
+        Each arm's label fills column ``key``; a tuple label spreads over
+        a tuple of columns, and ``none`` fills all of them.
+        """
+        keys = (key,) if isinstance(key, str) else key
+        for row in rows:
+            label = row.pop("arm")
+            labels = label if isinstance(label, tuple) else (label,) * len(keys)
+            self.add_row(**context, **dict(zip(keys, labels)), **row)
+            if verbose:
+                print(f"[{self.experiment.split(':')[0]}] " + "  ".join(
+                    f"{c}={self.rows[-1].get(c, '')}" for c in self.columns))
 
     def format_table(self) -> str:
         widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in self.rows))
@@ -159,14 +232,13 @@ class PretrainCache:
 
     Two tiers:
 
-    * :meth:`get` — in-memory memoisation within one runner process (the
-      historical behaviour; baseline cells cache live encoder objects
-      that have no file format).
-    * :meth:`get_artifact` — fingerprint-keyed
+    * :meth:`get` — in-memory memoisation within one runner process
+      (baseline arms cache live encoder objects that have no file format).
+    * :meth:`get_artifact` — the memory tier over fingerprint-keyed
       :class:`~repro.api.PretrainArtifact` files under ``cache_dir``, so
-      sweep cells (figures 6–8) reuse pre-training *across process
-      restarts*.  Keys must be process-stable (stream fingerprints, not
-      ``id()``); each key hashes to one ``.npz`` file.
+      CPDG arms reuse pre-training *across process restarts*.  Keys must
+      be process-stable (stream fingerprints, not ``id()``); each key
+      hashes to one ``.npz`` file.
 
     ``cache_dir`` defaults to the ``REPRO_PRETRAIN_CACHE`` environment
     variable; unset (the default for tests) keeps the cache memory-only.
@@ -183,126 +255,170 @@ class PretrainCache:
             self._cache[key] = compute()
         return self._cache[key]
 
-    def _artifact_path(self, key: tuple) -> str:
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
-        return os.path.join(self.cache_dir, f"pretrain-{digest}.npz")
-
     def get_artifact(self, key: tuple, compute) -> PretrainArtifact:
         """Memory → disk → compute (writing back to both tiers)."""
-        if key in self._cache:
-            return self._cache[key]
-        path = self._artifact_path(key) if self.cache_dir else None
-        if path is not None and os.path.exists(path):
+        return self.get(key, lambda: self._load_or_compute(key, compute))
+
+    def _load_or_compute(self, key: tuple, compute) -> PretrainArtifact:
+        if not self.cache_dir:
+            return compute()
+        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
+        path = os.path.join(self.cache_dir, f"pretrain-{digest}.npz")
+        if os.path.exists(path):
             try:
-                artifact = PretrainArtifact.load(path)
-                self._cache[key] = artifact
-                return artifact
+                return PretrainArtifact.load(path)
             except ArtifactError:
-                # Stale/corrupt file (e.g. format bump): recompute over it.
-                pass
+                pass  # stale/corrupt file (e.g. format bump): recompute
         artifact = compute()
-        if path is not None:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            artifact.save(path)
-        self._cache[key] = artifact
+        os.makedirs(self.cache_dir, exist_ok=True)
+        artifact.save(path)
         return artifact
 
 
 # ----------------------------------------------------------------------
-# Per-cell runners
+# The paired transfer trial
 # ----------------------------------------------------------------------
 
-def _metrics_for(strategy: FineTuneStrategy, split: DownstreamSplit,
-                 finetune: FineTuneConfig, task: str, inductive: bool):
-    if task == "link":
-        runner = LinkPredictionTask(strategy, split, finetune)
-        return runner.run(inductive=inductive)
-    if task == "node":
-        runner = NodeClassificationTask(strategy, split, finetune)
-        return runner.run()
-    raise ValueError(f"unknown task {task!r}")
+@dataclass(frozen=True)
+class Arm:
+    """One arm of a transfer trial: how its downstream encoder starts.
+
+    ``method`` is ``"cpdg"`` — pre-train ``backbone`` (default: the
+    trial's) with ``cpdg`` (default: the scale's config) on ``pretrain``
+    (default: the trial's stream), then fine-tune with ``strategy``, where
+    ``"none"`` is the randomly initialised control — or a
+    :data:`~repro.baselines.BASELINES` name.  ``checkpoints`` fuses only
+    the last L EIE checkpoints (Figure 8).  ``label`` names the arm's row.
+    """
+
+    label: object
+    method: str = "cpdg"
+    backbone: str | None = None
+    strategy: str = "eie-gru"
+    cpdg: CPDGConfig | None = None
+    checkpoints: int | None = None
+    pretrain: EventStream | None = None
 
 
-def run_cpdg(backbone: str, num_nodes: int, pretrain_stream: EventStream,
-             split: DownstreamSplit, scale: ExperimentScale, seed: int,
-             strategy: str = "eie-gru", task: str = "link",
-             inductive: bool = False, cpdg_config: CPDGConfig | None = None,
-             cache: PretrainCache | None = None,
-             cache_key_extra: tuple = ()):
-    """One CPDG cell: pre-train (cached) then fine-tune with ``strategy``."""
-    cfg = (cpdg_config if cpdg_config is not None else scale.cpdg)
-    cfg = cfg.with_overrides(seed=seed)
-    config = RunConfig(backbone=backbone, task=task, strategy=strategy,
-                       inductive=inductive, pretrain=cfg,
-                       finetune=replace(scale.finetune, seed=seed))
+def method_arm(method: str) -> Arm:
+    """The arm behind a Table VII–IX method name: ``cpdg(<backbone>)``
+    (EIE-GRU fine-tuning, as the paper's CPDG rows) or a baseline."""
+    if method.startswith("cpdg("):
+        return Arm(method, backbone=method[len("cpdg("):-1])
+    return Arm(method, method=method)
 
-    def compute() -> PretrainArtifact:
-        return Pipeline(config).pretrain(pretrain_stream).artifact
 
-    # Keyed by the stream's *content* fingerprint (not object identity)
-    # plus every hyper-parameter that shapes the artifact, so on-disk
-    # cache hits survive process restarts without colliding across
-    # scales/configs.  Execution knobs that are bit-identical by design
-    # (worker count, prefetch, mmap — see tests/test_stream_pipeline.py)
-    # are excluded so deployment settings still share one artifact.
-    cfg_items = {k: v for k, v in sorted(dataclasses.asdict(cfg).items())
-                 if k not in ("num_workers", "prefetch_batches",
-                              "mmap_graph", "fabric", "shard_dir",
-                              "fabric_lease_timeout")}
-    key = ("cpdg", backbone, stream_fingerprint(pretrain_stream),
-           tuple(cfg_items.items()), *cache_key_extra)
-    artifact = (cache.get_artifact(key, compute) if cache is not None
-                else compute())
+def _run_arm(exp: ExperimentScale, seed: int, arm: Arm,
+             pretrain_stream: EventStream, split: DownstreamSplit, task: str,
+             inductive: bool, cache: PretrainCache):
+    """Pre-train (cached), fine-tune with seed ``seed`` and score one arm."""
+    num_nodes = pretrain_stream.num_nodes
+    finetune = replace(exp.finetune, seed=seed)
+    if arm.method in BASELINES:
+        # The pre-trained encoder itself is cached; fine-tuning always
+        # starts from its saved parameters (and memory, for dynamic ones).
+        spec, d = BASELINES[arm.method], exp.cpdg
+        delta_scale = max(pretrain_stream.timespan /
+                          max(pretrain_stream.num_events, 1), 1e-6)
 
+        def compute():
+            encoder = spec.build(num_nodes, d.embed_dim,
+                                 np.random.default_rng(seed),
+                                 n_neighbors=d.n_neighbors,
+                                 memory_dim=d.memory_dim,
+                                 time_dim=d.time_dim, edge_dim=d.edge_dim,
+                                 delta_scale=delta_scale)
+            spec.pretrain(encoder, pretrain_stream,
+                          replace(exp.baseline, seed=seed))
+            return encoder, encoder.state_dict(), encoder.memory_snapshot()
+
+        key = ("baseline", arm.method, stream_fingerprint(pretrain_stream),
+               seed)
+        encoder, state, memory = cache.get(key, compute)
+        encoder.load_state_dict(state)
+        if memory[0].size:
+            encoder.load_memory(*memory)
+        strategy = FineTuneStrategy(name=arm.method, encoder=encoder, eie=None)
+        if normalize_task(task) == "link_prediction":
+            return LinkPredictionTask(strategy, split, finetune).run(
+                inductive=inductive)
+        return NodeClassificationTask(strategy, split, finetune).run()
+
+    cfg = (arm.cpdg or exp.cpdg).with_overrides(seed=seed)
+    config = RunConfig(backbone=arm.backbone, task=task,
+                       strategy=arm.strategy, inductive=inductive,
+                       pretrain=cfg, finetune=finetune)
+    artifact = None
+    if arm.strategy != NONE:
+        # Keyed by the stream's *content* fingerprint plus every
+        # hyper-parameter that shapes the artifact, so on-disk hits
+        # survive process restarts without colliding across scales and
+        # configs.  Execution knobs that are bit-identical by design
+        # (workers, prefetch, mmap — tests/test_stream_pipeline.py) are
+        # left out so deployment settings share one artifact.
+        cfg_items = {k: v for k, v in sorted(dataclasses.asdict(cfg).items())
+                     if k not in ("num_workers", "prefetch_batches",
+                                  "mmap_graph", "fabric", "shard_dir",
+                                  "fabric_lease_timeout")}
+        key = ("cpdg", arm.backbone, stream_fingerprint(pretrain_stream),
+               tuple(cfg_items.items()))
+        artifact = cache.get_artifact(
+            key, lambda: Pipeline(config).pretrain(pretrain_stream).artifact)
+        if arm.checkpoints is not None:
+            result = artifact.result
+            artifact = replace(artifact, result=replace(
+                result, checkpoints=result.checkpoints.truncate(
+                    arm.checkpoints)))
     pipeline = Pipeline(config, artifact=artifact)
     return pipeline.finetune(split=split, num_nodes=num_nodes).evaluate()
 
 
-def run_no_pretrain(backbone: str, num_nodes: int, split: DownstreamSplit,
-                    scale: ExperimentScale, seed: int, task: str = "link",
-                    inductive: bool = False):
-    """Randomly initialised backbone, downstream fine-tuning only."""
-    config = RunConfig(backbone=backbone, task=task, strategy="none",
-                       inductive=inductive,
-                       pretrain=scale.cpdg.with_overrides(seed=seed),
-                       finetune=replace(scale.finetune, seed=seed))
-    pipeline = Pipeline(config)
-    return pipeline.finetune(split=split, num_nodes=num_nodes).evaluate()
+def transfer_trial(exp: ExperimentScale, seed: int,
+                   pretrain_stream: EventStream, split: DownstreamSplit,
+                   arms: list[Arm], *, task: str = "link",
+                   inductive: bool = False,
+                   cache: PretrainCache | None = None,
+                   backbone: str = "jodie") -> dict:
+    """Every arm of one ``(split, seed)``, paired.
 
-
-def run_baseline(name: str, num_nodes: int, pretrain_stream: EventStream,
-                 split: DownstreamSplit, scale: ExperimentScale, seed: int,
-                 task: str = "link", inductive: bool = False,
-                 cache: PretrainCache | None = None):
-    """One baseline cell: method-specific pre-training + full fine-tune.
-
-    The pre-trained encoder itself is cached; fine-tuning always starts
-    from a deep copy of its parameters (and memory, for dynamic methods).
+    Runs the ``none`` control (a randomly initialised ``backbone``) and
+    then each of ``arms`` (CPDG arms pre-train ``backbone`` unless they
+    name their own) on the same downstream ``split`` with the same
+    fine-tune seed; link prediction draws its scored negatives from a
+    generator keyed by ``(fine-tune seed, segment)``, so every arm is
+    scored on the same test negatives.  Returns ``{label: metrics}``,
+    ``none`` first.
     """
-    spec = BASELINES[name]
-    cfg = replace(scale.baseline, seed=seed)
-    delta_scale = max(pretrain_stream.timespan /
-                      max(pretrain_stream.num_events, 1), 1e-6)
+    cache = cache if cache is not None else PretrainCache()
+    return {arm.label: _run_arm(exp, seed,
+                                replace(arm, backbone=arm.backbone or backbone),
+                                pretrain_stream if arm.pretrain is None
+                                else arm.pretrain,
+                                split, task, inductive, cache)
+            for arm in (Arm(NONE, strategy=NONE), *arms)}
 
-    def compute():
-        rng = np.random.default_rng(seed)
-        encoder = spec.build(num_nodes, scale.cpdg.embed_dim, rng,
-                             n_neighbors=scale.cpdg.n_neighbors,
-                             memory_dim=scale.cpdg.memory_dim,
-                             time_dim=scale.cpdg.time_dim,
-                             edge_dim=scale.cpdg.edge_dim,
-                             delta_scale=delta_scale)
-        spec.pretrain(encoder, pretrain_stream, cfg)
-        state = encoder.state_dict()
-        memory = encoder.memory_snapshot()
-        return encoder, state, memory
 
-    key = ("baseline", name, stream_fingerprint(pretrain_stream), seed)
-    encoder, state, memory = (cache.get(key, compute) if cache is not None
-                              else compute())
-    encoder.load_state_dict(state)
-    if memory[0].size:
-        encoder.load_memory(*memory)
-    finetune = replace(scale.finetune, seed=seed)
-    strategy = FineTuneStrategy(name=name, encoder=encoder, eie=None)
-    return _metrics_for(strategy, split, finetune, task, inductive)
+def paired_rows(exp: ExperimentScale, data: ResolvedData, arms: list[Arm],
+                **trial) -> list[dict]:
+    """One :func:`transfer_trial` per seed of ``exp`` on ``data``'s
+    pre-train stream and downstream split, one row per arm.
+
+    A row holds the arm's ``label`` under ``arm``, ``AUC`` (and, for
+    link prediction, ``AP``) as mean ± std over seeds, :data:`DELTA` —
+    the paired :func:`paired_delta` against the same seeds' ``none`` —
+    and ``n events``, the scored events of the last seed.
+    """
+    trials = [transfer_trial(exp, seed, data.pretrain, data.downstream, arms,
+                             **trial) for seed in exp.seeds]
+    control = [t[NONE].auc for t in trials]
+    rows = []
+    for label in trials[0]:
+        runs = [t[label] for t in trials]
+        auc = [m.auc for m in runs]
+        row = {"arm": label, "AUC": aggregate(auc),
+               DELTA: paired_delta(auc, control),
+               "n events": runs[-1].num_events}
+        if hasattr(runs[0], "ap"):
+            row["AP"] = aggregate([m.ap for m in runs])
+        rows.append(row)
+    return rows

@@ -1,7 +1,8 @@
 """Figure 5 — ablation study: CPDG vs w/o TC, w/o SC, w/o EIE.
 
 Link prediction on Amazon Beauty / Luxury (time+field transfer) and node
-classification on Wikipedia / Reddit, AUC per variant:
+classification on Wikipedia / Reddit, AUC and the paired ``ΔAUC vs none``
+per variant, one transfer trial per dataset and seed:
 
 * ``w/o TC``  — temporal contrast removed (Eq. 17 without L_η);
 * ``w/o SC``  — structural contrast removed (Eq. 17 without L_ε);
@@ -10,28 +11,16 @@ classification on Wikipedia / Reddit, AUC per variant:
 
 from __future__ import annotations
 
-from ..datasets.registry import (DEFAULT_SPLIT_TIME, amazon_universe,
-                                 labeled_stream)
-from ..datasets.splits import make_transfer_split, node_classification_split
-from .common import (SCALES, ExperimentResult, PretrainCache, aggregate,
-                     run_cpdg)
+from .common import (DELTA, SCALES, Arm, ExperimentResult, PretrainCache,
+                     paired_rows)
 
 __all__ = ["run", "VARIANTS"]
 
-VARIANTS = ("CPDG", "w/o TC", "w/o SC", "w/o EIE")
-
-
-def _variant_kwargs(variant: str, base_cfg):
-    """Config/strategy overrides per ablation arm."""
-    if variant == "CPDG":
-        return base_cfg, "eie-gru"
-    if variant == "w/o TC":
-        return base_cfg.with_overrides(use_temporal_contrast=False), "eie-gru"
-    if variant == "w/o SC":
-        return base_cfg.with_overrides(use_structural_contrast=False), "eie-gru"
-    if variant == "w/o EIE":
-        return base_cfg, "full"
-    raise ValueError(f"unknown variant {variant!r}")
+# Per variant: pre-training config overrides, fine-tuning strategy.
+VARIANTS = {"CPDG": ({}, "eie-gru"),
+            "w/o TC": ({"use_temporal_contrast": False}, "eie-gru"),
+            "w/o SC": ({"use_structural_contrast": False}, "eie-gru"),
+            "w/o EIE": ({}, "full")}
 
 
 def run(scale: str = "default", backbone: str = "jodie", verbose: bool = True
@@ -40,38 +29,19 @@ def run(scale: str = "default", backbone: str = "jodie", verbose: bool = True
     exp = SCALES[scale]
     result = ExperimentResult(
         experiment="Figure 5: ablation (AUC)",
-        columns=["dataset", "variant", "AUC"])
+        columns=["dataset", "variant", "AUC", DELTA])
     cache = PretrainCache()
+    arms = [Arm(variant, cpdg=exp.cpdg.with_overrides(**overrides),
+                strategy=strategy)
+            for variant, (overrides, strategy) in VARIANTS.items()]
 
-    # Link prediction arms: Beauty and Luxury under time+field transfer.
-    universe = amazon_universe(exp.data)
-    link_arms = []
-    for field in ("beauty", "luxury"):
-        split = make_transfer_split("time+field", universe.stream(field),
-                                    universe.stream("arts"),
-                                    DEFAULT_SPLIT_TIME)
-        link_arms.append((field, universe.num_nodes, split.pretrain,
-                          split.downstream, "link"))
-    # Node classification arms: Wikipedia and Reddit.
-    node_arms = []
-    for dataset in ("wikipedia", "reddit"):
-        stream = labeled_stream(dataset, exp.data)
-        pretrain, downstream = node_classification_split(stream)
-        node_arms.append((dataset, stream.num_nodes, pretrain, downstream,
-                          "node"))
-
-    for dataset, num_nodes, pretrain, downstream, task in link_arms + node_arms:
-        for variant in VARIANTS:
-            cfg, strategy = _variant_kwargs(variant, exp.cpdg)
-            aucs = []
-            for seed in exp.seeds:
-                metrics = run_cpdg(backbone, num_nodes, pretrain, downstream,
-                                   exp, seed, strategy=strategy, task=task,
-                                   cpdg_config=cfg, cache=cache)
-                aucs.append(metrics.auc)
-            result.add_row(dataset=dataset, variant=variant,
-                           AUC=aggregate(aucs))
-            if verbose:
-                print(f"[figure5] {dataset:10s} {variant:8s} "
-                      f"AUC={result.rows[-1]['AUC']}")
+    # Link prediction on Beauty and Luxury under time+field transfer,
+    # node classification on Wikipedia and Reddit.
+    for dataset, task in (("beauty", "link"), ("luxury", "link"),
+                          ("wikipedia", "node"), ("reddit", "node")):
+        data = (exp.resolve(f"amazon:{dataset}", "time+field", "arts")
+                if task == "link" else exp.resolve(dataset))
+        rows = paired_rows(exp, data, arms, task=task, cache=cache,
+                           backbone=backbone)
+        result.add_arms(rows, "variant", verbose, dataset=dataset)
     return result

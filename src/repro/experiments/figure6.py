@@ -2,14 +2,14 @@
 
 AUC/AP on Amazon Beauty and Luxury (time+field transfer, JODIE backbone)
 as β sweeps {0.1, 0.3, 0.5, 0.7, 0.9}; β weights the structural contrast,
-1-β the temporal contrast (Eq. 17).
+1-β the temporal contrast (Eq. 17).  One transfer trial per field and
+seed, with the paired ``ΔAUC vs none``.
 """
 
 from __future__ import annotations
 
-from ..datasets.registry import DEFAULT_SPLIT_TIME, amazon_universe
-from ..datasets.splits import make_transfer_split
-from .common import SCALES, ExperimentResult, PretrainCache, aggregate, run_cpdg
+from .common import (DELTA, SCALES, Arm, ExperimentResult, PretrainCache,
+                     paired_rows)
 
 __all__ = ["run", "BETAS"]
 
@@ -22,26 +22,12 @@ def run(scale: str = "default", fields=("beauty", "luxury"), betas=BETAS,
     exp = SCALES[scale]
     result = ExperimentResult(
         experiment="Figure 6: beta sweep (time+field transfer)",
-        columns=["field", "beta", "AUC", "AP"])
-    universe = amazon_universe(exp.data)
+        columns=["field", "beta", "AUC", "AP", DELTA])
+    arms = [Arm(beta, cpdg=exp.cpdg.with_overrides(beta=beta)) for beta in betas]
     cache = PretrainCache()
 
     for field in fields:
-        split = make_transfer_split("time+field", universe.stream(field),
-                                    universe.stream("arts"), DEFAULT_SPLIT_TIME)
-        for beta in betas:
-            cfg = exp.cpdg.with_overrides(beta=beta)
-            aucs, aps = [], []
-            for seed in exp.seeds:
-                metrics = run_cpdg(backbone, universe.num_nodes, split.pretrain,
-                                   split.downstream, exp, seed,
-                                   strategy="eie-gru", cpdg_config=cfg,
-                                   cache=cache)
-                aucs.append(metrics.auc)
-                aps.append(metrics.ap)
-            result.add_row(field=field, beta=beta, AUC=aggregate(aucs),
-                           AP=aggregate(aps))
-            if verbose:
-                row = result.rows[-1]
-                print(f"[figure6] {field:8s} beta={beta} AUC={row['AUC']}")
+        data = exp.resolve(f"amazon:{field}", "time+field", "arts")
+        rows = paired_rows(exp, data, arms, cache=cache, backbone=backbone)
+        result.add_arms(rows, "beta", verbose, field=field)
     return result

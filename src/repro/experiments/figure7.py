@@ -1,15 +1,15 @@
 """Figure 7 — sensitivity to subgraph width η/ε and depth k (paper §V-H).
 
 AUC heat-map over combinations of sampling width (η = ε) and depth k on
-Amazon Beauty (time+field transfer, JODIE backbone).  The paper finds that
-wider subgraphs generally help while deeper ones need not.
+Amazon Beauty (time+field transfer, JODIE backbone), one transfer trial
+per seed with the paired ``ΔAUC vs none``.  The paper finds that wider
+subgraphs generally help while deeper ones need not.
 """
 
 from __future__ import annotations
 
-from ..datasets.registry import DEFAULT_SPLIT_TIME, amazon_universe
-from ..datasets.splits import make_transfer_split
-from .common import SCALES, ExperimentResult, PretrainCache, aggregate, run_cpdg
+from .common import (DELTA, SCALES, Arm, ExperimentResult, PretrainCache,
+                     paired_rows)
 
 __all__ = ["run", "WIDTHS", "DEPTHS"]
 
@@ -24,26 +24,12 @@ def run(scale: str = "default", field: str = "beauty", widths=WIDTHS,
     exp = SCALES[scale]
     result = ExperimentResult(
         experiment="Figure 7: eta/epsilon x k sweep",
-        columns=["width", "depth", "AUC", "AP"])
-    universe = amazon_universe(exp.data)
-    split = make_transfer_split("time+field", universe.stream(field),
-                                universe.stream("arts"), DEFAULT_SPLIT_TIME)
-    cache = PretrainCache()
-
-    for width in widths:
-        for depth in depths:
-            cfg = exp.cpdg.with_overrides(eta=width, epsilon=width, depth=depth)
-            aucs, aps = [], []
-            for seed in exp.seeds:
-                metrics = run_cpdg(backbone, universe.num_nodes, split.pretrain,
-                                   split.downstream, exp, seed,
-                                   strategy="eie-gru", cpdg_config=cfg,
-                                   cache=cache)
-                aucs.append(metrics.auc)
-                aps.append(metrics.ap)
-            result.add_row(width=width, depth=depth, AUC=aggregate(aucs),
-                           AP=aggregate(aps))
-            if verbose:
-                row = result.rows[-1]
-                print(f"[figure7] width={width} depth={depth} AUC={row['AUC']}")
+        columns=["width", "depth", "AUC", "AP", DELTA])
+    data = exp.resolve(f"amazon:{field}", "time+field", "arts")
+    arms = [Arm((width, depth), cpdg=exp.cpdg.with_overrides(
+                eta=width, epsilon=width, depth=depth))
+            for width in widths for depth in depths]
+    rows = paired_rows(exp, data, arms, cache=PretrainCache(),
+                       backbone=backbone)
+    result.add_arms(rows, ("width", "depth"), verbose)
     return result

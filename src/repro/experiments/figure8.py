@@ -1,22 +1,20 @@
 """Figure 8 — sensitivity to the EIE checkpoint length L (paper §V-H).
 
 Node-classification AUC on the Wikipedia and Reddit analogues as the
-number of fused memory checkpoints varies over {1, 3, 5, 7, 9}.  The paper
-finds intermediate L (≈5) works best.
+number of fused memory checkpoints varies over {1, 3, 5, 7, 9}, one
+transfer trial per dataset and seed with the paired ``ΔAUC vs none``.
+The paper finds intermediate L (≈5) works best.
 
-Pre-training runs once per seed with the maximum L; shorter settings fuse
-a suffix of the checkpoint sequence (the most recent snapshots), matching
-uniform storage over a shorter horizon.
+Pre-training runs once per seed with the maximum L (every arm shares the
+cached artifact); shorter settings fuse a suffix of the checkpoint
+sequence (the most recent snapshots), matching uniform storage over a
+shorter horizon.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from ..api import Pipeline, RunConfig
-from ..datasets.registry import labeled_stream
-from ..datasets.splits import node_classification_split
-from .common import SCALES, ExperimentResult, aggregate
+from .common import (DELTA, SCALES, Arm, ExperimentResult, PretrainCache,
+                     paired_rows)
 
 __all__ = ["run", "LENGTHS"]
 
@@ -30,35 +28,14 @@ def run(scale: str = "default", datasets=("wikipedia", "reddit"),
     exp = SCALES[scale]
     result = ExperimentResult(
         experiment="Figure 8: checkpoint length L sweep",
-        columns=["dataset", "L", "AUC"])
-    max_length = max(lengths)
+        columns=["dataset", "L", "AUC", DELTA])
+    cfg = exp.cpdg.with_overrides(num_checkpoints=max(lengths))
+    arms = [Arm(length, cpdg=cfg, checkpoints=length)
+            for length in lengths]
+    cache = PretrainCache()
 
     for dataset in datasets:
-        stream = labeled_stream(dataset, exp.data)
-        pretrain_stream, downstream = node_classification_split(stream)
-        per_seed_artifacts = {}
-        for seed in exp.seeds:
-            config = RunConfig(
-                backbone=backbone, task="node_classification",
-                strategy="eie-gru",
-                pretrain=exp.cpdg.with_overrides(num_checkpoints=max_length,
-                                                 seed=seed),
-                finetune=replace(exp.finetune, seed=seed))
-            per_seed_artifacts[seed] = (
-                Pipeline(config).pretrain(pretrain_stream).artifact)
-
-        for length in lengths:
-            aucs = []
-            for seed in exp.seeds:
-                full = per_seed_artifacts[seed]
-                truncated = replace(
-                    full, result=replace(
-                        full.result,
-                        checkpoints=full.result.checkpoints.truncate(length)))
-                pipeline = Pipeline(full.run_config, artifact=truncated)
-                aucs.append(pipeline.finetune(split=downstream).evaluate().auc)
-            result.add_row(dataset=dataset, L=length, AUC=aggregate(aucs))
-            if verbose:
-                print(f"[figure8] {dataset:10s} L={length} "
-                      f"AUC={result.rows[-1]['AUC']}")
+        rows = paired_rows(exp, exp.resolve(dataset), arms, task="node",
+                           cache=cache, backbone=backbone)
+        result.add_arms(rows, "L", verbose, dataset=dataset)
     return result

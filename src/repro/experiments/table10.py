@@ -2,27 +2,22 @@
 
 No-pre-train versus CPDG pre-trained under each transfer setting (T / F /
 T+F), JODIE backbone (the paper's §V-E setup), evaluated only on test
-events that touch nodes unseen during fine-tuning training.  Reports AUC,
-AP and the relative gain over no-pre-train.
+events that touch nodes unseen during fine-tuning training.  All four
+share one downstream split, so one transfer trial per target and seed
+runs them paired.  Reports AUC, AP, the relative gain over no-pre-train
+and the paired ``ΔAUC vs none``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..datasets.registry import amazon_universe, gowalla_universe, DEFAULT_SPLIT_TIME
-from ..datasets.splits import make_transfer_split
-from .common import (SCALES, ExperimentResult, PretrainCache, aggregate,
-                     run_cpdg, run_no_pretrain)
+from .common import (DELTA, SCALES, Arm, ExperimentResult,
+                     PretrainCache, paired_rows)
+from .table7 import TARGETS
 
 __all__ = ["run", "TARGETS"]
 
-TARGETS = (
-    ("amazon", "beauty", "arts"),
-    ("amazon", "luxury", "arts"),
-    ("gowalla", "entertainment", "food"),
-    ("gowalla", "outdoors", "food"),
-)
 SETTING_LABELS = {"time": "CPDG (T)", "field": "CPDG (F)",
                   "time+field": "CPDG (T+F)"}
 
@@ -40,51 +35,22 @@ def run(scale: str = "default", targets=TARGETS, backbone: str = "jodie",
     result = ExperimentResult(
         experiment="Table X: inductive link prediction",
         columns=["field", "method", "AUC", "AP", "AUC gain", "AP gain",
-                 "n events"])
-    universes = {"amazon": amazon_universe(exp.data),
-                 "gowalla": gowalla_universe(exp.data)}
+                 DELTA, "n events"])
     cache = PretrainCache()
 
-    for universe_name, target_field, source_field in targets:
-        universe = universes[universe_name]
-        base_split = make_transfer_split("time", universe.stream(target_field),
-                                         universe.stream(source_field),
-                                         DEFAULT_SPLIT_TIME)
-        base_aucs, base_aps = [], []
-        n_events = 0
-        for seed in exp.seeds:
-            metrics = run_no_pretrain(backbone, universe.num_nodes,
-                                      base_split.downstream, exp, seed,
-                                      inductive=True)
-            base_aucs.append(metrics.auc)
-            base_aps.append(metrics.ap)
-            n_events = metrics.num_events
-        base_auc, base_ap = aggregate(base_aucs), aggregate(base_aps)
-        result.add_row(field=target_field, method="No Pre-train",
-                       AUC=base_auc, AP=base_ap,
-                       **{"AUC gain": "-", "AP gain": "-",
-                          "n events": n_events})
-        if verbose:
-            print(f"[table10] {target_field:13s} no-pretrain AUC={base_auc}")
-
-        for setting, label in SETTING_LABELS.items():
-            split = make_transfer_split(setting, universe.stream(target_field),
-                                        universe.stream(source_field),
-                                        DEFAULT_SPLIT_TIME)
-            aucs, aps = [], []
-            for seed in exp.seeds:
-                metrics = run_cpdg(backbone, universe.num_nodes, split.pretrain,
-                                   split.downstream, exp, seed,
-                                   strategy="eie-gru", inductive=True,
-                                   cache=cache)
-                aucs.append(metrics.auc)
-                aps.append(metrics.ap)
-            auc, ap = aggregate(aucs), aggregate(aps)
-            result.add_row(field=target_field, method=label, AUC=auc, AP=ap,
-                           **{"AUC gain": _gain(auc.mean, base_auc.mean),
-                              "AP gain": _gain(ap.mean, base_ap.mean),
-                              "n events": metrics.num_events})
-            if verbose:
-                print(f"[table10] {target_field:13s} {label:11s} AUC={auc} "
-                      f"({_gain(auc.mean, base_auc.mean)})")
+    for universe, target, source in targets:
+        # The three settings share the target's downstream split.
+        data = {setting: exp.resolve(f"{universe}:{target}", setting, source)
+                for setting in SETTING_LABELS}
+        arms = [Arm(label, pretrain=data[setting].pretrain)
+                for setting, label in SETTING_LABELS.items()]
+        rows = paired_rows(exp, data["time"], arms, inductive=True,
+                           cache=cache, backbone=backbone)
+        base = rows[0]
+        base.update({"arm": "No Pre-train", "AUC gain": "-", "AP gain": "-"})
+        for row in rows[1:]:
+            for metric in ("AUC", "AP"):
+                row[f"{metric} gain"] = _gain(row[metric].mean,
+                                              base[metric].mean)
+        result.add_arms(rows, "method", verbose, field=target)
     return result

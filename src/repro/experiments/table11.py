@@ -2,15 +2,14 @@
 
 Full fine-tuning versus the three EIE variants (mean / attn / GRU) on the
 Amazon Beauty and Luxury analogues under the time+field transfer setting,
-JODIE backbone.
+JODIE backbone; one transfer trial per field and seed, with the paired
+``ΔAUC vs none``.
 """
 
 from __future__ import annotations
 
-from ..datasets.registry import amazon_universe, DEFAULT_SPLIT_TIME
-from ..datasets.splits import make_transfer_split
-from .common import (SCALES, ExperimentResult, PretrainCache, aggregate,
-                     run_cpdg)
+from .common import (DELTA, SCALES, Arm, ExperimentResult, PretrainCache,
+                     paired_rows)
 
 __all__ = ["run", "STRATEGY_LABELS"]
 
@@ -24,25 +23,13 @@ def run(scale: str = "default", fields=("beauty", "luxury"),
     exp = SCALES[scale]
     result = ExperimentResult(
         experiment="Table XI: fine-tuning strategies (time+field transfer)",
-        columns=["field", "strategy", "AUC", "AP"])
-    universe = amazon_universe(exp.data)
+        columns=["field", "strategy", "AUC", "AP", DELTA])
+    arms = [Arm(label, strategy=strategy)
+            for strategy, label in STRATEGY_LABELS.items()]
     cache = PretrainCache()
 
     for field in fields:
-        split = make_transfer_split("time+field", universe.stream(field),
-                                    universe.stream("arts"), DEFAULT_SPLIT_TIME)
-        for strategy, label in STRATEGY_LABELS.items():
-            aucs, aps = [], []
-            for seed in exp.seeds:
-                metrics = run_cpdg(backbone, universe.num_nodes, split.pretrain,
-                                   split.downstream, exp, seed,
-                                   strategy=strategy, cache=cache)
-                aucs.append(metrics.auc)
-                aps.append(metrics.ap)
-            result.add_row(field=field, strategy=label,
-                           AUC=aggregate(aucs), AP=aggregate(aps))
-            if verbose:
-                row = result.rows[-1]
-                print(f"[table11] {field:8s} {label:9s} AUC={row['AUC']} "
-                      f"AP={row['AP']}")
+        data = exp.resolve(f"amazon:{field}", "time+field", "arts")
+        rows = paired_rows(exp, data, arms, cache=cache, backbone=backbone)
+        result.add_arms(rows, "strategy", verbose, field=field)
     return result

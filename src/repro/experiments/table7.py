@@ -3,7 +3,8 @@
 Regenerates the paper's main comparison: every method of §V-B plus
 CPDG(DyRep/JODIE/TGN), on the Amazon (Beauty, Luxury) and Gowalla
 (Entertainment, Outdoors) analogues, under time / field / time+field
-transfer, reporting AUC and AP.
+transfer, reporting AUC, AP and the paired ``ΔAUC vs none`` against a
+randomly initialised ``backbone`` — one transfer trial per split and seed.
 
 The paper's CPDG rows use the EIE-GRU fine-tuning strategy (their Table XI
 Beauty EIE-GRU value equals the Table VII CPDG(JODIE) value).
@@ -11,10 +12,8 @@ Beauty EIE-GRU value equals the Table VII CPDG(JODIE) value).
 
 from __future__ import annotations
 
-from ..datasets.registry import amazon_universe, gowalla_universe, DEFAULT_SPLIT_TIME
-from ..datasets.splits import make_transfer_split
-from .common import (SCALES, ExperimentResult, PretrainCache, aggregate,
-                     run_baseline, run_cpdg)
+from .common import (DELTA, SCALES, ExperimentResult, PretrainCache,
+                     method_arm, paired_rows)
 
 __all__ = ["run", "TRANSFER_SETTINGS", "TARGETS", "METHODS"]
 
@@ -33,44 +32,20 @@ METHODS = BASELINE_METHODS + tuple(f"cpdg({b})" for b in CPDG_BACKBONES)
 
 
 def run(scale: str = "default", settings=TRANSFER_SETTINGS,
-        methods=METHODS, targets=TARGETS, verbose: bool = True
-        ) -> ExperimentResult:
+        methods=METHODS, targets=TARGETS, backbone: str = "jodie",
+        verbose: bool = True) -> ExperimentResult:
     """Regenerate Table VII (or a slice of it)."""
     exp = SCALES[scale]
     result = ExperimentResult(
         experiment="Table VII: dynamic link prediction, three transfer settings",
-        columns=["setting", "dataset", "field", "method", "AUC", "AP"])
-    universes = {"amazon": amazon_universe(exp.data),
-                 "gowalla": gowalla_universe(exp.data)}
+        columns=["setting", "dataset", "field", "method", "AUC", "AP", DELTA])
+    arms = [method_arm(method) for method in methods]
     cache = PretrainCache()
 
     for setting in settings:
-        for universe_name, target_field, source_field in targets:
-            universe = universes[universe_name]
-            split = make_transfer_split(
-                setting, universe.stream(target_field),
-                universe.stream(source_field), DEFAULT_SPLIT_TIME)
-            for method in methods:
-                aucs, aps = [], []
-                for seed in exp.seeds:
-                    if method.startswith("cpdg("):
-                        backbone = method[len("cpdg("):-1]
-                        metrics = run_cpdg(backbone, universe.num_nodes,
-                                           split.pretrain, split.downstream,
-                                           exp, seed, strategy="eie-gru",
-                                           cache=cache)
-                    else:
-                        metrics = run_baseline(method, universe.num_nodes,
-                                               split.pretrain,
-                                               split.downstream, exp, seed,
-                                               cache=cache)
-                    aucs.append(metrics.auc)
-                    aps.append(metrics.ap)
-                result.add_row(setting=setting, dataset=universe_name,
-                               field=target_field, method=method,
-                               AUC=aggregate(aucs), AP=aggregate(aps))
-                if verbose:
-                    row = result.rows[-1]
-                    print(f"[table7] {setting:10s} {target_field:13s} "
-                          f"{method:12s} AUC={row['AUC']} AP={row['AP']}")
+        for universe, target, source in targets:
+            data = exp.resolve(f"{universe}:{target}", setting, source)
+            rows = paired_rows(exp, data, arms, cache=cache, backbone=backbone)
+            result.add_arms(rows, "method", verbose, setting=setting,
+                            dataset=universe, field=target)
     return result

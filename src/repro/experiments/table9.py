@@ -2,15 +2,15 @@
 
 Wikipedia / MOOC / Reddit analogues, 6:2:1:1 chronological split, AUC of
 predicting the dynamic source-node label.  Methods: the dynamic baselines
-(DyRep, JODIE, TGN, DDGCL, SelfRGNN) and CPDG on the three backbones.
+(DyRep, JODIE, TGN, DDGCL, SelfRGNN) and CPDG on the three backbones; one
+transfer trial per dataset and seed, with the paired ``ΔAUC vs none``
+against a randomly initialised ``backbone``.
 """
 
 from __future__ import annotations
 
-from ..datasets.registry import labeled_stream
-from ..datasets.splits import node_classification_split
-from .common import (SCALES, ExperimentResult, PretrainCache, aggregate,
-                     run_baseline, run_cpdg)
+from .common import (DELTA, SCALES, ExperimentResult, PretrainCache,
+                     method_arm, paired_rows)
 
 __all__ = ["run", "DATASETS", "METHODS"]
 
@@ -20,33 +20,17 @@ METHODS = BASELINE_METHODS + tuple(f"cpdg({b})" for b in ("dyrep", "jodie", "tgn
 
 
 def run(scale: str = "default", datasets=DATASETS, methods=METHODS,
-        verbose: bool = True) -> ExperimentResult:
+        backbone: str = "jodie", verbose: bool = True) -> ExperimentResult:
     """Regenerate Table IX."""
     exp = SCALES[scale]
     result = ExperimentResult(
         experiment="Table IX: dynamic node classification AUC",
-        columns=["dataset", "method", "AUC"])
+        columns=["dataset", "method", "AUC", DELTA])
+    arms = [method_arm(method) for method in methods]
     cache = PretrainCache()
 
     for dataset in datasets:
-        stream = labeled_stream(dataset, exp.data)
-        pretrain, downstream = node_classification_split(stream)
-        for method in methods:
-            aucs = []
-            for seed in exp.seeds:
-                if method.startswith("cpdg("):
-                    backbone = method[len("cpdg("):-1]
-                    metrics = run_cpdg(backbone, stream.num_nodes, pretrain,
-                                       downstream, exp, seed,
-                                       strategy="eie-gru", task="node",
-                                       cache=cache)
-                else:
-                    metrics = run_baseline(method, stream.num_nodes, pretrain,
-                                           downstream, exp, seed, task="node",
-                                           cache=cache)
-                aucs.append(metrics.auc)
-            result.add_row(dataset=dataset, method=method, AUC=aggregate(aucs))
-            if verbose:
-                print(f"[table9] {dataset:10s} {method:12s} "
-                      f"AUC={result.rows[-1]['AUC']}")
+        rows = paired_rows(exp, exp.resolve(dataset), arms, task="node",
+                           cache=cache, backbone=backbone)
+        result.add_arms(rows, "method", verbose, dataset=dataset)
     return result

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.experiments import (EXPERIMENTS, SCALES, Cell, ExperimentResult,
-                               PretrainCache, aggregate, run_experiment)
+from repro.experiments import (DELTA, EXPERIMENTS, NONE, SCALES, Arm, Cell,
+                               ExperimentResult, PairedDelta, PretrainCache,
+                               aggregate, paired_delta, paired_rows,
+                               run_experiment, transfer_trial)
 
 from . import golden_experiments
 
@@ -20,6 +24,11 @@ def run_checked(name: str) -> ExperimentResult:
         assert key in current, key
         # assert_array_equal treats NaN == NaN (an undefined AUC stays one).
         np.testing.assert_array_equal(current[key], expected, err_msg=key)
+    # Every row carries the paired column; the control's is exactly 0.
+    assert DELTA in result.columns
+    control = result.rows[0][DELTA]
+    assert (control.mean, control.low, control.high) == (0.0, 0.0, 0.0)
+    assert all(isinstance(row[DELTA], PairedDelta) for row in result.rows)
     return result
 
 
@@ -65,6 +74,56 @@ class TestPlumbing:
         assert len(calls) == 1
 
 
+class TestPairedDelta:
+    """``ΔAUC vs none``: per-seed paired differences, their mean and a
+    fixed-seed percentile-bootstrap interval."""
+
+    ARM = [0.62, 0.58, 0.71, 0.66, 0.60]
+    CONTROL = [0.60, 0.61, 0.65, 0.64, 0.55]
+
+    def test_control_against_itself_is_exactly_zero_with_no_width(self):
+        delta = paired_delta(self.CONTROL, self.CONTROL)
+        assert delta.per_seed == (0.0,) * len(self.CONTROL)
+        assert (delta.mean, delta.low, delta.high) == (0.0, 0.0, 0.0)
+
+    def test_delta_is_the_mean_of_per_seed_differences(self):
+        delta = paired_delta(self.ARM, self.CONTROL)
+        diffs = np.subtract(self.ARM, self.CONTROL)
+        assert delta.per_seed == tuple(diffs.tolist())
+        assert delta.mean == diffs.mean()
+
+    def test_interval_is_deterministic_and_contains_the_mean(self):
+        first = paired_delta(self.ARM, self.CONTROL)
+        second = paired_delta(self.ARM, self.CONTROL)
+        assert (first.low, first.high) == (second.low, second.high)
+        assert first.low < first.mean < first.high
+        assert "[" in str(first) and str(first).startswith("+")
+
+    def test_one_seed_collapses_the_interval_to_the_point(self):
+        delta = paired_delta([0.7], [0.6])
+        assert delta.low == delta.mean == delta.high == 0.7 - 0.6
+
+    def test_seeds_with_an_undefined_auc_drop_out(self):
+        delta = paired_delta([0.7, float("nan")], [0.6, 0.5])
+        assert delta.mean == delta.low == delta.high == 0.7 - 0.6
+        assert str(paired_delta([float("nan")], [0.5])) == "NaN"
+
+    def test_rows_pair_each_seed_with_its_own_control(self):
+        exp = replace(SCALES["tiny"], seeds=(0, 1))
+        data = exp.resolve("amazon:beauty", "time", "arts")
+        arms = [Arm("cpdg", strategy="full")]
+        control, cpdg = paired_rows(exp, data, arms, backbone="tgn")
+        assert control["arm"] == NONE and cpdg["arm"] == "cpdg"
+        trials = [transfer_trial(exp, seed, data.pretrain, data.downstream,
+                                 arms, backbone="tgn") for seed in exp.seeds]
+        diffs = [t["cpdg"].auc - t[NONE].auc for t in trials]
+        assert cpdg[DELTA].per_seed == tuple(diffs)
+        assert cpdg[DELTA].mean == np.mean(diffs)
+        assert cpdg["AUC"].mean == np.mean([t["cpdg"].auc for t in trials])
+        assert cpdg[DELTA].low <= cpdg[DELTA].mean <= cpdg[DELTA].high
+        assert control[DELTA].per_seed == (0.0, 0.0)
+
+
 class TestRunnersTiny:
     """Each runner must complete and emit the expected row structure."""
 
@@ -89,18 +148,20 @@ class TestRunnersTiny:
     def test_table8_rows(self):
         result = run_checked("table8")
         methods = [row["method"] for row in result.rows]
-        assert methods == ["jodie", "cpdg(jodie)"]
+        assert methods == ["none", "jodie", "cpdg(jodie)"]
         for row in result.rows:
             assert isinstance(row["AUC"], Cell)
+            assert isinstance(row[DELTA], PairedDelta)
 
     def test_table7_slice(self):
         result = run_checked("table7")
-        assert len(result.rows) == 2
-        assert {row["method"] for row in result.rows} == {"tgn", "cpdg(tgn)"}
+        assert len(result.rows) == 3
+        assert ({row["method"] for row in result.rows}
+                == {"none", "tgn", "cpdg(tgn)"})
 
     def test_table9_slice(self):
         result = run_checked("table9")
-        assert len(result.rows) == 2
+        assert len(result.rows) == 3
         for row in result.rows:
             assert np.isnan(row["AUC"].mean) or 0.0 <= row["AUC"].mean <= 1.0
 
@@ -114,25 +175,26 @@ class TestRunnersTiny:
     def test_table11_strategies(self):
         result = run_checked("table11")
         strategies = [row["strategy"] for row in result.rows]
-        assert strategies == ["Full", "EIE-mean", "EIE-attn", "EIE-GRU"]
+        assert strategies == ["none", "Full", "EIE-mean", "EIE-attn",
+                              "EIE-GRU"]
 
     def test_figure6_beta_series(self):
         result = run_checked("figure6")
         betas = [row["beta"] for row in result.rows]
-        assert betas == [0.1, 0.9]
+        assert betas == ["none", 0.1, 0.9]
 
     def test_figure7_grid(self):
         result = run_checked("figure7")
-        assert len(result.rows) == 2
-        assert {row["depth"] for row in result.rows} == {1, 2}
+        assert len(result.rows) == 3
+        assert {row["depth"] for row in result.rows} == {"none", 1, 2}
 
     def test_figure8_lengths(self):
         result = run_checked("figure8")
-        assert [row["L"] for row in result.rows] == [1, 3]
+        assert [row["L"] for row in result.rows] == ["none", 1, 3]
 
     def test_figure5_variants(self):
         result = run_checked("figure5")
         variants = {row["variant"] for row in result.rows}
-        assert variants == {"CPDG", "w/o TC", "w/o SC", "w/o EIE"}
+        assert variants == {"none", "CPDG", "w/o TC", "w/o SC", "w/o EIE"}
         datasets = {row["dataset"] for row in result.rows}
         assert datasets == {"beauty", "luxury", "wikipedia", "reddit"}

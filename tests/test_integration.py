@@ -113,18 +113,20 @@ class TestTransferPipeline:
 
 class TestDeterminism:
     def test_experiment_cells_reproducible(self):
-        """The same seed must give bitwise-identical downstream metrics."""
-        from repro.experiments.common import SCALES, run_no_pretrain
+        """The same seed must give bitwise-identical trial metrics, for the
+        control and for a pre-trained arm (each call pre-trains afresh)."""
+        from repro.experiments.common import SCALES, Arm, transfer_trial
         universe = amazon_universe(SMALL)
         split = make_transfer_split("time", universe.stream("beauty"),
                                     universe.stream("arts"), 60.0)
         exp = SCALES["tiny"]
-        a = run_no_pretrain("tgn", universe.num_nodes, split.downstream,
-                            exp, seed=0)
-        b = run_no_pretrain("tgn", universe.num_nodes, split.downstream,
-                            exp, seed=0)
-        assert a.auc == b.auc
-        assert a.ap == b.ap
+        a, b = (transfer_trial(exp, 0, split.pretrain, split.downstream,
+                               [Arm("cpdg")], backbone="tgn")
+                for _ in range(2))
+        assert list(a) == list(b) == ["none", "cpdg"]
+        for label in a:
+            assert a[label].auc == b[label].auc
+            assert a[label].ap == b[label].ap
 
 
 class TestFailureInjection:
