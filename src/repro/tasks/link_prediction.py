@@ -6,7 +6,10 @@ Protocol (matching the TGN evaluation convention the paper follows):
   event both contributes a prediction (scored *before* the model ingests
   it) and then updates the memory;
 * each positive edge is paired with one corrupted destination; AUC and AP
-  are computed over the pooled positive/negative scores;
+  are computed over the pooled positive/negative scores.  A segment's
+  corrupted destinations come from a generator keyed by ``(fine-tune
+  seed, segment)``, so every strategy, every validation pass and a model
+  re-loaded from a saved artifact score the same negatives;
 * every training epoch restarts the memory from the post-pre-training
   state, so fine-tuning never leaks test-period information backwards;
 * early stopping on validation AUC with parameter restore (§V-C);
@@ -23,7 +26,6 @@ import numpy as np
 from ..core.pretext import LinkPredictionHead
 from ..dgnn.encoder import embed_together
 from ..graph.batching import RandomDestinationSampler, chronological_batches
-from ..graph.events import EventStream
 from ..nn.autograd import default_dtype, no_grad
 from ..datasets.splits import DownstreamSplit
 from .finetune import (FineTuneConfig, FineTuneStrategy, FineTuneTask,
@@ -31,6 +33,11 @@ from .finetune import (FineTuneConfig, FineTuneStrategy, FineTuneTask,
 from .metrics import average_precision_score, roc_auc_score
 
 __all__ = ["LinkPredictionMetrics", "LinkPredictionTask"]
+
+# Keeps scored-negative seeds disjoint from other uses of the fine-tune
+# seed (cf. the stream pipeline's per-batch seeding).
+_NEGATIVES_DOMAIN = 0x11E6
+_SEGMENTS = ("train", "val", "test")
 
 
 @dataclass
@@ -55,7 +62,7 @@ class LinkPredictionTask(FineTuneTask):
         with default_dtype(strategy.dtype):
             head = LinkPredictionHead(strategy.head_input_dim, rng)
         super().__init__(strategy, split, config, rng, head)
-        self._neg_sampler = RandomDestinationSampler(self._full_stream, rng)
+        self._neg_sampler = RandomDestinationSampler(self._full_stream)
 
     # ------------------------------------------------------------------
     # training
@@ -71,7 +78,7 @@ class LinkPredictionTask(FineTuneTask):
             return self.head.loss(z_src, z_dst, z_neg)
 
         def validate():
-            metrics = self._score_stream(self.split.val)
+            metrics = self._score_stream("val")
             return {"val_auc": metrics.auc, "val_ap": metrics.ap}
 
         return self.fit(step_loss, validate, tag="lp", verbose=verbose,
@@ -80,23 +87,36 @@ class LinkPredictionTask(FineTuneTask):
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    @in_strategy_dtype
-    def _score_stream(self, stream: EventStream,
-                      restrict_new_nodes: set | None = None,
-                      warmup_streams: list[EventStream] | None = None,
-                      ) -> LinkPredictionMetrics:
-        """Replay from the initial memory and score ``stream``.
+    def _segment_batches(self, segment: str, sampler=None):
+        """Chronological batches of one downstream segment, corrupted by
+        ``sampler`` (default: :meth:`_segment_sampler`)."""
+        sampler = sampler or self._segment_sampler(segment)
+        return chronological_batches(getattr(self.split, segment),
+                                     self.config.batch_size, None, sampler)
 
-        ``warmup_streams`` are replayed (without scoring) first so memory
-        reflects all earlier downstream history; by default the training
-        stream is replayed before scoring.
+    def _segment_sampler(self, segment: str) -> RandomDestinationSampler:
+        """Corrupted destinations drawn from a generator keyed by
+        ``(fine-tune seed, segment)``: the same on every pass."""
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (_NEGATIVES_DOMAIN, self.config.seed, _SEGMENTS.index(segment))))
+        return RandomDestinationSampler(
+            self._full_stream, rng, candidates=self._neg_sampler.candidates)
+
+    @in_strategy_dtype
+    def _score_stream(self, segment: str,
+                      restrict_new_nodes: set | None = None,
+                      warmups: tuple[str, ...] = ("train",),
+                      ) -> LinkPredictionMetrics:
+        """Replay from the initial memory and score ``segment``.
+
+        The ``warmups`` segments are replayed (without scoring) first so
+        memory reflects all earlier downstream history.
         """
         self._restore_memory()
-        warmups = warmup_streams if warmup_streams is not None else [self.split.train]
         with no_grad():
             for warm in warmups:
                 self._replay(warm)
-            labels, scores = self._replay(stream, score=True,
+            labels, scores = self._replay(segment, score=True,
                                           restrict_new_nodes=restrict_new_nodes)
         if len(labels) == 0 or len(set(labels.tolist())) < 2:
             return LinkPredictionMetrics(auc=float("nan"), ap=float("nan"),
@@ -107,13 +127,12 @@ class LinkPredictionTask(FineTuneTask):
             num_events=len(labels) // 2,
         )
 
-    def _replay(self, stream: EventStream, score: bool = False,
+    def _replay(self, segment: str, score: bool = False,
                 restrict_new_nodes: set | None = None):
-        """Walk ``stream`` chronologically, optionally scoring events."""
+        """Walk ``segment`` chronologically, optionally scoring events."""
         all_labels: list[np.ndarray] = []
         all_scores: list[np.ndarray] = []
-        for batch in chronological_batches(stream, self.config.batch_size,
-                                           self._rng, self._neg_sampler):
+        for batch in self._segment_batches(segment):
             if score:
                 keep = np.ones(len(batch), dtype=bool)
                 if restrict_new_nodes is not None:
@@ -148,33 +167,33 @@ class LinkPredictionTask(FineTuneTask):
             seen = set(np.concatenate([self.split.train.src,
                                        self.split.train.dst]).tolist())
             restrict = set(range(self._full_stream.num_nodes)) - seen
-        return self._score_stream(self.split.test, restrict_new_nodes=restrict,
-                                  warmup_streams=[self.split.train, self.split.val])
+        return self._score_stream("test", restrict_new_nodes=restrict,
+                                  warmups=("train", "val"))
 
     @in_strategy_dtype
     def evaluate_ranking(self, num_candidates: int = 20) -> "RankingMetrics":
         """Ranked-retrieval evaluation on the test segment.
 
         Each test event's true destination is scored against
-        ``num_candidates`` sampled destinations; returns MRR / Hits@K
-        (see :mod:`repro.tasks.ranking`).
+        ``num_candidates`` sampled destinations, drawn from the test
+        segment's keyed generator; returns MRR / Hits@K (see
+        :mod:`repro.tasks.ranking`).
         """
         from .ranking import summarize_ranks
 
         self._restore_memory()
         pos_all: list[np.ndarray] = []
         neg_all: list[np.ndarray] = []
+        sampler = self._segment_sampler("test")
         with no_grad():
-            for warm in (self.split.train, self.split.val):
+            for warm in ("train", "val"):
                 self._replay(warm)
-            for batch in chronological_batches(self.split.test,
-                                               self.config.batch_size,
-                                               self._rng, self._neg_sampler):
+            for batch in self._segment_batches("test", sampler):
                 b = len(batch)
                 z_src, z_dst = embed_together(self._embed, batch.timestamps,
                                               batch.src, batch.dst)
                 pos_all.append(self.head.score(z_src, z_dst).data)
-                candidates = self._neg_sampler.sample(b * num_candidates)
+                candidates = sampler.sample(b * num_candidates)
                 cand_ts = np.repeat(batch.timestamps, num_candidates)
                 src_rep = np.repeat(batch.src, num_candidates)
                 z_cand, z_src_rep = embed_together(self._embed, cand_ts,

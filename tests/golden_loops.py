@@ -12,6 +12,11 @@ It was written by running this module against the parent's sources::
 
     PYTHONPATH=<parent checkout>/src python -m tests.golden_loops
 
+When link prediction moved its scored negatives to a generator keyed by
+``(fine-tune seed, segment)``, the four ``lp/{eie-gru,none}/{history,test}``
+entries were re-recorded (validation and test AUC / AP move, the loss
+columns do not); the other fourteen are still the parent's.
+
 Everything here uses only API that exists at both commits.
 """
 

@@ -80,6 +80,29 @@ class TestArtifact:
         assert from_disk.ap == in_memory.ap
         assert from_disk.num_events == in_memory.num_events
 
+    def test_saved_finetuned_model_scores_as_in_process(self, tmp_path):
+        """Scored negatives are keyed by (fine-tune seed, segment), not by
+        how many validation passes ran: a fine-tuned model evaluated from
+        its saved v2 artifact scores exactly as it did in process."""
+        config = tiny_config(
+            strategy="eie-gru",
+            data={"dataset": "amazon:beauty", "transfer": "time+field",
+                  "num_users": 20, "num_items": 15, "events_main": 300,
+                  "events_source": 300},
+            finetune={"epochs": 3, "batch_size": 32, "patience": 3,
+                      "eie_out_dim": 4})
+        pipeline = Pipeline(config).pretrain().finetune()
+        in_process = pipeline.evaluate()
+        path = str(tmp_path / "finetuned.npz")
+        pipeline.save(path)
+
+        reloaded = Pipeline.from_artifact(path)
+        from_disk = reloaded.evaluate()
+        assert reloaded.train_seconds == 0.0    # the bundle, not a refit
+        assert len(pipeline.history) > 1
+        assert from_disk.auc == in_process.auc
+        assert from_disk.ap == in_process.ap
+
     def test_load_rejects_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError):
             PretrainArtifact.load(str(tmp_path / "nope.npz"))

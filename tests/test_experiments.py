@@ -124,6 +124,32 @@ class TestPairedDelta:
         assert control[DELTA].per_seed == (0.0, 0.0)
 
 
+    def test_every_arm_is_scored_on_the_same_test_negatives(self,
+                                                            monkeypatch):
+        import repro.tasks.link_prediction as link_prediction
+
+        exp = SCALES["tiny"]
+        data = exp.resolve("amazon:beauty", "time", "arts")
+        test_passes = []
+        batches = link_prediction.chronological_batches
+
+        def recording(stream, *args, **kwargs):
+            negatives = []
+            if stream is data.downstream.test:
+                test_passes.append(negatives)
+            for batch in batches(stream, *args, **kwargs):
+                negatives.append(batch.neg_dst.copy())
+                yield batch
+
+        monkeypatch.setattr(link_prediction, "chronological_batches",
+                            recording)
+        trial = transfer_trial(exp, 0, data.pretrain, data.downstream,
+                               [Arm("eie-gru")])
+        assert list(trial) == [NONE, "eie-gru"]
+        assert len(test_passes) == 2        # one test evaluation per arm
+        none, eie = (np.concatenate(p) for p in test_passes)
+        np.testing.assert_array_equal(none, eie)
+
 class TestRunnersTiny:
     """Each runner must complete and emit the expected row structure."""
 

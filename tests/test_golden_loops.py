@@ -10,7 +10,8 @@ from .golden_loops import GOLDEN_PATH, build_golden
 def test_task_and_baseline_loops_match_the_parent_bit_for_bit():
     """History rows, test AUC / AP (both tasks, ``eie-gru`` and ``none``)
     and all ten baseline loss lists equal what commit 9bbcfa1 — two
-    ``train()`` forks, six baseline loops — produced."""
+    ``train()`` forks, six baseline loops — produced (link prediction's
+    validation / test scores as re-recorded for keyed negatives)."""
     with np.load(GOLDEN_PATH) as recorded:
         golden = {key: recorded[key] for key in recorded.files}
     current = build_golden()
