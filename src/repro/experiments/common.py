@@ -1,27 +1,22 @@
 """Shared experiment machinery: scales, the paired transfer trial, tables.
 
-Every transfer table/figure runner in this package works the same way:
+Every transfer table/figure runner in this package picks an
+:class:`ExperimentScale` ("tiny" for tests, "default" for the benchmark
+harness), lists its :class:`Arm` s — CPDG backbones, fine-tuning
+strategies, config variants, baselines — and hands them to
+:func:`paired_rows`.  That runs one :func:`transfer_trial` per seed (the
+``none`` control and every arm on one split, one fine-tune seed and so
+one set of scored negatives) and gives each arm a row: AUC (and AP) as
+mean ± std over seeds (:func:`aggregate`) and ``ΔAUC vs none``, the
+paired per-seed difference with a bootstrap interval
+(:func:`paired_delta`).  :class:`ExperimentResult` prints the rows as
+the paper's table.
 
-* pick an :class:`ExperimentScale` ("tiny" for tests, "default" for the
-  benchmark harness) that fixes dataset sizes, model dims, epochs, seeds;
-* list its :class:`Arm` s — CPDG backbones, fine-tuning strategies,
-  config variants, baselines;
-* :func:`paired_rows` runs one :func:`transfer_trial` per seed: the
-  ``none`` control and every arm on the same split, the same fine-tune
-  seed and so the same scored negatives.  Each arm's row holds AUC (and
-  AP) as mean ± std over seeds (:func:`aggregate`) and ``ΔAUC vs none``,
-  the paired per-seed difference with a bootstrap interval
-  (:func:`paired_delta`);
-* collect the rows into an :class:`ExperimentResult` whose
-  ``format_table()`` prints the same rows the paper reports.
-
-CPDG arms drive :class:`repro.api.Pipeline` — the same facade behind the
-CLI — with explicit streams/splits; only baseline arms wire their
-method-specific encoders by hand.  Pre-training is cached per ``(method,
-stream fingerprint, config, seed)`` (:class:`PretrainCache`), so field /
-time+field settings — where the paper pre-trains once on the source field
-and fine-tunes on two targets — and arms that differ only downstream pay
-for each pre-training once.
+CPDG arms drive :class:`repro.api.Pipeline` — the facade behind the CLI;
+only baseline arms wire their encoders by hand.  :class:`PretrainCache`
+keys pre-training by method, stream fingerprint, config and seed, so
+settings that share a source field, and arms that differ only
+downstream, pre-train once.
 """
 
 from __future__ import annotations
@@ -73,11 +68,9 @@ class ExperimentScale:
 
     def resolve(self, dataset: str, transfer: str = "time",
                 source: str | None = None) -> ResolvedData:
-        """Pre-train stream + downstream split of ``dataset`` at this
-        scale's data size: a labelled stream under the paper's 6:2:1:1
-        split, anything else as :func:`repro.api.resolve_data` gives the
-        pipeline CLI (``amazon:beauty`` under ``transfer`` from
-        ``source``; Meituan 6:4)."""
+        """``dataset`` at this scale's size: labelled streams split 6:2:1:1,
+        the rest as the pipeline CLI resolves them
+        (:func:`repro.api.resolve_data`)."""
         if dataset in LABELED_DATASETS:
             stream = labeled_stream(dataset, self.data)
             return ResolvedData(dataset, *node_classification_split(stream),
@@ -255,23 +248,28 @@ class PretrainCache:
             self._cache[key] = compute()
         return self._cache[key]
 
+    def _artifact_path(self, key: tuple) -> str:
+        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
+        return os.path.join(self.cache_dir, f"pretrain-{digest}.npz")
+
     def get_artifact(self, key: tuple, compute) -> PretrainArtifact:
         """Memory → disk → compute (writing back to both tiers)."""
-        return self.get(key, lambda: self._load_or_compute(key, compute))
-
-    def _load_or_compute(self, key: tuple, compute) -> PretrainArtifact:
-        if not self.cache_dir:
-            return compute()
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
-        path = os.path.join(self.cache_dir, f"pretrain-{digest}.npz")
-        if os.path.exists(path):
+        if key in self._cache:
+            return self._cache[key]
+        path = self._artifact_path(key) if self.cache_dir else None
+        if path is not None and os.path.exists(path):
             try:
-                return PretrainArtifact.load(path)
+                artifact = PretrainArtifact.load(path)
+                self._cache[key] = artifact
+                return artifact
             except ArtifactError:
-                pass  # stale/corrupt file (e.g. format bump): recompute
+                # Stale/corrupt file (e.g. format bump): recompute over it.
+                pass
         artifact = compute()
-        os.makedirs(self.cache_dir, exist_ok=True)
-        artifact.save(path)
+        if path is not None:
+            os.makedirs(self.cache_dir, exist_ok=True)
+            artifact.save(path)
+        self._cache[key] = artifact
         return artifact
 
 
@@ -312,6 +310,8 @@ def _run_arm(exp: ExperimentScale, seed: int, arm: Arm,
              pretrain_stream: EventStream, split: DownstreamSplit, task: str,
              inductive: bool, cache: PretrainCache):
     """Pre-train (cached), fine-tune with seed ``seed`` and score one arm."""
+    # The pre-training stream carries the node space every downstream id
+    # lives in (one universe per trial).
     num_nodes = pretrain_stream.num_nodes
     finetune = replace(exp.finetune, seed=seed)
     if arm.method in BASELINES:
@@ -379,16 +379,11 @@ def transfer_trial(exp: ExperimentScale, seed: int,
                    inductive: bool = False,
                    cache: PretrainCache | None = None,
                    backbone: str = "jodie") -> dict:
-    """Every arm of one ``(split, seed)``, paired.
-
-    Runs the ``none`` control (a randomly initialised ``backbone``) and
-    then each of ``arms`` (CPDG arms pre-train ``backbone`` unless they
-    name their own) on the same downstream ``split`` with the same
-    fine-tune seed; link prediction draws its scored negatives from a
-    generator keyed by ``(fine-tune seed, segment)``, so every arm is
-    scored on the same test negatives.  Returns ``{label: metrics}``,
-    ``none`` first.
-    """
+    """Every arm of one ``(split, seed)``, paired: the ``none`` control (a
+    randomly initialised ``backbone``), then each of ``arms``, all on
+    ``split`` with fine-tune seed ``seed`` — so on the same scored
+    negatives, which link prediction keys by ``(seed, segment)``.
+    Returns ``{label: metrics}``, ``none`` first."""
     cache = cache if cache is not None else PretrainCache()
     return {arm.label: _run_arm(exp, seed,
                                 replace(arm, backbone=arm.backbone or backbone),
@@ -400,14 +395,10 @@ def transfer_trial(exp: ExperimentScale, seed: int,
 
 def paired_rows(exp: ExperimentScale, data: ResolvedData, arms: list[Arm],
                 **trial) -> list[dict]:
-    """One :func:`transfer_trial` per seed of ``exp`` on ``data``'s
-    pre-train stream and downstream split, one row per arm.
-
-    A row holds the arm's ``label`` under ``arm``, ``AUC`` (and, for
-    link prediction, ``AP``) as mean ± std over seeds, :data:`DELTA` —
-    the paired :func:`paired_delta` against the same seeds' ``none`` —
-    and ``n events``, the scored events of the last seed.
-    """
+    """One :func:`transfer_trial` per seed of ``exp`` on ``data``; one row
+    per arm: ``arm`` (the label), ``AUC`` (and ``AP`` for link
+    prediction) over seeds, :data:`DELTA` against the same seeds'
+    ``none`` and ``n events`` (scored events, last seed)."""
     trials = [transfer_trial(exp, seed, data.pretrain, data.downstream, arms,
                              **trial) for seed in exp.seeds]
     control = [t[NONE].auc for t in trials]

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..api import Pipeline, RunConfig
-from ..datasets.registry import DEFAULT_SPLIT_TIME, amazon_universe
-from ..datasets.splits import make_transfer_split
 from ..nn.autograd import graph_nodes_created
 from .common import SCALES, ExperimentResult
 
@@ -41,19 +39,17 @@ def run(scale: str = "default", backbone: str = "jodie",
         experiment="Table IV: fine-tuning complexity (measured)",
         columns=["strategy", "paper complexity", "seconds/epoch",
                  "graph ops"])
-    universe = amazon_universe(exp.data)
-    split = make_transfer_split("time", universe.stream("beauty"),
-                                universe.stream("arts"), DEFAULT_SPLIT_TIME)
+    data = exp.resolve("amazon:beauty", "time", "arts")
     config = RunConfig(
         backbone=backbone, task="link_prediction",
         pretrain=exp.cpdg.with_overrides(seed=exp.seeds[0]),
         finetune=replace(exp.finetune, epochs=1, patience=1,
                          seed=exp.seeds[0]))
-    pipeline = Pipeline(config).pretrain(split.pretrain)
+    pipeline = Pipeline(config).pretrain(data.pretrain)
 
     for strategy in STRATEGIES:
         ops_before = graph_nodes_created()
-        pipeline.finetune(split=split.downstream, strategy=strategy)
+        pipeline.finetune(split=data.downstream, strategy=strategy)
         elapsed = pipeline.train_seconds
         result.add_row(strategy=strategy,
                        **{"paper complexity": PAPER_COMPLEXITY[strategy],

@@ -4,7 +4,7 @@ Regenerates the paper's main comparison: every method of §V-B plus
 CPDG(DyRep/JODIE/TGN), on the Amazon (Beauty, Luxury) and Gowalla
 (Entertainment, Outdoors) analogues, under time / field / time+field
 transfer, reporting AUC, AP and the paired ``ΔAUC vs none`` against a
-randomly initialised ``backbone`` — one transfer trial per split and seed.
+randomly initialised JODIE — one transfer trial per split and seed.
 
 The paper's CPDG rows use the EIE-GRU fine-tuning strategy (their Table XI
 Beauty EIE-GRU value equals the Table VII CPDG(JODIE) value).
@@ -32,8 +32,8 @@ METHODS = BASELINE_METHODS + tuple(f"cpdg({b})" for b in CPDG_BACKBONES)
 
 
 def run(scale: str = "default", settings=TRANSFER_SETTINGS,
-        methods=METHODS, targets=TARGETS, backbone: str = "jodie",
-        verbose: bool = True) -> ExperimentResult:
+        methods=METHODS, targets=TARGETS, verbose: bool = True
+        ) -> ExperimentResult:
     """Regenerate Table VII (or a slice of it)."""
     exp = SCALES[scale]
     result = ExperimentResult(
@@ -45,7 +45,7 @@ def run(scale: str = "default", settings=TRANSFER_SETTINGS,
     for setting in settings:
         for universe, target, source in targets:
             data = exp.resolve(f"{universe}:{target}", setting, source)
-            rows = paired_rows(exp, data, arms, cache=cache, backbone=backbone)
+            rows = paired_rows(exp, data, arms, cache=cache)
             result.add_arms(rows, "method", verbose, setting=setting,
                             dataset=universe, field=target)
     return result

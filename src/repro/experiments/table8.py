@@ -4,7 +4,7 @@ DyRep / JODIE / TGN with vanilla task-supervised pre-training against the
 same backbones pre-trained with CPDG, on the Meituan analogue with the
 paper's 6:4 chronological pre-train/downstream split; one transfer trial
 per seed, with the paired ``ΔAUC vs none`` against a randomly
-initialised ``backbone``.
+initialised JODIE.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ __all__ = ["run", "BACKBONES"]
 BACKBONES = ("dyrep", "jodie", "tgn")
 
 
-def run(scale: str = "default", backbones=BACKBONES, backbone: str = "jodie",
-        verbose: bool = True) -> ExperimentResult:
+def run(scale: str = "default", backbones=BACKBONES, verbose: bool = True
+        ) -> ExperimentResult:
     """Regenerate Table VIII."""
     exp = SCALES[scale]
     result = ExperimentResult(
@@ -28,6 +28,6 @@ def run(scale: str = "default", backbones=BACKBONES, backbone: str = "jodie",
             for b in backbones for method in (b, f"cpdg({b})")]
     # Paper: first 60% for pre-training, the rest downstream.
     rows = paired_rows(exp, exp.resolve("meituan"), arms,
-                       cache=PretrainCache(), backbone=backbone)
+                       cache=PretrainCache())
     result.add_arms(rows, "method", verbose)
     return result

@@ -4,7 +4,7 @@ Wikipedia / MOOC / Reddit analogues, 6:2:1:1 chronological split, AUC of
 predicting the dynamic source-node label.  Methods: the dynamic baselines
 (DyRep, JODIE, TGN, DDGCL, SelfRGNN) and CPDG on the three backbones; one
 transfer trial per dataset and seed, with the paired ``ΔAUC vs none``
-against a randomly initialised ``backbone``.
+against a randomly initialised JODIE.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ METHODS = BASELINE_METHODS + tuple(f"cpdg({b})" for b in ("dyrep", "jodie", "tgn
 
 
 def run(scale: str = "default", datasets=DATASETS, methods=METHODS,
-        backbone: str = "jodie", verbose: bool = True) -> ExperimentResult:
+        verbose: bool = True) -> ExperimentResult:
     """Regenerate Table IX."""
     exp = SCALES[scale]
     result = ExperimentResult(
@@ -31,6 +31,6 @@ def run(scale: str = "default", datasets=DATASETS, methods=METHODS,
 
     for dataset in datasets:
         rows = paired_rows(exp, exp.resolve(dataset), arms, task="node",
-                           cache=cache, backbone=backbone)
+                           cache=cache)
         result.add_arms(rows, "method", verbose, dataset=dataset)
     return result
