@@ -123,7 +123,6 @@ class TestPairedDelta:
         assert cpdg[DELTA].low <= cpdg[DELTA].mean <= cpdg[DELTA].high
         assert control[DELTA].per_seed == (0.0, 0.0)
 
-
     def test_every_arm_is_scored_on_the_same_test_negatives(self,
                                                             monkeypatch):
         import repro.tasks.link_prediction as link_prediction
@@ -149,6 +148,7 @@ class TestPairedDelta:
         assert len(test_passes) == 2        # one test evaluation per arm
         none, eie = (np.concatenate(p) for p in test_passes)
         np.testing.assert_array_equal(none, eie)
+
 
 class TestRunnersTiny:
     """Each runner must complete and emit the expected row structure."""
