@@ -39,6 +39,7 @@ from repro.serve.http import HttpClient
 from repro.serve.index import kmeans_fit
 from repro.tasks.ranking import top_k_from_scores
 
+from . import parent_snapshot
 from .test_serve import (NUM_NODES, make_split_stream, pretrain_artifact,
                          tiny_config)
 
@@ -626,6 +627,30 @@ class TestSnapshot:
             read_snapshot(path)
         with pytest.raises(SnapshotError):
             read_snapshot(str(tmp_path / "missing.npz"))
+
+    def test_parent_snapshot_restores_and_serves_bit_for_bit(self,
+                                                             tmp_path):
+        """A snapshot recorded before the one-class memory (staged
+        messages pending) restores, ingests and serves the recorded rows
+        exactly, and one written now holds the recorded arrays."""
+        with np.load(parent_snapshot.ROWS_PATH) as frozen:
+            expected = frozen["rows"]
+        np.testing.assert_array_equal(
+            parent_snapshot.restored_rows(parent_snapshot.SNAPSHOT_PATH),
+            expected)
+        path = str(tmp_path / "now.npz")
+        parent_snapshot.write_snapshot(path)
+        meta_now, now = read_snapshot(path)
+        meta_then, then = read_snapshot(parent_snapshot.SNAPSHOT_PATH)
+        assert meta_then["has_staged"]
+        assert {**meta_now, "created_unix": 0} == \
+            {**meta_then, "created_unix": 0}
+        assert sorted(now.files) == sorted(then.files)
+        for key in then.files:
+            if key != "meta_json":
+                np.testing.assert_array_equal(now[key], then[key], key)
+        now.close()
+        then.close()
 
     def test_meta_is_json_clean(self, artifact_and_streams, tmp_path):
         path = str(tmp_path / "replica.npz")
