@@ -132,7 +132,7 @@ class TestEncoderMicro:
         ts = np.full(200, stream.t_max + 1.0)
 
         def embed():
-            enc._flushed = None
+            enc.end_batch()
             return enc.compute_embedding(nodes, ts).data.sum()
 
         benchmark(embed)
@@ -152,7 +152,7 @@ class TestEncoderMicro:
         ts = np.full(200, stream.t_max + 1.0)
 
         def embed():
-            enc._flushed = None
+            enc.end_batch()
             return enc.compute_embedding(nodes, ts).data.sum()
 
         benchmark(embed)

@@ -1,9 +1,9 @@
 """Structural-temporal contrastive objectives (paper §IV-B), batch-first.
 
 Both contrasts share one mechanic: pool the *memory states* of a sampled
-subgraph into a vector with a readout (mean pooling, Eq. 9/10/12/13) and
-apply a triplet margin loss against the centre node's embedding
-(Eq. 11/14).
+subgraph (row gathers from the flushed :class:`~repro.dgnn.memory.Memory`)
+into a vector with a readout (mean pooling, Eq. 9/10/12/13) and apply a
+triplet margin loss against the centre node's embedding (Eq. 11/14).
 
 * :class:`TemporalContrast` — positive = chronological η-BFS subgraph,
   negative = reverse-chronological η-BFS subgraph of the *same* node;
@@ -46,7 +46,7 @@ def subgraph_readout(memory, subgraphs: SubgraphBatch | list[np.ndarray],
     the alternatives Eq. 9 alludes to ("min, max, and weighted pooling")
     and are compared in the ablation bench.  ``memory`` is either a plain
     ``(num_nodes, D)`` tensor or a flushed
-    :class:`~repro.dgnn.memory.MemoryView` (sparse row gathers).
+    :class:`~repro.dgnn.memory.Memory` (sparse row gathers).
     ``subgraphs`` is an offset-indexed
     :class:`~repro.core.samplers.SubgraphBatch` (or one node-id array per
     batch row); every mode is a single scatter over the flat node list.

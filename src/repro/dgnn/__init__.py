@@ -9,7 +9,7 @@ from .embedding import (EmbeddingContext, IdentityEmbedding,
                         TemporalAttentionEmbedding, TimeProjectionEmbedding)
 from .encoder import (BACKBONES, DGNNEncoder, ZeroEdgeFeatures,
                       embed_together, make_encoder)
-from .memory import Memory, MemoryView, RawMessageStore, StagedMessages
+from .memory import Memory, StagedMessages
 from .messages import AttentionMessage, IdentityMessage, MLPMessage
 from .tgat import TGATEncoder
 from .time_encoding import TimeEncoder
@@ -18,7 +18,7 @@ from .updaters import GRUUpdater, LSTMUpdater, RNNUpdater, make_updater
 __all__ = [
     "DGNNEncoder", "make_encoder", "embed_together", "BACKBONES",
     "TGATEncoder",
-    "Memory", "MemoryView", "RawMessageStore", "StagedMessages",
+    "Memory", "StagedMessages",
     "ZeroEdgeFeatures", "TimeEncoder",
     "IdentityMessage", "MLPMessage", "AttentionMessage",
     "LastAggregator", "MeanAggregator", "make_aggregator",

@@ -1,7 +1,8 @@
 """Embedding modules — the ``f(·)`` of paper Eq. 1 / Table III.
 
-Given flushed memory states, an embedding module produces the temporal
-embedding ``z_i^t`` for query nodes:
+Given the flushed :class:`~repro.dgnn.memory.Memory` (row gathers with
+this batch's in-graph delta overlaid), an embedding module produces the
+temporal embedding ``z_i^t`` for query nodes:
 
 * :class:`IdentityEmbedding` — ``z = W s_i`` (DyRep);
 * :class:`TimeProjectionEmbedding` — JODIE's projected embedding
@@ -33,9 +34,9 @@ __all__ = ["EmbeddingContext", "IdentityEmbedding", "TimeProjectionEmbedding",
 class EmbeddingContext:
     """Everything an embedding module may consult for one batch.
 
-    ``memory`` is the flushed :class:`~repro.dgnn.memory.MemoryView` —
-    row gathers (``memory.gather(nodes)``) thread autograd through only
-    the rows this batch updated; ``last_update`` raw per-node
+    ``memory`` is the flushed :class:`~repro.dgnn.memory.Memory` — row
+    gathers (``memory.gather(nodes)``) thread autograd through only the
+    rows this batch updated; ``last_update`` raw per-node
     last-interaction times; ``finder`` the temporal adjacency of the
     *attached* stream; ``edge_feats`` the stream's edge feature matrix
     (or a lazy zero table, or None); ``time_encoder`` the shared φ(Δt)
@@ -47,7 +48,7 @@ class EmbeddingContext:
     id matrix).
     """
 
-    memory: "MemoryView"
+    memory: "Memory"
     last_update: np.ndarray
     finder: NeighborFinder
     edge_feats: np.ndarray | None

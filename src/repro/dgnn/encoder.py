@@ -6,9 +6,9 @@ as in the reference TGN implementation (messages produced by batch *k*
 update the memory inside batch *k+1*'s autograd graph, giving the message
 and updater parameters gradients under one-batch truncated BPTT).
 
-The memory hot path is sparse: :meth:`flush_messages` opens a
-:class:`~repro.dgnn.memory.MemoryView` that gathers/writes only the rows
-the batch touches.
+The memory hot path is sparse: :meth:`flush_messages` writes the updated
+rows into the :class:`~repro.dgnn.memory.Memory`'s per-batch delta, and
+every later gather or write touches only the rows the batch touches.
 
 Typical batch loop::
 
@@ -36,7 +36,7 @@ from ..nn.module import Module
 from .aggregators import make_aggregator
 from .embedding import (EmbeddingContext, IdentityEmbedding,
                         TemporalAttentionEmbedding, TimeProjectionEmbedding)
-from .memory import Memory, MemoryView, RawMessageStore
+from .memory import Memory
 from .messages import AttentionMessage, IdentityMessage, MLPMessage
 from .time_encoding import TimeEncoder
 from .updaters import make_updater
@@ -116,10 +116,8 @@ class DGNNEncoder(Module):
 
         # Non-learnable state (underscored so Module traversal skips it).
         self._memory = Memory(num_nodes, memory_dim, dtype=dtype)
-        self._messages = RawMessageStore(keep_all=self.aggregator.keep_all_messages)
         self._finder: NeighborFinder | None = None
         self._edge_feats: np.ndarray | ZeroEdgeFeatures | None = None
-        self._flushed: MemoryView | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -166,8 +164,6 @@ class DGNNEncoder(Module):
 
     def reset_memory(self) -> None:
         self._memory.reset()
-        self._messages.clear()
-        self._flushed = None
 
     @property
     def memory(self) -> Memory:
@@ -184,13 +180,9 @@ class DGNNEncoder(Module):
 
     def load_memory(self, state: np.ndarray, last_update: np.ndarray | None = None) -> None:
         """Overwrite memory (used when carrying pre-trained memory into
-        fine-tuning).  Pending raw messages and the batch cache are
+        fine-tuning).  Pending raw messages and the batch's delta are
         discarded so the loaded state is authoritative."""
-        self._memory.persist(state)
-        if last_update is not None:
-            self._memory.last_update = np.array(last_update, copy=True)
-        self._messages.clear()
-        self._flushed = None
+        self._memory.load(state, last_update)
 
     def memory_snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """``(state, last_update)`` copies for later :meth:`load_memory`."""
@@ -199,15 +191,16 @@ class DGNNEncoder(Module):
     # ------------------------------------------------------------------
     # batch processing
     # ------------------------------------------------------------------
-    def flush_messages(self) -> MemoryView:
+    def flush_messages(self) -> Memory:
         """Apply pending raw messages to memory inside the current graph.
 
-        Returns the batch's :class:`~repro.dgnn.memory.MemoryView`; cached
-        so repeated :meth:`compute_embedding` calls share one flush.
+        Returns the :class:`~repro.dgnn.memory.Memory`, whose gathers now
+        overlay the rows the flush wrote.  The flush consumes the pending
+        messages, so repeated :meth:`compute_embedding` calls in one batch
+        find none and share it.
         """
-        if self._flushed is not None:
-            return self._flushed
-        return self.flush_staged(self._messages.pop_all())
+        staged = self._memory.pending(pop=True)
+        return self._memory if staged is None else self.flush_staged(staged)
 
     def take_staged(self):
         """Pop pending raw messages without applying them.
@@ -217,28 +210,27 @@ class DGNNEncoder(Module):
         after an aborted replay without losing messages: call this
         *outside* the compiled function and pass the result in.
         """
-        return self._messages.pop_all()
+        return self._memory.pending(pop=True)
 
-    def flush_staged(self, staged) -> MemoryView:
+    def flush_staged(self, staged) -> Memory:
         """Apply ``staged`` messages (from :meth:`take_staged`) to memory.
 
         Pure given ``staged`` and the persisted memory, hence safely
-        re-runnable within one batch; overwrites the cached batch view.
+        re-runnable within one batch: it discards any delta an earlier
+        run wrote and replaces it.
         """
-        view = self._memory.view()
+        memory = self._memory
+        memory.discard()
         if staged is not None:
-            if self.aggregator.keep_all_messages:
-                nodes, groups = staged.groups_per_node()
+            keep_all = self.aggregator.keep_all_messages
+            nodes, index = staged.per_node(last=not keep_all)
+            if keep_all:
                 messages = self._raw_messages(staged, slice(None))
-                aggregated = F.scatter_mean(messages, groups, len(nodes))
+                aggregated = F.scatter_mean(messages, index, len(nodes))
             else:
-                nodes, rows = staged.last_per_node()
-                aggregated = self._raw_messages(staged, rows)
-            previous = view.gather(nodes)
-            updated = self.updater(aggregated, previous)
-            view.write(nodes, updated)
-        self._flushed = view
-        return view
+                aggregated = self._raw_messages(staged, index)
+            memory.write(nodes, self.updater(aggregated, memory.gather(nodes)))
+        return memory
 
     def _raw_messages(self, staged, rows) -> Tensor:
         """Vectorised message computation from selected staged rows.
@@ -327,11 +319,7 @@ class DGNNEncoder(Module):
             return
         src = np.asarray(batch.src, dtype=np.int64)
         dst = np.asarray(batch.dst, dtype=np.int64)
-        endpoints = np.concatenate([src, dst])
-        if self._flushed is not None:
-            states = self._flushed.current_rows(endpoints)
-        else:
-            states = self._memory.rows(endpoints)
+        states = self._memory.rows(np.concatenate([src, dst]))
         if messages is not None:
             nodes = messages.nodes
             times = messages.times
@@ -360,15 +348,13 @@ class DGNNEncoder(Module):
         edge_feat = None
         if self.edge_dim and isinstance(self._edge_feats, np.ndarray):
             edge_feat = self._edge_feats[event_ids]
-        self._messages.stage(nodes, self_state, other_state, deltas, times,
-                             event_ids, edge_feat)
+        self._memory.stage(nodes, self_state, other_state, deltas, times,
+                           event_ids, edge_feat)
         self._memory.touch(nodes, times)
 
     def end_batch(self) -> None:
-        """Persist the flushed rows (detached) and clear the batch cache."""
-        if self._flushed is not None:
-            self._flushed.persist()
-            self._flushed = None
+        """Persist the flushed rows (detached) and close the batch."""
+        self._memory.persist()
 
 
 def make_encoder(backbone: str, num_nodes: int, rng: np.random.Generator,

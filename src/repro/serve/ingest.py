@@ -3,8 +3,8 @@
 :class:`LiveIngestor` advances a serving replica exactly the way an
 offline chronological replay would: per ingested block it
 
-1. flushes the *previous* block's staged raw messages into the memory
-   through the encoder's sparse-delta :class:`~repro.dgnn.memory.MemoryView`
+1. flushes the *previous* block's staged raw messages into the encoder's
+   :class:`~repro.dgnn.memory.Memory` through its sparse per-batch delta
    (TGN-style one-batch deferral — the same order the trainers and the
    offline scorer use),
 2. appends the events to the :class:`~repro.serve.dynamic_finder.
@@ -138,8 +138,8 @@ class LiveIngestor:
             # Flush the previous block's pending messages first — the
             # one-batch deferral every offline replay follows — so the
             # new block stages against up-to-date endpoint states.
-            view = self.encoder.flush_messages()
-            flushed = np.asarray(view.touched, dtype=np.int64)
+            memory = self.encoder.flush_messages()
+            flushed = np.asarray(memory.touched, dtype=np.int64)
             self.encoder.register_batch(batch)
             self.encoder.end_batch()
         touched = np.union1d(flushed, np.union1d(src, dst))

@@ -80,7 +80,8 @@ from .dynamic_finder import BackgroundCompactor, DynamicNeighborFinder
 from .index import CoarseQuantIndex
 from .ingest import LiveIngestor
 from .planner import MicroBatchPlanner, RowCache, StalenessPolicy
-from .snapshot import read_snapshot, verify_snapshot_meta, write_snapshot
+from .snapshot import (SnapshotError, read_snapshot, verify_snapshot_meta,
+                       write_snapshot)
 
 __all__ = ["ServeConfig", "ServeError", "EmbeddingService"]
 
@@ -237,8 +238,13 @@ class EmbeddingService:
                                       edge_feats=edge_table)
         if restoring:
             _, data = _snapshot
-            self._ingestor.touch_count[:-1] = data["touch_count"]
-            self._ingestor.touch_time[:-1] = data["touch_time"]
+            for name in ("touch_count", "touch_time"):
+                clock, saved = getattr(self._ingestor, name)[:-1], data[name]
+                if saved.shape != clock.shape:
+                    raise SnapshotError(f"snapshot {name} has shape "
+                                        f"{saved.shape}, expected "
+                                        f"{clock.shape}")
+                clock[:] = saved
         self._staleness = self.config.staleness_policy
         cache = None
         if self.config.cache_capacity:
@@ -301,18 +307,23 @@ class EmbeddingService:
             encoder._edge_feats = ZeroEdgeFeatures(encoder.edge_dim)
         else:
             encoder._edge_feats = None
-        encoder.load_memory(np.asarray(data["memory_state"]),
-                            np.asarray(data["last_update"]))
-        if meta.get("has_staged"):
-            edge = (np.asarray(data["staged_edge_feat"])
-                    if meta.get("staged_has_edge") else None)
-            encoder._messages.stage(
-                np.asarray(data["staged_nodes"]),
-                np.asarray(data["staged_self_state"]),
-                np.asarray(data["staged_other_state"]),
-                np.asarray(data["staged_delta_t"]),
-                np.asarray(data["staged_time"]),
-                np.asarray(data["staged_event_ids"]), edge)
+        # Memory.load / Memory.stage check every array against the
+        # artifact's memory; their errors name the array.
+        try:
+            encoder.load_memory(np.asarray(data["memory_state"]),
+                                np.asarray(data["last_update"]))
+            if meta.get("has_staged"):
+                edge = (np.asarray(data["staged_edge_feat"])
+                        if meta.get("staged_has_edge") else None)
+                encoder.memory.stage(
+                    np.asarray(data["staged_nodes"]),
+                    np.asarray(data["staged_self_state"]),
+                    np.asarray(data["staged_other_state"]),
+                    np.asarray(data["staged_delta_t"]),
+                    np.asarray(data["staged_time"]),
+                    np.asarray(data["staged_event_ids"]), edge)
+        except ValueError as exc:
+            raise SnapshotError(f"malformed snapshot: {exc}") from exc
         self._candidates = np.asarray(data["candidates"], dtype=np.int64)
         self._snapshot_meta = {
             "restored": True,

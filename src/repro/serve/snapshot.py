@@ -79,7 +79,7 @@ def write_snapshot(service, path: str) -> dict:
     arrays["delta_eid"] = (np.concatenate(finder._buf_eid)
                            if finder._buf_eid else empty_i)
 
-    staged = encoder._messages.peek_all()
+    staged = encoder.memory.pending()
     meta["has_staged"] = staged is not None
     if staged is not None:
         arrays["staged_nodes"] = staged.nodes

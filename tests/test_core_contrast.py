@@ -142,16 +142,18 @@ class TestCheckpoints:
 
     def test_frozen_snapshot_is_adopted_without_a_copy(self):
         from repro.dgnn.memory import Memory
+        from repro.nn import Tensor
         memory = Memory(3, 2, dtype=np.float32)
-        memory.persist_rows(np.array([1]), np.ones((1, 2), dtype=np.float32))
+        memory.write(np.array([1]), Tensor(np.ones((1, 2), dtype=np.float32)))
+        memory.persist()
         snapshot = memory.checkpoint()
         checkpoints = MemoryCheckpoints(dtype=np.float32)
         checkpoints.add(snapshot)
         assert checkpoints[0] is snapshot
         # Later memory writes — in place or wholesale — do not reach it.
-        memory.persist_rows(np.array([1]), np.full((1, 2), 7.0,
-                                                   dtype=np.float32))
-        memory.persist(np.full((3, 2), 9.0))
+        memory.write(np.array([1]), Tensor(np.full((1, 2), 7.0)))
+        memory.persist()
+        memory.load(np.full((3, 2), 9.0))
         assert checkpoints[0][1].tolist() == [1.0, 1.0]
         with pytest.raises(ValueError):
             checkpoints[0][0, 0] = 5.0

@@ -7,8 +7,8 @@ import pytest
 
 from repro.dgnn import (BACKBONES, AttentionMessage, DGNNEncoder, GRUUpdater,
                         IdentityMessage, LastAggregator, LSTMUpdater,
-                        MeanAggregator, Memory, MLPMessage, RawMessageStore,
-                        RNNUpdater, TimeEncoder, make_aggregator, make_encoder,
+                        MeanAggregator, Memory, MLPMessage, RNNUpdater,
+                        TimeEncoder, make_aggregator, make_encoder,
                         make_updater)
 from repro.graph import chronological_batches
 from repro.nn import Tensor
@@ -47,14 +47,16 @@ class TestMemory:
 
     def test_persist_and_reset(self):
         mem = Memory(4, 2)
-        mem.persist(np.ones((4, 2)))
+        mem.load(np.ones((4, 2)))
         assert mem.state.sum() == 8.0
         mem.reset()
         assert mem.state.sum() == 0.0
 
     def test_persist_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            Memory(4, 2).persist(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="memory_state"):
+            Memory(4, 2).load(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="last_update"):
+            Memory(4, 2).load(np.ones((4, 2)), np.zeros(3))
 
     def test_touch_takes_maximum(self):
         mem = Memory(3, 2)
@@ -64,57 +66,53 @@ class TestMemory:
     def test_checkpoint_is_a_copy(self):
         mem = Memory(2, 2)
         snap = mem.checkpoint()
-        mem.persist(np.ones((2, 2)))
+        mem.load(np.ones((2, 2)))
         assert snap.sum() == 0.0
-
-    def test_clone_independent(self):
-        mem = Memory(2, 2)
-        other = mem.clone()
-        other.state[0, 0] = 9.0
-        assert mem.state[0, 0] == 0.0
 
 
 class TestRawMessageStore:
+    """The raw-message queue on :class:`Memory`: ``stage`` appends a
+    block, ``pending`` reads the queue, ``pending(pop=True)`` empties it."""
+
     @staticmethod
-    def _stage(store, nodes, times):
+    def _stage(memory, nodes, times):
         nodes = np.asarray(nodes, dtype=np.int64)
         k = len(nodes)
-        store.stage(nodes, np.zeros((k, 2)), np.ones((k, 2)),
-                    np.zeros(k), np.asarray(times, dtype=np.float64),
-                    np.arange(k))
+        memory.stage(nodes, np.zeros((k, 2)), np.ones((k, 2)),
+                     np.zeros(k), np.asarray(times, dtype=np.float64),
+                     np.arange(k))
 
     def test_last_per_node_selects_most_recent(self):
-        store = RawMessageStore(keep_all=False)
-        self._stage(store, [1], [1.0])
-        self._stage(store, [1], [2.0])
-        staged = store.pop_all()
-        nodes, rows = staged.last_per_node()
+        memory = Memory(4, 2)
+        self._stage(memory, [1], [1.0])
+        self._stage(memory, [1], [2.0])
+        staged = memory.pending(pop=True)
+        nodes, rows = staged.per_node(last=True)
         np.testing.assert_array_equal(nodes, [1])
         assert staged.time[rows[0]] == 2.0
 
     def test_groups_cover_all_staged_rows(self):
-        store = RawMessageStore(keep_all=True)
-        self._stage(store, [1, 3], [1.0, 1.0])
-        self._stage(store, [1], [2.0])
-        staged = store.pop_all()
-        nodes, groups = staged.groups_per_node()
+        memory = Memory(4, 2)
+        self._stage(memory, [1, 3], [1.0, 1.0])
+        self._stage(memory, [1], [2.0])
+        staged = memory.pending(pop=True)
+        nodes, groups = staged.per_node(last=False)
         np.testing.assert_array_equal(nodes, [1, 3])
         assert len(groups) == 3
         assert (nodes[groups] == staged.nodes).all()
 
     def test_pop_clears(self):
-        store = RawMessageStore()
-        self._stage(store, [0], [0.0])
-        assert len(store) == 1
-        store.pop_all()
-        assert len(store) == 0
-        assert store.pop_all() is None
+        memory = Memory(4, 2)
+        self._stage(memory, [0], [0.0])
+        assert len(memory.pending().nodes) == 1
+        assert len(memory.pending(pop=True).nodes) == 1
+        assert memory.pending() is None
+        assert memory.pending(pop=True) is None
 
     def test_empty_stage_is_ignored(self):
-        store = RawMessageStore()
-        self._stage(store, [], [])
-        assert len(store) == 0
-        assert store.pop_all() is None
+        memory = Memory(4, 2)
+        self._stage(memory, [], [])
+        assert memory.pending(pop=True) is None
 
 
 class TestMessagesAndUpdaters:
@@ -250,7 +248,7 @@ class TestEncoder:
         node = int(tiny_stream.src[0])
         z_soon = enc.compute_embedding(np.array([node]),
                                        np.array([tiny_stream.t_max + 1.0]))
-        enc._flushed = None
+        enc.end_batch()
         z_late = enc.compute_embedding(np.array([node]),
                                        np.array([tiny_stream.t_max + 50.0]))
         assert np.abs(z_soon.data - z_late.data).max() > 1e-8

@@ -1,12 +1,13 @@
-"""Sparse-delta memory view: equivalence, dtype and gradient tests.
+"""Sparse-delta memory: equivalence, dtype and gradient tests.
 
-:class:`~repro.dgnn.memory.MemoryView` must be *bit-identical* to the
-full-matrix flush of the original TGN-style implementation — kept here as
-the oracle :class:`DenseMemoryView` — across all three backbones: memory
-state, embeddings and parameter gradients, including the empty-pending
-first batch and batches with repeated nodes.  Plus unit coverage for
-:class:`SparseRowGrad` accumulation, :class:`ZeroEdgeFeatures`,
-vectorized ``clip_grad_norm`` and the configurable dtype path.
+The per-batch delta of :class:`~repro.dgnn.memory.Memory` must be
+*bit-identical* to the full-matrix flush of the original TGN-style
+implementation — kept here as the oracle :class:`DenseOracleMemory` —
+across all three backbones: memory state, embeddings and parameter
+gradients, including the empty-pending first batch and batches with
+repeated nodes.  Plus unit coverage for :class:`SparseRowGrad`
+accumulation, :class:`ZeroEdgeFeatures`, vectorized ``clip_grad_norm``
+and the configurable dtype path.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import CPDGConfig, CPDGPreTrainer
-from repro.dgnn import (BACKBONES, Memory, MemoryView, RawMessageStore,
-                        ZeroEdgeFeatures, make_encoder)
+from repro.dgnn import BACKBONES, Memory, ZeroEdgeFeatures, make_encoder
 from repro.graph import chronological_batches
 from repro.graph.events import EventStream
 from repro.nn import (Adam, Parameter, SparseRowGrad, Tensor, clip_grad_norm,
@@ -41,40 +41,46 @@ def synthetic_stream(num_nodes=40, events=240, seed=0, edge_feats=True,
     )
 
 
-class DenseMemoryView:
+class DenseOracleMemory(Memory):
     """The oracle: one full-matrix copy per flush, differentiable
     full-table writes, a whole-matrix persist — O(num_nodes) per batch."""
 
-    def __init__(self, store: Memory):
-        self.store = store
-        self._tensor = Tensor(np.array(store._state, copy=True))
-        self.touched = np.empty(0, dtype=np.int64)
+    _dense = None       # the batch's in-graph (num_nodes, dim) matrix
 
-    @property
-    def shape(self):
-        return self._tensor.shape
+    def _matrix(self):
+        if self._dense is None:
+            self._dense = Tensor(np.array(self._state, copy=True))
+        return self._dense
 
     def gather(self, nodes):
-        return F.embedding_lookup(self._tensor,
+        return F.embedding_lookup(self._matrix(),
                                   np.asarray(nodes, dtype=np.int64))
 
     def write(self, nodes, rows):
         nodes = np.asarray(nodes, dtype=np.int64)
         if len(nodes):
-            self._tensor = F.scatter_rows(self._tensor, nodes, rows)
-            self.touched = np.union1d(self.touched, nodes)
+            self._dense = F.scatter_rows(self._matrix(), nodes, rows)
 
-    def current_rows(self, nodes):
-        return self._tensor.data[np.asarray(nodes, dtype=np.int64)]
+    def rows(self, nodes):
+        matrix = self._state if self._dense is None else self._dense.data
+        return matrix[np.asarray(nodes, dtype=np.int64)]
+
+    def discard(self):
+        super().discard()
+        self._dense = None
 
     def persist(self):
-        self.store.persist(self._tensor.data)
+        if self._dense is not None:
+            self._state = np.array(self._dense.data, dtype=self.dtype)
+            self._written = None
+        self.discard()
 
 
 def use_dense_oracle(encoder):
-    """Make every flush of ``encoder`` open the dense oracle view."""
-    store = encoder.memory
-    store.view = lambda: DenseMemoryView(store)
+    """Swap the dense oracle in for ``encoder``'s (zero) memory."""
+    memory = encoder.memory
+    encoder._memory = DenseOracleMemory(memory.num_nodes, memory.dim,
+                                        dtype=memory.dtype)
     return encoder
 
 
@@ -142,9 +148,9 @@ class TestEngineEquivalence:
         encoders = build_pair("tgn", stream)
         nodes = np.array([0, 3, 3, 21])
         for enc in encoders.values():
-            assert len(enc._messages) == 0
-        assert isinstance(encoders["dense"].flush_messages(), DenseMemoryView)
-        assert type(encoders["sparse"].flush_messages()) is MemoryView
+            assert enc.memory.pending() is None
+        assert type(encoders["dense"].flush_messages()) is DenseOracleMemory
+        assert type(encoders["sparse"].flush_messages()) is Memory
         rows = {engine: enc.flush_messages().gather(nodes).data
                 for engine, enc in encoders.items()}
         np.testing.assert_array_equal(rows["dense"], rows["sparse"])
@@ -192,8 +198,8 @@ class TestMessageStagingOrder:
         batch = next(iter(chronological_batches(stream, 4,
                                                 np.random.default_rng(0))))
         enc.register_batch(batch)
-        staged = enc._messages.pop_all()
-        nodes, rows = staged.last_per_node()
+        staged = enc.memory.pending(pop=True)
+        nodes, rows = staged.per_node(last=True)
         last_time = dict(zip(nodes.tolist(), staged.time[rows].tolist()))
         assert last_time[7] == 40.0  # src role of the later event wins
         assert last_time[1] == 10.0
@@ -218,7 +224,7 @@ class TestMessageStagingOrder:
             enc.register_batch(batch)
             enc.end_batch()
         # Messages from the last batch (event ids up to 59) still pending.
-        staged_feat = enc._messages._blocks[-1].edge_feat
+        staged_feat = enc.memory.pending().edge_feat
         np.testing.assert_array_equal(
             staged_feat[-1], long_stream.edge_feats[-1])
         enc.attach(short_stream)
@@ -237,8 +243,8 @@ class TestMessageStagingOrder:
         batch = next(iter(chronological_batches(stream, 1,
                                                 np.random.default_rng(0))))
         enc.register_batch(batch)
-        staged = enc._messages.pop_all()
-        _, rows = staged.last_per_node()
+        staged = enc.memory.pending(pop=True)
+        _, rows = staged.per_node(last=True)
         assert rows[0] == 1  # second (dst) row of the interleaved pair
 
 
@@ -262,59 +268,129 @@ class TestFinetuneDtype:
         assert strategy.encoder.memory.state.dtype == np.float32
 
 
+def persist_rows(mem, nodes, rows):
+    """One batch that writes ``rows`` for ``nodes`` and persists them."""
+    mem.write(np.asarray(nodes), Tensor(rows))
+    mem.persist()
+
+
+def stage(mem, nodes, t=1.0):
+    """Queue one message per node of ``nodes``."""
+    k = len(nodes)
+    mem.stage(np.asarray(nodes), np.zeros((k, mem.dim)),
+              np.zeros((k, mem.dim)), np.zeros(k), np.full(k, t),
+              np.arange(k))
+
+
 class TestSparseMemoryView:
+    """One batch's delta on :class:`Memory`: ``write`` routes rows in,
+    ``gather`` overlays them, ``persist`` stores them back."""
+
     def test_gather_overlays_delta_rows(self):
         mem = Memory(6, 3)
         mem.state[:] = np.arange(18, dtype=float).reshape(6, 3)
-        view = MemoryView(mem)
-        view.write(np.array([4, 1]), Tensor(np.full((2, 3), -1.0)))
-        out = view.gather(np.array([0, 1, 4, 5, 1])).data
+        mem.write(np.array([4, 1]), Tensor(np.full((2, 3), -1.0)))
+        out = mem.gather(np.array([0, 1, 4, 5, 1])).data
         np.testing.assert_array_equal(out[0], mem.state[0])
         np.testing.assert_array_equal(out[1], np.full(3, -1.0))
         np.testing.assert_array_equal(out[2], np.full(3, -1.0))
         np.testing.assert_array_equal(out[3], mem.state[5])
         np.testing.assert_array_equal(out[4], np.full(3, -1.0))
+        np.testing.assert_array_equal(mem.rows(np.array([1, 5])),
+                                      [[-1.0] * 3, mem.state[5]])
 
     def test_persist_writes_only_touched_rows(self):
         mem = Memory(5, 2)
-        view = MemoryView(mem)
-        view.write(np.array([2]), Tensor(np.ones((1, 2))))
-        view.persist()
+        mem.write(np.array([2]), Tensor(np.ones((1, 2))))
+        np.testing.assert_array_equal(mem.touched, [2])
+        mem.persist()
         assert mem.state[2].sum() == 2.0
         assert mem.state.sum() == 2.0
-        np.testing.assert_array_equal(view.touched, [2])
+        assert len(mem.touched) == 0
 
-    def test_second_write_merges_delta(self):
+    def test_second_write_replaces_the_first(self):
+        """The path a flush re-run after an aborted replay takes."""
         mem = Memory(6, 2)
-        view = MemoryView(mem)
-        view.write(np.array([1, 3]), Tensor(np.ones((2, 2))))
-        view.write(np.array([3, 5]), Tensor(np.full((2, 2), 2.0)))
-        np.testing.assert_array_equal(view.touched, [1, 3, 5])
-        out = view.gather(np.array([1, 3, 5])).data
-        np.testing.assert_array_equal(out, [[1, 1], [2, 2], [2, 2]])
+        mem.write(np.array([1, 3]), Tensor(np.ones((2, 2))))
+        mem.write(np.array([3, 5]), Tensor(np.full((2, 2), 2.0)))
+        np.testing.assert_array_equal(mem.touched, [3, 5])
+        out = mem.gather(np.array([1, 3, 5])).data
+        np.testing.assert_array_equal(out, [[0, 0], [2, 2], [2, 2]])
+        mem.persist()
+        np.testing.assert_array_equal(mem.rows(np.array([1, 3, 5])),
+                                      [[0, 0], [2, 2], [2, 2]])
+
+    def test_delta_of_one_batch_is_not_a_hit_in_the_next(self):
+        mem = Memory(6, 2)
+        persist_rows(mem, [1, 3], np.array([[1.0, 1.0], [3.0, 3.0]]))
+        rows = Tensor(np.full((1, 2), 5.0), requires_grad=True)
+        mem.write(np.array([4]), rows)
+        out = mem.gather(np.array([1, 3, 4]))
+        np.testing.assert_array_equal(out.data, [[1, 1], [3, 3], [5, 5]])
+        out.sum().backward()
+        np.testing.assert_array_equal(rows.grad, [[1.0, 1.0]])
+        np.testing.assert_array_equal(mem.rows(np.array([1, 3])),
+                                      [[1, 1], [3, 3]])
+
+    @pytest.mark.parametrize("drop", ["reset", "load"])
+    def test_reset_and_load_mid_batch_drop_delta_and_staged(self, drop):
+        mem = Memory(6, 2)
+        stage(mem, [0, 2])
+        mem.write(np.array([2]), Tensor(np.ones((1, 2))))
+        if drop == "reset":
+            mem.reset()
+        else:
+            mem.load(np.full((6, 2), 7.0), np.zeros(6))
+        assert mem.pending() is None and len(mem.touched) == 0
+        base = 0.0 if drop == "reset" else 7.0
+        np.testing.assert_array_equal(mem.gather(np.array([2])).data,
+                                      [[base, base]])
+        mem.write(np.array([5]), Tensor(np.ones((1, 2))))
+        mem.persist()
+        np.testing.assert_array_equal(mem.rows(np.array([2, 5])),
+                                      [[base, base], [1.0, 1.0]])
 
     def test_write_rejects_duplicate_nodes(self):
-        view = MemoryView(Memory(4, 2))
+        mem = Memory(4, 2)
         with pytest.raises(ValueError):
-            view.write(np.array([1, 1]), Tensor(np.ones((2, 2))))
+            mem.write(np.array([1, 1]), Tensor(np.ones((2, 2))))
+        assert len(mem.touched) == 0
+        np.testing.assert_array_equal(mem.gather(np.array([1])).data,
+                                      [[0.0, 0.0]])
 
     def test_empty_write_is_a_noop(self):
         mem = Memory(4, 2)
-        view = MemoryView(mem)
-        view.write(np.empty(0, dtype=np.int64), Tensor(np.empty((0, 2))))
-        out = view.gather(np.array([3])).data  # must not raise
+        mem.write(np.empty(0, dtype=np.int64), Tensor(np.empty((0, 2))))
+        out = mem.gather(np.array([3])).data  # must not raise
         np.testing.assert_array_equal(out, [[0.0, 0.0]])
-        view.persist()
+        mem.persist()
         assert mem.state.sum() == 0.0
 
     def test_gradients_flow_through_written_rows_only(self):
         mem = Memory(5, 2)
-        view = MemoryView(mem)
         rows = Tensor(np.ones((2, 2)), requires_grad=True)
-        view.write(np.array([0, 3]), rows)
-        out = view.gather(np.array([0, 1, 3, 3]))
+        mem.write(np.array([0, 3]), rows)
+        out = mem.gather(np.array([0, 1, 3, 3]))
         out.sum().backward()
         np.testing.assert_array_equal(rows.grad, [[1.0, 1.0], [2.0, 2.0]])
+
+    @pytest.mark.parametrize("column,value,match", [
+        ("nodes", np.array([0, 6]), "staged_nodes"),
+        ("nodes", np.array([-1, 2]), "staged_nodes"),
+        ("self_state", np.zeros((2, 3)), "staged_self_state"),
+        ("other_state", np.zeros((1, 2)), "staged_other_state"),
+        ("time", np.zeros(1), "staged_time"),
+        ("edge_feat", np.zeros((3, 4)), "staged_edge_feat"),
+    ])
+    def test_stage_rejects_a_malformed_block(self, column, value, match):
+        mem = Memory(6, 2)
+        block = dict(nodes=np.array([0, 2]), self_state=np.zeros((2, 2)),
+                     other_state=np.zeros((2, 2)), delta_t=np.zeros(2),
+                     time=np.zeros(2), event_ids=np.arange(2))
+        block[column] = value
+        with pytest.raises(ValueError, match=match):
+            mem.stage(**block)
+        assert mem.pending() is None
 
 
 class TestWrittenRows:
@@ -327,25 +403,25 @@ class TestWrittenRows:
 
     def test_checkpoint_after_row_writes_equals_state_and_is_frozen(self):
         mem = Memory(50, 3)
-        mem.persist_rows(np.array([7, 2, 41]), np.arange(9.0).reshape(3, 3))
-        mem.persist_rows(np.array([2]), np.full((1, 3), -1.0))
+        persist_rows(mem, [7, 2, 41], np.arange(9.0).reshape(3, 3))
+        persist_rows(mem, [2], np.full((1, 3), -1.0))
         snap = mem.checkpoint()
         np.testing.assert_array_equal(snap, self.dense_reference(mem))
         assert snap[2].tolist() == [-1.0] * 3 and snap.sum() == 21.0
         assert not snap.flags.writeable and snap.flags.owndata
         assert snap.dtype == mem.dtype
-        mem.persist_rows(np.array([7]), np.zeros((1, 3)))
+        persist_rows(mem, [7], np.zeros((1, 3)))
         assert snap[7].tolist() == [0.0, 1.0, 2.0]
 
     def test_mostly_written_memory_takes_the_plain_copy(self):
         mem = Memory(6, 2)
-        mem.persist_rows(np.arange(5), np.ones((5, 2)))
+        persist_rows(mem, np.arange(5), np.ones((5, 2)))
         np.testing.assert_array_equal(mem.checkpoint(),
                                       self.dense_reference(mem))
 
     def test_in_place_write_through_state_reaches_checkpoint_and_reset(self):
         mem = Memory(40, 2)
-        mem.persist_rows(np.array([1]), np.ones((1, 2)))
+        persist_rows(mem, [1], np.ones((1, 2)))
         mem.state[30] = 5.0            # the holder writes behind our back
         snap = mem.checkpoint()
         assert snap[30].tolist() == [5.0, 5.0] and snap[1].tolist() == [1, 1]
@@ -355,30 +431,20 @@ class TestWrittenRows:
 
     def test_full_persist_and_assignment_reach_checkpoint_and_reset(self):
         mem = Memory(40, 2)
-        mem.persist(np.full((40, 2), 3.0))
+        mem.load(np.full((40, 2), 3.0))
         assert mem.checkpoint().sum() == 240.0
         mem.reset()
         assert not mem.checkpoint().any()
-        mem.state = np.full((40, 2), 2.0)
-        assert mem.checkpoint().sum() == 160.0
 
     def test_reset_clears_exactly_the_written_rows_and_tracks_again(self):
         mem = Memory(40, 2)
-        mem.persist_rows(np.array([3, 9]), np.ones((2, 2)))
+        persist_rows(mem, [3, 9], np.ones((2, 2)))
         mem.touch(np.array([3]), np.array([4.0]))
         mem.reset()
         assert not mem._state.any() and not mem.last_update.any()
-        mem.persist_rows(np.array([9]), np.full((1, 2), 2.0))
+        persist_rows(mem, [9], np.full((1, 2), 2.0))
         snap = mem.checkpoint()
         assert snap.sum() == 4.0 and snap[9].tolist() == [2.0, 2.0]
-
-    def test_clone_keeps_the_bookkeeping_and_is_independent(self):
-        mem = Memory(40, 2)
-        mem.persist_rows(np.array([5]), np.ones((1, 2)))
-        other = mem.clone()
-        other.persist_rows(np.array([6]), np.ones((1, 2)))
-        assert mem.checkpoint().sum() == 2.0
-        assert other.checkpoint().sum() == 4.0
 
     def test_store_past_the_huge_page_advice_size_behaves_the_same(self):
         """4 MB and up the matrices come from an anonymous mapping; what
@@ -387,7 +453,7 @@ class TestWrittenRows:
         mem = Memory(70_000, 16, dtype=np.float32)
         assert mem._state.nbytes >= 1 << 22 and not mem._state.any()
         nodes = np.array([0, 69_999, 4_321])
-        mem.persist_rows(nodes, np.full((3, 16), 2.0, dtype=np.float32))
+        persist_rows(mem, nodes, np.full((3, 16), 2.0, dtype=np.float32))
         snap = mem.checkpoint()
         assert snap.dtype == np.float32 and not snap.flags.writeable
         assert snap.sum() == 96.0 and snap[nodes].min() == 2.0
@@ -399,13 +465,12 @@ class TestWrittenRows:
         mem.state[5] = 1.0             # unknown writes: the full-copy path
         full = mem.checkpoint()
         assert full.sum() == 16.0 and full[5].min() == 1.0
-        np.testing.assert_array_equal(mem.clone().checkpoint(), full)
         del mem, checkpoints, snap     # the arrays outlive their makers
         assert full.sum() == 16.0
 
     def test_rows_does_not_give_up_the_bookkeeping(self):
         mem = Memory(40, 2)
-        mem.persist_rows(np.array([5]), np.ones((1, 2)))
+        persist_rows(mem, [5], np.ones((1, 2)))
         got = mem.rows(np.array([5, 6]))
         got[:] = 9.0                   # a copy: the store is untouched
         assert mem._written is not None and mem._written.sum() == 1
@@ -570,7 +635,7 @@ class TestDtype:
 
     def test_memory_persist_preserves_dtype(self):
         mem = Memory(3, 2, dtype=np.float32)
-        mem.persist(np.ones((3, 2), dtype=np.float64))
+        mem.load(np.ones((3, 2), dtype=np.float64))
         assert mem.state.dtype == np.float32
-        clone = mem.clone()
-        assert clone.state.dtype == np.float32
+        persist_rows(mem, [1], np.full((1, 2), 2.0))
+        assert mem.state.dtype == np.float32

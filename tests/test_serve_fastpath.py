@@ -39,6 +39,7 @@ from repro.serve.http import HttpClient
 from repro.serve.index import kmeans_fit
 from repro.tasks.ranking import top_k_from_scores
 
+from . import parent_fixtures as parent
 from . import parent_snapshot
 from .test_serve import (NUM_NODES, make_split_stream, pretrain_artifact,
                          tiny_config)
@@ -651,6 +652,28 @@ class TestSnapshot:
                 np.testing.assert_array_equal(now[key], then[key], key)
         now.close()
         then.close()
+
+    DAMAGE = {
+        "last_update": lambda a: a[:10],
+        "staged_nodes": lambda a: a + 10 ** 6,
+        "staged_self_state": lambda a: a[:, :3],
+        "staged_time": lambda a: a[:1],
+        "memory_state": lambda a: a[:-1],
+        "touch_count": lambda a: a[:-1],
+    }
+
+    @pytest.mark.parametrize("name", list(DAMAGE))
+    def test_malformed_snapshot_is_a_snapshot_error(self, tmp_path, name):
+        """One damaged array fails the restore, typed and named, instead
+        of restoring and failing at a later ingest or flush."""
+        with np.load(parent_snapshot.SNAPSHOT_PATH) as frozen:
+            arrays = {key: frozen[key] for key in frozen.files}
+        arrays[name] = self.DAMAGE[name](arrays[name])
+        path = str(tmp_path / "damaged.npz")
+        np.savez(path, **arrays)
+        with pytest.raises(SnapshotError, match=name):
+            EmbeddingService.from_snapshot(parent.ARTIFACT_PATH, path,
+                                           cache_capacity=0)
 
     def test_meta_is_json_clean(self, artifact_and_streams, tmp_path):
         path = str(tmp_path / "replica.npz")
