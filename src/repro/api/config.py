@@ -35,14 +35,14 @@ _TASK_ALIASES = {"link": "link_prediction", "node": "node_classification"}
 
 # Override aliases fanning one ``--set`` key out to several leaf fields.
 _OVERRIDE_ALIASES = {
-    "nn.compile": ("pretrain.compile_step", "finetune.compile_step"),
+    "nn.compile": ("pretrain.compile_step",),
 }
 
 # Section keys that earlier builds wrote into run-config JSON and artifact
 # metadata and that no longer exist.  ``from_dict`` drops them so those
 # files keep loading; ``--set`` still rejects them like any unknown key.
 _RETIRED_KEYS = {"pretrain": {"backend", "fabric_ranges", "memory_engine"},
-                 "finetune": {"backend"}}
+                 "finetune": {"backend", "compile_step"}}
 
 
 class ConfigError(ValueError):
@@ -205,8 +205,9 @@ class RunConfig:
         Each key must name an existing leaf field; pointing at a whole
         section (``--set pretrain=...``) or an unknown field raises
         :class:`ConfigError`.  A few aliases fan one key out to several
-        fields: ``nn.compile`` toggles the compiled train step in every
-        stage (``--set nn.compile=false`` restores pure eager autograd).
+        fields: ``nn.compile`` toggles the compiled pre-training step
+        (``--set nn.compile=false`` restores pure eager autograd;
+        fine-tuning always runs eager).
         """
         expanded: dict[str, object] = {}
         for dotted, value in overrides.items():

@@ -87,9 +87,11 @@ class TestPipelineCommands:
                      "--set", "pretrain.bogus=1"]) == 2
         assert "unknown config key" in capsys.readouterr().err
         # A retired key loads from old files but not from the command line.
-        for key, value in (("fabric_ranges", "4"), ("memory_engine", "dense")):
+        for key, value in (("pretrain.fabric_ranges", "4"),
+                           ("pretrain.memory_engine", "dense"),
+                           ("finetune.compile_step", "false")):
             assert main(["pretrain", "--dump-config",
-                         "--set", f"pretrain.{key}={value}"]) == 2
+                         "--set", f"{key}={value}"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and key in err, err
 

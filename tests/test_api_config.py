@@ -52,6 +52,19 @@ class TestRoundTrip:
         path.write_text(json.dumps(payload))
         assert RunConfig.from_json(str(path)) == config
 
+    def test_files_that_switched_finetune_replay_load(self, tmp_path):
+        """Fine-tuning lost its compiled replay (it always runs eager);
+        run configs and artifacts that set the switch still load."""
+        payload = RunConfig().to_dict()
+        assert "compile_step" not in payload["finetune"]
+        payload["finetune"]["compile_step"] = False
+        assert RunConfig.from_dict(payload) == RunConfig()
+        with np.load(parent.ARTIFACT_PATH) as frozen:
+            meta = json.loads(str(frozen["__meta__"]))
+        assert meta["run_config"]["finetune"]["compile_step"] is True
+        artifact = PretrainArtifact.load(parent.ARTIFACT_PATH)
+        assert not hasattr(artifact.run_config.finetune, "compile_step")
+
     def test_artifact_that_selected_the_dense_engine_loads_and_serves(
             self, tmp_path):
         """The engines were bit-identical, so a file that asked for the
@@ -137,9 +150,15 @@ class TestOverrides:
             RunConfig().with_overrides({"nonsection.beta": 1})
         # Retired keys are tolerated in files, not on the command line.
         for key in ("nn.backend", "pretrain.backend", "finetune.backend",
-                    "pretrain.fabric_ranges", "pretrain.memory_engine"):
+                    "pretrain.fabric_ranges", "pretrain.memory_engine",
+                    "finetune.compile_step"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 RunConfig().with_overrides({key: "numpy"})
+
+    def test_nn_compile_switches_the_pretraining_step(self):
+        config = RunConfig().with_overrides({"nn.compile": False})
+        assert config.pretrain.compile_step is False
+        assert config.finetune == RunConfig().finetune
 
     def test_section_as_leaf_rejected(self):
         with pytest.raises(ConfigError, match="section"):

@@ -201,26 +201,6 @@ class TestLinkPredictionTask:
                                      tiny_ft()).run()
         assert np.isfinite(metrics.auc)
 
-    def test_compiled_finetune_is_bit_identical(self, tiny_stream):
-        """finetune.compile_step=False reproduces the default exactly."""
-        split = split_downstream(tiny_stream)
-
-        def run(compile_step):
-            import dataclasses
-            ft = dataclasses.replace(tiny_ft(), compile_step=compile_step)
-            strat = build_finetuned_encoder("tgn", tiny_stream.num_nodes,
-                                            tiny_cfg(), None, "none", ft)
-            task = LinkPredictionTask(strat, split, ft)
-            history = task.train()
-            return history, task.evaluate(), strat.encoder.state_dict()
-
-        hist_c, metrics_c, state_c = run(True)
-        hist_e, metrics_e, state_e = run(False)
-        assert [h["loss"] for h in hist_c] == [h["loss"] for h in hist_e]
-        assert (metrics_c.auc, metrics_c.ap) == (metrics_e.auc, metrics_e.ap)
-        for key in state_e:
-            assert np.array_equal(state_c[key], state_e[key]), key
-
     def test_undefined_validation_auc_is_not_a_best_epoch(self, tiny_stream,
                                                           monkeypatch):
         """A NaN validation AUC in the first epoch (one class in the
