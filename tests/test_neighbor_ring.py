@@ -296,8 +296,11 @@ def test_service_ring_survives_compaction_and_restore(artifact_and_streams,
             events.append(blk)
             for service in (background, sync):
                 service.ingest(src=blk[0], dst=blk[1], timestamps=blk[2])
-                probe_everything(service.finder, num_nodes, events, width,
-                                 f"service block {lo}")
+                # Readers hold the engine lock, as the service's own
+                # queries do: the background compactor commits under it.
+                with service._lock:
+                    probe_everything(service.finder, num_nodes, events,
+                                     width, f"service block {lo}")
         assert background._compactor.drain()
         assert sync.finder.compactions >= 1
         assert background.finder.compactions >= 1
