@@ -21,10 +21,11 @@ scale ``BENCH_stream.json`` uses — and measures the serving hot paths:
 ``--smoke`` shrinks every scale for CI and additionally *asserts* the
 fast path's correctness anchors against a ``cache_capacity=0`` service:
 the exact policy and a staleness bound of zero both answer bit-identically
-to it under interleaved probes and ingests (stamped after the newest event,
-which the finder's most-recent ring answers, and at a past time, which its
-CSRs answer), and a replica restored from its snapshot keeps doing so after
-continued ingest.
+to it under interleaved probes and ingests (stamped after the newest event
+and at a past time, which the finder's most-recent ring answers with and
+without its per-row time cut, and at the time of a burst on one node that
+outgrows the ring, which its CSRs answer), and a replica restored from its
+snapshot keeps doing so after continued ingest.
 
 Each run is appended: the previous contents of the output file move into
 its ``history`` list.
@@ -247,8 +248,8 @@ def smoke_checks(artifact: PretrainArtifact, base: EventStream,
     probes = np.arange(0, params["num_nodes"],
                        max(params["num_nodes"] // 64, 1))
     t = float(live.timestamps[-1]) + 1.0
-    # One probe that is older than what the blocks ingest: the finder
-    # answers it from its CSRs, next to `t` which its ring answers.
+    # One probe that is older than what the blocks ingest: the ring cuts
+    # each row's entries at or after it, next to `t` which cuts nothing.
     past = float(live.timestamps[0])
     oracle = make_service(artifact, base, params, cache_capacity=0,
                           background_compaction=False)
@@ -291,6 +292,19 @@ def smoke_checks(artifact: PretrainArtifact, base: EventStream,
     replicas.append(restored)
     ingest_and_compare(half, live.num_events,
                        "a replica diverged after continued ingest")
+    # A burst on one probed node, asked at the burst's own time: the node
+    # has more entries than its ring holds and every held one is cut, the
+    # case the ring declines, so the CSRs answer it.
+    burst = 2 * artifact.run_config.pretrain.n_neighbors + 1
+    stamp = t + 1.0
+    for service in [oracle] + replicas:
+        service.ingest(src=np.full(burst, probes[0]),
+                       dst=params["num_nodes"] // 2 + np.arange(burst),
+                       timestamps=np.full(burst, stamp))
+    want = oracle.embed(probes, stamp)
+    for service in replicas:
+        assert np.array_equal(service.embed(probes, stamp), want), \
+            "a replica diverged on the CSR fallback"
     # The registry holds the newest finder's counters: the restored one's.
     paths = obs.snapshot()
     assert min(paths['repro_serve_neighbor_queries_total{path="ring"}'],

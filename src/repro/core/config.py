@@ -118,6 +118,8 @@ class CPDGConfig:
             raise ValueError("need at least one checkpoint")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        if self.n_neighbors < 1:
+            raise ValueError("n_neighbors must be >= 1")
         if self.num_workers < 0:
             raise ValueError("num_workers must be >= 0 (0 = in-process)")
         if self.prefetch_batches < 1:

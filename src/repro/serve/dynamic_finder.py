@@ -41,7 +41,9 @@ way, the generation swap only changes *where* entries are stored.
 **The most-recent ring.**  The encoder asks one question on every pass:
 the newest ``count`` neighbours of each row before its query time.  Next
 to the CSRs the finder keeps, per node *that has history*, a ring of its
-newest ``W`` entries (``W`` = the encoder's ``n_neighbors``):
+newest ``W`` entries (``W`` = twice the encoder's ``n_neighbors``, a
+fixed multiple rather than a setting: up to ``n_neighbors`` entries tied
+at or after a query time still leave a full answer in the ring):
 
 * ``slot_of[node]`` (``int32``, the ``TGNMemory.assoc`` / ``RowCache``
   idiom) maps a node to its ring row; nodes without history map to row 0,
@@ -58,14 +60,21 @@ newest ``W`` entries (``W`` = the encoder's ``n_neighbors``):
 
 The ring is filled from the base CSR at construction and advanced inside
 :meth:`DynamicNeighborFinder.append` by one stable sort of the block's
-interleaved endpoints.  **Answerability rule:**
-:meth:`~DynamicNeighborFinder.recent_slots` answers a whole
-``(nodes, ts, count)`` batch iff ``1 <= count <= W`` and every queried
-row's newest entry is strictly older than its ``ts`` — then "before
-``ts``" is the node's whole history and the newest ``count`` of it is in
-the ring; otherwise it returns ``None`` and the caller takes
-:meth:`~DynamicNeighborFinder.batch_most_recent`.  The answer holds the
-same entries in the same order as that path.  Compaction (inline or
+interleaved endpoints.  **Answerability rule:** a node's history is in
+time order, so the entries at or after a query time ``ts`` are its newest
+ones.  For a row of degree ``d`` let ``m`` be the number of its *held*
+entries at or after ``ts`` (the per-row time cut); the row is answerable
+iff ``d <= W`` (the ring holds its whole history) or
+``m + min(d - m, count) <= W`` (the ring holds the cut entries and the
+newest ``count`` before them, so nothing at or after ``ts`` hides behind
+the ring).  :meth:`~DynamicNeighborFinder.recent_slots` answers a whole
+``(nodes, ts, count)`` batch iff ``1 <= count <= W`` and every row is
+answerable; otherwise it returns ``None`` and the caller takes
+:meth:`~DynamicNeighborFinder.batch_most_recent`.  A row whose held
+entries are all cut reads the null row's zero slot, like a row without
+history.  The answer holds the same entries in the same order as the CSR
+path.  A query stamped after every event cuts nothing, so the cut costs
+one comparison per row until some row is that late.  Compaction (inline or
 background) and snapshots never touch the ring: a merge only changes
 *where* the CSR stores an entry, not which entries a node has, and a
 restored finder refills the ring from its base and replayed delta.  Like
@@ -228,8 +237,11 @@ class _RecentRing:
         before = self.degree[rows]
         after = before + counts
         # Number of each entry in its node's whole history.  Only the last
-        # `width` of a node's run can still be in the ring afterwards;
-        # without the rest no ring cell is written twice below.
+        # `width` of a node's run can still be in the ring afterwards.
+        # Dropping the rest is what makes the scatter below correct, not
+        # an optimisation: a run longer than `width` would write one ring
+        # cell twice, and numpy does not promise which value wins an
+        # assignment with repeated indices.
         position = np.arange(total) + np.repeat(before - first, counts)
         keep = np.flatnonzero(position >= np.repeat(after - self.width,
                                                     counts))
@@ -245,21 +257,37 @@ class _RecentRing:
     def slots(self, nodes: np.ndarray, ts: np.ndarray,
               count: int) -> NeighborSlots | None:
         """Ragged newest-``count`` slots, or ``None`` (answerability rule)."""
+        width = self.width
         ring_rows = self.slot_of[nodes]
-        if not (0 < count <= self.width
-                and (self.newest[ring_rows] < ts).all()):
+        # Entries before `ts`: the whole history less its newest `cut`
+        # entries, those at or after `ts` - which only a row whose newest
+        # entry is that late can have.
+        before = self.degree[ring_rows]
+        late = np.flatnonzero(self.newest[ring_rows] >= ts)
+        answerable = 0 < count <= width
+        if answerable and len(late):
+            degree = before[late]
+            held = np.arange(width) < np.minimum(degree, width)[:, None]
+            cut = ((self.times[ring_rows[late]] >= ts[late, None])
+                   & held).sum(axis=1)
+            before[late] = degree - cut
+            answerable = not ((degree > width)
+                              & (cut + np.minimum(degree - cut, count)
+                                 > width)).any()
+        if not answerable:
             self._declined += 1
             return None
         self._answered += 1
-        degree = self.degree[ring_rows]
-        valid = np.minimum(degree, count)
-        # A history-less row keeps one slot: column 0 of the null row.
+        valid = np.minimum(before, count)
+        # A row with nothing before `ts` keeps one slot: column 0 of the
+        # null row, whether or not the row has a history at all.
+        ring_rows[valid == 0] = 0
         per_row = np.maximum(valid, 1)
         starts = np.cumsum(per_row) - per_row
         rows = np.repeat(np.arange(len(per_row)), per_row)
-        position = np.arange(len(rows)) + (degree - valid - starts)[rows]
-        flat = ((ring_rows.astype(np.int64) * self.width)[rows]
-                + position % self.width)
+        position = np.arange(len(rows)) + (before - valid - starts)[rows]
+        flat = ((ring_rows.astype(np.int64) * width)[rows]
+                + position % width)
         return NeighborSlots(
             rows=rows, starts=starts,
             neighbors=self.neighbors.reshape(-1)[flat],
@@ -281,12 +309,13 @@ class DynamicNeighborFinder:
         automatic :meth:`compact`.  ``None`` disables auto-compaction.
     ring_width:
         Entries kept per node in the most-recent ring; the service passes
-        its encoder's ``n_neighbors`` (whose default this repeats).
+        twice its encoder's ``n_neighbors`` (this default is twice the
+        encoder's default).
     """
 
     def __init__(self, base: EventStream | NeighborFinder,
                  compaction_threshold: int | None = 4096,
-                 ring_width: int = 10):
+                 ring_width: int = 20):
         if isinstance(base, EventStream):
             base = NeighborFinder(base)
         self._base = base

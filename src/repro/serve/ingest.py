@@ -142,7 +142,12 @@ class LiveIngestor:
             flushed = np.asarray(memory.touched, dtype=np.int64)
             self.encoder.register_batch(batch)
             self.encoder.end_batch()
-        touched = np.union1d(flushed, np.union1d(src, dst))
+        # Sorted and unique in one sort: at a block's few hundred ids
+        # numpy's hash-based unique is slower than the sort.
+        touched = np.sort(np.concatenate([flushed, src, dst]))
+        first = np.ones(len(touched), dtype=bool)
+        np.not_equal(touched[1:], touched[:-1], out=first[1:])
+        touched = touched[first]
         self.touch_count[touched] += 1
         # `touched` is unique, so a plain indexed assignment is exact.
         self.touch_time[touched] = np.maximum(self.touch_time[touched],

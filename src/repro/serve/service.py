@@ -219,19 +219,26 @@ class EmbeddingService:
                 self._load_head(bundle, rng)
         self.encoder = encoder
 
+        # The default top_k catalog (every destination seen so far) and
+        # the rows the IVF index holds stale are masks over the node
+        # space; `_candidates` is the catalog's sorted id array, rebuilt
+        # only when an ingest brings a new destination.
         if restoring:
             edge_table = self._restore_live_state(_snapshot)
         else:
             self.finder = DynamicNeighborFinder(
                 NeighborFinder(history),
                 compaction_threshold=self.config.compaction_threshold,
-                ring_width=encoder.n_neighbors)
+                ring_width=2 * encoder.n_neighbors)
             encoder.attach(history, self.finder)
-            self._candidates = np.unique(history.dst)
+            self._candidate_mask = np.zeros(artifact.num_nodes, dtype=bool)
+            self._candidate_mask[history.dst] = True
             edge_table = (encoder._edge_feats
                           if isinstance(encoder._edge_feats, np.ndarray)
                           else None)
             self._snapshot_meta = {"restored": False}
+        self._candidates = np.flatnonzero(self._candidate_mask)
+        self._dirty_mask = np.zeros(artifact.num_nodes, dtype=bool)
 
         self._lock = threading.RLock()
         self._ingestor = LiveIngestor(encoder, self.finder,
@@ -260,7 +267,6 @@ class EmbeddingService:
             max_batch=self.config.max_batch, window=self.config.window,
             exec_lock=self._lock)
         self._index: CoarseQuantIndex | None = None
-        self._index_dirty = np.empty(0, dtype=np.int64)
         self._compactor: BackgroundCompactor | None = None
         if self.config.background_compaction:
             self._compactor = BackgroundCompactor(self.finder,
@@ -292,7 +298,7 @@ class EmbeddingService:
             np.asarray(data["base_event_ids"]))
         self.finder = DynamicNeighborFinder(
             base, compaction_threshold=self.config.compaction_threshold,
-            ring_width=encoder.n_neighbors)
+            ring_width=2 * encoder.n_neighbors)
         if len(data["delta_src"]):
             self.finder.append(np.asarray(data["delta_src"]),
                                np.asarray(data["delta_dst"]),
@@ -324,7 +330,13 @@ class EmbeddingService:
                     np.asarray(data["staged_event_ids"]), edge)
         except ValueError as exc:
             raise SnapshotError(f"malformed snapshot: {exc}") from exc
-        self._candidates = np.asarray(data["candidates"], dtype=np.int64)
+        candidates = np.asarray(data["candidates"], dtype=np.int64)
+        if len(candidates) and (candidates.min() < 0 or candidates.max()
+                                >= self.artifact.num_nodes):
+            raise SnapshotError("malformed snapshot: candidates must lie "
+                                f"in [0, {self.artifact.num_nodes})")
+        self._candidate_mask = np.zeros(self.artifact.num_nodes, dtype=bool)
+        self._candidate_mask[candidates] = True
         self._snapshot_meta = {
             "restored": True,
             "events_at_restore": int(meta["num_events"]),
@@ -563,14 +575,15 @@ class EmbeddingService:
             index = self._index
             rebuild = not index.built or index.needs_rebuild()
             catalog = self._candidates
-            dirty, self._index_dirty = (self._index_dirty,
-                                        np.empty(0, dtype=np.int64))
+            dirty = np.flatnonzero(self._dirty_mask)
+            self._dirty_mask[dirty] = False
         if rebuild:
             rows = catalog
         else:
-            known = index.ids()
-            stale = np.intersect1d(dirty, known)
-            fresh = np.setdiff1d(catalog, known)
+            known = np.zeros(len(self._dirty_mask), dtype=bool)
+            known[index.ids()] = True
+            stale = dirty[known[dirty]]
+            fresh = catalog[~known[catalog]]
             rows = np.concatenate([stale, fresh])
         vectors = self.planner.embed(np.append(rows, src),
                                      np.full(len(rows) + 1, t))
@@ -617,10 +630,12 @@ class EmbeddingService:
                 count = len(np.atleast_1d(src))
                 new_dst = np.asarray(dst, dtype=np.int64)
             if count:
-                self._candidates = np.union1d(self._candidates, new_dst)
+                new_dst = new_dst[~self._candidate_mask[new_dst]]
+                if len(new_dst):
+                    self._candidate_mask[new_dst] = True
+                    self._candidates = np.flatnonzero(self._candidate_mask)
                 if self._index is not None:
-                    self._index_dirty = np.union1d(self._index_dirty,
-                                                   touched)
+                    self._dirty_mask[touched] = True
         self._request_hist["ingest"].observe(time.perf_counter() - start)
         return count
 
@@ -670,7 +685,7 @@ class EmbeddingService:
                     "size": len(index),
                     "lists": index.num_lists,
                     "nprobe": index.nprobe,
-                    "dirty": int(len(self._index_dirty)),
+                    "dirty": int(np.count_nonzero(self._dirty_mask)),
                     **index.stats.as_row(),
                 }),
                 "candidates": int(len(self._candidates)),

@@ -10,6 +10,7 @@ import pytest
 from repro.api import (ConfigError, DataConfig, PretrainArtifact, RunConfig,
                        dataset_names, normalize_task, parse_override,
                        parse_set_args, resolve_data)
+from repro.core import CPDGConfig
 
 from . import parent_fixtures as parent
 
@@ -123,6 +124,14 @@ class TestUnknownKeyRejection:
             RunConfig.from_dict({"pretrain": {"beta": 2.0}})
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"data": {"train_fraction": 0.9}})
+
+    def test_zero_neighbors_rejected_by_name(self):
+        """``n_neighbors=0`` used to validate and then fail deep inside
+        TGN pre-training with an untyped ``IndexError``."""
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="n_neighbors"):
+                CPDGConfig(n_neighbors=bad).validate()
+        CPDGConfig(n_neighbors=1).validate()
 
 
 class TestOverrides:

@@ -11,13 +11,15 @@ Three answers to "the newest ``count`` neighbours of each row before its
 
 The ring may decline a batch (``recent_slots`` returns ``None``) and must
 do so exactly when the answerability rule says: ``count`` outside
-``1..W`` or some queried row whose newest entry is not strictly older
-than its ``ts``.
+``1..W``, or some queried row with more than ``W`` entries whose ``m``
+held entries at or after its ``ts`` plus the newest ``count`` before them
+do not fit in ``W`` (``m + min(d - m, count) > W`` at degree ``d``).
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 import types
 
 import numpy as np
@@ -64,10 +66,25 @@ def newest_times(num_nodes: int, events) -> np.ndarray:
     return out
 
 
-def probe_everything(dyn, num_nodes, events, width, note="") -> None:
-    """Probe every node at the times that matter and assert, for ``count``
-    1 / W / W + 1, that the three answers agree and that the ring declines
-    exactly when the rule says."""
+def ring_answers(static: NeighborFinder, nodes: np.ndarray, ts: np.ndarray,
+                 count: int, width: int) -> bool:
+    """The answerability rule, read off a rebuilt finder's whole history:
+    a node's entries at or after ``ts`` are its newest, so ``m`` of them
+    are held (at most ``W``) and the ``count`` before them come next."""
+    if not 1 <= count <= width:
+        return False
+    degree = np.diff(np.asarray(static.indptr))[nodes]
+    cut = np.minimum(degree - static.batch_degree(nodes, ts), width)
+    return bool(((degree <= width)
+                 | (cut + np.minimum(degree - cut, count) <= width)).all())
+
+
+def probe_everything(dyn, num_nodes, events, width, note="",
+                     times=()) -> None:
+    """Probe every node at the times that matter (plus every time in
+    ``times``) and assert, for ``count`` 1, W / 2, W and W + 1, that the
+    three answers agree and that the ring declines exactly when the rule
+    says."""
     static = rebuilt(num_nodes, events)
     newest = newest_times(num_nodes, events)
     t_max = max(float(newest.max()), 0.0)
@@ -75,8 +92,8 @@ def probe_everything(dyn, num_nodes, events, width, note="") -> None:
     def check(nodes, ts, label):
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.broadcast_to(np.asarray(ts, dtype=np.float64), nodes.shape)
-        answerable = bool((newest[nodes] < ts).all())
-        for count in sorted({1, width, width + 1}):
+        # W / 2: the service's ring is twice its encoder's n_neighbors.
+        for count in sorted({1, max(width // 2, 1), width, width + 1}):
             tag = f"{note} {label} count={count}"
             got = most_recent_slots(dyn, nodes, ts, count)
             assert_slots_equal(got, most_recent_slots(csr_only(dyn), nodes,
@@ -86,8 +103,8 @@ def probe_everything(dyn, num_nodes, events, width, note="") -> None:
                                                       count),
                                tag + " vs rebuilt")
             direct = dyn.recent_slots(nodes, ts, count)
-            assert (direct is not None) == (answerable
-                                            and count <= width), tag
+            assert (direct is not None) == ring_answers(static, nodes, ts,
+                                                        count, width), tag
             if direct is not None:
                 assert_slots_equal(direct, got, tag + " direct")
 
@@ -96,10 +113,13 @@ def probe_everything(dyn, num_nodes, events, width, note="") -> None:
     check(everyone, t_max, "at-head")
     check(everyone, t_max / 2.0, "past")
     check(everyone, np.where(np.isfinite(newest), newest, 0.0), "own-newest")
-    # The rule is per batch, so also ask cohort by cohort: the nodes whose
-    # newest event is at `t`, stamped at `t` (strict "before": the ring
-    # must decline, the answer must still be right), and every node that
-    # is older than that, stamped at `t` (the ring's case again).
+    for t in times:
+        check(everyone, t, f"at {t}")
+    # The rule is per row, so also ask cohort by cohort: the nodes whose
+    # newest event is at `t`, stamped at `t` (strict "before": the cut
+    # drops their newest entries, and the ring must still answer those
+    # it holds enough of), and every node that is older than that,
+    # stamped at `t` (nothing cut).
     for t in np.unique(newest[np.isfinite(newest)]):
         check(np.flatnonzero(newest == t), t, f"cohort {t}")
         check(np.flatnonzero(newest < t), t, f"older than {t}")
@@ -173,6 +193,47 @@ def test_ring_equals_csr_equals_rebuilt(scenario):
         probe_everything(dyn, num_nodes, events, width, f"block {i}")
 
 
+@st.composite
+def tied_streams(draw):
+    """Blocks on integer times where three steps in four are 0: many
+    events share a timestamp, often more than the ring holds per node."""
+    num_nodes = draw(st.integers(2, 6))
+    width = draw(st.integers(1, 4))
+    clock = 0
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 12))
+        ids = st.lists(st.integers(0, num_nodes - 1), min_size=size,
+                       max_size=size)
+        src, dst = draw(ids), draw(ids)
+        steps = draw(st.lists(st.sampled_from([0, 0, 0, 1]), min_size=size,
+                              max_size=size))
+        ts = clock + np.cumsum(steps)
+        clock = int(ts[-1])
+        blocks.append((np.asarray(src), np.asarray(dst),
+                       ts.astype(np.float64)))
+    return num_nodes, width, blocks
+
+
+@settings(max_examples=120, deadline=None)
+@given(tied_streams())
+def test_time_cut_with_ties_equals_csr_equals_rebuilt(stream):
+    """The per-row time cut where it is hardest: probes at every tied
+    time (a row's cut then drops all its entries at that time, possibly
+    more than ``W``), half a step before each (the past, down to before
+    the first event, where every row is fully cut: a row the ring holds
+    whole reads the null row, any other declines) and at the newest
+    time."""
+    num_nodes, width, blocks = stream
+    dyn = DynamicNeighborFinder(_empty_base(num_nodes),
+                                compaction_threshold=None, ring_width=width)
+    for blk in blocks:
+        dyn.append(*blk)
+    tied = np.unique(np.concatenate([blk[2] for blk in blocks]))
+    probe_everything(dyn, num_nodes, blocks, width, "tied",
+                     times=np.concatenate([tied, tied - 0.5]))
+
+
 # ======================================================================
 # named cases
 # ======================================================================
@@ -209,6 +270,19 @@ def test_named_cases():
     assert_slots_equal(slots, most_recent_slots(csr_only(lonely),
                                                 np.arange(4),
                                                 np.full(4, 1.0), 2))
+    # So do rows whose held entries are all cut: node 0's two entries
+    # sit at the query time, so it must read the null row's zero slot,
+    # not its own column 0 flagged as dummy.
+    cut = DynamicNeighborFinder(
+        EventStream(src=np.array([0, 0]), dst=np.array([1, 2]),
+                    timestamps=np.array([4.0, 4.0]), num_nodes=3),
+        ring_width=2)
+    nodes, ts = np.array([0, 1, 2]), np.full(3, 4.0)
+    slots = cut.recent_slots(nodes, ts, 2)
+    assert slots is not None and slots.dummy.all()
+    assert not slots.neighbors.any() and not slots.times.any()
+    assert not slots.event_ids.any()
+    assert_slots_equal(slots, most_recent_slots(csr_only(cut), nodes, ts, 2))
 
 
 def test_growth_past_initial_capacity():
@@ -226,7 +300,7 @@ def test_growth_past_initial_capacity():
         dyn.append(*blk)
         events.append(blk)
         # Rows that existed before the growth keep degree and newest time:
-        # "own-newest" probes must still fall back, and still be right.
+        # "own-newest" probes must still cut exactly their newest entries.
         probe_everything(dyn, num_nodes, events, width, f"grown to {lo}")
     assert len(ring.degree) > capacity
     assert ring.used == 1 + num_nodes
@@ -280,7 +354,8 @@ def artifact_and_streams():
 def test_service_ring_survives_compaction_and_restore(artifact_and_streams,
                                                       tmp_path):
     artifact, pre, suffix = artifact_and_streams
-    width = artifact.run_config.pretrain.n_neighbors
+    # A fixed multiple, not a setting: room for n_neighbors tied entries.
+    width = 2 * artifact.run_config.pretrain.n_neighbors
     num_nodes = pre.num_nodes
     knobs = dict(history=pre, cache_capacity=0, compaction_threshold=25)
     background = EmbeddingService.from_artifact(artifact, **knobs)
@@ -325,15 +400,19 @@ def test_service_ring_survives_compaction_and_restore(artifact_and_streams,
 
 
 # ======================================================================
-# cost: what a latest-time read schedule no longer does
+# cost: what a latest-time or at-head read schedule no longer does
 # ======================================================================
 
 def _count_calls(monkeypatch, owner, name) -> list:
+    """Record each call of ``owner.name`` made on the calling thread (the
+    background compactor lowers the delta on its own thread)."""
     calls = []
     original = getattr(owner, name)
+    caller = threading.get_ident()
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        if threading.get_ident() == caller:
+            calls.append(name)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -342,8 +421,10 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 def test_latest_time_reads_never_touch_the_csr(artifact_and_streams,
                                                monkeypatch):
-    """Ingest blocks, then queries stamped after the newest event: zero
-    bisections and zero delta-CSR lowerings (was one per ingest)."""
+    """Ingest blocks, then queries stamped after the newest event and at
+    it (the block's newest event cut from the rows that hold it): zero
+    bisections, zero padded queries and zero delta-CSR lowerings on the
+    request thread (was one per ingest)."""
     artifact, pre, suffix = artifact_and_streams
     service = EmbeddingService.from_artifact(artifact, history=pre,
                                              cache_capacity=0)
@@ -357,10 +438,11 @@ def test_latest_time_reads_never_touch_the_csr(artifact_and_streams,
             service.ingest(src=suffix.src[lo:lo + 20],
                            dst=suffix.dst[lo:lo + 20],
                            timestamps=suffix.timestamps[lo:lo + 20])
-            t = float(suffix.timestamps[lo + 19]) + 1e-3
-            service.embed(np.arange(pre.num_nodes), t)
-            service.score_links(np.arange(5), np.arange(30, 35), t)
-        assert int(answered) - before >= 10
+            head = float(suffix.timestamps[lo + 19])
+            for t in (head + 1e-3, head):
+                service.embed(np.arange(pre.num_nodes), t)
+                service.score_links(np.arange(5), np.arange(30, 35), t)
+        assert int(answered) - before >= 20
         assert int(service.finder._ring._declined) == 0
     finally:
         service.close()

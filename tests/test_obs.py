@@ -454,8 +454,9 @@ class TestServeMetricsEndpoint:
 
     def test_neighbor_query_paths_and_ring_rows(self):
         """Which path answered the encoder's neighbour queries (the ring,
-        or the CSRs for a query at or before a row's newest event), and
-        how many nodes the ring holds."""
+        or the CSRs for a query so far in the past that a row's ring
+        holds only entries at or after it), and how many nodes the ring
+        holds."""
         service = _tiny_service()
         server, _ = start_http_server(service)
         try:
@@ -472,10 +473,16 @@ class TestServeMetricsEndpoint:
             assert _count_of(text, "repro_serve_neighbor_ring_slots"
                              ) == active
             client.embed([1, 2, 3], 50.0)           # a past timestamp
+            # A node with more entries than its ring holds, asked before
+            # all of them: what it had then is not in the ring.
+            degree = np.diff(service.finder._base.indptr)
+            hub = int(np.argmax(degree))
+            assert degree[hub] > service.finder._ring.width
+            client.embed([hub], 0.0)
             client.ingest([1], [NUM_NODES - 1], [151.0])
             text = client.metrics()
             assert _count_of(text, "repro_serve_neighbor_queries_total",
-                             path="ring") == 1
+                             path="ring") == 2
             assert _count_of(text, "repro_serve_neighbor_queries_total",
                              path="csr") == 1
             assert "# TYPE repro_serve_neighbor_ring_slots gauge" in text

@@ -384,11 +384,11 @@ class TestIndexedTopK:
             dst = np.concatenate([newcomer, dst[1:]])
             built = len(service._index)
             service.ingest(src=src, dst=dst, timestamps=ts)
-            assert len(service._index_dirty)
+            assert service.stats()["index"]["dirty"]
             service.top_k(int(src[0]), float(ts[-1]) + 1.0, 5)
             assert int(requests) == 4
             assert len(service._index) == built + 1
-            assert len(service._index_dirty) == 0
+            assert service.stats()["index"]["dirty"] == 0
         finally:
             service.close()
 
@@ -653,7 +653,45 @@ class TestSnapshot:
         now.close()
         then.close()
 
+    def test_restored_masks_follow_new_destinations(self,
+                                                    artifact_and_streams,
+                                                    tmp_path):
+        """A restore rebuilds the catalog and dirty-row masks: after each
+        ingest that brings a destination never seen, the replica's
+        catalog, index upkeep and indexed top_k equal the original's."""
+        artifact, _, _, suffix = artifact_and_streams
+        path = str(tmp_path / "replica.npz")
+        knobs = dict(index=True, background_compaction=False,
+                     cache_capacity=0)
+        service = build_service(artifact_and_streams, **knobs)
+        half = self.ingest_half(service, suffix)
+        service.snapshot(path)
+        restored = EmbeddingService.from_snapshot(artifact, path, **knobs)
+        rest = suffix_blocks(suffix.slice_index(half, suffix.num_events), 20)
+        # The first round builds both indexes, the second maintains them.
+        for _ in range(2):
+            src, dst, ts = next(rest)
+            newcomer = np.setdiff1d(np.arange(NUM_NODES),
+                                    service._candidates)[:1]
+            assert len(newcomer)
+            dst = np.concatenate([newcomer, dst[1:]])
+            t = float(ts[-1]) + 1.0
+            answers = []
+            for replica in (service, restored):
+                replica.ingest(src=src, dst=dst, timestamps=ts)
+                assert newcomer[0] in replica._candidates
+                answers.append((replica.stats()["candidates"],
+                                *replica.top_k(int(src[0]), t, 5),
+                                replica.stats()["index"]))
+            (count, ids, scores, index), (count_r, ids_r, scores_r,
+                                          index_r) = answers
+            assert count_r == count
+            np.testing.assert_array_equal(ids_r, ids)
+            np.testing.assert_array_equal(scores_r, scores)
+            assert index_r == index
+
     DAMAGE = {
+        "candidates": lambda a: a + 10 ** 6,
         "last_update": lambda a: a[:10],
         "staged_nodes": lambda a: a + 10 ** 6,
         "staged_self_state": lambda a: a[:, :3],
