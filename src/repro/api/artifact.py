@@ -24,7 +24,7 @@ from ..core.checkpoints import MemoryCheckpoints
 from ..core.config import CPDGConfig
 from ..core.pretrainer import PretrainResult
 from ..graph.events import EventStream
-from ..nn.serialization import save_arrays
+from ..nn.serialization import NPZ_CORRUPTION_ERRORS, save_arrays
 from .config import ConfigError, RunConfig
 
 __all__ = ["ARTIFACT_FORMAT_VERSION", "ArtifactError", "FineTunedBundle",
@@ -204,7 +204,7 @@ class PretrainArtifact:
         try:
             with np.load(path) as payload:
                 arrays = {key: payload[key] for key in payload.files}
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, *NPZ_CORRUPTION_ERRORS) as exc:
             raise ArtifactError(f"cannot read artifact {path!r}: {exc}") from exc
         if _META_KEY not in arrays:
             raise ArtifactError(

@@ -8,8 +8,8 @@ fine-tuning module (§IV-C).
 
 from .checkpoints import CheckpointSchedule, MemoryCheckpoints
 from .config import CPDGConfig
-from .contrast import (OBJECTIVES, READOUTS, StructuralContrast,
-                       TemporalContrast, subgraph_readout)
+from .contrast import (OBJECTIVES, READOUTS, contrast_loss_from_pairs,
+                       draw_other_roots, subgraph_readout)
 from .eie import EIE_FUSERS, EIEModule
 from .pretext import LinkPredictionHead
 from .pretrainer import CPDGPreTrainer, PretrainResult
@@ -25,7 +25,7 @@ __all__ = [
     "SubgraphBatch",
     "chronological_probability", "reverse_chronological_probability",
     "uniform_probability", "PROBABILITY_FUNCTIONS",
-    "TemporalContrast", "StructuralContrast", "subgraph_readout",
+    "contrast_loss_from_pairs", "draw_other_roots", "subgraph_readout",
     "READOUTS", "OBJECTIVES",
     "LinkPredictionHead",
     "EIEModule", "EIE_FUSERS",

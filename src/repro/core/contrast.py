@@ -5,16 +5,19 @@ subgraph (row gathers from the flushed :class:`~repro.dgnn.memory.Memory`)
 into a vector with a readout (mean pooling, Eq. 9/10/12/13) and apply a
 triplet margin loss against the centre node's embedding (Eq. 11/14).
 
-* :class:`TemporalContrast` — positive = chronological η-BFS subgraph,
+* temporal contrast ``L_η`` — positive = chronological η-BFS subgraph,
   negative = reverse-chronological η-BFS subgraph of the *same* node;
   captures short-term fluctuating patterns.
-* :class:`StructuralContrast` — positive = the node's own ε-DFS subgraph,
-  negative = the ε-DFS subgraph of a random *other* node (instance
-  discrimination); captures discriminative structural patterns.
+* structural contrast ``L_ε`` — positive = the node's own ε-DFS
+  subgraph, negative = the ε-DFS subgraph of a random *other* node
+  (:func:`draw_other_roots`, instance discrimination); captures
+  discriminative structural patterns.
 
-Subgraphs are drawn with the whole-frontier ``sample_batch`` kernels and
-pooled with scatter readouts, so one pre-training step issues a constant
-number of numpy passes regardless of batch size.
+The subgraphs are drawn by the batch producer
+(:func:`repro.stream.producer.produce_batch`, whole-frontier
+``sample_batch`` kernels under per-batch generators) and pooled here with
+scatter readouts, so one pre-training step issues a constant number of
+numpy passes regardless of batch size.
 """
 
 from __future__ import annotations
@@ -24,12 +27,10 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.autograd import Tensor
 from ..nn.losses import info_nce_loss, triplet_margin_loss
-from .samplers import (EpsilonDFSSampler, EtaBFSSampler, PrecomputedSampler,
-                       SubgraphBatch)
+from .samplers import SubgraphBatch
 
 __all__ = ["subgraph_readout", "contrast_loss_from_pairs",
-           "draw_other_roots", "TemporalContrast", "StructuralContrast",
-           "READOUTS", "OBJECTIVES"]
+           "draw_other_roots", "READOUTS", "OBJECTIVES"]
 
 READOUTS = ("mean", "max", "sum")
 OBJECTIVES = ("triplet", "infonce")
@@ -88,61 +89,14 @@ def contrast_loss_from_pairs(embeddings: Tensor, memory,
                              margin: float = 1.0) -> Tensor:
     """Contrast loss over *pre-sampled* positive/negative subgraphs.
 
-    The consumer half of either contrast: pool the memory states of the
-    given subgraphs (Eq. 9/10/12/13) and apply the objective
-    (Eq. 11/14).  Pure function of model state — it draws nothing — so a
-    trainer fed by a batch producer needs no sampler objects at all.
+    Either contrast: pool the memory states of the given subgraphs
+    (Eq. 9/10/12/13) and apply the objective (Eq. 11/14).  Pure function
+    of model state — it draws nothing — so a trainer fed by a batch
+    producer needs no sampler objects at all.
     """
     h_pos = subgraph_readout(memory, positives, readout)
     h_neg = subgraph_readout(memory, negatives, readout)
     return _contrast_objective(objective, embeddings, h_pos, h_neg, margin)
-
-
-class TemporalContrast:
-    """Temporal contrast ``L_η`` (paper Eq. 11).
-
-    ``readout`` and ``objective`` select the pooling and the contrast
-    loss; the paper's configuration is ``("mean", "triplet")``.
-    """
-
-    def __init__(self, finder, eta: int, depth: int, tau: float = 0.2,
-                 margin: float = 1.0, seed: int = 0, readout: str = "mean",
-                 objective: str = "triplet"):
-        self.positive_sampler = EtaBFSSampler(
-            finder, eta, depth, probability="chronological", tau=tau, seed=seed)
-        self.negative_sampler = EtaBFSSampler(
-            finder, eta, depth, probability="reverse", tau=tau, seed=seed + 1)
-        self.margin = margin
-        self.readout = readout
-        self.objective = objective
-
-    def sample_pairs(self, nodes: np.ndarray, ts: np.ndarray,
-                     rngs: tuple[np.random.Generator,
-                                 np.random.Generator] | None = None
-                     ) -> tuple[SubgraphBatch, SubgraphBatch]:
-        """Draw ``(TP_i^t, TN_i^t)`` for the whole batch in two kernel calls.
-
-        ``rngs`` are optional per-call ``(positive, negative)`` generators;
-        without them the samplers' own shared generators advance (draws
-        then depend on every batch sampled before — see
-        :mod:`repro.stream` for the order-independent derivation).
-        """
-        pos_rng, neg_rng = rngs if rngs is not None else (None, None)
-        positives = self.positive_sampler.sample_batch(nodes, ts, rng=pos_rng)
-        negatives = self.negative_sampler.sample_batch(nodes, ts, rng=neg_rng)
-        return positives, negatives
-
-    def loss(self, embeddings: Tensor, memory: Tensor,
-             nodes: np.ndarray | None = None, ts: np.ndarray | None = None,
-             pairs: tuple[SubgraphBatch, SubgraphBatch] | None = None
-             ) -> Tensor:
-        """``L_η`` for one batch; samples unless pre-drawn ``pairs`` given."""
-        if pairs is None:
-            pairs = self.sample_pairs(nodes, ts)
-        return contrast_loss_from_pairs(embeddings, memory, *pairs,
-                                        readout=self.readout,
-                                        objective=self.objective,
-                                        margin=self.margin)
 
 
 def draw_other_roots(nodes: np.ndarray, num_nodes: int,
@@ -154,59 +108,3 @@ def draw_other_roots(nodes: np.ndarray, num_nodes: int,
         others[collide] = rng.integers(0, num_nodes, size=int(collide.sum()))
         collide = others == nodes
     return others
-
-
-class StructuralContrast:
-    """Structural contrast ``L_ε`` (paper Eq. 14).
-
-    ``readout`` and ``objective`` as in :class:`TemporalContrast`.
-    ``precompute`` wraps the (deterministic) ε-DFS sampler in a
-    :class:`~repro.core.samplers.PrecomputedSampler` — the §IV-A
-    preprocessing optimisation; ``cache_capacity`` bounds that cache.
-    """
-
-    def __init__(self, finder, epsilon: int, depth: int, margin: float = 1.0,
-                 seed: int = 0, readout: str = "mean",
-                 objective: str = "triplet", precompute: bool = False,
-                 cache_capacity: int | None = None):
-        self.sampler = EpsilonDFSSampler(finder, epsilon, depth)
-        if precompute:
-            self.sampler = PrecomputedSampler(self.sampler,
-                                              capacity=cache_capacity)
-        self.margin = margin
-        self.readout = readout
-        self.objective = objective
-        self._rng = np.random.default_rng(seed)
-
-    def sample_pairs(self, nodes: np.ndarray, ts: np.ndarray,
-                     num_nodes: int,
-                     rng: np.random.Generator | None = None
-                     ) -> tuple[SubgraphBatch, SubgraphBatch]:
-        """Draw ``(SP_i^t, SN_{i'}^t)``; ``i'`` is a random node ≠ i.
-
-        ``rng`` overrides the shared generator for the negative-root draw
-        (the ε-DFS expansion itself is deterministic).
-        """
-        if num_nodes < 2:
-            raise ValueError("structural contrast needs at least two nodes "
-                             "to draw a negative root")
-        rng = rng if rng is not None else self._rng
-        nodes = np.asarray(nodes, dtype=np.int64)
-        ts = np.asarray(ts, dtype=np.float64)
-        positives = self.sampler.sample_batch(nodes, ts)
-        others = draw_other_roots(nodes, num_nodes, rng)
-        negatives = self.sampler.sample_batch(others, ts)
-        return positives, negatives
-
-    def loss(self, embeddings: Tensor, memory: Tensor,
-             nodes: np.ndarray | None = None, ts: np.ndarray | None = None,
-             num_nodes: int | None = None,
-             pairs: tuple[SubgraphBatch, SubgraphBatch] | None = None
-             ) -> Tensor:
-        """``L_ε`` for one batch; samples unless pre-drawn ``pairs`` given."""
-        if pairs is None:
-            pairs = self.sample_pairs(nodes, ts, num_nodes)
-        return contrast_loss_from_pairs(embeddings, memory, *pairs,
-                                        readout=self.readout,
-                                        objective=self.objective,
-                                        margin=self.margin)

@@ -4,25 +4,21 @@ The generic message → aggregate → update → embed framework with the three
 named backbones of paper Table III: TGN, JODIE and DyRep.
 """
 
-from .aggregators import LastAggregator, MeanAggregator, make_aggregator
 from .embedding import (EmbeddingContext, IdentityEmbedding,
                         TemporalAttentionEmbedding, TimeProjectionEmbedding)
 from .encoder import (BACKBONES, DGNNEncoder, ZeroEdgeFeatures,
                       embed_together, make_encoder)
 from .memory import Memory, StagedMessages
-from .messages import AttentionMessage, IdentityMessage, MLPMessage
-from .tgat import TGATEncoder
+from .messages import AttentionMessage, IdentityMessage
 from .time_encoding import TimeEncoder
-from .updaters import GRUUpdater, LSTMUpdater, RNNUpdater, make_updater
+from .updaters import GRUUpdater, RNNUpdater, make_updater
 
 __all__ = [
     "DGNNEncoder", "make_encoder", "embed_together", "BACKBONES",
-    "TGATEncoder",
     "Memory", "StagedMessages",
     "ZeroEdgeFeatures", "TimeEncoder",
-    "IdentityMessage", "MLPMessage", "AttentionMessage",
-    "LastAggregator", "MeanAggregator", "make_aggregator",
-    "GRUUpdater", "RNNUpdater", "LSTMUpdater", "make_updater",
+    "IdentityMessage", "AttentionMessage",
+    "GRUUpdater", "RNNUpdater", "make_updater",
     "EmbeddingContext", "IdentityEmbedding", "TimeProjectionEmbedding",
     "TemporalAttentionEmbedding",
 ]

@@ -33,11 +33,10 @@ from ..graph.neighbor_finder import NeighborFinder
 from ..nn import functional as F
 from ..nn.autograd import Tensor, get_default_dtype
 from ..nn.module import Module
-from .aggregators import make_aggregator
 from .embedding import (EmbeddingContext, IdentityEmbedding,
                         TemporalAttentionEmbedding, TimeProjectionEmbedding)
 from .memory import Memory
-from .messages import AttentionMessage, IdentityMessage, MLPMessage
+from .messages import AttentionMessage, IdentityMessage
 from .time_encoding import TimeEncoder
 from .updaters import make_updater
 
@@ -94,9 +93,9 @@ class DGNNEncoder(Module):
 
     def __init__(self, num_nodes: int, memory_dim: int, embed_dim: int,
                  time_dim: int, edge_dim: int, rng: np.random.Generator,
-                 message: str = "identity", aggregator: str = "last",
-                 updater: str = "gru", embedding: str = "attention",
-                 n_neighbors: int = 10, n_layers: int = 1, num_heads: int = 2,
+                 message: str = "identity", updater: str = "gru",
+                 embedding: str = "attention", n_neighbors: int = 10,
+                 n_layers: int = 1, num_heads: int = 2,
                  delta_scale: float = 1.0, dtype=np.float64):
         super().__init__()
         self.num_nodes = num_nodes
@@ -108,7 +107,6 @@ class DGNNEncoder(Module):
 
         self.time_encoder = TimeEncoder(time_dim)
         self.message_fn = self._build_message(message, rng)
-        self.aggregator = make_aggregator(aggregator)
         self.updater = make_updater(updater, self.message_fn.output_dim,
                                     memory_dim, rng)
         self.embedding_module = self._build_embedding(embedding, num_heads,
@@ -125,9 +123,6 @@ class DGNNEncoder(Module):
     def _build_message(self, name: str, rng: np.random.Generator) -> Module:
         if name == "identity":
             return IdentityMessage(self.memory_dim, self.time_dim, self.edge_dim)
-        if name == "mlp":
-            return MLPMessage(self.memory_dim, self.time_dim, self.edge_dim,
-                              self.memory_dim, rng)
         if name == "attention":
             return AttentionMessage(self.memory_dim, self.time_dim,
                                     self.edge_dim, rng)
@@ -215,6 +210,11 @@ class DGNNEncoder(Module):
     def flush_staged(self, staged) -> Memory:
         """Apply ``staged`` messages (from :meth:`take_staged`) to memory.
 
+        The aggregator ``Agg(·)`` of paper Eq. 3 is ``last`` for every
+        backbone of Table III: when a node received several messages
+        since the previous flush, only its most recent one (in staging
+        order, which is event order) is computed and fed to the updater.
+
         Pure given ``staged`` and the persisted memory, hence safely
         re-runnable within one batch: it discards any delta an earlier
         run wrote and replaces it.
@@ -222,20 +222,14 @@ class DGNNEncoder(Module):
         memory = self._memory
         memory.discard()
         if staged is not None:
-            keep_all = self.aggregator.keep_all_messages
-            nodes, index = staged.per_node(last=not keep_all)
-            if keep_all:
-                messages = self._raw_messages(staged, slice(None))
-                aggregated = F.scatter_mean(messages, index, len(nodes))
-            else:
-                aggregated = self._raw_messages(staged, index)
-            memory.write(nodes, self.updater(aggregated, memory.gather(nodes)))
+            nodes, rows = staged.per_node()
+            memory.write(nodes, self.updater(self._raw_messages(staged, rows),
+                                             memory.gather(nodes)))
         return memory
 
     def _raw_messages(self, staged, rows) -> Tensor:
         """Vectorised message computation from selected staged rows.
 
-        ``rows`` is an index array or ``slice(None)`` (all rows, no copy).
         Edge features come from the rows captured at staging time; staged
         ``edge_feat=None`` (featureless stream) expands to zero rows for
         exactly the selected messages.
@@ -377,12 +371,12 @@ def make_encoder(backbone: str, num_nodes: int, rng: np.random.Generator,
                   rng=rng, n_neighbors=n_neighbors, n_layers=n_layers,
                   delta_scale=delta_scale, dtype=dtype)
     if backbone == "jodie":
-        return DGNNEncoder(message="identity", aggregator="last",
-                           updater="rnn", embedding="time", **common)
+        return DGNNEncoder(message="identity", updater="rnn",
+                           embedding="time", **common)
     if backbone == "dyrep":
-        return DGNNEncoder(message="attention", aggregator="last",
-                           updater="rnn", embedding="identity", **common)
+        return DGNNEncoder(message="attention", updater="rnn",
+                           embedding="identity", **common)
     if backbone == "tgn":
-        return DGNNEncoder(message="identity", aggregator="last",
-                           updater="gru", embedding="attention", **common)
+        return DGNNEncoder(message="identity", updater="gru",
+                           embedding="attention", **common)
     raise ValueError(f"unknown backbone {backbone!r}; expected one of {BACKBONES}")

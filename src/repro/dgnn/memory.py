@@ -77,12 +77,10 @@ class StagedMessages:
     event_ids: np.ndarray    # (M,) int64
     edge_feat: np.ndarray | None = None   # (M, E) or None
 
-    def per_node(self, last: bool) -> tuple[np.ndarray, np.ndarray]:
-        """``(unique_sorted_nodes, index)``: with ``last`` each node's row
-        of its most recent message, else every row's group (mean pooling)."""
+    def per_node(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(unique_sorted_nodes, rows)``: each node's row of its most
+        recent message."""
         uniq, inverse = np.unique(self.nodes, return_inverse=True)
-        if not last:
-            return uniq, inverse
         rows = np.zeros(len(uniq), dtype=np.int64)
         np.maximum.at(rows, inverse, np.arange(len(self.nodes), dtype=np.int64))
         return uniq, rows

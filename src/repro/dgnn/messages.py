@@ -4,7 +4,6 @@ A message for node *i* at time *t* is computed from the pre-event states of
 both endpoints plus the encoded time gap (and edge features when present):
 
 * :class:`IdentityMessage` — concatenation (JODIE, TGN rows of Table III);
-* :class:`MLPMessage` — the MLP option of Eq. 2;
 * :class:`AttentionMessage` — DyRep's variant: the partner contribution is
   an attention readout over the partner's recent neighbourhood states.
 """
@@ -16,10 +15,9 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.attention import TemporalAttention
 from ..nn.autograd import Tensor
-from ..nn.layers import MLP
 from ..nn.module import Module
 
-__all__ = ["IdentityMessage", "MLPMessage", "AttentionMessage", "message_input_dim"]
+__all__ = ["IdentityMessage", "AttentionMessage", "message_input_dim"]
 
 
 def message_input_dim(memory_dim: int, time_dim: int, edge_dim: int) -> int:
@@ -40,24 +38,6 @@ class IdentityMessage(Module):
         if edge_feat is not None:
             parts.append(edge_feat)
         return F.concatenate(parts, axis=-1)
-
-
-class MLPMessage(Module):
-    """Identity message compressed by a 2-layer MLP to ``output_dim``."""
-
-    def __init__(self, memory_dim: int, time_dim: int, edge_dim: int,
-                 output_dim: int, rng: np.random.Generator):
-        super().__init__()
-        in_dim = message_input_dim(memory_dim, time_dim, edge_dim)
-        self.output_dim = output_dim
-        self.net = MLP([in_dim, (in_dim + output_dim) // 2, output_dim], rng)
-
-    def forward(self, self_state: Tensor, other_state: Tensor,
-                time_enc: Tensor, edge_feat: Tensor | None) -> Tensor:
-        parts = [self_state, other_state, time_enc]
-        if edge_feat is not None:
-            parts.append(edge_feat)
-        return self.net(F.concatenate(parts, axis=-1))
 
 
 class AttentionMessage(Module):

@@ -1,8 +1,7 @@
 """Memory updaters ``Mem(·)`` (paper Eq. 4, Table III).
 
 Wrap a recurrent cell so the new state is ``cell(message, previous_state)``:
-GRU for TGN, vanilla RNN for JODIE/DyRep, LSTM as the extra option the
-paper's Eq. 4 mentions.
+GRU for TGN, vanilla RNN for JODIE/DyRep.
 """
 
 from __future__ import annotations
@@ -11,9 +10,9 @@ import numpy as np
 
 from ..nn.autograd import Tensor
 from ..nn.module import Module
-from ..nn.recurrent import GRUCell, LSTMCell, RNNCell
+from ..nn.recurrent import GRUCell, RNNCell
 
-__all__ = ["GRUUpdater", "RNNUpdater", "LSTMUpdater", "make_updater"]
+__all__ = ["GRUUpdater", "RNNUpdater", "make_updater"]
 
 
 class GRUUpdater(Module):
@@ -38,22 +37,9 @@ class RNNUpdater(Module):
         return self.cell(message, previous)
 
 
-class LSTMUpdater(Module):
-    """LSTM option of paper Eq. 4; the cell state is folded into the
-    hidden state by feeding the previous state as both ``h`` and ``c``."""
-
-    def __init__(self, message_dim: int, memory_dim: int, rng: np.random.Generator):
-        super().__init__()
-        self.cell = LSTMCell(message_dim, memory_dim, rng)
-
-    def forward(self, message: Tensor, previous: Tensor) -> Tensor:
-        h_new, _ = self.cell(message, (previous, previous))
-        return h_new
-
-
 def make_updater(name: str, message_dim: int, memory_dim: int,
                  rng: np.random.Generator) -> Module:
-    table = {"gru": GRUUpdater, "rnn": RNNUpdater, "lstm": LSTMUpdater}
+    table = {"gru": GRUUpdater, "rnn": RNNUpdater}
     if name not in table:
         raise ValueError(f"unknown updater {name!r} (expected one of {sorted(table)})")
     return table[name](message_dim, memory_dim, rng)

@@ -1,8 +1,8 @@
 """Continuous-time dynamic graph substrate.
 
 Event storage (:class:`EventStream`), temporal neighbourhood queries
-(:class:`NeighborFinder`), chronological batching, static snapshots and the
-Table V/VI statistics helpers.
+(:class:`NeighborFinder`), chronological batching, JODIE-format CSV / npz
+I/O and the Table V/VI statistics helpers.
 """
 
 from .analysis import (TemporalProfile, burstiness, degree_distribution,
@@ -13,14 +13,12 @@ from .batching import (EventBatch, RandomDestinationSampler, batch_bounds,
 from .events import EventStream
 from .io import load_npz, read_jodie_csv, save_npz, write_jodie_csv
 from .neighbor_finder import NeighborFinder
-from .snapshots import snapshot_at, snapshot_sequence
 from .stats import StreamStats, describe, density
 
 __all__ = [
     "EventStream", "NeighborFinder",
     "EventBatch", "chronological_batches", "batch_bounds",
     "slice_event_batch", "RandomDestinationSampler",
-    "snapshot_at", "snapshot_sequence",
     "StreamStats", "describe", "density",
     "TemporalProfile", "temporal_profile", "burstiness",
     "degree_distribution", "inter_event_times", "recency_gini",

@@ -19,8 +19,10 @@ flavours:
   rather than Python interpreter speed.
 
 The uniform-history control arm of prior DGNN work (TGAT/TGN) is not a
-finder query: the experiments run it as
-``EtaBFSSampler(probability="uniform")``.
+finder query: ``experiments/ablations.py`` emulates it with the η-BFS
+sampler at ``tau=1e6``, where the softmax over temporal scores is flat
+(``EtaBFSSampler(probability="uniform")`` draws the exact uniform law,
+but no experiment runs it).
 
 The CSR is also portable: :meth:`NeighborFinder.export` writes the four
 arrays as ``.npy`` shards and :meth:`NeighborFinder.open` reconstructs a

@@ -3,7 +3,7 @@
 This subpackage substitutes for PyTorch in the execution environment: it
 provides reverse-mode autodiff (:class:`Tensor`), a module system, the
 layers needed by DGNN encoders (linear/MLP/embedding/recurrent cells/
-attention/time encoding), optimizers and the losses the paper uses.
+attention), the Adam optimizer and the losses the paper uses.
 """
 
 from . import functional
@@ -13,17 +13,15 @@ from .autograd import (Node, Primitive, SparseRowGrad, Tensor, apply_op,
                        graph_nodes_created, is_grad_enabled, no_grad,
                        primitive, set_default_dtype)
 from .compile import CompiledStep, ReplayMismatch
-from .layers import MLP, Dropout, Embedding, Identity, LayerNorm, Linear, Sequential
+from .layers import MLP, Embedding, Linear
 from .losses import (bce_with_logits, binary_cross_entropy, info_nce_loss,
                      jsd_mutual_information_loss, mse_loss, softplus,
                      triplet_margin_loss)
 from .gradcheck import GradCheckError, check_gradients, numeric_gradient
 from .module import Module, Parameter
-from .optim import SGD, AdaGrad, Adam, Optimizer, RMSprop, clip_grad_norm
-from .recurrent import GRUCell, LSTMCell, RNNCell, run_rnn
-from .schedulers import (CosineAnnealingLR, LinearWarmupLR, LRScheduler,
-                         StepLR)
-from .serialization import load_arrays, load_module, save_arrays, save_module
+from .optim import Adam, Optimizer, clip_grad_norm
+from .recurrent import GRUCell, RNNCell
+from .serialization import load_arrays, save_arrays
 
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled", "functional",
@@ -31,13 +29,11 @@ __all__ = [
     "Primitive", "Node", "primitive", "defvjp", "apply_op",
     "graph_nodes_created", "CompiledStep", "ReplayMismatch",
     "Module", "Parameter",
-    "Linear", "MLP", "Embedding", "LayerNorm", "Dropout", "Sequential", "Identity",
-    "RNNCell", "GRUCell", "LSTMCell", "run_rnn",
+    "Linear", "MLP", "Embedding", "RNNCell", "GRUCell",
     "TemporalAttention", "AdditiveAttention",
-    "Optimizer", "SGD", "Adam", "RMSprop", "AdaGrad", "clip_grad_norm",
-    "LRScheduler", "StepLR", "CosineAnnealingLR", "LinearWarmupLR",
+    "Optimizer", "Adam", "clip_grad_norm",
     "triplet_margin_loss", "bce_with_logits", "binary_cross_entropy",
     "jsd_mutual_information_loss", "info_nce_loss", "mse_loss", "softplus",
-    "save_module", "load_module", "save_arrays", "load_arrays",
+    "save_arrays", "load_arrays",
     "numeric_gradient", "check_gradients", "GradCheckError",
 ]

@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import (SparseRowGrad, Tensor, _unbroadcast, apply_op,
-                       as_tensor, defvjp, primitive)
+from .autograd import (SparseRowGrad, Tensor, apply_op, as_tensor, defvjp,
+                       primitive)
 from .scatter import scatter_add_rows, scatter_max_rows
 
 __all__ = [
     "exp", "log", "tanh", "sigmoid", "relu", "leaky_relu", "softmax",
     "log_softmax", "segment_rows", "segment_softmax", "segment_sum",
     "segment_repeat",
-    "concatenate", "stack", "split_rows", "embedding_lookup", "dropout",
-    "clip", "sqrt", "abs_", "where", "scatter_mean", "scatter_sum",
+    "concatenate", "stack", "split_rows", "embedding_lookup",
+    "clip", "sqrt", "abs_", "scatter_mean", "scatter_sum",
     "scatter_max", "l2_normalize",
-    "pairwise_sq_dist", "euclidean_distance", "cosine_similarity",
+    "pairwise_sq_dist", "euclidean_distance",
     "scatter_rows", "cos", "linear", "gru_cell", "time_encode",
 ]
 
@@ -657,27 +657,6 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     return apply_op(_EMBEDDING, (as_tensor(table),), {"indices": indices})
 
 
-def _dropout_fwd(args, params, need_ctx, out):
-    (x,) = args
-    mask = (params["rng"].random(x.shape) >= params["p"]) / (1.0 - params["p"])
-    data = x * mask if out is None else np.multiply(x, mask, out=out.get(x.shape))
-    return data, ((mask,) if need_ctx else None)
-
-
-def _dropout_vjp(ctx, grad, needs, params):
-    return (grad * ctx[0],)
-
-
-_DROPOUT = defvjp(primitive("dropout", _dropout_fwd), _dropout_vjp)
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when not training or ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    return apply_op(_DROPOUT, (as_tensor(x),), {"p": p, "rng": rng})
-
-
 def _clip_fwd(args, params, need_ctx, out):
     (x,) = args
     low, high = params["low"], params["high"]
@@ -697,29 +676,6 @@ _CLIP = defvjp(primitive("clip", _clip_fwd), _clip_vjp)
 
 def clip(x: Tensor, low: float, high: float) -> Tensor:
     return apply_op(_CLIP, (as_tensor(x),), {"low": low, "high": high})
-
-
-def _where_fwd(args, params, need_ctx, out):
-    a, b = args
-    condition = params["condition"]
-    return np.where(condition, a, b), ((a.shape, b.shape) if need_ctx else None)
-
-
-def _where_vjp(ctx, grad, needs, params):
-    a_shape, b_shape = ctx
-    condition = params["condition"]
-    ga = _unbroadcast(grad * condition, a_shape) if needs[0] else None
-    gb = _unbroadcast(grad * (~condition), b_shape) if needs[1] else None
-    return ga, gb
-
-
-_WHERE = defvjp(primitive("where", _where_fwd), _where_vjp)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    condition = np.asarray(condition, dtype=bool)
-    return apply_op(_WHERE, (as_tensor(a), as_tensor(b)),
-                    {"condition": condition})
 
 
 def _add_rows_by_group(sums, groups, values, counts=None) -> None:
@@ -901,9 +857,3 @@ def pairwise_sq_dist(a: Tensor, b: Tensor) -> Tensor:
 def euclidean_distance(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
     """Row-wise Euclidean distance — the metric d(.) of paper Eq. 11/14."""
     return sqrt(pairwise_sq_dist(a, b) + eps)
-
-
-def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
-    an = l2_normalize(a, eps=eps)
-    bn = l2_normalize(b, eps=eps)
-    return (an * bn).sum(axis=-1)

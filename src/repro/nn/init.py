@@ -1,15 +1,14 @@
 """Weight initialisation schemes.
 
-The paper (§V-C) initialises all weight matrices with Xavier initialisation;
-we provide both the uniform and normal variants plus zeros/orthogonal used
-by recurrent cells.
+The paper (§V-C) initialises all weight matrices with Xavier initialisation
+(the uniform variant here), plus zeros/orthogonal used by recurrent cells.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "zeros", "orthogonal", "uniform"]
+__all__ = ["xavier_uniform", "zeros", "orthogonal", "uniform"]
 
 
 def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
@@ -17,12 +16,6 @@ def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) ->
     fan_in, fan_out = _fans(shape)
     limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def xavier_normal(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
 
 
 def uniform(shape: tuple, rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Feed-forward layers: Linear, MLP, Embedding, LayerNorm, Dropout, Sequential."""
+"""Feed-forward layers: Linear, MLP, Embedding."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from . import init
 from .autograd import Tensor
 from .module import Module, Parameter
 
-__all__ = ["Linear", "MLP", "Embedding", "LayerNorm", "Dropout", "Sequential", "Identity"]
+__all__ = ["Linear", "MLP", "Embedding"]
 
 _ACTIVATIONS = {
     "relu": F.relu,
@@ -18,13 +18,6 @@ _ACTIVATIONS = {
     "leaky_relu": F.leaky_relu,
     "identity": lambda x: x,
 }
-
-
-class Identity(Module):
-    """No-op layer, useful as a default head."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class Linear(Module):
@@ -81,47 +74,3 @@ class Embedding(Module):
 
     def forward(self, indices: np.ndarray) -> Tensor:
         return F.embedding_lookup(self.weight, indices)
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last axis."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.gamma = Parameter(np.ones(dim))
-        self.beta = Parameter(np.zeros(dim))
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centred = x - mean
-        var = (centred * centred).mean(axis=-1, keepdims=True)
-        normed = centred * (var + self.eps) ** -0.5
-        return normed * self.gamma + self.beta
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self._rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.training, self._rng)
-
-
-class Sequential(Module):
-    """Compose modules in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.steps = list(modules)
-
-    def forward(self, x):
-        for step in self.steps:
-            x = step(x)
-        return x

@@ -65,8 +65,6 @@ class Module:
 
     def modules(self) -> Iterator["Module"]:
         yield self
-        for value in vars(self).items():
-            pass
         for attr, value in vars(self).items():
             if attr.startswith("_"):
                 continue

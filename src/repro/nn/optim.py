@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers: SGD (with momentum) and Adam.
+"""The Adam optimizer and global gradient-norm clipping.
 
 The paper tunes only the learning rate (§V-C grid); Adam is the de-facto
 optimizer of the TGN/JODIE/DyRep reference implementations, so it is the
@@ -11,7 +11,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "RMSprop", "AdaGrad", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
@@ -29,41 +29,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum.
-
-    The update is fused: one pre-allocated scratch buffer per parameter
-    and in-place ufuncs, so a step allocates nothing.  The arithmetic
-    (operation sequence and rounding) is unchanged, so trajectories are
-    bit-identical to the allocating formulation.
-    """
-
-    def __init__(self, params: list[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity, s in zip(self.params, self._velocity,
-                                      self._scratch):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                np.multiply(param.data, self.weight_decay, out=s)
-                np.add(grad, s, out=s)
-                grad = s
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            np.multiply(grad, self.lr, out=s)
-            np.subtract(param.data, s, out=param.data)
 
 
 class Adam(Optimizer):
@@ -121,51 +86,6 @@ class Adam(Optimizer):
             np.multiply(s1, lr, out=s1)
             np.divide(s1, s2, out=s1)
             np.subtract(param.data, s1, out=param.data)
-
-
-class RMSprop(Optimizer):
-    """RMSprop (Tieleman & Hinton, 2012)."""
-
-    def __init__(self, params: list[Parameter], lr: float = 1e-3,
-                 alpha: float = 0.99, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.alpha = alpha
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._sq = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, sq in zip(self.params, self._sq):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            sq *= self.alpha
-            sq += (1.0 - self.alpha) * grad * grad
-            param.data = param.data - self.lr * grad / (np.sqrt(sq) + self.eps)
-
-
-class AdaGrad(Optimizer):
-    """AdaGrad (Duchi et al., 2011)."""
-
-    def __init__(self, params: list[Parameter], lr: float = 1e-2,
-                 eps: float = 1e-10, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._accum = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, accum in zip(self.params, self._accum):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            accum += grad * grad
-            param.data = param.data - self.lr * grad / (np.sqrt(accum) + self.eps)
 
 
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:

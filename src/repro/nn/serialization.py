@@ -1,36 +1,24 @@
-"""Model persistence: save/load module parameters (and optimizer state).
+"""Array persistence: a flat dict of named arrays in one ``.npz`` file.
 
-Uses ``numpy.savez_compressed`` so checkpoints are portable single files
-with no pickle involved (arrays only, keys are the dotted parameter
-names).  Pre-training results (parameters + memory + EIE checkpoints) are
-persisted by :func:`save_pretrain_result` / :func:`load_pretrain_result`.
+Uses ``numpy.savez_compressed`` so files are portable, with no pickle
+involved.  Pre-training artifacts (:class:`repro.api.PretrainArtifact`)
+are written through :func:`save_arrays`.
 """
 
 from __future__ import annotations
 
 import os
+import zipfile
+import zlib
 
 import numpy as np
 
-from .module import Module
+__all__ = ["save_arrays", "load_arrays", "NPZ_CORRUPTION_ERRORS"]
 
-__all__ = ["save_module", "load_module", "save_arrays", "load_arrays"]
-
-_MEMORY_PREFIX = "__memory__/"
-
-
-def save_module(module: Module, path: str) -> None:
-    """Write all module parameters to ``path`` (.npz)."""
-    state = module.state_dict()
-    _ensure_parent(path)
-    np.savez_compressed(path, **state)
-
-
-def load_module(module: Module, path: str) -> None:
-    """Load parameters saved by :func:`save_module` into ``module``."""
-    with np.load(path) as payload:
-        state = {key: payload[key] for key in payload.files}
-    module.load_state_dict(state)
+# What reading a damaged ``.npz`` raises besides ``OSError`` /
+# ``ValueError``: a zip archive without its central directory (a
+# truncated file), or a member that fails to inflate or ends early.
+NPZ_CORRUPTION_ERRORS = (EOFError, zipfile.BadZipFile, zlib.error)
 
 
 def save_arrays(path: str, arrays: dict[str, np.ndarray]) -> None:

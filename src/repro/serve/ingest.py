@@ -92,9 +92,13 @@ class LiveIngestor:
                  edge_feats: np.ndarray | None = None):
         self.encoder = encoder
         self.finder = finder
-        # Growable edge-feature table (indexed by global event id); None
-        # when the encoder runs featureless or on a lazy zero table.
-        self._edge_feats = edge_feats
+        # Edge-feature table indexed by global event id: the first
+        # `_num_feats` rows of a capacity buffer that doubles when a block
+        # does not fit, so ingesting costs amortised O(block) instead of
+        # a copy of the whole table per block.  None when the encoder
+        # runs featureless or on a lazy zero table.
+        self._feat_buffer = edge_feats
+        self._num_feats = 0 if edge_feats is None else len(edge_feats)
         # Per-row touch clocks, mutated in place so the row cache can
         # hold references: touch_count[n] counts ingested blocks that
         # changed row n's state, touch_time[n] is the newest event time
@@ -108,7 +112,10 @@ class LiveIngestor:
 
     @property
     def edge_feats(self) -> np.ndarray | None:
-        return self._edge_feats
+        """The rows of every event so far (a view of the buffer)."""
+        if self._feat_buffer is None:
+            return None
+        return self._feat_buffer[:self._num_feats]
 
     def ingest(self, src: np.ndarray, dst: np.ndarray,
                timestamps: np.ndarray,
@@ -182,7 +189,7 @@ class LiveIngestor:
     def _check_edge_feats(self, block: np.ndarray | None,
                           n: int) -> np.ndarray | None:
         """Validate one block against the event-indexed feature table."""
-        table = self._edge_feats
+        table = self._feat_buffer
         if table is None or isinstance(table, ZeroEdgeFeatures):
             if block is not None and self.encoder.edge_dim:
                 raise IngestError(
@@ -204,6 +211,13 @@ class LiveIngestor:
         """Grow the feature table before messages stage (captures rows)."""
         if block is None:
             return
-        self._edge_feats = np.concatenate([self._edge_feats, block])
+        n, end = self._num_feats, self._num_feats + len(block)
+        if end > len(self._feat_buffer):
+            grown = np.empty((max(end, 2 * len(self._feat_buffer)),
+                              block.shape[1]), dtype=self._feat_buffer.dtype)
+            grown[:n] = self._feat_buffer[:n]
+            self._feat_buffer = grown
+        self._feat_buffer[n:end] = block
+        self._num_feats = end
         # Rebind so the encoder's staging gather sees the grown table.
-        self.encoder._edge_feats = self._edge_feats
+        self.encoder._edge_feats = self.edge_feats

@@ -21,6 +21,8 @@ import time
 
 import numpy as np
 
+from ..nn.serialization import NPZ_CORRUPTION_ERRORS
+
 __all__ = ["SNAPSHOT_VERSION", "SnapshotError", "read_snapshot",
            "verify_snapshot_meta", "write_snapshot"]
 
@@ -115,7 +117,7 @@ def read_snapshot(path: str):
     """
     try:
         data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, *NPZ_CORRUPTION_ERRORS) as exc:
         raise SnapshotError(f"cannot read snapshot {path!r}: {exc}") from exc
     if "meta_json" not in data:
         raise SnapshotError(f"{path!r} is not a serve snapshot "

@@ -1,4 +1,4 @@
-"""Ranking metrics for link prediction: MRR, Recall@K, Hits@K.
+"""Ranking metrics for link prediction: MRR and Hits@K.
 
 The paper reports AUC/AP; recommendation practitioners (the paper's
 motivating deployment) usually also track ranked-retrieval metrics.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["RankingMetrics", "reciprocal_ranks", "mean_reciprocal_rank",
-           "recall_at_k", "hits_at_k", "summarize_ranks",
+           "hits_at_k", "summarize_ranks",
            "top_k_from_scores"]
 
 
@@ -71,12 +71,6 @@ def hits_at_k(positive_scores: np.ndarray, negative_scores: np.ndarray,
     rr = reciprocal_ranks(positive_scores, negative_scores)
     ranks = np.round(1.0 / rr).astype(int)
     return float((ranks <= k).mean())
-
-
-def recall_at_k(positive_scores: np.ndarray, negative_scores: np.ndarray,
-                k: int) -> float:
-    """With one positive per query, recall@k equals hits@k."""
-    return hits_at_k(positive_scores, negative_scores, k)
 
 
 @dataclass

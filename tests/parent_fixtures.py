@@ -36,7 +36,6 @@ from repro.core.checkpoints import MemoryCheckpoints
 from repro.core.eie import EIEModule
 from repro.core.pretrainer import CPDGPreTrainer
 from repro.dgnn.encoder import make_encoder
-from repro.dgnn.updaters import LSTMUpdater
 from repro.graph.events import EventStream
 from repro.serve import EmbeddingService
 
@@ -86,7 +85,6 @@ def build_modules() -> dict:
     for fuser in ("gru", "attn"):
         modules[f"eie_{fuser}"] = EIEModule(checkpoints, fuser, 6,
                                             np.random.default_rng(11))
-    modules["lstm_updater"] = LSTMUpdater(10, 8, np.random.default_rng(13))
     return modules
 
 

@@ -575,12 +575,14 @@ class TestScatterPools:
 
 class TestStructuralNegativeGuard:
     def test_single_node_graph_fails_fast(self):
-        from repro.core import StructuralContrast
+        from repro.stream import ProducerSpec, SamplingContext, produce_batch
         stream = EventStream(src=[0], dst=[0], timestamps=[1.0], num_nodes=1)
-        contrast = StructuralContrast(NeighborFinder(stream), epsilon=2,
-                                      depth=1, seed=0)
-        with pytest.raises(ValueError):
-            contrast.sample_pairs(np.array([0]), np.array([2.0]), 1)
+        ctx = SamplingContext(ProducerSpec(batch_size=1, epsilon=2, depth=1,
+                                           sample_structural=True),
+                              stream=stream)
+        item = next(iter(ctx.spec.make_plan(stream.num_events)))
+        with pytest.raises(ValueError, match="at least two nodes"):
+            produce_batch(ctx, item)
 
 
 class TestPrecomputedBatch:

@@ -7,10 +7,10 @@ import pytest
 
 from repro.core import (CheckpointSchedule, CPDGConfig, EIEModule, EIE_FUSERS,
                         LinkPredictionHead, MemoryCheckpoints,
-                        StructuralContrast, TemporalContrast,
+                        contrast_loss_from_pairs, draw_other_roots,
                         subgraph_readout)
-from repro.graph import NeighborFinder
 from repro.nn import Tensor
+from repro.stream import ProducerSpec, SamplingContext, produce_batch
 
 
 class TestSubgraphReadout:
@@ -40,27 +40,37 @@ class TestSubgraphReadout:
         np.testing.assert_allclose(memory.grad[2], np.zeros(3))
 
 
+def produce_last_batch(stream, batch_size=6, **spec):
+    """The producer's last batch of one epoch over ``stream`` — the batch
+    with the most history before it."""
+    ctx = SamplingContext(ProducerSpec(batch_size=batch_size, seed=0, **spec),
+                          stream=stream)
+    return produce_batch(ctx, list(ctx.spec.make_plan(stream.num_events))[-1])
+
+
 class TestContrasts:
+    """The contrasts are the producer's subgraph pairs pooled and scored
+    by :func:`contrast_loss_from_pairs`."""
+
     def test_temporal_contrast_loss_scalar(self, tiny_stream, rng):
-        finder = NeighborFinder(tiny_stream)
-        contrast = TemporalContrast(finder, eta=3, depth=2, seed=0)
+        prepared = produce_last_batch(tiny_stream, sample_temporal=True,
+                                      eta=3, depth=2)
         memory = Tensor(rng.normal(size=(tiny_stream.num_nodes, 8)),
                         requires_grad=True)
-        nodes = tiny_stream.src[:6]
-        ts = tiny_stream.timestamps[:6] + 1.0
-        z = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-        loss = contrast.loss(z, memory, nodes, ts)
+        z = Tensor(rng.normal(size=(len(prepared.batch), 8)),
+                   requires_grad=True)
+        loss = contrast_loss_from_pairs(z, memory, prepared.temporal_pos,
+                                        prepared.temporal_neg)
         assert loss.size == 1
         loss.backward()
         assert z.grad is not None
 
     def test_temporal_pairs_differ(self, tiny_stream):
-        finder = NeighborFinder(tiny_stream)
-        contrast = TemporalContrast(finder, eta=2, depth=1, tau=0.05, seed=0)
-        nodes = tiny_stream.src[-5:]
-        ts = np.full(5, tiny_stream.t_max + 1.0)
-        positives, negatives = contrast.sample_pairs(nodes, ts)
-        assert len(positives) == len(negatives) == 5
+        prepared = produce_last_batch(tiny_stream, batch_size=20,
+                                      sample_temporal=True, eta=2, depth=1,
+                                      tau=0.05)
+        positives, negatives = prepared.temporal_pos, prepared.temporal_neg
+        assert len(positives) == len(negatives) == 20
         # At least one node should produce different positive vs negative
         # subgraphs given enough history and a sharp temperature.
         differs = any(set(p.tolist()) != set(n.tolist())
@@ -68,24 +78,28 @@ class TestContrasts:
                       if len(p) and len(n))
         assert differs
 
-    def test_structural_negative_is_other_node(self, tiny_stream, rng):
-        finder = NeighborFinder(tiny_stream)
-        contrast = StructuralContrast(finder, epsilon=3, depth=2, seed=0)
-        nodes = tiny_stream.src[:4]
-        ts = np.full(4, tiny_stream.t_max)
-        positives, negatives = contrast.sample_pairs(nodes, ts,
-                                                     tiny_stream.num_nodes)
-        assert len(positives) == len(negatives) == 4
+    def test_structural_negative_is_other_node(self, tiny_stream):
+        nodes = np.asarray(tiny_stream.src[:50], dtype=np.int64)
+        others = draw_other_roots(nodes, tiny_stream.num_nodes,
+                                  np.random.default_rng(0))
+        assert others.shape == nodes.shape
+        assert (others != nodes).all()
+        assert ((others >= 0) & (others < tiny_stream.num_nodes)).all()
+        # Two nodes: the only other root is forced.
+        np.testing.assert_array_equal(
+            draw_other_roots(np.array([0, 1, 1]), 2,
+                             np.random.default_rng(0)), [1, 0, 0])
 
     def test_structural_loss_backward(self, tiny_stream, rng):
-        finder = NeighborFinder(tiny_stream)
-        contrast = StructuralContrast(finder, epsilon=3, depth=2, seed=0)
+        prepared = produce_last_batch(tiny_stream, sample_structural=True,
+                                      epsilon=3, depth=2)
+        assert len(prepared.structural_pos) == len(prepared.batch)
         memory = Tensor(rng.normal(size=(tiny_stream.num_nodes, 8)),
                         requires_grad=True)
-        z = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-        loss = contrast.loss(z, memory, tiny_stream.src[:4],
-                             np.full(4, tiny_stream.t_max),
-                             tiny_stream.num_nodes)
+        z = Tensor(rng.normal(size=(len(prepared.batch), 8)),
+                   requires_grad=True)
+        loss = contrast_loss_from_pairs(z, memory, prepared.structural_pos,
+                                        prepared.structural_neg)
         loss.backward()
         assert memory.grad is not None
 

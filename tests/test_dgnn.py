@@ -5,14 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dgnn import (BACKBONES, AttentionMessage, DGNNEncoder, GRUUpdater,
-                        IdentityMessage, LastAggregator, LSTMUpdater,
-                        MeanAggregator, Memory, MLPMessage, RNNUpdater,
-                        TimeEncoder, make_aggregator, make_encoder,
-                        make_updater)
+from repro.dgnn import (BACKBONES, AttentionMessage, GRUUpdater,
+                        IdentityMessage, Memory, RNNUpdater, TimeEncoder,
+                        make_encoder, make_updater)
 from repro.graph import chronological_batches
 from repro.nn import Tensor
-from repro.nn import functional as F
 
 
 class TestTimeEncoder:
@@ -87,19 +84,9 @@ class TestRawMessageStore:
         self._stage(memory, [1], [1.0])
         self._stage(memory, [1], [2.0])
         staged = memory.pending(pop=True)
-        nodes, rows = staged.per_node(last=True)
+        nodes, rows = staged.per_node()
         np.testing.assert_array_equal(nodes, [1])
         assert staged.time[rows[0]] == 2.0
-
-    def test_groups_cover_all_staged_rows(self):
-        memory = Memory(4, 2)
-        self._stage(memory, [1, 3], [1.0, 1.0])
-        self._stage(memory, [1], [2.0])
-        staged = memory.pending(pop=True)
-        nodes, groups = staged.per_node(last=False)
-        np.testing.assert_array_equal(nodes, [1, 3])
-        assert len(groups) == 3
-        assert (nodes[groups] == staged.nodes).all()
 
     def test_pop_clears(self):
         memory = Memory(4, 2)
@@ -123,12 +110,6 @@ class TestMessagesAndUpdaters:
         assert out.shape == (2, 13)
         assert msg.output_dim == 13
 
-    def test_mlp_message_compresses(self, rng):
-        msg = MLPMessage(4, 2, 3, output_dim=5, rng=rng)
-        out = msg(Tensor(np.ones((2, 4))), Tensor(np.zeros((2, 4))),
-                  Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
-        assert out.shape == (2, 5)
-
     def test_attention_message_dims(self, rng):
         msg = AttentionMessage(4, 2, 3, rng)
         out = msg(Tensor(np.ones((2, 4))), Tensor(np.zeros((2, 4))),
@@ -136,8 +117,7 @@ class TestMessagesAndUpdaters:
         assert out.shape == (2, msg.output_dim)
 
     @pytest.mark.parametrize("name,cls", [("gru", GRUUpdater),
-                                          ("rnn", RNNUpdater),
-                                          ("lstm", LSTMUpdater)])
+                                          ("rnn", RNNUpdater)])
     def test_make_updater(self, name, cls, rng):
         updater = make_updater(name, 6, 4, rng)
         assert isinstance(updater, cls)
@@ -147,16 +127,6 @@ class TestMessagesAndUpdaters:
     def test_make_updater_unknown(self, rng):
         with pytest.raises(ValueError):
             make_updater("transformer", 4, 4, rng)
-
-    def test_aggregators(self, rng):
-        last = make_aggregator("last")
-        mean = make_aggregator("mean")
-        msgs = [Tensor(np.full((1, 2), v)) for v in (1.0, 3.0)]
-        np.testing.assert_allclose(last(msgs).data, [[3.0, 3.0]])
-        np.testing.assert_allclose(mean(msgs).data, [[2.0, 2.0]])
-        with pytest.raises(ValueError):
-            make_aggregator("max")
-
 
 class TestEncoder:
     @pytest.mark.parametrize("backbone", BACKBONES)

@@ -1,18 +1,17 @@
-"""Tests for ranking metrics, TGAT, readout/objective variants and the CLI."""
+"""Tests for ranking metrics, readout/objective variants and the CLI."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (CPDGConfig, CPDGPreTrainer, StructuralContrast,
-                        TemporalContrast, subgraph_readout)
+from repro.core import (CPDGConfig, CPDGPreTrainer, contrast_loss_from_pairs,
+                        subgraph_readout)
 from repro.datasets import split_downstream
-from repro.dgnn import TGATEncoder
-from repro.graph import NeighborFinder
 from repro.nn import Tensor
-from repro.tasks import (FineTuneConfig, FineTuneStrategy,
-                         LinkPredictionTask, build_finetuned_encoder,
+from repro.stream import ProducerSpec, SamplingContext, produce_batch
+from repro.tasks import (FineTuneConfig, LinkPredictionTask,
+                         build_finetuned_encoder,
                          hits_at_k, mean_reciprocal_rank, reciprocal_ranks,
                          summarize_ranks)
 
@@ -64,38 +63,6 @@ class TestRankingMetrics:
         assert summary.num_queries == task.split.test.num_events
 
 
-class TestTGAT:
-    def test_embedding_shape_and_layers(self, tiny_stream, rng):
-        enc = TGATEncoder(tiny_stream.num_nodes, embed_dim=8, time_dim=4,
-                          num_heads=2, n_neighbors=3, n_layers=2, rng=rng,
-                          edge_dim=4)
-        enc.attach(tiny_stream)
-        z = enc.compute_embedding(np.array([0, 1]), np.full(2, 30.0))
-        assert z.shape == (2, 8)
-
-    def test_time_sensitivity(self, tiny_stream, rng):
-        enc = TGATEncoder(tiny_stream.num_nodes, embed_dim=8, time_dim=4,
-                          num_heads=1, n_neighbors=3, n_layers=1, rng=rng)
-        enc.attach(tiny_stream)
-        node = np.array([int(tiny_stream.src[20])])
-        z1 = enc.compute_embedding(node, np.array([tiny_stream.t_max])).data
-        z2 = enc.compute_embedding(node, np.array([tiny_stream.t_max + 30.0])).data
-        assert np.abs(z1 - z2).max() > 1e-9
-
-    def test_runs_through_link_prediction_task(self, tiny_stream, rng):
-        enc = TGATEncoder(tiny_stream.num_nodes, embed_dim=8, time_dim=4,
-                          num_heads=1, n_neighbors=3, n_layers=1, rng=rng)
-        ft = FineTuneConfig(epochs=1, batch_size=64, patience=1, seed=0)
-        strategy = FineTuneStrategy(name="tgat", encoder=enc, eie=None)
-        metrics = LinkPredictionTask(strategy, split_downstream(tiny_stream),
-                                     ft).run()
-        assert np.isfinite(metrics.auc)
-
-    def test_validates_layers(self, rng):
-        with pytest.raises(ValueError):
-            TGATEncoder(10, 8, 4, 1, 3, 0, rng)
-
-
 class TestReadoutVariants:
     def test_max_readout(self):
         memory = Tensor(np.array([[1.0, 5.0], [3.0, 2.0], [0.0, 0.0]]))
@@ -129,29 +96,34 @@ class TestReadoutVariants:
 
 
 class TestObjectiveVariants:
+    @staticmethod
+    def first_batch(stream, **spec):
+        ctx = SamplingContext(ProducerSpec(batch_size=6, seed=0, eta=3,
+                                           epsilon=3, depth=1, **spec),
+                              stream=stream)
+        return produce_batch(ctx, next(iter(ctx.spec.make_plan(
+            stream.num_events))))
+
     def test_infonce_contrast_runs(self, tiny_stream, rng):
-        finder = NeighborFinder(tiny_stream)
-        contrast = TemporalContrast(finder, eta=3, depth=1, seed=0,
-                                    objective="infonce")
+        prepared = self.first_batch(tiny_stream, sample_temporal=True)
         memory = Tensor(rng.normal(size=(tiny_stream.num_nodes, 8)),
                         requires_grad=True)
         z = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-        loss = contrast.loss(z, memory, tiny_stream.src[:6],
-                             tiny_stream.timestamps[:6] + 1.0)
+        loss = contrast_loss_from_pairs(z, memory, prepared.temporal_pos,
+                                        prepared.temporal_neg,
+                                        objective="infonce")
         loss.backward()
         assert np.isfinite(loss.item())
         assert z.grad is not None
 
     def test_unknown_objective_raises(self, tiny_stream, rng):
-        finder = NeighborFinder(tiny_stream)
-        contrast = StructuralContrast(finder, epsilon=3, depth=1, seed=0,
-                                      objective="margin-of-error")
+        prepared = self.first_batch(tiny_stream, sample_structural=True)
         memory = Tensor(rng.normal(size=(tiny_stream.num_nodes, 8)))
-        z = Tensor(rng.normal(size=(4, 8)))
-        with pytest.raises(ValueError):
-            contrast.loss(z, memory, tiny_stream.src[:4],
-                          tiny_stream.timestamps[:4] + 1.0,
-                          tiny_stream.num_nodes)
+        z = Tensor(rng.normal(size=(6, 8)))
+        with pytest.raises(ValueError, match="margin-of-error"):
+            contrast_loss_from_pairs(z, memory, prepared.structural_pos,
+                                     prepared.structural_neg,
+                                     objective="margin-of-error")
 
     def test_pretrainer_with_infonce_and_max_readout(self, tiny_stream):
         cfg = CPDGConfig(eta=3, epsilon=3, depth=1, epochs=1, batch_size=64,

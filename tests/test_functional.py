@@ -134,26 +134,6 @@ class TestStructuralOps:
         check_against_numeric(
             lambda: (F.scatter_mean(values, groups, 3) ** 2.0).sum(), [values])
 
-    def test_where_routes_gradient(self, rng):
-        a = Tensor(rng.normal(size=4), requires_grad=True)
-        b = Tensor(rng.normal(size=4), requires_grad=True)
-        cond = np.array([True, False, True, False])
-        F.where(cond, a, b).sum().backward()
-        np.testing.assert_allclose(a.grad, cond.astype(float))
-        np.testing.assert_allclose(b.grad, (~cond).astype(float))
-
-    def test_dropout_eval_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(3, 3)))
-        out = F.dropout(x, 0.5, training=False, rng=rng)
-        assert out is x
-
-    def test_dropout_scales_by_keep_probability(self, rng):
-        x = Tensor(np.ones((2000,)))
-        out = F.dropout(x, 0.25, training=True, rng=rng)
-        kept = out.data[out.data > 0]
-        np.testing.assert_allclose(kept, 1.0 / 0.75)
-        assert 0.6 < (out.data > 0).mean() < 0.9
-
 
 class TestDistances:
     def test_euclidean_distance_matches_numpy(self, rng):
@@ -167,15 +147,4 @@ class TestDistances:
         x = Tensor(rng.normal(size=(4, 6)))
         out = F.l2_normalize(x)
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), np.ones(4),
-                                   rtol=1e-6)
-
-    def test_cosine_similarity_bounds(self, rng):
-        a = Tensor(rng.normal(size=(10, 4)))
-        b = Tensor(rng.normal(size=(10, 4)))
-        sims = F.cosine_similarity(a, b).data
-        assert (sims <= 1.0 + 1e-9).all() and (sims >= -1.0 - 1e-9).all()
-
-    def test_cosine_similarity_self_is_one(self, rng):
-        a = Tensor(rng.normal(size=(3, 4)))
-        np.testing.assert_allclose(F.cosine_similarity(a, a).data, np.ones(3),
                                    rtol=1e-6)

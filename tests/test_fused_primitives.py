@@ -24,7 +24,7 @@ from repro.api import PretrainArtifact
 from repro.core.checkpoints import MemoryCheckpoints
 from repro.core.eie import EIEModule
 from repro.nn import (AdditiveAttention, CompiledStep, GRUCell, Linear,
-                      LSTMCell, RNNCell, Tensor, functional as F)
+                      RNNCell, Tensor, functional as F)
 from repro.nn.autograd import default_dtype
 from repro.nn.gradcheck import check_gradients
 
@@ -135,21 +135,6 @@ class TestLinear:
         assert_matches_reference(
             lambda: cell(x, h),
             lambda: F.tanh(x @ cell.w_x + h @ cell.w_h + cell.bias), tensors)
-
-    def test_lstm_cell_folds_the_bias_into_linear(self, rng):
-        cell = LSTMCell(5, 4, rng)
-        x, h, c = _leaf(rng, 3, 5), _leaf(rng, 3, 4), _leaf(rng, 3, 4)
-
-        def reference():
-            gates = x @ cell.w_x + h @ cell.w_h + cell.bias
-            i, f, g, o = (gates[:, k * 4:(k + 1) * 4] for k in range(4))
-            c_new = F.sigmoid(f) * c + F.sigmoid(i) * F.tanh(g)
-            return F.sigmoid(o) * F.tanh(c_new)
-
-        tensors = [x, h, c] + cell.parameters()
-        check_gradients(lambda: _weighted_sum(cell(x, (h, c))[0]), tensors)
-        assert_matches_reference(lambda: cell(x, (h, c))[0], reference,
-                                 tensors)
 
     def test_additive_attention_runs_on_linear(self, rng):
         attention = AdditiveAttention(4, 5, rng)
@@ -355,9 +340,16 @@ class TestParentCompatibility:
 
     def test_seeded_initial_state_equals_the_parents(self):
         """Same names, same order, same shapes, same seeded values: the
-        RNG draw order of every constructor is untouched."""
+        RNG draw order of every constructor is untouched.  The fixture
+        also pins ``lstm_updater/*``, the LSTM memory updater that no
+        backbone used and that has since been deleted; those keys are
+        the only ones skipped."""
         with np.load(parent.MODULES_PATH) as frozen:
-            expected = {key: frozen[key] for key in frozen.files}
+            skipped = [key for key in frozen.files
+                       if key.startswith("lstm_updater/")]
+            expected = {key: frozen[key] for key in frozen.files
+                        if key not in skipped}
+        assert skipped
         states = parent.module_states()
         assert list(states) == list(expected)
         for key, value in states.items():

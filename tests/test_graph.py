@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.graph import (EventStream, NeighborFinder, RandomDestinationSampler,
-                         chronological_batches, describe, density,
-                         snapshot_at, snapshot_sequence)
+                         chronological_batches, describe, density)
 
 
 def make_stream():
@@ -153,34 +151,6 @@ class TestBatching:
         stream.labels = np.array([0, 1, 0, 1, 0])
         batches = list(chronological_batches(stream, 2, rng))
         assert batches[0].labels.tolist() == [0, 1]
-
-
-class TestSnapshots:
-    def test_snapshot_at_cut(self):
-        graph = snapshot_at(make_stream(), 3.0)
-        assert graph.number_of_edges() == 2
-        assert graph.has_edge(0, 3)
-        assert graph.has_edge(1, 3)
-        assert not graph.has_edge(0, 4)
-
-    def test_snapshot_weights_accumulate(self):
-        stream = EventStream(src=[0, 0], dst=[1, 1], timestamps=[0.0, 1.0],
-                             num_nodes=2)
-        graph = snapshot_at(stream)
-        assert graph[0][1]["weight"] == 2
-
-    def test_multigraph_keeps_parallel_edges(self):
-        stream = EventStream(src=[0, 0], dst=[1, 1], timestamps=[0.0, 1.0],
-                             num_nodes=2)
-        graph = snapshot_at(stream, multigraph=True)
-        assert graph.number_of_edges() == 2
-        assert isinstance(graph, nx.MultiGraph)
-
-    def test_sequence_monotone_growth(self):
-        snaps = snapshot_sequence(make_stream(), 3)
-        sizes = [g.number_of_edges() for g in snaps]
-        assert sizes == sorted(sizes)
-        assert sizes[-1] == 5  # all five node pairs are distinct
 
 
 class TestStats:

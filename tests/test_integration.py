@@ -9,7 +9,7 @@ from repro.core import CPDGConfig, CPDGPreTrainer, MemoryCheckpoints
 from repro.datasets import (SMALL, amazon_universe, make_transfer_split,
                             split_downstream)
 from repro.graph import EventStream, load_npz, save_npz
-from repro.nn import load_arrays, load_module, save_arrays, save_module
+from repro.nn import load_arrays, save_arrays
 from repro.tasks import (FineTuneConfig, LinkPredictionTask,
                          build_finetuned_encoder)
 
@@ -33,7 +33,7 @@ class TestPretrainPersistenceRoundtrip:
         result = trainer.pretrain(tiny_stream)
 
         # Persist every transfer artifact.
-        save_module(trainer.encoder, str(tmp_path / "encoder.npz"))
+        save_arrays(str(tmp_path / "encoder.npz"), trainer.encoder.state_dict())
         save_arrays(str(tmp_path / "memory.npz"), {
             "state": result.memory_state,
             "last_update": result.last_update,

@@ -199,7 +199,7 @@ class TestMessageStagingOrder:
                                                 np.random.default_rng(0))))
         enc.register_batch(batch)
         staged = enc.memory.pending(pop=True)
-        nodes, rows = staged.per_node(last=True)
+        nodes, rows = staged.per_node()
         last_time = dict(zip(nodes.tolist(), staged.time[rows].tolist()))
         assert last_time[7] == 40.0  # src role of the later event wins
         assert last_time[1] == 10.0
@@ -244,7 +244,7 @@ class TestMessageStagingOrder:
                                                 np.random.default_rng(0))))
         enc.register_batch(batch)
         staged = enc.memory.pending(pop=True)
-        _, rows = staged.per_node(last=True)
+        _, rows = staged.per_node()
         assert rows[0] == 1  # second (dst) row of the interleaved pair
 
 

@@ -1,99 +1,13 @@
-"""Tests for schedulers, extra optimizers, serialization and gradcheck."""
+"""Tests for serialization and gradcheck."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import (MLP, AdaGrad, Adam, CosineAnnealingLR, GradCheckError,
-                      LinearWarmupLR, Linear, Parameter, RMSprop, SGD, StepLR,
-                      Tensor, check_gradients, load_arrays, load_module,
-                      numeric_gradient, save_arrays, save_module)
+from repro.nn import (MLP, GradCheckError, Linear, Tensor, check_gradients,
+                      load_arrays, numeric_gradient, save_arrays)
 from repro.nn import functional as F
-
-
-class TestSchedulers:
-    def make_opt(self, lr=1.0):
-        return SGD([Parameter(np.zeros(1))], lr=lr)
-
-    def test_step_lr_decays_at_boundaries(self):
-        opt = self.make_opt()
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        rates = [sched.step() for _ in range(4)]
-        assert rates == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_step_lr_validates(self):
-        with pytest.raises(ValueError):
-            StepLR(self.make_opt(), step_size=0)
-
-    def test_cosine_reaches_min(self):
-        opt = self.make_opt()
-        sched = CosineAnnealingLR(opt, t_max=10, min_lr=0.1)
-        for _ in range(10):
-            last = sched.step()
-        assert last == pytest.approx(0.1)
-
-    def test_cosine_is_monotone_decreasing(self):
-        opt = self.make_opt()
-        sched = CosineAnnealingLR(opt, t_max=8)
-        rates = [sched.step() for _ in range(8)]
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_cosine_clamps_past_t_max(self):
-        opt = self.make_opt()
-        sched = CosineAnnealingLR(opt, t_max=3, min_lr=0.2)
-        for _ in range(10):
-            last = sched.step()
-        assert last == pytest.approx(0.2)
-
-    def test_warmup_ramps_then_flat(self):
-        opt = self.make_opt()
-        sched = LinearWarmupLR(opt, warmup_epochs=4)
-        assert opt.lr == pytest.approx(0.25)
-        rates = [sched.step() for _ in range(6)]
-        assert rates[:3] == pytest.approx([0.5, 0.75, 1.0])
-        assert rates[-1] == pytest.approx(1.0)
-
-    def test_scheduler_updates_optimizer_in_place(self):
-        opt = self.make_opt()
-        sched = StepLR(opt, step_size=1, gamma=0.5)
-        sched.step()
-        assert opt.lr == pytest.approx(0.5)
-
-
-class TestExtraOptimizers:
-    @pytest.mark.parametrize("opt_cls,kwargs", [
-        (RMSprop, dict(lr=0.05)),
-        (AdaGrad, dict(lr=0.5)),
-    ])
-    def test_converges_on_quadratic(self, opt_cls, kwargs):
-        p = Parameter(np.array([4.0, -2.0]))
-        opt = opt_cls([p], **kwargs)
-        for _ in range(500):
-            opt.zero_grad()
-            (p ** 2.0).sum().backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, np.zeros(2), atol=1e-2)
-
-    def test_rmsprop_weight_decay(self):
-        p = Parameter(np.array([1.0]))
-        opt = RMSprop([p], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        (p * 0.0).sum().backward()
-        opt.step()
-        assert p.data[0] < 1.0
-
-    def test_adagrad_rate_decays_over_steps(self):
-        p = Parameter(np.array([10.0]))
-        opt = AdaGrad([p], lr=1.0)
-        deltas = []
-        for _ in range(3):
-            before = p.data.copy()
-            opt.zero_grad()
-            (p * 2.0).sum().backward()   # constant gradient
-            opt.step()
-            deltas.append(abs(float((p.data - before)[0])))
-        assert deltas[0] > deltas[1] > deltas[2]
 
 
 class TestSerialization:
@@ -101,8 +15,8 @@ class TestSerialization:
         a = MLP([4, 8, 2], rng)
         b = MLP([4, 8, 2], np.random.default_rng(777))
         path = str(tmp_path / "model.npz")
-        save_module(a, path)
-        load_module(b, path)
+        save_arrays(path, a.state_dict())
+        b.load_state_dict(load_arrays(path))
         x = Tensor(rng.normal(size=(3, 4)))
         np.testing.assert_allclose(a(x).data, b(x).data)
 
@@ -110,9 +24,9 @@ class TestSerialization:
         a = MLP([4, 8, 2], rng)
         wrong = MLP([4, 6, 2], rng)
         path = str(tmp_path / "model.npz")
-        save_module(a, path)
+        save_arrays(path, a.state_dict())
         with pytest.raises((KeyError, ValueError)):
-            load_module(wrong, path)
+            wrong.load_state_dict(load_arrays(path))
 
     def test_array_dict_roundtrip(self, rng, tmp_path):
         arrays = {"memory": rng.normal(size=(5, 3)),
@@ -125,7 +39,7 @@ class TestSerialization:
 
     def test_save_creates_parent_dirs(self, rng, tmp_path):
         path = str(tmp_path / "nested" / "deep" / "model.npz")
-        save_module(Linear(2, 2, rng), path)
+        save_arrays(path, Linear(2, 2, rng).state_dict())
         import os
         assert os.path.exists(path)
 

@@ -5,52 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import (SGD, Adam, MLP, Parameter, Tensor, bce_with_logits,
+from repro.nn import (Adam, MLP, Parameter, Tensor, bce_with_logits,
                       binary_cross_entropy, clip_grad_norm, info_nce_loss,
                       jsd_mutual_information_loss, mse_loss, softplus,
                       triplet_margin_loss)
 from repro.nn import functional as F
-
-
-class TestSGD:
-    def test_basic_descent(self):
-        p = Parameter(np.array([10.0]))
-        opt = SGD([p], lr=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            (p ** 2.0).sum().backward()
-            opt.step()
-        assert abs(p.data[0]) < 1e-3
-
-    def test_momentum_accelerates(self):
-        def losses_after(momentum):
-            p = Parameter(np.array([10.0]))
-            opt = SGD([p], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                (p ** 2.0).sum().backward()
-                opt.step()
-            return abs(p.data[0])
-
-        assert losses_after(0.9) < losses_after(0.0)
-
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        (p * 0.0).sum().backward()
-        opt.step()
-        assert p.data[0] < 1.0
-
-    def test_rejects_nonpositive_lr(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
-
-    def test_skips_params_without_grad(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1)
-        opt.step()  # no grad accumulated — must not crash
-        assert p.data[0] == 1.0
 
 
 class TestAdam:
@@ -85,6 +44,24 @@ class TestAdam:
             opt.step()
         probs = F.sigmoid(mlp(Tensor(x)).reshape(-1)).data
         assert ((probs > 0.5).astype(float) == y).all()
+
+    def test_weight_decay_shrinks(self):
+        p = Parameter(np.array([1.0]))
+        opt = Adam([p], lr=0.1, weight_decay=1.0)
+        opt.zero_grad()
+        (p * 0.0).sum().backward()
+        opt.step()
+        assert p.data[0] < 1.0
+
+    def test_rejects_nonpositive_lr(self):
+        with pytest.raises(ValueError):
+            Adam([Parameter(np.zeros(1))], lr=0.0)
+
+    def test_skips_params_without_grad(self):
+        p = Parameter(np.array([1.0]))
+        opt = Adam([p], lr=0.1)
+        opt.step()  # no grad accumulated — must not crash
+        assert p.data[0] == 1.0
 
 
 class TestClipGradNorm:

@@ -304,6 +304,33 @@ class TestEmbeddingService:
                                        block=30)
         np.testing.assert_array_equal(service.embed(nodes, ts), offline)
 
+    def test_edge_feature_table_grows_in_place(self):
+        """Small featured blocks append into one doubling buffer instead
+        of copying the whole event-indexed table per block, and serving
+        still equals the offline replay."""
+        full, pre, suffix = make_split_stream(9, edge_dim=3)
+        artifact = pretrain_artifact(pre, tiny_config("tgn", edge_dim=3))
+        service = EmbeddingService.from_artifact(artifact, history=pre,
+                                                 cache_capacity=0)
+        tables = []
+        for lo in range(0, suffix.num_events, 10):
+            service.ingest(suffix.slice_index(lo, lo + 10))
+            table = service._ingestor.edge_feats
+            np.testing.assert_array_equal(
+                table, full.edge_feats[:PRETRAIN_EVENTS + lo + 10])
+            assert service.encoder._edge_feats.shape == table.shape
+            tables.append(table)
+        # The first block outgrows the pre-training table (260 rows) and
+        # doubles it; the other eleven blocks fit in that buffer.
+        assert not np.shares_memory(tables[0], pre.edge_feats)
+        assert all(np.shares_memory(a, b)
+                   for a, b in zip(tables, tables[1:]))
+        nodes = np.arange(0, NUM_NODES, 2)
+        ts = np.full(len(nodes), full.t_max + 1.0)
+        offline = offline_replay_embed(artifact, full, suffix, nodes, ts,
+                                       block=10)
+        np.testing.assert_array_equal(service.embed(nodes, ts), offline)
+
     def test_serving_builds_no_graph_nodes(self):
         """Regression: the serve embed path runs fully under no_grad —
         embed → ingest → embed constructs zero autograd nodes — and
