@@ -148,7 +148,7 @@ def stage_breakdown(compile_step: bool, stream: EventStream,
                 t4 = time.perf_counter()
                 totals["optimizer"] += t3 - t2
                 totals["staging"] += t4 - t3
-        if compile_step and compiled.stats()["mismatches"]:
+        if compile_step and int(compiled.counters["mismatches"]):
             raise RuntimeError("replay mismatched during benchmark: "
                                f"{compiled.last_failure}")
     return {stage: round(total / max(steps, 1), 6)

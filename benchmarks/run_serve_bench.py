@@ -134,7 +134,7 @@ def timed_requests(service: EmbeddingService, queries: list) -> dict:
 
 
 def ingest_percentiles(service: EmbeddingService) -> dict:
-    summary = summarize_latencies(service._ingestor.stats.block_seconds)
+    summary = service._ingestor.block_hist.summary()
     return {"p50_ms": round(summary["p50"] * 1e3, 3),
             "p99_ms": round(summary["p99"] * 1e3, 3)}
 
@@ -152,7 +152,7 @@ def bench_ingest(service: EmbeddingService, live: EventStream,
     }
     if service._compactor is not None:
         service._compactor.drain()
-        row["compactor"] = service._compactor.stats()
+        row["compactor"] = service.stats()["graph"]["compactor"]
     return row
 
 
@@ -230,9 +230,9 @@ def bench_staleness(artifact: PretrainArtifact, base: EventStream,
             service.ingest(src=live.src[lo:hi], dst=live.dst[lo:hi],
                            timestamps=live.timestamps[lo:hi])
             service.embed(probes, t)
-        stats = service.planner.stats
-        rates[name] = {"hit_rate": round(stats.cache_hit_rate, 4),
-                       "stale_hits": int(stats.stale_hits)}
+        stats = service.stats()["planner"]
+        rates[name] = {"hit_rate": stats["cache_hit_rate"],
+                       "stale_hits": stats["stale_hits"]}
         del service
     return {"policy_events": STALENESS_EVENTS, "rounds": rounds, **rates}
 
@@ -331,7 +331,6 @@ def bench_scale(params: dict, smoke: bool, tmp_dir: Path) -> dict:
         cold = timed_requests(service, cold_queries)
         # Warm pass: identical keys — the LRU short-circuits the encoder.
         warm = timed_requests(service, cold_queries)
-        planner_stats = service.planner.stats
 
         # Link scoring (pairs/sec) on top of a warm cache.
         pairs = params["request_size"]
@@ -349,6 +348,7 @@ def bench_scale(params: dict, smoke: bool, tmp_dir: Path) -> dict:
         ingest_bg = bench_ingest(service, live, params["ingest_block"])
         topk = bench_topk(service, params,
                           float(live.timestamps[-1]) + 1.0)
+        cache_hit_rate = service.stats()["planner"]["cache_hit_rate"]
     finally:
         service.close()
     del service
@@ -370,7 +370,7 @@ def bench_scale(params: dict, smoke: bool, tmp_dir: Path) -> dict:
                                         "request_size")},
         "embed_cold": cold,
         "embed_warm": warm,
-        "cache_hit_rate": round(planner_stats.cache_hit_rate, 4),
+        "cache_hit_rate": cache_hit_rate,
         "score_pairs_per_sec": round(score_rate, 2),
         "ingest": {**ingest_bg, "background_compaction": True},
         "ingest_sync": {**ingest_sync, "background_compaction": False},

@@ -277,7 +277,7 @@ class CPDGPreTrainer:
                                                messages=prepared.messages)
                         encoder.end_batch()
                     history.append(losses)
-                    steps_total += 1
+                    steps_total.inc()
 
                     if schedule.should_checkpoint(step):
                         checkpoints.add(encoder.memory_checkpoint())

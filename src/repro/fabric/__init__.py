@@ -19,7 +19,7 @@ producer — except by wall-clock.
 """
 
 from .coordinator import FabricCoordinator
-from .ledger import Lease, LeaseLedger, LedgerCounters
+from .ledger import Lease, LeaseLedger
 from .producer import FabricProducer
 from .protocol import (PROTOCOL_VERSION, FabricError, FrameDecoder,
                        encode_frame, format_address, parse_address,
@@ -28,7 +28,7 @@ from .worker import FabricWorker
 
 __all__ = [
     "FabricCoordinator", "FabricProducer", "FabricWorker",
-    "Lease", "LeaseLedger", "LedgerCounters",
+    "Lease", "LeaseLedger",
     "PROTOCOL_VERSION", "FabricError", "FrameDecoder",
     "encode_frame", "format_address", "parse_address",
     "plan_fingerprint", "recv_frame", "send_frame",

@@ -115,7 +115,10 @@ class FabricCoordinator:
         self._thread: threading.Thread | None = None
         self._connections: dict[socket.socket, _Connection] = {}
         self._names_used: set[str] = set()
-        self._counts = {"joined": 0, "rejected": 0, "left": 0}
+        # Worker membership; the producer's stats() reports these.
+        self.counters = _obs.owned_counters(
+            "repro_fabric_workers", ("joined", "rejected", "left"),
+            help="fabric workers {} count")
         # name → [monotonic time of its last frame, last leased seq]; kept
         # after the worker is dropped, for the producer's post-mortem
         # (advisory: the loop thread updates the slots unlocked).
@@ -188,32 +191,7 @@ class FabricCoordinator:
 
     @property
     def workers_ever_joined(self) -> int:
-        with self._lock:
-            return self._counts["joined"]
-
-    def stats(self) -> dict:
-        with self._lock:
-            counters = self.ledger.counters
-            now = time.monotonic()
-            return {
-                "address": self.address,
-                "fingerprint": self.fingerprint,
-                "total": self.ledger.total,
-                "done": self.ledger.done_count,
-                "granted": int(counters.granted),
-                "completed": int(counters.completed),
-                "duplicates": int(counters.duplicates),
-                "reclaimed_expired": int(counters.reclaimed_expired),
-                "reclaimed_disconnect": int(counters.reclaimed_disconnect),
-                "reclaim_log": list(counters.reclaim_log),
-                "workers_joined": self._counts["joined"],
-                "workers_rejected": self._counts["rejected"],
-                "workers_left": self._counts["left"],
-                "workers": {
-                    c.name: {"outstanding": self.ledger.outstanding(c.name),
-                             "last_seen_age": now - c.last_seen}
-                    for c in self._connections.values() if c.active},
-            }
+        return int(self.counters["joined"])
 
     # ------------------------------------------------------------------
     # selector loop (background thread)
@@ -277,7 +255,7 @@ class FabricCoordinator:
         with self._lock:
             self._connections.pop(conn.sock, None)
             if conn.active:
-                self._counts["left"] += 1
+                self.counters["left"].inc()
                 if reclaim:
                     self.ledger.reclaim_worker(conn.name, time.monotonic())
         try:
@@ -385,7 +363,7 @@ class FabricCoordinator:
                 name = f"{base}#{suffix}"
                 suffix += 1
             self._names_used.add(name)
-            self._counts["joined"] += 1
+            self.counters["joined"].inc()
             self.trail[name] = [conn.last_seen, None]
         conn.name = name
         conn.capacity = max(1, int(message.get("capacity", 1)))
@@ -404,7 +382,7 @@ class FabricCoordinator:
 
     def _reject(self, conn: _Connection, reason: str) -> None:
         with self._lock:
-            self._counts["rejected"] += 1
+            self.counters["rejected"].inc()
         conn.closing = True
         self._send(conn, {"type": REJECT, "reason": reason})
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .. import obs as _obs
 from ..stream import BatchPlan, WorkItem
 
-__all__ = ["Lease", "LedgerCounters", "LeaseLedger"]
+__all__ = ["Lease", "LeaseLedger"]
 
 
 @dataclass
@@ -40,28 +40,6 @@ class Lease:
     worker: str
     deadline: float
     granted_at: float
-
-
-class LedgerCounters:
-    """Observable ledger activity (surfaced via ``coordinator.stats()``).
-
-    Each field is a registry-backed :class:`repro.obs.Counter`
-    (``repro_fabric_leases_*_total``), so ``GET /metrics`` and the JSON
-    snapshot see the same numbers ``coordinator.stats()`` reports.  The
-    counters compare equal to their int values, keeping existing
-    consumers unchanged; ``reclaim_log`` stays a plain in-memory list
-    (it is an event log, not a metric)."""
-
-    _FIELDS = ("granted", "completed", "duplicates", "reclaimed_expired",
-               "reclaimed_disconnect")
-
-    def __init__(self):
-        for name in self._FIELDS:
-            setattr(self, name,
-                    _obs.counter(f"repro_fabric_leases_{name}_total",
-                                 help=f"fabric lease {name} count",
-                                 replace=True))
-        self.reclaim_log: list[tuple[float, str, int]] = []
 
 
 class LeaseLedger:
@@ -81,7 +59,15 @@ class LeaseLedger:
         # to a *different* worker when one is available, so a slow worker
         # cannot reclaim-and-hoard the same item forever.
         self._expired_holder: dict[int, str] = {}
-        self.counters = LedgerCounters()
+        # Lease activity for the producer's stats() and GET /metrics.
+        self.counters = _obs.owned_counters(
+            "repro_fabric_leases",
+            ("granted", "completed", "duplicates", "reclaimed_expired",
+             "reclaimed_disconnect"),
+            help="fabric lease {} count")
+        # (monotonic time, reason, items) per reclaim: an event log, not
+        # a metric.
+        self.reclaim_log: list[tuple[float, str, int]] = []
 
     # ------------------------------------------------------------------
     @property
@@ -135,7 +121,7 @@ class LeaseLedger:
         self._leases[seq] = Lease(item=item, worker=worker,
                                   deadline=now + lease_timeout,
                                   granted_at=now)
-        self.counters.granted += 1
+        self.counters["granted"].inc()
         return item
 
     def complete(self, seq: int, worker: str) -> bool:
@@ -144,10 +130,10 @@ class LeaseLedger:
         """
         self._leases.pop(seq, None)
         if seq in self._done:
-            self.counters.duplicates += 1
+            self.counters["duplicates"].inc()
             return False
         self._done.add(seq)
-        self.counters.completed += 1
+        self.counters["completed"].inc()
         return True
 
     # ------------------------------------------------------------------
@@ -157,7 +143,7 @@ class LeaseLedger:
             if seq not in self._done:
                 heapq.heappush(self._pending, seq)
         if seqs:
-            self.counters.reclaim_log.append((now, reason, len(seqs)))
+            self.reclaim_log.append((now, reason, len(seqs)))
         return seqs
 
     def reclaim_expired(self, now: float) -> list[int]:
@@ -166,12 +152,12 @@ class LeaseLedger:
                    if lease.deadline <= now]
         for seq in expired:
             self._expired_holder[seq] = self._leases[seq].worker
-        self.counters.reclaimed_expired += len(expired)
+        self.counters["reclaimed_expired"].inc(len(expired))
         return self._reclaim(expired, now, "expired")
 
     def reclaim_worker(self, worker: str, now: float) -> list[int]:
         """Re-queue every lease a departed worker held (crash path)."""
         held = [seq for seq, lease in self._leases.items()
                 if lease.worker == worker]
-        self.counters.reclaimed_disconnect += len(held)
+        self.counters["reclaimed_disconnect"].inc(len(held))
         return self._reclaim(held, now, f"disconnect:{worker}")

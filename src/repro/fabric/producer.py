@@ -81,7 +81,9 @@ class FabricProducer(BatchProducer):
         self._tmpdir: str | None = None
         self._workers: list = []
         self.coordinator: FabricCoordinator | None = None
-        self.reassembly_waits: list[float] = []
+        self._reassembly_hist = _obs.histogram(
+            "repro_fabric_reassembly_wait_seconds", replace=True,
+            help="time a finished batch waited for its predecessors")
         self._timeout = float(timeout)
 
         if num_workers > 0:
@@ -182,7 +184,7 @@ class FabricProducer(BatchProducer):
             holdback[seq] = (batch, arrived)
             while next_to_yield in holdback:
                 batch, arrived = holdback.pop(next_to_yield)
-                self.reassembly_waits.append(time.monotonic() - arrived)
+                self._reassembly_hist.observe(time.monotonic() - arrived)
                 coord.advance(next_to_yield)
                 yield batch
                 next_to_yield += 1
@@ -229,12 +231,32 @@ class FabricProducer(BatchProducer):
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        stats = self.coordinator.stats() if self.coordinator else {}
-        waits = self.reassembly_waits
-        if waits:
-            summary = _obs.summarize_latencies(waits)
-            stats["reassembly_wait_mean_s"] = summary["mean"]
-            stats["reassembly_wait_p99_s"] = summary["p99"]
+        """Plan progress, lease and membership counts, the reclaim log,
+        each connected worker's load, and the reassembly wait."""
+        coord = self.coordinator
+        if coord is None:
+            return {}
+        with coord._lock:
+            ledger = coord.ledger
+            now = time.monotonic()
+            stats = {
+                "address": coord.address,
+                "fingerprint": coord.fingerprint,
+                "total": ledger.total,
+                "done": ledger.done_count,
+                **{name: int(c) for name, c in ledger.counters.items()},
+                "reclaim_log": list(ledger.reclaim_log),
+                **{f"workers_{name}": int(c)
+                   for name, c in coord.counters.items()},
+                "workers": {
+                    c.name: {"outstanding": ledger.outstanding(c.name),
+                             "last_seen_age": now - c.last_seen}
+                    for c in coord._connections.values() if c.active},
+            }
+        waits = self._reassembly_hist
+        if waits.count:
+            stats["reassembly_wait_mean_s"] = waits.sum / waits.count
+            stats["reassembly_wait_p99_s"] = waits.summary()["p99"]
         return stats
 
     def close(self, grace: float = 3.0) -> None:

@@ -51,8 +51,6 @@ never intercepts another thread's ops.
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
 from .autograd import (SparseRowGrad, Tensor, _eager_apply, get_tracer,
@@ -61,15 +59,6 @@ from .scatter import scatter_add_rows
 from .. import obs as _obs
 
 __all__ = ["CompiledStep", "ReplayMismatch"]
-
-
-def _bump(profile: dict, label: str, seconds: float) -> None:
-    entry = profile.get(label)
-    if entry is None:
-        profile[label] = [1, seconds]
-    else:
-        entry[0] += 1
-        entry[1] += seconds
 
 
 class ReplayMismatch(Exception):
@@ -159,12 +148,11 @@ class _FwdRec:
 class _BwdStep:
     """One backward item: VJP + per-target accumulation."""
 
-    __slots__ = ("rec", "targets", "label")
+    __slots__ = ("rec", "targets")
 
     def __init__(self, rec: _FwdRec, targets: tuple):
         self.rec = rec
         self.targets = targets   # ((input_pos, slot, is_leaf), ...)
-        self.label = "bwd:" + rec.prim.name
 
     def run(self, rp: "_Replay") -> None:
         rec = self.rec
@@ -341,16 +329,15 @@ class _Replay:
 
     replaying = True
 
-    __slots__ = ("p", "cursor", "slot_obj", "backward_done", "prof")
+    __slots__ = ("p", "cursor", "slot_obj", "backward_done")
 
-    def __init__(self, program: _Program, prof: dict | None = None):
+    def __init__(self, program: _Program):
         self.p = program
         self.cursor = 0
         # Intermediates are the program's persistent tensors; leaves are
         # rebound per call on first use.
         self.slot_obj: list[Tensor | None] = list(program.slot_tensor)
         self.backward_done = False
-        self.prof = prof   # label -> [calls, seconds] when profiling
 
     def apply(self, prim, inputs, params) -> Tensor:
         p = self.p
@@ -382,14 +369,8 @@ class _Replay:
                 slot_obj[s] = t
             else:
                 raise ReplayMismatch("op wiring changed")
-        if self.prof is None:
-            data, ctx = prim.fwd(tuple(t.data for t in inputs), params,
-                                 rec.need_ctx, rec.out_buf)
-        else:
-            t0 = perf_counter()
-            data, ctx = prim.fwd(tuple(t.data for t in inputs), params,
-                                 rec.need_ctx, rec.out_buf)
-            _bump(self.prof, "fwd:" + rec.prim.name, perf_counter() - t0)
+        data, ctx = prim.fwd(tuple(t.data for t in inputs), params,
+                             rec.need_ctx, rec.out_buf)
         if not isinstance(data, np.ndarray) or data.dtype != rec.out_dtype:
             data = np.asarray(data, dtype=rec.out_dtype)
         rec.ctx = ctx
@@ -417,14 +398,8 @@ class _Replay:
         seed = p.seed_buf.get(tensor.data.shape)
         seed.fill(1.0)
         p.cells[p.loss_slot].add(seed, False)
-        if self.prof is None:
-            for item in p.items:
-                item.run(self)
-        else:
-            for item in p.items:
-                t0 = perf_counter()
-                item.run(self)
-                _bump(self.prof, item.label, perf_counter() - t0)
+        for item in p.items:
+            item.run(self)
         self.backward_done = True
 
 
@@ -441,10 +416,6 @@ class CompiledStep:
     enabled:
         When false, calls pass straight through to ``fn`` (the
         ``nn.compile=false`` escape hatch).
-    profile:
-        When true, replay records per-kernel call counts and cumulative
-        seconds (``stats()["kernels"]``).  Off by default — the timer
-        call per kernel is cheap but not free.
     max_retraces:
         Re-trace budget per key after mismatches before the key is
         permanently demoted to eager execution.
@@ -454,8 +425,7 @@ class CompiledStep:
     emptiness, …); each key gets its own program.
     """
 
-    def __init__(self, fn, *, enabled: bool = True, profile: bool = False,
-                 max_retraces: int = 4):
+    def __init__(self, fn, *, enabled: bool = True, max_retraces: int = 4):
         self.fn = fn
         self.enabled = enabled
         self.max_retraces = max_retraces
@@ -463,29 +433,24 @@ class CompiledStep:
         self._failures: dict = {}
         self._dead: set = set()
         self.last_failure: str | None = None
-        # Registry-backed counters (repro_compile_*_total); the dict shape
-        # is part of the public surface, and each Counter compares equal
-        # to its int value so existing consumers hold.
-        self.counters = {
-            name: _obs.counter(f"repro_compile_{name}_total",
-                               help=f"CompiledStep {name} count",
-                               replace=True)
-            for name in ("traces", "replays", "mismatches", "eager")}
+        # traces / replays / mismatches / eager calls; read as int(c).
+        self.counters = _obs.owned_counters(
+            "repro_compile", ("traces", "replays", "mismatches", "eager"),
+            help="CompiledStep {} count")
         self._program_ops = _obs.gauge(
             "repro_compile_program_ops",
             help="forward ops in the most recently built compiled program")
-        self._kernel_stats: dict | None = {} if profile else None
 
     def __call__(self, *args, key=None, **kwargs):
         # Nested compilation composes by flattening: when another
         # trace/replay is active, run plainly and let it record our ops.
         if not self.enabled or key in self._dead or get_tracer() is not None:
-            self.counters["eager"] += 1
+            self.counters["eager"].inc()
             return self.fn(*args, **kwargs)
         program = self._programs.get(key)
         if program is None:
             return self._trace(key, args, kwargs)
-        rep = _Replay(program, self._kernel_stats)
+        rep = _Replay(program)
         prev = set_tracer(rep)
         try:
             result = self.fn(*args, **kwargs)
@@ -493,7 +458,7 @@ class CompiledStep:
                 raise ReplayMismatch("step replayed fewer ops than recorded")
             if not rep.backward_done:
                 raise ReplayMismatch("step skipped backward during replay")
-            self.counters["replays"] += 1
+            self.counters["replays"].inc()
             return result
         except (ReplayMismatch, ValueError, IndexError) as exc:
             self.last_failure = str(exc)
@@ -502,11 +467,11 @@ class CompiledStep:
         # Divergence: drop the program and re-run the batch eagerly (the
         # step contract makes re-running safe).  A genuine error in fn
         # re-raises here, now with an honest eager traceback.
-        self.counters["mismatches"] += 1
+        self.counters["mismatches"].inc()
         self._programs.pop(key, None)
         self._note_failure(key)
         if key in self._dead:
-            self.counters["eager"] += 1
+            self.counters["eager"].inc()
             return self.fn(*args, **kwargs)
         return self._trace(key, args, kwargs)
 
@@ -517,7 +482,7 @@ class CompiledStep:
             result = self.fn(*args, **kwargs)
         finally:
             set_tracer(prev)
-        self.counters["traces"] += 1
+        self.counters["traces"].inc()
         if tr.failed is None and tr.steps is None:
             tr.fail("traced step never called backward()")
         if tr.failed is None:
@@ -535,24 +500,6 @@ class CompiledStep:
             self._dead.add(key)
 
     # -- introspection ---------------------------------------------------
-    def stats(self) -> dict:
-        """Counters + (when profiling) kernel times.
-
-        Always contains ``traces``/``replays``/``mismatches``/``eager``.
-        ``kernels`` is ``None`` unless constructed with
-        ``profile=True``, in which case it maps replayed kernel labels
-        (``fwd:<prim>``, ``bwd:<prim>``) to ``{"calls", "seconds"}``
-        accumulated across all replays.
-        """
-        info = {name: int(c) for name, c in self.counters.items()}
-        if self._kernel_stats is None:
-            info["kernels"] = None
-        else:
-            info["kernels"] = {
-                label: {"calls": entry[0], "seconds": round(entry[1], 9)}
-                for label, entry in sorted(self._kernel_stats.items())}
-        return info
-
     def program_size(self, key=None) -> int | None:
         """Number of recorded forward ops for ``key`` (None if untraced)."""
         program = self._programs.get(key)

@@ -18,8 +18,9 @@ disabled (the default) and is switched on by ``obs.enabled`` /
 """
 
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry, counter,
-                      gauge, histogram, record_peak_rss, registry,
-                      render_prometheus, snapshot, summarize_latencies)
+                      gauge, histogram, owned_counters, record_peak_rss,
+                      registry, render_prometheus, snapshot,
+                      summarize_latencies)
 from .report import aggregate_spans, format_report, load_trace
 from .trace import (configure, current_context, flush, is_enabled,
                     last_span, record_remote, remote_span_record, reset,
@@ -27,7 +28,7 @@ from .trace import (configure, current_context, flush, is_enabled,
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "counter", "gauge", "histogram", "registry",
+    "counter", "owned_counters", "gauge", "histogram", "registry",
     "render_prometheus", "snapshot", "record_peak_rss", "summarize_latencies",
     "configure", "is_enabled", "span", "current_context", "last_span",
     "record_remote", "remote_span_record", "trace_buffer", "reset",

@@ -5,20 +5,13 @@ subsystems emit — the pre-trainer's step counter, the serving request
 histograms, the fabric lease counters — behind a single schema instead
 of the four bespoke ``stats()`` dicts that preceded it.  Design points:
 
-* **Int-like counters.**  Existing stats objects mutate plain-int
-  attributes (``stats.cache_hits += 1``) and tests compare them against
-  ints (``counters.duplicates == 1``).  :class:`Counter` preserves both:
-  ``+=`` routes through a locked :meth:`Counter.inc` and returns the
-  same object, and the rich comparisons / ``__int__`` make a counter
-  interchangeable with its value.  Migrating a stats field is therefore
-  a one-line change at the definition site, not a churn of every
-  increment site.
 * **Latest-instance-wins registration.**  Per-instance components
-  (every :class:`~repro.serve.EmbeddingService` builds planner/ingest
-  stats; every :class:`~repro.fabric.ledger.LeaseLedger` its counters)
-  register with ``replace=True``: the registry exports the newest
-  instance's values, while each instance keeps exact ownership of its
-  own objects for its local ``stats()`` surface — so a long pytest
+  (every :class:`~repro.serve.EmbeddingService`'s planner, ingestor,
+  index and finder; every :class:`~repro.fabric.ledger.LeaseLedger`)
+  hold a dict of their own counters registered with ``replace=True``:
+  the registry exports the newest instance's values, while each
+  instance reads its own objects for its local ``stats()`` surface — so
+  two services in one process keep separate numbers, and a long pytest
   process does not accumulate counts across unrelated services.
 * **Bounded raw samples.**  Histograms keep cumulative bucket counts
   (Prometheus semantics) plus a fixed-size numpy ring buffer of raw
@@ -41,8 +34,9 @@ import threading
 import numpy as np
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "registry",
-           "DEFAULT_BUCKETS", "counter", "gauge", "histogram", "snapshot",
-           "render_prometheus", "record_peak_rss", "summarize_latencies"]
+           "DEFAULT_BUCKETS", "counter", "owned_counters", "gauge",
+           "histogram", "snapshot", "render_prometheus", "record_peak_rss",
+           "summarize_latencies"]
 
 # Seconds-scale latency edges: 50µs .. 30s, roughly 3 per decade.
 DEFAULT_BUCKETS = (5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2,
@@ -56,10 +50,11 @@ def _label_key(labels: dict | None) -> tuple:
 
 
 class Counter:
-    """A monotonically increasing count that behaves like its value.
+    """A monotonically increasing count.
 
     ``value`` may be fractional (e.g. cumulative seconds); increments go
-    through one lock so concurrent threads never lose a count.
+    through one lock so concurrent threads never lose a count.  Read it
+    as ``int(c)`` / ``float(c)``.
     """
 
     __slots__ = ("name", "labels", "help", "_lock", "_value")
@@ -80,68 +75,11 @@ class Counter:
     def value(self):
         return self._value
 
-    # -- int-like protocol (keeps `stats.field += 1` call sites working)
-    def __iadd__(self, amount) -> "Counter":
-        self.inc(amount)
-        return self
-
-    def _cmp_value(self, other):
-        return other._value if isinstance(other, Counter) else other
-
-    def __eq__(self, other):
-        return self._value == self._cmp_value(other)
-
-    def __ne__(self, other):
-        return self._value != self._cmp_value(other)
-
-    def __lt__(self, other):
-        return self._value < self._cmp_value(other)
-
-    def __le__(self, other):
-        return self._value <= self._cmp_value(other)
-
-    def __gt__(self, other):
-        return self._value > self._cmp_value(other)
-
-    def __ge__(self, other):
-        return self._value >= self._cmp_value(other)
-
-    def __hash__(self):
-        return object.__hash__(self)
-
     def __int__(self):
         return int(self._value)
 
     def __float__(self):
         return float(self._value)
-
-    def __index__(self):
-        return int(self._value)
-
-    def __bool__(self):
-        return bool(self._value)
-
-    def __add__(self, other):
-        return self._value + self._cmp_value(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._value - self._cmp_value(other)
-
-    def __rsub__(self, other):
-        return self._cmp_value(other) - self._value
-
-    def __mul__(self, other):
-        return self._value * self._cmp_value(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._value / self._cmp_value(other)
-
-    def __rtruediv__(self, other):
-        return self._cmp_value(other) / self._value
 
     def __repr__(self):
         return f"Counter({self.name}={self._value})"
@@ -379,6 +317,18 @@ def registry() -> MetricsRegistry:
 def counter(name: str, labels: dict | None = None, help: str = "",
             replace: bool = False) -> Counter:
     return _REGISTRY.counter(name, labels=labels, help=help, replace=replace)
+
+
+def owned_counters(prefix: str, names, help: str) -> dict[str, Counter]:
+    """Fresh ``<prefix>_<name>_total`` counters, one per name.
+
+    Registered with ``replace=True``: the dict a per-instance owner holds
+    and reads its ``stats()`` from, while ``/metrics`` shows the newest
+    owner's.  ``help`` is formatted with the name.
+    """
+    return {name: _REGISTRY.counter(f"{prefix}_{name}_total",
+                                    help=help.format(name), replace=True)
+            for name in names}
 
 
 def gauge(name: str, labels: dict | None = None, help: str = "",

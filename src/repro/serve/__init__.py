@@ -27,19 +27,18 @@ query engine whose memory keeps evolving as live events arrive.
 from .dynamic_finder import (BackgroundCompactor, DynamicNeighborFinder,
                              IngestError)
 from .http import HttpClient, LocalClient, start_http_server
-from .index import CoarseQuantIndex, IndexStats
-from .ingest import IngestStats, LiveIngestor
-from .planner import (MicroBatchPlanner, PlannerStats, RowCache,
-                      StalenessPolicy)
+from .index import CoarseQuantIndex
+from .ingest import LiveIngestor
+from .planner import MicroBatchPlanner, RowCache, StalenessPolicy
 from .service import EmbeddingService, ServeConfig, ServeError
 from .snapshot import (SnapshotError, read_snapshot, verify_snapshot_meta,
                        write_snapshot)
 
 __all__ = [
     "DynamicNeighborFinder", "IngestError", "BackgroundCompactor",
-    "LiveIngestor", "IngestStats",
-    "MicroBatchPlanner", "PlannerStats", "RowCache", "StalenessPolicy",
-    "CoarseQuantIndex", "IndexStats",
+    "LiveIngestor",
+    "MicroBatchPlanner", "RowCache", "StalenessPolicy",
+    "CoarseQuantIndex",
     "EmbeddingService", "ServeConfig", "ServeError",
     "SnapshotError", "read_snapshot", "write_snapshot",
     "verify_snapshot_meta",

@@ -275,9 +275,9 @@ class _RecentRing:
                               & (cut + np.minimum(degree - cut, count)
                                  > width)).any()
         if not answerable:
-            self._declined += 1
+            self._declined.inc()
             return None
-        self._answered += 1
+        self._answered.inc()
         valid = np.minimum(before, count)
         # A row with nothing before `ts` keeps one slot: column 0 of the
         # null row, whether or not the row has a history at all.
@@ -330,7 +330,9 @@ class DynamicNeighborFinder:
         self._delta: NeighborFinder | None = None   # lowered delta CSR
         self._delta_events = 0
         self._dirty = False
-        self.compactions = 0
+        self.compactions = _obs.counter(
+            "repro_serve_graph_compactions_total", replace=True,
+            help="delta merges committed into the base CSR")
         # When set (by BackgroundCompactor.attach), threshold crossings
         # signal the hook instead of compacting inline.
         self.compaction_hook = None
@@ -482,7 +484,7 @@ class DynamicNeighborFinder:
         self._delta_events -= job.events
         self._delta = None
         self._dirty = bool(self._buf_src)
-        self.compactions += 1
+        self.compactions.inc()
         return True
 
     # ------------------------------------------------------------------
@@ -561,11 +563,19 @@ class BackgroundCompactor:
         self._idle = threading.Event()
         self._idle.set()
         self._closed = False
-        self.generations = 0          # commits performed by this thread
-        self.superseded = 0           # builds discarded at commit time
+        # generations — commits performed by this thread; superseded —
+        # builds discarded at commit time.
+        self.counters = _obs.owned_counters(
+            "repro_serve_compactor", ("generations", "superseded"),
+            help="background compactor {} count")
         self._thread = threading.Thread(target=self._run, name=name,
                                         daemon=True)
         self._thread.start()
+
+    @property
+    def idle(self) -> bool:
+        """No requested cycle is pending or running."""
+        return self._idle.is_set()
 
     def attach(self) -> "BackgroundCompactor":
         self.finder.compaction_hook = self.notify
@@ -590,10 +600,9 @@ class BackgroundCompactor:
                 if job is not None:
                     self.finder.build_compaction(job)
                     with self._lock:
-                        if self.finder.commit_compaction(job):
-                            self.generations += 1
-                        else:
-                            self.superseded += 1
+                        committed = self.finder.commit_compaction(job)
+                        self.counters["generations" if committed
+                                      else "superseded"].inc()
             finally:
                 if not self._wake.is_set():
                     self._idle.set()
@@ -622,8 +631,3 @@ class BackgroundCompactor:
         self.finder.compaction_hook = None
         self._wake.set()
         self._thread.join(timeout)
-
-    def stats(self) -> dict:
-        return {"generations": self.generations,
-                "superseded": self.superseded,
-                "idle": self._idle.is_set()}

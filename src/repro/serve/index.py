@@ -26,11 +26,11 @@ score values returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["CoarseQuantIndex", "IndexStats", "kmeans_fit"]
+from .. import obs as _obs
+
+__all__ = ["CoarseQuantIndex", "kmeans_fit"]
 
 
 def kmeans_fit(vectors: np.ndarray, k: int, rng: np.random.Generator,
@@ -66,22 +66,6 @@ def kmeans_fit(vectors: np.ndarray, k: int, rng: np.random.Generator,
     return centroids
 
 
-@dataclass
-class IndexStats:
-    """Counters for ``/stats`` and the serve benchmark."""
-
-    queries: int = 0
-    probes: int = 0           # inverted lists scanned
-    scanned: int = 0          # candidate vectors scored approximately
-    rebuilds: int = 0
-    replaced: int = 0         # dirty candidates refreshed in place
-
-    def as_row(self) -> dict:
-        return {"queries": self.queries, "probes": self.probes,
-                "scanned": self.scanned, "rebuilds": self.rebuilds,
-                "replaced": self.replaced}
-
-
 class CoarseQuantIndex:
     """IVF inner-product index over a mutable candidate catalog.
 
@@ -109,7 +93,13 @@ class CoarseQuantIndex:
         self.nprobe = nprobe
         self.seed = seed
         self.rebuild_fraction = rebuild_fraction
-        self.stats = IndexStats()
+        # queries; probes — inverted lists scanned; scanned — candidate
+        # vectors scored approximately; rebuilds; replaced — dirty
+        # candidates refreshed in place.
+        self.counters = _obs.owned_counters(
+            "repro_serve_index",
+            ("queries", "probes", "scanned", "rebuilds", "replaced"),
+            help="IVF candidate index {} count")
         self._reset_storage()
 
     def _reset_storage(self) -> None:
@@ -175,7 +165,7 @@ class CoarseQuantIndex:
         self._alive = np.ones(len(ids), dtype=bool)
         self._row_of = {int(i): row for row, i in
                         enumerate(self._list_ids.tolist())}
-        self.stats.rebuilds += 1
+        self.counters["rebuilds"].inc()
 
     def _assign(self, vectors: np.ndarray) -> np.ndarray:
         c = self._centroids
@@ -207,6 +197,7 @@ class CoarseQuantIndex:
         ids = np.asarray(ids, dtype=np.int64)
         vectors = np.asarray(vectors, dtype=np.float64)
         fresh_ids, fresh_vecs = [], []
+        replaced = 0
         pending = {}
         for block_ids, block_vecs in zip(self._pending_ids,
                                          self._pending_vecs):
@@ -216,14 +207,15 @@ class CoarseQuantIndex:
             row = self._row_of.get(int(i))
             if row is not None:
                 self._list_vecs[row] = vectors[k]
-                self.stats.replaced += 1
+                replaced += 1
             elif int(i) in pending:
                 block, j = pending[int(i)]
                 block[j] = vectors[k]
-                self.stats.replaced += 1
+                replaced += 1
             else:
                 fresh_ids.append(int(i))
                 fresh_vecs.append(vectors[k])
+        self.counters["replaced"].inc(replaced)
         if fresh_ids:
             self.add(np.asarray(fresh_ids, dtype=np.int64),
                      np.stack(fresh_vecs))
@@ -277,9 +269,9 @@ class CoarseQuantIndex:
             return ids
         vecs = np.concatenate(vec_parts)
         scores = vecs @ query
-        self.stats.queries += 1
-        self.stats.probes += int(nprobe)
-        self.stats.scanned += len(ids)
+        self.counters["queries"].inc()
+        self.counters["probes"].inc(int(nprobe))
+        self.counters["scanned"].inc(len(ids))
         if size >= len(ids):
             order = np.argsort(-scores, kind="stable")
         else:

@@ -35,54 +35,7 @@ from ..graph.events import EventStream
 from ..nn.autograd import no_grad
 from .dynamic_finder import DynamicNeighborFinder, IngestError
 
-__all__ = ["IngestError", "IngestStats", "LiveIngestor"]
-
-
-_MAX_BLOCK_SAMPLES = 4096
-
-
-class IngestStats:
-    """Counters the serve benchmarks and ``/stats`` endpoint report.
-
-    Counter fields are registry-backed (``repro_serve_ingest_*``), so
-    ``GET /metrics`` exports them; each compares equal to its numeric
-    value.  ``block_seconds`` keeps only the most recent
-    ``_MAX_BLOCK_SAMPLES`` per-block timings (a rolling latency window,
-    not an unbounded log), so a long-lived replica ingesting forever
-    cannot leak memory here; the same timings also feed the
-    ``repro_serve_ingest_block_seconds`` histogram.
-    """
-
-    def __init__(self):
-        def _counter(name, help):
-            return _obs.counter(f"repro_serve_ingest_{name}", help=help,
-                                replace=True)
-        self.blocks = _counter("blocks_total", "ingested event blocks")
-        self.events = _counter("events_total", "ingested events")
-        self.seconds = _counter("seconds_total",
-                                "seconds spent ingesting")
-        self.touched_rows = _counter("touched_rows_total",
-                                     "memory rows touched by ingestion")
-        self.block_seconds: list = []
-        self._block_hist = _obs.histogram(
-            "repro_serve_ingest_block_seconds",
-            help="per-block ingest latency", replace=True)
-
-    def record_block(self, seconds: float) -> None:
-        self.block_seconds.append(seconds)
-        if len(self.block_seconds) > _MAX_BLOCK_SAMPLES:
-            del self.block_seconds[:-_MAX_BLOCK_SAMPLES]
-        self._block_hist.observe(seconds)
-
-    @property
-    def events_per_sec(self) -> float:
-        seconds = float(self.seconds)
-        return int(self.events) / seconds if seconds > 0 else 0.0
-
-    def as_row(self) -> dict:
-        return {"blocks": int(self.blocks), "events": int(self.events),
-                "events_per_sec": round(self.events_per_sec, 2),
-                "touched_rows": int(self.touched_rows)}
+__all__ = ["IngestError", "LiveIngestor"]
 
 
 class LiveIngestor:
@@ -108,7 +61,16 @@ class LiveIngestor:
         # touched.
         self.touch_count = np.zeros(finder.num_nodes + 1, dtype=np.int64)
         self.touch_time = np.zeros(finder.num_nodes + 1, dtype=np.float64)
-        self.stats = IngestStats()
+        # blocks, events, seconds spent and memory rows touched; the
+        # per-block latencies go to a histogram, whose raw ring gives
+        # the percentiles.
+        self.counters = _obs.owned_counters(
+            "repro_serve_ingest",
+            ("blocks", "events", "seconds", "touched_rows"),
+            help="live ingest {} total")
+        self.block_hist = _obs.histogram(
+            "repro_serve_ingest_block_seconds",
+            help="per-block ingest latency", replace=True)
 
     @property
     def edge_feats(self) -> np.ndarray | None:
@@ -160,11 +122,12 @@ class LiveIngestor:
         self.touch_time[touched] = np.maximum(self.touch_time[touched],
                                               timestamps[-1])
         elapsed = time.perf_counter() - start
-        self.stats.blocks += 1
-        self.stats.events += len(src)
-        self.stats.seconds += elapsed
-        self.stats.record_block(elapsed)
-        self.stats.touched_rows += len(touched)
+        counters = self.counters
+        counters["blocks"].inc()
+        counters["events"].inc(len(src))
+        counters["seconds"].inc(elapsed)
+        counters["touched_rows"].inc(len(touched))
+        self.block_hist.observe(elapsed)
         return touched
 
     def ingest_stream(self, stream: EventStream,

@@ -42,8 +42,7 @@ import numpy as np
 
 from .. import obs as _obs
 
-__all__ = ["MicroBatchPlanner", "PlannerStats", "RowCache",
-           "StalenessPolicy"]
+__all__ = ["MicroBatchPlanner", "RowCache", "StalenessPolicy"]
 
 
 _FREE = np.iinfo(np.int64).max      # LRU stamp of an unused slot
@@ -104,6 +103,9 @@ class RowCache:
                  time_resolution: float = 1e-6, dtype=np.float64):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        if not (math.isfinite(time_resolution) and time_resolution > 0):
+            raise ValueError("time_resolution must be finite and > 0, "
+                             f"got {time_resolution!r}")
         self.capacity = capacity
         self.time_resolution = time_resolution
         self.policy = policy if policy is not None else StalenessPolicy()
@@ -202,43 +204,6 @@ class RowCache:
         return taken
 
 
-class PlannerStats:
-    """Counters for ``/stats`` and the serve benchmark.
-
-    Backed by the :mod:`repro.obs` registry
-    (``repro_serve_planner_*_total``), so ``GET /metrics`` exports the
-    same numbers.  Counters compare equal to their int values.
-    """
-
-    # requests           — planner entry calls
-    # queries            — individual (node, ts) rows requested
-    # batches            — batched encoder passes executed
-    # coalesced          — requests that shared a pass with others
-    # deduped            — rows answered by another row in the same pass
-    # stale_hits         — hits served despite field touches (within bound)
-    # stale_evictions    — cached rows the freshness test refused
-    _FIELDS = ("requests", "queries", "batches", "coalesced", "deduped",
-               "cache_hits", "cache_misses", "stale_hits",
-               "stale_evictions")
-
-    def __init__(self):
-        for name in self._FIELDS:
-            setattr(self, name,
-                    _obs.counter(f"repro_serve_planner_{name}_total",
-                                 help=f"micro-batch planner {name} count",
-                                 replace=True))
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = int(self.cache_hits) + int(self.cache_misses)
-        return int(self.cache_hits) / total if total else 0.0
-
-    def as_row(self) -> dict:
-        row = {name: int(getattr(self, name)) for name in self._FIELDS}
-        row["cache_hit_rate"] = round(self.cache_hit_rate, 4)
-        return row
-
-
 class _Pending:
     """One caller's enqueued query, filled in by the executing leader."""
 
@@ -292,7 +257,18 @@ class MicroBatchPlanner:
             else threading.RLock()
         self._queue: list[_Pending] = []
         self._executing = False
-        self.stats = PlannerStats()
+        # requests        — planner entry calls
+        # queries         — individual (node, ts) rows requested
+        # batches         — batched encoder passes executed
+        # coalesced       — requests that shared a pass with others
+        # deduped         — rows answered by another row in the same pass
+        # stale_hits      — hits served despite field touches (within bound)
+        # stale_evictions — cached rows the freshness test refused
+        self.counters = _obs.owned_counters(
+            "repro_serve_planner",
+            ("requests", "queries", "batches", "coalesced", "deduped",
+             "cache_hits", "cache_misses", "stale_hits", "stale_evictions"),
+            help="micro-batch planner {} count")
 
     # ------------------------------------------------------------------
     def embed(self, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -304,8 +280,8 @@ class MicroBatchPlanner:
         request = _Pending(nodes, ts)
         with self._lock:
             self._queue.append(request)
-            self.stats.requests += 1
-            self.stats.queries += len(nodes)
+            self.counters["requests"].inc()
+            self.counters["queries"].inc(len(nodes))
             leader = not self._executing
             if leader:
                 self._executing = True
@@ -350,7 +326,7 @@ class MicroBatchPlanner:
     def _execute(self, batch: list[_Pending]) -> None:
         """One coalesced pass: dedup, consult cache, compute, distribute."""
         if len(batch) > 1:
-            self.stats.coalesced += len(batch)
+            self.counters["coalesced"].inc(len(batch))
         all_nodes = np.concatenate([r.nodes for r in batch])
         all_ts = np.concatenate([r.ts for r in batch])
         try:
@@ -361,7 +337,7 @@ class MicroBatchPlanner:
                 request.error = exc
                 request.done.set()
             return
-        self.stats.batches += 1
+        self.counters["batches"].inc()
         offset = 0
         for request in batch:
             request.rows = rows[offset:offset + len(request.nodes)]
@@ -389,12 +365,12 @@ class MicroBatchPlanner:
         slots, serve, stale, refused = cache.lookup(nodes, tkeys)
         hit = np.flatnonzero(serve)
         miss = np.flatnonzero(~serve)
-        stats = self.stats
-        stats.deduped += len(inverse) - len(nodes)
-        stats.cache_hits += len(hit)
-        stats.cache_misses += len(miss)
-        stats.stale_hits += stale
-        stats.stale_evictions += refused
+        counters = self.counters
+        counters["deduped"].inc(len(inverse) - len(nodes))
+        counters["cache_hits"].inc(len(hit))
+        counters["cache_misses"].inc(len(miss))
+        counters["stale_hits"].inc(stale)
+        counters["stale_evictions"].inc(refused)
         # Gathered before put can evict.
         cached = cache.rows.take(slots[hit], axis=0)
         if len(miss) == 0:

@@ -117,6 +117,10 @@ class ServeConfig:
             raise ServeError("max_batch must be >= 1")
         if self.window < 0:
             raise ServeError("window must be >= 0")
+        if not (math.isfinite(self.time_resolution)
+                and self.time_resolution > 0):
+            raise ServeError("time_resolution must be finite and > 0, got "
+                             f"{self.time_resolution!r}")
         if self.staleness_events < 0 or self.staleness_time < 0:
             raise ServeError("staleness bounds must be >= 0")
         if self.index_nlist < 0:
@@ -403,11 +407,8 @@ class EmbeddingService:
             config = dataclasses.replace(config if config is not None
                                          else ServeConfig(), **knobs)
         meta, data = read_snapshot(snapshot_path)
-        try:
-            verify_snapshot_meta(meta, artifact)
-            return cls(artifact, config=config, _snapshot=(meta, data))
-        finally:
-            data.close()
+        verify_snapshot_meta(meta, artifact)
+        return cls(artifact, config=config, _snapshot=(meta, data))
 
     def snapshot(self, path: str) -> dict:
         """Write the live state to ``path`` (npz); returns the meta dict.
@@ -647,6 +648,11 @@ class EmbeddingService:
         with self._lock:
             cache = self.planner.cache
             index = self._index
+            compactor = self._compactor
+            planner = _ints(self.planner.counters)
+            lookups = planner["cache_hits"] + planner["cache_misses"]
+            ingest = self._ingestor.counters
+            seconds = float(ingest["seconds"])
             snapshot = dict(self._snapshot_meta)
             if snapshot.get("restored"):
                 snapshot["events_since_restore"] = (
@@ -668,9 +674,10 @@ class EmbeddingService:
                     "num_events": int(self.finder.num_events),
                     "delta_events": int(self.finder.delta_events),
                     "compactions": int(self.finder.compactions),
-                    "background_compaction": self._compactor is not None,
-                    "compactor": (None if self._compactor is None
-                                  else self._compactor.stats()),
+                    "background_compaction": compactor is not None,
+                    "compactor": (None if compactor is None else {
+                        **_ints(compactor.counters),
+                        "idle": compactor.idle}),
                 },
                 "staleness": {
                     "exact": policy.exact,
@@ -686,11 +693,24 @@ class EmbeddingService:
                     "lists": index.num_lists,
                     "nprobe": index.nprobe,
                     "dirty": int(np.count_nonzero(self._dirty_mask)),
-                    **index.stats.as_row(),
+                    **_ints(index.counters),
                 }),
                 "candidates": int(len(self._candidates)),
                 "snapshot": snapshot,
-                "planner": self.planner.stats.as_row(),
+                "planner": {**planner, "cache_hit_rate": round(
+                    planner["cache_hits"] / lookups if lookups else 0.0, 4)},
                 "cache_rows": 0 if cache is None else len(cache),
-                "ingest": self._ingestor.stats.as_row(),
+                "ingest": {
+                    "blocks": int(ingest["blocks"]),
+                    "events": int(ingest["events"]),
+                    "events_per_sec": round(
+                        int(ingest["events"]) / seconds if seconds > 0
+                        else 0.0, 2),
+                    "touched_rows": int(ingest["touched_rows"]),
+                },
             }
+
+
+def _ints(counters: dict) -> dict:
+    """``{name: int(counter)}`` of an owner's counter dict."""
+    return {name: int(c) for name, c in counters.items()}

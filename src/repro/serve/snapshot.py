@@ -54,8 +54,8 @@ def write_snapshot(service, path: str) -> dict:
         "num_events": int(finder.num_events),
         "delta_events": int(finder.delta_events),
         "compactions": int(finder.compactions),
-        "ingested_events": int(ingestor.stats.events),
-        "ingested_blocks": int(ingestor.stats.blocks),
+        "ingested_events": int(ingestor.counters["events"]),
+        "ingested_blocks": int(ingestor.counters["blocks"]),
     }
     arrays: dict[str, np.ndarray] = {
         "memory_state": memory_state,
@@ -109,14 +109,15 @@ def write_snapshot(service, path: str) -> dict:
     return meta
 
 
-def read_snapshot(path: str):
+def read_snapshot(path: str) -> tuple[dict, dict]:
     """Load a snapshot file; returns ``(meta, arrays)``.
 
-    ``arrays`` is the open ``NpzFile`` mapping — callers index the keys
-    they need; values materialise on access.
+    Every member is read (and its CRC checked) here, so a damaged file
+    fails as a :class:`SnapshotError` naming it, never later mid-restore.
     """
     try:
-        data = np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as payload:
+            data = {key: payload[key] for key in payload.files}
     except (OSError, ValueError, *NPZ_CORRUPTION_ERRORS) as exc:
         raise SnapshotError(f"cannot read snapshot {path!r}: {exc}") from exc
     if "meta_json" not in data:

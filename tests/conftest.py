@@ -61,9 +61,10 @@ def watch_late_mismatches(monkeypatch) -> list[str]:
             return call(self, *args, key=key, **kwargs)
         finally:
             keys = replayed.setdefault(self, set())
-            if self.counters["replays"] > replays:
+            if int(self.counters["replays"]) > replays:
                 keys.add(key)
-            elif self.counters["mismatches"] > mismatches and key in keys:
+            elif (int(self.counters["mismatches"]) > mismatches
+                  and key in keys):
                 late.append(f"key {key!r}: {self.last_failure}")
 
     monkeypatch.setattr(CompiledStep, "__call__", checked)

@@ -1,0 +1,95 @@
+"""A serving replica's ``stats()`` and metric names, frozen at the
+commit before the stats classes were folded into the registry.
+
+That change deleted ``PlannerStats``, ``IngestStats``, ``IndexStats``
+and ``LedgerCounters`` and made each owner hold its own registry
+counters.  Neither the ``/stats`` document nor the metric families
+``/metrics`` renders may lose anything.  ``tests/fixtures/
+parent_stats.json`` records what the parent commit produced after
+:func:`schedule`:
+
+``stats``
+    ``service.stats()`` without the wall-clock ``ingest.events_per_sec``;
+``metric_families``
+    the sorted metric-family names of ``render_prometheus()`` in a fresh
+    process that ran only the schedule.
+
+It was written by running this module against the parent's sources::
+
+    PYTHONPATH=<parent checkout>/src python -m tests.parent_stats
+
+Everything here uses only API that exists at both commits.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+import numpy as np
+
+from repro import obs
+from repro.serve import EmbeddingService
+
+from . import parent_fixtures as parent
+from .parent_snapshot import block
+
+STATS_PATH = os.path.join(parent.FIXTURES, "parent_stats.json")
+
+
+def build_service() -> EmbeddingService:
+    """An indexed, cached replica that compacts inline every few blocks."""
+    return EmbeddingService.from_artifact(
+        parent.ARTIFACT_PATH, history=parent.tiny_stream(), index=True,
+        background_compaction=False, compaction_threshold=40,
+        cache_capacity=32)
+
+
+def schedule(service: EmbeddingService) -> None:
+    """Seeded ingest / embed / top_k traffic touching every counter."""
+    rng = np.random.default_rng(11)
+    t, nodes = 100.0, None
+    for step in range(6):
+        service.ingest(**block(seed=10 + step, t0=t))
+        if nodes is not None:
+            service.embed(nodes, t)        # touched fields: refused rows
+        t += 10.0
+        nodes = rng.integers(0, parent.NUM_NODES, 16)
+        service.embed(nodes, t)            # duplicates: deduped rows
+        service.embed(nodes[:8], t)        # repeats: cache hits
+        service.top_k(int(nodes[0]), t, 5)
+        service.top_k(int(nodes[1]), t, 5)
+
+
+def stats_row(service: EmbeddingService) -> dict:
+    """``service.stats()`` without its one wall-clock field."""
+    stats = service.stats()
+    del stats["ingest"]["events_per_sec"]
+    return stats
+
+
+def metric_families(text: str) -> list[str]:
+    """Sorted family names of a Prometheus text exposition."""
+    return sorted(line.split()[2] for line in text.splitlines()
+                  if line.startswith("# TYPE "))
+
+
+def record() -> dict:
+    service = build_service()
+    try:
+        schedule(service)
+        return {"stats": stats_row(service),
+                "metric_families": metric_families(
+                    obs.render_prometheus())}
+    finally:
+        service.close()
+
+
+def main() -> None:
+    with open(STATS_PATH, "w") as fh:
+        json.dump(record(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -175,7 +175,7 @@ def test_random_chain_matches_eager(dtype, seed):
     w_comp = _weight(dtype)
     compiled = CompiledStep(_chain_step(names, w_comp))
     losses = [compiled(x, key="k") for x in xs]
-    assert compiled.stats()["replays"] == len(xs) - 1
+    assert int(compiled.counters["replays"]) == len(xs) - 1
     assert losses == eager_losses
     assert np.array_equal(w_comp.grad, eager_grad)
 
@@ -195,7 +195,7 @@ def test_chain_of_length_n(length):
     compiled = CompiledStep(_chain_step(names, w_comp))
     compiled(x, key="k")
     replayed_loss = compiled(x, key="k")
-    assert compiled.stats()["replays"] == 1
+    assert int(compiled.counters["replays"]) == 1
     assert replayed_loss == eager_loss
     assert np.array_equal(w_comp.grad, w_eager.grad)
 
@@ -207,7 +207,7 @@ def test_replayed_chain_passes_gradcheck():
     compiled = CompiledStep(_chain_step(names, w))
     compiled(x, key="k")
     compiled(x, key="k")                       # replayed call
-    assert compiled.stats()["replays"] == 1
+    assert int(compiled.counters["replays"]) == 1
 
     from repro.nn.autograd import no_grad
 
@@ -242,28 +242,3 @@ def test_broadcast_mul_chain_matches_eager():
     compiled = CompiledStep(make(w_comp))
     assert [compiled(x, key="k") for _ in range(2)] == eager
     assert np.array_equal(w_comp.grad, w_eager.grad)
-
-
-# ----------------------------------------------------------------------
-# kernel profiling
-# ----------------------------------------------------------------------
-def test_profile_collects_per_kernel_seconds():
-    x = np.linspace(-1.0, 1.0, 24, dtype=np.float32).reshape(6, 4)
-    w = _weight(np.float32)
-    compiled = CompiledStep(_chain_step(["tanh"], w), profile=True)
-    compiled(x, key="k")
-    compiled(x, key="k")
-    kernels = compiled.stats()["kernels"]
-    assert kernels is not None
-    labels = set(kernels)
-    assert any(label.startswith("fwd:") for label in labels)
-    assert any(label.startswith("bwd:") for label in labels)
-    for entry in kernels.values():
-        assert entry["calls"] >= 1 and entry["seconds"] >= 0.0
-
-
-def test_profile_off_by_default():
-    w = _weight(np.float32)
-    compiled = CompiledStep(_chain_step([], w))
-    compiled(np.ones((6, 4), np.float32), key="k")
-    assert compiled.stats()["kernels"] is None

@@ -98,8 +98,8 @@ class TestCompiledStepTraining:
         assert compiled_losses == eager_losses
         for p, g in zip(net2.parameters(), eager_grads):
             assert np.array_equal(p.grad, g)
-        assert compiled.stats()["traces"] == 1
-        assert compiled.stats()["replays"] == len(xs) - 1
+        assert int(compiled.counters["traces"]) == 1
+        assert int(compiled.counters["replays"]) == len(xs) - 1
         # Two fused linears, relu, and the five loss ops; the registry
         # gauge reports the program just built.
         assert compiled.program_size(xs[0].shape) == 8
@@ -110,7 +110,7 @@ class TestCompiledStepTraining:
         compiled = CompiledStep(self._step_fn(net))
         compiled(xs[0], ys[0], key="k")
         compiled(xs[1], ys[1], key="k")       # replayed call
-        assert compiled.stats()["replays"] == 1
+        assert int(compiled.counters["replays"]) == 1
         x, y = xs[1], ys[1]
         for param in net.parameters():
             def loss_value():
@@ -135,8 +135,8 @@ class TestCompiledStepTraining:
         compiled = CompiledStep(self._step_fn(net2))
         assert compiled(xs[0], ys[0], key="same") == eager_a
         assert compiled(x2, y2, key="same") == eager_b
-        assert compiled.stats()["mismatches"] == 0
-        assert compiled.stats()["replays"] == 1
+        assert int(compiled.counters["mismatches"]) == 0
+        assert int(compiled.counters["replays"]) == 1
         for p, g in zip(net2.parameters(), eager_grads):
             assert np.array_equal(p.grad, g)
 
@@ -168,7 +168,7 @@ class TestCompiledStepTraining:
         compiled = CompiledStep(step2)
         assert compiled(x_small, key="k") == ref_a
         assert compiled(x_big, key="k") == ref_b          # diverges -> eager
-        assert compiled.stats()["mismatches"] == 1
+        assert int(compiled.counters["mismatches"]) == 1
         for p, g in zip(net2.parameters(), ref_grads):
             assert np.array_equal(p.grad, g)
 
@@ -190,7 +190,7 @@ class TestCompiledStepTraining:
         for _ in range(8):
             compiled(None, key="k")
         assert "k" in compiled._dead
-        assert compiled.stats()["eager"] >= 1
+        assert int(compiled.counters["eager"]) >= 1
 
     @pytest.mark.replay_fallback
     def test_intermediate_fed_back_as_leaf_falls_back(self):
@@ -221,7 +221,7 @@ class TestCompiledStepTraining:
         compiled = CompiledStep(step2)
         assert [compiled(x, y, key="k") for x, y in zip(xs, ys)] == eager
         assert compiled.last_failure == "intermediate used as leaf"
-        stats = compiled.stats()
+        stats = {k: int(c) for k, c in compiled.counters.items()}
         assert (stats["replays"], stats["mismatches"]) == (0, len(xs) - 1)
         for p, g in zip(net2.parameters(), eager_grads):
             assert np.array_equal(p.grad, g)
@@ -251,7 +251,7 @@ class TestCompiledStepTraining:
         for _ in range(3):
             compiled(key="k")
         assert late == []
-        assert compiled.counters["replays"] == 1
+        assert int(compiled.counters["replays"]) == 1
         compiled(key="k")
         assert late == ["key 'k': step ran more ops than recorded"]
 
@@ -317,7 +317,7 @@ class TestCompiledStepTraining:
                 assert compiled(x, key="k") == loss
                 assert w.grad.dtype == dtype
                 assert np.array_equal(w.grad, grad)
-        stats = compiled.stats()
+        stats = {k: int(c) for k, c in compiled.counters.items()}
         assert (stats["replays"], stats["mismatches"]) == (len(xs) - 1, 0)
 
     @pytest.mark.replay_fallback
@@ -364,8 +364,8 @@ class TestCompiledStepTraining:
             worker.join(10.0)
         assert not worker.is_alive()
         assert replayed == [eager_losses[1]]
-        assert compiled.counters["mismatches"] == 0
-        assert compiled.counters["replays"] == 1
+        assert int(compiled.counters["mismatches"]) == 0
+        assert int(compiled.counters["replays"]) == 1
         for p, g in zip(net2.parameters(), eager_grads):
             assert np.array_equal(p.grad, g)
 
@@ -374,9 +374,8 @@ class TestCompiledStepTraining:
         compiled = CompiledStep(self._step_fn(net), enabled=False)
         for x, y in zip(xs, ys):
             compiled(x, y, key="k")
-        assert compiled.counters == {"traces": 0, "replays": 0,
-                                     "mismatches": 0, "eager": len(xs)}
-        assert compiled.stats()["kernels"] is None
+        assert {k: int(c) for k, c in compiled.counters.items()} == {
+            "traces": 0, "replays": 0, "mismatches": 0, "eager": len(xs)}
         assert compiled.program_size("k") is None
 
 
@@ -398,8 +397,8 @@ class TestProgramLifetime:
         finally:
             gc.enable()
         # The stage did build and replay programs.
-        assert obs.counter("repro_compile_traces_total") >= 1
-        assert obs.counter("repro_compile_replays_total") >= 1
+        assert int(obs.counter("repro_compile_traces_total")) >= 1
+        assert int(obs.counter("repro_compile_replays_total")) >= 1
         return result, left
 
     def test_pretrain_and_finetune_free_their_programs(self):

@@ -24,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import CPDGPreTrainer
 from repro.fabric import (PROTOCOL_VERSION, FabricError, FabricProducer,
                           FabricWorker, FrameDecoder, LeaseLedger,
@@ -37,6 +38,7 @@ from repro.stream import (BatchPlan, SamplingContext, SerialProducer,
                           StreamError, export_graph_shards, make_producer,
                           open_graph_shards, produce_batch,
                           shard_fingerprint)
+from tests.test_stats_surface import metric_value
 from tests.test_stream_pipeline import (assert_prepared_equal, make_stream,
                                         small_config, spec_for)
 
@@ -240,14 +242,14 @@ class TestLeaseLedger:
         ledger.grant("a", 0.0, 10.0)
         assert ledger.complete(0, "a") is True
         assert ledger.complete(0, "b") is False
-        assert ledger.counters.duplicates == 1
-        assert ledger.counters.completed == 1
+        assert int(ledger.counters["duplicates"]) == 1
+        assert int(ledger.counters["completed"]) == 1
 
     def test_expired_lease_requeues_and_avoids_repeat(self):
         ledger = LeaseLedger(_plan(), window=10)
         assert ledger.grant("slow", 0.0, 1.0).seq == 0
         assert ledger.reclaim_expired(2.0) == [0]
-        assert ledger.counters.reclaimed_expired == 1
+        assert int(ledger.counters["reclaimed_expired"]) == 1
         # With another worker available, seq 0 must not bounce back.
         assert ledger.grant("slow", 2.0, 1.0, avoid_repeat=True) is None
         assert ledger.grant("fresh", 2.0, 1.0, avoid_repeat=True).seq == 0
@@ -261,8 +263,8 @@ class TestLeaseLedger:
         ledger.grant("b", 0.0, 10.0)
         assert ledger.reclaim_worker("a", 1.0) == [0]
         assert ledger.outstanding("b") == 1
-        assert ledger.counters.reclaimed_disconnect == 1
-        assert ledger.counters.reclaim_log[-1][1] == "disconnect:a"
+        assert int(ledger.counters["reclaimed_disconnect"]) == 1
+        assert ledger.reclaim_log[-1][1] == "disconnect:a"
 
     def test_all_done(self):
         ledger = LeaseLedger(_plan(2), window=10)
@@ -357,6 +359,23 @@ class TestFabricChaos:
             producer.close()
         harness.join()
         assert len(batches) == len(self.serial(stream))
+        # GET /metrics shows the membership, lease and reassembly counts
+        # the producer's stats() reports.
+        stats = producer.stats()
+        text = obs.render_prometheus()
+        assert (stats["workers_joined"], stats["workers_rejected"],
+                stats["workers_left"]) == (1, 2, 1)
+        for name in ("joined", "rejected", "left"):
+            assert metric_value(text, f"repro_fabric_workers_{name}_total") \
+                == stats[f"workers_{name}"], name
+        for name in ("granted", "completed", "duplicates"):
+            assert metric_value(text, f"repro_fabric_leases_{name}_total") \
+                == stats[name], name
+        waits = "repro_fabric_reassembly_wait_seconds"
+        assert metric_value(text, waits + "_count") == len(batches)
+        assert stats["reassembly_wait_mean_s"] == pytest.approx(
+            metric_value(text, waits + "_sum") / len(batches))
+        assert stats["reassembly_wait_p99_s"] >= 0.0
 
     def test_version_mismatch_rejected(self):
         stream = make_stream()

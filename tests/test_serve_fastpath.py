@@ -120,8 +120,8 @@ class TestStalenessBoundedCache:
             assert service.planner.cache.policy.exact
             np.testing.assert_array_equal(
                 self.interleave(service, suffix, probes, t, block=4), want)
-            assert service.planner.stats.cache_hits > 0
-            assert service.planner.stats.stale_hits == 0
+            assert int(service.planner.counters["cache_hits"]) > 0
+            assert int(service.planner.counters["stale_hits"]) == 0
 
     def test_bounded_policy_serves_stale_rows(self, artifact_and_streams):
         _, _, _, suffix = artifact_and_streams
@@ -140,13 +140,13 @@ class TestStalenessBoundedCache:
         after_exact = exact.embed(probes, t)
         # The bounded service reused every cached row bit-for-bit...
         np.testing.assert_array_equal(after_stale, before)
-        assert stale.planner.stats.stale_hits == len(probes)
+        assert int(stale.planner.counters["stale_hits"]) == len(probes)
         # ...while the exact service recomputed them, landing on the
         # cache-free answer.
         np.testing.assert_array_equal(after_exact, oracle.embed(probes, t))
         assert not np.array_equal(after_exact, before)
-        assert stale.planner.stats.cache_misses < \
-            exact.planner.stats.cache_misses
+        assert int(stale.planner.counters["cache_misses"]) < \
+            int(exact.planner.counters["cache_misses"])
 
     def field_touch_setup(self, artifact_and_streams, **knobs):
         """A bounded service, the oracle, a probe ``u`` and an ingest
@@ -174,34 +174,35 @@ class TestStalenessBoundedCache:
     def test_event_bound_counts_field_touches(self, artifact_and_streams):
         service, oracle, u, t, touch = self.field_touch_setup(
             artifact_and_streams, staleness_events=2.0)
-        stats = service.planner.stats
+        stats = service.planner.counters
         start = float(artifact_and_streams[3].timestamps[0])
         before = service.embed([u], t).copy()
         for i in range(2):                      # 1, then 2 missed touches
             touch(start + i)
             np.testing.assert_array_equal(service.embed([u], t), before)
             assert not np.array_equal(before, oracle.embed([u], t))
-        assert stats.stale_hits == 2 and stats.stale_evictions == 0
+        assert int(stats["stale_hits"]) == 2
+        assert int(stats["stale_evictions"]) == 0
         touch(start + 2)                        # the third exceeds the bound
         np.testing.assert_array_equal(service.embed([u], t),
                                       oracle.embed([u], t))
-        assert stats.stale_evictions == 1
+        assert int(stats["stale_evictions"]) == 1
 
     def test_time_bound_spans_field_touches(self, artifact_and_streams):
         service, oracle, u, t, touch = self.field_touch_setup(
             artifact_and_streams, staleness_events=1e9, staleness_time=1.0)
-        stats = service.planner.stats
+        stats = service.planner.counters
         start = float(artifact_and_streams[3].timestamps[0])
         touch(start)                            # the field's clock: `start`
         before = service.embed([u], t).copy()
         np.testing.assert_array_equal(before, oracle.embed([u], t))
         touch(start + 0.5)                      # within the time bound
         np.testing.assert_array_equal(service.embed([u], t), before)
-        assert stats.stale_hits == 1
+        assert int(stats["stale_hits"]) == 1
         touch(start + 5.0)                      # beyond it
         np.testing.assert_array_equal(service.embed([u], t),
                                       oracle.embed([u], t))
-        assert stats.stale_evictions == 1
+        assert int(stats["stale_evictions"]) == 1
 
     def test_time_bound_caps_event_bound(self, artifact_and_streams):
         _, _, _, suffix = artifact_and_streams
@@ -270,7 +271,8 @@ class TestCoarseQuantIndex:
             hits += len(got & set(want.tolist()))
             total += len(want)
         assert hits / total >= 0.95
-        assert index.stats.scanned < index.stats.queries * len(vecs)
+        assert (int(index.counters["scanned"])
+                < int(index.counters["queries"]) * len(vecs))
 
     def test_pending_tail_always_found(self):
         rng = np.random.default_rng(3)
@@ -372,7 +374,7 @@ class TestIndexedTopK:
         share one planner pass; the exact rescoring is the second."""
         _, _, pre, suffix = artifact_and_streams
         service = build_service(artifact_and_streams, index=True)
-        requests = service.planner.stats.requests
+        requests = service.planner.counters["requests"]
         try:
             service.top_k(0, float(suffix.timestamps[0]), 5)    # rebuild
             assert int(requests) == 2
@@ -470,7 +472,7 @@ class TestBackgroundCompaction:
             np.testing.assert_array_equal(background.embed(probes, t),
                                           sync.embed(probes, t))
             assert sync._compactor is None
-            assert sync.finder.compactions > 0
+            assert int(sync.finder.compactions) > 0
             stats = background.stats()["graph"]
             assert stats["background_compaction"]
             assert stats["compactor"]["generations"] >= 1
@@ -561,7 +563,6 @@ class TestSnapshot:
         assert service._ingestor.touch_count.any()
         _, data = read_snapshot(path)
         assert data["touch_count"].shape == (NUM_NODES,)
-        data.close()
 
     def test_continued_ingest_equivalence(self, artifact_and_streams,
                                           tmp_path):
@@ -646,12 +647,10 @@ class TestSnapshot:
         assert meta_then["has_staged"]
         assert {**meta_now, "created_unix": 0} == \
             {**meta_then, "created_unix": 0}
-        assert sorted(now.files) == sorted(then.files)
-        for key in then.files:
+        assert sorted(now) == sorted(then)
+        for key in then:
             if key != "meta_json":
                 np.testing.assert_array_equal(now[key], then[key], key)
-        now.close()
-        then.close()
 
     def test_restored_masks_follow_new_destinations(self,
                                                     artifact_and_streams,
@@ -718,8 +717,7 @@ class TestSnapshot:
         service = build_service(artifact_and_streams,
                                 background_compaction=False)
         meta = service.snapshot(path)
-        meta2, data = read_snapshot(path)
-        data.close()
+        meta2, _ = read_snapshot(path)
         assert json.loads(json.dumps(meta)) == meta2
 
 
