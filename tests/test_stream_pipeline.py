@@ -24,6 +24,8 @@ from repro.stream import (BatchPlan, ProducerSpec, SamplingContext,
                           SerialProducer, StreamError, batch_rngs,
                           export_graph_shards, make_producer,
                           open_graph_shards, produce_batch)
+from tests.golden_pretrain import (GOLDEN_PATH, build_golden, golden_config,
+                                  golden_stream)
 
 
 def make_stream(num_events: int = 240, num_nodes: int = 40,
@@ -186,6 +188,19 @@ class TestBatchLastUpdate:
                                       stream.dst[start:stop]])
             np.maximum.at(live, touched,
                           np.tile(stream.timestamps[start:stop], 2))
+
+    def test_trainer_clock_matches_the_csr(self):
+        """After pre-training, the memory clock the trainer kept from its
+        own ``touch`` calls equals the CSR-derived last update."""
+        stream = golden_stream()
+        trainer = CPDGPreTrainer.from_backbone("tgn", stream.num_nodes,
+                                               golden_config())
+        trainer.pretrain(stream)
+        probe = np.arange(stream.num_nodes, dtype=np.int64)
+        np.testing.assert_array_equal(
+            trainer.encoder.memory.last_update,
+            NeighborFinder(stream).batch_last_update(probe,
+                                                     stream.num_events))
 
     def test_base_clock_carries_over(self):
         stream = make_stream()
@@ -381,6 +396,19 @@ class TestPretrainEquivalence:
                                       np.asarray(mapped.loss_history))
         np.testing.assert_array_equal(in_memory.memory_state,
                                       mapped.memory_state)
+
+
+def test_pretrain_matches_the_parent_bit_for_bit():
+    """Loss history, final memory, ``last_update``, every encoder
+    parameter and every EIE checkpoint of tgn / jodie / dyrep (float32,
+    two epochs, both contrasts, compiled step, serial production) equal
+    what the commit before trainer-side message time gaps produced."""
+    with np.load(GOLDEN_PATH) as recorded:
+        golden = {key: recorded[key] for key in recorded.files}
+    current = build_golden()
+    assert sorted(current) == sorted(golden)
+    for key, expected in golden.items():
+        np.testing.assert_array_equal(current[key], expected, err_msg=key)
 
 
 class TestPretrainSeedingProperties:
