@@ -130,6 +130,9 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                # rfile.read(-1) would block until the client closes.
+                raise ValueError(f"negative Content-Length {length}")
             request = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, json.JSONDecodeError) as exc:
             self._reply({"error": f"bad JSON request: {exc}"}, 400)

@@ -892,6 +892,27 @@ class TestHttpFrontend:
         finally:
             server.shutdown()
 
+    def test_http_negative_content_length_is_a_400(self, service):
+        """``rfile.read(-1)`` reads to EOF, so a keep-alive request with
+        ``Content-Length: -1`` would hang its handler thread."""
+        import socket
+
+        server, _ = start_http_server(service)
+        port = server.server_address[1]
+        try:
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=1.0) as raw:
+                raw.sendall(b"POST /embed HTTP/1.1\r\n"
+                            b"Host: 127.0.0.1\r\n"
+                            b"Content-Type: application/json\r\n"
+                            b"Content-Length: -1\r\n\r\n")
+                status = raw.recv(1024).split(b"\r\n", 1)[0]
+            assert status.startswith(b"HTTP/1.1 400"), status
+            client = HttpClient(f"http://127.0.0.1:{port}")
+            assert client.health() == {"status": "ok"}
+        finally:
+            server.shutdown()
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_http_ingest_rejects_non_finite_timestamps(self, service, bad):
         """``json.loads`` passes NaN / Infinity through ``POST /ingest``."""
