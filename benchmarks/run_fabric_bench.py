@@ -65,7 +65,7 @@ def make_spec(stream, params, shard_dir=None) -> ProducerSpec:
     return ProducerSpec(
         batch_size=params["batch_size"], seed=0, epochs=1,
         sample_temporal=True, sample_structural=True,
-        eta=10, epsilon=10, depth=2, compute_messages=True,
+        eta=10, epsilon=10, depth=2,
         stream=stream, shard_dir=shard_dir)
 
 
@@ -86,9 +86,6 @@ def digest_batches(batches) -> str:
                     subgraph.nodes).tobytes())
                 digest.update(np.ascontiguousarray(
                     subgraph.indptr).tobytes())
-        if prepared.messages is not None:
-            digest.update(np.ascontiguousarray(
-                prepared.messages.delta_t).tobytes())
     return digest.hexdigest()
 
 
@@ -132,12 +129,17 @@ def fabric_run(stream, params, num_workers, *, kill_one=False,
             start = time.perf_counter()
             kill_after = None
             if kill_one:
-                # Let the run warm up, then SIGKILL worker 0 mid-plan.
+                # Let the run warm up, then SIGKILL worker 0 mid-plan —
+                # once it holds a lease: a worker that has not joined yet
+                # leaves nothing to reclaim.
                 total = len(producer.plan)
                 kill_after = max(2, total // 4)
             for prepared in producer:
                 batches.append(prepared)
-                if kill_after is not None and len(batches) == kill_after:
+                if (kill_after is not None and kill_at_monotonic is None
+                        and len(batches) >= kill_after
+                        and producer.stats()["workers"].get(
+                            "bench-0", {}).get("outstanding")):
                     kill_at_monotonic = time.monotonic()
                     procs[0].kill()
             elapsed = time.perf_counter() - start
@@ -223,7 +225,7 @@ def main() -> int:
     payload = {
         "metric": "batch production rate over the socket fabric (one unit "
                   "= one PreparedBatch: slice + negatives + eta-BFS/"
-                  "eps-DFS sampling + message skeleton, produced remotely "
+                  "eps-DFS sampling, produced remotely "
                   "and reassembled in plan order), plus reassembly-wait "
                   "and post-kill lease-reclaim latency",
         "machine": {"cores": cores},

@@ -166,8 +166,8 @@ def main() -> int:
     payload = {
         "metric": "pre-training steps per second (one step = one batch of "
                   "Algorithm 1: produce [slice + negatives + subgraph "
-                  "sampling + message skeleton] then consume [embed + "
-                  "contrasts + backward + update])",
+                  "sampling] then consume [embed + contrasts + backward "
+                  "+ update + message staging])",
         "backbone": "tgn",
         "dtype": "float32",
         "machine": {"cores": cores},

@@ -28,6 +28,7 @@ import sys
 from . import obs as _obs
 from .api import (ArtifactError, ConfigError, Pipeline, PretrainArtifact,
                   RunConfig, parse_set_args)
+from .fabric.worker import add_worker_arguments, worker_from_args
 from .serve.http import add_serve_arguments, serve_from_args
 from .stream import StreamError
 
@@ -45,9 +46,8 @@ def _load_run_config(args: argparse.Namespace,
     overrides = parse_set_args(getattr(args, "set", None))
     workers = getattr(args, "workers", None)
     if workers is not None:
-        # One flag drives both stages; dotted --set overrides still win.
-        overrides = {"pretrain.num_workers": workers,
-                     "finetune.num_workers": workers, **overrides}
+        # Dotted --set overrides still win.
+        overrides = {"pretrain.num_workers": workers, **overrides}
     fabric = getattr(args, "fabric", None)
     if fabric is not None:
         overrides = {"pretrain.fabric": fabric, **overrides}
@@ -149,22 +149,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fabric_worker(args: argparse.Namespace) -> int:
-    from .fabric.worker import main as worker_main
-    argv = ["--connect", args.connect, "--shards", args.shards,
-            "--capacity", str(args.capacity),
-            "--retry-for", str(args.retry_for)]
-    if args.name:
-        argv += ["--name", args.name]
-    if args.no_mmap:
-        argv.append("--no-mmap")
-    if args.max_results is not None:
-        argv += ["--max-results", str(args.max_results)]
-    if args.quiet:
-        argv.append("--quiet")
-    return worker_main(argv)
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
     if args.action == "report":
         if not args.trace:
@@ -251,8 +235,10 @@ def _add_config_options(parser: argparse.ArgumentParser,
                              "(repeatable)")
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="batch-producer worker processes (0 = "
-                             "in-process; overrides *.num_workers)")
+                        help="pre-training batch-producer worker "
+                             "processes (0 = in-process; overrides "
+                             "pretrain.num_workers); fine-tuning always "
+                             "produces in process")
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="enable span tracing and append JSONL span "
                              "records to FILE (sets obs.enabled and "
@@ -323,16 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     fw = sub.add_parser(
         "fabric-worker", help="join a distributed batch-production fabric "
                               "as a worker (see pretrain --fabric)")
-    fw.add_argument("--connect", required=True, metavar="HOST:PORT")
-    fw.add_argument("--shards", required=True, metavar="DIR")
-    fw.add_argument("--name", default=None)
-    fw.add_argument("--capacity", type=int, default=2)
-    fw.add_argument("--no-mmap", action="store_true")
-    fw.add_argument("--retry-for", type=float, default=30.0,
-                    metavar="SECONDS")
-    fw.add_argument("--max-results", type=int, default=None,
-                    help=argparse.SUPPRESS)
-    fw.add_argument("--quiet", action="store_true")
+    add_worker_arguments(fw)
 
     sub.add_parser("list", help="list registered experiments")
 
@@ -361,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handlers = {"pretrain": _cmd_pretrain, "finetune": _cmd_finetune,
                 "evaluate": _cmd_evaluate, "serve": serve_from_args,
-                "fabric-worker": _cmd_fabric_worker, "obs": _cmd_obs,
+                "fabric-worker": worker_from_args, "obs": _cmd_obs,
                 "list": _cmd_list, "run": _cmd_run, "profile": _cmd_profile}
     try:
         code = handlers[args.command](args)

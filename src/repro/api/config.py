@@ -41,8 +41,9 @@ _OVERRIDE_ALIASES = {
 # Section keys that earlier builds wrote into run-config JSON and artifact
 # metadata and that no longer exist.  ``from_dict`` drops them so those
 # files keep loading; ``--set`` still rejects them like any unknown key.
-_RETIRED_KEYS = {"pretrain": {"backend", "fabric_ranges", "memory_engine"},
-                 "finetune": {"backend", "compile_step"}}
+_RETIRED_KEYS = {"pretrain": {"backend", "fabric_ranges", "memory_engine", "mmap_graph"},
+                 "finetune": {"backend", "compile_step", "num_workers",
+                              "prefetch_batches"}}
 
 
 class ConfigError(ValueError):

@@ -115,25 +115,14 @@ class Pipeline:
     # stage 1: pre-training
     # ------------------------------------------------------------------
     def pretrain(self, stream: EventStream | None = None,
-                 verbose: bool = False,
-                 num_workers: int | None = None) -> "Pipeline":
+                 verbose: bool = False) -> "Pipeline":
         """Run CPDG pre-training (Algorithm 1) and keep the artifact.
 
         ``stream`` defaults to the pre-training stream resolved from
         ``config.data``; pass one explicitly to pre-train on custom data.
-        ``num_workers`` overrides ``config.pretrain.num_workers`` for this
-        run (0 = in-process batch production, N = local fabric workers
-        over memory-mapped graph shards); per-batch seeding keeps the
-        result bit-identical either way.
         """
-        # One-shot override: the trainer (and the artifact's embedded
-        # as-run config) see it, but the pipeline's own config is
-        # untouched for later stages/runs.
         config = self.config
         self._configure_obs()
-        if num_workers is not None:
-            config = config.with_overrides(
-                {"pretrain.num_workers": int(num_workers)})
         if stream is None:
             resolved = self._data()
             stream, num_nodes = resolved.pretrain, resolved.num_nodes

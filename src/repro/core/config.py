@@ -69,20 +69,19 @@ class CPDGConfig:
     dtype: str = "float32"
 
     # Streaming batch pipeline (repro.stream).  ``num_workers=0`` produces
-    # batches in-process; N >= 1 fans sampling + staging out over N local
-    # fabric workers (spawned processes on a private AF_UNIX socket)
-    # sharing memory-mapped graph shards.  Per-batch seeding makes both
-    # paths bit-identical.  ``prefetch_batches`` bounds in-flight
-    # batches (backpressure); ``mmap_graph`` makes the trainer itself read
-    # the CSR from memory-mapped shards (event streams exceeding RAM).
+    # batches in-process; N >= 1 fans sampling out over N local fabric
+    # workers (spawned processes on a private AF_UNIX socket) sharing
+    # memory-mapped graph shards.  Per-batch seeding makes both paths
+    # bit-identical.  ``prefetch_batches`` bounds in-flight batches
+    # (backpressure).
     num_workers: int = 0
     prefetch_batches: int = 4
-    mmap_graph: bool = False
 
     # Distributed batch-production fabric (repro.fabric).  ``fabric`` is a
-    # ``host:port`` the coordinator listens on (port 0 = ephemeral); the
-    # graph is exported to ``shard_dir`` (a temp dir when None) and remote
-    # ``repro fabric-worker`` processes mount it.
+    # ``host:port`` the coordinator listens on (port 0 = ephemeral).  The
+    # fabric producer writes the graph shards its workers read into
+    # ``shard_dir`` (kept after the run: remote ``repro fabric-worker``
+    # processes mount it), or into a private temp dir when None.
     # ``fabric_lease_timeout`` is how long a worker — remote or local —
     # owes a leased batch before it is re-leased elsewhere.
     fabric: str | None = None

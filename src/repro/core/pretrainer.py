@@ -1,15 +1,14 @@
 """The CPDG pre-training loop (paper Algorithm 1), consumer side.
 
 Per batch, Algorithm 1 (i) samples η-BFS/ε-DFS contrast subgraphs,
-(ii) stages raw messages and (iii) takes one gradient step.  Steps (i)
-and the model-independent half of (ii) are *production* — pure functions
-of the graph once seeds derive from batch coordinates — and live in
-:mod:`repro.stream`.  This trainer is the consumer: it iterates
-:class:`~repro.stream.PreparedBatch`es from a
+(ii) stages raw messages and (iii) takes one gradient step.  Step (i) is
+*production* — a pure function of the graph once seeds derive from batch
+coordinates — and lives in :mod:`repro.stream`.  This trainer is the
+consumer: it iterates :class:`~repro.stream.PreparedBatch`es from a
 :class:`~repro.stream.BatchProducer` (in-process by default,
 ``config.num_workers`` local fabric workers over memory-mapped graph
-shards otherwise) and keeps only encoder / memory / optimizer state.
-Per batch it
+shards otherwise) and keeps encoder / memory / optimizer state; message
+staging (ii) reads the memory, so it runs here.  Per batch it
 
 1. computes centre-node embeddings with the DGNN encoder,
 2. pools the pre-sampled temporal positive/negative subgraphs and
@@ -28,7 +27,6 @@ w/o-SC variants of Figure 5.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,8 +102,7 @@ class CPDGPreTrainer:
     # ------------------------------------------------------------------
     # production setup
     # ------------------------------------------------------------------
-    def producer_spec(self, stream: EventStream,
-                      shard_dir: str | None = None):
+    def producer_spec(self, stream: EventStream):
         """The production recipe Algorithm 1 needs for ``stream``
         (a :class:`~repro.stream.ProducerSpec`)."""
         # Imported here (not at module level): repro.stream's producers
@@ -121,9 +118,7 @@ class CPDGPreTrainer:
             eta=cfg.eta, epsilon=cfg.epsilon, depth=cfg.depth, tau=cfg.tau,
             precompute_samplers=cfg.precompute_samplers,
             sampler_cache_capacity=cfg.sampler_cache_capacity,
-            compute_messages=True,
-            stream=None if shard_dir is not None else stream,
-            shard_dir=shard_dir)
+            stream=stream, shard_dir=cfg.shard_dir)
 
     # ------------------------------------------------------------------
     # training
@@ -139,39 +134,20 @@ class CPDGPreTrainer:
             return self._pretrain(stream, verbose)
 
     def _pretrain(self, stream: EventStream, verbose: bool) -> PretrainResult:
-        from ..stream import BatchPlan, export_graph_shards, make_producer
+        from ..stream import BatchPlan, make_producer
         cfg = self.config
         encoder = self.encoder
 
         finder = NeighborFinder(stream)
-        shards: tempfile.TemporaryDirectory | None = None
-        shard_dir = None
-        if cfg.mmap_graph or cfg.fabric is not None:
-            # Export once; the fabric coordinator serves this directory's
-            # fingerprint and remote workers mount their own copy.  A
-            # configured shard_dir persists (remote mounts need it);
-            # otherwise a temp dir is cleaned after training.
-            if cfg.shard_dir is not None:
-                import os
-                os.makedirs(cfg.shard_dir, exist_ok=True)
-                export_dir = cfg.shard_dir
-            else:
-                shards = tempfile.TemporaryDirectory(prefix="repro-graph-")
-                export_dir = shards.name
-            shard_dir = export_graph_shards(stream, export_dir,
-                                            finder=finder)
-            if cfg.mmap_graph:
-                # Trainer-side memory mapping: reopen the CSR read-only.
-                finder = NeighborFinder.open(shard_dir, mmap=True)
         encoder.attach(stream, finder)
         encoder.reset_memory()
 
         plan = BatchPlan(stream.num_events, cfg.batch_size,
                          epochs=cfg.epochs, seed=cfg.seed)
-        spec = self.producer_spec(stream, shard_dir=shard_dir)
+        spec = self.producer_spec(stream)
         producer = make_producer(spec, plan, num_workers=cfg.num_workers,
                                  prefetch_batches=cfg.prefetch_batches,
-                                 stream=stream, finder=finder,
+                                 finder=finder,
                                  fabric=cfg.fabric,
                                  fabric_options=dict(
                                      lease_timeout=cfg.fabric_lease_timeout))
@@ -245,47 +221,42 @@ class CPDGPreTrainer:
         history: list[tuple[float, float, float]] = []
         step = 0
         current_epoch = -1
-        try:
-            steps_total = _obs.counter("repro_pretrain_steps_total",
-                                       help="completed gradient steps")
-            with producer:
-                batches = iter(producer)
-                while True:
-                    # Manual iteration so the wait for the next prepared
-                    # batch is its own span — producer stalls show up as
-                    # pretrain.produce time, not as mystery step time.
-                    with _obs.span("pretrain.produce"):
-                        try:
-                            prepared = next(batches)
-                        except StopIteration:
-                            break
-                    if prepared.epoch != current_epoch:
-                        if verbose and current_epoch >= 0:
-                            self._print_epoch(current_epoch, history)
-                        current_epoch = prepared.epoch
-                        encoder.reset_memory()
-                    step += 1
-                    staged = encoder.take_staged()
-                    losses = compiled(prepared, staged,
-                                      key=step_key(prepared, staged))
-                    with _obs.span("pretrain.optim"):
-                        clip_grad_norm(params, cfg.grad_clip)
-                        optimizer.step()
+        steps_total = _obs.counter("repro_pretrain_steps_total",
+                                   help="completed gradient steps")
+        with producer:
+            batches = iter(producer)
+            while True:
+                # Manual iteration so the wait for the next prepared
+                # batch is its own span — producer stalls show up as
+                # pretrain.produce time, not as mystery step time.
+                with _obs.span("pretrain.produce"):
+                    try:
+                        prepared = next(batches)
+                    except StopIteration:
+                        break
+                if prepared.epoch != current_epoch:
+                    if verbose and current_epoch >= 0:
+                        self._print_epoch(current_epoch, history)
+                    current_epoch = prepared.epoch
+                    encoder.reset_memory()
+                step += 1
+                staged = encoder.take_staged()
+                losses = compiled(prepared, staged,
+                                  key=step_key(prepared, staged))
+                with _obs.span("pretrain.optim"):
+                    clip_grad_norm(params, cfg.grad_clip)
+                    optimizer.step()
 
-                    with _obs.span("pretrain.register"):
-                        encoder.register_batch(prepared.batch,
-                                               messages=prepared.messages)
-                        encoder.end_batch()
-                    history.append(losses)
-                    steps_total.inc()
+                with _obs.span("pretrain.register"):
+                    encoder.register_batch(prepared.batch)
+                    encoder.end_batch()
+                history.append(losses)
+                steps_total.inc()
 
-                    if schedule.should_checkpoint(step):
-                        checkpoints.add(encoder.memory_checkpoint())
-            if verbose and current_epoch >= 0:
-                self._print_epoch(current_epoch, history)
-        finally:
-            if shards is not None:
-                shards.cleanup()
+                if schedule.should_checkpoint(step):
+                    checkpoints.add(encoder.memory_checkpoint())
+        if verbose and current_epoch >= 0:
+            self._print_epoch(current_epoch, history)
 
         # The schedule always ends on the final step, so the last
         # (frozen) checkpoint already is the final memory.

@@ -295,18 +295,12 @@ class DGNNEncoder(Module):
             field[rows, 1 + np.arange(len(rows)) - first[rows]] = ids
         return field
 
-    def register_batch(self, batch: EventBatch, messages=None) -> None:
+    def register_batch(self, batch: EventBatch) -> None:
         """Queue raw messages for this batch's events (paper Eq. 2 inputs).
 
         Stages detached endpoint states as flat arrays (one gather for the
         whole batch) so the flush in the *next* batch recomputes messages
         inside that batch's graph.
-
-        ``messages`` is an optional pre-staged
-        :class:`~repro.stream.prepared.MessageSkeleton` — the
-        model-independent half (endpoint interleaving + time deltas) a
-        batch producer computed off-process; only the memory-state gather
-        then happens here.
         """
         size = len(batch)
         if size == 0:
@@ -314,23 +308,15 @@ class DGNNEncoder(Module):
         src = np.asarray(batch.src, dtype=np.int64)
         dst = np.asarray(batch.dst, dtype=np.int64)
         states = self._memory.rows(np.concatenate([src, dst]))
-        if messages is not None:
-            nodes = messages.nodes
-            times = messages.times
-            deltas = messages.delta_t
-            event_ids = messages.event_ids
-        else:
-            # Stage rows interleaved in event order (src then dst per
-            # event) so "last message per node" means the chronologically
-            # last event touching the node, whichever endpoint role it
-            # played.
-            nodes = np.empty(2 * size, dtype=np.int64)
-            nodes[0::2] = src
-            nodes[1::2] = dst
-            times = np.repeat(np.asarray(batch.timestamps, dtype=np.float64), 2)
-            deltas = times - self._memory.last_update[nodes]
-            event_ids = np.repeat(np.asarray(batch.event_ids,
-                                             dtype=np.int64), 2)
+        # Stage rows interleaved in event order (src then dst per event)
+        # so "last message per node" means the chronologically last event
+        # touching the node, whichever endpoint role it played.
+        nodes = np.empty(2 * size, dtype=np.int64)
+        nodes[0::2] = src
+        nodes[1::2] = dst
+        times = np.repeat(np.asarray(batch.timestamps, dtype=np.float64), 2)
+        deltas = times - self._memory.last_update[nodes]
+        event_ids = np.repeat(np.asarray(batch.event_ids, dtype=np.int64), 2)
         self_state = np.empty((2 * size,) + states.shape[1:], dtype=states.dtype)
         self_state[0::2] = states[:size]
         self_state[1::2] = states[size:]

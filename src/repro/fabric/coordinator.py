@@ -34,10 +34,9 @@ from dataclasses import replace
 from .. import obs as _obs
 from ..stream import BatchPlan, ProducerSpec, shard_fingerprint
 from .ledger import LeaseLedger
-from .protocol import (BYE, ERROR, HEARTBEAT, HELLO, LEASE,
-                       PROTOCOL_VERSION, REJECT, RESULT, SHUTDOWN, WELCOME,
-                       FabricError, FrameDecoder, encode_frame,
-                       plan_fingerprint)
+from .protocol import (ERROR, HEARTBEAT, HELLO, LEASE, PROTOCOL_VERSION,
+                       REJECT, RESULT, SHUTDOWN, WELCOME, FabricError,
+                       FrameDecoder, encode_frame, plan_fingerprint)
 
 __all__ = ["FabricCoordinator"]
 
@@ -338,8 +337,6 @@ class FabricCoordinator:
                 self.error_context = {"seq": message.get("seq"),
                                       "last_span": message.get("last_span")}
             self._shutdown.set()
-        elif kind == BYE:
-            self._drop(conn)
 
     def _handshake(self, conn: _Connection, message: dict) -> None:
         version = message.get("version")

@@ -2,10 +2,11 @@
 
 To the trainer this is just another :class:`~repro.stream.BatchProducer`:
 iterate it and bit-identical :class:`~repro.stream.PreparedBatch`es come
-out in plan order.  Underneath it makes sure a shard directory carries
-the graph (flat ``.npy`` files, CSR included when the spec samples),
-starts a :class:`FabricCoordinator`, and reassembles out-of-order
-results from however many workers happen to be connected.
+out in plan order.  Underneath it writes the graph its workers read
+(flat ``.npy`` shards, CSR included when the spec samples — the only
+code that writes them), starts a :class:`FabricCoordinator`, and
+reassembles out-of-order results from however many workers happen to be
+connected.
 
 ``num_workers=N`` spawns N local :class:`FabricWorker` processes on an
 ``AF_UNIX`` socket in a private directory — no TCP port is opened — and
@@ -31,8 +32,7 @@ from .. import obs as _obs
 from ..graph.events import EventStream
 from ..graph.neighbor_finder import NeighborFinder
 from ..stream import (BatchPlan, BatchProducer, ProducerSpec, StreamError,
-                      export_stream_shards, has_csr_shards,
-                      open_stream_shards)
+                      export_graph_shards, open_stream_shards)
 from .coordinator import FabricCoordinator
 from .protocol import FabricError, format_address, parse_address
 from .worker import FabricWorker
@@ -46,10 +46,11 @@ class FabricProducer(BatchProducer):
     Parameters
     ----------
     spec, plan:
-        As for the serial producer.  When ``spec.shard_dir`` is ``None``
-        the graph is exported to a temporary directory (cleaned on
-        :meth:`close`); give a persistent ``shard_dir`` when remote
-        workers must mount the same export.
+        As for the serial producer.  Handed a stream (``spec.stream`` or
+        ``stream``), the producer writes it into ``spec.shard_dir`` —
+        kept after the run, for remote workers that mount it — or, when
+        that is ``None``, into a private temporary directory removed on
+        :meth:`close`.  Handed only ``spec.shard_dir``, it reads it.
     bind:
         ``"host:port"`` pair for the coordinator to listen on
         (``(host, port)`` tuples also accepted); port 0 → ephemeral.
@@ -95,27 +96,27 @@ class FabricProducer(BatchProducer):
             bind = ("127.0.0.1", 0)
         elif isinstance(bind, str):
             bind = parse_address(bind)
-        if stream is not None and spec.stream is None:
-            spec = replace(spec, stream=stream)
-        if spec.stream is None and spec.shard_dir is None:
+        graph = spec.stream if spec.stream is not None else stream
+        if graph is None and spec.shard_dir is None:
             raise ValueError("ProducerSpec needs a stream or a shard_dir")
 
         try:
-            if spec.shard_dir is None or num_workers > 0:
+            if (graph is not None and spec.shard_dir is None) \
+                    or num_workers > 0:
                 # mkdtemp → mode 0700: the temporary shard export and
                 # the local workers' socket are this user's only.
                 self._tmpdir = tempfile.mkdtemp(prefix="repro-fabric-")
-            if spec.shard_dir is None:
-                spec = replace(spec, shard_dir=export_stream_shards(
-                    spec.stream, self._tmpdir))
-            need_csr = spec.needs_finder and not has_csr_shards(spec.shard_dir)
-            if need_csr or plan is None:
-                graph = spec.stream or open_stream_shards(spec.shard_dir)
-                if need_csr:
-                    (finder or NeighborFinder(graph)).export(spec.shard_dir)
-                if plan is None:
-                    plan = spec.make_plan(graph.num_events)
-            self.plan = plan
+            if graph is None:
+                graph = open_stream_shards(spec.shard_dir)
+            else:
+                if not spec.needs_finder:
+                    finder = None
+                elif finder is None:
+                    finder = NeighborFinder(graph)
+                spec = replace(spec, shard_dir=export_graph_shards(
+                    graph, spec.shard_dir or self._tmpdir, finder=finder))
+            self.plan = plan if plan is not None \
+                else spec.make_plan(graph.num_events)
             # Workers must never receive in-memory graph arrays by pickle.
             self.spec = replace(spec, stream=None)
             if num_workers > 0:

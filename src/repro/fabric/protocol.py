@@ -20,7 +20,9 @@ Message flow::
       |---- HEARTBEAT ---------------->|   liveness (background thread)
       |---- ERROR {traceback} -------->|   production failed; run aborts
       |<--- SHUTDOWN ------------------|   plan complete / producer closed
-      |---- BYE ---------------------->|   graceful leave (leases reclaim)
+
+A worker leaves on SHUTDOWN; one whose socket drops before that is
+dropped by the coordinator and its leases are re-leased.
 
 Observability riders (all optional, ignored by peers that predate
 them): when coordinator-side tracing is enabled a LEASE carries a
@@ -53,7 +55,7 @@ from ..stream import BatchPlan, ProducerSpec, StreamError
 
 __all__ = ["PROTOCOL_VERSION", "FabricError",
            "HELLO", "WELCOME", "REJECT", "LEASE", "RESULT", "HEARTBEAT",
-           "ERROR", "SHUTDOWN", "BYE",
+           "ERROR", "SHUTDOWN",
            "encode_frame", "send_frame", "recv_frame", "FrameDecoder",
            "plan_fingerprint", "parse_address", "format_address"]
 
@@ -74,7 +76,6 @@ RESULT = "result"
 HEARTBEAT = "heartbeat"
 ERROR = "error"
 SHUTDOWN = "shutdown"
-BYE = "bye"
 
 
 class FabricError(StreamError):

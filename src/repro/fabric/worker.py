@@ -13,7 +13,9 @@ for ``num_workers``, or a remote ``repro fabric-worker`` — opens the flat
 memory-mapped shards every other reader uses
 (:class:`~repro.stream.SamplingContext` over the mounted directory).
 
-This module is also the ``repro fabric-worker`` CLI entry point.
+This module also declares the ``repro fabric-worker`` flags
+(:func:`add_worker_arguments`) and runs a worker from them
+(:func:`worker_from_args`).
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from dataclasses import replace
 
 from .. import obs as _obs
 from ..stream import SamplingContext, produce_batch, shard_fingerprint
-from .protocol import (BYE, ERROR, HEARTBEAT, HELLO, LEASE,
-                       PROTOCOL_VERSION, REJECT, RESULT, SHUTDOWN, WELCOME,
-                       FabricError, format_address, parse_address,
-                       recv_frame, send_frame)
+from .protocol import (ERROR, HEARTBEAT, HELLO, LEASE, PROTOCOL_VERSION,
+                       REJECT, RESULT, SHUTDOWN, WELCOME, FabricError,
+                       format_address, parse_address, recv_frame,
+                       send_frame)
 
-__all__ = ["FabricWorker", "main"]
+__all__ = ["FabricWorker", "add_worker_arguments", "worker_from_args"]
 
 
 class FabricWorker:
@@ -79,9 +81,9 @@ class FabricWorker:
     def run(self, max_results: int | None = None) -> dict:
         """Serve until the coordinator shuts down; return run stats.
 
-        ``max_results`` aborts after that many results **without** a BYE
-        — the socket just drops, exactly like a crash.  The chaos tests
-        use it to exercise lease reclamation.
+        ``max_results`` aborts after that many results, before the
+        coordinator's SHUTDOWN — the socket just drops, exactly like a
+        crash.  The chaos tests use it to exercise lease reclamation.
         """
         sock = self._connect()
         produced = 0
@@ -151,7 +153,7 @@ class FabricWorker:
                     send_frame(sock, result)
                 produced += 1
                 if max_results is not None and produced >= max_results:
-                    break  # no BYE: simulate a crash
+                    break  # before SHUTDOWN: simulate a crash
         finally:
             stop.set()
             try:
@@ -201,22 +203,13 @@ class FabricWorker:
             except OSError:
                 return
 
-    def leave(self, sock: socket.socket) -> None:
-        """Graceful departure (unused by :meth:`run`; for embedders)."""
-        try:
-            send_frame(sock, {"type": BYE, "worker": self.name})
-        except OSError:
-            pass
-
 
 # ----------------------------------------------------------------------
-# CLI entry (``repro fabric-worker`` delegates here)
+# ``repro fabric-worker``
 # ----------------------------------------------------------------------
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro fabric-worker",
-        description="Join a batch-production fabric as a worker.")
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the ``repro fabric-worker`` flags on ``parser``."""
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="coordinator address")
     parser.add_argument("--shards", required=True, metavar="DIR",
@@ -236,8 +229,11 @@ def main(argv: list[str] | None = None) -> int:
                         help=argparse.SUPPRESS)  # chaos/bench hook
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the exit summary")
-    args = parser.parse_args(argv)
 
+
+def worker_from_args(args: argparse.Namespace) -> int:
+    """``repro fabric-worker``: serve one worker until the coordinator
+    shuts down, given the parsed flags of :func:`add_worker_arguments`."""
     worker = FabricWorker(parse_address(args.connect), args.shards,
                           name=args.name, capacity=args.capacity,
                           mmap=not args.no_mmap, retry_for=args.retry_for)
@@ -246,7 +242,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[fabric-worker {stats['name']}] produced "
               f"{stats['produced']} batch(es)")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

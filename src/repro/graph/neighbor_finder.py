@@ -27,8 +27,8 @@ but no experiment runs it).
 The CSR is also portable: :meth:`NeighborFinder.export` writes the four
 arrays as ``.npy`` shards and :meth:`NeighborFinder.open` reconstructs a
 finder from them — optionally ``numpy.memmap``-backed, so producer worker
-processes (and trainers on streams that exceed RAM) read the adjacency
-read-only from the page cache instead of holding private copies.
+processes read the adjacency read-only from the page cache instead of
+holding private copies.
 """
 
 from __future__ import annotations
@@ -307,31 +307,26 @@ class NeighborFinder:
         return segment_cut(values, self._indptr, nodes, thresholds,
                            starts=starts)
 
-    def batch_last_update(self, nodes: np.ndarray, event_cut: int,
-                          base: np.ndarray | None = None) -> np.ndarray:
+    def batch_last_update(self, nodes: np.ndarray,
+                          event_cut: int) -> np.ndarray:
         """Most recent event time per node among events with id < ``event_cut``.
 
         This is exactly the ``Memory.last_update`` value a chronological
         trainer holds when it reaches the batch starting at event
-        ``event_cut`` (``touch`` keeps the max event time per node), so
-        batch producers can stage message time-deltas without any trainer
-        state.  Nodes with no earlier event report 0.0 — the reset value —
-        or ``base[node]`` when a carried-over last-update baseline is
-        given (fine-tuning continues the pre-trained clock).
+        ``event_cut`` (``touch`` keeps the max event time per node) — an
+        oracle of the memory clock that needs no trainer state.  Nodes
+        with no earlier event report 0.0, the reset value.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         starts = self._indptr[nodes]
         cut = self._segment_cut(self._event_ids, nodes,
                                 np.full(len(nodes), event_cut,
                                         dtype=np.int64), starts)
-        floor = np.zeros(len(nodes)) if base is None \
-            else np.asarray(base, dtype=np.float64)[nodes]
         has_history = cut > starts
-        out = floor.copy() if base is not None else floor
-        if has_history.any():
-            prev = self._times[np.maximum(cut - 1, 0)]
-            out = np.where(has_history, np.maximum(prev, floor), out)
-        return out
+        if not has_history.any():
+            return np.zeros(len(nodes))
+        prev = self._times[np.maximum(cut - 1, 0)]
+        return np.where(has_history, np.maximum(prev, 0.0), 0.0)
 
     def batch_degree(self, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Batched :meth:`degree`: interactions strictly before each ``ts``."""

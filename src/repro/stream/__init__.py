@@ -1,8 +1,8 @@
 """Streaming batch pipeline: plan → producers → trainer.
 
-Everything Algorithm 1 does before the gradient step — chronological
-slicing, negative drawing, §IV-A subgraph sampling, raw-message skeleton
-staging — is extracted behind a producer/consumer seam:
+Everything Algorithm 1 does before the gradient step that needs no model
+state — chronological slicing, negative drawing, §IV-A subgraph sampling
+— is extracted behind a producer/consumer seam:
 
 * :class:`BatchPlan` deterministically enumerates ``(epoch, batch)``
   work items; :func:`batch_rngs` derives each batch's generators from
@@ -15,13 +15,13 @@ staging — is extracted behind a producer/consumer seam:
   memory-map the graph from shards (:mod:`repro.stream.shards`) instead
   of pickling it.  All yield bit-identical :class:`PreparedBatch`es.
 * Trainers (:class:`~repro.core.pretrainer.CPDGPreTrainer`, the
-  fine-tuning tasks) are pure consumers: they iterate prepared batches
-  and keep only encoder / memory / optimizer state.
+  fine-tuning tasks) are consumers: they iterate prepared batches and
+  keep encoder / memory / optimizer state.
 """
 
 from .plan import (BatchPlan, BatchRngs, StreamError, WorkItem,
                    batch_rngs, batch_seed_sequence)
-from .prepared import MessageSkeleton, PreparedBatch
+from .prepared import PreparedBatch
 from .producer import (BatchProducer, ProducerSpec, SamplingContext,
                        SerialProducer, make_producer, produce_batch)
 from .shards import (export_graph_shards, export_stream_shards,
@@ -31,7 +31,7 @@ from .shards import (export_graph_shards, export_stream_shards,
 __all__ = [
     "BatchPlan", "BatchRngs", "StreamError", "WorkItem",
     "batch_rngs", "batch_seed_sequence",
-    "MessageSkeleton", "PreparedBatch",
+    "PreparedBatch",
     "BatchProducer", "ProducerSpec", "SamplingContext", "SerialProducer",
     "make_producer", "produce_batch",
     "export_graph_shards", "export_stream_shards", "has_csr_shards",

@@ -2,21 +2,19 @@
 
 A :class:`PreparedBatch` is everything about one training batch that does
 *not* depend on model state: the chronological event slice with its
-corrupted destinations, the four contrast subgraphs (paper §IV-A), and
-the staged-message skeleton (endpoint interleaving + time deltas, the
-model-independent half of raw-message staging).  All fields are flat
-numpy arrays or offset-indexed batches, so a prepared batch pickles
-cheaply across process boundaries.
+corrupted destinations and the four contrast subgraphs (paper §IV-A).
+All fields are flat numpy arrays or offset-indexed batches, so a
+prepared batch pickles cheaply across process boundaries.
 
 What stays on the trainer — deliberately — is every model-dependent
-gather: embeddings, memory-state reads for message staging, readouts.
-The producer/consumer seam is exactly "before the first parameter is
-touched".
+read: embeddings, the memory states and time gaps (``t - last_update``)
+of raw-message staging, readouts.  The producer/consumer seam is exactly
+"before the first parameter is touched".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,7 +24,7 @@ from ..graph.batching import EventBatch
 if TYPE_CHECKING:  # annotation-only: keeps repro.stream import-light
     from ..core.samplers import SubgraphBatch
 
-__all__ = ["MessageSkeleton", "PreparedBatch"]
+__all__ = ["PreparedBatch"]
 
 
 def _materialize_array(value):
@@ -37,35 +35,11 @@ def _materialize_array(value):
 
 
 @dataclass
-class MessageSkeleton:
-    """Model-independent half of one batch's raw-message staging.
-
-    Rows are interleaved in event order (src then dst per event), the
-    exact layout :meth:`~repro.dgnn.encoder.DGNNEncoder.register_batch`
-    stages, so "last message per node" keeps meaning the chronologically
-    last event that touched the node.  ``delta_t`` is the per-row gap to
-    the node's previous event — derivable from the CSR alone (see
-    :meth:`~repro.graph.neighbor_finder.NeighborFinder.batch_last_update`),
-    which is what lets producers compute it without trainer state.
-    """
-
-    nodes: np.ndarray       # (2B,) int64, interleaved src/dst
-    times: np.ndarray       # (2B,) float64
-    delta_t: np.ndarray     # (2B,) float64
-    event_ids: np.ndarray   # (2B,) int64
-
-    def materialize(self) -> "MessageSkeleton":
-        return MessageSkeleton(**{f.name: _materialize_array(getattr(self, f.name))
-                                  for f in fields(self)})
-
-
-@dataclass
 class PreparedBatch:
     """One fully-produced training batch (model-independent parts).
 
     ``temporal_*`` / ``structural_*`` are ``None`` when the run disables
-    that contrast; ``messages`` is ``None`` when the producer was asked
-    not to pre-stage (consumers then compute deltas live).
+    that contrast.
     """
 
     seq: int
@@ -76,7 +50,6 @@ class PreparedBatch:
     temporal_neg: SubgraphBatch | None = None
     structural_pos: SubgraphBatch | None = None
     structural_neg: SubgraphBatch | None = None
-    messages: MessageSkeleton | None = None
 
     def __len__(self) -> int:
         return len(self.batch)
@@ -103,7 +76,4 @@ class PreparedBatch:
             event_ids=_materialize_array(self.batch.event_ids),
             labels=_materialize_array(self.batch.labels),
         )
-        return replace(
-            self, batch=batch,
-            messages=None if self.messages is None
-            else self.messages.materialize())
+        return replace(self, batch=batch)

@@ -1,11 +1,11 @@
 """Batch producers: turn plan work items into :class:`PreparedBatch`es.
 
 Everything Algorithm 1 does *before* touching a parameter — slicing the
-chronological event batch, drawing corrupted destinations, sampling the
-η-BFS / ε-DFS contrast subgraphs (paper §IV-A) and staging the raw-
-message skeleton — is a pure function of ``(graph, work item)`` once
-seeds derive from batch coordinates.  :func:`produce_batch` is that
-function; the producers just decide where it runs:
+chronological event batch, drawing corrupted destinations and sampling
+the η-BFS / ε-DFS contrast subgraphs (paper §IV-A) — is a pure function
+of ``(graph, work item)`` once seeds derive from batch coordinates.
+:func:`produce_batch` is that function; the producers just decide where
+it runs:
 
 * :class:`SerialProducer` — in-process, zero overhead; the refactored
   shape of the historical inline loop.
@@ -37,7 +37,7 @@ from ..graph.batching import RandomDestinationSampler, slice_event_batch
 from ..graph.events import EventStream
 from ..graph.neighbor_finder import NeighborFinder
 from .plan import BatchPlan, StreamError, WorkItem, batch_rngs
-from .prepared import MessageSkeleton, PreparedBatch
+from .prepared import PreparedBatch
 from .shards import open_graph_shards
 
 __all__ = ["ProducerSpec", "SamplingContext", "produce_batch",
@@ -66,21 +66,18 @@ class ProducerSpec:
     tau: float = 0.2
     precompute_samplers: bool = False
     sampler_cache_capacity: int | None = None
-    # Raw-message skeleton staging (delta_t needs the CSR).
-    compute_messages: bool = True
-    # Carried-over last-update clock (fine-tuning continues pre-training's).
-    base_last_update: np.ndarray | None = None
     # Corrupted-destination candidate set; None → unique stream dst.
     neg_candidates: np.ndarray | None = None
-    # Graph source: exactly one of the two.
+    # Graph source: ``stream`` in process.  Workers read ``shard_dir``;
+    # a fabric producer handed a stream writes it there first (into a
+    # private temporary directory when ``shard_dir`` is None).
     stream: EventStream | None = field(default=None, repr=False)
     shard_dir: str | None = None
     mmap: bool = True
 
     @property
     def needs_finder(self) -> bool:
-        return (self.sample_temporal or self.sample_structural
-                or self.compute_messages)
+        return self.sample_temporal or self.sample_structural
 
     def make_plan(self, num_events: int) -> BatchPlan:
         return BatchPlan(num_events, self.batch_size, epochs=self.epochs,
@@ -140,10 +137,13 @@ def produce_batch(ctx: SamplingContext, item: WorkItem) -> PreparedBatch:
     other batch.
     """
     spec = ctx.spec
+    if item.stop > ctx.stream.num_events:
+        raise StreamError(f"work item {item.seq} covers events "
+                          f"[{item.start}, {item.stop}), past the stream's "
+                          f"{ctx.stream.num_events}")
     rngs = batch_rngs(spec.seed, item.epoch, item.batch_idx)
-    size = len(item)
     with _obs.span("produce.negatives"):
-        neg_dst = ctx.neg_sampler.sample(size, rng=rngs.neg_dst)
+        neg_dst = ctx.neg_sampler.sample(len(item), rng=rngs.neg_dst)
     batch = slice_event_batch(ctx.stream, item.start, item.stop, neg_dst)
     prepared = PreparedBatch(seq=item.seq, epoch=item.epoch,
                              batch_idx=item.batch_idx, batch=batch)
@@ -165,21 +165,6 @@ def produce_batch(ctx: SamplingContext, item: WorkItem) -> PreparedBatch:
                                                            batch.timestamps)
             prepared.structural_neg = ctx.dfs.sample_batch(others,
                                                            batch.timestamps)
-    if spec.compute_messages and size:
-        with _obs.span("produce.messages"):
-            src = np.asarray(batch.src, dtype=np.int64)
-            dst = np.asarray(batch.dst, dtype=np.int64)
-            nodes = np.empty(2 * size, dtype=np.int64)
-            nodes[0::2] = src
-            nodes[1::2] = dst
-            times = np.repeat(np.asarray(batch.timestamps,
-                                         dtype=np.float64), 2)
-            last = ctx.finder.batch_last_update(nodes, item.start,
-                                                base=spec.base_last_update)
-            prepared.messages = MessageSkeleton(
-                nodes=nodes, times=times, delta_t=times - last,
-                event_ids=np.repeat(np.asarray(batch.event_ids,
-                                               dtype=np.int64), 2))
     return prepared
 
 

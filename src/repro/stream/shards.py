@@ -7,17 +7,17 @@
 ``open_stream_shards`` reconstruct them — by default ``numpy.memmap``-
 backed and read-only, so N worker processes share one physical copy of
 the event arrays and adjacency through the page cache instead of each
-unpickling a private replica.  The same mechanism lets a single-process
-trainer run streams that exceed RAM (``CPDGConfig.mmap_graph``).
+unpickling a private replica.  :class:`~repro.fabric.FabricProducer` is
+the one writer: handed a stream, it exports it (CSR included when its
+spec samples) for its workers.
 
 ``shard_fingerprint`` digests a shard directory (manifests + per-file
 size and head/tail bytes) so a fabric coordinator
 (:mod:`repro.fabric`) can reject workers that mounted a different graph.
 
-This flat layout is the only one: the trainer under ``mmap_graph`` and
-every fabric worker map the same ``csr_*.npy`` files, and the kernel
-pages them in 4 kB at a time, so a worker's resident set already follows
-the node ranges its leases touch.  A ``--shard-dir`` reused from a build
+This flat layout is the only one: every fabric worker maps the same
+``csr_*.npy`` files, and the kernel pages them in 4 kB at a time, so a
+worker's resident set already follows the node ranges its leases touch.  A ``--shard-dir`` reused from a build
 that also wrote a range-split copy (``csr_range*.npy`` /
 ``csr_ranges.json``) still works: readers never open those files, though
 they do enter ``shard_fingerprint`` — on the coordinator's and the

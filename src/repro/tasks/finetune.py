@@ -29,11 +29,11 @@ from ..dgnn.encoder import DGNNEncoder, make_encoder
 from ..graph.events import EventStream
 from ..nn.autograd import Tensor, default_dtype
 from ..nn.optim import Adam, clip_grad_norm
-from ..stream import BatchProducer, ProducerSpec, make_producer
+from ..stream import ProducerSpec, SerialProducer
 from .early_stopping import EarlyStopper
 
 __all__ = ["FineTuneConfig", "FineTuneStrategy", "FineTuneTask",
-           "build_finetuned_encoder", "training_producer",
+           "build_finetuned_encoder",
            "in_strategy_dtype", "STRATEGIES"]
 
 STRATEGIES = ("none", "full", "eie-mean", "eie-attn", "eie-gru")
@@ -50,10 +50,6 @@ class FineTuneConfig:
     patience: int = 3
     eie_out_dim: int = 16
     seed: int = 0
-    # Streaming batch pipeline (repro.stream): 0 = in-process production,
-    # N >= 1 = local fabric workers; prefetch bounds in-flight batches.
-    num_workers: int = 0
-    prefetch_batches: int = 4
 
 
 @dataclass
@@ -91,26 +87,6 @@ def in_strategy_dtype(method):
         with default_dtype(self.strategy.dtype):
             return method(self, *args, **kwargs)
     return wrapper
-
-
-def training_producer(stream: EventStream, config: FineTuneConfig,
-                      neg_candidates=None) -> BatchProducer:
-    """Batch producer for a downstream fine-tuning loop.
-
-    Downstream training needs no contrast subgraphs — just the
-    chronological event slices with per-``(epoch, batch)``-seeded
-    corrupted destinations — so the spec disables sampling and message
-    pre-staging and the fine-tuning trainers stay pure consumers.
-    ``neg_candidates`` pins the corrupted-destination pool (the tasks use
-    the *full* downstream stream's destinations, not just the training
-    segment's).
-    """
-    spec = ProducerSpec(
-        batch_size=config.batch_size, seed=config.seed, epochs=config.epochs,
-        sample_temporal=False, sample_structural=False,
-        compute_messages=False, neg_candidates=neg_candidates, stream=stream)
-    return make_producer(spec, num_workers=config.num_workers,
-                         prefetch_batches=config.prefetch_batches)
 
 
 class FineTuneTask:
@@ -169,10 +145,11 @@ class FineTuneTask:
 
         ``step_loss(batch)`` is one batch's scalar loss; ``validate()``
         returns the epoch's validation columns, ``val_auc`` (the
-        early-stopping metric) first.  The loop is a pure consumer of
-        :class:`~repro.stream.PreparedBatch` (chronological slices with
-        per-batch-seeded negatives, produced in-process or on
-        ``config.num_workers`` workers); every epoch restarts the memory
+        early-stopping metric) first.  The loop consumes a
+        :class:`~repro.stream.SerialProducer`'s
+        :class:`~repro.stream.PreparedBatch`es: chronological slices with
+        per-batch-seeded negatives and no contrast subgraphs, cheap
+        enough to produce in process.  Every epoch restarts the memory
         from the post-pre-training state, and the best epoch's parameters
         are restored at the end.  Steps run eager autograd: replaying them
         compiled bought nothing measurable on ``transfer-e2e`` (2 cores,
@@ -189,46 +166,49 @@ class FineTuneTask:
         best_states = [m.state_dict() for m in modules]
         history: list[dict] = []
 
-        producer = training_producer(self.split.train, cfg,
-                                     neg_candidates=neg_candidates)
+        # neg_candidates pins the corrupted-destination pool (the tasks
+        # use the full downstream stream's destinations, not just the
+        # training segment's).
+        producer = SerialProducer(ProducerSpec(
+            batch_size=cfg.batch_size, seed=cfg.seed, epochs=cfg.epochs,
+            neg_candidates=neg_candidates, stream=self.split.train))
         last_batch = producer.plan.batches_per_epoch - 1
-        with producer:
-            for prepared in producer:
-                if prepared.batch_idx == 0:
-                    self._restore_memory()
-                    epoch_loss = 0.0
-                    n_batches = 0
-                batch = prepared.batch
-                optimizer.zero_grad()
-                # The first embedding of the step flushes the pending
-                # messages inside this batch's graph.
-                loss = step_loss(batch)
-                loss.backward()
-                clip_grad_norm(params, cfg.grad_clip)
-                optimizer.step()
-                encoder.register_batch(batch)
-                encoder.end_batch()
-                epoch_loss += loss.item()
-                n_batches += 1
-                if prepared.batch_idx != last_batch:
-                    continue
+        for prepared in producer:
+            if prepared.batch_idx == 0:
+                self._restore_memory()
+                epoch_loss = 0.0
+                n_batches = 0
+            batch = prepared.batch
+            optimizer.zero_grad()
+            # The first embedding of the step flushes the pending
+            # messages inside this batch's graph.
+            loss = step_loss(batch)
+            loss.backward()
+            clip_grad_norm(params, cfg.grad_clip)
+            optimizer.step()
+            encoder.register_batch(batch)
+            encoder.end_batch()
+            epoch_loss += loss.item()
+            n_batches += 1
+            if prepared.batch_idx != last_batch:
+                continue
 
-                epoch = prepared.epoch
-                row = {"epoch": epoch, "loss": epoch_loss / max(n_batches, 1),
-                       **validate()}
-                history.append(row)
-                if verbose:
-                    print(f"[{tag}] epoch {epoch}: loss={row['loss']:.4f} "
-                          f"val_auc={row['val_auc']:.4f}")
-                # An undefined AUC (one class in the validation segment)
-                # must not become a "best" no later epoch can beat.
-                val_auc = row["val_auc"]
-                stop = stopper.update(val_auc if np.isfinite(val_auc)
-                                      else 0.5)
-                if stopper.best_round == epoch:
-                    best_states = [m.state_dict() for m in modules]
-                if stop:
-                    break
+            epoch = prepared.epoch
+            row = {"epoch": epoch, "loss": epoch_loss / max(n_batches, 1),
+                   **validate()}
+            history.append(row)
+            if verbose:
+                print(f"[{tag}] epoch {epoch}: loss={row['loss']:.4f} "
+                      f"val_auc={row['val_auc']:.4f}")
+            # An undefined AUC (one class in the validation segment)
+            # must not become a "best" no later epoch can beat.
+            val_auc = row["val_auc"]
+            stop = stopper.update(val_auc if np.isfinite(val_auc)
+                                  else 0.5)
+            if stopper.best_round == epoch:
+                best_states = [m.state_dict() for m in modules]
+            if stop:
+                break
 
         for module, state in zip(modules, best_states):
             module.load_state_dict(state)

@@ -89,7 +89,10 @@ class TestPipelineCommands:
         # A retired key loads from old files but not from the command line.
         for key, value in (("pretrain.fabric_ranges", "4"),
                            ("pretrain.memory_engine", "dense"),
-                           ("finetune.compile_step", "false")):
+                           ("finetune.compile_step", "false"),
+                           ("pretrain.mmap_graph", "true"),
+                           ("finetune.num_workers", "2"),
+                           ("finetune.prefetch_batches", "8")):
             assert main(["pretrain", "--dump-config",
                          "--set", f"{key}={value}"]) == 2
             err = capsys.readouterr().err

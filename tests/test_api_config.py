@@ -50,6 +50,10 @@ class TestRoundTrip:
         # and the selector of the deleted dense memory engine.
         payload["pretrain"]["fabric_ranges"] = 4
         payload["pretrain"]["memory_engine"] = "dense"
+        # And the trainer-side mapped CSR and the fine-tune workers.
+        payload["pretrain"]["mmap_graph"] = True
+        payload["finetune"]["num_workers"] = 2
+        payload["finetune"]["prefetch_batches"] = 8
         path.write_text(json.dumps(payload))
         assert RunConfig.from_json(str(path)) == config
 
@@ -63,8 +67,12 @@ class TestRoundTrip:
         with np.load(parent.ARTIFACT_PATH) as frozen:
             meta = json.loads(str(frozen["__meta__"]))
         assert meta["run_config"]["finetune"]["compile_step"] is True
+        assert meta["run_config"]["finetune"]["num_workers"] == 0
+        assert meta["run_config"]["pretrain"]["mmap_graph"] is False
         artifact = PretrainArtifact.load(parent.ARTIFACT_PATH)
         assert not hasattr(artifact.run_config.finetune, "compile_step")
+        assert not hasattr(artifact.run_config.finetune, "num_workers")
+        assert not hasattr(artifact.run_config.pretrain, "mmap_graph")
 
     def test_artifact_that_selected_the_dense_engine_loads_and_serves(
             self, tmp_path):
@@ -160,7 +168,8 @@ class TestOverrides:
         # Retired keys are tolerated in files, not on the command line.
         for key in ("nn.backend", "pretrain.backend", "finetune.backend",
                     "pretrain.fabric_ranges", "pretrain.memory_engine",
-                    "finetune.compile_step"):
+                    "finetune.compile_step", "pretrain.mmap_graph",
+                    "finetune.num_workers", "finetune.prefetch_batches"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 RunConfig().with_overrides({key: "numpy"})
 

@@ -35,8 +35,8 @@ from repro.fabric.protocol import (HEARTBEAT, HELLO, LEASE, REJECT, RESULT,
 from repro.graph.events import EventStream
 from repro.graph.neighbor_finder import NeighborFinder
 from repro.stream import (BatchPlan, SamplingContext, SerialProducer,
-                          StreamError, export_graph_shards, make_producer,
-                          open_graph_shards, produce_batch,
+                          StreamError, export_graph_shards, has_csr_shards,
+                          make_producer, open_graph_shards, produce_batch,
                           shard_fingerprint)
 from tests.test_stats_surface import metric_value
 from tests.test_stream_pipeline import (assert_prepared_equal, make_stream,
@@ -508,6 +508,37 @@ class TestFabricChaos:
         with pytest.raises(StreamError, match="fabric-worker"):
             list(producer)
 
+    def test_cli_worker_serves_a_run(self, capsys):
+        """``repro fabric-worker`` takes its flags from the one declaration
+        in ``repro.fabric.worker`` (``--max-results`` stays hidden) and
+        serves a run to completion."""
+        from repro.__main__ import main
+        with pytest.raises(SystemExit):
+            main(["fabric-worker", "--help"])
+        usage = capsys.readouterr().out
+        assert "--retry-for" in usage and "--max-results" not in usage
+
+        stream = make_stream()
+        spec = spec_for(stream, small_config())
+        producer = FabricProducer(spec, timeout=60.0)
+        host, port = producer.address
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main([
+            "fabric-worker", "--connect", f"{host}:{port}",
+            "--shards", producer.shard_dir, "--name", "cli",
+            "--capacity", "3", "--retry-for", "5"])), daemon=True)
+        thread.start()
+        try:
+            batches = list(producer)
+        finally:
+            producer.close()
+        thread.join(15.0)
+        assert codes == [0]
+        assert "[fabric-worker cli] produced" in capsys.readouterr().out
+        assert len(batches) == len(spec.make_plan(stream.num_events))
+        for a, b in zip(SerialProducer(spec), batches):
+            assert_prepared_equal(a, b)
+
     def test_worker_production_error_aborts_run(self, monkeypatch):
         """Production failure on a worker sends ERROR and aborts the run
         with the worker's traceback, instead of stalling forever."""
@@ -691,6 +722,8 @@ class TestFabricPretrainAcceptance:
                                shard_dir=shard_dir,
                                fabric_lease_timeout=15.0)
         harness.join()
+        # A configured shard_dir is the remote workers' mount: kept.
+        assert has_csr_shards(shard_dir)
 
         np.testing.assert_array_equal(np.asarray(reference.loss_history),
                                       np.asarray(result.loss_history))

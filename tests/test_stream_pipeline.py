@@ -69,12 +69,6 @@ def assert_prepared_equal(a, b) -> None:
         if sa is not None:
             np.testing.assert_array_equal(sa.nodes, sb.nodes, err_msg=name)
             np.testing.assert_array_equal(sa.indptr, sb.indptr, err_msg=name)
-    assert (a.messages is None) == (b.messages is None)
-    if a.messages is not None:
-        for name in ("nodes", "times", "delta_t", "event_ids"):
-            np.testing.assert_array_equal(getattr(a.messages, name),
-                                          getattr(b.messages, name),
-                                          err_msg=f"messages.{name}")
 
 
 # ----------------------------------------------------------------------
@@ -201,14 +195,6 @@ class TestBatchLastUpdate:
             trainer.encoder.memory.last_update,
             NeighborFinder(stream).batch_last_update(probe,
                                                      stream.num_events))
-
-    def test_base_clock_carries_over(self):
-        stream = make_stream()
-        finder = NeighborFinder(stream)
-        base = np.full(stream.num_nodes, 1e6)
-        probe = np.arange(stream.num_nodes, dtype=np.int64)
-        out = finder.batch_last_update(probe, stream.num_events, base=base)
-        np.testing.assert_array_equal(out, base)  # base dominates all times
 
 
 # ----------------------------------------------------------------------
@@ -388,15 +374,6 @@ class TestPretrainEquivalence:
                             parallel.checkpoints.as_list()):
                 np.testing.assert_array_equal(a, b)
 
-    def test_mmap_graph_bit_identical(self, backbone):
-        stream = make_stream()
-        in_memory = self.pretrain(backbone, stream, mmap_graph=False)
-        mapped = self.pretrain(backbone, stream, mmap_graph=True)
-        np.testing.assert_array_equal(np.asarray(in_memory.loss_history),
-                                      np.asarray(mapped.loss_history))
-        np.testing.assert_array_equal(in_memory.memory_state,
-                                      mapped.memory_state)
-
 
 def test_pretrain_matches_the_parent_bit_for_bit():
     """Loss history, final memory, ``last_update``, every encoder
@@ -431,31 +408,6 @@ class TestPretrainSeedingProperties:
             small_config(num_workers=-1).validate()
         with pytest.raises(ValueError):
             small_config(prefetch_batches=0).validate()
-
-
-# ----------------------------------------------------------------------
-# downstream consumers
-# ----------------------------------------------------------------------
-
-class TestFinetuneConsumers:
-    def test_link_prediction_workers_match_serial(self, tiny_stream,
-                                                  spare_cores):
-        from repro.datasets.splits import split_downstream
-        from repro.tasks.finetune import (FineTuneConfig,
-                                          build_finetuned_encoder)
-        from repro.tasks.link_prediction import LinkPredictionTask
-
-        split = split_downstream(tiny_stream, fractions=(0.6, 0.2, 0.2))
-        histories = {}
-        for workers in (0, 2):
-            cfg = FineTuneConfig(epochs=2, batch_size=40, seed=0,
-                                 num_workers=workers)
-            strategy = build_finetuned_encoder(
-                "tgn", tiny_stream.num_nodes,
-                small_config(), None, "none", cfg)
-            task = LinkPredictionTask(strategy, split, cfg)
-            histories[workers] = task.train()
-        assert histories[0] == histories[2]
 
 
 # ----------------------------------------------------------------------
