@@ -29,7 +29,6 @@ import time
 from dataclasses import replace
 
 from .. import obs as _obs
-from ..graph.events import EventStream
 from ..graph.neighbor_finder import NeighborFinder
 from ..stream import (BatchPlan, BatchProducer, ProducerSpec, StreamError,
                       export_graph_shards, open_stream_shards)
@@ -46,10 +45,10 @@ class FabricProducer(BatchProducer):
     Parameters
     ----------
     spec, plan:
-        As for the serial producer.  Handed a stream (``spec.stream`` or
-        ``stream``), the producer writes it into ``spec.shard_dir`` —
-        kept after the run, for remote workers that mount it — or, when
-        that is ``None``, into a private temporary directory removed on
+        As for the serial producer.  Handed a stream (``spec.stream``),
+        the producer writes it into ``spec.shard_dir`` — kept after the
+        run, for remote workers that mount it — or, when that is
+        ``None``, into a private temporary directory removed on
         :meth:`close`.  Handed only ``spec.shard_dir``, it reads it.
     bind:
         ``"host:port"`` pair for the coordinator to listen on
@@ -75,7 +74,6 @@ class FabricProducer(BatchProducer):
                  num_workers: int = 0,
                  prefetch_batches: int = 8, lease_timeout: float = 30.0,
                  heartbeat_timeout: float = 10.0, timeout: float = 600.0,
-                 stream: EventStream | None = None,
                  finder: NeighborFinder | None = None):
         # __del__/close() must work however early __init__ fails.
         self._closed = False
@@ -96,7 +94,7 @@ class FabricProducer(BatchProducer):
             bind = ("127.0.0.1", 0)
         elif isinstance(bind, str):
             bind = parse_address(bind)
-        graph = spec.stream if spec.stream is not None else stream
+        graph = spec.stream
         if graph is None and spec.shard_dir is None:
             raise ValueError("ProducerSpec needs a stream or a shard_dir")
 

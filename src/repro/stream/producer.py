@@ -209,7 +209,6 @@ class SerialProducer(BatchProducer):
 
 def make_producer(spec: ProducerSpec, plan: BatchPlan | None = None,
                   num_workers: int = 0, prefetch_batches: int = 4,
-                  stream: EventStream | None = None,
                   finder: NeighborFinder | None = None,
                   fabric: str | tuple[str, int] | None = None,
                   fabric_options: dict | None = None) -> BatchProducer:
@@ -235,13 +234,13 @@ def make_producer(spec: ProducerSpec, plan: BatchPlan | None = None,
             RuntimeWarning, stacklevel=2)
         num_workers = 0
     if fabric is None and num_workers == 0:
-        return SerialProducer(spec, plan, stream=stream, finder=finder)
+        return SerialProducer(spec, plan, finder=finder)
     # Imported lazily: repro.fabric imports repro.stream.
     from ..fabric import FabricProducer
     prefetch = max(prefetch_batches, num_workers, 1)
     return FabricProducer(spec, plan, bind=fabric, num_workers=num_workers,
-                          prefetch_batches=prefetch, stream=stream,
-                          finder=finder, **(fabric_options or {}))
+                          prefetch_batches=prefetch, finder=finder,
+                          **(fabric_options or {}))
 
 
 def _usable_cores() -> int:
