@@ -9,7 +9,9 @@ Times CPDG pre-training (Algorithm 1) at each scale in two modes:
   zero graph construction.  Bit-identical to eager.
 
 The headline steps/sec comes from un-instrumented
-:meth:`CPDGPreTrainer.pretrain` wall time.  A per-stage breakdown
+:meth:`CPDGPreTrainer.pretrain` wall time; ``peak_heap_mb`` is the
+``tracemalloc`` peak of one more such run (deterministic for the fixed
+seed, so the two modes' memory compares without repeats).  A per-stage breakdown
 (forward / backward / optimizer / staging) comes from an instrumented
 replica of the gradient step with timers threaded through the traced
 function — ``time.perf_counter`` is not an autograd op, so the same
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +91,19 @@ def timed_pretrain(compile_step: bool, stream: EventStream,
     elapsed = time.perf_counter() - start
     steps = cfg.epochs * int(np.ceil(stream.num_events / cfg.batch_size))
     return steps / elapsed
+
+
+def heap_peak_mb(compile_step: bool, stream: EventStream,
+                 params: dict) -> float:
+    """``tracemalloc`` peak (MB) of one pre-training run."""
+    cfg = scale_config(compile_step, params)
+    trainer = CPDGPreTrainer.from_backbone("tgn", stream.num_nodes, cfg)
+    tracemalloc.start()
+    try:
+        trainer.pretrain(stream)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def stage_breakdown(compile_step: bool, stream: EventStream,
@@ -177,6 +193,8 @@ def bench_scale(name: str, params: dict, repeats: int) -> dict:
                                   "memory_dim")},
         "steps_per_sec": {m: round(r, 2) for m, r in rates.items()},
         "speedup_compiled": round(rates["compiled"] / rates["eager"], 2),
+        "peak_heap_mb": {mode: round(heap_peak_mb(flag, stream, params), 3)
+                         for mode, flag in MODES.items()},
         "backward_speedup": round(backward_speedup, 2),
         "stage_seconds_per_step": stages,
     }
@@ -216,7 +234,9 @@ def main() -> int:
               f"eager {rates['eager']:>8.2f} -> "
               f"compiled {rates['compiled']:>8.2f} steps/s "
               f"({row['speedup_compiled']:.2f}x, "
-              f"backward {row['backward_speedup']:.2f}x)")
+              f"backward {row['backward_speedup']:.2f}x); heap peak "
+              f"{row['peak_heap_mb']['eager']:.2f} -> "
+              f"{row['peak_heap_mb']['compiled']:.2f} MB")
     print(f"wrote {args.out}")
     if args.smoke:
         return 0

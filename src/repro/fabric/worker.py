@@ -29,7 +29,8 @@ import traceback
 from dataclasses import replace
 
 from .. import obs as _obs
-from ..stream import SamplingContext, produce_batch, shard_fingerprint
+from ..stream import (SamplingContext, open_graph_shards, produce_batch,
+                      shard_fingerprint)
 from .protocol import (ERROR, HEARTBEAT, HELLO, LEASE, PROTOCOL_VERSION,
                        REJECT, RESULT, SHUTDOWN, WELCOME, FabricError,
                        format_address, parse_address, recv_frame,
@@ -91,6 +92,11 @@ class FabricWorker:
         stop = threading.Event()
         send_lock = threading.Lock()
         try:
+            # Mounted after the connect, so a worker may start before its
+            # coordinator writes the shards; a damaged mount is a
+            # StreamError naming the file, before any handshake.
+            stream, finder = open_graph_shards(self.shard_dir,
+                                               mmap=self.mmap)
             send_frame(sock, {"type": HELLO,
                               "version": PROTOCOL_VERSION,
                               "name": self.name,
@@ -108,7 +114,7 @@ class FabricWorker:
             self.name = reply.get("name", self.name)
             spec = replace(reply["spec"], stream=None,
                            shard_dir=self.shard_dir, mmap=self.mmap)
-            ctx = SamplingContext(spec)
+            ctx = SamplingContext(spec, stream=stream, finder=finder)
 
             heartbeat = threading.Thread(
                 target=self._heartbeat_loop, args=(sock, stop, send_lock),

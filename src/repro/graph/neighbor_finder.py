@@ -24,17 +24,15 @@ sampler at ``tau=1e6``, where the softmax over temporal scores is flat
 (``EtaBFSSampler(probability="uniform")`` draws the exact uniform law,
 but no experiment runs it).
 
-The CSR is also portable: :meth:`NeighborFinder.export` writes the four
-arrays as ``.npy`` shards and :meth:`NeighborFinder.open` reconstructs a
-finder from them — optionally ``numpy.memmap``-backed, so producer worker
-processes read the adjacency read-only from the page cache instead of
-holding private copies.
+The CSR is also portable: :mod:`repro.stream.shards` writes the four
+arrays as ``.npy`` shards and :meth:`NeighborFinder.from_arrays` wraps
+them — optionally ``numpy.memmap``-backed, so producer worker processes
+read the adjacency read-only from the page cache instead of holding
+private copies.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -43,9 +41,6 @@ from .events import EventStream
 
 __all__ = ["NeighborFinder", "NeighborSlots", "build_temporal_csr",
            "most_recent_slots", "segment_cut"]
-
-_CSR_ARRAYS = ("indptr", "neighbors", "times", "event_ids")
-_CSR_META = "csr_meta.json"
 
 
 def build_temporal_csr(src: np.ndarray, dst: np.ndarray,
@@ -169,7 +164,7 @@ class NeighborFinder:
             np.arange(stream.num_events, dtype=np.int64), self.num_nodes)
 
     # ------------------------------------------------------------------
-    # construction from raw CSR arrays / shard files
+    # construction from raw CSR arrays
     # ------------------------------------------------------------------
     @classmethod
     def from_arrays(cls, indptr: np.ndarray, neighbors: np.ndarray,
@@ -178,8 +173,8 @@ class NeighborFinder:
         """Wrap pre-built CSR arrays (read-only views are fine).
 
         The arrays are adopted as-is — no copy, no re-sort — so they may be
-        ``numpy.memmap`` instances opened read-only from
-        :meth:`export`-written shards.
+        ``numpy.memmap`` instances opened read-only from shard files
+        (:func:`repro.stream.shards.open_csr_shards`).
         """
         if len(neighbors) != len(times) or len(neighbors) != len(event_ids):
             raise ValueError("neighbors, times and event_ids must have "
@@ -191,40 +186,6 @@ class NeighborFinder:
         finder._times = times
         finder._event_ids = event_ids
         return finder
-
-    def export(self, directory: str) -> None:
-        """Write the CSR as one ``.npy`` shard per array plus a meta file.
-
-        The shards are plain ``numpy.save`` output, so any process can
-        :meth:`open` them memory-mapped without pickling the adjacency.
-        """
-        os.makedirs(directory, exist_ok=True)
-        for name in _CSR_ARRAYS:
-            np.save(os.path.join(directory, f"csr_{name}.npy"),
-                    np.ascontiguousarray(getattr(self, f"_{name}")))
-        meta = {"num_nodes": int(self.num_nodes),
-                "num_rows": int(len(self._neighbors))}
-        with open(os.path.join(directory, _CSR_META), "w") as fh:
-            json.dump(meta, fh)
-
-    @classmethod
-    def open(cls, directory: str, mmap: bool = True) -> "NeighborFinder":
-        """Reconstruct a finder from :meth:`export`-written shards.
-
-        With ``mmap=True`` (default) the arrays are opened as read-only
-        memory maps — queries page in only the segments they touch, so
-        many worker processes share one physical copy of the adjacency.
-        """
-        meta_path = os.path.join(directory, _CSR_META)
-        if not os.path.exists(meta_path):
-            raise FileNotFoundError(f"no CSR shards in {directory!r} "
-                                    f"(missing {_CSR_META})")
-        mode = "r" if mmap else None
-        arrays = {name: np.load(os.path.join(directory, f"csr_{name}.npy"),
-                                mmap_mode=mode)
-                  for name in _CSR_ARRAYS}
-        return cls.from_arrays(arrays["indptr"], arrays["neighbors"],
-                               arrays["times"], arrays["event_ids"])
 
     # ------------------------------------------------------------------
     # CSR views

@@ -33,14 +33,27 @@ replicate ``_accumulate``'s copy/add/sparse semantics in the same order.
 Eager autograd is the oracle of replay (``compile_step=False`` /
 ``nn.compile=false``), never the other way round.
 
-**Memory.**  A program (pooled output buffers, saved contexts, gradient
-cells) lives exactly as long as its ``CompiledStep``: intermediates name it
-by an identity token, so dropping the step frees it by reference counting
+**Memory.**  A program holds only what its next replay reads, and lives
+exactly as long as its ``CompiledStep``: intermediates name it by an
+identity token, so dropping the step frees it by reference counting
 instead of at the next cycle collection (``transfer-e2e`` peak RSS 197 →
 155 MB: pre-training's programs no longer stack under fine-tuning's).
-Contexts and cells stay warm between steps on purpose: releasing them after
-every backward cost ``pretrain-hub`` +13 % wall time.  Pooled output
-buffers are valid until the next call of the same step: copy to keep them.
+Three rules keep replay at eager's footprint:
+
+* building drops the gradients the trace step's eager backward left on
+  the intermediates — no replay reads them;
+* backward empties each gradient cell right after the one item that
+  reads it, so no intermediate gradient outlives the step (saved contexts
+  stay warm: releasing them together with the cells after every backward
+  cost ``pretrain-hub`` +13 % wall time);
+* one program is resident: a call whose key differs from the previous
+  call's releases that key's pooled buffers, contexts and intermediate
+  data, but keeps its records, so switching back replays without a
+  retrace while the buffers regrow.
+
+Outputs of a call — intermediates' data, pooled buffers — are valid until
+the next call of the same ``CompiledStep``, whatever its key: copy to
+keep them.
 
 **A train-step engine only.**  A forward pass under ``no_grad`` builds no
 graph, so replaying one only adds per-op validation (``serve-read`` eager
@@ -59,6 +72,9 @@ from .scatter import scatter_add_rows
 from .. import obs as _obs
 
 __all__ = ["CompiledStep", "ReplayMismatch"]
+
+
+_NO_KEY = object()
 
 
 class ReplayMismatch(Exception):
@@ -161,6 +177,8 @@ class _BwdStep:
         if g is None:
             raise ReplayMismatch("missing gradient during replay")
         grads = rec.prim.vjp(rec.ctx, g, rec.in_requires, rec.params)
+        # Each slot feeds exactly one item: its gradient is dead from here.
+        cells[rec.out_slot].reset()
         for pos, slot, leaf in self.targets:
             gi = grads[pos]
             if gi is None:
@@ -179,6 +197,19 @@ class _Program:
     __slots__ = ("records", "n_slots", "slot_leaf", "slot_requires",
                  "slot_dtype", "slot_tensor", "loss_slot", "items", "cells",
                  "cells_used", "seed_buf", "token")
+
+    def release(self) -> None:
+        """Drop what only a replay of this program reads: pooled buffers,
+        saved contexts, op params and the intermediates' data.  Records
+        and backward items stay, so the next replay regrows the buffers
+        without a retrace."""
+        for rec in self.records:
+            if rec.out_buf is not None:
+                rec.out_buf.arr = None
+            rec.ctx = None
+            rec.params = None
+            rec.out_tensor.data = np.empty(0, rec.out_dtype)
+        self.seed_buf.arr = None
 
 
 class _Trace:
@@ -290,6 +321,7 @@ class _Trace:
             tensor._node = None
             tensor._backward = None
             tensor._parents = ()
+            tensor._grad = None   # the trace's eager backward left it
             r.out_tensor = tensor
             p.slot_tensor[o] = tensor
             recs.append(r)
@@ -393,8 +425,6 @@ class _Replay:
             g = np.asarray(grad)
             if g.size != 1 or g.reshape(-1)[0] != 1.0:
                 raise ReplayMismatch("non-default backward seed")
-        for cell in p.cells_used:
-            cell.reset()
         seed = p.seed_buf.get(tensor.data.shape)
         seed.fill(1.0)
         p.cells[p.loss_slot].add(seed, False)
@@ -422,7 +452,8 @@ class CompiledStep:
 
     Call with ``key=<hashable>`` describing every shape/branch degree of
     freedom of the step (batch size, staged-messages presence, subgraph
-    emptiness, …); each key gets its own program.
+    emptiness, …); each key gets its own program, and only the last
+    called key's program holds buffers.
     """
 
     def __init__(self, fn, *, enabled: bool = True, max_retraces: int = 4):
@@ -430,6 +461,7 @@ class CompiledStep:
         self.enabled = enabled
         self.max_retraces = max_retraces
         self._programs: dict = {}
+        self._resident = _NO_KEY   # the one key whose program holds buffers
         self._failures: dict = {}
         self._dead: set = set()
         self.last_failure: str | None = None
@@ -447,6 +479,11 @@ class CompiledStep:
         if not self.enabled or key in self._dead or get_tracer() is not None:
             self.counters["eager"].inc()
             return self.fn(*args, **kwargs)
+        if key != self._resident:
+            resident = self._programs.get(self._resident)
+            if resident is not None:
+                resident.release()
+            self._resident = key
         program = self._programs.get(key)
         if program is None:
             return self._trace(key, args, kwargs)

@@ -533,8 +533,12 @@ class EmbeddingService:
         try:
             if k < 0:
                 raise ServeError("k must be >= 0")
-            if not math.isfinite(t):
-                raise ServeError("query times must be finite")
+            # Checked before the shortlist touches index state: it clears
+            # the dirty marks it takes.
+            src_arr, t_arr = self._query_arrays(src, t)
+            if len(src_arr) != 1:
+                raise ServeError("top_k takes one src node")
+            src, t = int(src_arr[0]), float(t_arr[0])
             explicit = candidates is not None
             if candidates is None:
                 candidates = self._candidates
@@ -546,14 +550,13 @@ class EmbeddingService:
                 use_index = (self.config.index if exact is None
                              else not exact)
                 if use_index and not explicit and k < len(candidates):
-                    shortlist = self._indexed_shortlist(int(src), float(t),
-                                                        int(k))
+                    shortlist = self._indexed_shortlist(src, t, int(k))
                     # A probe that surfaced fewer than k ids cannot answer
                     # the query — fall back to the exact full scan.
                     if len(shortlist) >= k:
                         candidates = shortlist
-                scores = self.score_links(np.full(len(candidates), int(src)),
-                                          candidates, float(t))
+                scores = self.score_links(np.full(len(candidates), src),
+                                          candidates, t)
                 return top_k_from_scores(candidates, scores, k)
         finally:
             self._request_hist["top_k"].observe(time.perf_counter() - start)

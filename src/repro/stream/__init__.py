@@ -25,8 +25,8 @@ from .prepared import PreparedBatch
 from .producer import (BatchProducer, ProducerSpec, SamplingContext,
                        SerialProducer, make_producer, produce_batch)
 from .shards import (export_graph_shards, export_stream_shards,
-                     has_csr_shards, open_graph_shards, open_stream_shards,
-                     shard_fingerprint)
+                     has_csr_shards, open_csr_shards, open_graph_shards,
+                     open_stream_shards, shard_fingerprint)
 
 __all__ = [
     "BatchPlan", "BatchRngs", "StreamError", "WorkItem",
@@ -35,5 +35,6 @@ __all__ = [
     "BatchProducer", "ProducerSpec", "SamplingContext", "SerialProducer",
     "make_producer", "produce_batch",
     "export_graph_shards", "export_stream_shards", "has_csr_shards",
-    "open_graph_shards", "open_stream_shards", "shard_fingerprint",
+    "open_csr_shards", "open_graph_shards", "open_stream_shards",
+    "shard_fingerprint",
 ]

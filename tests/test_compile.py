@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,90 @@ class TestProgramLifetime:
         history, left = self._programs_left_by(task.train)
         assert len(history) >= 1
         assert left == []
+
+
+class TestReplayMemory:
+    """A program holds only what its next replay reads: no gradient left
+    over from the trace step, no gradient cell filled between steps, and
+    pooled buffers for the most recent key alone."""
+
+    _problem = TestCompiledStepTraining._problem
+    _step_fn = TestCompiledStepTraining._step_fn
+
+    @staticmethod
+    def _holds_buffers(program) -> bool:
+        return any(rec.out_buf is not None and rec.out_buf.arr is not None
+                   for rec in program.records)
+
+    def test_build_drops_the_trace_steps_gradients(self):
+        net, xs, ys = self._problem()
+        compiled = CompiledStep(self._step_fn(net))
+        compiled(xs[0], ys[0], key="k")
+        program = compiled._programs["k"]
+        held = [t for t in program.slot_tensor if t is not None]
+        assert len(held) == len(program.records)
+        assert [t for t in held if t._grad is not None] == []
+
+    def test_replayed_backward_empties_every_cell(self):
+        net, xs, ys = self._problem()
+        compiled = CompiledStep(self._step_fn(net))
+        for x, y in zip(xs[:3], ys[:3]):
+            compiled(x, y, key="k")
+        assert int(compiled.counters["replays"]) == 2
+        program = compiled._programs["k"]
+        assert len(program.cells_used) > 1
+        assert [c for c in program.cells_used if c.value is not None] == []
+
+    def test_one_program_resident_across_key_switches(self):
+        """Keys switch ``a a b b a b``; after every call only the called
+        key's program may hold pooled buffers, saved contexts or
+        intermediate data, and every loss and gradient equals eager's."""
+        net, xs, ys = self._problem()
+        rng = np.random.default_rng(5)
+        wide = [(rng.normal(size=(9, 4)), rng.normal(size=(9, 1)))
+                for _ in range(3)]
+        schedule = [("a", xs[0], ys[0]), ("a", xs[1], ys[1]),
+                    ("b", *wide[0]), ("b", *wide[1]),
+                    ("a", xs[2], ys[2]), ("b", *wide[2])]
+        step = self._step_fn(net)
+        eager = []
+        for _, x, y in schedule:
+            eager.append((step(x, y),
+                          [p.grad.copy() for p in net.parameters()]))
+
+        net2, _, _ = self._problem()
+        compiled = CompiledStep(self._step_fn(net2))
+        for (key, x, y), (loss, grads) in zip(schedule, eager):
+            assert compiled(x, y, key=key) == loss
+            for p, g in zip(net2.parameters(), grads):
+                assert np.array_equal(p.grad, g)
+            for other, program in compiled._programs.items():
+                if other == key:
+                    continue
+                assert not self._holds_buffers(program), other
+                assert all(rec.ctx is None and rec.out_tensor.data.size == 0
+                           for rec in program.records), other
+        assert self._holds_buffers(compiled._programs["b"])
+        stats = {k: int(c) for k, c in compiled.counters.items()}
+        assert stats == {"traces": 2, "replays": 4, "mismatches": 0,
+                         "eager": 0}
+
+    def test_compiled_pretraining_heap_peak_is_at_most_eagers(self):
+        """``tracemalloc`` peak of one TGN pre-training run.  (JODIE and
+        DyRep replay still peak above their eager runs, whose graphs are
+        small: no bound is written for them.)"""
+        stream = small_stream(240)
+        run_pretrain(stream, "tgn", False)     # warm module-level state
+
+        def peak(compile_step: bool) -> int:
+            tracemalloc.start()
+            try:
+                run_pretrain(stream, "tgn", compile_step)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(True) <= peak(False)
 
 
 class TestTensorItem:

@@ -394,6 +394,41 @@ class TestIndexedTopK:
         finally:
             service.close()
 
+    def test_bad_src_leaves_the_dirty_marks(self, artifact_and_streams):
+        """An out-of-range ``src`` or a non-finite ``t`` is a ServeError
+        (HTTP 400) raised before the shortlist takes the dirty marks:
+        taken and then dropped, they would leave those candidates ranked
+        by stale vectors for good."""
+        import urllib.error
+
+        _, _, _, suffix = artifact_and_streams
+        service = build_service(artifact_and_streams, index=True)
+        server, thread = start_http_server(service, port=0)
+        try:
+            service.top_k(0, float(suffix.timestamps[0]), 5)
+            src, dst, ts = next(suffix_blocks(suffix, 40))
+            service.ingest(src=src, dst=dst, timestamps=ts)
+            dirty = service._dirty_mask.copy()
+            assert dirty.any()
+            t = float(ts[-1]) + 1.0
+            for bad in (NUM_NODES, 10**6, -1):
+                with pytest.raises(ServeError, match="node ids"):
+                    service.top_k(bad, t, 5)
+            with pytest.raises(ServeError, match="finite"):
+                service.top_k(0, float("nan"), 5)
+            client = HttpClient(f"http://127.0.0.1:"
+                                f"{server.server_address[1]}")
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                client.topk(10**6, t, 5)
+            assert excinfo.value.code == 400
+            assert "node ids" in json.loads(excinfo.value.read())["error"]
+            np.testing.assert_array_equal(service._dirty_mask, dirty)
+            assert service.stats()["index"]["dirty"] == int(dirty.sum())
+        finally:
+            server.shutdown()
+            thread.join()
+            service.close()
+
     def test_top_k_edge_cases(self, artifact_and_streams):
         _, _, _, suffix = artifact_and_streams
         t = float(suffix.timestamps[0])

@@ -23,7 +23,7 @@ from repro.fabric import FabricProducer
 from repro.stream import (BatchPlan, ProducerSpec, SamplingContext,
                           SerialProducer, StreamError, batch_rngs,
                           export_graph_shards, make_producer,
-                          open_graph_shards, produce_batch)
+                          open_csr_shards, open_graph_shards, produce_batch)
 from tests.golden_pretrain import (GOLDEN_PATH, build_golden, golden_config,
                                   golden_stream)
 
@@ -126,8 +126,8 @@ class TestMmapShards:
     def test_batch_queries_match_in_memory(self, tmp_path):
         stream = make_stream()
         finder = NeighborFinder(stream)
-        finder.export(str(tmp_path))
-        mapped = NeighborFinder.open(str(tmp_path), mmap=True)
+        export_graph_shards(stream, str(tmp_path), finder=finder)
+        mapped = open_csr_shards(str(tmp_path), mmap=True)
         assert isinstance(mapped.times, np.memmap)
 
         nodes = np.arange(stream.num_nodes, dtype=np.int64)
@@ -162,7 +162,7 @@ class TestMmapShards:
 
     def test_open_without_shards_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            NeighborFinder.open(str(tmp_path / "nope"))
+            open_csr_shards(str(tmp_path / "nope"))
 
 
 class TestBatchLastUpdate:
