@@ -206,6 +206,7 @@ class TestDamagedShards:
             code = main(["fabric-worker", "--connect", f"127.0.0.1:{port}",
                          "--shards", directory, "--retry-for", "0"])
             hang_up.join(30.0)
+        assert not hang_up.is_alive()
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and path in err, err
