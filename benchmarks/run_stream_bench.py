@@ -1,15 +1,19 @@
 """Throughput of the streaming batch pipeline (producer/consumer loop).
 
 Times full CPDG pre-training (Algorithm 1) at a 400k-node scale with the
-batch producer run three ways — in-process (``num_workers=0``) and fanned
-out over 2 and 4 local fabric workers (spawned processes on a private
-``AF_UNIX`` socket, sharing memory-mapped graph shards) — plus the
-*produce/consume split*: seconds/step spent in pure batch production
-(:class:`~repro.stream.SerialProducer` sweep) vs the whole serial loop;
-this bounds what pipelining can buy: with ``w`` workers the ideal step
-time is ``max(produce / w, consume)``.  Recorded, not gated: the
-producer share fell from 0.59 (when the parallel producers were built)
-to under 0.2 once sampling was batched, so the ceiling is ≈ 1.2×.
+batch producer run four ways — serially in process, in process on one
+background thread that produces up to ``prefetch_batches`` batches
+ahead of the step (``num_workers=0``), and fanned out over 2 and 4 local
+fabric workers (spawned processes on a private ``AF_UNIX`` socket,
+sharing memory-mapped graph shards) — plus the *produce/consume split*:
+seconds/step spent in pure batch production (a
+:class:`~repro.stream.SerialProducer` sweep) and seconds/step the
+in-process trainer spends outside its ``pretrain.produce`` wait (the
+consumer's own work; with production overlapped, ``total - produce``
+would undercount it).  ``producer_share`` is
+``produce / (produce + consume)``, the part of a step workers could
+take off the trainer, and with ``w`` workers the ideal step time is
+``max(produce / w, consume)``.  Recorded, not gated.
 
 The large stream uses power-law (Zipf) item popularity — the canonical
 shape of user-item interaction streams, where viral hubs with five-digit
@@ -19,8 +23,8 @@ A measured worker speedup needs physical cores for the workers: with
 fewer cores than processes the producers time-share the consumer's core.
 The report therefore records the machine's usable core count and the
 *modeled* pipeline ceiling from the measured split next to the measured
-rates and their ratio to serial.  One thing is gated: every worker
-count must reproduce the serial loss history bit for bit.
+rates and their ratio to the serial row.  One thing is gated: every
+producer must reproduce the serial loss history bit for bit.
 
 Writes ``BENCH_stream.json`` at the repo root.  Usage::
 
@@ -30,6 +34,7 @@ Writes ``BENCH_stream.json`` at the repo root.  Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -38,6 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
+import repro.stream
+from repro import obs
 from repro.core import CPDGConfig, CPDGPreTrainer
 from repro.graph.events import EventStream
 from repro.stream import SerialProducer
@@ -79,8 +86,22 @@ def scale_config(params: dict, num_workers: int) -> CPDGConfig:
         num_workers=num_workers, prefetch_batches=8, seed=0)
 
 
+@contextlib.contextmanager
+def serial_production():
+    """Pre-train with the plain in-process loop, the serial oracle, in
+    place of the prefetch thread ``num_workers=0`` builds."""
+    original = repro.stream.make_producer
+    repro.stream.make_producer = \
+        lambda spec, plan=None, finder=None, **_: SerialProducer(
+            spec, plan, finder=finder)
+    try:
+        yield
+    finally:
+        repro.stream.make_producer = original
+
+
 def timed_pretrain(stream: EventStream, params: dict, num_workers: int,
-                   repeats: int) -> tuple[float, str]:
+                   repeats: int, serial: bool = False) -> tuple[float, str]:
     """Best-of-``repeats`` steps/sec of the real pre-training loop, and
     a digest of its loss history (the bit-identity gate)."""
     steps = int(np.ceil(stream.num_events / params["batch_size"]))
@@ -88,39 +109,52 @@ def timed_pretrain(stream: EventStream, params: dict, num_workers: int,
     for _ in range(repeats):
         cfg = scale_config(params, num_workers)
         trainer = CPDGPreTrainer.from_backbone("tgn", stream.num_nodes, cfg)
-        start = time.perf_counter()
-        result = trainer.pretrain(stream)
-        best = max(best, steps / (time.perf_counter() - start))
+        with serial_production() if serial else contextlib.nullcontext():
+            start = time.perf_counter()
+            result = trainer.pretrain(stream)
+            best = max(best, steps / (time.perf_counter() - start))
     digest = hashlib.sha256(
         np.asarray(result.loss_history).tobytes()).hexdigest()
     return best, digest
 
 
 def produce_consume_split(stream: EventStream, params: dict
-                          ) -> tuple[float, float, int]:
-    """``(produce_s_per_step, total_s_per_step, steps)`` of the serial path."""
+                          ) -> tuple[float, float, float, int]:
+    """``(produce, consume, wait, steps)``, seconds per step: a serial
+    production sweep, and the in-process trainer's time outside /
+    inside its ``pretrain.produce`` wait."""
     cfg = scale_config(params, num_workers=0)
     trainer = CPDGPreTrainer.from_backbone("tgn", stream.num_nodes, cfg)
     spec = trainer.producer_spec(stream)
     start = time.perf_counter()
     steps = sum(1 for _ in SerialProducer(spec, stream=stream))
     produce = time.perf_counter() - start
-    start = time.perf_counter()
-    trainer.pretrain(stream)
-    total = time.perf_counter() - start
-    return produce / steps, total / steps, steps
+    waits = obs.histogram("repro_span_seconds",
+                          labels={"span": "pretrain.produce"})
+    obs.configure(enabled=True)
+    try:
+        waited = waits.sum
+        start = time.perf_counter()
+        trainer.pretrain(stream)
+        total = time.perf_counter() - start
+        wait = waits.sum - waited
+    finally:
+        obs.configure(enabled=False)
+    return produce / steps, (total - wait) / steps, wait / steps, steps
 
 
 def bench_scale(params: dict, worker_counts: tuple[int, ...],
                 repeats: int) -> dict:
     stream = zipf_stream(params["num_nodes"], params["events"],
                          params["zipf_a"])
-    produce, total, steps = produce_consume_split(stream, params)
-    consume = max(total - produce, 1e-9)
-    runs = {w: timed_pretrain(stream, params, w, repeats)
-            for w in worker_counts}
-    rates = {w: round(rate, 2) for w, (rate, _) in runs.items()}
-    serial = rates[0]
+    produce, consume, wait, steps = produce_consume_split(stream, params)
+    total = produce + consume  # one serial step
+    runs = {"serial": timed_pretrain(stream, params, 0, repeats,
+                                     serial=True)}
+    runs.update({f"workers_{w}": timed_pretrain(stream, params, w, repeats)
+                 for w in worker_counts})
+    rates = {name: round(rate, 2) for name, (rate, _) in runs.items()}
+    serial = rates["serial"]
     modeled = {
         f"workers_{w}": round(total / max(produce / w, consume), 2)
         for w in worker_counts if w > 0
@@ -131,16 +165,17 @@ def bench_scale(params: dict, worker_counts: tuple[int, ...],
         "steps": steps,
         "produce_seconds_per_step": round(produce, 6),
         "consume_seconds_per_step": round(consume, 6),
+        "produce_wait_seconds_per_step": round(wait, 6),
         "producer_share": round(produce / total, 3),
-        "steps_per_sec": {f"workers_{w}": r for w, r in rates.items()},
+        "steps_per_sec": rates,
         "speedup_vs_serial": {
-            f"workers_{w}": round(r / serial, 2)
-            for w, r in rates.items() if w > 0
+            name: round(rate / serial, 2)
+            for name, rate in rates.items() if name != "serial"
         },
         "modeled_pipeline_speedup": modeled,
         "bit_identical_to_serial": {
-            f"workers_{w}": digest == runs[0][1]
-            for w, (_, digest) in runs.items() if w > 0
+            name: digest == runs["serial"][1]
+            for name, (_, digest) in runs.items() if name != "serial"
         },
     }
 
@@ -172,11 +207,14 @@ def main() -> int:
         "dtype": "float32",
         "machine": {"cores": cores},
         "smoke": bool(args.smoke),
-        "note": "num_workers runs local fabric workers (AF_UNIX); a "
-                "measured speedup needs cores for consumer + workers. On "
-                "the 2-core box these rows were written on no parallel "
-                "producer beats serial: producer_share is the part of a "
-                "step workers can take off the trainer, and "
+        "note": "serial is the plain in-process loop (SerialProducer); "
+                "workers_0 produces in process on one background thread "
+                "that samples ahead of the step; num_workers runs local "
+                "fabric workers (AF_UNIX), and a measured speedup needs "
+                "cores for consumer + workers. consume is the "
+                "prefetching trainer's time outside its pretrain.produce "
+                "wait (GIL contention with the thread included), "
+                "producer_share = produce / (produce + consume), and "
                 "modeled_pipeline_speedup the ceiling that share allows",
         "cases": cases,
     }
@@ -186,8 +224,8 @@ def main() -> int:
         rates = row["steps_per_sec"]
         print(f"{name:10s} nodes={row['num_nodes']:>7d} share="
               f"{row['producer_share']:.0%} "
-              + " ".join(f"w{w}={rates[f'workers_{w}']:.2f}/s"
-                         for w in worker_counts))
+              + " ".join(f"{name}={rate:.2f}/s"
+                         for name, rate in rates.items()))
     print(f"wrote {args.out}")
 
     failures = [f"{workers}: loss history diverged from serial"

@@ -9,6 +9,7 @@ and L exactly as the paper does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,10 +26,11 @@ class CPDGConfig:
     epsilon: int = 10
     depth: int = 2
     tau: float = 0.2
-    precompute_samplers: bool = True
-    # LRU bound of the §IV-A subgraph cache; None = unbounded.  The
-    # default caps memory at ~one subgraph per (root, quantised t) for a
-    # few hundred thousand events while keeping re-visits warm.
+    # The §IV-A subgraph cache (PrecomputedSampler) on the deterministic
+    # ε-DFS arm.  Off by default: measured, it makes production slower,
+    # never faster, and ε-DFS batches are bit-identical without it.
+    precompute_samplers: bool = False
+    # LRU bound of that cache when it is on; None = unbounded.
     sampler_cache_capacity: int | None = 65536
 
     # Contrastive objectives (paper §IV-B)
@@ -69,10 +71,12 @@ class CPDGConfig:
     dtype: str = "float32"
 
     # Streaming batch pipeline (repro.stream).  ``num_workers=0`` produces
-    # batches in-process; N >= 1 fans sampling out over N local fabric
-    # workers (spawned processes on a private AF_UNIX socket) sharing
-    # memory-mapped graph shards.  Per-batch seeding makes both paths
-    # bit-identical.  ``prefetch_batches`` bounds in-flight batches
+    # batches in process on one background thread while the trainer
+    # steps; N >= 1 fans sampling out over N local fabric workers
+    # (spawned processes on a private AF_UNIX socket) sharing
+    # memory-mapped graph shards.  Per-batch seeding makes every path
+    # bit-identical.  ``prefetch_batches`` bounds the batches produced
+    # ahead of the trainer, on the thread or in flight to workers
     # (backpressure).
     num_workers: int = 0
     prefetch_batches: int = 4
@@ -101,6 +105,15 @@ class CPDGConfig:
     def validate(self) -> None:
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
+        # A negative tau swaps the Eq. 7/8 views, zero divides by zero,
+        # and nan / inf make every weight nan or uniform.
+        try:
+            tau_ok = math.isfinite(self.tau) and self.tau > 0
+        except TypeError:
+            tau_ok = False
+        if not tau_ok:
+            raise ValueError(f"tau must be a finite positive temperature, "
+                             f"got {self.tau!r}")
         if self.readout not in ("mean", "max", "sum"):
             raise ValueError(f"unknown readout {self.readout!r}")
         if self.objective not in ("triplet", "infonce"):

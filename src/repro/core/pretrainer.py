@@ -228,7 +228,9 @@ class CPDGPreTrainer:
             while True:
                 # Manual iteration so the wait for the next prepared
                 # batch is its own span — producer stalls show up as
-                # pretrain.produce time, not as mystery step time.
+                # pretrain.produce time, not as mystery step time.  The
+                # batch itself is produced off this thread (or process),
+                # so the span is the wait, not the production.
                 with _obs.span("pretrain.produce"):
                     try:
                         prepared = next(batches)

@@ -51,9 +51,9 @@ B = 16 / 32 / 64 / 128 / 256 at R = 128 → 154 / 135 / 135 / 139 / 150 ms
 on the hub stream (flat over 32…128).
 
 Both samplers are parameter-free, so :class:`PrecomputedSampler` can cache
-subgraphs keyed by ``(root, t)`` before training starts (paper §IV-A last
-paragraph); the cache-vs-online trade-off is measured in the ablation
-benches.
+subgraphs keyed by ``(root, t)`` (paper §IV-A last paragraph).  Measured,
+the cache makes production slower, never faster, so
+``CPDGConfig.precompute_samplers`` leaves it off by default.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def _assemble(picks_rows: list[np.ndarray], picks_nodes: list[np.ndarray],
 
 
 class EtaBFSSampler:
-    """η-BFS sampling with a pluggable temporal-aware probability.
+    """η-BFS sampling with a temporal-aware probability.
 
     Parameters
     ----------
@@ -172,9 +172,8 @@ class EtaBFSSampler:
     depth:
         Hops ``k`` (sampling depth).
     probability:
-        One of ``"chronological"``, ``"reverse"``, ``"uniform"`` or a
-        callable ``(times, t, tau) -> probs``.  The named modes run fully
-        vectorized; a callable is applied segment-by-segment.
+        One of ``"chronological"``, ``"reverse"`` or ``"uniform"``
+        (:data:`~repro.core.probability.PROBABILITY_FUNCTIONS`).
     tau:
         Softmax temperature of Eq. 7/8.
     """
@@ -184,13 +183,16 @@ class EtaBFSSampler:
                  seed: int = 0):
         if eta < 1 or depth < 1:
             raise ValueError("eta and depth must be positive")
+        if not isinstance(probability, str) \
+                or probability not in PROBABILITY_FUNCTIONS:
+            raise ValueError(f"unknown probability mode {probability!r}; "
+                             f"expected one of {tuple(PROBABILITY_FUNCTIONS)}")
         self.finder = finder
         self.eta = eta
         self.depth = depth
         self.tau = tau
-        self._prob_mode = probability if isinstance(probability, str) else None
-        self.probability = (PROBABILITY_FUNCTIONS[probability]
-                            if isinstance(probability, str) else probability)
+        self.mode = probability
+        self.probability = PROBABILITY_FUNCTIONS[probability]
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
@@ -244,20 +246,18 @@ class EtaBFSSampler:
         under a block envelope.  Segments wider than a race row are first
         cut down to their non-zero support, so for them ``deg`` *is* the
         support size and the clamp ``min(η, support)`` falls out of the
-        regime choice.  Callable probabilities have no monotone weights
-        to exploit and stay on the first two regimes.
+        regime choice.
         """
         qts = ts[rows]
         t_min = self.finder.times[starts]  # min T_i^t: slices are sorted
-        named = self._prob_mode is not None
-        broad = (ends - starts > RACE_MAX_WIDTH) & named
+        broad = ends - starts > RACE_MAX_WIDTH
         if broad.any():
             starts, ends = starts.copy(), ends.copy()
             starts[broad], ends[broad] = self._support(
                 starts[broad], ends[broad], qts[broad], t_min[broad])
         deg = ends - starts
         whole = deg <= self.eta  # wins over "wide" when η >= RACE_MAX_WIDTH
-        wide = ~whole & (deg > RACE_MAX_WIDTH) & named
+        wide = ~whole & (deg > RACE_MAX_WIDTH)
         flat: list[np.ndarray] = []
         occ: list[np.ndarray] = []
         for path, sel, draw in (("whole", whole, self._take_whole),
@@ -275,9 +275,9 @@ class EtaBFSSampler:
 
     def _log_weights(self, flat: np.ndarray, qts: np.ndarray,
                      t_min: np.ndarray) -> np.ndarray:
-        """Eq. 6–8 log-weights of the CSR entries ``flat`` (named modes)."""
+        """Eq. 6–8 log-weights of the CSR entries ``flat``."""
         return segment_log_weights(self.finder.times[flat], qts, t_min,
-                                   self.tau, self._prob_mode)
+                                   self.tau, self.mode)
 
     def _support(self, starts: np.ndarray, ends: np.ndarray, qts: np.ndarray,
                  t_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +294,7 @@ class EtaBFSSampler:
         if len(clipped) == 0:
             return starts, ends
         starts, ends = starts.copy(), ends.copy()
-        reverse = self._prob_mode == "reverse"
+        reverse = self.mode == "reverse"
         top = np.maximum(head, tail)[clipped]
         c_t, c_min, last = qts[clipped], t_min[clipped], ends[clipped] - 1
         # First live entry (chronological) / first dead one (reverse).
@@ -309,6 +309,28 @@ class EtaBFSSampler:
         (ends if reverse else starts)[clipped] = lo
         return starts, ends
 
+    def _padded_weights(self, starts: np.ndarray, deg: np.ndarray,
+                        qts: np.ndarray, t_min: np.ndarray,
+                        width: int) -> np.ndarray:
+        """Sampling weights of each occurrence's candidates, one row each.
+
+        Row ``k`` holds the max-shifted softmax numerators of the CSR
+        entries ``starts[k] + [0, deg[k])`` — exact up to a per-row
+        positive constant, which both the race draw and the support test
+        are invariant to — and ``0`` in the padding up to ``width``.
+        Entries that underflow to zero mark the outside of the non-zero
+        support (the draw-size clamp the per-root path applies via
+        ``count_nonzero``).  ``t_min`` is each occurrence's ``min T_i^t``
+        (passed in: a support-clamped segment no longer starts at it).
+        """
+        col = np.arange(width, dtype=np.int64)
+        last = deg[:, None] - 1
+        logw = self._log_weights(starts[:, None] + np.minimum(col, last),
+                                 qts[:, None], t_min[:, None])
+        logw[col > last] = -np.inf
+        with np.errstate(invalid="ignore"):
+            return np.exp(logw - logw.max(axis=1, keepdims=True))
+
     def _take_whole(self, starts: np.ndarray, deg: np.ndarray,
                     qts: np.ndarray, t_min: np.ndarray,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -318,9 +340,10 @@ class EtaBFSSampler:
         drawn by ``choice(p=...)``, so the reference draw size is
         ``min(η, support) = support`` here.
         """
-        w, flat, seg_id, _ = self._segment_weights(starts, deg, qts, t_min)
-        keep = w > 0.0
-        return flat[keep], seg_id[keep]
+        weights = self._padded_weights(starts, deg, qts, t_min,
+                                       int(deg.max()))
+        owner, col = np.nonzero(weights > 0.0)
+        return starts[owner] + col, owner
 
     def _race(self, starts: np.ndarray, deg: np.ndarray, qts: np.ndarray,
               t_min: np.ndarray, rng: np.random.Generator
@@ -329,24 +352,22 @@ class EtaBFSSampler:
 
         The η smallest ``Exp(1) / w_u`` are exactly a without-replacement
         sample ∝ ``w`` (Efraimidis–Spirakis).  Occurrences race in padded
-        ``(occurrences, width)`` matrices, one per ceil-pow2 degree class
-        so padding never exceeds 2x, and one row-wise ``argpartition``
-        keeps the winners; padding and zero-weight entries race at
-        ``inf`` and are dropped, which is the support clamp.
+        ``(occurrences, width)`` weight matrices, one per ceil-pow2
+        degree class so padding never exceeds 2x, and one row-wise
+        ``argpartition`` keeps the winners; padding and zero-weight
+        entries race at ``inf`` and are dropped, which is the support
+        clamp.
         """
-        w, _, seg_id, local = self._segment_weights(starts, deg, qts, t_min)
         exps = np.ceil(np.log2(deg)).astype(np.int64)
-        class_row = np.empty(len(deg), dtype=np.int64)
         flat: list[np.ndarray] = []
         occ: list[np.ndarray] = []
         for exp in np.unique(exps):
             members = np.nonzero(exps == exp)[0]
-            class_row[members] = np.arange(len(members))
-            cand = exps[seg_id] == exp
-            weights = np.zeros((len(members), 1 << int(exp)))
-            weights[class_row[seg_id[cand]], local[cand]] = w[cand]
+            weights = self._padded_weights(starts[members], deg[members],
+                                           qts[members], t_min[members],
+                                           1 << int(exp))
             race = rng.exponential(size=weights.shape)
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 race /= weights
             part = np.argpartition(race, self.eta - 1, axis=1)[:, :self.eta]
             ok = np.isfinite(np.take_along_axis(race, part, axis=1))
@@ -380,7 +401,7 @@ class EtaBFSSampler:
         b_first = starts[b_occ] + ENVELOPE_BLOCK * (
             np.arange(b_off[-1], dtype=np.int64) - b_off[b_occ])
         b_size = np.minimum(ENVELOPE_BLOCK, ends[b_occ] - b_first)
-        heavy = b_first if self._prob_mode == "reverse" \
+        heavy = b_first if self.mode == "reverse" \
             else b_first + b_size - 1
         envelope = self._log_weights(heavy, qts[b_occ], t_min[b_occ])
         top = np.maximum.reduceat(envelope, b_off[:-1])
@@ -433,41 +454,6 @@ class EtaBFSSampler:
                 len(probs), size=size, replace=False, p=probs)
         drawn = picked >= 0
         return picked[drawn], np.nonzero(drawn)[0]
-
-    def _segment_weights(self, starts: np.ndarray, deg: np.ndarray,
-                         qts: np.ndarray, t_min: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-candidate sampling weights for concatenated segments.
-
-        Returns ``(weights, flat_csr_index, segment_id, local_offset)``.
-        Weights are each segment's max-shifted softmax numerator — exact up
-        to a per-segment positive constant, which both the race draw and
-        the support test are invariant to.  Entries that underflow to zero
-        mark the outside of the non-zero support (the draw-size clamp the
-        per-root path applies via ``count_nonzero``).  ``t_min`` is each
-        segment's ``min T_i^t`` (passed in: a support-clamped segment no
-        longer starts at it).
-        """
-        seg_off = np.zeros(len(deg) + 1, dtype=np.int64)
-        np.cumsum(deg, out=seg_off[1:])
-        seg_id = np.repeat(np.arange(len(deg), dtype=np.int64), deg)
-        local = np.arange(seg_off[-1], dtype=np.int64) - seg_off[seg_id]
-        flat = local + starts[seg_id]
-        if self._prob_mode is not None:
-            logw = self._log_weights(flat, qts[seg_id], t_min[seg_id])
-        else:
-            times = self.finder.times[flat]
-            logw = np.empty(len(flat), dtype=np.float64)
-            with np.errstate(divide="ignore"):
-                for s in range(len(deg)):
-                    lo, hi = seg_off[s], seg_off[s + 1]
-                    probs = self.probability(times[lo:hi], float(qts[s]),
-                                             self.tau)
-                    logw[lo:hi] = np.log(probs)
-        seg_max = np.maximum.reduceat(logw, seg_off[:-1])
-        with np.errstate(invalid="ignore"):
-            weights = np.exp(logw - seg_max[seg_id])
-        return weights, flat, seg_id, local
 
     # ------------------------------------------------------------------
     # per-root paths

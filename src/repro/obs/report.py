@@ -4,10 +4,12 @@ JSONL trace log.
 Aggregates span records by name into count / total / mean / p50 / p99
 (nearest-rank, via :func:`~repro.obs.metrics.summarize_latencies`) and
 each stage's share of the run — the "where did this step's milliseconds
-go" answer for a finished run, offline.  Spans nest (``produce.eta_bfs``
-runs inside ``pretrain.produce``), so the share is of *self* time: a
-span's wall time minus what its child spans cover.  Shares therefore add
-up to at most 1 instead of counting nested work once per level.
+go" answer for a finished run, offline.  Spans nest per thread
+(``serve.compute`` runs inside ``serve.embed``), so the share is
+of *self* time: a span's wall time minus what its child spans cover.
+Shares therefore add up to at most 1 instead of counting nested work
+once per level.  Spans recorded on another thread (batch production,
+``produce.*``) have no parent and overlap the main thread's.
 """
 
 from __future__ import annotations

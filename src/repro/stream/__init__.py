@@ -8,7 +8,10 @@ state — chronological slicing, negative drawing, §IV-A subgraph sampling
   work items; :func:`batch_rngs` derives each batch's generators from
   ``(seed, epoch, batch_idx)``, so production is order-independent and
   process-independent.
-* :class:`SerialProducer` runs production in-process; every other
+* :class:`SerialProducer` runs production in process on the caller's
+  thread (the serial oracle, and fine-tuning's producer);
+  :class:`PrefetchProducer` runs it in process on one background thread
+  ahead of the trainer (pre-training's ``num_workers=0``).  Every other
   producer :func:`make_producer` builds is a
   :class:`~repro.fabric.FabricProducer`, whose workers — local processes
   for ``num_workers=N``, remote ones for ``fabric="host:port"`` —
@@ -22,8 +25,9 @@ state — chronological slicing, negative drawing, §IV-A subgraph sampling
 from .plan import (BatchPlan, BatchRngs, StreamError, WorkItem,
                    batch_rngs, batch_seed_sequence)
 from .prepared import PreparedBatch
-from .producer import (BatchProducer, ProducerSpec, SamplingContext,
-                       SerialProducer, make_producer, produce_batch)
+from .producer import (BatchProducer, PrefetchProducer, ProducerSpec,
+                       SamplingContext, SerialProducer, make_producer,
+                       produce_batch)
 from .shards import (export_graph_shards, export_stream_shards,
                      has_csr_shards, open_csr_shards, open_graph_shards,
                      open_stream_shards, shard_fingerprint)
@@ -32,8 +36,8 @@ __all__ = [
     "BatchPlan", "BatchRngs", "StreamError", "WorkItem",
     "batch_rngs", "batch_seed_sequence",
     "PreparedBatch",
-    "BatchProducer", "ProducerSpec", "SamplingContext", "SerialProducer",
-    "make_producer", "produce_batch",
+    "BatchProducer", "PrefetchProducer", "ProducerSpec", "SamplingContext",
+    "SerialProducer", "make_producer", "produce_batch",
     "export_graph_shards", "export_stream_shards", "has_csr_shards",
     "open_csr_shards", "open_graph_shards", "open_stream_shards",
     "shard_fingerprint",

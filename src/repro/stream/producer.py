@@ -7,8 +7,11 @@ of ``(graph, work item)`` once seeds derive from batch coordinates.
 :func:`produce_batch` is that function; the producers just decide where
 it runs:
 
-* :class:`SerialProducer` — in-process, zero overhead; the refactored
-  shape of the historical inline loop.
+* :class:`SerialProducer` — in-process, on the caller's thread: the
+  plain loop, and the serial oracle every other producer must match.
+* :class:`PrefetchProducer` — in-process, on one background thread that
+  runs up to ``prefetch_batches`` batches ahead, so batch i+1 is sampled
+  while step i runs (``num_workers=0``, pre-training's default).
 * :class:`~repro.fabric.FabricProducer` — everything else:
   ``num_workers=N`` (N local worker processes on an ``AF_UNIX`` socket)
   and ``fabric="host:port"`` (remote ``repro fabric-worker`` processes
@@ -24,6 +27,8 @@ apart.
 from __future__ import annotations
 
 import os
+import queue
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,7 +46,8 @@ from .prepared import PreparedBatch
 from .shards import open_graph_shards
 
 __all__ = ["ProducerSpec", "SamplingContext", "produce_batch",
-           "BatchProducer", "SerialProducer", "make_producer"]
+           "BatchProducer", "SerialProducer", "PrefetchProducer",
+           "make_producer"]
 
 
 @dataclass
@@ -193,7 +199,7 @@ class BatchProducer:
 
 
 class SerialProducer(BatchProducer):
-    """In-process producer — the refactored shape of the inline loop."""
+    """In-process producer on the caller's thread — the serial oracle."""
 
     def __init__(self, spec: ProducerSpec, plan: BatchPlan | None = None,
                  stream: EventStream | None = None,
@@ -207,6 +213,75 @@ class SerialProducer(BatchProducer):
             yield produce_batch(self._ctx, item)
 
 
+class PrefetchProducer(SerialProducer):
+    """In-process producer that samples ahead on one background thread.
+
+    The thread runs :func:`produce_batch` over the plan and hands batches
+    over through a queue of ``prefetch_batches`` slots, so the consumer's
+    step overlaps the next batch's production (numpy's sorts, gathers
+    and searches release the GIL).  Batches are coordinate-seeded, so
+    they equal :class:`SerialProducer`'s bit for bit.  The sampling
+    context is built on the caller's thread; the thread only reads it
+    and the shared :class:`NeighborFinder`.  An exception raised in
+    production reaches the consumer unchanged, at that batch.
+    """
+
+    def __init__(self, spec: ProducerSpec, plan: BatchPlan | None = None,
+                 stream: EventStream | None = None,
+                 finder: NeighborFinder | None = None,
+                 prefetch_batches: int = 4):
+        super().__init__(spec, plan, stream=stream, finder=finder)
+        self.prefetch_batches = max(int(prefetch_batches), 1)
+        self._thread: threading.Thread | None = None
+
+    def __iter__(self):
+        self.close()  # one pass at a time
+        self._stop = stop = threading.Event()
+        self._queue = handoff = queue.Queue(maxsize=self.prefetch_batches)
+        self._thread = threading.Thread(
+            target=self._produce, args=(stop, handoff),
+            name="repro-prefetch", daemon=True)
+        self._thread.start()
+        while True:
+            prepared, error = handoff.get()
+            if error is not None:
+                raise error
+            if prepared is None:
+                return
+            yield prepared
+
+    def _produce(self, stop: threading.Event, handoff: queue.Queue) -> None:
+        def offer(prepared, error=None):
+            # Checked right before every put: once ``stop`` is set, only
+            # a put already past this check can still land, and close()
+            # drains the queue to make room for it.
+            if not stop.is_set():
+                handoff.put((prepared, error))
+
+        try:
+            for item in self.plan:
+                if stop.is_set():
+                    return
+                offer(produce_batch(self._ctx, item))
+        except BaseException as exc:  # handed to the consumer unchanged
+            offer(None, exc)
+            return
+        offer(None)
+
+    def close(self) -> None:
+        """Stop the thread and wait for it; idempotent."""
+        if self._thread is None:
+            return
+        self._stop.set()
+        while True:
+            try:
+                self._queue.get_nowait()
+            except queue.Empty:
+                break
+        self._thread.join()
+        self._thread = None
+
+
 def make_producer(spec: ProducerSpec, plan: BatchPlan | None = None,
                   num_workers: int = 0, prefetch_batches: int = 4,
                   finder: NeighborFinder | None = None,
@@ -214,11 +289,12 @@ def make_producer(spec: ProducerSpec, plan: BatchPlan | None = None,
                   fabric_options: dict | None = None) -> BatchProducer:
     """Build the producer a config asks for.
 
-    ``num_workers=0`` without ``fabric`` → :class:`SerialProducer`
-    (in-process).  Everything else is a
-    :class:`~repro.fabric.FabricProducer`: ``fabric="host:port"`` listens
-    there for remote ``repro fabric-worker`` processes, ``num_workers>=1``
-    spawns that many local workers over a private ``AF_UNIX`` socket.
+    ``num_workers=0`` without ``fabric`` → :class:`PrefetchProducer`
+    (in process, one background thread up to ``prefetch_batches``
+    ahead).  Everything else is a :class:`~repro.fabric.FabricProducer`:
+    ``fabric="host:port"`` listens there for remote
+    ``repro fabric-worker`` processes, ``num_workers>=1`` spawns that many
+    local workers over a private ``AF_UNIX`` socket.
     ``fabric_options`` (lease / heartbeat timeouts) reach both.
     """
     if fabric is not None:
@@ -230,11 +306,12 @@ def make_producer(spec: ProducerSpec, plan: BatchPlan | None = None,
         warnings.warn(
             f"num_workers={num_workers} requested but this process has no "
             f"spare core for producer processes ({_usable_cores()} usable); "
-            "falling back to the in-process serial producer",
+            "falling back to the in-process producer",
             RuntimeWarning, stacklevel=2)
         num_workers = 0
     if fabric is None and num_workers == 0:
-        return SerialProducer(spec, plan, finder=finder)
+        return PrefetchProducer(spec, plan, finder=finder,
+                                prefetch_batches=prefetch_batches)
     # Imported lazily: repro.fabric imports repro.stream.
     from ..fabric import FabricProducer
     prefetch = max(prefetch_batches, num_workers, 1)

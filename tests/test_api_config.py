@@ -141,6 +141,35 @@ class TestUnknownKeyRejection:
                 CPDGConfig(n_neighbors=bad).validate()
         CPDGConfig(n_neighbors=1).validate()
 
+    # tau used to validate whatever it was: a negative one swapped the
+    # Eq. 7/8 views, zero divided by zero, nan ran silently.
+    def test_negative_tau_rejected_by_name(self):
+        with pytest.raises(ValueError, match="tau"):
+            CPDGConfig(tau=-0.2).validate()
+
+    def test_zero_tau_rejected_by_name(self):
+        with pytest.raises(ValueError, match="tau"):
+            CPDGConfig(tau=0.0).validate()
+
+    def test_nan_tau_rejected_by_name(self):
+        with pytest.raises(ValueError, match="tau"):
+            CPDGConfig(tau=float("nan")).validate()
+
+    def test_infinite_tau_rejected_by_name(self):
+        with pytest.raises(ValueError, match="tau"):
+            CPDGConfig(tau=float("inf")).validate()
+
+    def test_non_numeric_tau_rejected_by_name(self):
+        with pytest.raises(ValueError, match="tau"):
+            CPDGConfig(tau="0.2").validate()
+
+    def test_large_finite_tau_stays_valid(self):
+        """The ablations' near-uniform arm."""
+        CPDGConfig(tau=1e6).validate()
+
+    def test_subgraph_cache_is_off_by_default(self):
+        assert CPDGConfig().precompute_samplers is False
+
 
 class TestOverrides:
     def test_dotted_override_types(self):

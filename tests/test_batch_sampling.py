@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core import (EpsilonDFSSampler, EtaBFSSampler, PrecomputedSampler,
                         SubgraphBatch)
-from repro.core.samplers import ENVELOPE_BLOCK
+from repro.core.probability import segment_log_weights
+from repro.core.samplers import ENVELOPE_BLOCK, RACE_MAX_WIDTH
 from repro.graph import EventStream, NeighborFinder
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -236,25 +237,111 @@ class TestEtaBFSEquivalence:
         np.testing.assert_allclose(batch_counts[1:] / trials, probs,
                                    atol=float(4 * sigma.max()) + 0.01)
 
-    def test_custom_callable_probability_still_works(self):
+    @pytest.mark.parametrize("probability", ["softmax", lambda t, q, tau: t])
+    def test_unknown_mode_is_a_value_error_naming_the_modes(self,
+                                                             probability):
         finder = NeighborFinder(random_stream(9, 20, 150))
+        with pytest.raises(ValueError,
+                           match="chronological.*reverse.*uniform"):
+            EtaBFSSampler(finder, eta=3, depth=1, probability=probability)
 
-        def first_only(times, t, tau):
-            probs = np.zeros(len(times))
-            probs[0] = 1.0
-            return probs
 
-        sampler = EtaBFSSampler(finder, eta=3, depth=1,
-                                probability=first_only, seed=0)
-        nodes, ts = random_queries(9, 20, 12)
-        batch = sampler.sample_batch(nodes, ts)
-        for i in range(12):
-            neighbors, _, _ = finder.before(int(nodes[i]), float(ts[i]))
-            if len(neighbors) == 0:
-                assert len(batch.row(i)) == 0
-            else:
-                expected = {int(neighbors[0])} - {int(nodes[i])}
-                assert set(batch.row(i).tolist()) == expected
+def flat_race(sampler: EtaBFSSampler, starts, deg, qts, t_min, rng):
+    """The race as it was before it scored in its padded matrices: flat
+    per-candidate weights (one max-shifted softmax per segment), scattered
+    into one zero-padded ``(occurrences, 2^c)`` matrix per ceil-pow2
+    degree class."""
+    seg_off = np.zeros(len(deg) + 1, dtype=np.int64)
+    np.cumsum(deg, out=seg_off[1:])
+    seg_id = np.repeat(np.arange(len(deg), dtype=np.int64), deg)
+    local = np.arange(seg_off[-1], dtype=np.int64) - seg_off[seg_id]
+    logw = segment_log_weights(sampler.finder.times[local + starts[seg_id]],
+                               qts[seg_id], t_min[seg_id], sampler.tau,
+                               sampler.mode)
+    seg_max = np.maximum.reduceat(logw, seg_off[:-1])
+    with np.errstate(invalid="ignore"):
+        w = np.exp(logw - seg_max[seg_id])
+    exps = np.ceil(np.log2(deg)).astype(np.int64)
+    class_row = np.empty(len(deg), dtype=np.int64)
+    flat, occ, matrices = [], [], []
+    for exp in np.unique(exps):
+        members = np.nonzero(exps == exp)[0]
+        class_row[members] = np.arange(len(members))
+        cand = exps[seg_id] == exp
+        weights = np.zeros((len(members), 1 << int(exp)))
+        weights[class_row[seg_id[cand]], local[cand]] = w[cand]
+        matrices.append(weights)
+        race = rng.exponential(size=weights.shape)
+        with np.errstate(divide="ignore", over="ignore"):
+            race /= weights
+        part = np.argpartition(race, sampler.eta - 1, axis=1)[:, :sampler.eta]
+        ok = np.isfinite(np.take_along_axis(race, part, axis=1))
+        flat.append((starts[members][:, None] + part)[ok])
+        occ.append(members[np.nonzero(ok)[0]])
+    return np.concatenate(flat), np.concatenate(occ), exps, matrices
+
+
+class TestPaddedRace:
+    """The race scores its candidates straight in the padded matrices;
+    the old flat-then-scatter race is the oracle, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(stream_params,
+           st.sampled_from(["chronological", "reverse", "uniform"]),
+           st.sampled_from([0.2, 1e-3, 1e-5]),
+           st.integers(min_value=1, max_value=4))
+    def test_padded_race_equals_flat_scatter(self, params, mode, tau, eta):
+        seed, num_nodes, num_events = params
+        finder = NeighborFinder(random_stream(seed, num_nodes, num_events))
+        sampler = EtaBFSSampler(finder, eta=eta, depth=1, probability=mode,
+                                tau=tau)
+        nodes, ts = random_queries(seed, num_nodes, 64)
+        starts, ends = finder.batch_before(nodes, ts)
+        race = (ends - starts > eta) & (ends - starts <= RACE_MAX_WIDTH)
+        assume(race.any())
+        starts, deg = starts[race], (ends - starts)[race]
+        qts, t_min = ts[race], finder.times[starts]
+
+        got = sampler._race(starts, deg, qts, t_min,
+                            np.random.default_rng(seed))
+        flat, occ, exps, matrices = flat_race(
+            sampler, starts, deg, qts, t_min, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got[0], flat)
+        np.testing.assert_array_equal(got[1], occ)
+        for exp, expected in zip(np.unique(exps), matrices):
+            members = exps == exp
+            weights = sampler._padded_weights(
+                starts[members], deg[members], qts[members], t_min[members],
+                1 << int(exp))
+            np.testing.assert_array_equal(weights, expected)
+
+    @pytest.mark.parametrize("mode", ["chronological", "reverse"])
+    @pytest.mark.parametrize("support", [7, 10, 12])
+    def test_sharp_tau_underflow_equals_flat_scatter(self, mode, support):
+        """A burst of ``support`` events at the favoured end of a race-wide
+        segment: at tau = 1e-3 every other weight underflows to 0, which
+        must clamp the draw exactly as the scattered matrix did."""
+        spread, burst = np.linspace(0.0, 1.0, 90), \
+            1000.0 + 0.01 * np.arange(support)
+        times = np.concatenate([spread, burst]) if mode == "chronological" \
+            else np.concatenate([burst - 1000.0, spread + 999.0])
+        finder = star_finder(times)
+        sampler = EtaBFSSampler(finder, eta=10, depth=1, probability=mode,
+                                tau=1e-3)
+        ts = np.full(8, 1001.0)
+        ts[4:] = times[60] + 1e-6  # a second, narrower class of rows
+        starts, ends = finder.batch_before(np.zeros(8, dtype=np.int64), ts)
+        deg, t_min = ends - starts, finder.times[starts]
+        got = sampler._race(starts, deg, ts, t_min, np.random.default_rng(0))
+        flat, occ, _, matrices = flat_race(sampler, starts, deg, ts, t_min,
+                                           np.random.default_rng(0))
+        np.testing.assert_array_equal(got[0], flat)
+        np.testing.assert_array_equal(got[1], occ)
+        assert len(matrices) == 2
+        weights = matrices[-1]  # the full segments' class
+        assert ((weights > 0).sum(axis=1) == support).all()
+        assert np.bincount(occ, minlength=8)[:4].tolist() == \
+            [min(10, support)] * 4
 
 
 class TestUnderflowRegression:

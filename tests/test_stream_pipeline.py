@@ -11,18 +11,22 @@ dies.
 from __future__ import annotations
 
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import CPDGConfig, CPDGPreTrainer
 from repro.experiments.common import PretrainCache
 from repro.graph.events import EventStream
 from repro.graph.neighbor_finder import NeighborFinder
 from repro.fabric import FabricProducer
-from repro.stream import (BatchPlan, ProducerSpec, SamplingContext,
-                          SerialProducer, StreamError, batch_rngs,
-                          export_graph_shards, make_producer,
+from repro.stream import (BatchPlan, PrefetchProducer, ProducerSpec,
+                          SamplingContext, SerialProducer, StreamError,
+                          batch_rngs, export_graph_shards, make_producer,
                           open_csr_shards, open_graph_shards, produce_batch)
 from tests.golden_pretrain import (GOLDEN_PATH, build_golden, golden_config,
                                   golden_stream)
@@ -232,6 +236,134 @@ class TestProduceBatch:
             stream.num_events))
         for a, b in zip(serial, parallel):
             assert_prepared_equal(a, b)
+
+
+def prefetch_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate()
+            if t.name == "repro-prefetch" and t.is_alive()]
+
+
+def run_with_deadline(fn, seconds: float = 30.0):
+    """``fn()`` on a helper thread; a hang fails the test instead of
+    stalling the suite.  Returns what ``fn`` returned or raised."""
+    outcome: dict = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # handed back to the test
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"no result within {seconds} s"
+    return outcome
+
+
+class TestPrefetchProducer:
+    """``num_workers=0``: one background thread samples ahead in process."""
+
+    def test_batches_equal_serial_across_epochs(self, monkeypatch):
+        stream = make_stream()
+        spec = spec_for(stream, small_config())  # two epochs
+        serial = list(SerialProducer(spec))
+        producing = set()
+        original = produce_batch
+
+        def recording(ctx, item):
+            producing.add(threading.get_ident())
+            return original(ctx, item)
+
+        monkeypatch.setattr("repro.stream.producer.produce_batch", recording)
+        with make_producer(spec, num_workers=0,
+                           prefetch_batches=2) as producer:
+            assert isinstance(producer, PrefetchProducer)
+            assert producer.prefetch_batches == 2
+            prefetched = list(producer)
+        assert {p.epoch for p in prefetched} == {0, 1}
+        assert len(prefetched) == len(serial) == len(
+            spec.make_plan(stream.num_events))
+        for a, b in zip(serial, prefetched):
+            assert_prepared_equal(a, b)
+        assert producing and threading.get_ident() not in producing
+        assert not prefetch_threads()
+
+    def test_stream_error_reaches_the_consumer_at_that_batch(self):
+        stream = make_stream()  # 240 events: item 5 covers [240, 288)
+        spec = spec_for(stream, small_config())
+        plan = BatchPlan(stream.num_events + 48, 48, epochs=1, seed=0)
+        received: list = []
+
+        def consume():
+            with PrefetchProducer(spec, plan, prefetch_batches=1) as producer:
+                for prepared in producer:
+                    received.append(prepared.seq)
+
+        outcome = run_with_deadline(consume)
+        assert isinstance(outcome.get("error"), StreamError), outcome
+        assert "past the stream" in str(outcome["error"])
+        assert received == [0, 1, 2, 3, 4]
+        assert not prefetch_threads()
+
+    def test_consumer_error_stops_the_thread_and_close_is_idempotent(self):
+        stream = make_stream()  # 5 batches in one epoch
+        producer = PrefetchProducer(spec_for(stream, small_config(epochs=1)),
+                                    prefetch_batches=1)
+
+        def consume():
+            with producer:
+                for n, _ in enumerate(producer):
+                    if n == 2:
+                        # Let the thread fill the one-slot queue with batch
+                        # 3 and block handing over the last batch: close()
+                        # must make room for it and keep the end-of-plan
+                        # marker out of the queue, or the join hangs.
+                        time.sleep(0.2)
+                        raise RuntimeError("consumer died")
+
+        outcome = run_with_deadline(consume)
+        assert isinstance(outcome.get("error"), RuntimeError), outcome
+        assert not prefetch_threads()
+        producer.close()
+        producer.close()
+        assert not prefetch_threads()
+
+    def test_spans_from_both_threads_lose_no_record(self):
+        """Tracing on and a 1 µs switch interval: the trainer's spans and
+        the producer thread's share one buffer, id counter and histogram
+        family without a lost update; the thread's spans have no parent."""
+        stream = make_stream()
+        spec = spec_for(stream, small_config())
+        batches = len(spec.make_plan(stream.num_events))
+        eta_bfs = obs.histogram("repro_span_seconds",
+                                labels={"span": "produce.eta_bfs"})
+        observed = eta_bfs.count
+
+        def consume():
+            with PrefetchProducer(spec, prefetch_batches=1) as producer:
+                for _ in producer:
+                    with obs.span("test.consume"):
+                        pass
+
+        interval = sys.getswitchinterval()
+        obs.reset()
+        obs.configure(enabled=True)
+        try:
+            sys.setswitchinterval(1e-6)
+            outcome = run_with_deadline(consume)
+            records = obs.trace_buffer()
+        finally:
+            sys.setswitchinterval(interval)
+            obs.reset()
+        assert outcome == {"value": None}, outcome
+        names = [r["name"] for r in records]
+        for name in ("test.consume", "produce.negatives", "produce.eta_bfs",
+                     "produce.eps_dfs"):
+            assert names.count(name) == batches, name
+        assert all(r["parent"] is None for r in records)
+        assert len({r["span"] for r in records}) == len(records)
+        assert eta_bfs.count - observed == batches
 
 
 class TestMultiprocessLifecycle:
