@@ -1,16 +1,16 @@
 """Throughput of the streaming batch pipeline (producer/consumer loop).
 
 Times full CPDG pre-training (Algorithm 1) at a 400k-node scale with the
-batch producer run four ways — serially in process, in process on one
-background thread that produces up to ``prefetch_batches`` batches
-ahead of the step (``num_workers=0``), and fanned out over 2 and 4 local
-fabric workers (spawned processes on a private ``AF_UNIX`` socket,
-sharing memory-mapped graph shards) — plus the *produce/consume split*:
-seconds/step spent in pure batch production (a
-:class:`~repro.stream.SerialProducer` sweep) and seconds/step the
-in-process trainer spends outside its ``pretrain.produce`` wait (the
-consumer's own work; with production overlapped, ``total - produce``
-would undercount it).  ``producer_share`` is
+batch producer run four ways — serially in process, in one forked child
+that inherits the sampling context copy-on-write and produces up to
+``prefetch_batches`` batches ahead of the step (``num_workers=0``), and
+fanned out over 2 and 4 local fabric workers (spawned processes on a
+private ``AF_UNIX`` socket, sharing memory-mapped graph shards) — plus
+the *produce/consume split*: seconds/step spent in pure batch production
+(a :class:`~repro.stream.SerialProducer` sweep) and seconds/step the
+trainer spends outside its ``pretrain.produce`` wait while the forked
+child produces (the consumer's own work; with production overlapped,
+``total - produce`` would undercount it).  ``producer_share`` is
 ``produce / (produce + consume)``, the part of a step workers could
 take off the trainer, and with ``w`` workers the ideal step time is
 ``max(produce / w, consume)``.  Recorded, not gated.
@@ -89,7 +89,7 @@ def scale_config(params: dict, num_workers: int) -> CPDGConfig:
 @contextlib.contextmanager
 def serial_production():
     """Pre-train with the plain in-process loop, the serial oracle, in
-    place of the prefetch thread ``num_workers=0`` builds."""
+    place of the forked producer ``num_workers=0`` builds."""
     original = repro.stream.make_producer
     repro.stream.make_producer = \
         lambda spec, plan=None, finder=None, **_: SerialProducer(
@@ -121,8 +121,8 @@ def timed_pretrain(stream: EventStream, params: dict, num_workers: int,
 def produce_consume_split(stream: EventStream, params: dict
                           ) -> tuple[float, float, float, int]:
     """``(produce, consume, wait, steps)``, seconds per step: a serial
-    production sweep, and the in-process trainer's time outside /
-    inside its ``pretrain.produce`` wait."""
+    production sweep, and the trainer's time outside / inside its
+    ``pretrain.produce`` wait while the forked child produces."""
     cfg = scale_config(params, num_workers=0)
     trainer = CPDGPreTrainer.from_backbone("tgn", stream.num_nodes, cfg)
     spec = trainer.producer_spec(stream)
@@ -208,12 +208,12 @@ def main() -> int:
         "machine": {"cores": cores},
         "smoke": bool(args.smoke),
         "note": "serial is the plain in-process loop (SerialProducer); "
-                "workers_0 produces in process on one background thread "
-                "that samples ahead of the step; num_workers runs local "
-                "fabric workers (AF_UNIX), and a measured speedup needs "
-                "cores for consumer + workers. consume is the "
-                "prefetching trainer's time outside its pretrain.produce "
-                "wait (GIL contention with the thread included), "
+                "workers_0 produces in one forked child (ForkProducer) "
+                "that samples ahead of the step on the second core; "
+                "num_workers runs local fabric workers (AF_UNIX), and a "
+                "measured speedup needs cores for consumer + workers. "
+                "consume is the trainer's time outside its "
+                "pretrain.produce wait while the child produces, "
                 "producer_share = produce / (produce + consume), and "
                 "modeled_pipeline_speedup the ceiling that share allows",
         "cases": cases,

@@ -236,10 +236,10 @@ def _add_config_options(parser: argparse.ArgumentParser,
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="pre-training batch-producer worker "
-                             "processes (0 = in process, on one thread "
-                             "that samples ahead of the step; overrides "
-                             "pretrain.num_workers); fine-tuning always "
-                             "produces in process")
+                             "processes (0 = one forked child that samples "
+                             "ahead of the step, or in process on one "
+                             "usable core; overrides pretrain.num_workers); "
+                             "fine-tuning always produces in process")
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="enable span tracing and append JSONL span "
                              "records to FILE (sets obs.enabled and "

@@ -150,10 +150,11 @@ class RunConfig:
                               f"expected one of {STRATEGIES}")
         self.data.validate()
         self.obs.validate()
-        try:
-            self.pretrain.validate()
-        except ValueError as exc:
-            raise ConfigError(f"pretrain: {exc}") from exc
+        for name in ("pretrain", "finetune"):
+            try:
+                getattr(self, name).validate()
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
     # ------------------------------------------------------------------
     # dict / JSON round trip

@@ -14,7 +14,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["CPDGConfig"]
+__all__ = ["CPDGConfig", "check_finite_positive"]
+
+
+def check_finite_positive(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a finite
+    number above zero (nan, inf, zero, negatives and non-numbers fail)."""
+    try:
+        ok = math.isfinite(value) and value > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite positive number, "
+                         f"got {value!r}")
 
 
 @dataclass
@@ -71,13 +83,13 @@ class CPDGConfig:
     dtype: str = "float32"
 
     # Streaming batch pipeline (repro.stream).  ``num_workers=0`` produces
-    # batches in process on one background thread while the trainer
-    # steps; N >= 1 fans sampling out over N local fabric workers
-    # (spawned processes on a private AF_UNIX socket) sharing
-    # memory-mapped graph shards.  Per-batch seeding makes every path
-    # bit-identical.  ``prefetch_batches`` bounds the batches produced
-    # ahead of the trainer, on the thread or in flight to workers
-    # (backpressure).
+    # batches in one forked child while the trainer steps (in process,
+    # serially, when the process has one usable core); N >= 1 fans
+    # sampling out over N local fabric workers (spawned processes on a
+    # private AF_UNIX socket) sharing memory-mapped graph shards.
+    # Per-batch seeding makes every path bit-identical.
+    # ``prefetch_batches`` bounds the batches produced ahead of the
+    # trainer, by the child or in flight to workers (backpressure).
     num_workers: int = 0
     prefetch_batches: int = 4
 
@@ -107,13 +119,11 @@ class CPDGConfig:
             raise ValueError("beta must be in [0, 1]")
         # A negative tau swaps the Eq. 7/8 views, zero divides by zero,
         # and nan / inf make every weight nan or uniform.
-        try:
-            tau_ok = math.isfinite(self.tau) and self.tau > 0
-        except TypeError:
-            tau_ok = False
-        if not tau_ok:
-            raise ValueError(f"tau must be a finite positive temperature, "
-                             f"got {self.tau!r}")
+        check_finite_positive("tau", self.tau)
+        # A nan rate trains to nan parameters, a zero clip zeroes every
+        # gradient and a nan clip switches clipping off — all silently.
+        check_finite_positive("learning_rate", self.learning_rate)
+        check_finite_positive("grad_clip", self.grad_clip)
         if self.readout not in ("mean", "max", "sum"):
             raise ValueError(f"unknown readout {self.readout!r}")
         if self.objective not in ("triplet", "infonce"):
@@ -145,5 +155,5 @@ class CPDGConfig:
             if self.num_workers > 0:
                 raise ValueError("fabric and num_workers are mutually "
                                  "exclusive batch-production backends")
-        if self.fabric_lease_timeout <= 0:
-            raise ValueError("fabric_lease_timeout must be positive")
+        check_finite_positive("fabric_lease_timeout",
+                              self.fabric_lease_timeout)

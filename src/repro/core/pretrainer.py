@@ -229,8 +229,9 @@ class CPDGPreTrainer:
                 # Manual iteration so the wait for the next prepared
                 # batch is its own span — producer stalls show up as
                 # pretrain.produce time, not as mystery step time.  The
-                # batch itself is produced off this thread (or process),
-                # so the span is the wait, not the production.
+                # batch itself is produced in another process (except on
+                # one usable core), so the span is the wait, not the
+                # production.
                 with _obs.span("pretrain.produce"):
                     try:
                         prepared = next(batches)

@@ -18,8 +18,9 @@ class Optimizer:
     """Base optimizer: holds parameters and clears their gradients."""
 
     def __init__(self, params: list[Parameter], lr: float):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (np.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning rate must be a finite positive "
+                             f"number, got {lr!r}")
         self.params = list(params)
         self.lr = lr
 

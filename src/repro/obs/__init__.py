@@ -8,7 +8,12 @@ One observability schema across the train/stream/fabric/serve stack:
   :func:`summarize_latencies` nearest-rank percentile helper.
 * :mod:`repro.obs.trace` — ``with span("pretrain.forward"):`` wall/CPU
   timing into a bounded buffer and an optional JSONL trace log, with
-  trace-context propagation over the fabric wire protocol.
+  trace-context propagation over the fabric wire protocol and span
+  records shipped back from a forked producer.
+
+Both modules register ``os.register_at_fork`` hooks: a forked child
+starts with fresh locks (a lock another thread held at the fork cannot
+deadlock it) and without the parent's trace sink or buffered spans.
 * :mod:`repro.obs.report` — the ``repro obs report`` per-stage table.
 
 Counters and gauges are always on (they back the subsystems' existing
@@ -22,7 +27,7 @@ from .metrics import (Counter, Gauge, Histogram, MetricsRegistry, counter,
                       registry, render_prometheus, snapshot,
                       summarize_latencies)
 from .report import aggregate_spans, format_report, load_trace
-from .trace import (configure, current_context, flush, is_enabled,
+from .trace import (configure, current_context, drain, flush, is_enabled,
                     last_span, record_remote, remote_span_record, reset,
                     span, trace_buffer)
 
@@ -31,7 +36,7 @@ __all__ = [
     "counter", "owned_counters", "gauge", "histogram", "registry",
     "render_prometheus", "snapshot", "record_peak_rss", "summarize_latencies",
     "configure", "is_enabled", "span", "current_context", "last_span",
-    "record_remote", "remote_span_record", "trace_buffer", "reset",
-    "flush",
+    "record_remote", "remote_span_record", "trace_buffer", "drain",
+    "reset", "flush",
     "load_trace", "aggregate_spans", "format_report",
 ]

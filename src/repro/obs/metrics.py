@@ -27,6 +27,7 @@ small sample counts CI smoke runs produce).
 from __future__ import annotations
 
 import bisect
+import os
 import resource
 import sys
 import threading
@@ -312,6 +313,18 @@ _REGISTRY = MetricsRegistry()
 
 def registry() -> MetricsRegistry:
     return _REGISTRY
+
+
+def _after_fork_in_child() -> None:
+    """Give a forked child unheld locks: only the forking thread survives
+    a fork, so a lock another thread held then would stay held."""
+    _REGISTRY._lock = threading.Lock()
+    for metric in _REGISTRY._metrics.values():
+        metric._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def counter(name: str, labels: dict | None = None, help: str = "",

@@ -8,8 +8,9 @@ go" answer for a finished run, offline.  Spans nest per thread
 (``serve.compute`` runs inside ``serve.embed``), so the share is
 of *self* time: a span's wall time minus what its child spans cover.
 Shares therefore add up to at most 1 instead of counting nested work
-once per level.  Spans recorded on another thread (batch production,
-``produce.*``) have no parent and overlap the main thread's.
+once per level.  Spans recorded in another process (batch production,
+``produce.*``, shipped back by the forked producer) have no parent and
+overlap the main thread's.
 """
 
 from __future__ import annotations

@@ -21,6 +21,10 @@ works even though the *worker's* tracing is off — the record is built
 unconditionally and shipped back in the RESULT frame), and the
 coordinator feeds it to :func:`record_remote`.  The trace log then
 links coordinator-side waits to worker-side execution by ``trace`` id.
+A forked producer (:class:`~repro.stream.ForkProducer`) inherits the
+parent's ``enabled`` switch, records its ``produce.*`` spans into its
+own buffer, ships them with each batch (:func:`drain`), and the parent
+feeds them to :func:`record_remote`.
 
 Every completed span also feeds the ``repro_span_seconds`` histogram
 (labelled by span name), so ``GET /metrics`` shows stage latencies
@@ -40,7 +44,7 @@ from . import metrics as _metrics
 
 __all__ = ["configure", "is_enabled", "span", "current_context",
            "last_span", "record_remote", "remote_span_record",
-           "trace_buffer", "reset", "flush"]
+           "trace_buffer", "drain", "reset", "flush"]
 
 _lock = threading.Lock()
 _enabled = False
@@ -104,6 +108,15 @@ def trace_buffer() -> list[dict]:
     """A copy of the bounded in-memory span buffer (newest last)."""
     with _lock:
         return list(_buffer)
+
+
+def drain() -> list[dict]:
+    """Remove and return the buffered span records (oldest first) — what
+    a forked producer ships to its parent with each batch."""
+    with _lock:
+        records = list(_buffer)
+        _buffer.clear()
+    return records
 
 
 def last_span() -> str | None:
@@ -208,6 +221,36 @@ def span(name: str, **attrs):
     if not _enabled:
         return _NOOP
     return _Span(name, attrs)
+
+
+# ----------------------------------------------------------------------
+# fork hygiene
+# ----------------------------------------------------------------------
+
+_inherited_sinks: list = []
+
+
+def _after_fork_in_child() -> None:
+    """Start a forked child with a fresh lock, no sink, no spans.
+
+    Only the forking thread survives a fork, so a lock another thread
+    held at that moment would never be released in the child.  The
+    parent's sink and buffered spans stay the parent's; the child's
+    spans start a new trace (no open parent span).
+    """
+    global _lock, _trace_path, _trace_file, _local
+    _lock = threading.Lock()
+    if _trace_file is not None:
+        # Held, never closed: closing would flush whatever the parent
+        # had buffered into its file a second time.
+        _inherited_sinks.append(_trace_file)
+    _trace_path = _trace_file = None
+    _buffer.clear()
+    _local = threading.local()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 # ----------------------------------------------------------------------

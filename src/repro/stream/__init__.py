@@ -10,8 +10,9 @@ state — chronological slicing, negative drawing, §IV-A subgraph sampling
   process-independent.
 * :class:`SerialProducer` runs production in process on the caller's
   thread (the serial oracle, and fine-tuning's producer);
-  :class:`PrefetchProducer` runs it in process on one background thread
-  ahead of the trainer (pre-training's ``num_workers=0``).  Every other
+  :class:`ForkProducer` runs it in one forked child that inherits the
+  sampling context copy-on-write, ahead of the trainer (pre-training's
+  ``num_workers=0`` given a spare core).  Every other
   producer :func:`make_producer` builds is a
   :class:`~repro.fabric.FabricProducer`, whose workers — local processes
   for ``num_workers=N``, remote ones for ``fabric="host:port"`` —
@@ -25,7 +26,7 @@ state — chronological slicing, negative drawing, §IV-A subgraph sampling
 from .plan import (BatchPlan, BatchRngs, StreamError, WorkItem,
                    batch_rngs, batch_seed_sequence)
 from .prepared import PreparedBatch
-from .producer import (BatchProducer, PrefetchProducer, ProducerSpec,
+from .producer import (BatchProducer, ForkProducer, ProducerSpec,
                        SamplingContext, SerialProducer, make_producer,
                        produce_batch)
 from .shards import (export_graph_shards, export_stream_shards,
@@ -36,7 +37,7 @@ __all__ = [
     "BatchPlan", "BatchRngs", "StreamError", "WorkItem",
     "batch_rngs", "batch_seed_sequence",
     "PreparedBatch",
-    "BatchProducer", "PrefetchProducer", "ProducerSpec", "SamplingContext",
+    "BatchProducer", "ForkProducer", "ProducerSpec", "SamplingContext",
     "SerialProducer", "make_producer", "produce_batch",
     "export_graph_shards", "export_stream_shards", "has_csr_shards",
     "open_csr_shards", "open_graph_shards", "open_stream_shards",

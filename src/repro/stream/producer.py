@@ -9,9 +9,10 @@ it runs:
 
 * :class:`SerialProducer` — in-process, on the caller's thread: the
   plain loop, and the serial oracle every other producer must match.
-* :class:`PrefetchProducer` — in-process, on one background thread that
-  runs up to ``prefetch_batches`` batches ahead, so batch i+1 is sampled
-  while step i runs (``num_workers=0``, pre-training's default).
+* :class:`ForkProducer` — in one forked child that inherits the
+  sampling context copy-on-write and runs up to ``prefetch_batches``
+  batches ahead, so batch i+1 is sampled on another core while step i
+  runs (``num_workers=0``, pre-training's default, given a spare core).
 * :class:`~repro.fabric.FabricProducer` — everything else:
   ``num_workers=N`` (N local worker processes on an ``AF_UNIX`` socket)
   and ``fabric="host:port"`` (remote ``repro fabric-worker`` processes
@@ -26,9 +27,10 @@ apart.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
-import queue
-import threading
+import pickle
+import traceback
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,7 +48,7 @@ from .prepared import PreparedBatch
 from .shards import open_graph_shards
 
 __all__ = ["ProducerSpec", "SamplingContext", "produce_batch",
-           "BatchProducer", "SerialProducer", "PrefetchProducer",
+           "BatchProducer", "SerialProducer", "ForkProducer",
            "make_producer"]
 
 
@@ -213,17 +215,28 @@ class SerialProducer(BatchProducer):
             yield produce_batch(self._ctx, item)
 
 
-class PrefetchProducer(SerialProducer):
-    """In-process producer that samples ahead on one background thread.
+class ForkProducer(SerialProducer):
+    """Production in one forked child process, up to ``prefetch_batches``
+    batches ahead of the consumer.
 
-    The thread runs :func:`produce_batch` over the plan and hands batches
-    over through a queue of ``prefetch_batches`` slots, so the consumer's
-    step overlaps the next batch's production (numpy's sorts, gathers
-    and searches release the GIL).  Batches are coordinate-seeded, so
-    they equal :class:`SerialProducer`'s bit for bit.  The sampling
-    context is built on the caller's thread; the thread only reads it
-    and the shared :class:`NeighborFinder`.  An exception raised in
-    production reaches the consumer unchanged, at that batch.
+    The sampling context is built here, before the fork, so the child
+    inherits graph, finder and samplers copy-on-write: no shard is
+    written, nothing is pickled on the way in and nothing is imported.
+    The child runs :func:`produce_batch` over the plan and pipes each
+    batch back, so sampling and the consumer's step run on two cores
+    without sharing a GIL.  Flow control is by credit:
+    ``prefetch_batches`` at the start and one more per batch received;
+    the child reads one before each batch and exits at EOF (the consumer
+    closed the pipe or died).  Batches are coordinate-seeded, so they
+    equal :class:`SerialProducer`'s bit for bit.
+
+    An exception raised in production is re-raised in the consumer at
+    that batch (one that does not survive pickling arrives as a
+    :class:`StreamError` carrying its traceback text); a child that dies
+    is a :class:`StreamError` naming its exit code and the batch.  The
+    child's ``produce.*`` spans travel with each batch and are handed to
+    :func:`repro.obs.record_remote`; counters it increments stay in the
+    child, as with fabric workers.
     """
 
     def __init__(self, spec: ProducerSpec, plan: BatchPlan | None = None,
@@ -232,54 +245,84 @@ class PrefetchProducer(SerialProducer):
                  prefetch_batches: int = 4):
         super().__init__(spec, plan, stream=stream, finder=finder)
         self.prefetch_batches = max(int(prefetch_batches), 1)
-        self._thread: threading.Thread | None = None
+        self._child = self._conn = None
 
     def __iter__(self):
         self.close()  # one pass at a time
-        self._stop = stop = threading.Event()
-        self._queue = handoff = queue.Queue(maxsize=self.prefetch_batches)
-        self._thread = threading.Thread(
-            target=self._produce, args=(stop, handoff),
-            name="repro-prefetch", daemon=True)
-        self._thread.start()
-        while True:
-            prepared, error = handoff.get()
-            if error is not None:
-                raise error
-            if prepared is None:
-                return
-            yield prepared
+        fork = mp.get_context("fork")
+        self._conn, child_end = fork.Pipe()
+        self._child = fork.Process(target=self._produce, args=(child_end,),
+                                   name="repro-fork-producer", daemon=True)
+        self._child.start()
+        child_end.close()
+        conn, child = self._conn, self._child
+        try:
+            for _ in range(self.prefetch_batches):
+                conn.send_bytes(_CREDIT)
+            for item in self.plan:
+                try:
+                    prepared, spans, error = conn.recv()
+                except (EOFError, OSError):
+                    child.join(5.0)
+                    raise StreamError(
+                        f"the forked producer died (exit code "
+                        f"{child.exitcode}) while producing batch "
+                        f"{item.seq}") from None
+                for record in spans:
+                    _obs.record_remote(record)
+                if error is not None:
+                    raise error
+                try:
+                    conn.send_bytes(_CREDIT)
+                except OSError:
+                    pass  # the child is done or gone; the next recv says which
+                yield prepared
+        finally:
+            if self._child is child:  # not a later pass's child
+                self.close()
 
-    def _produce(self, stop: threading.Event, handoff: queue.Queue) -> None:
-        def offer(prepared, error=None):
-            # Checked right before every put: once ``stop`` is set, only
-            # a put already past this check can still land, and close()
-            # drains the queue to make room for it.
-            if not stop.is_set():
-                handoff.put((prepared, error))
-
+    def _produce(self, conn) -> None:
+        """The child's loop: a credit in, a batch and its spans out."""
+        # The child's copy of the parent's end would keep the pipe open
+        # after the parent dies; EOF has to mean the consumer is gone.
+        self._conn.close()
         try:
             for item in self.plan:
-                if stop.is_set():
+                conn.recv_bytes()
+                try:
+                    prepared, error = produce_batch(self._ctx, item), None
+                except Exception as exc:  # re-raised by the consumer
+                    prepared, error = None, _portable(exc, item.seq)
+                conn.send((prepared, _obs.drain(), error))
+                if error is not None:
                     return
-                offer(produce_batch(self._ctx, item))
-        except BaseException as exc:  # handed to the consumer unchanged
-            offer(None, exc)
-            return
-        offer(None)
+        except (EOFError, OSError):
+            return  # the consumer closed the pipe or died
 
     def close(self) -> None:
-        """Stop the thread and wait for it; idempotent."""
-        if self._thread is None:
+        """Close the pipe, stop the child and reap it; idempotent."""
+        if self._child is None:
             return
-        self._stop.set()
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
-        self._thread.join()
-        self._thread = None
+        self._conn.close()
+        self._child.terminate()
+        self._child.join()
+        self._child = self._conn = None
+
+
+_CREDIT = b""
+
+
+def _portable(exc: Exception, seq: int) -> Exception:
+    """``exc`` if it survives a pickle round trip, else a
+    :class:`StreamError` carrying its traceback text."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        text = "".join(traceback.format_exception(type(exc), exc,
+                                                  exc.__traceback__))
+        return StreamError(f"producing batch {seq} raised an exception "
+                           f"that cannot be pickled:\n{text}")
 
 
 def make_producer(spec: ProducerSpec, plan: BatchPlan | None = None,
@@ -289,9 +332,10 @@ def make_producer(spec: ProducerSpec, plan: BatchPlan | None = None,
                   fabric_options: dict | None = None) -> BatchProducer:
     """Build the producer a config asks for.
 
-    ``num_workers=0`` without ``fabric`` → :class:`PrefetchProducer`
-    (in process, one background thread up to ``prefetch_batches``
-    ahead).  Everything else is a :class:`~repro.fabric.FabricProducer`:
+    ``num_workers=0`` without ``fabric`` → :class:`ForkProducer` (one
+    forked child up to ``prefetch_batches`` ahead) where ``fork`` exists
+    and the process has a spare core, else :class:`SerialProducer`.
+    Everything else is a :class:`~repro.fabric.FabricProducer`:
     ``fabric="host:port"`` listens there for remote
     ``repro fabric-worker`` processes, ``num_workers>=1`` spawns that many
     local workers over a private ``AF_UNIX`` socket.
@@ -310,8 +354,10 @@ def make_producer(spec: ProducerSpec, plan: BatchPlan | None = None,
             RuntimeWarning, stacklevel=2)
         num_workers = 0
     if fabric is None and num_workers == 0:
-        return PrefetchProducer(spec, plan, finder=finder,
+        if "fork" in mp.get_all_start_methods() and _usable_cores() >= 2:
+            return ForkProducer(spec, plan, finder=finder,
                                 prefetch_batches=prefetch_batches)
+        return SerialProducer(spec, plan, finder=finder)
     # Imported lazily: repro.fabric imports repro.stream.
     from ..fabric import FabricProducer
     prefetch = max(prefetch_batches, num_workers, 1)

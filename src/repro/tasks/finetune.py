@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.config import CPDGConfig
+from ..core.config import CPDGConfig, check_finite_positive
 from ..core.eie import EIEModule
 from ..core.pretrainer import PretrainResult
 from ..datasets.splits import DownstreamSplit
@@ -50,6 +50,10 @@ class FineTuneConfig:
     patience: int = 3
     eie_out_dim: int = 16
     seed: int = 0
+
+    def validate(self) -> None:
+        check_finite_positive("learning_rate", self.learning_rate)
+        check_finite_positive("grad_clip", self.grad_clip)
 
 
 @dataclass

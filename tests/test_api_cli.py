@@ -110,6 +110,12 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "tau" in err, err
 
+    def test_zero_grad_clip_exits_2(self, capsys):
+        assert main(["pretrain", "--dump-config",
+                     "--set", "pretrain.grad_clip=0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "grad_clip" in err, err
+
     def test_evaluate_without_artifact_needs_strategy_none(self, capsys):
         assert main(["evaluate", "--quiet"]) == 2
         assert "--artifact" in capsys.readouterr().err

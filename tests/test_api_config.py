@@ -167,6 +167,40 @@ class TestUnknownKeyRejection:
         """The ablations' near-uniform arm."""
         CPDGConfig(tau=1e6).validate()
 
+    # A nan learning rate validated and trained to nan parameters; a zero
+    # clip multiplied every gradient by 0 and a nan clip disabled it.
+    def test_nan_learning_rate_rejected_by_name(self):
+        with pytest.raises(ValueError, match="learning_rate"):
+            CPDGConfig(learning_rate=float("nan")).validate()
+
+    def test_zero_grad_clip_rejected_by_name(self):
+        with pytest.raises(ValueError, match="grad_clip"):
+            CPDGConfig(grad_clip=0.0).validate()
+
+    def test_nan_grad_clip_rejected_by_name(self):
+        with pytest.raises(ValueError, match="grad_clip"):
+            CPDGConfig(grad_clip=float("nan")).validate()
+
+    def test_nan_lease_timeout_rejected_by_name(self):
+        with pytest.raises(ValueError, match="fabric_lease_timeout"):
+            CPDGConfig(fabric_lease_timeout=float("nan")).validate()
+
+    def test_nan_finetune_learning_rate_rejected_by_name(self):
+        config = RunConfig()
+        config.finetune.learning_rate = float("nan")
+        with pytest.raises(ConfigError, match="finetune: learning_rate"):
+            config.validate()
+
+    def test_zero_finetune_grad_clip_rejected_by_name(self):
+        config = RunConfig()
+        config.finetune.grad_clip = 0.0
+        with pytest.raises(ConfigError, match="finetune: grad_clip"):
+            config.validate()
+
+    def test_nan_finetune_grad_clip_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="finetune: grad_clip"):
+            RunConfig().with_overrides({"finetune.grad_clip": float("nan")})
+
     def test_subgraph_cache_is_off_by_default(self):
         assert CPDGConfig().precompute_samplers is False
 

@@ -126,6 +126,21 @@ class TestStructuralOps:
         with pytest.raises(ValueError):
             F.scatter_rows(base, np.array([1, 1]), rows)
 
+    @pytest.mark.parametrize("idx", [[0, 2, 2], [2, 0, 2], [3, 1, 3]])
+    def test_scatter_rows_rejects_duplicates_sorted_or_not(self, rng, idx):
+        base = Tensor(rng.normal(size=(4, 2)))
+        rows = Tensor(rng.normal(size=(3, 2)))
+        with pytest.raises(ValueError, match="unique"):
+            F.scatter_rows(base, np.array(idx), rows)
+
+    def test_scatter_rows_accepts_unsorted_unique_indices(self, rng):
+        base = Tensor(rng.normal(size=(5, 2)))
+        rows = Tensor(rng.normal(size=(3, 2)))
+        idx = np.array([4, 0, 2])
+        out = F.scatter_rows(base, idx, rows)
+        np.testing.assert_array_equal(out.data[idx], rows.data)
+        np.testing.assert_array_equal(out.data[[1, 3]], base.data[[1, 3]])
+
     def test_scatter_mean_groups(self, rng):
         values = Tensor(np.array([[2.0], [4.0], [6.0]]), requires_grad=True)
         groups = np.array([0, 0, 2])

@@ -57,6 +57,12 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1))], lr=0.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])
+    def test_rejects_non_finite_or_negative_lr(self, lr):
+        """``lr <= 0`` let nan through: training ran to nan parameters."""
+        with pytest.raises(ValueError, match="learning rate"):
+            Adam([Parameter(np.zeros(1))], lr=lr)
+
     def test_skips_params_without_grad(self):
         p = Parameter(np.array([1.0]))
         opt = Adam([p], lr=0.1)

@@ -2,16 +2,17 @@
 
 The contract under test is the one the trainer relies on: batch
 production is a pure function of ``(graph, work item)``, so serial,
-shuffled and local-worker (``num_workers``) producers are bit-identical;
-memory-mapped CSR shards answer every batch query exactly like the
-in-memory adjacency; and producers tear down cleanly when the consumer
-dies.
+shuffled, forked and local-worker (``num_workers``) producers are
+bit-identical; memory-mapped CSR shards answer every batch query exactly
+like the in-memory adjacency; and producers tear down cleanly when the
+consumer dies.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
-import sys
+import signal
 import threading
 import time
 
@@ -24,7 +25,8 @@ from repro.experiments.common import PretrainCache
 from repro.graph.events import EventStream
 from repro.graph.neighbor_finder import NeighborFinder
 from repro.fabric import FabricProducer
-from repro.stream import (BatchPlan, PrefetchProducer, ProducerSpec,
+from repro.obs import trace as obs_trace
+from repro.stream import (BatchPlan, ForkProducer, ProducerSpec,
                           SamplingContext, SerialProducer, StreamError,
                           batch_rngs, export_graph_shards, make_producer,
                           open_csr_shards, open_graph_shards, produce_batch)
@@ -238,11 +240,6 @@ class TestProduceBatch:
             assert_prepared_equal(a, b)
 
 
-def prefetch_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate()
-            if t.name == "repro-prefetch" and t.is_alive()]
-
-
 def run_with_deadline(fn, seconds: float = 30.0):
     """``fn()`` on a helper thread; a hang fails the test instead of
     stalling the suite.  Returns what ``fn`` returned or raised."""
@@ -261,33 +258,47 @@ def run_with_deadline(fn, seconds: float = 30.0):
     return outcome
 
 
-class TestPrefetchProducer:
-    """``num_workers=0``: one background thread samples ahead in process."""
+def child_pid(producer: ForkProducer) -> int | None:
+    child = producer._child
+    return child.pid if child is not None else None
 
-    def test_batches_equal_serial_across_epochs(self, monkeypatch):
+
+class TestForkProducer:
+    """``num_workers=0`` with a spare core: one forked child samples
+    ahead of the consumer."""
+
+    def test_batches_equal_serial_across_epochs(self, spare_cores,
+                                                monkeypatch):
         stream = make_stream()
-        spec = spec_for(stream, small_config())  # two epochs
+        spec = spec_for(stream, small_config())  # two epochs, both contrasts
         serial = list(SerialProducer(spec))
-        producing = set()
         original = produce_batch
 
-        def recording(ctx, item):
-            producing.add(threading.get_ident())
-            return original(ctx, item)
+        def stamped(ctx, item):
+            prepared = original(ctx, item)
+            prepared.producer_pid = os.getpid()
+            return prepared
 
-        monkeypatch.setattr("repro.stream.producer.produce_batch", recording)
+        monkeypatch.setattr("repro.stream.producer.produce_batch", stamped)
         with make_producer(spec, num_workers=0,
                            prefetch_batches=2) as producer:
-            assert isinstance(producer, PrefetchProducer)
+            assert isinstance(producer, ForkProducer)
             assert producer.prefetch_batches == 2
-            prefetched = list(producer)
-        assert {p.epoch for p in prefetched} == {0, 1}
-        assert len(prefetched) == len(serial) == len(
+            forked = list(producer)
+        assert {p.epoch for p in forked} == {0, 1}
+        assert len(forked) == len(serial) == len(
             spec.make_plan(stream.num_events))
-        for a, b in zip(serial, prefetched):
+        for a, b in zip(serial, forked):
             assert_prepared_equal(a, b)
-        assert producing and threading.get_ident() not in producing
-        assert not prefetch_threads()
+        pids = {p.producer_pid for p in forked}
+        assert len(pids) == 1 and os.getpid() not in pids
+        assert not mp.active_children()
+
+    def test_one_usable_core_is_serial(self, monkeypatch):
+        monkeypatch.setattr("repro.stream.producer._usable_cores", lambda: 1)
+        producer = make_producer(spec_for(make_stream(), small_config()),
+                                 num_workers=0)
+        assert type(producer) is SerialProducer
 
     def test_stream_error_reaches_the_consumer_at_that_batch(self):
         stream = make_stream()  # 240 events: item 5 covers [240, 288)
@@ -296,7 +307,7 @@ class TestPrefetchProducer:
         received: list = []
 
         def consume():
-            with PrefetchProducer(spec, plan, prefetch_batches=1) as producer:
+            with ForkProducer(spec, plan, prefetch_batches=1) as producer:
                 for prepared in producer:
                     received.append(prepared.seq)
 
@@ -304,66 +315,167 @@ class TestPrefetchProducer:
         assert isinstance(outcome.get("error"), StreamError), outcome
         assert "past the stream" in str(outcome["error"])
         assert received == [0, 1, 2, 3, 4]
-        assert not prefetch_threads()
+        assert not mp.active_children()
 
-    def test_consumer_error_stops_the_thread_and_close_is_idempotent(self):
+    def test_unpicklable_error_arrives_as_stream_error(self, monkeypatch):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def failing(ctx, item):
+            if item.seq == 2:
+                raise Local("sampler exploded")
+            return produce_batch(ctx, item)
+
+        monkeypatch.setattr("repro.stream.producer.produce_batch", failing)
+        received: list = []
+
+        def consume():
+            with ForkProducer(spec_for(make_stream(), small_config()),
+                              prefetch_batches=1) as producer:
+                for prepared in producer:
+                    received.append(prepared.seq)
+
+        outcome = run_with_deadline(consume)
+        error = outcome.get("error")
+        assert isinstance(error, StreamError), outcome
+        assert "batch 2" in str(error) and "cannot be pickled" in str(error)
+        assert "sampler exploded" in str(error)  # the child's traceback
+        assert received == [0, 1]
+
+    def test_killed_child_is_a_stream_error(self):
+        spec = spec_for(make_stream(), small_config())  # 10 batches
+        killed: list = []
+
+        def consume():
+            with ForkProducer(spec, prefetch_batches=1) as producer:
+                for _ in producer:
+                    if not killed:
+                        killed.append(child_pid(producer))
+                        os.kill(killed[0], signal.SIGKILL)
+
+        outcome = run_with_deadline(consume)
+        error = outcome.get("error")
+        assert isinstance(error, StreamError), outcome
+        assert "exit code -9" in str(error) and "batch" in str(error)
+        assert not mp.active_children()
+
+    def test_child_exits_when_the_consumer_end_closes(self):
+        """EOF on the credit read — the consumer died or closed — ends the
+        child without a signal (it must not hold the consumer's end)."""
+        producer = ForkProducer(spec_for(make_stream(), small_config()),
+                                prefetch_batches=1)
+        with producer:
+            batches = iter(producer)
+            next(batches)
+            child = producer._child
+            producer._conn.close()
+            child.join(10.0)
+            assert child.exitcode == 0
+        assert not mp.active_children()
+
+    def test_closing_a_stale_pass_spares_the_current_one(self):
+        spec = spec_for(make_stream(), small_config())
+        with ForkProducer(spec, prefetch_batches=1) as producer:
+            stale = iter(producer)
+            next(stale)
+            current = iter(producer)  # a new pass replaces the stale child
+            seqs = [next(current).seq]
+            stale.close()
+            seqs += [prepared.seq for prepared in current]
+        assert seqs == list(range(len(spec.make_plan(240))))
+        assert not mp.active_children()
+
+    def test_consumer_error_leaves_no_child_close_idempotent(self):
         stream = make_stream()  # 5 batches in one epoch
-        producer = PrefetchProducer(spec_for(stream, small_config(epochs=1)),
-                                    prefetch_batches=1)
+        producer = ForkProducer(spec_for(stream, small_config(epochs=1)),
+                                prefetch_batches=1)
 
         def consume():
             with producer:
                 for n, _ in enumerate(producer):
                     if n == 2:
-                        # Let the thread fill the one-slot queue with batch
-                        # 3 and block handing over the last batch: close()
-                        # must make room for it and keep the end-of-plan
-                        # marker out of the queue, or the join hangs.
+                        # Let the child block handing over batch 3.
                         time.sleep(0.2)
                         raise RuntimeError("consumer died")
 
         outcome = run_with_deadline(consume)
         assert isinstance(outcome.get("error"), RuntimeError), outcome
-        assert not prefetch_threads()
+        assert not mp.active_children()
         producer.close()
         producer.close()
-        assert not prefetch_threads()
+        assert not mp.active_children()
 
-    def test_spans_from_both_threads_lose_no_record(self):
-        """Tracing on and a 1 µs switch interval: the trainer's spans and
-        the producer thread's share one buffer, id counter and histogram
-        family without a lost update; the thread's spans have no parent."""
+    def test_child_spans_reach_the_parent_once_per_batch(self):
+        """The child's ``produce.*`` spans land in the parent's buffer and
+        span histogram, one set per batch, under the child's pid and
+        without the parent span that was open at the fork."""
         stream = make_stream()
         spec = spec_for(stream, small_config())
         batches = len(spec.make_plan(stream.num_events))
         eta_bfs = obs.histogram("repro_span_seconds",
                                 labels={"span": "produce.eta_bfs"})
         observed = eta_bfs.count
-
-        def consume():
-            with PrefetchProducer(spec, prefetch_batches=1) as producer:
-                for _ in producer:
-                    with obs.span("test.consume"):
-                        pass
-
-        interval = sys.getswitchinterval()
         obs.reset()
         obs.configure(enabled=True)
         try:
-            sys.setswitchinterval(1e-6)
-            outcome = run_with_deadline(consume)
+            with obs.span("test.outer"):
+                with ForkProducer(spec, prefetch_batches=1) as producer:
+                    pids = {child_pid(producer) for _ in producer}
             records = obs.trace_buffer()
         finally:
-            sys.setswitchinterval(interval)
             obs.reset()
-        assert outcome == {"value": None}, outcome
-        names = [r["name"] for r in records]
-        for name in ("test.consume", "produce.negatives", "produce.eta_bfs",
+        (pid,) = pids
+        produced = [r for r in records if r["name"].startswith("produce.")]
+        names = [r["name"] for r in produced]
+        for name in ("produce.negatives", "produce.eta_bfs",
                      "produce.eps_dfs"):
             assert names.count(name) == batches, name
-        assert all(r["parent"] is None for r in records)
-        assert len({r["span"] for r in records}) == len(records)
+        assert len(produced) == 3 * batches
+        assert all(r["span"].startswith(f"{pid:x}-") for r in produced)
+        assert all(r["parent"] is None for r in produced)
         assert eta_bfs.count - observed == batches
+
+    def test_locks_held_across_the_fork_do_not_stop_production(self):
+        """Another thread (a serve compactor, an HTTP handler) holds the
+        trace lock, the registry lock and the sampler's counter locks
+        while the child forks; the child must not inherit them held."""
+        spec = spec_for(make_stream(), small_config(epochs=1))
+        producer = ForkProducer(spec, prefetch_batches=1)
+        counters = [obs.counter("repro_sampler_eta_bfs_occurrences_total",
+                                labels={"path": path})
+                    for path in ("whole", "race", "wide")]
+        obs.reset()
+        obs.configure(enabled=True)  # the child then takes every lock
+        locks = [obs_trace._lock, obs.registry()._lock,
+                 *(counter._lock for counter in counters)]
+        held = threading.Event()
+
+        def hold():
+            for lock in locks:
+                lock.acquire()
+            held.set()
+            deadline = time.monotonic() + 30.0
+            while child_pid(producer) is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.001)
+            for lock in reversed(locks):
+                lock.release()
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        held.wait()
+
+        def consume():
+            with producer:
+                return [prepared.seq for prepared in producer]
+
+        try:
+            outcome = run_with_deadline(consume)
+        finally:
+            holder.join()
+            obs.reset()
+        assert outcome == {"value": [0, 1, 2, 3, 4]}, outcome
+        assert not mp.active_children()
 
 
 class TestMultiprocessLifecycle:
