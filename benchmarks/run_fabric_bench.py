@@ -1,10 +1,10 @@
 """Throughput, reassembly latency and reclaim latency of the fabric.
 
 Drives the batch-production fabric with real ``repro fabric-worker``
-subprocesses over localhost TCP (the remote-worker path; ``num_workers``
-runs the same workers over ``AF_UNIX`` and is timed by
-``run_stream_bench.py``), all reading the flat memory-mapped shards, and
-measures
+subprocesses over localhost TCP (the remote-worker path; local
+``num_workers`` production runs in forked children, no fabric, and is
+timed by ``run_stream_bench.py``), all reading the flat memory-mapped
+shards, and measures
 
 * **production rate** (batches/s) — serial in-process baseline vs the
   fabric with 1 and 2 workers, over the same Zipf stream as

@@ -1,26 +1,25 @@
 """Throughput of the streaming batch pipeline (producer/consumer loop).
 
 Times full CPDG pre-training (Algorithm 1) at a 400k-node scale with the
-batch producer run four ways — serially in process, in one forked child
-that inherits the sampling context copy-on-write and produces up to
-``prefetch_batches`` batches ahead of the step (``num_workers=0``), and
-fanned out over 2 and 4 local fabric workers (spawned processes on a
-private ``AF_UNIX`` socket, sharing memory-mapped graph shards) — plus
-the *produce/consume split*: seconds/step spent in pure batch production
+batch producer run four ways — serially in process, and in 1, 2 and 4
+forked children (``num_workers`` 0, 2 and 4) that inherit the sampling
+context copy-on-write, take plan items round-robin and produce up to
+``prefetch_batches`` batches ahead of the step — plus the
+*produce/consume split*: seconds/step spent in pure batch production
 (a :class:`~repro.stream.SerialProducer` sweep) and seconds/step the
-trainer spends outside its ``pretrain.produce`` wait while the forked
+trainer spends outside its ``pretrain.produce`` wait while one forked
 child produces (the consumer's own work; with production overlapped,
 ``total - produce`` would undercount it).  ``producer_share`` is
-``produce / (produce + consume)``, the part of a step workers could
-take off the trainer, and with ``w`` workers the ideal step time is
-``max(produce / w, consume)``.  Recorded, not gated.
+``produce / (produce + consume)``, the part of a step the children
+could take off the trainer, and with ``w`` children the ideal step time
+is ``max(produce / w, consume)``.  Recorded, not gated.
 
 The large stream uses power-law (Zipf) item popularity — the canonical
 shape of user-item interaction streams, where viral hubs with five-digit
 degrees make the η-BFS candidate scoring a genuine ~half of step time.
 
-A measured worker speedup needs physical cores for the workers: with
-fewer cores than processes the producers time-share the consumer's core.
+A measured speedup needs physical cores for the children: with fewer
+cores than processes the producers time-share the consumer's core.
 The report therefore records the machine's usable core count and the
 *modeled* pipeline ceiling from the measured split next to the measured
 rates and their ratio to the serial row.  One thing is gated: every
@@ -208,10 +207,10 @@ def main() -> int:
         "machine": {"cores": cores},
         "smoke": bool(args.smoke),
         "note": "serial is the plain in-process loop (SerialProducer); "
-                "workers_0 produces in one forked child (ForkProducer) "
-                "that samples ahead of the step on the second core; "
-                "num_workers runs local fabric workers (AF_UNIX), and a "
-                "measured speedup needs cores for consumer + workers. "
+                "workers_N produces in max(N, 1) forked children "
+                "(ForkProducer; child k takes plan items k, k + N, ...) "
+                "that sample ahead of the step on the other cores, and a "
+                "measured speedup needs cores for consumer + children. "
                 "consume is the trainer's time outside its "
                 "pretrain.produce wait while the child produces, "
                 "producer_share = produce / (produce + consume), and "

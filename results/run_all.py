@@ -41,7 +41,7 @@ def main() -> int:
             # traceback.
             failed.append(name)
             print(f"FAIL {name}: {exc}\n"
-                  "hint: set num_workers=0 (in-process batch production) "
+                  "hint: set num_workers=0 (one producer child) "
                   "or lower the worker count for this machine/stream",
                   flush=True)
         except Exception as exc:

@@ -235,10 +235,10 @@ def _add_config_options(parser: argparse.ArgumentParser,
                              "(repeatable)")
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="pre-training batch-producer worker "
-                             "processes (0 = one forked child that samples "
-                             "ahead of the step, or in process on one "
-                             "usable core; overrides pretrain.num_workers); "
+                        help="pre-training batch-producer processes: N "
+                             "forked children that sample ahead of the "
+                             "step (0 = one; in process on one usable "
+                             "core; overrides pretrain.num_workers); "
                              "fine-tuning always produces in process")
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="enable span tracing and append JSONL span "
@@ -350,8 +350,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StreamError as exc:
-        # Producer trouble (no spawn / AF_UNIX support, dead, frozen or
-        # rejected workers): one actionable line, not a traceback.
+        # Producer trouble (a forked producer child that died, a fabric
+        # that stalled or whose workers failed or were rejected): one
+        # actionable line, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         if args.command == "fabric-worker":
             print("hint: check the coordinator address and that --shards "
@@ -359,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
         else:
             print("hint: re-run with --workers 0 (or --set "
-                  "pretrain.num_workers=0) for in-process batch production",
+                  "pretrain.num_workers=0) for a single producer child",
                   file=sys.stderr)
         return 2
 

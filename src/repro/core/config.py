@@ -82,14 +82,13 @@ class CPDGConfig:
     # float64 for strict checks).
     dtype: str = "float32"
 
-    # Streaming batch pipeline (repro.stream).  ``num_workers=0`` produces
-    # batches in one forked child while the trainer steps (in process,
-    # serially, when the process has one usable core); N >= 1 fans
-    # sampling out over N local fabric workers (spawned processes on a
-    # private AF_UNIX socket) sharing memory-mapped graph shards.
-    # Per-batch seeding makes every path bit-identical.
-    # ``prefetch_batches`` bounds the batches produced ahead of the
-    # trainer, by the child or in flight to workers (backpressure).
+    # Streaming batch pipeline (repro.stream).  ``num_workers=N`` produces
+    # batches in N forked children (0 = one) while the trainer steps;
+    # they inherit the graph copy-on-write and open no socket.  With one
+    # usable core production runs in process, serially.  Per-batch
+    # seeding makes every path bit-identical.  ``prefetch_batches``
+    # bounds the batches produced ahead of the trainer, by the children
+    # or in flight to fabric workers (backpressure).
     num_workers: int = 0
     prefetch_batches: int = 4
 
@@ -98,8 +97,8 @@ class CPDGConfig:
     # fabric producer writes the graph shards its workers read into
     # ``shard_dir`` (kept after the run: remote ``repro fabric-worker``
     # processes mount it), or into a private temp dir when None.
-    # ``fabric_lease_timeout`` is how long a worker — remote or local —
-    # owes a leased batch before it is re-leased elsewhere.
+    # ``fabric_lease_timeout`` is how long a worker owes a leased batch
+    # before it is re-leased elsewhere.
     fabric: str | None = None
     shard_dir: str | None = None
     fabric_lease_timeout: float = 30.0

@@ -5,9 +5,9 @@ Per batch, Algorithm 1 (i) samples η-BFS/ε-DFS contrast subgraphs,
 *production* — a pure function of the graph once seeds derive from batch
 coordinates — and lives in :mod:`repro.stream`.  This trainer is the
 consumer: it iterates :class:`~repro.stream.PreparedBatch`es from a
-:class:`~repro.stream.BatchProducer` (in-process by default,
-``config.num_workers`` local fabric workers over memory-mapped graph
-shards otherwise) and keeps encoder / memory / optimizer state; message
+:class:`~repro.stream.BatchProducer` (forked children given a spare
+core — ``max(config.num_workers, 1)`` of them — in process otherwise,
+or remote fabric workers with ``config.fabric``) and keeps encoder / memory / optimizer state; message
 staging (ii) reads the memory, so it runs here.  Per batch it
 
 1. computes centre-node embeddings with the DGNN encoder,

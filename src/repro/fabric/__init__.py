@@ -1,21 +1,23 @@
-"""Elastic batch-production fabric (sockets, stdlib only): the one way
-batches are produced outside the trainer process.
+"""Elastic batch-production fabric (sockets, stdlib only): batches
+produced on other machines.
 
 The streaming pipeline made batch production a pure function of
 ``(graph, work item)`` — :mod:`repro.fabric` turns that purity into
 distribution.  A :class:`FabricCoordinator` owns the
-:class:`~repro.stream.BatchPlan` and leases work items to
-:class:`FabricWorker` processes — local ones over an ``AF_UNIX`` socket
-(``num_workers``), remote ones over TCP (``fabric=host:port``) — which
-mount the exported graph shards (flat ``.npy`` files, memory-mapped) and
-stream :class:`~repro.stream.PreparedBatch`es back.  Workers are elastic and
+:class:`~repro.stream.BatchPlan` and leases work items over TCP
+(``fabric=host:port``) to remote :class:`FabricWorker` processes
+(``repro fabric-worker``), which mount the exported graph shards (flat
+``.npy`` files, memory-mapped) and stream
+:class:`~repro.stream.PreparedBatch`es back.  Workers are elastic and
 crash-safe: leases carry deadlines, dead or slow workers' items are
 reclaimed and re-leased (re-execution is bit-identical), and new
 workers join mid-run after a fingerprint handshake.
 
 :class:`FabricProducer` packages all of this behind the standard
 producer protocol, so trainers cannot tell the fabric from the serial
-producer — except by wall-clock.
+producer — except by wall-clock.  Parallel production on the trainer's
+own machine is :class:`~repro.stream.ForkProducer`'s (forked children,
+no socket).
 """
 
 from .coordinator import FabricCoordinator

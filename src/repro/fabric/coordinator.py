@@ -22,7 +22,6 @@ the in-process producers enforce.
 
 from __future__ import annotations
 
-import os
 import queue
 import selectors
 import socket
@@ -69,9 +68,7 @@ class FabricCoordinator:
         The work-item enumeration all parties share.
     bind:
         ``(host, port)`` to listen on over TCP — port 0 picks an
-        ephemeral port (read :attr:`address` for the bound one) — or a
-        filesystem path for an ``AF_UNIX`` socket, which only processes
-        that can enter its directory can reach.
+        ephemeral port (read :attr:`address` for the bound one).
     prefetch:
         Maximum work items past the consumer cursor that may be leased —
         bounds both in-flight production and the reassembly holdback.
@@ -86,7 +83,7 @@ class FabricCoordinator:
     _TICK = 0.05
 
     def __init__(self, spec: ProducerSpec, plan: BatchPlan,
-                 bind: str | tuple[str, int] = ("127.0.0.1", 0), *,
+                 bind: tuple[str, int] = ("127.0.0.1", 0), *,
                  prefetch: int = 8, lease_timeout: float = 30.0,
                  heartbeat_timeout: float = 10.0):
         if spec.shard_dir is None:
@@ -118,20 +115,12 @@ class FabricCoordinator:
         self.counters = _obs.owned_counters(
             "repro_fabric_workers", ("joined", "rejected", "left"),
             help="fabric workers {} count")
-        # name → [monotonic time of its last frame, last leased seq]; kept
-        # after the worker is dropped, for the producer's post-mortem
-        # (advisory: the loop thread updates the slots unlocked).
-        self.trail: dict[str, list] = {}
 
         self._selector = selectors.DefaultSelector()
-        self._unix_path = bind if isinstance(bind, str) else None
-        self._listener = socket.socket(
-            socket.AF_INET if self._unix_path is None else socket.AF_UNIX,
-            socket.SOCK_STREAM)
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
-            if self._unix_path is None:
-                self._listener.setsockopt(socket.SOL_SOCKET,
-                                          socket.SO_REUSEADDR, 1)
+            self._listener.setsockopt(socket.SOL_SOCKET,
+                                      socket.SO_REUSEADDR, 1)
             self._listener.bind(bind)
             self._listener.listen(128)
             self._listener.setblocking(False)
@@ -140,8 +129,7 @@ class FabricCoordinator:
         except OSError:
             self._listener.close()
             raise
-        self.address: str | tuple[str, int] = (
-            self._unix_path or self._listener.getsockname()[:2])
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -164,11 +152,6 @@ class FabricCoordinator:
     def _close_listener(self) -> None:
         self._selector.close()
         self._listener.close()
-        if self._unix_path is not None:
-            try:
-                os.unlink(self._unix_path)
-            except OSError:
-                pass
 
     # consumer-side API ------------------------------------------------
     def advance(self, seq: int) -> None:
@@ -280,7 +263,14 @@ class FabricCoordinator:
             self._drop(conn)
             return
         for message in messages:
-            self._handle(conn, message)
+            try:
+                self._handle(conn, message)
+            except (AttributeError, KeyError, TypeError, ValueError):
+                # Not a message dict, or one missing a field its type
+                # needs: drop the peer like one whose bytes do not decode.
+                if conn.sock in self._connections:
+                    self._drop(conn)
+                return
             if conn.sock not in self._connections:
                 return
 
@@ -313,12 +303,13 @@ class FabricCoordinator:
     def _handle(self, conn: _Connection, message: dict) -> None:
         kind = message.get("type")
         conn.last_seen = time.monotonic()
-        if conn.active:
-            self.trail[conn.name][0] = conn.last_seen
         if kind == HELLO:
             self._handshake(conn, message)
         elif kind == RESULT and conn.active:
-            seq = int(message["seq"])
+            # Read every field before the ledger marks the item done.
+            seq, batch = int(message["seq"]), message["batch"]
+            if not 0 <= seq < self.ledger.total:
+                raise ValueError(f"result for seq {seq} outside the plan")
             now = time.monotonic()
             with self._lock:
                 lease = self.ledger.lease_for(seq)
@@ -327,7 +318,7 @@ class FabricCoordinator:
                 if lease is not None:
                     self._lease_hist.observe(now - lease.granted_at)
                 _obs.record_remote(message.get("span"))
-                self.results.put((seq, message["batch"], now))
+                self.results.put((seq, batch, now))
         elif kind == HEARTBEAT:
             pass  # last_seen already refreshed above
         elif kind == ERROR:
@@ -351,9 +342,8 @@ class FabricCoordinator:
                                f"(worker {str(worker_fp)[:12]}…, "
                                f"coordinator {self.shard_fp[:12]}…)")
             return
-        # An AF_UNIX peer has no address to name it after.
-        base = str(message.get("name")
-                   or f"worker-{conn.addr[0] if conn.addr else 'local'}")
+        capacity = max(1, int(message.get("capacity", 1)))
+        base = str(message.get("name") or f"worker-{conn.addr[0]}")
         name, suffix = base, 2
         with self._lock:
             while name in self._names_used:
@@ -361,9 +351,8 @@ class FabricCoordinator:
                 suffix += 1
             self._names_used.add(name)
             self.counters["joined"].inc()
-            self.trail[name] = [conn.last_seen, None]
         conn.name = name
-        conn.capacity = max(1, int(message.get("capacity", 1)))
+        conn.capacity = capacity
         conn.active = True
         self._send(conn, {
             "type": WELCOME,
@@ -422,7 +411,6 @@ class FabricCoordinator:
                         avoid_repeat=len(eligible) > 1)
                 if item is None:
                     continue
-                self.trail[conn.name][1] = item.seq
                 lease_msg = {"type": LEASE, "item": item,
                              "deadline": now + self.lease_timeout}
                 ctx = _obs.current_context()

@@ -8,22 +8,16 @@ code that writes them), starts a :class:`FabricCoordinator`, and
 reassembles out-of-order results from however many workers happen to be
 connected.
 
-``num_workers=N`` spawns N local :class:`FabricWorker` processes on an
-``AF_UNIX`` socket in a private directory — no TCP port is opened — and
-supervises them: one that dies or freezes is dropped by the coordinator
-and its leases re-leased; once none is left the consumer fails within
-seconds, naming each.  Otherwise the coordinator listens on ``bind``
-(TCP) for remote ``repro fabric-worker`` processes — zero at the start
-is fine; the run waits (up to ``timeout``) for the first to join.
+The coordinator listens on ``bind`` (TCP) for remote
+``repro fabric-worker`` processes — zero at the start is fine; the run
+waits (up to ``timeout``) for the first to join.  Local parallel
+production is :class:`~repro.stream.ForkProducer`'s, not the fabric's.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
 import queue as queue_module
 import shutil
-import socket
 import tempfile
 import time
 from dataclasses import replace
@@ -33,8 +27,7 @@ from ..graph.neighbor_finder import NeighborFinder
 from ..stream import (BatchPlan, BatchProducer, ProducerSpec, StreamError,
                       export_graph_shards, open_stream_shards)
 from .coordinator import FabricCoordinator
-from .protocol import FabricError, format_address, parse_address
-from .worker import FabricWorker
+from .protocol import format_address, parse_address
 
 __all__ = ["FabricProducer"]
 
@@ -53,16 +46,12 @@ class FabricProducer(BatchProducer):
     bind:
         ``"host:port"`` pair for the coordinator to listen on
         (``(host, port)`` tuples also accepted); port 0 → ephemeral.
-        Default: loopback, ephemeral.  Not with ``num_workers``.
-    num_workers:
-        Local worker processes to spawn and supervise over an
-        ``AF_UNIX`` socket; 0 → workers join over ``bind`` on their own.
+        Default: loopback, ephemeral.
     prefetch_batches:
         In-flight bound: leases granted past the consumer cursor, and
         therefore also the reassembly holdback size.
     lease_timeout / heartbeat_timeout:
-        Reclamation knobs, passed through to the coordinator; local
-        workers beat four times per ``heartbeat_timeout``.
+        Reclamation knobs, passed through to the coordinator.
     timeout:
         Consumer-side stall limit — with no completed batch for this
         long, the run aborts with a diagnostic (including whether any
@@ -71,26 +60,19 @@ class FabricProducer(BatchProducer):
 
     def __init__(self, spec: ProducerSpec, plan: BatchPlan | None = None, *,
                  bind: str | tuple[str, int] | None = None,
-                 num_workers: int = 0,
                  prefetch_batches: int = 8, lease_timeout: float = 30.0,
                  heartbeat_timeout: float = 10.0, timeout: float = 600.0,
                  finder: NeighborFinder | None = None):
         # __del__/close() must work however early __init__ fails.
         self._closed = False
         self._tmpdir: str | None = None
-        self._workers: list = []
         self.coordinator: FabricCoordinator | None = None
         self._reassembly_hist = _obs.histogram(
             "repro_fabric_reassembly_wait_seconds", replace=True,
             help="time a finished batch waited for its predecessors")
         self._timeout = float(timeout)
 
-        if num_workers > 0:
-            if bind is not None:
-                raise ValueError("bind and num_workers are mutually exclusive:"
-                                 " local workers use a private AF_UNIX socket")
-            spawn = _local_worker_context()
-        elif bind is None:
+        if bind is None:
             bind = ("127.0.0.1", 0)
         elif isinstance(bind, str):
             bind = parse_address(bind)
@@ -99,14 +81,12 @@ class FabricProducer(BatchProducer):
             raise ValueError("ProducerSpec needs a stream or a shard_dir")
 
         try:
-            if (graph is not None and spec.shard_dir is None) \
-                    or num_workers > 0:
-                # mkdtemp → mode 0700: the temporary shard export and
-                # the local workers' socket are this user's only.
-                self._tmpdir = tempfile.mkdtemp(prefix="repro-fabric-")
             if graph is None:
                 graph = open_stream_shards(spec.shard_dir)
             else:
+                if spec.shard_dir is None:
+                    # mkdtemp → mode 0700: the export is this user's only.
+                    self._tmpdir = tempfile.mkdtemp(prefix="repro-fabric-")
                 if not spec.needs_finder:
                     finder = None
                 elif finder is None:
@@ -117,30 +97,19 @@ class FabricProducer(BatchProducer):
                 else spec.make_plan(graph.num_events)
             # Workers must never receive in-memory graph arrays by pickle.
             self.spec = replace(spec, stream=None)
-            if num_workers > 0:
-                bind = os.path.join(self._tmpdir, "coordinator.sock")
             self.coordinator = FabricCoordinator(
                 self.spec, self.plan, bind,
                 prefetch=max(int(prefetch_batches), 1),
                 lease_timeout=lease_timeout,
                 heartbeat_timeout=heartbeat_timeout).start()
-            self._spawned_at = time.monotonic()
-            for i in range(num_workers):
-                worker = FabricWorker(
-                    bind, self.spec.shard_dir, name=f"local-{i}",
-                    heartbeat_interval=min(1.0, heartbeat_timeout / 4))
-                process = spawn.Process(target=_serve_local, args=(worker,),
-                                        daemon=True, name=worker.name)
-                process.start()
-                self._workers.append(process)
         except BaseException:
-            self.close(grace=0.0)
+            self.close()
             raise
 
     # ------------------------------------------------------------------
     @property
-    def address(self) -> str | tuple[str, int]:
-        """``(host, port)``, or the socket path when workers are local."""
+    def address(self) -> tuple[str, int]:
+        """The coordinator's ``(host, port)``."""
         return self.coordinator.address
 
     @property
@@ -167,11 +136,9 @@ class FabricProducer(BatchProducer):
                 seq, batch, arrived = coord.results.get(timeout=0.5)
             except queue_module.Empty:
                 self._check_failed()
-                self._check_local_workers()
                 if time.monotonic() - last_progress > self._timeout:
                     connected = coord.workers_connected()
-                    ever = coord.workers_ever_joined or self._workers
-                    hint = ("" if ever else
+                    hint = ("" if coord.workers_ever_joined else
                             "; no worker has joined — start one with: "
                             + self.worker_mount_hint())
                     self.close()
@@ -204,30 +171,6 @@ class FabricProducer(BatchProducer):
             self.close()
             raise StreamError("fabric coordinator thread died")
 
-    def _check_local_workers(self) -> None:
-        """Fail by name once every local worker is dead or silent; while
-        one serves, the coordinator drops the dead (socket EOF) and the
-        frozen (``heartbeat_timeout``) and re-leases their items."""
-        coord = self.coordinator
-        if not self._workers or coord.workers_connected() or coord.finished:
-            return
-        now = time.monotonic()
-        verdicts = []
-        for process in self._workers:
-            seen, seq = coord.trail.get(process.name, (None, None))
-            silent = now - (seen or self._spawned_at)
-            if process.exitcode is not None:
-                verdict = f"exit code {process.exitcode}"
-            elif silent > coord.heartbeat_timeout:
-                verdict = f"alive but silent for {silent:.1f}s"
-            else:
-                return  # still starting up
-            verdicts.append(f"{process.name} ({verdict}, "
-                            f"last leased seq={seq})")
-        self.close(grace=0.0)
-        raise StreamError("every local fabric worker is gone: "
-                          + ", ".join(verdicts))
-
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Plan progress, lease and membership counts, the reclaim log,
@@ -258,25 +201,15 @@ class FabricProducer(BatchProducer):
             stats["reassembly_wait_p99_s"] = waits.summary()["p99"]
         return stats
 
-    def close(self, grace: float = 3.0) -> None:
-        """Stop the coordinator, reap local workers (``grace`` seconds to
-        exit on SHUTDOWN, then SIGTERM, then SIGKILL — the only signal a
-        stopped process takes), remove the private directory; idempotent."""
+    def close(self) -> None:
+        """Stop the coordinator and remove the private shard directory;
+        idempotent."""
         if self._closed:
             return
         self._closed = True
         try:
             if self.coordinator is not None:
                 self.coordinator.close()
-            for wait, escalate in ((grace, None), (1.0, "terminate"),
-                                   (5.0, "kill")):
-                alive = [p for p in self._workers if p.is_alive()]
-                if escalate is not None:
-                    for process in alive:
-                        getattr(process, escalate)()
-                deadline = time.monotonic() + wait
-                for process in alive:
-                    process.join(max(deadline - time.monotonic(), 0.0))
         finally:
             if self._tmpdir is not None:
                 shutil.rmtree(self._tmpdir, ignore_errors=True)
@@ -287,23 +220,3 @@ class FabricProducer(BatchProducer):
         except Exception:
             pass
 
-
-def _serve_local(worker: FabricWorker) -> None:
-    """Entry point of a spawned local worker process."""
-    try:
-        worker.run()
-    except FabricError as exc:
-        # Socket already removed: the run ended before this worker was up.
-        if os.path.exists(worker.address):
-            raise SystemExit(f"[fabric worker {worker.name}] {exc}")
-
-
-def _local_worker_context():
-    """The ``spawn`` context local workers start from (a fork would
-    copy the trainer's threads' locks), if the platform can run them."""
-    if hasattr(socket, "AF_UNIX") and "spawn" in mp.get_all_start_methods():
-        return mp.get_context("spawn")
-    raise StreamError(  # pragma: no cover - platform-specific
-        "local fabric workers need AF_UNIX sockets and the 'spawn' start "
-        "method, which this platform does not provide; run with "
-        "num_workers=0")

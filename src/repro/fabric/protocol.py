@@ -3,12 +3,11 @@
 Everything on the wire is a **length-prefixed frame**: an 8-byte
 big-endian length followed by a pickled payload dict with a ``"type"``
 key.  Frames are unpickled *before* a peer has identified itself, so a
-listening address is a trust boundary: local workers (``num_workers``)
-connect over an ``AF_UNIX`` socket inside a directory only the trainer's
-user can enter, and a TCP port exists only when the user asks for one
-(``fabric=host:port``) — inside one trusted training cluster, the same
-boundary as mounting the shard directory.  Do not expose a coordinator
-port to untrusted networks.
+listening address is a trust boundary.  Local production (the forked
+children of ``num_workers``) opens no socket at all; a TCP port exists
+only when the user asks for one (``fabric=host:port``) — inside one
+trusted training cluster, the same boundary as mounting the shard
+directory.  Do not expose a coordinator port to untrusted networks.
 
 Message flow::
 
@@ -207,9 +206,6 @@ def parse_address(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", port_num
 
 
-def format_address(address: str | tuple[str, int]) -> str:
-    """``(host, port)`` → ``"host:port"``; an ``AF_UNIX`` path is
-    returned as it is."""
-    if isinstance(address, str):
-        return address
+def format_address(address: tuple[str, int]) -> str:
+    """``(host, port)`` → ``"host:port"``."""
     return f"{address[0]}:{address[1]}"

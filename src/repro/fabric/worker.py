@@ -8,8 +8,8 @@ Because production is a pure function of ``(graph, work item)``, a
 worker can crash, rejoin, or duplicate another worker's item without
 affecting what the trainer sees.
 
-Every worker — spawned locally by :class:`~repro.fabric.FabricProducer`
-for ``num_workers``, or a remote ``repro fabric-worker`` — opens the flat
+Every worker — a ``repro fabric-worker`` process, or a
+:class:`FabricWorker` run in process by a test — opens the flat
 memory-mapped shards every other reader uses
 (:class:`~repro.stream.SamplingContext` over the mounted directory).
 
@@ -45,8 +45,7 @@ class FabricWorker:
     Parameters
     ----------
     address:
-        ``(host, port)`` of the coordinator, or the path of its
-        ``AF_UNIX`` socket.
+        ``(host, port)`` of the coordinator.
     shard_dir:
         Local mount of the run's exported graph shards.  Its fingerprint
         is checked against the coordinator's during the handshake.
@@ -66,7 +65,7 @@ class FabricWorker:
         worker start *before* its coordinator (or outlive a restart).
     """
 
-    def __init__(self, address: str | tuple[str, int], shard_dir: str, *,
+    def __init__(self, address: tuple[str, int], shard_dir: str, *,
                  name: str | None = None, capacity: int = 2,
                  mmap: bool = True, heartbeat_interval: float = 1.0,
                  retry_for: float = 0.0):
@@ -183,14 +182,6 @@ class FabricWorker:
                 time.sleep(0.2)
 
     def _open_socket(self) -> socket.socket:
-        if isinstance(self.address, str):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                sock.connect(self.address)
-            except OSError:
-                sock.close()
-                raise
-            return sock
         sock = socket.create_connection(self.address, timeout=10.0)
         sock.settimeout(None)
         try:

@@ -10,12 +10,11 @@ state — chronological slicing, negative drawing, §IV-A subgraph sampling
   process-independent.
 * :class:`SerialProducer` runs production in process on the caller's
   thread (the serial oracle, and fine-tuning's producer);
-  :class:`ForkProducer` runs it in one forked child that inherits the
+  :class:`ForkProducer` runs it in N forked children that inherit the
   sampling context copy-on-write, ahead of the trainer (pre-training's
-  ``num_workers=0`` given a spare core).  Every other
-  producer :func:`make_producer` builds is a
-  :class:`~repro.fabric.FabricProducer`, whose workers — local processes
-  for ``num_workers=N``, remote ones for ``fabric="host:port"`` —
+  ``num_workers=N``, one child for 0, given a spare core).  With
+  ``fabric="host:port"`` :func:`make_producer` builds a
+  :class:`~repro.fabric.FabricProducer`, whose remote workers
   memory-map the graph from shards (:mod:`repro.stream.shards`) instead
   of pickling it.  All yield bit-identical :class:`PreparedBatch`es.
 * Trainers (:class:`~repro.core.pretrainer.CPDGPreTrainer`, the

@@ -33,8 +33,9 @@ _SEED_DOMAIN = 0x5D6
 
 
 class StreamError(RuntimeError):
-    """Unusable streaming-pipeline configuration (bad worker count,
-    missing spawn support, stream too small to shard, dead workers)."""
+    """Unusable streaming-pipeline configuration or a failed producer
+    (a work item past the stream, a damaged shard directory, a dead
+    producer child or fabric worker)."""
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,16 @@ it runs:
 
 * :class:`SerialProducer` — in-process, on the caller's thread: the
   plain loop, and the serial oracle every other producer must match.
-* :class:`ForkProducer` — in one forked child that inherits the
-  sampling context copy-on-write and runs up to ``prefetch_batches``
-  batches ahead, so batch i+1 is sampled on another core while step i
-  runs (``num_workers=0``, pre-training's default, given a spare core).
-* :class:`~repro.fabric.FabricProducer` — everything else:
-  ``num_workers=N`` (N local worker processes on an ``AF_UNIX`` socket)
-  and ``fabric="host:port"`` (remote ``repro fabric-worker`` processes
-  over TCP).  Workers open the graph from ``numpy.memmap``-backed shards
-  (:mod:`repro.stream.shards`) — paged in read-only, never pickled — and
-  results are reassembled in plan order on the consumer side.
+* :class:`ForkProducer` — in N forked children that inherit the
+  sampling context copy-on-write and run up to ``prefetch_batches``
+  batches ahead, so the next batches are sampled on other cores while
+  step i runs (``num_workers=N``; ``num_workers=0``, pre-training's
+  default, is one child), given a spare core.
+* :class:`~repro.fabric.FabricProducer` — ``fabric="host:port"``:
+  remote ``repro fabric-worker`` processes over TCP open the graph from
+  ``numpy.memmap``-backed shards (:mod:`repro.stream.shards`) — paged
+  in read-only, never pickled — and results are reassembled in plan
+  order on the consumer side.
 
 Because production is coordinate-seeded, every producer yields
 bit-identical batches; the trainer's loss history cannot tell them
@@ -56,10 +56,11 @@ __all__ = ["ProducerSpec", "SamplingContext", "produce_batch",
 class ProducerSpec:
     """Everything a producer needs to build its sampling context.
 
-    The spec is pickle-friendly by construction: to worker processes the
+    The spec is pickle-friendly by construction: to fabric workers the
     graph travels as a ``shard_dir`` path (they memory-map it), never as
     in-memory arrays.  ``stream`` is the in-process alternative used
-    by :class:`SerialProducer` and by the exporting side.
+    by :class:`SerialProducer`, the forked children and the exporting
+    side.
     """
 
     batch_size: int
@@ -95,7 +96,8 @@ class ProducerSpec:
 class SamplingContext:
     """One producer's resolved graph + samplers (per process).
 
-    Built once per worker (or once, in-process, for the serial producer);
+    Built once per fabric worker, or once in the trainer for the serial
+    and forked producers (the children inherit it);
     :func:`produce_batch` then only draws from per-batch generators, so
     the context itself holds no mutable randomness.
     """
@@ -191,7 +193,7 @@ class BatchProducer:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release workers / temporary shards; idempotent."""
+        """Release child processes / temporary shards; idempotent."""
 
     def __enter__(self) -> "BatchProducer":
         return self
@@ -216,100 +218,144 @@ class SerialProducer(BatchProducer):
 
 
 class ForkProducer(SerialProducer):
-    """Production in one forked child process, up to ``prefetch_batches``
-    batches ahead of the consumer.
+    """Production in ``num_children`` forked child processes, up to
+    ``prefetch_batches`` batches ahead of the consumer.
 
-    The sampling context is built here, before the fork, so the child
-    inherits graph, finder and samplers copy-on-write: no shard is
-    written, nothing is pickled on the way in and nothing is imported.
-    The child runs :func:`produce_batch` over the plan and pipes each
-    batch back, so sampling and the consumer's step run on two cores
-    without sharing a GIL.  Flow control is by credit:
-    ``prefetch_batches`` at the start and one more per batch received;
-    the child reads one before each batch and exits at EOF (the consumer
-    closed the pipe or died).  Batches are coordinate-seeded, so they
-    equal :class:`SerialProducer`'s bit for bit.
+    The sampling context is built here, before the fork, so the children
+    inherit graph, finder and samplers copy-on-write: no shard is
+    written, nothing is pickled on the way in, nothing is imported and
+    no socket is opened.  Child k of N runs :func:`produce_batch` over
+    plan items k, k + N, k + 2N, … and pipes each batch back; the
+    consumer reads pipe ``seq % N``, so batches arrive in plan order with
+    no reassembly.  Sampling and the consumer's step run on separate
+    cores without sharing a GIL.  Flow control is by credit:
+    ``max(prefetch_batches, N)`` dealt round-robin at the start (at
+    least one per child) and one more to a child per batch received from
+    it; a child reads one before each batch and exits at EOF (the
+    consumer closed the pipe or died).  Batches are coordinate-seeded,
+    so they equal :class:`SerialProducer`'s bit for bit.
 
     An exception raised in production is re-raised in the consumer at
     that batch (one that does not survive pickling arrives as a
     :class:`StreamError` carrying its traceback text); a child that dies
-    is a :class:`StreamError` naming its exit code and the batch.  The
-    child's ``produce.*`` spans travel with each batch and are handed to
-    :func:`repro.obs.record_remote`; counters it increments stay in the
-    child, as with fabric workers.
+    is a :class:`StreamError` naming its exit code and the batch.  A
+    stopped (SIGSTOP) child blocks the consumer at its next batch.  The
+    children's ``produce.*`` spans travel with each batch and are handed
+    to :func:`repro.obs.record_remote`; counters they increment stay in
+    the children.
     """
 
     def __init__(self, spec: ProducerSpec, plan: BatchPlan | None = None,
                  stream: EventStream | None = None,
                  finder: NeighborFinder | None = None,
-                 prefetch_batches: int = 4):
+                 prefetch_batches: int = 4, num_children: int = 1):
         super().__init__(spec, plan, stream=stream, finder=finder)
-        self.prefetch_batches = max(int(prefetch_batches), 1)
-        self._child = self._conn = None
+        self.num_children = max(int(num_children), 1)
+        self.prefetch_batches = max(int(prefetch_batches),
+                                    self.num_children)
+        self._children: list = []
+        self._pipes: list = []  # per child: (batches in, credits out)
 
     def __iter__(self):
         self.close()  # one pass at a time
-        fork = mp.get_context("fork")
-        self._conn, child_end = fork.Pipe()
-        self._child = fork.Process(target=self._produce, args=(child_end,),
-                                   name="repro-fork-producer", daemon=True)
-        self._child.start()
-        child_end.close()
-        conn, child = self._conn, self._child
+        children, pipes = self._children, self._pipes
+        count = max(min(self.num_children, len(self.plan)), 1)
         try:
-            for _ in range(self.prefetch_batches):
-                conn.send_bytes(_CREDIT)
+            fork = mp.get_context("fork")
+            for k in range(count):
+                # Two one-way pipes, not a socket pair: nothing here is a
+                # socket.
+                batches, batches_out = fork.Pipe(duplex=False)
+                _widen(batches)
+                credits_in, credits = fork.Pipe(duplex=False)
+                pipes.append((batches, credits))
+                child = fork.Process(target=self._produce,
+                                     args=(credits_in, batches_out, k, count),
+                                     name=f"repro-fork-producer-{k}",
+                                     daemon=True)
+                child.start()
+                children.append(child)
+                # Closed before the next fork, so no other child holds
+                # this one's ends and its death is EOF on its pipe.
+                credits_in.close()
+                batches_out.close()
+            for n in range(self.prefetch_batches):
+                _credit(pipes[n % count][1])
             for item in self.plan:
+                k = item.seq % count
+                batches, credits = pipes[k]
                 try:
-                    prepared, spans, error = conn.recv()
+                    prepared, spans, error = batches.recv()
                 except (EOFError, OSError):
-                    child.join(5.0)
+                    children[k].join(5.0)
                     raise StreamError(
-                        f"the forked producer died (exit code "
-                        f"{child.exitcode}) while producing batch "
+                        f"forked producer {k} died (exit code "
+                        f"{children[k].exitcode}) while producing batch "
                         f"{item.seq}") from None
                 for record in spans:
                     _obs.record_remote(record)
                 if error is not None:
                     raise error
-                try:
-                    conn.send_bytes(_CREDIT)
-                except OSError:
-                    pass  # the child is done or gone; the next recv says which
+                _credit(credits)
                 yield prepared
         finally:
-            if self._child is child:  # not a later pass's child
+            if self._children is children:  # not a later pass's children
                 self.close()
 
-    def _produce(self, conn) -> None:
-        """The child's loop: a credit in, a batch and its spans out."""
-        # The child's copy of the parent's end would keep the pipe open
-        # after the parent dies; EOF has to mean the consumer is gone.
-        self._conn.close()
+    def _produce(self, credits, batches, k: int, count: int) -> None:
+        """Child k's loop: a credit in, a batch and its spans out."""
+        # A child's copy of a parent end would keep that pipe open after
+        # the parent dies; EOF has to mean the consumer is gone.
+        for pair in self._pipes:
+            for end in pair:
+                end.close()
         try:
-            for item in self.plan:
-                conn.recv_bytes()
+            for seq in range(k, len(self.plan), count):
+                item = self.plan.item(seq)
+                credits.recv_bytes()
                 try:
                     prepared, error = produce_batch(self._ctx, item), None
                 except Exception as exc:  # re-raised by the consumer
                     prepared, error = None, _portable(exc, item.seq)
-                conn.send((prepared, _obs.drain(), error))
+                batches.send((prepared, _obs.drain(), error))
                 if error is not None:
                     return
         except (EOFError, OSError):
-            return  # the consumer closed the pipe or died
+            return  # the consumer closed its ends or died
 
     def close(self) -> None:
-        """Close the pipe, stop the child and reap it; idempotent."""
-        if self._child is None:
-            return
-        self._conn.close()
-        self._child.terminate()
-        self._child.join()
-        self._child = self._conn = None
+        """Close the pipes, stop the children and reap them; idempotent."""
+        children, pipes = self._children, self._pipes
+        self._children, self._pipes = [], []
+        for pair in pipes:
+            for end in pair:
+                end.close()
+        for child in children:
+            child.terminate()
+        for child in children:
+            child.join()
 
 
 _CREDIT = b""
+
+
+def _credit(conn) -> None:
+    try:
+        conn.send_bytes(_CREDIT)
+    except OSError:
+        pass  # the child is done or gone; its pipe's next recv says which
+
+
+def _widen(pipe) -> None:
+    """Give a batch pipe room for several batches where the platform lets
+    a process resize its pipes (Linux): a batch can outgrow a default
+    64 kB pipe, and a child blocked on a full pipe cannot start its next
+    batch."""
+    try:
+        import fcntl
+        fcntl.fcntl(pipe.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (ImportError, AttributeError, OSError):
+        pass  # keep the default size
 
 
 def _portable(exc: Exception, seq: int) -> Exception:
@@ -332,38 +378,34 @@ def make_producer(spec: ProducerSpec, plan: BatchPlan | None = None,
                   fabric_options: dict | None = None) -> BatchProducer:
     """Build the producer a config asks for.
 
-    ``num_workers=0`` without ``fabric`` → :class:`ForkProducer` (one
-    forked child up to ``prefetch_batches`` ahead) where ``fork`` exists
-    and the process has a spare core, else :class:`SerialProducer`.
-    Everything else is a :class:`~repro.fabric.FabricProducer`:
-    ``fabric="host:port"`` listens there for remote
-    ``repro fabric-worker`` processes, ``num_workers>=1`` spawns that many
-    local workers over a private ``AF_UNIX`` socket.
-    ``fabric_options`` (lease / heartbeat timeouts) reach both.
+    ``fabric="host:port"`` → a :class:`~repro.fabric.FabricProducer`
+    listening there for remote ``repro fabric-worker`` processes, with
+    ``fabric_options`` (lease / heartbeat timeouts).  Otherwise a
+    :class:`ForkProducer` with ``max(num_workers, 1)`` forked children
+    where ``fork`` exists and the process has a spare core, else
+    :class:`SerialProducer` (with a warning when ``num_workers`` asked
+    for children).
     """
     if fabric is not None:
-        num_workers = 0  # the remote fleet produces
-    elif num_workers > 0 and _usable_cores() < 2:
-        # With no spare core the workers time-slice against the trainer
-        # and lose to the serial path outright (see BENCH_stream.json) —
-        # fall back instead of silently regressing.
+        # Imported lazily: repro.fabric imports repro.stream.
+        from ..fabric import FabricProducer
+        return FabricProducer(spec, plan, bind=fabric,
+                              prefetch_batches=prefetch_batches,
+                              finder=finder, **(fabric_options or {}))
+    if num_workers > 0 and _usable_cores() < 2:
+        # With no spare core the children time-slice against the
+        # trainer and lose to the serial path outright (see
+        # BENCH_stream.json) — fall back instead of silently regressing.
         warnings.warn(
             f"num_workers={num_workers} requested but this process has no "
             f"spare core for producer processes ({_usable_cores()} usable); "
             "falling back to the in-process producer",
             RuntimeWarning, stacklevel=2)
-        num_workers = 0
-    if fabric is None and num_workers == 0:
-        if "fork" in mp.get_all_start_methods() and _usable_cores() >= 2:
-            return ForkProducer(spec, plan, finder=finder,
-                                prefetch_batches=prefetch_batches)
-        return SerialProducer(spec, plan, finder=finder)
-    # Imported lazily: repro.fabric imports repro.stream.
-    from ..fabric import FabricProducer
-    prefetch = max(prefetch_batches, num_workers, 1)
-    return FabricProducer(spec, plan, bind=fabric, num_workers=num_workers,
-                          prefetch_batches=prefetch, finder=finder,
-                          **(fabric_options or {}))
+    if "fork" in mp.get_all_start_methods() and _usable_cores() >= 2:
+        return ForkProducer(spec, plan, finder=finder,
+                            prefetch_batches=prefetch_batches,
+                            num_children=num_workers)
+    return SerialProducer(spec, plan, finder=finder)
 
 
 def _usable_cores() -> int:

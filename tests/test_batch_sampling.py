@@ -539,11 +539,10 @@ class TestWideSegments:
         assert not np.array_equal(first.nodes, other.nodes)
 
     def test_serial_and_spawn_worker_agree(self, spare_cores):
-        """Coordinate-seeded draws: one spawned fabric worker over
-        memory-mapped shards produces the serial producer's wide-segment
-        batches."""
-        from repro.stream import (ProducerSpec, SerialProducer,
-                                  make_producer)
+        """Coordinate-seeded draws: two forked producer children
+        produce the serial producer's wide-segment batches."""
+        from repro.stream import (ForkProducer, ProducerSpec,
+                                  SerialProducer, make_producer)
         rng = np.random.default_rng(4)
         events = 600
         stream = EventStream(
@@ -555,11 +554,11 @@ class TestWideSegments:
         spec = ProducerSpec(batch_size=150, sample_temporal=True, eta=10,
                             depth=2, stream=stream)
         serial = list(SerialProducer(spec))
-        with make_producer(spec, num_workers=1) as producer:
-            assert len(producer._workers) == 1
-            spawned = list(producer)
-        assert len(serial) == len(spawned) == 4
-        for a, b in zip(serial, spawned):
+        with make_producer(spec, num_workers=2) as producer:
+            assert isinstance(producer, ForkProducer)
+            forked = list(producer)
+        assert len(serial) == len(forked) == 4
+        for a, b in zip(serial, forked):
             for name in ("temporal_pos", "temporal_neg"):
                 np.testing.assert_array_equal(getattr(a, name).nodes,
                                               getattr(b, name).nodes)

@@ -4,10 +4,8 @@ The contract: however workers crash, stall, hoard leases, join late or
 mount the wrong shards, the consumer sees every batch exactly once, in
 plan order, bit-identical to the in-process serial producer — or gets a
 clear error.  Workers read the flat memory-mapped shards every other
-reader uses (golden test: ``TestMmapShards`` in test_stream_pipeline);
-local workers (``num_workers``) additionally must open no TCP port,
-survive the loss of all but one of them, fail by name when none is left,
-and never outlive their producer.
+reader uses (golden test: ``TestMmapShards`` in test_stream_pipeline).
+A peer that sends garbage is dropped, never the run.
 """
 
 from __future__ import annotations
@@ -16,7 +14,8 @@ import json
 import os
 import signal
 import socket
-import stat
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -24,6 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro
 from repro import obs
 from repro.core import CPDGPreTrainer
 from repro.fabric import (PROTOCOL_VERSION, FabricError, FabricProducer,
@@ -36,7 +36,7 @@ from repro.graph.events import EventStream
 from repro.graph.neighbor_finder import NeighborFinder
 from repro.stream import (BatchPlan, SamplingContext, SerialProducer,
                           StreamError, export_graph_shards, has_csr_shards,
-                          make_producer, open_graph_shards, produce_batch,
+                          open_graph_shards, produce_batch,
                           shard_fingerprint)
 from tests.test_stats_surface import metric_value
 from tests.test_stream_pipeline import (assert_prepared_equal, make_stream,
@@ -78,6 +78,17 @@ class WorkerHarness:
         self.threads.append(thread)
         return thread
 
+    def start_process(self, name):
+        """A ``repro fabric-worker`` subprocess: unlike a worker thread,
+        it can be stopped with a signal."""
+        host, port = self.address
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "fabric-worker",
+             "--connect", f"{host}:{port}", "--shards", self.shard_dir,
+             "--name", name, "--quiet"],
+            env={**os.environ, "PYTHONPATH": source})
+
     def join(self, timeout=15.0, expect_errors=False):
         for thread in self.threads:
             thread.join(timeout)
@@ -107,6 +118,14 @@ def run_fabric(spec, *, workers, prefetch=6, lease_timeout=15.0,
     finally:
         producer.close()
     return batches, stats, harness
+
+
+def wait_for_workers(producer, count, timeout=20.0):
+    """Block until ``count`` workers are connected."""
+    deadline = time.monotonic() + timeout
+    while producer.coordinator.workers_connected() < count:
+        assert time.monotonic() < deadline, "workers never joined"
+        time.sleep(0.02)
 
 
 # ----------------------------------------------------------------------
@@ -539,6 +558,92 @@ class TestFabricChaos:
         for a, b in zip(SerialProducer(spec), batches):
             assert_prepared_equal(a, b)
 
+    def test_frozen_worker_is_dropped_and_run_completes(self):
+        """SIGSTOP one of two: the coordinator drops it on missed
+        heartbeats, re-leases its items, and the survivor finishes the
+        plan bit-identical to serial."""
+        stream = make_stream()
+        producer = FabricProducer(spec_for(stream, small_config()),
+                                  prefetch_batches=6, lease_timeout=60.0,
+                                  heartbeat_timeout=3.0, timeout=60.0)
+        harness = WorkerHarness(producer.address, producer.shard_dir)
+        frozen = harness.start_process("frozen")
+        try:
+            # The first to join is first in the grant rotation, so the
+            # next lease granted after the freeze is stuck with it.
+            wait_for_workers(producer, 1)
+            harness.start("survivor", heartbeat_interval=0.25)
+            wait_for_workers(producer, 2)
+            os.kill(frozen.pid, signal.SIGSTOP)
+            batches = list(producer)
+            stats = producer.stats()
+        finally:
+            producer.close()
+            frozen.kill()  # the only signal a stopped process takes
+            frozen.wait(10.0)
+        harness.join()
+        reference = self.serial(stream)
+        assert len(batches) == len(reference)
+        for a, b in zip(reference, batches):
+            assert_prepared_equal(a, b)
+        assert stats["reclaimed_disconnect"] >= 1
+        assert any(reason == "disconnect:frozen"
+                   for _, reason, _ in stats["reclaim_log"])
+        assert harness.stats["survivor"]["graceful"] is True
+
+    def test_malformed_peer_is_dropped_and_run_completes(self):
+        """A frame that decodes to something other than a message, and
+        an active worker's RESULT without a ``seq`` or with one outside
+        the plan, each drop that connection (re-leasing its items) — not
+        the coordinator — and a real worker still finishes the plan
+        bit-identical to serial."""
+        stream = make_stream()
+        producer = FabricProducer(spec_for(stream, small_config()),
+                                  prefetch_batches=6, timeout=60.0)
+        total = len(producer.plan)
+
+        def assert_dropped(sock):
+            assert sock.recv(1) == b""
+
+        def leased_worker(name):
+            sock = socket.create_connection(producer.address, timeout=10.0)
+            send_frame(sock, {
+                "type": HELLO, "version": PROTOCOL_VERSION, "name": name,
+                "capacity": 1,
+                "shard_fingerprint": shard_fingerprint(producer.shard_dir)})
+            assert recv_frame(sock)["type"] == WELCOME
+            assert recv_frame(sock)["type"] == LEASE
+            return sock
+
+        harness = WorkerHarness(producer.address, producer.shard_dir)
+        try:
+            with socket.create_connection(producer.address,
+                                          timeout=10.0) as sock:
+                sock.sendall(encode_frame([1, 2]))
+                assert_dropped(sock)
+            with leased_worker("no-seq") as sock:
+                send_frame(sock, {"type": RESULT, "batch": None})
+                assert_dropped(sock)
+            with leased_worker("far-seq") as sock:
+                send_frame(sock, {"type": RESULT, "seq": total,
+                                  "batch": None})
+                assert_dropped(sock)
+            assert producer.coordinator.thread_alive
+            harness.start("good")
+            batches = list(producer)
+            stats = producer.stats()
+        finally:
+            producer.close()
+        harness.join()
+        reference = self.serial(stream)
+        assert len(batches) == len(reference) == total
+        for a, b in zip(reference, batches):
+            assert_prepared_equal(a, b)
+        reasons = {reason for _, reason, _ in stats["reclaim_log"]}
+        assert {"disconnect:no-seq", "disconnect:far-seq"} <= reasons
+        stats = producer.stats()  # closed: every worker has left
+        assert (stats["workers_joined"], stats["workers_left"]) == (3, 3)
+
     def test_worker_production_error_aborts_run(self, monkeypatch):
         """Production failure on a worker sends ERROR and aborts the run
         with the worker's traceback, instead of stalling forever."""
@@ -566,129 +671,6 @@ class TestFabricChaos:
         finally:
             producer.close()
         thread.join(10.0)
-
-
-# ----------------------------------------------------------------------
-# local workers (num_workers): spawned, supervised, AF_UNIX only
-# ----------------------------------------------------------------------
-
-def wait_for_workers(producer, count, timeout=20.0):
-    """Block until ``count`` workers are connected; returns their names
-    in join order (the coordinator's grant order)."""
-    deadline = time.monotonic() + timeout
-    while producer.coordinator.workers_connected() < count:
-        assert time.monotonic() < deadline, "local workers never joined"
-        time.sleep(0.02)
-    return list(producer.stats()["workers"])
-
-
-@pytest.mark.usefixtures("spare_cores")
-class TestLocalWorkers:
-    def local(self, stream, workers=2, **options):
-        return make_producer(spec_for(stream, small_config()),
-                             num_workers=workers, fabric_options=options)
-
-    def serial(self, stream):
-        return list(SerialProducer(spec_for(stream, small_config())))
-
-    def test_no_tcp_socket_and_private_socket_directory(self, monkeypatch):
-        """Frames are unpickled before a peer is identified, so local
-        workers must not be reachable from the network: every socket the
-        trainer process opens is AF_UNIX, inside a 0700 directory."""
-        families = []
-
-        class Recording(socket.socket):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                families.append(self.family)
-
-        monkeypatch.setattr(socket, "socket", Recording)
-        stream = make_stream()
-        with self.local(stream) as producer:
-            path = producer.address
-            mode = stat.S_IMODE(os.stat(os.path.dirname(path)).st_mode)
-            assert stat.S_ISSOCK(os.stat(path).st_mode)
-            batches = list(producer)
-        assert mode == 0o700, oct(mode)
-        assert families and set(families) == {socket.AF_UNIX}, families
-        for a, b in zip(self.serial(stream), batches):
-            assert_prepared_equal(a, b)
-        assert not os.path.exists(os.path.dirname(path))
-
-    def test_one_frozen_worker_is_dropped_and_run_completes(self):
-        """SIGSTOP one of two: the coordinator drops it on missed
-        heartbeats, re-leases its items, and the survivor finishes the
-        plan bit-identical to serial."""
-        stream = make_stream()
-        producer = self.local(stream, heartbeat_timeout=2.0)
-        workers = {p.name: p for p in producer._workers}
-        try:
-            # The first to join is first in the grant rotation, so the
-            # next lease granted after the freeze is stuck with it.
-            victim = wait_for_workers(producer, 2)[0]
-            os.kill(workers[victim].pid, signal.SIGSTOP)
-            batches = list(producer)
-            stats = producer.stats()
-        finally:
-            producer.close(grace=0.0)  # the frozen one takes only SIGKILL
-        reference = self.serial(stream)
-        assert len(batches) == len(reference)
-        for a, b in zip(reference, batches):
-            assert_prepared_equal(a, b)
-        assert stats["reclaimed_disconnect"] >= 1
-        assert any(reason == f"disconnect:{victim}"
-                   for _, reason, _ in stats["reclaim_log"])
-        assert all(not p.is_alive() for p in workers.values())
-
-    def test_all_workers_killed_raises_with_exit_codes(self):
-        stream = make_stream()
-        producer = self.local(stream)
-        workers = list(producer._workers)
-        try:
-            wait_for_workers(producer, 2)
-            iterator = iter(producer)
-            next(iterator)
-            for worker in workers:
-                os.kill(worker.pid, signal.SIGKILL)
-            killed_at = time.monotonic()
-            with pytest.raises(StreamError) as raised:
-                for _ in iterator:
-                    pass
-            elapsed = time.monotonic() - killed_at
-        finally:
-            producer.close()
-        message = str(raised.value)
-        for name in ("local-0", "local-1"):
-            assert f"{name} (exit code {-signal.SIGKILL}" in message, message
-        assert elapsed < 3.0, elapsed
-        assert all(not w.is_alive() for w in workers)
-
-    def test_plan_smaller_than_worker_count_completes(self):
-        """One batch, two workers: the idle one just holds no lease."""
-        stream = make_stream(num_events=30)
-        spec = spec_for(stream, small_config(epochs=1, batch_size=30))
-        with make_producer(spec, num_workers=2) as producer:
-            workers = list(producer._workers)
-            batches = list(producer)
-        assert len(batches) == 1
-        assert_prepared_equal(next(iter(SerialProducer(spec))), batches[0])
-        assert all(not w.is_alive() for w in workers)
-
-    def test_garbage_collection_reaps_workers(self):
-        import gc
-        producer = self.local(make_stream())
-        workers = list(producer._workers)
-        directory = os.path.dirname(producer.address)
-        wait_for_workers(producer, 2)
-        del producer
-        gc.collect()
-        assert all(not w.is_alive() for w in workers)
-        assert not os.path.exists(directory)
-
-    def test_bind_and_num_workers_are_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            FabricProducer(spec_for(make_stream(), small_config()),
-                           bind="127.0.0.1:0", num_workers=1)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The contract under test is the one the trainer relies on: batch
 production is a pure function of ``(graph, work item)``, so serial,
-shuffled, forked and local-worker (``num_workers``) producers are
-bit-identical; memory-mapped CSR shards answer every batch query exactly
+shuffled and forked producers — one child or ``num_workers`` of them —
+are bit-identical; memory-mapped CSR shards answer every batch query exactly
 like the in-memory adjacency; and producers tear down cleanly when the
 consumer dies.
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import socket
+import tempfile
 import threading
 import time
 
@@ -232,7 +234,8 @@ class TestProduceBatch:
         serial = list(SerialProducer(spec))
         with make_producer(spec_for(stream, cfg),
                            num_workers=2) as producer:
-            assert isinstance(producer, FabricProducer)
+            assert isinstance(producer, ForkProducer)
+            assert producer.num_children == 2
             parallel = list(producer)
         assert len(serial) == len(parallel) == len(spec.make_plan(
             stream.num_events))
@@ -259,8 +262,7 @@ def run_with_deadline(fn, seconds: float = 30.0):
 
 
 def child_pid(producer: ForkProducer) -> int | None:
-    child = producer._child
-    return child.pid if child is not None else None
+    return producer._children[0].pid if producer._children else None
 
 
 class TestForkProducer:
@@ -367,8 +369,9 @@ class TestForkProducer:
         with producer:
             batches = iter(producer)
             next(batches)
-            child = producer._child
-            producer._conn.close()
+            (child,) = producer._children
+            for end in producer._pipes[0]:
+                end.close()
             child.join(10.0)
             assert child.exitcode == 0
         assert not mp.active_children()
@@ -479,57 +482,168 @@ class TestForkProducer:
 
 
 class TestMultiprocessLifecycle:
-    """``num_workers`` → local fabric workers: teardown and fail-fast.
-    (Freeze / kill / socket cases live in tests/test_fabric.py.)"""
+    """``num_workers=N`` → N forked children: plan order, teardown and
+    fail-fast, with no socket and no shard export."""
+
+    @pytest.mark.parametrize("children", [1, 2, 3])
+    def test_children_equal_serial_across_epochs(self, children,
+                                                 monkeypatch):
+        stream = make_stream()
+        spec = spec_for(stream, small_config())  # two epochs of 5 batches
+        serial = list(SerialProducer(spec))
+        original = produce_batch
+
+        def stamped(ctx, item):
+            prepared = original(ctx, item)
+            prepared.producer_pid = os.getpid()
+            return prepared
+
+        monkeypatch.setattr("repro.stream.producer.produce_batch", stamped)
+        with ForkProducer(spec, prefetch_batches=1,
+                          num_children=children) as producer:
+            assert producer.prefetch_batches == children
+            batches = list(producer)
+        assert {p.epoch for p in batches} == {0, 1}
+        assert len(batches) == len(serial) == 10
+        for a, b in zip(serial, batches):
+            assert_prepared_equal(a, b)
+        pids = [p.producer_pid for p in batches]
+        assert len(set(pids)) == children and os.getpid() not in pids
+        # Child k produced plan items k, k + N, k + 2N, ...
+        assert pids == [pids[seq % children] for seq in range(len(pids))]
+        assert not mp.active_children()
+
+    def test_plan_shorter_than_children_completes(self):
+        """One batch, three children asked for: one is started."""
+        stream = make_stream(num_events=30)
+        spec = spec_for(stream, small_config(epochs=1, batch_size=30))
+        with ForkProducer(spec, num_children=3) as producer:
+            batches = iter(producer)
+            first = next(batches)
+            assert len(producer._children) == 1
+            assert list(batches) == []
+        assert_prepared_equal(next(iter(SerialProducer(spec))), first)
+        assert not mp.active_children()
+
+    def test_opens_no_socket_and_writes_no_shards(self, spare_cores,
+                                                  monkeypatch, tmp_path):
+        """Frames are unpickled before a peer is identified, so local
+        production must not be reachable at all: ``num_workers=2`` opens
+        no socket of any family and exports no shard directory."""
+        opened = []
+
+        class Recording(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self.family)
+
+        def no_export(*args, **kwargs):
+            raise AssertionError("shards written for local production")
+
+        monkeypatch.setattr(socket, "socket", Recording)
+        monkeypatch.setattr("repro.stream.shards.export_graph_shards",
+                            no_export)
+        monkeypatch.setattr("repro.fabric.producer.export_graph_shards",
+                            no_export)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        stream = make_stream()
+        spec = spec_for(stream, small_config())
+        with make_producer(spec, num_workers=2) as producer:
+            assert isinstance(producer, ForkProducer)
+            batches = list(producer)
+        assert opened == []
+        assert list(tmp_path.iterdir()) == []
+        for a, b in zip(SerialProducer(spec), batches):
+            assert_prepared_equal(a, b)
+
+    def test_sigkill_of_one_child_is_a_stream_error(self):
+        spec = spec_for(make_stream(), small_config())  # 10 batches
+        killed: list = []
+
+        def consume():
+            with ForkProducer(spec, num_children=2) as producer:
+                for _ in producer:
+                    if not killed:
+                        killed.append(producer._children[1])
+                        os.kill(killed[0].pid, signal.SIGKILL)
+
+        outcome = run_with_deadline(consume)
+        error = outcome.get("error")
+        assert isinstance(error, StreamError), outcome
+        assert "producer 1" in str(error), error
+        assert "exit code -9" in str(error) and "batch" in str(error)
+        assert not mp.active_children()
 
     def test_teardown_on_consumer_error_leaves_no_workers(self, spare_cores):
-        stream = make_stream()
-        producer = make_producer(spec_for(stream, small_config()),
+        producer = make_producer(spec_for(make_stream(), small_config()),
                                  num_workers=2)
-        workers = list(producer._workers)
-        shard_dir, socket_path = producer.shard_dir, producer.address
-        assert os.path.exists(socket_path)
+        children: list = []
         with pytest.raises(RuntimeError, match="consumer died"):
             with producer:
                 for n, _ in enumerate(producer):
                     if n == 1:
+                        children.extend(producer._children)
                         raise RuntimeError("consumer died")
-        assert len(workers) == 2
-        assert all(not w.is_alive() for w in workers)
-        assert not os.path.exists(shard_dir)  # temp shards cleaned up
-        assert not os.path.exists(socket_path)
+        assert len(children) == 2
+        assert not any(child.is_alive() for child in children)
+        assert not mp.active_children()
 
     def test_close_is_idempotent(self, spare_cores):
         stream = make_stream()
         producer = make_producer(spec_for(stream, small_config()),
                                  num_workers=2)
-        workers = list(producer._workers)
+        producer.close()
+        batches = iter(producer)
+        next(batches)
         producer.close()
         producer.close()
-        assert all(not w.is_alive() for w in workers)
-        with pytest.raises(StreamError):
-            list(producer)
+        assert not mp.active_children()
+        assert len(list(producer)) == 10  # a closed producer runs anew
+
+    def test_garbage_collection_reaps_the_children(self):
+        import gc
+        producer = ForkProducer(spec_for(make_stream(), small_config()),
+                                num_children=2)
+        batches = iter(producer)
+        next(batches)
+        children = list(producer._children)
+        del producer, batches
+        gc.collect()
+        for child in children:
+            child.join(10.0)
+        assert not any(child.is_alive() for child in children)
+        assert not mp.active_children()
 
     def test_worker_error_propagates_as_stream_error(self, spare_cores):
         stream = make_stream()
         spec = spec_for(stream, small_config())
-        # A plan pointing past the stream makes every worker fail fast.
-        bad_plan = BatchPlan(stream.num_events * 10, 48, epochs=1, seed=0)
-        producer = make_producer(spec, plan=bad_plan, num_workers=2)
-        workers = list(producer._workers)
-        with pytest.raises(StreamError, match=r"worker 'local-\d' failed"):
-            with producer:
-                list(producer)
-        assert all(not w.is_alive() for w in workers)
+        # Items 5 and 6 lie past the stream: child 1 fails first, at 5.
+        bad_plan = BatchPlan(stream.num_events + 96, 48, epochs=1, seed=0)
+        received: list = []
+
+        def consume():
+            with make_producer(spec, plan=bad_plan,
+                               num_workers=2) as producer:
+                for prepared in producer:
+                    received.append(prepared.seq)
+
+        outcome = run_with_deadline(consume)
+        error = outcome.get("error")
+        assert isinstance(error, StreamError), outcome
+        assert "work item 5" in str(error), error
+        assert received == [0, 1, 2, 3, 4]
+        assert not mp.active_children()
 
     def test_make_producer_dispatch(self, spare_cores):
         stream = make_stream()
         spec = spec_for(stream, small_config())
-        assert isinstance(make_producer(spec, num_workers=0), SerialProducer)
-        producer = make_producer(spec, num_workers=1)
+        for workers, children in ((0, 1), (1, 1), (3, 3)):
+            producer = make_producer(spec, num_workers=workers)
+            assert type(producer) is ForkProducer
+            assert producer.num_children == children
+        producer = make_producer(spec, fabric="127.0.0.1:0")
         try:
             assert isinstance(producer, FabricProducer)
-            assert len(producer._workers) == 1
         finally:
             producer.close()
 
@@ -547,44 +661,13 @@ class TestMultiprocessLifecycle:
                             lambda pid: {0}, raising=False)
         with pytest.warns(RuntimeWarning, match="no spare core"):
             producer = make_producer(spec, num_workers=2)
-        assert isinstance(producer, SerialProducer)
+        assert type(producer) is SerialProducer
         # No affinity API (macOS, Windows): the core count decides.
         monkeypatch.delattr("repro.stream.producer.os.sched_getaffinity")
         monkeypatch.setattr("repro.stream.producer.os.cpu_count", lambda: 1)
         with pytest.warns(RuntimeWarning, match="no spare core"):
             producer = make_producer(spec, num_workers=2)
-        assert isinstance(producer, SerialProducer)
-
-    def test_hung_worker_raises_clear_error(self, spare_cores):
-        """Frozen-but-alive workers (SIGSTOP) must surface as a named
-        StreamError via missed heartbeats within seconds, not as the
-        600 s generic stall — and be reaped (only SIGKILL reaches a
-        stopped process)."""
-        import signal
-        import time
-        stream = make_stream()
-        heartbeat_timeout = 2.0
-        producer = make_producer(
-            spec_for(stream, small_config()), num_workers=2,
-            fabric_options=dict(heartbeat_timeout=heartbeat_timeout))
-        workers = list(producer._workers)
-        try:
-            iterator = iter(producer)
-            next(iterator)  # wait until a worker is up and producing
-            for worker in workers:
-                os.kill(worker.pid, signal.SIGSTOP)
-            frozen_at = time.monotonic()
-            with pytest.raises(StreamError) as raised:
-                for _ in iterator:
-                    pass
-            elapsed = time.monotonic() - frozen_at
-        finally:
-            producer.close(grace=0.0)
-        message = str(raised.value)
-        assert "local-0" in message and "local-1" in message, message
-        assert "silent" in message and "last leased seq=" in message
-        assert elapsed < heartbeat_timeout + 3.0, elapsed
-        assert all(not w.is_alive() for w in workers)
+        assert type(producer) is SerialProducer
 
 
 # ----------------------------------------------------------------------
