@@ -25,9 +25,17 @@ The report therefore records the machine's usable core count and the
 rates and their ratio to the serial row.  One thing is gated: every
 producer must reproduce the serial loss history bit for bit.
 
+The box's load drifts between runs, so producers are never timed one
+after another: every repeat runs serial and each child count once, in an
+order rotated per repeat, and each rate is reported as the median over
+repeats with its interquartile range.  ``speedup_vs_serial`` is the
+median of the per-repeat ratios (each against the serial run of the same
+repeat), also with its interquartile range.
+
 Writes ``BENCH_stream.json`` at the repo root.  Usage::
 
-    PYTHONPATH=src python benchmarks/run_stream_bench.py [--out PATH] [--smoke]
+    PYTHONPATH=src python benchmarks/run_stream_bench.py [--out PATH] \
+        [--repeats K] [--smoke]
 """
 
 from __future__ import annotations
@@ -99,22 +107,29 @@ def serial_production():
         repro.stream.make_producer = original
 
 
-def timed_pretrain(stream: EventStream, params: dict, num_workers: int,
-                   repeats: int, serial: bool = False) -> tuple[float, str]:
-    """Best-of-``repeats`` steps/sec of the real pre-training loop, and
-    a digest of its loss history (the bit-identity gate)."""
+def timed_pretrain(stream: EventStream, params: dict,
+                   num_workers: int | None) -> tuple[float, str]:
+    """Steps/sec of one run of the real pre-training loop, and a digest
+    of its loss history (the bit-identity gate).  ``num_workers=None``
+    is the serial oracle."""
     steps = int(np.ceil(stream.num_events / params["batch_size"]))
-    best = 0.0
-    for _ in range(repeats):
-        cfg = scale_config(params, num_workers)
-        trainer = CPDGPreTrainer.from_backbone("tgn", stream.num_nodes, cfg)
-        with serial_production() if serial else contextlib.nullcontext():
-            start = time.perf_counter()
-            result = trainer.pretrain(stream)
-            best = max(best, steps / (time.perf_counter() - start))
+    cfg = scale_config(params, num_workers or 0)
+    trainer = CPDGPreTrainer.from_backbone("tgn", stream.num_nodes, cfg)
+    with serial_production() if num_workers is None \
+            else contextlib.nullcontext():
+        start = time.perf_counter()
+        result = trainer.pretrain(stream)
+        rate = steps / (time.perf_counter() - start)
     digest = hashlib.sha256(
         np.asarray(result.loss_history).tobytes()).hexdigest()
-    return best, digest
+    return rate, digest
+
+
+def median_iqr(values) -> dict:
+    """Median and interquartile range, rounded for the report."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(median), 2),
+            "iqr": [round(float(q1), 2), round(float(q3), 2)]}
 
 
 def produce_consume_split(stream: EventStream, params: dict
@@ -148,12 +163,19 @@ def bench_scale(params: dict, worker_counts: tuple[int, ...],
                          params["zipf_a"])
     produce, consume, wait, steps = produce_consume_split(stream, params)
     total = produce + consume  # one serial step
-    runs = {"serial": timed_pretrain(stream, params, 0, repeats,
-                                     serial=True)}
-    runs.update({f"workers_{w}": timed_pretrain(stream, params, w, repeats)
-                 for w in worker_counts})
-    rates = {name: round(rate, 2) for name, (rate, _) in runs.items()}
-    serial = rates["serial"]
+    producers = {"serial": None,
+                 **{f"workers_{w}": w for w in worker_counts}}
+    names = list(producers)
+    rates: dict = {name: [] for name in names}
+    digests: dict = {name: set() for name in names}
+    for repeat in range(repeats):
+        # Rotated so no producer always runs first (or last) in a repeat.
+        shift = repeat % len(names)
+        for name in names[shift:] + names[:shift]:
+            rate, digest = timed_pretrain(stream, params, producers[name])
+            rates[name].append(rate)
+            digests[name].add(digest)
+    serial = np.asarray(rates["serial"])
     modeled = {
         f"workers_{w}": round(total / max(produce / w, consume), 2)
         for w in worker_counts if w > 0
@@ -166,15 +188,17 @@ def bench_scale(params: dict, worker_counts: tuple[int, ...],
         "consume_seconds_per_step": round(consume, 6),
         "produce_wait_seconds_per_step": round(wait, 6),
         "producer_share": round(produce / total, 3),
-        "steps_per_sec": rates,
+        "repeats": repeats,
+        "steps_per_sec": {name: median_iqr(runs)
+                          for name, runs in rates.items()},
         "speedup_vs_serial": {
-            name: round(rate / serial, 2)
-            for name, rate in rates.items() if name != "serial"
+            name: median_iqr(np.asarray(runs) / serial)
+            for name, runs in rates.items() if name != "serial"
         },
         "modeled_pipeline_speedup": modeled,
         "bit_identical_to_serial": {
-            name: digest == runs["serial"][1]
-            for name, (_, digest) in runs.items() if name != "serial"
+            name: found == digests["serial"] and len(found) == 1
+            for name, found in digests.items() if name != "serial"
         },
     }
 
@@ -183,7 +207,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     root = Path(__file__).resolve().parent.parent
     parser.add_argument("--out", type=Path, default=root / "BENCH_stream.json")
-    parser.add_argument("--repeats", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="rounds of serial + every child count "
+                             "(default: %(default)s)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny scales: correctness-only fast path for "
                              "CI (no timing claims)")
@@ -206,7 +232,11 @@ def main() -> int:
         "dtype": "float32",
         "machine": {"cores": cores},
         "smoke": bool(args.smoke),
-        "note": "serial is the plain in-process loop (SerialProducer); "
+        "note": "rates are medians over repeats with their interquartile "
+                "range; each repeat runs every producer once, in a "
+                "rotated order, and speedup_vs_serial pairs each run "
+                "with the same repeat's serial run. "
+                "serial is the plain in-process loop (SerialProducer); "
                 "workers_N produces in max(N, 1) forked children "
                 "(ForkProducer; child k takes plan items k, k + N, ...) "
                 "that sample ahead of the step on the other cores, and a "
@@ -223,7 +253,8 @@ def main() -> int:
         rates = row["steps_per_sec"]
         print(f"{name:10s} nodes={row['num_nodes']:>7d} share="
               f"{row['producer_share']:.0%} "
-              + " ".join(f"{name}={rate:.2f}/s"
+              + " ".join(f"{name}={rate['median']:.2f}/s"
+                         f"[{rate['iqr'][0]:.2f}-{rate['iqr'][1]:.2f}]"
                          for name, rate in rates.items()))
     print(f"wrote {args.out}")
 

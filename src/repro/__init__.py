@@ -11,9 +11,7 @@ Graph Neural Networks* (ICDE 2024) end-to-end on a pure-numpy substrate:
   DyRep encoders,
 * :mod:`repro.core` — the CPDG contribution (samplers, contrasts, EIE),
 * :mod:`repro.stream` — the streaming batch pipeline (deterministic batch
-  plans, the serial producer, memory-mapped graph shards) and
-  :mod:`repro.fabric` — every producer outside the trainer process (local
-  or remote workers over those shards),
+  plans, the serial producer and the forked producer children),
 * :mod:`repro.baselines` — static and dynamic comparison methods,
 * :mod:`repro.tasks` — downstream trainers and metrics,
 * :mod:`repro.experiments` — one runner per paper table/figure,

@@ -28,7 +28,6 @@ import sys
 from . import obs as _obs
 from .api import (ArtifactError, ConfigError, Pipeline, PretrainArtifact,
                   RunConfig, parse_set_args)
-from .fabric.worker import add_worker_arguments, worker_from_args
 from .serve.http import add_serve_arguments, serve_from_args
 from .stream import StreamError
 
@@ -48,12 +47,6 @@ def _load_run_config(args: argparse.Namespace,
     if workers is not None:
         # Dotted --set overrides still win.
         overrides = {"pretrain.num_workers": workers, **overrides}
-    fabric = getattr(args, "fabric", None)
-    if fabric is not None:
-        overrides = {"pretrain.fabric": fabric, **overrides}
-    shard_dir = getattr(args, "shard_dir", None)
-    if shard_dir is not None:
-        overrides = {"pretrain.shard_dir": shard_dir, **overrides}
     trace = getattr(args, "trace", None)
     if trace is not None:
         overrides = {"obs.enabled": True, "obs.trace_path": trace,
@@ -268,15 +261,6 @@ def main(argv: list[str] | None = None) -> int:
                      help="artifact path (default: %(default)s)")
     pre.add_argument("--dump-config", action="store_true",
                      help="print the effective config as JSON and exit")
-    pre.add_argument("--fabric", default=None, metavar="HOST:PORT",
-                     help="produce batches over the distributed fabric: "
-                          "listen here as coordinator and lease work to "
-                          "'repro fabric-worker' processes (port 0 = "
-                          "ephemeral)")
-    pre.add_argument("--shard-dir", default=None, metavar="DIR",
-                     help="export graph shards here for fabric workers to "
-                          "mount (default: a temp dir; required for "
-                          "workers on other machines)")
 
     fin = sub.add_parser(
         "finetune", help="fine-tune downstream from a saved artifact")
@@ -307,11 +291,6 @@ def main(argv: list[str] | None = None) -> int:
                       "from a saved artifact")
     add_serve_arguments(srv)
 
-    fw = sub.add_parser(
-        "fabric-worker", help="join a distributed batch-production fabric "
-                              "as a worker (see pretrain --fabric)")
-    add_worker_arguments(fw)
-
     sub.add_parser("list", help="list registered experiments")
 
     run_parser = sub.add_parser("run", help="run one experiment")
@@ -339,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handlers = {"pretrain": _cmd_pretrain, "finetune": _cmd_finetune,
                 "evaluate": _cmd_evaluate, "serve": serve_from_args,
-                "fabric-worker": worker_from_args, "obs": _cmd_obs,
+                "obs": _cmd_obs,
                 "list": _cmd_list, "run": _cmd_run, "profile": _cmd_profile}
     try:
         code = handlers[args.command](args)
@@ -350,18 +329,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StreamError as exc:
-        # Producer trouble (a forked producer child that died, a fabric
-        # that stalled or whose workers failed or were rejected): one
-        # actionable line, not a traceback.
+        # Producer trouble (a forked producer child that died or raised):
+        # one actionable line, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
-        if args.command == "fabric-worker":
-            print("hint: check the coordinator address and that --shards "
-                  "points at this run's exported shard directory",
-                  file=sys.stderr)
-        else:
-            print("hint: re-run with --workers 0 (or --set "
-                  "pretrain.num_workers=0) for a single producer child",
-                  file=sys.stderr)
+        print("hint: re-run with --workers 0 (or --set "
+              "pretrain.num_workers=0) for a single producer child",
+              file=sys.stderr)
         return 2
 
 

@@ -41,7 +41,7 @@ _OVERRIDE_ALIASES = {
 # Section keys that earlier builds wrote into run-config JSON and artifact
 # metadata and that no longer exist.  ``from_dict`` drops them so those
 # files keep loading; ``--set`` still rejects them like any unknown key.
-_RETIRED_KEYS = {"pretrain": {"backend", "fabric_ranges", "memory_engine", "mmap_graph"},
+_RETIRED_KEYS = {"pretrain": {"backend", "fabric", "fabric_lease_timeout", "fabric_ranges", "memory_engine", "mmap_graph", "shard_dir"},
                  "finetune": {"backend", "compile_step", "num_workers",
                               "prefetch_batches"}}
 

@@ -87,21 +87,10 @@ class CPDGConfig:
     # they inherit the graph copy-on-write and open no socket.  With one
     # usable core production runs in process, serially.  Per-batch
     # seeding makes every path bit-identical.  ``prefetch_batches``
-    # bounds the batches produced ahead of the trainer, by the children
-    # or in flight to fabric workers (backpressure).
+    # bounds the batches the children produce ahead of the trainer
+    # (backpressure).
     num_workers: int = 0
     prefetch_batches: int = 4
-
-    # Distributed batch-production fabric (repro.fabric).  ``fabric`` is a
-    # ``host:port`` the coordinator listens on (port 0 = ephemeral).  The
-    # fabric producer writes the graph shards its workers read into
-    # ``shard_dir`` (kept after the run: remote ``repro fabric-worker``
-    # processes mount it), or into a private temp dir when None.
-    # ``fabric_lease_timeout`` is how long a worker owes a leased batch
-    # before it is re-leased elsewhere.
-    fabric: str | None = None
-    shard_dir: str | None = None
-    fabric_lease_timeout: float = 30.0
 
     seed: int = 0
 
@@ -145,14 +134,3 @@ class CPDGConfig:
             raise ValueError("num_workers must be >= 0 (0 = in-process)")
         if self.prefetch_batches < 1:
             raise ValueError("prefetch_batches must be positive")
-        if self.fabric is not None:
-            from ..fabric.protocol import FabricError, parse_address
-            try:
-                parse_address(self.fabric)
-            except FabricError as exc:
-                raise ValueError(str(exc)) from None
-            if self.num_workers > 0:
-                raise ValueError("fabric and num_workers are mutually "
-                                 "exclusive batch-production backends")
-        check_finite_positive("fabric_lease_timeout",
-                              self.fabric_lease_timeout)

@@ -6,9 +6,9 @@ Per batch, Algorithm 1 (i) samples η-BFS/ε-DFS contrast subgraphs,
 coordinates — and lives in :mod:`repro.stream`.  This trainer is the
 consumer: it iterates :class:`~repro.stream.PreparedBatch`es from a
 :class:`~repro.stream.BatchProducer` (forked children given a spare
-core — ``max(config.num_workers, 1)`` of them — in process otherwise,
-or remote fabric workers with ``config.fabric``) and keeps encoder / memory / optimizer state; message
-staging (ii) reads the memory, so it runs here.  Per batch it
+core — ``max(config.num_workers, 1)`` of them — in process otherwise)
+and keeps encoder / memory / optimizer state; message staging (ii)
+reads the memory, so it runs here.  Per batch it
 
 1. computes centre-node embeddings with the DGNN encoder,
 2. pools the pre-sampled temporal positive/negative subgraphs and
@@ -118,7 +118,7 @@ class CPDGPreTrainer:
             eta=cfg.eta, epsilon=cfg.epsilon, depth=cfg.depth, tau=cfg.tau,
             precompute_samplers=cfg.precompute_samplers,
             sampler_cache_capacity=cfg.sampler_cache_capacity,
-            stream=stream, shard_dir=cfg.shard_dir)
+            stream=stream)
 
     # ------------------------------------------------------------------
     # training
@@ -147,14 +147,7 @@ class CPDGPreTrainer:
         spec = self.producer_spec(stream)
         producer = make_producer(spec, plan, num_workers=cfg.num_workers,
                                  prefetch_batches=cfg.prefetch_batches,
-                                 finder=finder,
-                                 fabric=cfg.fabric,
-                                 fabric_options=dict(
-                                     lease_timeout=cfg.fabric_lease_timeout))
-        if verbose and cfg.fabric is not None:
-            host, port = producer.address
-            print(f"[cpdg] fabric coordinator listening on {host}:{port}; "
-                  f"join with: {producer.worker_mount_hint()}")
+                                 finder=finder)
 
         params = encoder.parameters() + self.pretext.parameters()
         optimizer = Adam(params, lr=cfg.learning_rate)

@@ -354,12 +354,10 @@ def _run_arm(exp: ExperimentScale, seed: int, arm: Arm,
         # hyper-parameter that shapes the artifact, so on-disk hits
         # survive process restarts without colliding across scales and
         # configs.  Execution knobs that are bit-identical by design
-        # (workers, prefetch, fabric — tests/test_stream_pipeline.py) are
-        # left out so deployment settings share one artifact.
+        # (workers, prefetch — tests/test_stream_pipeline.py) are left out
+        # so deployment settings share one artifact.
         cfg_items = {k: v for k, v in sorted(dataclasses.asdict(cfg).items())
-                     if k not in ("num_workers", "prefetch_batches",
-                                  "fabric", "shard_dir",
-                                  "fabric_lease_timeout")}
+                     if k not in ("num_workers", "prefetch_batches")}
         key = ("cpdg", arm.backbone, stream_fingerprint(pretrain_stream),
                tuple(cfg_items.items()))
         artifact = cache.get_artifact(

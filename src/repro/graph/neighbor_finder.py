@@ -24,11 +24,9 @@ sampler at ``tau=1e6``, where the softmax over temporal scores is flat
 (``EtaBFSSampler(probability="uniform")`` draws the exact uniform law,
 but no experiment runs it).
 
-The CSR is also portable: :mod:`repro.stream.shards` writes the four
-arrays as ``.npy`` shards and :meth:`NeighborFinder.from_arrays` wraps
-them — optionally ``numpy.memmap``-backed, so producer worker processes
-read the adjacency read-only from the page cache instead of holding
-private copies.
+:meth:`NeighborFinder.from_arrays` wraps CSR arrays built elsewhere —
+the serving finder's delta of buffered appends, its compacted base and
+a restored snapshot's base.
 """
 
 from __future__ import annotations
@@ -172,9 +170,8 @@ class NeighborFinder:
                     ) -> "NeighborFinder":
         """Wrap pre-built CSR arrays (read-only views are fine).
 
-        The arrays are adopted as-is — no copy, no re-sort — so they may be
-        ``numpy.memmap`` instances opened read-only from shard files
-        (:func:`repro.stream.shards.open_csr_shards`).
+        The arrays are adopted as-is — no copy, no re-sort: serving hands
+        over a CSR it has just built (a delta, a compaction) or restored.
         """
         if len(neighbors) != len(times) or len(neighbors) != len(event_ids):
             raise ValueError("neighbors, times and event_ids must have "

@@ -1,6 +1,6 @@
 """``repro.obs`` — unified metrics + span tracing, dependency-free.
 
-One observability schema across the train/stream/fabric/serve stack:
+One observability schema across the train/stream/serve stack:
 
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
   :class:`Counter`/:class:`Gauge`/:class:`Histogram` (thread-safe,
@@ -8,8 +8,7 @@ One observability schema across the train/stream/fabric/serve stack:
   :func:`summarize_latencies` nearest-rank percentile helper.
 * :mod:`repro.obs.trace` — ``with span("pretrain.forward"):`` wall/CPU
   timing into a bounded buffer and an optional JSONL trace log, with
-  trace-context propagation over the fabric wire protocol and span
-  records shipped back from a forked producer.
+  span records shipped back from a forked producer.
 
 Both modules register ``os.register_at_fork`` hooks: a forked child
 starts with fresh locks (a lock another thread held at the fork cannot
@@ -27,16 +26,14 @@ from .metrics import (Counter, Gauge, Histogram, MetricsRegistry, counter,
                       registry, render_prometheus, snapshot,
                       summarize_latencies)
 from .report import aggregate_spans, format_report, load_trace
-from .trace import (configure, current_context, drain, flush, is_enabled,
-                    last_span, record_remote, remote_span_record, reset,
-                    span, trace_buffer)
+from .trace import (configure, drain, flush, is_enabled, last_span,
+                    record_remote, reset, span, trace_buffer)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "counter", "owned_counters", "gauge", "histogram", "registry",
     "render_prometheus", "snapshot", "record_peak_rss", "summarize_latencies",
-    "configure", "is_enabled", "span", "current_context", "last_span",
-    "record_remote", "remote_span_record", "trace_buffer", "drain",
-    "reset", "flush",
+    "configure", "is_enabled", "span", "last_span", "record_remote",
+    "trace_buffer", "drain", "reset", "flush",
     "load_trace", "aggregate_spans", "format_report",
 ]

@@ -2,17 +2,17 @@
 
 One :class:`MetricsRegistry` per process collects every metric the
 subsystems emit — the pre-trainer's step counter, the serving request
-histograms, the fabric lease counters — behind a single schema instead
+histograms, the producer's wait gauge — behind a single schema instead
 of the four bespoke ``stats()`` dicts that preceded it.  Design points:
 
 * **Latest-instance-wins registration.**  Per-instance components
   (every :class:`~repro.serve.EmbeddingService`'s planner, ingestor,
-  index and finder; every :class:`~repro.fabric.ledger.LeaseLedger`)
-  hold a dict of their own counters registered with ``replace=True``:
-  the registry exports the newest instance's values, while each
-  instance reads its own objects for its local ``stats()`` surface — so
-  two services in one process keep separate numbers, and a long pytest
-  process does not accumulate counts across unrelated services.
+  index and finder) hold a dict of their own counters registered with
+  ``replace=True``: the registry exports the newest instance's values,
+  while each instance reads its own objects for its local ``stats()``
+  surface — so two services in one process keep separate numbers, and
+  a long pytest process does not accumulate counts across unrelated
+  services.
 * **Bounded raw samples.**  Histograms keep cumulative bucket counts
   (Prometheus semantics) plus a fixed-size numpy ring buffer of raw
   observations, so JSON snapshots can report true nearest-rank
@@ -87,7 +87,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (heartbeat age, queue depth)."""
+    """A point-in-time value (a stalled producer's wait, queue depth)."""
 
     __slots__ = ("name", "labels", "help", "_lock", "_value")
 

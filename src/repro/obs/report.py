@@ -49,8 +49,8 @@ def aggregate_spans(records: list[dict]) -> list[dict]:
     ``self_s`` is the name's wall time not covered by child spans (a
     record's ``parent`` names the ``span`` that enclosed it) and
     ``share`` is ``self_s`` over the summed self time of the log.  A
-    child that outlasts its parent — a fabric worker's span measured on
-    another machine's clock — leaves the parent 0, not negative.
+    child that outlasts its parent — a span measured in another process
+    — leaves the parent 0, not negative.
     """
     by_name: dict[str, list[float]] = {}
     cpu: dict[str, float] = {}

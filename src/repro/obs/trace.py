@@ -4,7 +4,7 @@
 and CPU time, a trace/span/parent id triple, and arbitrary attributes —
 into a bounded in-memory buffer and (when configured) a JSONL trace log
 one record per line.  Naming convention: ``<subsystem>.<stage>``
-(``pretrain.produce``, ``serve.embed``, ``fabric.produce``).
+(``pretrain.produce``, ``serve.embed``, ``produce.eta_bfs``).
 
 Tracing is **off by default** and the disabled path allocates nothing:
 ``span()`` returns a shared no-op singleton, so a hot loop pays one
@@ -12,16 +12,8 @@ function call and one attribute read per stage.  Enable with
 :func:`configure` (the ``obs.enabled`` config knob / ``--trace`` CLI
 flag end up here).
 
-**Cross-process propagation.**  Spans nest per thread via a
-thread-local stack; a process boundary (the fabric wire protocol)
-carries the context explicitly instead: the coordinator attaches
-:func:`current_context` to LEASE frames, the worker measures its
-production under that context with :func:`remote_span_record` (which
-works even though the *worker's* tracing is off — the record is built
-unconditionally and shipped back in the RESULT frame), and the
-coordinator feeds it to :func:`record_remote`.  The trace log then
-links coordinator-side waits to worker-side execution by ``trace`` id.
-A forked producer (:class:`~repro.stream.ForkProducer`) inherits the
+**Across a fork.**  Spans nest per thread via a thread-local stack.  A
+forked producer (:class:`~repro.stream.ForkProducer`) inherits the
 parent's ``enabled`` switch, records its ``produce.*`` spans into its
 own buffer, ships them with each batch (:func:`drain`), and the parent
 feeds them to :func:`record_remote`.
@@ -42,9 +34,8 @@ from collections import deque
 
 from . import metrics as _metrics
 
-__all__ = ["configure", "is_enabled", "span", "current_context",
-           "last_span", "record_remote", "remote_span_record",
-           "trace_buffer", "drain", "reset", "flush"]
+__all__ = ["configure", "is_enabled", "span", "last_span",
+           "record_remote", "trace_buffer", "drain", "reset", "flush"]
 
 _lock = threading.Lock()
 _enabled = False
@@ -123,20 +114,6 @@ def last_span() -> str | None:
     """Name of this thread's most recently *entered* span (crash
     attribution: what was in flight when a worker died)."""
     return getattr(_local, "last_name", None)
-
-
-def current_context() -> dict | None:
-    """``{"trace", "span"}`` of the innermost open span, for wire
-    propagation; ``None`` when tracing is off.  With tracing on but no
-    open span, a fresh root context is minted (so a LEASE granted
-    outside any span still links its worker-side record)."""
-    if not _enabled:
-        return None
-    stack = getattr(_local, "stack", None)
-    if stack:
-        top = stack[-1]
-        return {"trace": top[0], "span": top[1]}
-    return {"trace": _next_id(), "span": None}
 
 
 def _emit(record: dict) -> None:
@@ -254,34 +231,13 @@ if hasattr(os, "register_at_fork"):
 
 
 # ----------------------------------------------------------------------
-# cross-process propagation
+# across a fork
 # ----------------------------------------------------------------------
 
-def remote_span_record(ctx: dict | None, name: str, wall_s: float,
-                       cpu_s: float, **attrs) -> dict:
-    """Build a span record on the *remote* side of a propagated context.
-
-    Used by fabric workers, whose own tracing is typically off: the
-    record is constructed unconditionally and shipped back over the
-    wire for the coordinator to :func:`record_remote`.
-    """
-    record = {
-        "name": name,
-        "trace": (ctx or {}).get("trace") or _next_id(),
-        "span": _next_id(),
-        "parent": (ctx or {}).get("span"),
-        "ts": time.time(),
-        "wall_s": round(float(wall_s), 9),
-        "cpu_s": round(float(cpu_s), 9),
-    }
-    if attrs:
-        record["attrs"] = attrs
-    return record
-
-
 def record_remote(record: dict) -> None:
-    """Insert a remotely produced span record into the local buffer /
-    trace log (coordinator side).  Ignored when tracing is off."""
+    """Insert a span record produced in another process (a forked
+    producer's) into the local buffer / trace log.  Ignored when tracing
+    is off."""
     if not _enabled or not isinstance(record, dict):
         return
     if "name" not in record or "wall_s" not in record:

@@ -12,11 +12,8 @@ state — chronological slicing, negative drawing, §IV-A subgraph sampling
   thread (the serial oracle, and fine-tuning's producer);
   :class:`ForkProducer` runs it in N forked children that inherit the
   sampling context copy-on-write, ahead of the trainer (pre-training's
-  ``num_workers=N``, one child for 0, given a spare core).  With
-  ``fabric="host:port"`` :func:`make_producer` builds a
-  :class:`~repro.fabric.FabricProducer`, whose remote workers
-  memory-map the graph from shards (:mod:`repro.stream.shards`) instead
-  of pickling it.  All yield bit-identical :class:`PreparedBatch`es.
+  ``num_workers=N``, one child for 0, given a spare core).  Both yield
+  bit-identical :class:`PreparedBatch`es.
 * Trainers (:class:`~repro.core.pretrainer.CPDGPreTrainer`, the
   fine-tuning tasks) are consumers: they iterate prepared batches and
   keep encoder / memory / optimizer state.
@@ -28,9 +25,6 @@ from .prepared import PreparedBatch
 from .producer import (BatchProducer, ForkProducer, ProducerSpec,
                        SamplingContext, SerialProducer, make_producer,
                        produce_batch)
-from .shards import (export_graph_shards, export_stream_shards,
-                     has_csr_shards, open_csr_shards, open_graph_shards,
-                     open_stream_shards, shard_fingerprint)
 
 __all__ = [
     "BatchPlan", "BatchRngs", "StreamError", "WorkItem",
@@ -38,7 +32,4 @@ __all__ = [
     "PreparedBatch",
     "BatchProducer", "ForkProducer", "ProducerSpec", "SamplingContext",
     "SerialProducer", "make_producer", "produce_batch",
-    "export_graph_shards", "export_stream_shards", "has_csr_shards",
-    "open_csr_shards", "open_graph_shards", "open_stream_shards",
-    "shard_fingerprint",
 ]

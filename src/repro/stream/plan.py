@@ -34,8 +34,7 @@ _SEED_DOMAIN = 0x5D6
 
 class StreamError(RuntimeError):
     """Unusable streaming-pipeline configuration or a failed producer
-    (a work item past the stream, a damaged shard directory, a dead
-    producer child or fabric worker)."""
+    (a work item past the stream, a dead producer child)."""
 
 
 @dataclass(frozen=True)

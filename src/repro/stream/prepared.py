@@ -14,10 +14,8 @@ of raw-message staging, readouts.  The producer/consumer seam is exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ..graph.batching import EventBatch
 
@@ -25,13 +23,6 @@ if TYPE_CHECKING:  # annotation-only: keeps repro.stream import-light
     from ..core.samplers import SubgraphBatch
 
 __all__ = ["PreparedBatch"]
-
-
-def _materialize_array(value):
-    if isinstance(value, np.ndarray):
-        # Detach from any memory map / shared buffer before pickling.
-        return np.ascontiguousarray(value)
-    return value
 
 
 @dataclass
@@ -61,19 +52,3 @@ class PreparedBatch:
     @property
     def structural_pairs(self) -> tuple[SubgraphBatch, SubgraphBatch]:
         return self.structural_pos, self.structural_neg
-
-    def materialize(self) -> "PreparedBatch":
-        """Copy any memmap-backed fields into plain arrays.
-
-        Worker processes produce straight off memory-mapped shards; the
-        result must not reference the maps once it crosses the queue.
-        """
-        batch = EventBatch(
-            src=_materialize_array(self.batch.src),
-            dst=_materialize_array(self.batch.dst),
-            timestamps=_materialize_array(self.batch.timestamps),
-            neg_dst=_materialize_array(self.batch.neg_dst),
-            event_ids=_materialize_array(self.batch.event_ids),
-            labels=_materialize_array(self.batch.labels),
-        )
-        return replace(self, batch=batch)

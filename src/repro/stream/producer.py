@@ -14,13 +14,8 @@ it runs:
   batches ahead, so the next batches are sampled on other cores while
   step i runs (``num_workers=N``; ``num_workers=0``, pre-training's
   default, is one child), given a spare core.
-* :class:`~repro.fabric.FabricProducer` — ``fabric="host:port"``:
-  remote ``repro fabric-worker`` processes over TCP open the graph from
-  ``numpy.memmap``-backed shards (:mod:`repro.stream.shards`) — paged
-  in read-only, never pickled — and results are reassembled in plan
-  order on the consumer side.
 
-Because production is coordinate-seeded, every producer yields
+Because production is coordinate-seeded, both producers yield
 bit-identical batches; the trainer's loss history cannot tell them
 apart.
 """
@@ -30,8 +25,10 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import time
 import traceback
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +42,6 @@ from ..graph.events import EventStream
 from ..graph.neighbor_finder import NeighborFinder
 from .plan import BatchPlan, StreamError, WorkItem, batch_rngs
 from .prepared import PreparedBatch
-from .shards import open_graph_shards
 
 __all__ = ["ProducerSpec", "SamplingContext", "produce_batch",
            "BatchProducer", "SerialProducer", "ForkProducer",
@@ -54,14 +50,7 @@ __all__ = ["ProducerSpec", "SamplingContext", "produce_batch",
 
 @dataclass
 class ProducerSpec:
-    """Everything a producer needs to build its sampling context.
-
-    The spec is pickle-friendly by construction: to fabric workers the
-    graph travels as a ``shard_dir`` path (they memory-map it), never as
-    in-memory arrays.  ``stream`` is the in-process alternative used
-    by :class:`SerialProducer`, the forked children and the exporting
-    side.
-    """
+    """Everything a producer needs to build its sampling context."""
 
     batch_size: int
     seed: int = 0
@@ -77,12 +66,8 @@ class ProducerSpec:
     sampler_cache_capacity: int | None = None
     # Corrupted-destination candidate set; None → unique stream dst.
     neg_candidates: np.ndarray | None = None
-    # Graph source: ``stream`` in process.  Workers read ``shard_dir``;
-    # a fabric producer handed a stream writes it there first (into a
-    # private temporary directory when ``shard_dir`` is None).
+    # The graph; a producer may also be handed it directly.
     stream: EventStream | None = field(default=None, repr=False)
-    shard_dir: str | None = None
-    mmap: bool = True
 
     @property
     def needs_finder(self) -> bool:
@@ -94,12 +79,12 @@ class ProducerSpec:
 
 
 class SamplingContext:
-    """One producer's resolved graph + samplers (per process).
+    """One producer's resolved graph + samplers.
 
-    Built once per fabric worker, or once in the trainer for the serial
-    and forked producers (the children inherit it);
-    :func:`produce_batch` then only draws from per-batch generators, so
-    the context itself holds no mutable randomness.
+    Built once in the trainer for the serial and forked producers (the
+    children inherit it); :func:`produce_batch` then only draws from
+    per-batch generators, so the context itself holds no mutable
+    randomness.
     """
 
     def __init__(self, spec: ProducerSpec,
@@ -109,12 +94,7 @@ class SamplingContext:
         if stream is None:
             stream = spec.stream
         if stream is None:
-            if spec.shard_dir is None:
-                raise ValueError("ProducerSpec needs a stream or a shard_dir")
-            stream, shard_finder = open_graph_shards(spec.shard_dir,
-                                                     mmap=spec.mmap)
-            if finder is None:
-                finder = shard_finder
+            raise ValueError("ProducerSpec needs a stream")
         self.stream = stream
         if finder is None and spec.needs_finder:
             finder = NeighborFinder(stream)
@@ -193,7 +173,7 @@ class BatchProducer:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release child processes / temporary shards; idempotent."""
+        """Release child processes; idempotent."""
 
     def __enter__(self) -> "BatchProducer":
         return self
@@ -222,7 +202,7 @@ class ForkProducer(SerialProducer):
     ``prefetch_batches`` batches ahead of the consumer.
 
     The sampling context is built here, before the fork, so the children
-    inherit graph, finder and samplers copy-on-write: no shard is
+    inherit graph, finder and samplers copy-on-write: no file is
     written, nothing is pickled on the way in, nothing is imported and
     no socket is opened.  Child k of N runs :func:`produce_batch` over
     plan items k, k + N, k + 2N, … and pipes each batch back; the
@@ -239,10 +219,14 @@ class ForkProducer(SerialProducer):
     that batch (one that does not survive pickling arrives as a
     :class:`StreamError` carrying its traceback text); a child that dies
     is a :class:`StreamError` naming its exit code and the batch.  A
-    stopped (SIGSTOP) child blocks the consumer at its next batch.  The
-    children's ``produce.*`` spans travel with each batch and are handed
-    to :func:`repro.obs.record_remote`; counters they increment stay in
-    the children.
+    stopped (SIGSTOP) child blocks the consumer at its next batch; once
+    that wait passes :data:`STALL_FACTOR` times the pass's median batch
+    time (and at least :data:`STALL_FLOOR_S`), the
+    ``repro_stream_produce_wait_seconds`` gauge reads the wait so far
+    and one :class:`RuntimeWarning` per pass names the child and the
+    batch.  The children's ``produce.*`` spans travel with each batch and
+    are handed to :func:`repro.obs.record_remote`; counters they
+    increment stay in the children.
     """
 
     def __init__(self, spec: ProducerSpec, plan: BatchPlan | None = None,
@@ -281,10 +265,18 @@ class ForkProducer(SerialProducer):
                 batches_out.close()
             for n in range(self.prefetch_batches):
                 _credit(pipes[n % count][1])
+            # Seconds between the last batches' arrivals: the pass's
+            # batch time, which a stall is measured against.
+            gaps: deque = deque(maxlen=_STALL_WINDOW)
+            arrived = None
+            warned = False
             for item in self.plan:
                 k = item.seq % count
                 batches, credits = pipes[k]
                 try:
+                    if not batches.poll():
+                        warned = _await(batches, k, children[k].pid,
+                                        item.seq, gaps, warned)
                     prepared, spans, error = batches.recv()
                 except (EOFError, OSError):
                     children[k].join(5.0)
@@ -292,6 +284,10 @@ class ForkProducer(SerialProducer):
                         f"forked producer {k} died (exit code "
                         f"{children[k].exitcode}) while producing batch "
                         f"{item.seq}") from None
+                now = time.monotonic()
+                if arrived is not None:
+                    gaps.append(now - arrived)
+                arrived = now
                 for record in spans:
                     _obs.record_remote(record)
                 if error is not None:
@@ -338,6 +334,40 @@ class ForkProducer(SerialProducer):
 
 _CREDIT = b""
 
+# A wait on one child longer than STALL_FACTOR median batch times, and
+# at least STALL_FLOOR_S, is a stall; the median is over the last
+# _STALL_WINDOW batches.
+STALL_FACTOR = 20
+STALL_FLOOR_S = 1.0
+_STALL_WINDOW = 64
+
+
+def _await(pipe, k: int, pid: int, seq: int, gaps, warned: bool) -> bool:
+    """Block until ``pipe`` is readable (a batch, or EOF from a dead
+    child).  Past the stall limit, keep the wait gauge current and warn
+    once per pass (``warned``); returns the updated ``warned``."""
+    median = float(np.median(gaps)) if gaps else 0.0
+    limit = max(STALL_FACTOR * median, STALL_FLOOR_S)
+    start = time.monotonic()
+    gauge = None
+    while not pipe.poll(limit):
+        waited = time.monotonic() - start
+        gauge = _obs.gauge("repro_stream_produce_wait_seconds",
+                           help="seconds the trainer has waited on a "
+                                "stalled producer child (0: no stall)")
+        gauge.set(waited)
+        if not warned:
+            warned = True
+            warnings.warn(
+                f"forked producer {k} (pid {pid}) has not "
+                f"delivered batch {seq} after {waited:.1f} s, over "
+                f"{STALL_FACTOR} times this pass's median batch time "
+                f"({median * 1e3:.1f} ms); a stopped child blocks the "
+                "trainer until it continues", RuntimeWarning, stacklevel=3)
+    if gauge is not None:
+        gauge.set(0.0)
+    return warned
+
 
 def _credit(conn) -> None:
     try:
@@ -373,25 +403,12 @@ def _portable(exc: Exception, seq: int) -> Exception:
 
 def make_producer(spec: ProducerSpec, plan: BatchPlan | None = None,
                   num_workers: int = 0, prefetch_batches: int = 4,
-                  finder: NeighborFinder | None = None,
-                  fabric: str | tuple[str, int] | None = None,
-                  fabric_options: dict | None = None) -> BatchProducer:
-    """Build the producer a config asks for.
-
-    ``fabric="host:port"`` → a :class:`~repro.fabric.FabricProducer`
-    listening there for remote ``repro fabric-worker`` processes, with
-    ``fabric_options`` (lease / heartbeat timeouts).  Otherwise a
-    :class:`ForkProducer` with ``max(num_workers, 1)`` forked children
-    where ``fork`` exists and the process has a spare core, else
-    :class:`SerialProducer` (with a warning when ``num_workers`` asked
-    for children).
+                  finder: NeighborFinder | None = None) -> BatchProducer:
+    """Build the producer a config asks for: a :class:`ForkProducer`
+    with ``max(num_workers, 1)`` forked children where ``fork`` exists
+    and the process has a spare core, else :class:`SerialProducer`
+    (with a warning when ``num_workers`` asked for children).
     """
-    if fabric is not None:
-        # Imported lazily: repro.fabric imports repro.stream.
-        from ..fabric import FabricProducer
-        return FabricProducer(spec, plan, bind=fabric,
-                              prefetch_batches=prefetch_batches,
-                              finder=finder, **(fabric_options or {}))
     if num_workers > 0 and _usable_cores() < 2:
         # With no spare core the children time-slice against the
         # trainer and lose to the serial path outright (see

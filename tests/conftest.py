@@ -97,7 +97,8 @@ def tiny_labeled_stream():
 @pytest.fixture
 def spare_cores(monkeypatch):
     """``make_producer`` goes serial without a spare core; tests that
-    drive local fabric workers take that path whatever box they run on."""
+    drive forked producer children take that path whatever box they run
+    on."""
     monkeypatch.setattr("repro.stream.producer._usable_cores", lambda: 8)
 
 

@@ -92,7 +92,10 @@ class TestPipelineCommands:
                            ("finetune.compile_step", "false"),
                            ("pretrain.mmap_graph", "true"),
                            ("finetune.num_workers", "2"),
-                           ("finetune.prefetch_batches", "8")):
+                           ("finetune.prefetch_batches", "8"),
+                           ("pretrain.fabric", "127.0.0.1:9000"),
+                           ("pretrain.shard_dir", "/tmp/run42"),
+                           ("pretrain.fabric_lease_timeout", "30")):
             assert main(["pretrain", "--dump-config",
                          "--set", f"{key}={value}"]) == 2
             err = capsys.readouterr().err

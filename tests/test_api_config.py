@@ -52,6 +52,11 @@ class TestRoundTrip:
         payload["pretrain"]["memory_engine"] = "dense"
         # And the trainer-side mapped CSR and the fine-tune workers.
         payload["pretrain"]["mmap_graph"] = True
+        # And the deleted TCP fabric's address, shard directory and lease
+        # timeout.
+        payload["pretrain"]["fabric"] = "127.0.0.1:9000"
+        payload["pretrain"]["shard_dir"] = "/tmp/run42"
+        payload["pretrain"]["fabric_lease_timeout"] = 30.0
         payload["finetune"]["num_workers"] = 2
         payload["finetune"]["prefetch_batches"] = 8
         path.write_text(json.dumps(payload))
@@ -181,10 +186,6 @@ class TestUnknownKeyRejection:
         with pytest.raises(ValueError, match="grad_clip"):
             CPDGConfig(grad_clip=float("nan")).validate()
 
-    def test_nan_lease_timeout_rejected_by_name(self):
-        with pytest.raises(ValueError, match="fabric_lease_timeout"):
-            CPDGConfig(fabric_lease_timeout=float("nan")).validate()
-
     def test_nan_finetune_learning_rate_rejected_by_name(self):
         config = RunConfig()
         config.finetune.learning_rate = float("nan")
@@ -232,7 +233,9 @@ class TestOverrides:
         for key in ("nn.backend", "pretrain.backend", "finetune.backend",
                     "pretrain.fabric_ranges", "pretrain.memory_engine",
                     "finetune.compile_step", "pretrain.mmap_graph",
-                    "finetune.num_workers", "finetune.prefetch_batches"):
+                    "finetune.num_workers", "finetune.prefetch_batches",
+                    "pretrain.fabric", "pretrain.shard_dir",
+                    "pretrain.fabric_lease_timeout"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 RunConfig().with_overrides({key: "numpy"})
 

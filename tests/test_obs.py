@@ -210,7 +210,6 @@ class TestTracing:
         with s1:
             pass
         assert obs.trace_buffer() == []
-        assert obs.current_context() is None
 
     def test_span_records_nest(self):
         obs.configure(enabled=True)
@@ -262,19 +261,6 @@ class TestTracing:
         with pytest.raises(ValueError, match="missing"):
             obs.load_trace(str(path))
 
-    def test_remote_span_propagation(self):
-        obs.configure(enabled=True)
-        with obs.span("fabric.grant"):
-            ctx = obs.current_context()
-            assert ctx is not None and ctx["span"] is not None
-        # Worker side: record built with tracing off locally.
-        record = obs.remote_span_record(ctx, "fabric.produce", 0.02, 0.01,
-                                        worker="w0", seq=4)
-        assert record["trace"] == ctx["trace"]
-        assert record["parent"] == ctx["span"]
-        obs.record_remote(record)
-        assert obs.trace_buffer()[-1]["name"] == "fabric.produce"
-
     def test_record_remote_noop_when_disabled(self):
         obs.record_remote({"name": "x", "wall_s": 0.1})
         obs.record_remote("garbage")
@@ -319,17 +305,17 @@ class TestReport:
              "wall_s": 0.010},
             {"name": "pretrain.forward", "span": "f1", "parent": None,
              "wall_s": 0.050},
-            # A remote child measured longer than its local parent.
-            {"name": "fabric.wait", "span": "w1", "parent": None,
+            # A child measured in another process, longer than its parent.
+            {"name": "produce.wait", "span": "w1", "parent": None,
              "wall_s": 0.010},
-            {"name": "fabric.produce", "span": "r1", "parent": "w1",
+            {"name": "produce.negatives", "span": "r1", "parent": "w1",
              "wall_s": 0.020},
         ]
         rows = {r["span"]: r for r in obs.aggregate_spans(records)}
         assert rows["pretrain.produce"]["total_s"] == pytest.approx(0.050)
         assert rows["pretrain.produce"]["self_s"] == pytest.approx(0.010)
         assert rows["produce.eta_bfs"]["self_s"] == pytest.approx(0.030)
-        assert rows["fabric.wait"]["self_s"] == 0.0
+        assert rows["produce.wait"]["self_s"] == 0.0
         # 0.010 + 0.030 + 0.010 + 0.050 + 0 + 0.020 = 0.120 of self time.
         assert rows["pretrain.forward"]["share"] == pytest.approx(
             0.050 / 0.120, abs=1e-4)

@@ -1,22 +1,23 @@
-"""Streaming batch pipeline: plans, seeding, shards, producers, consumers.
+"""Streaming batch pipeline: plans, seeding, producers, consumers.
 
 The contract under test is the one the trainer relies on: batch
 production is a pure function of ``(graph, work item)``, so serial,
 shuffled and forked producers — one child or ``num_workers`` of them —
-are bit-identical; memory-mapped CSR shards answer every batch query exactly
-like the in-memory adjacency; and producers tear down cleanly when the
-consumer dies.
+are bit-identical; and producers tear down cleanly when the consumer
+dies.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import re
 import signal
 import socket
 import tempfile
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +27,11 @@ from repro.core import CPDGConfig, CPDGPreTrainer
 from repro.experiments.common import PretrainCache
 from repro.graph.events import EventStream
 from repro.graph.neighbor_finder import NeighborFinder
-from repro.fabric import FabricProducer
 from repro.obs import trace as obs_trace
 from repro.stream import (BatchPlan, ForkProducer, ProducerSpec,
                           SamplingContext, SerialProducer, StreamError,
-                          batch_rngs, export_graph_shards, make_producer,
-                          open_csr_shards, open_graph_shards, produce_batch)
+                          batch_rngs, make_producer, produce_batch)
+from repro.stream.producer import STALL_FLOOR_S
 from tests.golden_pretrain import (GOLDEN_PATH, build_golden, golden_config,
                                   golden_stream)
 
@@ -124,53 +124,6 @@ class TestBatchSeeding:
         rngs = batch_rngs(0, 0, 0)
         assert not np.array_equal(rngs.neg_dst.integers(0, 1 << 30, 8),
                                   rngs.structural.integers(0, 1 << 30, 8))
-
-
-# ----------------------------------------------------------------------
-# memory-mapped CSR shards
-# ----------------------------------------------------------------------
-
-class TestMmapShards:
-    def test_batch_queries_match_in_memory(self, tmp_path):
-        stream = make_stream()
-        finder = NeighborFinder(stream)
-        export_graph_shards(stream, str(tmp_path), finder=finder)
-        mapped = open_csr_shards(str(tmp_path), mmap=True)
-        assert isinstance(mapped.times, np.memmap)
-
-        nodes = np.arange(stream.num_nodes, dtype=np.int64)
-        ts = np.linspace(0.0, 110.0, stream.num_nodes)
-        for name in ("indptr", "neighbors", "times", "event_ids"):
-            np.testing.assert_array_equal(getattr(finder, name),
-                                          getattr(mapped, name), err_msg=name)
-        np.testing.assert_array_equal(finder.batch_degree(nodes, ts),
-                                      mapped.batch_degree(nodes, ts))
-        for a, b in zip(finder.batch_before(nodes, ts),
-                        mapped.batch_before(nodes, ts)):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(finder.batch_most_recent(nodes, ts, 4),
-                        mapped.batch_most_recent(nodes, ts, 4)):
-            np.testing.assert_array_equal(a, b)
-        # Per-node queries agree too.
-        for node in (0, 7, stream.num_nodes - 1):
-            for a, b in zip(finder.before(node, 55.0),
-                            mapped.before(node, 55.0)):
-                np.testing.assert_array_equal(a, b)
-
-    def test_graph_shards_round_trip_stream(self, tmp_path):
-        stream = make_stream()
-        finder = NeighborFinder(stream)
-        export_graph_shards(stream, str(tmp_path), finder=finder)
-        reopened, mapped = open_graph_shards(str(tmp_path), mmap=True)
-        assert mapped is not None
-        assert reopened.num_nodes == stream.num_nodes
-        np.testing.assert_array_equal(reopened.src, stream.src)
-        np.testing.assert_array_equal(reopened.dst, stream.dst)
-        np.testing.assert_array_equal(reopened.timestamps, stream.timestamps)
-
-    def test_open_without_shards_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            open_csr_shards(str(tmp_path / "nope"))
 
 
 class TestBatchLastUpdate:
@@ -483,7 +436,7 @@ class TestForkProducer:
 
 class TestMultiprocessLifecycle:
     """``num_workers=N`` → N forked children: plan order, teardown and
-    fail-fast, with no socket and no shard export."""
+    fail-fast, with no socket and no file written."""
 
     @pytest.mark.parametrize("children", [1, 2, 3])
     def test_children_equal_serial_across_epochs(self, children,
@@ -527,9 +480,9 @@ class TestMultiprocessLifecycle:
 
     def test_opens_no_socket_and_writes_no_shards(self, spare_cores,
                                                   monkeypatch, tmp_path):
-        """Frames are unpickled before a peer is identified, so local
-        production must not be reachable at all: ``num_workers=2`` opens
-        no socket of any family and exports no shard directory."""
+        """The children inherit the graph, so production is reachable
+        from no other process: ``num_workers=2`` opens no socket of any
+        family and leaves nothing in the temporary directory."""
         opened = []
 
         class Recording(socket.socket):
@@ -537,14 +490,7 @@ class TestMultiprocessLifecycle:
                 super().__init__(*args, **kwargs)
                 opened.append(self.family)
 
-        def no_export(*args, **kwargs):
-            raise AssertionError("shards written for local production")
-
         monkeypatch.setattr(socket, "socket", Recording)
-        monkeypatch.setattr("repro.stream.shards.export_graph_shards",
-                            no_export)
-        monkeypatch.setattr("repro.fabric.producer.export_graph_shards",
-                            no_export)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         stream = make_stream()
         spec = spec_for(stream, small_config())
@@ -572,6 +518,51 @@ class TestMultiprocessLifecycle:
         assert isinstance(error, StreamError), outcome
         assert "producer 1" in str(error), error
         assert "exit code -9" in str(error) and "batch" in str(error)
+        assert not mp.active_children()
+
+    def test_stopped_child_warns_once_and_run_completes(self):
+        """SIGSTOP one child: past the stall limit the wait gauge reads
+        the wait and one warning names the child and the batch; SIGCONT
+        from that warning, and the pass ends equal to serial."""
+        spec = spec_for(make_stream(), small_config())  # 10 batches
+        gauge = obs.gauge("repro_stream_produce_wait_seconds")
+        stopped: list = []
+        stalls: list = []
+
+        def on_warning(message, category, *args, **kwargs):
+            stalls.append((category, str(message), gauge.value))
+            os.kill(stopped[0].pid, signal.SIGCONT)
+
+        def consume():
+            batches = []
+            with ForkProducer(spec, num_children=2) as producer:
+                for prepared in producer:
+                    if not stopped:
+                        stopped.append(producer._children[1])
+                        os.kill(stopped[0].pid, signal.SIGSTOP)
+                    batches.append(prepared)
+            return batches
+
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("always")
+                warnings.showwarning = on_warning
+                outcome = run_with_deadline(consume)
+        finally:
+            # Never leave a stopped child behind: it would ignore the
+            # SIGTERM of teardown and hang the test run.
+            if stopped and stopped[0].is_alive():
+                os.kill(stopped[0].pid, signal.SIGCONT)
+        assert "error" not in outcome, outcome
+        assert len(stalls) == 1, stalls
+        category, message, waited = stalls[0]
+        assert category is RuntimeWarning
+        assert re.search(r"forked producer 1 \(pid \d+\) has not "
+                         r"delivered batch [13579]\b", message), message
+        assert waited >= STALL_FLOOR_S
+        assert gauge.value == 0.0
+        for a, b in zip(SerialProducer(spec), outcome["value"], strict=True):
+            assert_prepared_equal(a, b)
         assert not mp.active_children()
 
     def test_teardown_on_consumer_error_leaves_no_workers(self, spare_cores):
@@ -641,11 +632,6 @@ class TestMultiprocessLifecycle:
             producer = make_producer(spec, num_workers=workers)
             assert type(producer) is ForkProducer
             assert producer.num_children == children
-        producer = make_producer(spec, fabric="127.0.0.1:0")
-        try:
-            assert isinstance(producer, FabricProducer)
-        finally:
-            producer.close()
 
     def test_make_producer_serial_fallback_without_spare_core(
             self, monkeypatch):
