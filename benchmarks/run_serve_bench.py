@@ -13,15 +13,12 @@ scale ``BENCH_stream.json`` uses — and measures the serving hot paths:
   with **background** (generation-swapped, default) vs **synchronous**
   CSR compaction — the fast path's p99-vs-p50 claim;
 * **top-k retrieval** — exact full-catalog scan vs the IVF shortlist
-  index (``index=True``), with measured recall@10 of the indexed path;
-* **staleness-bounded reuse** — cache hit rate of the exact policy vs a
-  bounded :class:`~repro.serve.StalenessPolicy` under an interleaved
-  query/ingest workload.
+  index (``index=True``), with measured recall@10 of the indexed path.
 
 ``--smoke`` shrinks every scale for CI and additionally *asserts* the
 fast path's correctness anchors against a ``cache_capacity=0`` service:
-the exact policy and a staleness bound of zero both answer bit-identically
-to it under interleaved probes and ingests (stamped after the newest event
+the cached service answers bit-identically to it under interleaved probes
+and ingests (stamped after the newest event
 and at a past time, which the finder's most-recent ring answers with and
 without its per-row time cut, and at the time of a burst on one node that
 outgrows the ring, which its CSRs answer), and a replica restored from its
@@ -54,28 +51,23 @@ from repro.serve import EmbeddingService
 SCALES = {
     "medium": dict(num_nodes=2_000, base_events=1_000, ingest_events=2_000,
                    memory_dim=32, embed_dim=32, requests=60,
-                   request_size=64, ingest_block=200, topk_queries=20,
-                   staleness_rounds=8, staleness_probes=256),
+                   request_size=64, ingest_block=200, topk_queries=20),
     "large": dict(num_nodes=400_000, base_events=600, ingest_events=2_000,
                   memory_dim=64, embed_dim=64, requests=40,
-                  request_size=64, ingest_block=200, topk_queries=12,
-                  staleness_rounds=8, staleness_probes=256),
+                  request_size=64, ingest_block=200, topk_queries=12),
 }
 
 SMOKE_SCALES = {
     "medium": dict(num_nodes=200, base_events=120, ingest_events=120,
                    memory_dim=8, embed_dim=8, requests=6,
-                   request_size=16, ingest_block=40, topk_queries=4,
-                   staleness_rounds=3, staleness_probes=32),
+                   request_size=16, ingest_block=40, topk_queries=4),
     "large": dict(num_nodes=5_000, base_events=120, ingest_events=120,
                   memory_dim=8, embed_dim=8, requests=6,
-                  request_size=16, ingest_block=40, topk_queries=4,
-                  staleness_rounds=3, staleness_probes=32),
+                  request_size=16, ingest_block=40, topk_queries=4),
 }
 
 TOPK_K = 10
 TOPK_NPROBE = 8
-STALENESS_EVENTS = 32.0
 
 
 def synthetic_stream(num_nodes: int, events: int, t_lo: float, t_hi: float,
@@ -196,47 +188,6 @@ def bench_topk(service: EmbeddingService, params: dict,
     }
 
 
-def bench_staleness(artifact: PretrainArtifact, base: EventStream,
-                    live: EventStream, params: dict) -> dict:
-    """Hit rate of exact vs bounded staleness under query/ingest rounds.
-
-    Each round re-queries a fixed probe set at a fixed timestamp (same
-    cache keys), then ingests a block.  The exact policy must recompute
-    every touched probe; the bounded policy keeps serving cached rows
-    until a probe exceeds the touch budget.
-    """
-    rng = np.random.default_rng(13)
-    # Half the probes from the live stream's endpoints (rows ingest will
-    # actually touch), half uniform — at the 400k scale a purely random
-    # probe set would almost never collide with the ingested events and
-    # both policies would measure identical hit rates.
-    active = np.unique(np.concatenate([live.src, live.dst]))
-    half = params["staleness_probes"] // 2
-    probes = np.concatenate([
-        rng.choice(active, size=min(half, len(active)), replace=False),
-        rng.integers(0, params["num_nodes"], params["staleness_probes"]
-                     - min(half, len(active)))])
-    t = float(live.timestamps[-1]) + 1.0
-    rounds = params["staleness_rounds"]
-    block = max(live.num_events // rounds, 1)
-    rates = {}
-    for name, knobs in (("exact", {}),
-                        ("bounded", {"staleness_events": STALENESS_EVENTS})):
-        service = make_service(artifact, base, params,
-                               background_compaction=False, **knobs)
-        service.embed(probes, t)
-        for lo in range(0, rounds * block, block):
-            hi = min(lo + block, live.num_events)
-            service.ingest(src=live.src[lo:hi], dst=live.dst[lo:hi],
-                           timestamps=live.timestamps[lo:hi])
-            service.embed(probes, t)
-        stats = service.stats()["planner"]
-        rates[name] = {"hit_rate": stats["cache_hit_rate"],
-                       "stale_hits": stats["stale_hits"]}
-        del service
-    return {"policy_events": STALENESS_EVENTS, "rounds": rounds, **rates}
-
-
 def smoke_checks(artifact: PretrainArtifact, base: EventStream,
                  live: EventStream, params: dict, tmp_dir: Path) -> None:
     """CI correctness anchors (smoke mode only): exactness + snapshot.
@@ -255,10 +206,7 @@ def smoke_checks(artifact: PretrainArtifact, base: EventStream,
                           background_compaction=False)
     exact = make_service(artifact, base, params,
                          background_compaction=False)
-    bound0 = make_service(artifact, base, params, staleness_events=0.0,
-                          staleness_time=500.0,
-                          background_compaction=False)
-    replicas = [exact, bound0]
+    replicas = [exact]
 
     def ingest_and_compare(lo: int, hi: int, what: str) -> None:
         block = params["ingest_block"]
@@ -311,7 +259,7 @@ def smoke_checks(artifact: PretrainArtifact, base: EventStream,
                paths['repro_serve_neighbor_queries_total{path="csr"}']) > 0, \
         "the anchors must cover the ring and the CSR fallback"
     print(f"smoke checks passed @ {params['num_nodes']} nodes "
-          "(exact and bound-0 vs cache-free, snapshot round trip)")
+          "(cached vs cache-free, snapshot round trip)")
 
 
 def bench_scale(params: dict, smoke: bool, tmp_dir: Path) -> dict:
@@ -360,7 +308,6 @@ def bench_scale(params: dict, smoke: bool, tmp_dir: Path) -> dict:
     ingest_sync = bench_ingest(sync, live, params["ingest_block"])
     del sync
 
-    staleness = bench_staleness(artifact, base, live, params)
     if smoke:
         smoke_checks(artifact, base, live, params, tmp_dir)
 
@@ -375,7 +322,6 @@ def bench_scale(params: dict, smoke: bool, tmp_dir: Path) -> dict:
         "ingest": {**ingest_bg, "background_compaction": True},
         "ingest_sync": {**ingest_sync, "background_compaction": False},
         "topk": topk,
-        "staleness": staleness,
     }
 
 
@@ -386,7 +332,7 @@ def main() -> int:
                         / "BENCH_serve.json")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny scales: correctness-only fast path for "
-                             "CI (asserts snapshot round-trip and bound-0 "
+                             "CI (asserts snapshot round-trip and cached "
                              "exactness; no timing claims)")
     args = parser.parse_args()
 
@@ -403,8 +349,7 @@ def main() -> int:
                   "(embed queries/sec cold and warm, score pairs/sec, live "
                   "ingest events/sec with per-block p50/p99 under "
                   "background vs synchronous compaction, exact vs indexed "
-                  "top-k with recall@10, cache hit rate per staleness "
-                  "policy)",
+                  "top-k with recall@10)",
         "backbone": "tgn",
         "dtype": "float32",
         "smoke": bool(args.smoke),

@@ -131,6 +131,8 @@ class CPDGConfig:
         if self.n_neighbors < 1:
             raise ValueError("n_neighbors must be >= 1")
         if self.num_workers < 0:
-            raise ValueError("num_workers must be >= 0 (0 = in-process)")
+            raise ValueError("num_workers must be >= 0 (N forked producer "
+                             "children, 0 = one; in process only without "
+                             "a spare core)")
         if self.prefetch_batches < 1:
             raise ValueError("prefetch_batches must be positive")

@@ -13,11 +13,10 @@ query engine whose memory keeps evolving as live events arrive.
 * :class:`BackgroundCompactor` — generation-swapped delta merges off the
   request path (the default; disable per ``ServeConfig``);
 * :class:`LiveIngestor` — replay-equivalent memory advancement through
-  the sparse-delta staging path, maintaining the per-row touch clocks;
+  the sparse-delta staging path, maintaining the per-row touch counts;
 * :class:`MicroBatchPlanner` / :class:`RowCache` — request coalescing
   and an array-backed row cache that serves a row only while the nodes
-  it was computed from are untouched (or touched within a non-exact
-  :class:`StalenessPolicy` bound);
+  it was computed from are untouched;
 * :class:`CoarseQuantIndex` — pure-numpy IVF shortlist for ``top_k``
   over large candidate catalogs (always exactly rescored);
 * :mod:`repro.serve.http` — stdlib JSON HTTP frontend plus in-process
@@ -29,7 +28,7 @@ from .dynamic_finder import (BackgroundCompactor, DynamicNeighborFinder,
 from .http import HttpClient, LocalClient, start_http_server
 from .index import CoarseQuantIndex
 from .ingest import LiveIngestor
-from .planner import MicroBatchPlanner, RowCache, StalenessPolicy
+from .planner import MicroBatchPlanner, RowCache
 from .service import EmbeddingService, ServeConfig, ServeError
 from .snapshot import (SnapshotError, read_snapshot, verify_snapshot_meta,
                        write_snapshot)
@@ -37,7 +36,7 @@ from .snapshot import (SnapshotError, read_snapshot, verify_snapshot_meta,
 __all__ = [
     "DynamicNeighborFinder", "IngestError", "BackgroundCompactor",
     "LiveIngestor",
-    "MicroBatchPlanner", "RowCache", "StalenessPolicy",
+    "MicroBatchPlanner", "RowCache",
     "CoarseQuantIndex",
     "EmbeddingService", "ServeConfig", "ServeError",
     "SnapshotError", "read_snapshot", "write_snapshot",

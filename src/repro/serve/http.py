@@ -275,13 +275,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         help="ingested events buffered before CSR merge")
     parser.add_argument("--no-verify-fingerprint", action="store_true",
                         help="skip the history-vs-artifact fingerprint check")
-    parser.add_argument("--staleness-events", type=float, default=0.0,
-                        help="serve cached rows touched by up to this many "
-                             "ingested blocks (0 = exact, the default)")
-    parser.add_argument("--staleness-time", type=float, default=None,
-                        metavar="DT",
-                        help="event-time cap on served staleness "
-                             "(default: unbounded)")
     parser.add_argument("--index", action="store_true",
                         help="route default-catalog top-k through the IVF "
                              "shortlist index (exactly rescored)")
@@ -314,14 +307,11 @@ def serve_from_args(args: argparse.Namespace) -> int:
         window=args.window_ms / 1000.0,
         compaction_threshold=args.compaction_threshold,
         verify_fingerprint=not args.no_verify_fingerprint,
-        staleness_events=args.staleness_events,
         index=args.index,
         index_nlist=args.index_nlist,
         index_nprobe=args.index_nprobe,
         index_shortlist=args.index_shortlist,
         background_compaction=not args.no_background_compaction)
-    if args.staleness_time is not None:
-        knobs["staleness_time"] = args.staleness_time
     try:
         if args.restore_snapshot:
             service = EmbeddingService.from_snapshot(

@@ -17,9 +17,9 @@ order, serve-time ingestion is **replay-equivalent**: after ingesting a
 suffix stream, embeddings are bit-identical to an offline encoder that
 replayed the concatenated (pre-train + suffix) stream.  The ingestor also
 reports which memory rows each block touched — the flush-written rows
-plus the event endpoints — and advances their touch clocks; the query
+plus the event endpoints — and advances their touch counts; the query
 layer's row cache compares a cached row's receptive field against those
-clocks instead of being invalidated.
+counts instead of being invalidated.
 """
 
 from __future__ import annotations
@@ -52,15 +52,13 @@ class LiveIngestor:
         # runs featureless or on a lazy zero table.
         self._feat_buffer = edge_feats
         self._num_feats = 0 if edge_feats is None else len(edge_feats)
-        # Per-row touch clocks, mutated in place so the row cache can
-        # hold references: touch_count[n] counts ingested blocks that
-        # changed row n's state, touch_time[n] is the newest event time
-        # among them.  A cached embedding is fresh while the clocks of
-        # every node it was computed from stand still.  One entry past
-        # the node space: the id that pads a receptive field, never
-        # touched.
+        # Per-row touch clock, mutated in place so the row cache can
+        # hold a reference: touch_count[n] counts ingested blocks that
+        # changed row n's state.  A cached embedding is fresh while the
+        # counts of every node it was computed from stand still.  One
+        # entry past the node space: the id that pads a receptive field,
+        # never touched.
         self.touch_count = np.zeros(finder.num_nodes + 1, dtype=np.int64)
-        self.touch_time = np.zeros(finder.num_nodes + 1, dtype=np.float64)
         # blocks, events, seconds spent and memory rows touched; the
         # per-block latencies go to a histogram, whose raw ring gives
         # the percentiles.
@@ -117,10 +115,8 @@ class LiveIngestor:
         first = np.ones(len(touched), dtype=bool)
         np.not_equal(touched[1:], touched[:-1], out=first[1:])
         touched = touched[first]
+        # `touched` is unique, so a plain indexed increment is exact.
         self.touch_count[touched] += 1
-        # `touched` is unique, so a plain indexed assignment is exact.
-        self.touch_time[touched] = np.maximum(self.touch_time[touched],
-                                              timestamps[-1])
         elapsed = time.perf_counter() - start
         counters = self.counters
         counters["blocks"].inc()

@@ -21,11 +21,10 @@ the two:
 memory of ``u`` *and of every temporal neighbour the encoder sampled for
 it* (``N_u^t`` of the paper's Eq. 1, every hop) — its receptive field,
 which ``compute`` hands back next to the rows.  A cached row is served
-iff the query time matches and the field's clock (summed touch counts,
-newest touch time, from the arrays the ingest path advances) has moved
-by no more than the :class:`StalenessPolicy` bound since the row was
-computed.  The default bound is zero, so cached answers equal a
-cache-free service's.  Ingestion never walks the cache.
+iff the query time matches and the field's clock (the touch counts the
+ingest path advances, summed over the field) has not moved since the
+row was computed, so cached answers equal a cache-free service's.
+Ingestion never walks the cache.
 
 The planner is deliberately synchronous per caller (every ``embed`` call
 returns its own rows); batching happens across *threads*, which is how
@@ -36,43 +35,15 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs as _obs
 
-__all__ = ["MicroBatchPlanner", "RowCache", "StalenessPolicy"]
+__all__ = ["MicroBatchPlanner", "RowCache"]
 
 
 _FREE = np.iinfo(np.int64).max      # LRU stamp of an unused slot
-
-
-@dataclass(frozen=True)
-class StalenessPolicy:
-    """How stale a cached embedding may be and still be served.
-
-    ``max_age_events`` bounds how many ingested-block touches the row's
-    receptive field (the node and the neighbours it was computed from)
-    has received since the row was cached, summed over the field;
-    ``max_age_time`` bounds the event-time span those touches cover.  A
-    cached row is served iff **both** ages are within bound.  The default
-    ``(0, inf)`` is the exact policy: any touch of the field makes the
-    row a miss.  A time-only policy passes ``max_age_events=math.inf``
-    explicitly.
-    """
-
-    max_age_events: float = 0.0
-    max_age_time: float = math.inf
-
-    def __post_init__(self):
-        if self.max_age_events < 0 or self.max_age_time < 0:
-            raise ValueError("staleness bounds must be >= 0")
-
-    @property
-    def exact(self) -> bool:
-        """True when no staleness at all is tolerated."""
-        return self.max_age_events == 0 or self.max_age_time == 0
 
 
 class RowCache:
@@ -90,17 +61,16 @@ class RowCache:
     is free, the least recently used eighth is evicted with one
     ``argpartition``.
 
-    ``touch_count`` / ``touch_time`` are the ingest path's per-node clocks
+    ``touch_count`` is the ingest path's per-node clock
     (:class:`~repro.serve.ingest.LiveIngestor`, one entry past the node
-    space for the padding id); the cache only reads them.  Not
+    space for the padding id); the cache only reads it.  Not
     thread-safe: the planner calls it under its execution lock, which
     ingestion shares.
     """
 
     def __init__(self, capacity: int, dim: int, width: int,
-                 touch_count: np.ndarray, touch_time: np.ndarray,
-                 policy: StalenessPolicy | None = None,
-                 time_resolution: float = 1e-6, dtype=np.float64):
+                 touch_count: np.ndarray, time_resolution: float = 1e-6,
+                 dtype=np.float64):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         if not (math.isfinite(time_resolution) and time_resolution > 0):
@@ -108,11 +78,7 @@ class RowCache:
                              f"got {time_resolution!r}")
         self.capacity = capacity
         self.time_resolution = time_resolution
-        self.policy = policy if policy is not None else StalenessPolicy()
-        self._max_events = (0.0 if self.policy.exact
-                            else self.policy.max_age_events)
         self._touch_count = touch_count
-        self._touch_time = touch_time
         self.slot_of = np.full(len(touch_count), capacity, dtype=np.int64)
         self.rows = np.empty((capacity + 1, dim), dtype=dtype)
         self._field = np.empty((capacity + 1, width), dtype=np.int64)
@@ -122,7 +88,6 @@ class RowCache:
         self._field[capacity] = len(touch_count) - 1
         self._tkey = np.full(capacity + 1, np.nan)
         self._count0 = np.zeros(capacity + 1, dtype=np.int64)
-        self._time0 = np.zeros(capacity + 1)
         # Free slots carry the largest stamp, so eviction never picks one.
         self._stamp = np.full(capacity + 1, _FREE, dtype=np.int64)
         self._free = np.arange(capacity - 1, -1, -1)    # popped from the end
@@ -131,35 +96,29 @@ class RowCache:
     def __len__(self) -> int:
         return self.capacity - len(self._free)
 
-    def _clock(self, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Summed touch count and newest touch time of each field row."""
+    def _clock(self, field: np.ndarray) -> np.ndarray:
+        """Summed touch count of each field row."""
         # Reduced along the leading axis of a contiguous (width, rows)
         # gather: half the time of reducing each short row.
-        columns = np.ascontiguousarray(field.T)
-        return (self._touch_count[columns].sum(axis=0),
-                self._touch_time[columns].max(axis=0))
+        return self._touch_count[np.ascontiguousarray(field.T)].sum(axis=0)
 
     def lookup(self, nodes: np.ndarray, tkeys: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """``(slots, serve, stale, refused)`` for distinct queries.
+               ) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(slots, serve, refused)`` for distinct queries.
 
         ``rows[slots[i]]`` answers query ``i`` iff ``serve[i]``: same
-        quantised time ``tkeys[i]`` and the field's clock within the
-        policy bound of its value at compute time.  ``stale`` counts
-        served rows with a touched field, ``refused`` cached rows of the
-        right time that the freshness test turned down.
+        quantised time ``tkeys[i]`` and the field's clock unmoved since
+        compute time.  ``refused`` counts cached rows of the right time
+        that the freshness test turned down.
         """
         slots = self.slot_of[nodes]
-        count, time = self._clock(self._field.take(slots, axis=0))
-        age = count - self._count0[slots]
-        fresh = ((age <= self._max_events)
-                 & (time - self._time0[slots] <= self.policy.max_age_time))
+        fresh = (self._clock(self._field.take(slots, axis=0))
+                 == self._count0[slots])
         wanted = self._tkey[slots] == tkeys
         serve = wanted & fresh
         self._tick += 1
         self._stamp[slots[serve]] = self._tick
-        return (slots, serve, int(np.count_nonzero(age[serve])),
-                int(np.count_nonzero(wanted & ~fresh)))
+        return slots, serve, int(np.count_nonzero(wanted & ~fresh))
 
     def put(self, nodes: np.ndarray, tkeys: np.ndarray, rows: np.ndarray,
             field: np.ndarray) -> None:
@@ -186,7 +145,7 @@ class RowCache:
         self.rows[slots] = rows
         self._field[slots] = field
         self._tkey[slots] = tkeys
-        self._count0[slots], self._time0[slots] = self._clock(field)
+        self._count0[slots] = self._clock(field)
 
     def _allocate(self, count: int, reused: int) -> np.ndarray:
         """Pop ``count`` free slots; when short, evict an eighth of the
@@ -262,12 +221,11 @@ class MicroBatchPlanner:
         # batches         — batched encoder passes executed
         # coalesced       — requests that shared a pass with others
         # deduped         — rows answered by another row in the same pass
-        # stale_hits      — hits served despite field touches (within bound)
         # stale_evictions — cached rows the freshness test refused
         self.counters = _obs.owned_counters(
             "repro_serve_planner",
             ("requests", "queries", "batches", "coalesced", "deduped",
-             "cache_hits", "cache_misses", "stale_hits", "stale_evictions"),
+             "cache_hits", "cache_misses", "stale_evictions"),
             help="micro-batch planner {} count")
 
     # ------------------------------------------------------------------
@@ -362,14 +320,13 @@ class MicroBatchPlanner:
         inverse = np.empty(len(order), dtype=np.int64)
         inverse[order] = np.cumsum(opens) - 1
         nodes, ts, tkeys = nodes[opens], ts[opens], tkeys[opens]
-        slots, serve, stale, refused = cache.lookup(nodes, tkeys)
+        slots, serve, refused = cache.lookup(nodes, tkeys)
         hit = np.flatnonzero(serve)
         miss = np.flatnonzero(~serve)
         counters = self.counters
         counters["deduped"].inc(len(inverse) - len(nodes))
         counters["cache_hits"].inc(len(hit))
         counters["cache_misses"].inc(len(miss))
-        counters["stale_hits"].inc(stale)
         counters["stale_evictions"].inc(refused)
         # Gathered before put can evict.
         cached = cache.rows.take(slots[hit], axis=0)

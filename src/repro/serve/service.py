@@ -18,12 +18,12 @@ describes and serves three query families over it:
 :class:`~repro.serve.ingest.LiveIngestor`: the
 :class:`~repro.serve.dynamic_finder.DynamicNeighborFinder` grows
 append-only, the memory advances through the PR-3 sparse-delta staging
-path, and the touch clocks of the changed rows advance.  The row cache is
+path, and the touch counts of the changed rows advance.  The row cache is
 never invalidated: a cached row records the receptive field it was
 computed from (the node and its sampled temporal neighbours, handed back
-by the encoder pass) and is served only while that field's clocks stand
-still, so with the default policy every cached answer equals a
-``cache_capacity=0`` service's.  Serve-time ingestion is
+by the encoder pass) and is served only while that field's touch counts
+stand still, so every cached answer equals a ``cache_capacity=0``
+service's.  Serve-time ingestion is
 replay-equivalent — embeddings after ingesting a suffix are bit-identical
 to an offline replay over the concatenated stream (asserted in
 ``tests/test_serve.py``).
@@ -34,13 +34,9 @@ inference path — replaying a forward-only program measured slower than
 eager on ``serve-read`` (numbers in :mod:`repro.nn.compile`) — and
 ``no_grad`` / dtype scopes are per thread.
 
-**The serving fast path** stacks three optional trade-offs on top, each
-off by default and each leaving the exact path available:
+**The serving fast path** stacks two optional trade-offs on top, each
+leaving the exact path available:
 
-* a non-exact :class:`~repro.serve.planner.StalenessPolicy`
-  (``staleness_events`` / ``staleness_time``) lets the cache serve rows
-  whose receptive field was touched within a bound instead of
-  recomputing — the same freshness test with a non-zero bound;
 * ``index=True`` routes default-catalog ``top_k`` through a
   :class:`~repro.serve.index.CoarseQuantIndex` shortlist (IVF over
   destination embeddings, maintained incrementally by ingest) that is
@@ -51,7 +47,7 @@ off by default and each leaving the exact path available:
 
 ``snapshot(path)`` / :meth:`EmbeddingService.from_snapshot` persist and
 restore the whole live state (memory, pending messages, adjacency,
-feature table, candidates, touch clocks — all flat arrays) so a replica
+feature table, candidates, touch counts — all flat arrays) so a replica
 restarts without replaying its ingested history.  Cache contents are not
 part of a snapshot; a restored replica starts cold.
 """
@@ -79,7 +75,7 @@ from ..tasks.ranking import top_k_from_scores
 from .dynamic_finder import BackgroundCompactor, DynamicNeighborFinder
 from .index import CoarseQuantIndex
 from .ingest import LiveIngestor
-from .planner import MicroBatchPlanner, RowCache, StalenessPolicy
+from .planner import MicroBatchPlanner, RowCache
 from .snapshot import (SnapshotError, read_snapshot, verify_snapshot_meta,
                        write_snapshot)
 
@@ -102,8 +98,6 @@ class ServeConfig:
     verify_fingerprint: bool = True      # history must match the artifact
     use_finetuned: bool | None = None    # None = auto (when bundle exists)
     # --- serving fast path -------------------------------------------
-    staleness_events: float = 0.0        # cached-row touch budget (0=exact)
-    staleness_time: float = math.inf     # event-time cap on those touches
     index: bool = False                  # IVF shortlist for default top_k
     index_nlist: int = 0                 # inverted lists (0 = ~sqrt(N))
     index_nprobe: int = 4                # lists scanned per query
@@ -121,18 +115,12 @@ class ServeConfig:
                 and self.time_resolution > 0):
             raise ServeError("time_resolution must be finite and > 0, got "
                              f"{self.time_resolution!r}")
-        if self.staleness_events < 0 or self.staleness_time < 0:
-            raise ServeError("staleness bounds must be >= 0")
         if self.index_nlist < 0:
             raise ServeError("index_nlist must be >= 0 (0 = auto)")
         if self.index_nprobe < 1:
             raise ServeError("index_nprobe must be >= 1")
         if self.index_shortlist < 1:
             raise ServeError("index_shortlist must be >= 1")
-
-    @property
-    def staleness_policy(self) -> StalenessPolicy:
-        return StalenessPolicy(self.staleness_events, self.staleness_time)
 
 
 class EmbeddingService:
@@ -249,21 +237,16 @@ class EmbeddingService:
                                       edge_feats=edge_table)
         if restoring:
             _, data = _snapshot
-            for name in ("touch_count", "touch_time"):
-                clock, saved = getattr(self._ingestor, name)[:-1], data[name]
-                if saved.shape != clock.shape:
-                    raise SnapshotError(f"snapshot {name} has shape "
-                                        f"{saved.shape}, expected "
-                                        f"{clock.shape}")
-                clock[:] = saved
-        self._staleness = self.config.staleness_policy
+            clock, saved = self._ingestor.touch_count[:-1], data["touch_count"]
+            if saved.shape != clock.shape:
+                raise SnapshotError("snapshot touch_count has shape "
+                                    f"{saved.shape}, expected {clock.shape}")
+            clock[:] = saved
         cache = None
         if self.config.cache_capacity:
             cache = RowCache(self.config.cache_capacity, encoder.embed_dim,
                              encoder.field_width,
                              self._ingestor.touch_count,
-                             self._ingestor.touch_time,
-                             policy=self._staleness,
                              time_resolution=self.config.time_resolution,
                              dtype=self._dtype)
         self.planner = MicroBatchPlanner(
@@ -399,7 +382,7 @@ class EmbeddingService:
 
         The artifact supplies the frozen parameters; every piece of live
         state (memory, pending messages, adjacency, features, candidate
-        catalog, staleness clocks) comes from the snapshot file.
+        catalog, touch counts) comes from the snapshot file.
         """
         if isinstance(artifact, str):
             artifact = PretrainArtifact.load(artifact)
@@ -611,7 +594,7 @@ class EmbeddingService:
         """Ingest new events (an :class:`EventStream` or raw arrays).
 
         Appends to the dynamic adjacency, advances the memory through the
-        sparse-delta staging path and advances the touch clocks of the
+        sparse-delta staging path and advances the touch counts of the
         rows whose state changed — which is all the row cache needs (it
         is never walked here).  Returns the number of events ingested.
         """
@@ -661,7 +644,6 @@ class EmbeddingService:
                 snapshot["events_since_restore"] = (
                     int(self.finder.num_events)
                     - snapshot["events_at_restore"])
-            policy = self._staleness
             return {
                 "backbone": self.backbone,
                 "num_nodes": int(self.artifact.num_nodes),
@@ -681,15 +663,6 @@ class EmbeddingService:
                     "compactor": (None if compactor is None else {
                         **_ints(compactor.counters),
                         "idle": compactor.idle}),
-                },
-                "staleness": {
-                    "exact": policy.exact,
-                    "max_age_events": (None
-                                       if math.isinf(policy.max_age_events)
-                                       else policy.max_age_events),
-                    "max_age_time": (None
-                                     if math.isinf(policy.max_age_time)
-                                     else policy.max_age_time),
                 },
                 "index": (None if index is None else {
                     "size": len(index),

@@ -4,12 +4,14 @@ A replica's state beyond the immutable artifact is a handful of flat
 arrays: the evolved memory matrix + last-update clock, the pending raw
 messages (the TGN one-batch deferral), the dynamic adjacency (base CSR +
 un-compacted delta buffer), the grown edge-feature table, the candidate
-catalog and the staleness touch clocks.  :func:`write_snapshot` persists
-exactly those as a single ``.npz`` (artifact-style: no pickle, versioned
-JSON meta), and :meth:`EmbeddingService.from_snapshot
+catalog and the touch counts the row cache reads.  :func:`write_snapshot`
+persists exactly those as a single ``.npz`` (artifact-style: no pickle,
+versioned JSON meta), and :meth:`EmbeddingService.from_snapshot
 <repro.serve.service.EmbeddingService.from_snapshot>` rebuilds a replica
 from it **without replaying the ingested history** — bit-identical to
 the replica that wrote it (asserted in ``tests/test_serve_fastpath.py``).
+A member the restore does not ask for, such as the per-node touch-time
+clock older snapshots carry, is read (its CRC checked) and ignored.
 The embedding row cache is deliberately not snapshotted: its rows are
 recomputable, and a restored replica simply starts with a cold cache.
 """
@@ -63,7 +65,6 @@ def write_snapshot(service, path: str) -> dict:
         "candidates": np.asarray(service._candidates, dtype=np.int64),
         # Without the trailing padding-id entry (never touched).
         "touch_count": ingestor.touch_count[:-1],
-        "touch_time": ingestor.touch_time[:-1],
     }
     base = finder._base
     arrays["base_indptr"] = np.asarray(base.indptr)

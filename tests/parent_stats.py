@@ -19,6 +19,11 @@ It was written by running this module against the parent's sources::
     PYTHONPATH=<parent checkout>/src python -m tests.parent_stats
 
 Everything here uses only API that exists at both commits.
+
+:data:`REMOVED` names what the recording holds that a replica no longer
+reports, on purpose: dotted ``stats`` keys and ``metric_families``
+entries.  :func:`expected` drops exactly those, so nothing else may
+vanish.
 """
 
 from __future__ import annotations
@@ -35,6 +40,12 @@ from . import parent_fixtures as parent
 from .parent_snapshot import block
 
 STATS_PATH = os.path.join(parent.FIXTURES, "parent_stats.json")
+
+# The non-exact row cache's policy section and its stale-hit count.
+REMOVED = {
+    "stats": ("staleness", "planner.stale_hits"),
+    "metric_families": ("repro_serve_planner_stale_hits_total",),
+}
 
 
 def build_service() -> EmbeddingService:
@@ -72,6 +83,23 @@ def metric_families(text: str) -> list[str]:
     """Sorted family names of a Prometheus text exposition."""
     return sorted(line.split()[2] for line in text.splitlines()
                   if line.startswith("# TYPE "))
+
+
+def expected() -> dict:
+    """The recording less :data:`REMOVED`, each name required to be
+    there (so the list cannot outlive what it names)."""
+    with open(STATS_PATH) as fh:
+        want = json.load(fh)
+    for dotted in REMOVED["stats"]:
+        *path, leaf = dotted.split(".")
+        section = want["stats"]
+        for key in path:
+            section = section[key]
+        del section[leaf]
+    families = want["metric_families"]
+    for name in REMOVED["metric_families"]:
+        families.remove(name)
+    return want
 
 
 def record() -> dict:

@@ -35,7 +35,7 @@ from repro.nn.autograd import default_dtype, no_grad
 from repro.serve import (DynamicNeighborFinder, EmbeddingService,
                          HttpClient, IngestError, LocalClient,
                          MicroBatchPlanner, RowCache, ServeError,
-                         StalenessPolicy, start_http_server)
+                         start_http_server)
 from repro.tasks import FineTuneConfig
 from repro.tasks.ranking import top_k_from_scores
 
@@ -545,7 +545,6 @@ class TestCacheFreshness:
         stats = cached.planner.counters
         assert int(stats["cache_hits"]) > 0
         assert int(stats["stale_evictions"]) > 0
-        assert int(stats["stale_hits"]) == 0
 
     @pytest.mark.parametrize("backbone,n_layers,reads_neighbours", [
         ("tgn", 1, True), ("tgn", 2, True),
@@ -650,7 +649,7 @@ class TestCacheFreshness:
                 parent.ARTIFACT_PATH, history=parent.tiny_stream(),
                 time_resolution=bad)
         with pytest.raises(ValueError, match="time_resolution"):
-            RowCache(4, 2, 1, np.zeros(101, dtype=np.int64), np.zeros(101),
+            RowCache(4, 2, 1, np.zeros(101, dtype=np.int64),
                      time_resolution=bad)
 
     def test_rows_of_another_time_are_not_served(self):
@@ -670,15 +669,11 @@ class TestCacheFreshness:
 # Planner / cache units
 # ======================================================================
 
-def make_cache(capacity: int, num_nodes: int = 100, width: int = 1,
-               policy: StalenessPolicy | None = None):
-    """A RowCache over its own touch clocks (returned for the test to
+def make_cache(capacity: int, num_nodes: int = 100, width: int = 1):
+    """A RowCache over its own touch counts (returned for the test to
     advance, as the ingest path would)."""
     touch_count = np.zeros(num_nodes + 1, dtype=np.int64)
-    touch_time = np.zeros(num_nodes + 1)
-    cache = RowCache(capacity, 2, width, touch_count, touch_time,
-                     policy=policy)
-    return cache, touch_count, touch_time
+    return RowCache(capacity, 2, width, touch_count), touch_count
 
 
 def own_rows(nodes: np.ndarray, ts: np.ndarray):
@@ -691,7 +686,7 @@ def own_rows(nodes: np.ndarray, ts: np.ndarray):
 class TestPlanner:
 
     def test_lru_eviction_at_capacity(self):
-        cache, _, _ = make_cache(capacity=8)
+        cache, _ = make_cache(capacity=8)
         zeros = np.zeros(4, dtype=np.int64)
         for lo in (0, 4):                             # fills the cache
             nodes = np.arange(lo, lo + 4)
@@ -702,7 +697,7 @@ class TestPlanner:
         nodes = np.arange(8, 11)
         cache.put(nodes, zeros[:3], *own_rows(nodes, None))
         assert len(cache) <= 8
-        slots, serve, _, _ = cache.lookup(np.arange(11), np.zeros(11, int))
+        slots, serve, _ = cache.lookup(np.arange(11), np.zeros(11, int))
         assert serve[:4].all() and serve[8:].all()
         assert (~serve[4:8]).sum() == 3               # three of 4..7 went
         np.testing.assert_array_equal(cache.rows[slots[serve]][:, 0],
@@ -714,7 +709,7 @@ class TestPlanner:
         assert cache.lookup(nodes, np.zeros(12, int))[1].sum() == 8
 
     def test_one_row_per_node_replaced_by_a_new_query_time(self):
-        cache, _, _ = make_cache(capacity=4)
+        cache, _ = make_cache(capacity=4)
         node = np.array([3])
         cache.put(node, np.array([10]), *own_rows(node, None))
         assert cache.lookup(node, np.array([10]))[1].all()
@@ -724,23 +719,25 @@ class TestPlanner:
         assert not cache.lookup(node, np.array([10]))[1].any()
 
     def test_freshness_follows_the_field_clock(self):
-        policy = StalenessPolicy(max_age_events=2.0, max_age_time=5.0)
-        cache, count, time = make_cache(capacity=4, width=3, policy=policy)
-        node = np.array([3])
-        count[7], time[7] = 1, 10.0                   # touched before put
-        cache.put(node, np.array([0]), np.ones((1, 2)),
-                  np.array([[3, 7, 100]]))            # 100 pads the field
-        assert cache.lookup(node, np.array([0]))[1:] == (True, 0, 0)
+        """One touch of any field node refuses the row; touches outside
+        the field do not; ``put`` reads the clock afresh."""
+        cache, count = make_cache(capacity=4, width=3)
+        node, t = np.array([3]), np.array([0])
+        field = np.array([[3, 7, 100]])               # 100 pads the field
+
+        def put():
+            cache.put(node, t, np.ones((1, 2)), field)
+
+        count[7] = 1                                  # touched before put
+        put()
+        assert cache.lookup(node, t)[1:] == (True, 0)
         count[50] += 9                                # outside the field
-        assert cache.lookup(node, np.array([0]))[1:] == (True, 0, 0)
-        count[7] += 2                                 # within both bounds
-        time[7] = 14.0
-        assert cache.lookup(node, np.array([0]))[1:] == (True, 1, 0)
-        time[3] = 15.5                                # time bound exceeded
-        assert cache.lookup(node, np.array([0]))[1:] == (False, 0, 1)
-        time[3] = 15.0
-        count[3] += 1                                 # event bound exceeded
-        assert cache.lookup(node, np.array([0]))[1:] == (False, 0, 1)
+        assert cache.lookup(node, t)[1:] == (True, 0)
+        for member in (3, 7):                         # the node, a neighbour
+            count[member] += 1
+            assert cache.lookup(node, t)[1:] == (False, 1)
+            put()
+            assert cache.lookup(node, t)[1:] == (True, 0)
 
     def test_planner_dedup_single_pass(self):
         calls = []

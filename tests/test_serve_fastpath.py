@@ -1,12 +1,11 @@
-"""The serving fast path: staleness-bounded cache reuse, the IVF
-shortlist index, background compaction and snapshot/restore.
+"""The serving fast path: the exact row cache, the IVF shortlist index,
+background compaction and snapshot/restore.
 
 The load-bearing guarantees:
 
-* a staleness bound of zero **is** the exact path — same code, and the
-  same bits as a service without a cache — and a non-zero bound only
-  ever serves rows whose receptive field was touched within the bound
-  (measured via the ingest touch clocks);
+* the row cache serves the same bits as a service without a cache under
+  interleaved ingests and probes (a row is served only while the touch
+  counts of its receptive field stand still);
 * the `CoarseQuantIndex` shortlist is always exactly rescored, so the
   indexed `top_k` can lose recall but never return a wrong score, and
   with a shortlist covering the catalog it is bit-identical to the
@@ -30,11 +29,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve import (BackgroundCompactor, CoarseQuantIndex,
-                         DynamicNeighborFinder, EmbeddingService,
-                         LocalClient, MicroBatchPlanner, ServeError,
-                         SnapshotError, StalenessPolicy, read_snapshot,
-                         start_http_server)
+from repro.serve import (CoarseQuantIndex, DynamicNeighborFinder,
+                         EmbeddingService, LocalClient, ServeError,
+                         SnapshotError, read_snapshot, start_http_server)
 from repro.serve.http import HttpClient
 from repro.serve.index import kmeans_fit
 from repro.tasks.ranking import top_k_from_scores
@@ -65,38 +62,11 @@ def suffix_blocks(suffix, block: int = 30):
 
 
 # ======================================================================
-# StalenessPolicy + bounded cache reuse
+# The exact row cache
 # ======================================================================
 
-class TestStalenessPolicy:
-    def test_defaults_are_exact(self):
-        assert StalenessPolicy().exact
-        assert StalenessPolicy(0.0, 5.0).exact
-        assert StalenessPolicy(3.0, 0.0).exact
-        assert not StalenessPolicy(3.0).exact
-        assert not StalenessPolicy(1.0, 2.5).exact
-
-    def test_negative_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            StalenessPolicy(-1.0)
-        with pytest.raises(ValueError):
-            StalenessPolicy(0.0, -0.5)
-
-    def test_policy_reaches_the_cache(self, artifact_and_streams):
-        service = build_service(artifact_and_streams, staleness_events=2.0,
-                                staleness_time=7.5)
-        assert service.planner.cache.policy == StalenessPolicy(2.0, 7.5)
-        assert service.stats()["staleness"] == {
-            "exact": False, "max_age_events": 2.0, "max_age_time": 7.5}
-        assert build_service(artifact_and_streams).planner.cache.policy.exact
-
-    def test_service_rejects_bad_bounds(self, artifact_and_streams):
-        with pytest.raises(ServeError):
-            build_service(artifact_and_streams, staleness_events=-1.0)
-
-
-class TestStalenessBoundedCache:
-    """Bound = 0 is the exact path; bound > 0 trades bits for hits."""
+class TestExactCache:
+    """Cached answers are the cache-free answers, bit for bit."""
 
     def interleave(self, service, suffix, probes, t, block=30):
         """Ingest the suffix in blocks, embedding probes between blocks."""
@@ -106,120 +76,17 @@ class TestStalenessBoundedCache:
             rows.append(service.embed(probes, t).copy())
         return np.stack(rows)
 
-    def test_bound_zero_bit_identical_to_cache_free(self,
-                                                    artifact_and_streams):
+    def test_cached_bit_identical_to_cache_free(self, artifact_and_streams):
         _, _, _, suffix = artifact_and_streams
         probes = np.arange(0, NUM_NODES, 7)
         t = float(suffix.timestamps[-1]) + 1.0
         oracle = build_service(artifact_and_streams, cache_capacity=0)
         # Small blocks: some probes' fields survive an ingest untouched.
         want = self.interleave(oracle, suffix, probes, t, block=4)
-        for knobs in ({}, {"staleness_events": 0.0, "staleness_time": 123.0},
-                      {"staleness_events": 5.0, "staleness_time": 0.0}):
-            service = build_service(artifact_and_streams, **knobs)
-            assert service.planner.cache.policy.exact
-            np.testing.assert_array_equal(
-                self.interleave(service, suffix, probes, t, block=4), want)
-            assert int(service.planner.counters["cache_hits"]) > 0
-            assert int(service.planner.counters["stale_hits"]) == 0
-
-    def test_bounded_policy_serves_stale_rows(self, artifact_and_streams):
-        _, _, _, suffix = artifact_and_streams
-        probes = np.unique(np.concatenate([suffix.src[:30],
-                                           suffix.dst[:30]]))
-        t = float(suffix.timestamps[-1]) + 1.0
-        stale = build_service(artifact_and_streams, staleness_events=64.0)
-        exact = build_service(artifact_and_streams)
-        oracle = build_service(artifact_and_streams, cache_capacity=0)
-        before = stale.embed(probes, t).copy()
-        exact.embed(probes, t)
-        src, dst, ts = next(suffix_blocks(suffix, 30))
-        for service in (stale, exact, oracle):
-            service.ingest(src=src, dst=dst, timestamps=ts)
-        after_stale = stale.embed(probes, t)
-        after_exact = exact.embed(probes, t)
-        # The bounded service reused every cached row bit-for-bit...
-        np.testing.assert_array_equal(after_stale, before)
-        assert int(stale.planner.counters["stale_hits"]) == len(probes)
-        # ...while the exact service recomputed them, landing on the
-        # cache-free answer.
-        np.testing.assert_array_equal(after_exact, oracle.embed(probes, t))
-        assert not np.array_equal(after_exact, before)
-        assert int(stale.planner.counters["cache_misses"]) < \
-            int(exact.planner.counters["cache_misses"])
-
-    def field_touch_setup(self, artifact_and_streams, **knobs):
-        """A bounded service, the oracle, a probe ``u`` and an ingest
-        that touches exactly one node of ``u``'s field per call.
-
-        The event pairs a sampled neighbour of ``u`` with a user outside
-        the field; an unrelated embed after each ingest flushes the
-        staged messages, so the next ingest touches nothing else.
-        """
-        _, _, _, suffix = artifact_and_streams
-        service = build_service(artifact_and_streams, **knobs)
-        oracle = build_service(artifact_and_streams, cache_capacity=0)
-        u, other, bystander = 5, 11, 17
-        t = float(suffix.timestamps[-1]) + 1.0
-        neighbour = int(service.finder.batch_most_recent(
-            np.array([u]), np.array([t]), 5)[0][0, -1])
-
-        def touch(at):
-            for replica in (service, oracle):
-                replica.ingest(src=[other], dst=[neighbour], timestamps=[at])
-                replica.embed([bystander], at)
-
-        return service, oracle, u, t, touch
-
-    def test_event_bound_counts_field_touches(self, artifact_and_streams):
-        service, oracle, u, t, touch = self.field_touch_setup(
-            artifact_and_streams, staleness_events=2.0)
-        stats = service.planner.counters
-        start = float(artifact_and_streams[3].timestamps[0])
-        before = service.embed([u], t).copy()
-        for i in range(2):                      # 1, then 2 missed touches
-            touch(start + i)
-            np.testing.assert_array_equal(service.embed([u], t), before)
-            assert not np.array_equal(before, oracle.embed([u], t))
-        assert int(stats["stale_hits"]) == 2
-        assert int(stats["stale_evictions"]) == 0
-        touch(start + 2)                        # the third exceeds the bound
-        np.testing.assert_array_equal(service.embed([u], t),
-                                      oracle.embed([u], t))
-        assert int(stats["stale_evictions"]) == 1
-
-    def test_time_bound_spans_field_touches(self, artifact_and_streams):
-        service, oracle, u, t, touch = self.field_touch_setup(
-            artifact_and_streams, staleness_events=1e9, staleness_time=1.0)
-        stats = service.planner.counters
-        start = float(artifact_and_streams[3].timestamps[0])
-        touch(start)                            # the field's clock: `start`
-        before = service.embed([u], t).copy()
-        np.testing.assert_array_equal(before, oracle.embed([u], t))
-        touch(start + 0.5)                      # within the time bound
-        np.testing.assert_array_equal(service.embed([u], t), before)
-        assert int(stats["stale_hits"]) == 1
-        touch(start + 5.0)                      # beyond it
-        np.testing.assert_array_equal(service.embed([u], t),
-                                      oracle.embed([u], t))
-        assert int(stats["stale_evictions"]) == 1
-
-    def test_time_bound_caps_event_bound(self, artifact_and_streams):
-        _, _, _, suffix = artifact_and_streams
-        probes = np.unique(suffix.src[:40])
-        t = float(suffix.timestamps[-1]) + 1.0
-        # Huge event budget but a zero-width time budget after the first
-        # touch: any row whose field saw a newer event must be
-        # recomputed.
-        stale = build_service(artifact_and_streams, staleness_events=1e9,
-                              staleness_time=1e-9)
-        oracle = build_service(artifact_and_streams, cache_capacity=0)
-        stale.embed(probes, t)
-        for src, dst, ts in suffix_blocks(suffix, 40):
-            stale.ingest(src=src, dst=dst, timestamps=ts)
-            oracle.ingest(src=src, dst=dst, timestamps=ts)
-        np.testing.assert_array_equal(stale.embed(probes, t),
-                                      oracle.embed(probes, t))
+        service = build_service(artifact_and_streams)
+        np.testing.assert_array_equal(
+            self.interleave(service, suffix, probes, t, block=4), want)
+        assert int(service.planner.counters["cache_hits"]) > 0
 
 
 # ======================================================================
@@ -590,14 +457,15 @@ class TestSnapshot:
         np.testing.assert_array_equal(scores_a, scores_b)
         stats = restored.stats()["snapshot"]
         assert stats["restored"] and stats["events_since_restore"] == 0
-        # The touch clocks round-trip; the file keeps one entry per node
-        # (the in-memory arrays carry one more, for the field padding id).
-        for name in ("touch_count", "touch_time"):
-            np.testing.assert_array_equal(getattr(restored._ingestor, name),
-                                          getattr(service._ingestor, name))
+        # The touch counts round-trip; the file keeps one entry per node
+        # (the in-memory array carries one more, for the field padding
+        # id) and no per-node touch time.
+        np.testing.assert_array_equal(restored._ingestor.touch_count,
+                                      service._ingestor.touch_count)
         assert service._ingestor.touch_count.any()
         _, data = read_snapshot(path)
         assert data["touch_count"].shape == (NUM_NODES,)
+        assert "touch_time" not in data
 
     def test_continued_ingest_equivalence(self, artifact_and_streams,
                                           tmp_path):
@@ -669,7 +537,8 @@ class TestSnapshot:
                                                              tmp_path):
         """A snapshot recorded before the one-class memory (staged
         messages pending) restores, ingests and serves the recorded rows
-        exactly, and one written now holds the recorded arrays."""
+        exactly, and one written now holds the recorded arrays but for
+        the members deliberately dropped since (``REMOVED``)."""
         with np.load(parent_snapshot.ROWS_PATH) as frozen:
             expected = frozen["rows"]
         np.testing.assert_array_equal(
@@ -682,8 +551,10 @@ class TestSnapshot:
         assert meta_then["has_staged"]
         assert {**meta_now, "created_unix": 0} == \
             {**meta_then, "created_unix": 0}
-        assert sorted(now) == sorted(then)
-        for key in then:
+        assert set(parent_snapshot.REMOVED) <= set(then)
+        kept = sorted(set(then) - set(parent_snapshot.REMOVED))
+        assert sorted(now) == kept
+        for key in kept:
             if key != "meta_json":
                 np.testing.assert_array_equal(now[key], then[key], key)
 
@@ -770,8 +641,6 @@ class TestHttpFastPath:
 
     def test_stats_reports_fast_path_state(self, service):
         stats = LocalClient(service).stats()
-        assert stats["staleness"] == {"exact": True, "max_age_events": 0.0,
-                                      "max_age_time": None}
         assert stats["graph"]["background_compaction"]
         assert stats["graph"]["compactor"]["idle"] in (True, False)
         assert stats["candidates"] > 0

@@ -4,7 +4,8 @@ owner holds, and ``stats()`` reads the owner's own counters.
 * a service's ``stats()`` after a fixed schedule equals what the commit
   before the stats classes were folded away reported, and ``/metrics``
   renders every metric family it rendered then
-  (``tests/fixtures/parent_stats.json``, :mod:`tests.parent_stats`);
+  (``tests/fixtures/parent_stats.json``, :mod:`tests.parent_stats`),
+  less the names ``parent_stats.REMOVED`` lists as deleted since;
 * two live services in one process keep separate ``stats()``, while
   ``/metrics`` shows the newer one's counters (latest instance wins);
 * the counts that were plain ints before — the index's, the finder's
@@ -14,7 +15,6 @@ owner holds, and ``stats()`` reads the owner's own counters.
 
 from __future__ import annotations
 
-import json
 import re
 
 import numpy as np
@@ -36,18 +36,13 @@ def metric_value(text: str, name: str, **labels) -> float:
     return float(match.group(1))
 
 
-def recorded() -> dict:
-    with open(parent_stats.STATS_PATH) as fh:
-        return json.load(fh)
-
-
 class TestParentRecording:
 
     def test_stats_and_metric_families_match_the_parent(self):
         service = parent_stats.build_service()
         try:
             parent_stats.schedule(service)
-            want = recorded()
+            want = parent_stats.expected()
             assert parent_stats.stats_row(service) == want["stats"]
             rendered = parent_stats.metric_families(obs.render_prometheus())
             assert set(want["metric_families"]) <= set(rendered)
@@ -64,7 +59,8 @@ class TestTwoServices:
             parent_stats.schedule(older)
             newer.embed(parent.EMBED_NODES, 150.0)
             # The older service's stats are untouched by the newer one.
-            assert parent_stats.stats_row(older) == recorded()["stats"]
+            assert parent_stats.stats_row(older) == \
+                parent_stats.expected()["stats"]
             stats = newer.stats()
             queries = len(parent.EMBED_NODES)
             assert stats["planner"]["queries"] == queries

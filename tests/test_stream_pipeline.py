@@ -717,7 +717,7 @@ class TestPretrainSeedingProperties:
             assert_prepared_equal(prepared, full[seq])
 
     def test_config_validates_stream_knobs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="forked producer children"):
             small_config(num_workers=-1).validate()
         with pytest.raises(ValueError):
             small_config(prefetch_batches=0).validate()
