@@ -6,10 +6,10 @@ forked children (``num_workers`` 0, 2 and 4) that inherit the sampling
 context copy-on-write, take plan items round-robin and produce up to
 ``prefetch_batches`` batches ahead of the step — plus the
 *produce/consume split*: seconds/step spent in pure batch production
-(a :class:`~repro.stream.SerialProducer` sweep) and seconds/step the
-trainer spends outside its ``pretrain.produce`` wait while one forked
-child produces (the consumer's own work; with production overlapped,
-``total - produce`` would undercount it).  ``producer_share`` is
+(a :class:`~repro.stream.SerialProducer` sweep) and the consumer's own
+seconds/step, the median serial step of the untraced repeats less that
+production (a traced run would add the tracer's cost to the step).
+``producer_share`` is
 ``produce / (produce + consume)``, the part of a step the children
 could take off the trainer, and with ``w`` children the ideal step time
 is ``max(produce / w, consume)``.  Recorded, not gated.
@@ -51,7 +51,6 @@ from pathlib import Path
 import numpy as np
 
 import repro.stream
-from repro import obs
 from repro.core import CPDGConfig, CPDGPreTrainer
 from repro.graph.events import EventStream
 from repro.stream import SerialProducer
@@ -132,37 +131,25 @@ def median_iqr(values) -> dict:
             "iqr": [round(float(q1), 2), round(float(q3), 2)]}
 
 
-def produce_consume_split(stream: EventStream, params: dict
-                          ) -> tuple[float, float, float, int]:
-    """``(produce, consume, wait, steps)``, seconds per step: a serial
-    production sweep, and the trainer's time outside / inside its
-    ``pretrain.produce`` wait while the forked child produces."""
+def produce_consume_split(stream: EventStream, params: dict,
+                          serial_rates) -> tuple[float, float, int]:
+    """``(produce, consume, steps)``, seconds per step: a serial
+    production sweep, and the median serial step of the untraced
+    repeats (``serial_rates``, steps/sec) less that production."""
     cfg = scale_config(params, num_workers=0)
     trainer = CPDGPreTrainer.from_backbone("tgn", stream.num_nodes, cfg)
     spec = trainer.producer_spec(stream)
     start = time.perf_counter()
     steps = sum(1 for _ in SerialProducer(spec, stream=stream))
-    produce = time.perf_counter() - start
-    waits = obs.histogram("repro_span_seconds",
-                          labels={"span": "pretrain.produce"})
-    obs.configure(enabled=True)
-    try:
-        waited = waits.sum
-        start = time.perf_counter()
-        trainer.pretrain(stream)
-        total = time.perf_counter() - start
-        wait = waits.sum - waited
-    finally:
-        obs.configure(enabled=False)
-    return produce / steps, (total - wait) / steps, wait / steps, steps
+    produce = (time.perf_counter() - start) / steps
+    step = float(np.median(1.0 / np.asarray(serial_rates)))
+    return produce, step - produce, steps
 
 
 def bench_scale(params: dict, worker_counts: tuple[int, ...],
                 repeats: int) -> dict:
     stream = zipf_stream(params["num_nodes"], params["events"],
                          params["zipf_a"])
-    produce, consume, wait, steps = produce_consume_split(stream, params)
-    total = produce + consume  # one serial step
     producers = {"serial": None,
                  **{f"workers_{w}": w for w in worker_counts}}
     names = list(producers)
@@ -176,6 +163,8 @@ def bench_scale(params: dict, worker_counts: tuple[int, ...],
             rates[name].append(rate)
             digests[name].add(digest)
     serial = np.asarray(rates["serial"])
+    produce, consume, steps = produce_consume_split(stream, params, serial)
+    total = produce + consume  # one serial step
     modeled = {
         f"workers_{w}": round(total / max(produce / w, consume), 2)
         for w in worker_counts if w > 0
@@ -186,7 +175,6 @@ def bench_scale(params: dict, worker_counts: tuple[int, ...],
         "steps": steps,
         "produce_seconds_per_step": round(produce, 6),
         "consume_seconds_per_step": round(consume, 6),
-        "produce_wait_seconds_per_step": round(wait, 6),
         "producer_share": round(produce / total, 3),
         "repeats": repeats,
         "steps_per_sec": {name: median_iqr(runs)
@@ -241,8 +229,8 @@ def main() -> int:
                 "(ForkProducer; child k takes plan items k, k + N, ...) "
                 "that sample ahead of the step on the other cores, and a "
                 "measured speedup needs cores for consumer + children. "
-                "consume is the trainer's time outside its "
-                "pretrain.produce wait while the child produces, "
+                "consume is the median untraced serial step less "
+                "produce, "
                 "producer_share = produce / (produce + consume), and "
                 "modeled_pipeline_speedup the ceiling that share allows",
         "cases": cases,

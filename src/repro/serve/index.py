@@ -14,9 +14,15 @@ numpy IVF-style inner-product index over destination embeddings:
   ``size`` candidate ids by approximate inner product;
 * **maintenance** — the ingest path appends new candidates to a pending
   tail (always scanned exactly, like an LSM delta) and marks candidates
-  whose memory changed *dirty*; the service re-embeds dirty candidates
-  lazily and :meth:`replace`\\ s their vectors.  When the tail outgrows
-  the listed storage fraction the next :meth:`search` triggers a rebuild.
+  whose memory changed *dirty*; before a query the service re-embeds the
+  dirty candidates :meth:`probe_ids` says the query will scan and
+  :meth:`replace`\\ s their vectors, so dirty rows outside the probe
+  cost nothing until a query reaches them.  When the tail outgrows the
+  listed storage fraction the next :meth:`search` triggers a rebuild.
+
+One node-space array maps a candidate id to its listed row or pending
+slot, so :meth:`replace`, :meth:`remove` and :meth:`contains` are
+vectorized lookups.
 
 The index only ranks the *shortlist*; the service always rescores the
 shortlist through the exact scoring path, so approximation affects
@@ -48,14 +54,20 @@ def kmeans_fit(vectors: np.ndarray, k: int, rng: np.random.Generator,
         np.float64, copy=True)
     x = vectors.astype(np.float64, copy=False)
     x_sq = np.einsum("ij,ij->i", x, x)
+    dim = x.shape[1]
+    columns = np.arange(dim)
     for _ in range(iterations):
         # Squared euclidean via the expansion; argmin over centroids.
         c_sq = np.einsum("ij,ij->i", centroids, centroids)
         d2 = x_sq[:, None] - 2.0 * (x @ centroids.T) + c_sq[None, :]
         assign = np.argmin(d2, axis=1)
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, x)
+        # Per-cluster column sums in one bincount over flat (cluster,
+        # column) cells: row-major, so each cell adds its rows in index
+        # order, as an unbuffered scatter-add would.
+        sums = np.bincount((assign[:, None] * dim + columns).ravel(),
+                           weights=x.ravel(),
+                           minlength=k * dim).reshape(k, dim)
         nonempty = counts > 0
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         if not nonempty.all():
@@ -108,11 +120,11 @@ class CoarseQuantIndex:
         self._list_ids: np.ndarray | None = None
         self._list_vecs: np.ndarray | None = None
         self._alive: np.ndarray | None = None    # per listed row
-        self._pending_ids: list[np.ndarray] = []
-        self._pending_vecs: list[np.ndarray] = []
-        self._pending_count = 0
-        # id -> listed row position, for O(1) replace/remove.
-        self._row_of: dict[int, int] = {}
+        self._pending_ids = np.empty(0, dtype=np.int64)
+        self._pending_vecs: np.ndarray | None = None
+        # Node-space slot of each id: listed row r < len(_list_ids), or
+        # len(_list_ids) + p for pending slot p; -1 when not indexed.
+        self._slot_of = np.full(0, -1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # introspection
@@ -127,17 +139,18 @@ class CoarseQuantIndex:
 
     def __len__(self) -> int:
         listed = 0 if self._alive is None else int(self._alive.sum())
-        return listed + self._pending_count
+        return listed + len(self._pending_ids)
 
-    def ids(self) -> np.ndarray:
-        """Every candidate id currently indexed (listed + pending)."""
-        parts = []
-        if self._list_ids is not None:
-            parts.append(self._list_ids[self._alive])
-        parts.extend(self._pending_ids)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+    def _slots(self, ids: np.ndarray) -> np.ndarray:
+        """Each id's slot (see ``_slot_of``); -1 when not indexed."""
+        slots = np.full(len(ids), -1, dtype=np.int64)
+        inside = (ids >= 0) & (ids < len(self._slot_of))
+        slots[inside] = self._slot_of[ids[inside]]
+        return slots
+
+    def contains(self, ids: np.ndarray) -> np.ndarray:
+        """Boolean mask: which ``ids`` are indexed (listed or pending)."""
+        return self._slots(np.asarray(ids, dtype=np.int64)) >= 0
 
     # ------------------------------------------------------------------
     # build & maintenance
@@ -163,8 +176,9 @@ class CoarseQuantIndex:
         self._list_ids = ids[order]
         self._list_vecs = vectors[order]
         self._alive = np.ones(len(ids), dtype=bool)
-        self._row_of = {int(i): row for row, i in
-                        enumerate(self._list_ids.tolist())}
+        self._pending_vecs = np.empty((0, vectors.shape[1]))
+        self._slot_of = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
+        self._slot_of[self._list_ids] = np.arange(len(ids))
         self.counters["rebuilds"].inc()
 
     def _assign(self, vectors: np.ndarray) -> np.ndarray:
@@ -183,9 +197,15 @@ class CoarseQuantIndex:
         if not self.built:
             self.build(ids, vectors)
             return
-        self._pending_ids.append(ids)
-        self._pending_vecs.append(vectors)
-        self._pending_count += len(ids)
+        need = int(ids.max()) + 1
+        if need > len(self._slot_of):
+            grown = np.full(need, -1, dtype=np.int64)
+            grown[:len(self._slot_of)] = self._slot_of
+            self._slot_of = grown
+        self._slot_of[ids] = (len(self._list_ids) + len(self._pending_ids)
+                              + np.arange(len(ids)))
+        self._pending_ids = np.concatenate([self._pending_ids, ids])
+        self._pending_vecs = np.concatenate([self._pending_vecs, vectors])
 
     def replace(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         """Refresh the stored vectors of existing (dirty) candidates.
@@ -196,51 +216,64 @@ class CoarseQuantIndex:
         """
         ids = np.asarray(ids, dtype=np.int64)
         vectors = np.asarray(vectors, dtype=np.float64)
-        fresh_ids, fresh_vecs = [], []
-        replaced = 0
-        pending = {}
-        for block_ids, block_vecs in zip(self._pending_ids,
-                                         self._pending_vecs):
-            for j, i in enumerate(block_ids.tolist()):
-                pending[int(i)] = (block_vecs, j)
-        for k, i in enumerate(ids.tolist()):
-            row = self._row_of.get(int(i))
-            if row is not None:
-                self._list_vecs[row] = vectors[k]
-                replaced += 1
-            elif int(i) in pending:
-                block, j = pending[int(i)]
-                block[j] = vectors[k]
-                replaced += 1
-            else:
-                fresh_ids.append(int(i))
-                fresh_vecs.append(vectors[k])
-        self.counters["replaced"].inc(replaced)
-        if fresh_ids:
-            self.add(np.asarray(fresh_ids, dtype=np.int64),
-                     np.stack(fresh_vecs))
+        slots = self._slots(ids)
+        known = slots >= 0
+        if known.any():
+            listed = len(self._list_ids)
+            rows = known & (slots < listed)
+            self._list_vecs[slots[rows]] = vectors[rows]
+            tail = slots >= listed
+            self._pending_vecs[slots[tail] - listed] = vectors[tail]
+            self.counters["replaced"].inc(int(known.sum()))
+        if not known.all():
+            self.add(ids[~known], vectors[~known])
 
     def remove(self, ids: np.ndarray) -> int:
         """Drop candidates from the listed storage; returns drop count."""
-        dropped = 0
-        for i in np.asarray(ids, dtype=np.int64).tolist():
-            row = self._row_of.pop(int(i), None)
-            if row is not None and self._alive[row]:
-                self._alive[row] = False
-                dropped += 1
-        return dropped
+        if not self.built:
+            return 0
+        ids = np.asarray(ids, dtype=np.int64)
+        slots = self._slots(ids)
+        listed = (slots >= 0) & (slots < len(self._list_ids))
+        self._slot_of[ids[listed]] = -1
+        before = int(self._alive.sum())
+        self._alive[slots[listed]] = False
+        return before - int(self._alive.sum())
 
     def needs_rebuild(self) -> bool:
         """Pending tail (or dead rows) outgrew the listed storage."""
         if not self.built:
             return False
         listed = len(self._list_ids)
-        stale = self._pending_count + int((~self._alive).sum())
+        stale = len(self._pending_ids) + int((~self._alive).sum())
         return stale > self.rebuild_fraction * max(listed, 1)
 
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
+    def _probe(self, query: np.ndarray, nprobe: int | None
+               ) -> tuple[int, np.ndarray]:
+        """``(lists probed, listed rows scanned)`` for ``query``: the alive
+        rows of the ``nprobe`` lists whose centroids score highest, list
+        by list."""
+        nprobe = min(self.nprobe if nprobe is None else nprobe,
+                     self.num_lists)
+        lists = np.argsort(-(self._centroids @ query), kind="stable")[:nprobe]
+        indptr = self._list_indptr
+        rows = np.concatenate([np.arange(indptr[lst], indptr[lst + 1])
+                               for lst in lists.tolist()])
+        return nprobe, rows[self._alive[rows]]
+
+    def probe_ids(self, query: np.ndarray,
+                  nprobe: int | None = None) -> np.ndarray:
+        """The ids a :meth:`search` for ``query`` scans: the probed lists'
+        alive rows, then the whole pending tail."""
+        if not self.built:
+            return np.empty(0, dtype=np.int64)
+        query = np.asarray(query, dtype=np.float64).reshape(-1)
+        _, rows = self._probe(query, nprobe)
+        return np.concatenate([self._list_ids[rows], self._pending_ids])
+
     def search(self, query: np.ndarray, size: int,
                nprobe: int | None = None) -> np.ndarray:
         """The ``size`` best candidate ids by approximate inner product.
@@ -251,23 +284,11 @@ class CoarseQuantIndex:
         if not self.built or size <= 0:
             return np.empty(0, dtype=np.int64)
         query = np.asarray(query, dtype=np.float64).reshape(-1)
-        nprobe = min(self.nprobe if nprobe is None else nprobe,
-                     self.num_lists)
-        centroid_scores = self._centroids @ query
-        probe = np.argsort(-centroid_scores, kind="stable")[:nprobe]
-        id_parts, vec_parts = [], []
-        for lst in probe.tolist():
-            lo, hi = self._list_indptr[lst], self._list_indptr[lst + 1]
-            alive = self._alive[lo:hi]
-            id_parts.append(self._list_ids[lo:hi][alive])
-            vec_parts.append(self._list_vecs[lo:hi][alive])
-        id_parts.extend(self._pending_ids)
-        vec_parts.extend(self._pending_vecs)
-        ids = (np.concatenate(id_parts) if id_parts
-               else np.empty(0, dtype=np.int64))
+        nprobe, rows = self._probe(query, nprobe)
+        ids = np.concatenate([self._list_ids[rows], self._pending_ids])
         if len(ids) == 0:
             return ids
-        vecs = np.concatenate(vec_parts)
+        vecs = np.concatenate([self._list_vecs[rows], self._pending_vecs])
         scores = vecs @ query
         self.counters["queries"].inc()
         self.counters["probes"].inc(int(nprobe))

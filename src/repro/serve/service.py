@@ -233,6 +233,8 @@ class EmbeddingService:
         self._dirty_mask = np.zeros(artifact.num_nodes, dtype=bool)
 
         self._lock = threading.RLock()
+        # Held by one indexed top_k's upkeep at a time (outside _lock).
+        self._index_lock = threading.Lock()
         self._ingestor = LiveIngestor(encoder, self.finder,
                                       edge_feats=edge_table)
         if restoring:
@@ -547,43 +549,52 @@ class EmbeddingService:
     def _indexed_shortlist(self, src: int, t: float, k: int) -> np.ndarray:
         """Maintain the IVF index and return the approximate shortlist.
 
-        The catalog rows the index lacks or holds stale, and the query
-        ``src``, are embedded at ``t`` in **one** planner pass (cache-warm),
-        *outside* the service lock (the planner takes it); index mutations
-        happen under it.  Races with concurrent ingest only affect which
-        vectors the shortlist is ranked by — the shortlist is always
-        exactly rescored.
+        Pass 1 embeds the catalog rows the index lacks (the whole catalog
+        on a rebuild) and the query ``src`` at ``t`` in **one** planner
+        pass.  The query vector picks the probe (the ``nprobe`` nearest
+        lists plus the pending tail); pass 2 re-embeds only the dirty
+        rows inside it, and runs only when there are any.  Dirty rows
+        outside the probe keep their mark until a probe reaches them or a
+        rebuild clears every mark.  Concurrent calls take turns on the
+        index lock: two upkeeps that interleave could add one id twice or
+        write a vector older than a mark the other cleared.  The planner
+        runs *outside* the service lock (it takes it); marks are taken and
+        the index mutated under it, so an ingest racing a pass re-marks
+        what it touches.  The shortlist is always exactly rescored.
         """
-        with self._lock:
-            if self._index is None:
-                self._index = CoarseQuantIndex(
-                    nlist=self.config.index_nlist,
-                    nprobe=self.config.index_nprobe)
-            index = self._index
-            rebuild = not index.built or index.needs_rebuild()
-            catalog = self._candidates
-            dirty = np.flatnonzero(self._dirty_mask)
-            self._dirty_mask[dirty] = False
-        if rebuild:
-            rows = catalog
-        else:
-            known = np.zeros(len(self._dirty_mask), dtype=bool)
-            known[index.ids()] = True
-            stale = dirty[known[dirty]]
-            fresh = catalog[~known[catalog]]
-            rows = np.concatenate([stale, fresh])
-        vectors = self.planner.embed(np.append(rows, src),
-                                     np.full(len(rows) + 1, t))
-        with self._lock:
-            if rebuild:
-                index.build(catalog, vectors[:-1])
-            else:
+        with self._index_lock:
+            with self._lock:
+                if self._index is None:
+                    self._index = CoarseQuantIndex(
+                        nlist=self.config.index_nlist,
+                        nprobe=self.config.index_nprobe)
+                index = self._index
+                rebuild = not index.built or index.needs_rebuild()
+                catalog = self._candidates
+                if rebuild:
+                    rows = catalog
+                    self._dirty_mask[:] = False
+                else:
+                    rows = catalog[~index.contains(catalog)]
+                    self._dirty_mask[rows] = False
+            vectors = self.planner.embed(np.append(rows, src),
+                                         np.full(len(rows) + 1, t))
+            query = vectors[-1]
+            with self._lock:
+                if rebuild:
+                    index.build(catalog, vectors[:-1])
+                else:
+                    index.add(rows, vectors[:-1])
+                probed = index.probe_ids(query)
+                stale = probed[self._dirty_mask[probed]]
+                self._dirty_mask[stale] = False
+            if len(stale):
+                refreshed = self.planner.embed(stale, np.full(len(stale), t))
+            with self._lock:
                 if len(stale):
-                    index.replace(stale, vectors[:len(stale)])
-                if len(fresh):
-                    index.add(fresh, vectors[len(stale):-1])
-            return index.search(vectors[-1],
-                                max(k, self.config.index_shortlist))
+                    index.replace(stale, refreshed)
+                return index.search(query,
+                                    max(k, self.config.index_shortlist))
 
     # ------------------------------------------------------------------
     # live ingestion
@@ -622,7 +633,9 @@ class EmbeddingService:
                     self._candidate_mask[new_dst] = True
                     self._candidates = np.flatnonzero(self._candidate_mask)
                 if self._index is not None:
-                    self._dirty_mask[touched] = True
+                    # Only catalog rows hold index vectors that can go
+                    # stale; a mark elsewhere would outlive every probe.
+                    self._dirty_mask[touched] |= self._candidate_mask[touched]
         self._request_hist["ingest"].observe(time.perf_counter() - start)
         return count
 

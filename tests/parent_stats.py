@@ -22,14 +22,22 @@ Everything here uses only API that exists at both commits.
 
 :data:`REMOVED` names what the recording holds that a replica no longer
 reports, on purpose: dotted ``stats`` keys and ``metric_families``
-entries.  :func:`expected` drops exactly those, so nothing else may
-vanish.
+entries.  :data:`CHANGED` names the dotted ``stats`` keys whose values
+moved on purpose since; ``tests/fixtures/changed_stats.json`` pins their
+values as recorded at that change::
+
+    PYTHONPATH=src python -m tests.parent_stats --changed
+
+:func:`expected` drops exactly the removed names and takes exactly the
+changed keys from the second recording, so nothing else may vanish or
+move.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -40,12 +48,24 @@ from . import parent_fixtures as parent
 from .parent_snapshot import block
 
 STATS_PATH = os.path.join(parent.FIXTURES, "parent_stats.json")
+CHANGED_PATH = os.path.join(parent.FIXTURES, "changed_stats.json")
 
 # The non-exact row cache's policy section and its stale-hit count.
 REMOVED = {
     "stats": ("staleness", "planner.stale_hits"),
     "metric_families": ("repro_serve_planner_stale_hits_total",),
 }
+
+# An indexed top_k refreshes only the dirty rows its probe scans, and
+# ingest marks only catalog rows dirty: fewer rows pass through the
+# planner and marks outside the probe survive the schedule.
+CHANGED = (
+    "cache_rows",
+    "index.dirty", "index.replaced",
+    "planner.batches", "planner.cache_hit_rate", "planner.cache_hits",
+    "planner.cache_misses", "planner.deduped", "planner.queries",
+    "planner.requests", "planner.stale_evictions",
+)
 
 
 def build_service() -> EmbeddingService:
@@ -85,17 +105,30 @@ def metric_families(text: str) -> list[str]:
                   if line.startswith("# TYPE "))
 
 
+def leaf_of(stats: dict, dotted: str) -> tuple[dict, str]:
+    """The section holding a dotted key, and the key's last part."""
+    *path, leaf = dotted.split(".")
+    for key in path:
+        stats = stats[key]
+    return stats, leaf
+
+
 def expected() -> dict:
-    """The recording less :data:`REMOVED`, each name required to be
-    there (so the list cannot outlive what it names)."""
+    """The recording less :data:`REMOVED`, with :data:`CHANGED` read from
+    the second recording; each name required to be in the recordings (so
+    the lists cannot outlive what they name)."""
     with open(STATS_PATH) as fh:
         want = json.load(fh)
+    with open(CHANGED_PATH) as fh:
+        changed = json.load(fh)
+    assert sorted(changed) == sorted(CHANGED)
     for dotted in REMOVED["stats"]:
-        *path, leaf = dotted.split(".")
-        section = want["stats"]
-        for key in path:
-            section = section[key]
+        section, leaf = leaf_of(want["stats"], dotted)
         del section[leaf]
+    for dotted in CHANGED:
+        section, leaf = leaf_of(want["stats"], dotted)
+        assert leaf in section, dotted
+        section[leaf] = changed[dotted]
     families = want["metric_families"]
     for name in REMOVED["metric_families"]:
         families.remove(name)
@@ -114,8 +147,19 @@ def record() -> dict:
 
 
 def main() -> None:
-    with open(STATS_PATH, "w") as fh:
-        json.dump(record(), fh, indent=1, sort_keys=True)
+    """Write the parent recording, or with ``--changed`` the values of
+    :data:`CHANGED` at the current sources."""
+    if "--changed" in sys.argv[1:]:
+        stats = record()["stats"]
+        payload = {}
+        for dotted in CHANGED:
+            section, leaf = leaf_of(stats, dotted)
+            payload[dotted] = section[leaf]
+        path = CHANGED_PATH
+    else:
+        payload, path = record(), STATS_PATH
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

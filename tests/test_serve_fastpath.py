@@ -111,6 +111,65 @@ class TestCoarseQuantIndex:
         assert kmeans_fit(x[:3], 5, np.random.default_rng(0)).shape == \
             (3, x.shape[1])
 
+    def test_kmeans_equals_scatter_add_reference_bit_for_bit(self):
+        """The bincount cluster sums equal an unbuffered ``np.add.at``
+        scatter, bit for bit, through the empty-cluster re-seed."""
+        def reference(vectors, k, rng, iterations=8):
+            n = len(vectors)
+            centroids = vectors[rng.choice(n, size=k, replace=False)].copy()
+            x_sq = np.einsum("ij,ij->i", vectors, vectors)
+            reseeds = 0
+            for _ in range(iterations):
+                c_sq = np.einsum("ij,ij->i", centroids, centroids)
+                d2 = (x_sq[:, None] - 2.0 * (vectors @ centroids.T)
+                      + c_sq[None, :])
+                assign = np.argmin(d2, axis=1)
+                counts = np.bincount(assign, minlength=k)
+                sums = np.zeros_like(centroids)
+                np.add.at(sums, assign, vectors)
+                nonempty = counts > 0
+                centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+                if not nonempty.all():
+                    reseeds += 1
+                    worst = np.argsort(d2[np.arange(n), assign])[::-1]
+                    centroids[~nonempty] = vectors[
+                        worst[:int((~nonempty).sum())]]
+            return centroids, reseeds
+
+        rng = np.random.default_rng(7)
+        # Duplicate points: identical seeds leave clusters empty.
+        points = clustered_vectors(rng, 12, dim=64)
+        x = np.concatenate([points[rng.integers(0, 12, 300)],
+                            clustered_vectors(rng, 100, dim=64)])
+        for k in (6, 17, 40):
+            want, reseeds = reference(x, k, np.random.default_rng(k))
+            assert reseeds > 0
+            got = kmeans_fit(x, k, np.random.default_rng(k))
+            assert got.tobytes() == want.tobytes()
+
+    def test_slot_map_tracks_listed_and_pending_ids(self):
+        rng = np.random.default_rng(8)
+        vecs = clustered_vectors(rng, 50)
+        index = CoarseQuantIndex(nprobe=50)
+        index.build(np.arange(100, 150), vecs)
+        index.add(np.asarray([5, 900]), clustered_vectors(rng, 2))
+        np.testing.assert_array_equal(
+            index.contains(np.asarray([5, 100, 149, 900, 0, 150, 10**6, -1])),
+            [True, True, True, True, False, False, False, False])
+        q = rng.normal(size=vecs.shape[1])
+        # A listed row, a pending slot and an unknown id in one call.
+        index.replace(np.asarray([120, 900, 7]),
+                      np.stack([q * 1e3, q * 2e3, q * 3e3]))
+        assert index.search(q, 3).tolist() == [7, 900, 120]
+        assert int(index.counters["replaced"]) == 2
+        assert len(index) == 53
+        # Pending ids are not listed: remove drops listed rows only, once.
+        assert index.remove(np.asarray([120, 120, 900, 4242])) == 1
+        assert not index.contains(np.asarray([120]))[0]
+        assert len(index) == 52
+        assert 120 not in index.probe_ids(q).tolist()
+        assert {7, 900} <= set(index.probe_ids(q).tolist())
+
     def test_full_probe_matches_exact_scan(self):
         rng = np.random.default_rng(1)
         vecs = clustered_vectors(rng, 300)
@@ -237,10 +296,13 @@ class TestIndexedTopK:
         assert len(service._index) >= built
 
     def test_one_planner_pass_per_shortlist(self, artifact_and_streams):
-        """Index upkeep (stale rows, new candidates) and the query vector
-        share one planner pass; the exact rescoring is the second."""
+        """New candidates and the query vector share pass 1; pass 2
+        re-embeds the dirty rows the probe scans and runs only when there
+        are some; the exact rescoring is the last pass."""
         _, _, pre, suffix = artifact_and_streams
-        service = build_service(artifact_and_streams, index=True)
+        # Every list probed: every dirty row is inside the probe.
+        service = build_service(artifact_and_streams, index=True,
+                                index_nprobe=64)
         requests = service.planner.counters["requests"]
         try:
             service.top_k(0, float(suffix.timestamps[0]), 5)    # rebuild
@@ -254,12 +316,135 @@ class TestIndexedTopK:
             built = len(service._index)
             service.ingest(src=src, dst=dst, timestamps=ts)
             assert service.stats()["index"]["dirty"]
-            service.top_k(int(src[0]), float(ts[-1]) + 1.0, 5)
-            assert int(requests) == 4
+            t = float(ts[-1]) + 1.0
+            service.top_k(int(src[0]), t, 5)
+            assert int(requests) == 5
             assert len(service._index) == built + 1
             assert service.stats()["index"]["dirty"] == 0
+            # Nothing dirty, nothing new: pass 1 embeds the query alone.
+            service.top_k(int(src[1]), t, 5)
+            assert int(requests) == 7
         finally:
             service.close()
+
+    def test_probe_scoped_refresh(self, artifact_and_streams):
+        """An indexed top_k clears the dirty marks of exactly the rows its
+        probe scans (the probed lists and the pending tail); the rest keep
+        theirs until a rebuild re-embeds the whole catalog.  Scores equal
+        the cache-free oracle's ``score_links`` on the returned ids."""
+        _, _, _, suffix = artifact_and_streams
+        service = build_service(artifact_and_streams, index=True,
+                                index_nprobe=1)
+        oracle = build_service(artifact_and_streams, cache_capacity=0)
+        index_counters = None
+        try:
+            t = float(suffix.timestamps[0])
+            service.top_k(0, t, 5)                              # build
+            index = service._index
+            index_counters = index.counters
+            assert index.num_lists > 1
+            blocks = suffix_blocks(suffix, 40)
+            for src, dst, ts in list(blocks)[:2]:
+                service.ingest(src=src, dst=dst, timestamps=ts)
+                oracle.ingest(src=src, dst=dst, timestamps=ts)
+                before = service._dirty_mask.copy()
+                assert before.any()
+                t = float(ts[-1]) + 1.0
+                query = int(src[0])
+                ids, scores = service.top_k(query, t, 5)
+                np.testing.assert_array_equal(
+                    scores, oracle.score_links(np.full(len(ids), query),
+                                               ids, t))
+                in_probe = np.zeros(NUM_NODES, dtype=bool)
+                in_probe[index.probe_ids(service.embed(query, t)[0])] = True
+                assert not service._dirty_mask[in_probe].any()
+                np.testing.assert_array_equal(service._dirty_mask,
+                                              before & ~in_probe)
+            # Marks outside the probe survived; a rebuild clears them all.
+            assert service._dirty_mask.any()
+            rebuilds = int(index_counters["rebuilds"])
+            catalog = service._candidates
+            index.remove(catalog[:len(catalog) // 2 + 1])
+            assert index.needs_rebuild()
+            service.top_k(0, t, 5)
+            assert int(index_counters["rebuilds"]) == rebuilds + 1
+            assert not service._dirty_mask.any()
+        finally:
+            service.close()
+            oracle.close()
+
+    def test_racing_ingest_loses_no_dirty_mark(self, artifact_and_streams):
+        """Ingest racing indexed top_k: every indexed row left clean holds
+        a vector embedded after the row's last ingest touch.  A mark
+        cleared after its pass started embedding would leave a row clean
+        behind a touch its vector never saw."""
+        import sys
+
+        _, _, _, suffix = artifact_and_streams
+        service = build_service(artifact_and_streams, index=True,
+                                index_nprobe=2)
+        t = float(suffix.timestamps[-1]) + 1.0
+        service.top_k(0, t, 5)
+        index, touch = service._index, service._ingestor.touch_count
+        # The touch counts each thread's latest planner pass started from,
+        # and the counts each indexed row's stored vector was embedded at.
+        local = threading.local()
+        stamp = np.full(NUM_NODES, -1, dtype=np.int64)
+        embed = service.planner.embed
+
+        def stamped_embed(nodes, ts):
+            local.seen = touch.copy()
+            return embed(nodes, ts)
+
+        def stamping(method):
+            def mutate(ids, vectors):
+                stamp[ids] = local.seen[ids]
+                return method(ids, vectors)
+            return mutate
+
+        service.planner.embed = stamped_embed
+        for name in ("build", "add", "replace"):
+            setattr(index, name, stamping(getattr(index, name)))
+        stamp[service._candidates] = 0      # built before any ingest
+        done, errors = threading.Event(), []
+
+        def ingester():
+            try:
+                for src, dst, ts in suffix_blocks(suffix, 3):
+                    service.ingest(src=src, dst=dst, timestamps=ts)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                while not done.is_set():
+                    service.top_k(int(rng.integers(0, NUM_NODES // 2)), t, 5)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=ingester)] + [
+            threading.Thread(target=reader, args=(s,)) for s in (1, 2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not errors
+        assert int(touch[:NUM_NODES].max()) > 0
+        catalog = service._candidates
+        indexed = catalog[index.contains(catalog)]
+        clean = indexed[~service._dirty_mask[indexed]]
+        assert len(clean)
+        np.testing.assert_array_equal(stamp[clean], touch[clean])
 
     def test_bad_src_leaves_the_dirty_marks(self, artifact_and_streams):
         """An out-of-range ``src`` or a non-finite ``t`` is a ServeError

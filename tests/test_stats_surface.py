@@ -5,7 +5,9 @@ owner holds, and ``stats()`` reads the owner's own counters.
   before the stats classes were folded away reported, and ``/metrics``
   renders every metric family it rendered then
   (``tests/fixtures/parent_stats.json``, :mod:`tests.parent_stats`),
-  less the names ``parent_stats.REMOVED`` lists as deleted since;
+  less the names ``parent_stats.REMOVED`` lists as deleted since, and
+  with the keys ``parent_stats.CHANGED`` lists at their second recording
+  (``tests/fixtures/changed_stats.json``);
 * two live services in one process keep separate ``stats()``, while
   ``/metrics`` shows the newer one's counters (latest instance wins);
 * the counts that were plain ints before — the index's, the finder's
@@ -15,6 +17,7 @@ owner holds, and ``stats()`` reads the owner's own counters.
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -48,6 +51,17 @@ class TestParentRecording:
             assert set(want["metric_families"]) <= set(rendered)
         finally:
             service.close()
+
+    def test_changed_keys_moved(self):
+        """Each key listed as changed differs from the parent's value, so
+        the list names exactly the keys that moved."""
+        with open(parent_stats.STATS_PATH) as fh:
+            then = json.load(fh)["stats"]
+        now = parent_stats.expected()["stats"]
+        for dotted in parent_stats.CHANGED:
+            old, leaf = parent_stats.leaf_of(then, dotted)
+            new, _ = parent_stats.leaf_of(now, dotted)
+            assert old[leaf] != new[leaf], dotted
 
 
 class TestTwoServices:
