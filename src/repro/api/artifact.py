@@ -143,14 +143,6 @@ class PretrainArtifact:
                            "epochs": len(self.finetuned.history)}),
         }
 
-    def loss_curves(self) -> dict[str, list[float]]:
-        """Per-batch pre-training loss curves keyed by objective name."""
-        history = np.asarray(self.result.loss_history,
-                             dtype=np.float64).reshape(-1, 3)
-        return {"L_eta": history[:, 0].tolist(),
-                "L_eps": history[:, 1].tolist(),
-                "L_tlp": history[:, 2].tolist()}
-
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------

@@ -85,7 +85,3 @@ class EIEModule(Module):
         """Eq. 19: ``[Z_down ∥ MLP(EI)]`` for a node batch."""
         evolution = self.transform(self.fuse(nodes))
         return F.concatenate([downstream_embeddings, evolution], axis=-1)
-
-    def enhanced_dim(self, downstream_dim: int) -> int:
-        """Output width of :meth:`forward`."""
-        return downstream_dim + self.out_dim

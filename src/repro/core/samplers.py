@@ -125,9 +125,6 @@ class SubgraphBatch:
         """Row index of every flat node — the scatter key for readouts."""
         return np.repeat(np.arange(len(self), dtype=np.int64), self.counts())
 
-    def to_list(self) -> list[np.ndarray]:
-        return [self.row(i) for i in range(len(self))]
-
     @classmethod
     def from_list(cls, subgraphs: list[np.ndarray]) -> "SubgraphBatch":
         indptr = np.zeros(len(subgraphs) + 1, dtype=np.int64)

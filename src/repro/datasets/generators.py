@@ -189,14 +189,6 @@ class BipartiteInteractionGenerator:
                 bursts.append((item, start, start + duration, strength))
         return bursts
 
-    def _burst_boost(self, items: np.ndarray, t: float) -> np.ndarray:
-        """Additive logit boost for each candidate item at time ``t``."""
-        boost = np.zeros(len(items))
-        for item, start, end, strength in self.bursts:
-            if start <= t < end:
-                boost[items == item] += strength
-        return boost
-
     # ------------------------------------------------------------------
     # generation
     # ------------------------------------------------------------------

@@ -92,12 +92,12 @@ class Memory:
     The store knows which rows may be non-zero, so :meth:`reset` and
     :meth:`checkpoint` cost ``O(written rows)`` instead of touching every
     page of a ``num_nodes × dim`` matrix whose rows are mostly still at
-    their zero initialisation.  Handing out the raw :attr:`state` makes
-    every row count as written until the next :meth:`reset`, because the
-    holder may write in place.  In a batch, :meth:`write` routes the
-    updater's rows into a ``(K, dim)`` in-graph delta that :meth:`gather`
-    overlays on detached store rows and :meth:`persist` stores back:
-    gradients reach exactly the written rows, nothing is graph-sized.
+    their zero initialisation.  Rows are written only by :meth:`persist`
+    (the rows it stores) and :meth:`load` (every row); :attr:`state` is a
+    read-only view.  In a batch, :meth:`write` routes the updater's rows
+    into a ``(K, dim)`` in-graph delta that :meth:`gather` overlays on
+    detached store rows and :meth:`persist` stores back: gradients reach
+    exactly the written rows, nothing is graph-sized.
     """
 
     def __init__(self, num_nodes: int, dim: int, dtype=np.float64):
@@ -106,9 +106,8 @@ class Memory:
         self.shape = (num_nodes, dim)
         self.dtype = np.dtype(dtype)
         self._state = _zero_matrix((num_nodes, dim), self.dtype)
-        # Mask of rows written since the matrix was last all zero; None
-        # when unknown (treated as "all of them").
-        self._written: np.ndarray | None = np.zeros(num_nodes, dtype=bool)
+        # Mask of rows written since the matrix was last all zero.
+        self._written = np.zeros(num_nodes, dtype=bool)
         self.last_update = np.zeros(num_nodes, dtype=np.float64)
         # The batch's delta: ``touched`` ids, their in-graph rows, and
         # node -> delta row (-1 for every node off the delta).
@@ -119,20 +118,17 @@ class Memory:
 
     @property
     def state(self) -> np.ndarray:
-        """The raw ``(num_nodes, dim)`` matrix, writable in place."""
-        self._written = None
-        return self._state
+        """The ``(num_nodes, dim)`` matrix as a read-only view."""
+        view = self._state.view()
+        view.flags.writeable = False
+        return view
 
     def reset(self) -> None:
         """Zero every state and clock; drop the delta and staged messages."""
         self.discard()
         self._staged = []
-        if self._written is None:
-            self._state[:] = 0.0
-            self._written = np.zeros(self.num_nodes, dtype=bool)
-        else:
-            self._state[self._written] = 0.0
-            self._written[:] = False
+        self._state[self._written] = 0.0
+        self._written[:] = False
         self.last_update[:] = 0.0
 
     def load(self, state: np.ndarray,
@@ -150,7 +146,7 @@ class Memory:
         self.discard()
         self._staged = []
         self._state = np.array(state, dtype=self.dtype, copy=True)
-        self._written = None
+        self._written[:] = True
         if last_update is not None:
             self.last_update = np.array(last_update, dtype=np.float64)
 
@@ -207,8 +203,7 @@ class Memory:
         """Store the batch's delta rows back (detached) and close it."""
         if self._delta_rows is not None:
             self._state[self.touched] = self._delta_rows.data
-            if self._written is not None:
-                self._written[self.touched] = True
+            self._written[self.touched] = True
         self.discard()
 
     def touch(self, nodes: np.ndarray, ts: np.ndarray) -> None:
@@ -226,7 +221,7 @@ class Memory:
         """
         snap = _zero_matrix(self._state.shape, self.dtype)
         written = self._written
-        if written is None or 2 * np.count_nonzero(written) > self.num_nodes:
+        if 2 * np.count_nonzero(written) > self.num_nodes:
             snap[:] = self._state
         else:
             snap[written] = self._state[written]

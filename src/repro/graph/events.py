@@ -156,23 +156,3 @@ class EventStream:
             labels=labels,
             name=name,
         )
-
-    def remap_nodes(self) -> tuple["EventStream", np.ndarray]:
-        """Compact node ids to ``0..n_active-1``.
-
-        Returns the remapped stream and the old-id array such that
-        ``old_ids[new_id] = old_id``.
-        """
-        old_ids = self.active_nodes()
-        lookup = {int(old): new for new, old in enumerate(old_ids)}
-        src = np.array([lookup[int(s)] for s in self.src], dtype=np.int64)
-        dst = np.array([lookup[int(d)] for d in self.dst], dtype=np.int64)
-        stream = EventStream(
-            src=src, dst=dst, timestamps=self.timestamps.copy(),
-            num_nodes=len(old_ids),
-            edge_feats=None if self.edge_feats is None else self.edge_feats.copy(),
-            labels=None if self.labels is None else self.labels.copy(),
-            name=f"{self.name}-compact",
-            metadata=dict(self.metadata),
-        )
-        return stream, old_ids

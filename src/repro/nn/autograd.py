@@ -20,8 +20,9 @@ Design notes
   call :func:`zero_grad` between steps.
 * The graph is retained only through node input references, so dropping
   the output tensor frees the whole graph.
-* The legacy extension API (``_make_child`` + a ``_backward`` closure)
-  still works for custom ops; such ops simply cannot be compiled.
+* A primitive's :class:`Node` is the only graph node kind: a custom op is
+  a :class:`Primitive` applied through :func:`apply_op`, so every graph
+  the eager engine can differentiate is one the compiler can trace.
 """
 
 from __future__ import annotations
@@ -156,10 +157,6 @@ class SparseRowGrad:
     def dtype(self) -> np.dtype:
         return self._chunks[0][1].dtype
 
-    @property
-    def nnz(self) -> int:
-        return sum(int(idx.size) for idx, _ in self._chunks)
-
     def append(self, other: "SparseRowGrad") -> None:
         """Add ``other`` in.  Its rows are copied (in this gradient's
         dtype): they may sit in a buffer that is reused before the read."""
@@ -279,8 +276,6 @@ def _wrap(data) -> "Tensor":
     out.data = np.asarray(data, dtype=_STATE.default_dtype)
     out._grad = None
     out.requires_grad = False
-    out._backward = None
-    out._parents = ()
     out._node = None
     out._slot = None
     out.name = None
@@ -330,8 +325,7 @@ class Tensor:
         Whether gradients should be accumulated into :attr:`grad`.
     """
 
-    __slots__ = ("data", "_grad", "requires_grad", "_backward", "_parents",
-                 "_node", "_slot", "name")
+    __slots__ = ("data", "_grad", "requires_grad", "_node", "_slot", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         if isinstance(data, Tensor):
@@ -339,8 +333,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=_STATE.default_dtype)
         self._grad: np.ndarray | SparseRowGrad | None = None
         self.requires_grad = bool(requires_grad) and _STATE.grad_enabled
-        self._backward = None
-        self._parents: tuple = ()
         self._node: Node | None = None
         self._slot = None
         self.name = name
@@ -420,21 +412,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # graph plumbing
     # ------------------------------------------------------------------
-    def _make_child(self, data: np.ndarray, parents: tuple) -> "Tensor":
-        """Create an op output, inheriting ``requires_grad`` from parents.
-
-        Legacy extension hook: custom ops may still build children this
-        way and attach a ``_backward`` closure; such ops run fine eagerly
-        but abort compiled tracing (transparent eager fallback).
-        """
-        global _NODES_CREATED
-        requires = _STATE.grad_enabled and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            _NODES_CREATED += 1
-            out._parents = parents
-        return out
-
     def _accumulate(self, grad: np.ndarray | SparseRowGrad) -> None:
         """Add ``grad`` into the stored gradient.
 
@@ -497,8 +474,10 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            parents = node._node.inputs if node._node is not None else node._parents
-            for parent in parents:
+            tape = node._node
+            if tape is None:
+                continue
+            for parent in tape.inputs:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
@@ -508,23 +487,16 @@ class Tensor:
         self._accumulate(grad)
         for node in reversed(topo):
             tape = node._node
-            if tape is not None:
-                if node.grad is not None:
-                    if tracing:
-                        tr.note_step(node)
-                    needs = tuple(p.requires_grad for p in tape.inputs)
-                    grads = tape.prim.vjp(tape.ctx, node.grad, needs, tape.params)
-                    for parent, g in zip(tape.inputs, grads):
-                        if g is not None:
-                            parent._accumulate(g)
-            elif node._backward is not None and node.grad is not None:
+            if tape is not None and node.grad is not None:
                 if tracing:
                     tr.note_step(node)
-                node._backward(node.grad)
+                needs = tuple(p.requires_grad for p in tape.inputs)
+                grads = tape.prim.vjp(tape.ctx, node.grad, needs, tape.params)
+                for parent, g in zip(tape.inputs, grads):
+                    if g is not None:
+                        parent._accumulate(g)
             # Free the graph entry so intermediate buffers can be collected.
             if node is not self:
-                node._backward = None
-                node._parents = ()
                 node._node = None
 
     # ------------------------------------------------------------------

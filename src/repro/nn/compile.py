@@ -4,7 +4,7 @@ program.
 The training loops of this codebase are *shape-stable*: every
 :class:`~repro.stream.PreparedBatch` of the same size runs the exact same
 op sequence, so the per-step cost of rebuilding the autograd graph —
-node allocation, topological sort, closure dispatch, gradient first-store
+node allocation, topological sort, VJP dispatch, gradient first-store
 copies — is pure overhead after the first step.  :class:`CompiledStep`
 removes it:
 
@@ -245,7 +245,7 @@ class _Trace:
         for t in inputs:
             s = self.by_id.get(id(t))
             if s is None:
-                if t._node is not None or t._backward is not None:
+                if t._node is not None:
                     self.fail(f"input to '{prim.name}' carries a graph built "
                               "outside the traced step")
                     return out
@@ -277,9 +277,6 @@ class _Trace:
 
     def note_step(self, tensor: Tensor) -> None:
         if self.failed is not None or self.steps is None:
-            return
-        if tensor._node is None:
-            self.fail("legacy closure op in the traced graph")
             return
         self.steps.append(self.by_id[id(tensor)])
 
@@ -319,8 +316,6 @@ class _Trace:
             # Python references the step function captured stay valid.
             tensor._slot = (p.token, o)
             tensor._node = None
-            tensor._backward = None
-            tensor._parents = ()
             tensor._grad = None   # the trace's eager backward left it
             r.out_tensor = tensor
             p.slot_tensor[o] = tensor
@@ -389,7 +384,7 @@ class _Replay:
             if p.slot_leaf[s]:
                 if cur is not None:
                     raise ReplayMismatch("leaf input rebound mid-step")
-                if t._node is not None or t._backward is not None:
+                if t._node is not None:
                     raise ReplayMismatch("leaf input carries an eager graph")
                 sl = t._slot
                 if sl is not None and sl[0] is p.token:

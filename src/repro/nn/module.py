@@ -94,10 +94,6 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    def num_parameters(self) -> int:
-        """Total scalar parameter count."""
-        return sum(p.size for p in self.parameters())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy all parameter arrays keyed by dotted names."""
         return {name: param.data.copy() for name, param in self.named_parameters()}

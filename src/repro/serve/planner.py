@@ -8,22 +8,23 @@ the two:
   arrival becomes the *leader*, optionally waits ``window`` seconds for
   followers to pile on, then drains the queue and runs **one** batched
   ``compute`` over the union of pending queries (deduplicated by
-  ``(node, quantized_ts)``), distributing result rows back to each
-  waiter;
+  ``(node, ts)``), distributing result rows back to each waiter;
 * the leader loop also serialises all encoder access — the substrate is
   not thread-safe, and the planner is the single entry point the HTTP
   frontend and the in-process client share;
 * a :class:`RowCache` short-cuts repeat queries.  One pass is a handful
-  of array operations whatever the row count: quantise → ``lexsort`` →
-  one ``lookup`` → one ``compute`` over the misses → one ``put`` → take.
+  of array operations whatever the row count: ``lexsort`` on the exact
+  ``(node, ts)`` keys → one ``lookup`` → one ``compute`` over the misses
+  → one ``put`` → take.
 
 **One freshness rule.**  An embedding of ``u`` is computed from the
 memory of ``u`` *and of every temporal neighbour the encoder sampled for
 it* (``N_u^t`` of the paper's Eq. 1, every hop) — its receptive field,
 which ``compute`` hands back next to the rows.  A cached row is served
-iff the query time matches and the field's clock (the touch counts the
-ingest path advances, summed over the field) has not moved since the
-row was computed, so cached answers equal a cache-free service's.
+iff the query time is the same float64 value and the field's clock (the
+touch counts the ingest path advances, summed over the field) has not
+moved since the row was computed, so cached answers equal a cache-free
+service's bit for bit.
 Ingestion never walks the cache.
 
 The planner is deliberately synchronous per caller (every ``embed`` call
@@ -33,7 +34,6 @@ the stdlib HTTP frontend achieves coalescing under concurrent load.
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
@@ -52,14 +52,14 @@ class RowCache:
     ``slot_of[node]`` is the node's slot (the ``TGNMemory.assoc`` idiom:
     a node-indexed map, no dicts); a node without a row maps to the
     *null slot* ``capacity``, whose NaN time equals no query's, so a pass
-    needs no "is it cached" branch.  A slot holds the row, its query time
-    in float64 quanta ``tkey`` (a query of the same node at another time
-    is computed and replaces it), the ``width`` node ids of its receptive
-    field (padded with the id one past the node space) with the field's
-    clock at compute time, and an LRU ``stamp``.  Row and field storage
-    is ``np.empty``: pages are touched only as slots fill.  When no slot
-    is free, the least recently used eighth is evicted with one
-    ``argpartition``.
+    needs no "is it cached" branch.  A slot holds the row, its exact
+    float64 query time (a query of the same node at any other time,
+    however close, is computed and replaces it), the ``width`` node ids
+    of its receptive field (padded with the id one past the node space)
+    with the field's clock at compute time, and an LRU ``stamp``.  Row
+    and field storage is ``np.empty``: pages are touched only as slots
+    fill.  When no slot is free, the least recently used eighth is
+    evicted with one ``argpartition``.
 
     ``touch_count`` is the ingest path's per-node clock
     (:class:`~repro.serve.ingest.LiveIngestor`, one entry past the node
@@ -69,15 +69,10 @@ class RowCache:
     """
 
     def __init__(self, capacity: int, dim: int, width: int,
-                 touch_count: np.ndarray, time_resolution: float = 1e-6,
-                 dtype=np.float64):
+                 touch_count: np.ndarray, dtype=np.float64):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        if not (math.isfinite(time_resolution) and time_resolution > 0):
-            raise ValueError("time_resolution must be finite and > 0, "
-                             f"got {time_resolution!r}")
         self.capacity = capacity
-        self.time_resolution = time_resolution
         self._touch_count = touch_count
         self.slot_of = np.full(len(touch_count), capacity, dtype=np.int64)
         self.rows = np.empty((capacity + 1, dim), dtype=dtype)
@@ -86,7 +81,7 @@ class RowCache:
         # What the null slot keeps: a field of padding ids, a zero clock
         # and a NaN time, which equals no query time (not even NaN).
         self._field[capacity] = len(touch_count) - 1
-        self._tkey = np.full(capacity + 1, np.nan)
+        self._time = np.full(capacity + 1, np.nan)
         self._count0 = np.zeros(capacity + 1, dtype=np.int64)
         # Free slots carry the largest stamp, so eviction never picks one.
         self._stamp = np.full(capacity + 1, _FREE, dtype=np.int64)
@@ -102,25 +97,25 @@ class RowCache:
         # gather: half the time of reducing each short row.
         return self._touch_count[np.ascontiguousarray(field.T)].sum(axis=0)
 
-    def lookup(self, nodes: np.ndarray, tkeys: np.ndarray
+    def lookup(self, nodes: np.ndarray, ts: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, int]:
         """``(slots, serve, refused)`` for distinct queries.
 
-        ``rows[slots[i]]`` answers query ``i`` iff ``serve[i]``: same
-        quantised time ``tkeys[i]`` and the field's clock unmoved since
+        ``rows[slots[i]]`` answers query ``i`` iff ``serve[i]``: the same
+        query time ``ts[i]`` and the field's clock unmoved since
         compute time.  ``refused`` counts cached rows of the right time
         that the freshness test turned down.
         """
         slots = self.slot_of[nodes]
         fresh = (self._clock(self._field.take(slots, axis=0))
                  == self._count0[slots])
-        wanted = self._tkey[slots] == tkeys
+        wanted = self._time[slots] == ts
         serve = wanted & fresh
         self._tick += 1
         self._stamp[slots[serve]] = self._tick
         return slots, serve, int(np.count_nonzero(wanted & ~fresh))
 
-    def put(self, nodes: np.ndarray, tkeys: np.ndarray, rows: np.ndarray,
+    def put(self, nodes: np.ndarray, ts: np.ndarray, rows: np.ndarray,
             field: np.ndarray) -> None:
         """Cache ``rows`` of distinct ``nodes``, replacing what they held.
 
@@ -128,8 +123,8 @@ class RowCache:
         its clock is read now, so no ingest may separate compute and put.
         Of more rows than the cache holds, the last ``capacity`` are kept.
         """
-        nodes, tkeys, rows, field = (a[-self.capacity:]
-                                     for a in (nodes, tkeys, rows, field))
+        nodes, ts, rows, field = (a[-self.capacity:]
+                                  for a in (nodes, ts, rows, field))
         self._tick += 1
         slots = self.slot_of[nodes]
         # Stamped before evicting: a slot reused here is never a victim
@@ -144,7 +139,7 @@ class RowCache:
             self._stamp[taken] = self._tick
         self.rows[slots] = rows
         self._field[slots] = field
-        self._tkey[slots] = tkeys
+        self._time[slots] = ts
         self._count0[slots] = self._clock(field)
 
     def _allocate(self, count: int, reused: int) -> np.ndarray:
@@ -307,20 +302,18 @@ class MicroBatchPlanner:
         cache = self.cache
         if cache is None or len(nodes) == 0:
             return self._compute(nodes, ts)[0]
-        # Quantised in float64: an int64 cast would overflow on large
-        # timestamps and turn NaN into a valid key.
-        tkeys = np.rint(ts / cache.time_resolution)
-        # Distinct (node, time) pairs: sorted by node then time, a query
-        # opens a run where either differs from the row before it.
-        order = np.lexsort((tkeys, nodes))
-        nodes, ts, tkeys = nodes[order], ts[order], tkeys[order]
+        # Distinct (node, time) pairs, keyed by the exact float64 time
+        # (finite, checked by the service): sorted by node then time, a
+        # query opens a run where either differs from the row before it.
+        order = np.lexsort((ts, nodes))
+        nodes, ts = nodes[order], ts[order]
         opens = np.ones(len(order), dtype=bool)
-        np.logical_or(nodes[1:] != nodes[:-1], tkeys[1:] != tkeys[:-1],
+        np.logical_or(nodes[1:] != nodes[:-1], ts[1:] != ts[:-1],
                       out=opens[1:])
         inverse = np.empty(len(order), dtype=np.int64)
         inverse[order] = np.cumsum(opens) - 1
-        nodes, ts, tkeys = nodes[opens], ts[opens], tkeys[opens]
-        slots, serve, refused = cache.lookup(nodes, tkeys)
+        nodes, ts = nodes[opens], ts[opens]
+        slots, serve, refused = cache.lookup(nodes, ts)
         hit = np.flatnonzero(serve)
         miss = np.flatnonzero(~serve)
         counters = self.counters
@@ -338,7 +331,7 @@ class MicroBatchPlanner:
         newest[:-1] = nodes[1:] != nodes[:-1]
         keep = newest[miss]
         fresh, field = self._compute(nodes[miss], ts[miss])
-        cache.put(nodes[miss][keep], tkeys[miss][keep], fresh[keep],
+        cache.put(nodes[miss][keep], ts[miss][keep], fresh[keep],
                   field[keep])
         rows = np.empty((len(nodes), fresh.shape[1]), dtype=fresh.dtype)
         rows[miss] = fresh

@@ -55,7 +55,6 @@ part of a snapshot; a restored replica starts cold.
 from __future__ import annotations
 
 import dataclasses
-import math
 import threading
 import time
 from dataclasses import dataclass
@@ -91,7 +90,6 @@ class ServeConfig:
     """Runtime knobs of one serving replica."""
 
     cache_capacity: int = 65536          # row cache slots; 0 disables
-    time_resolution: float = 1e-6        # cache-key timestamp quantum
     max_batch: int = 4096                # rows per coalesced encoder pass
     window: float = 0.0                  # micro-batch coalescing wait (s)
     compaction_threshold: int = 4096     # delta events before CSR merge
@@ -111,10 +109,6 @@ class ServeConfig:
             raise ServeError("max_batch must be >= 1")
         if self.window < 0:
             raise ServeError("window must be >= 0")
-        if not (math.isfinite(self.time_resolution)
-                and self.time_resolution > 0):
-            raise ServeError("time_resolution must be finite and > 0, got "
-                             f"{self.time_resolution!r}")
         if self.index_nlist < 0:
             raise ServeError("index_nlist must be >= 0 (0 = auto)")
         if self.index_nprobe < 1:
@@ -248,9 +242,7 @@ class EmbeddingService:
         if self.config.cache_capacity:
             cache = RowCache(self.config.cache_capacity, encoder.embed_dim,
                              encoder.field_width,
-                             self._ingestor.touch_count,
-                             time_resolution=self.config.time_resolution,
-                             dtype=self._dtype)
+                             self._ingestor.touch_count, dtype=self._dtype)
         self.planner = MicroBatchPlanner(
             self._compute_rows, cache=cache,
             max_batch=self.config.max_batch, window=self.config.window,

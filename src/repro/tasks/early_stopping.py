@@ -39,8 +39,3 @@ class EarlyStopper:
             return False
         self._rounds_since_best += 1
         return self._rounds_since_best >= self.patience
-
-    @property
-    def should_restore(self) -> bool:
-        """Whether the best round differs from the last round."""
-        return self.best_round != self._round

@@ -610,8 +610,6 @@ class TestSubgraphBatch:
         assert batch.groups().tolist() == [0, 0, 2]
         for got, want in zip(batch, subs):
             np.testing.assert_array_equal(got, want)
-        for got, want in zip(batch.to_list(), subs):
-            np.testing.assert_array_equal(got, want)
 
     def test_empty_batch(self):
         batch = SubgraphBatch.from_list([])

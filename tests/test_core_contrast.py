@@ -209,7 +209,6 @@ class TestEIE:
         z = Tensor(rng.normal(size=(4, 7)))
         out = eie(z, np.array([0, 1, 2, 3]))
         assert out.shape == (4, 10)
-        assert eie.enhanced_dim(7) == 10
 
     def test_mean_fuser_matches_numpy(self, rng):
         checkpoints = self.make_checkpoints(rng)

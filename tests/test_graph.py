@@ -69,14 +69,6 @@ class TestEventStream:
         assert merged.num_events == 5
         assert (np.diff(merged.timestamps) >= 0).all()
 
-    def test_remap_nodes_compacts(self):
-        stream = EventStream(src=[10], dst=[99], timestamps=[0.0],
-                             num_nodes=100)
-        compact, old_ids = stream.remap_nodes()
-        assert compact.num_nodes == 2
-        assert old_ids.tolist() == [10, 99]
-        assert compact.src[0] == 0 and compact.dst[0] == 1
-
     def test_events_iterator(self):
         events = list(make_stream().events())
         assert events[0] == (0, 3, 1.0)

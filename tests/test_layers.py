@@ -160,7 +160,3 @@ class TestModuleSystem:
         assert all(not mod.training for mod in model.modules())
         model.train()
         assert all(mod.training for mod in model.modules())
-
-    def test_num_parameters(self, rng):
-        m = Linear(3, 4, rng)
-        assert m.num_parameters() == 3 * 4 + 4

@@ -72,7 +72,7 @@ class DenseOracleMemory(Memory):
     def persist(self):
         if self._dense is not None:
             self._state = np.array(self._dense.data, dtype=self.dtype)
-            self._written = None
+            self._written[:] = True
         self.discard()
 
 
@@ -288,7 +288,7 @@ class TestSparseMemoryView:
 
     def test_gather_overlays_delta_rows(self):
         mem = Memory(6, 3)
-        mem.state[:] = np.arange(18, dtype=float).reshape(6, 3)
+        mem.load(np.arange(18, dtype=float).reshape(6, 3))
         mem.write(np.array([4, 1]), Tensor(np.full((2, 3), -1.0)))
         out = mem.gather(np.array([0, 1, 4, 5, 1])).data
         np.testing.assert_array_equal(out[0], mem.state[0])
@@ -419,14 +419,16 @@ class TestWrittenRows:
         np.testing.assert_array_equal(mem.checkpoint(),
                                       self.dense_reference(mem))
 
-    def test_in_place_write_through_state_reaches_checkpoint_and_reset(self):
+    def test_write_through_state_raises_and_changes_nothing(self):
         mem = Memory(40, 2)
         persist_rows(mem, [1], np.ones((1, 2)))
-        mem.state[30] = 5.0            # the holder writes behind our back
+        with pytest.raises(ValueError, match="read-only"):
+            mem.state[30] = 5.0        # no write behind the store's back
+        assert not mem._state[30].any() and mem._written.sum() == 1
         snap = mem.checkpoint()
-        assert snap[30].tolist() == [5.0, 5.0] and snap[1].tolist() == [1, 1]
+        assert not snap[30].any() and snap[1].tolist() == [1, 1]
         mem.reset()
-        assert not mem._state.any()
+        assert not mem._state.any() and not mem._written.any()
         assert not mem.checkpoint().any()
 
     def test_full_persist_and_assignment_reach_checkpoint_and_reset(self):
@@ -462,7 +464,9 @@ class TestWrittenRows:
         assert checkpoints[0] is snap
         mem.reset()
         assert not mem._state.any() and snap.sum() == 96.0
-        mem.state[5] = 1.0             # unknown writes: the full-copy path
+        loaded = np.zeros((70_000, 16), dtype=np.float32)
+        loaded[5] = 1.0
+        mem.load(loaded)               # every row written: the full copy
         full = mem.checkpoint()
         assert full.sum() == 16.0 and full[5].min() == 1.0
         del mem, checkpoints, snap     # the arrays outlive their makers
@@ -473,7 +477,7 @@ class TestWrittenRows:
         persist_rows(mem, [5], np.ones((1, 2)))
         got = mem.rows(np.array([5, 6]))
         got[:] = 9.0                   # a copy: the store is untouched
-        assert mem._written is not None and mem._written.sum() == 1
+        assert mem._written.sum() == 1
         assert mem.checkpoint().sum() == 2.0
 
 
@@ -504,7 +508,7 @@ class TestSparseRowGrad:
         grad = SparseRowGrad((4, 2), np.array([2, 0, 2]),
                              np.ones((3, 2)))
         coalesced = grad.coalesce()
-        assert coalesced.nnz == 2
+        assert len(coalesced.indices) == 2
         np.testing.assert_array_equal(coalesced.to_dense(), grad.to_dense())
 
     def test_multidim_indices(self):

@@ -8,6 +8,7 @@ import pytest
 from repro.nn import (MLP, GradCheckError, Linear, Tensor, check_gradients,
                       load_arrays, numeric_gradient, save_arrays)
 from repro.nn import functional as F
+from repro.nn.autograd import Primitive, apply_op, defvjp
 
 
 class TestSerialization:
@@ -59,13 +60,17 @@ class TestGradcheck:
         """A backward that lies about its gradient must be caught."""
         w = Tensor(rng.normal(size=4), requires_grad=True)
 
-        def buggy_loss():
-            out = w._make_child(w.data * 3.0, (w,))
+        def forward(args, params, need_ctx, out):
+            return 3.0 * args[0], None
 
-            def _backward(grad):
-                w._accumulate(grad * 2.0)   # should be * 3.0
-            out._backward = _backward
-            return out.sum()
+        def lying_vjp(ctx, grad, needs, params):
+            return (2.0 * grad,)           # should be 3.0 * grad
+
+        # Built directly, not through primitive(): the registry stays clean.
+        triple = defvjp(Primitive("buggy_triple", forward), lying_vjp)
+
+        def buggy_loss():
+            return apply_op(triple, (w,)).sum()
 
         with pytest.raises(GradCheckError):
             check_gradients(buggy_loss, [w])

@@ -71,15 +71,6 @@ def test_split_fraction_conserves_events(stream):
     assert sum(p.num_events for p in parts) == stream.num_events
 
 
-@given(event_streams())
-@settings(max_examples=30, deadline=None)
-def test_remap_preserves_event_structure(stream):
-    compact, old_ids = stream.remap_nodes()
-    assert compact.num_events == stream.num_events
-    np.testing.assert_array_equal(old_ids[compact.src], stream.src)
-    np.testing.assert_array_equal(old_ids[compact.dst], stream.dst)
-
-
 # ----------------------------------------------------------------------
 # NeighborFinder invariants
 # ----------------------------------------------------------------------

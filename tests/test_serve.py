@@ -619,9 +619,9 @@ class TestCacheFreshness:
         assert int(stats["cache_hits"]) - hits == 3
 
     def test_query_times_beyond_int64_quanta_match_cache_free(self):
-        """``t / time_resolution`` past 2**63 (a microsecond epoch, say):
-        the keys must stay distinct and an uncached node must be computed,
-        not answered from the empty slot."""
+        """Query times past 2**63 microseconds (a microsecond epoch, say):
+        the float64 keys must stay distinct and an uncached node must be
+        computed, not answered from the empty slot."""
         _, pre, _ = make_split_stream(3)
         artifact = pretrain_artifact(pre, tiny_config("tgn"))
         cached = EmbeddingService.from_artifact(artifact, history=pre)
@@ -640,18 +640,6 @@ class TestCacheFreshness:
         np.testing.assert_array_equal(cached.embed(nodes, ts),
                                       oracle.embed(nodes, ts))
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-6, np.nan, np.inf])
-    def test_time_resolution_must_be_finite_and_positive(self, bad):
-        """``rint(t / 0)`` is ``inf`` for every t: one cache key for every
-        query time, so a zero resolution served a t=30 row at t=90."""
-        with pytest.raises(ServeError, match="time_resolution"):
-            EmbeddingService.from_artifact(
-                parent.ARTIFACT_PATH, history=parent.tiny_stream(),
-                time_resolution=bad)
-        with pytest.raises(ValueError, match="time_resolution"):
-            RowCache(4, 2, 1, np.zeros(101, dtype=np.int64),
-                     time_resolution=bad)
-
     def test_rows_of_another_time_are_not_served(self):
         cached = EmbeddingService.from_artifact(
             parent.ARTIFACT_PATH, history=parent.tiny_stream(),
@@ -661,8 +649,20 @@ class TestCacheFreshness:
             background_compaction=False, cache_capacity=0)
         nodes = parent.EMBED_NODES
         cached.embed(nodes, 30.0)
-        np.testing.assert_array_equal(cached.embed(nodes, 90.0),
-                                      oracle.embed(nodes, 90.0))
+        stats = cached.planner.counters
+        # However close, another float64 time is another cache key.
+        for t in (30.0 + 3e-7, 90.0):
+            hits = int(stats["cache_hits"])
+            np.testing.assert_array_equal(cached.embed(nodes, t),
+                                          oracle.embed(nodes, t))
+            assert int(stats["cache_hits"]) == hits
+        # Nor does one request fold two such times into one row.
+        ts = np.array([60.0, 60.0 + 3e-7])
+        before = int(stats["cache_misses"]), int(stats["deduped"])
+        np.testing.assert_array_equal(cached.embed([3, 3], ts),
+                                      oracle.embed([3, 3], ts))
+        assert (int(stats["cache_misses"]) - before[0],
+                int(stats["deduped"]) - before[1]) == (2, 0)
 
 
 # ======================================================================
@@ -996,12 +996,6 @@ class TestArtifactV2:
         upgraded = str(tmp_path / "upgraded.npz")
         loaded.save(upgraded)
         assert PretrainArtifact.load(upgraded).format_version == 2
-
-    def test_loss_curves_accessor(self):
-        artifact, _ = self._artifact()
-        curves = artifact.loss_curves()
-        assert set(curves) == {"L_eta", "L_eps", "L_tlp"}
-        assert len(curves["L_tlp"]) == len(artifact.result.loss_history)
 
     def test_fingerprint_distinguishes_edge_features(self):
         _, plain, _ = make_split_stream(3)
