@@ -43,7 +43,8 @@ _OVERRIDE_ALIASES = {
 # files keep loading; ``--set`` still rejects them like any unknown key.
 _RETIRED_KEYS = {"pretrain": {"backend", "fabric", "fabric_lease_timeout", "fabric_ranges", "memory_engine", "mmap_graph", "shard_dir"},
                  "finetune": {"backend", "compile_step", "num_workers",
-                              "prefetch_batches"}}
+                              "prefetch_batches"},
+                 "obs": {"trace_buffer"}}
 
 
 class ConfigError(ValueError):
@@ -117,11 +118,6 @@ class ObsConfig:
 
     enabled: bool = False        # span tracing on/off
     trace_path: str | None = None  # JSONL span log (None: buffer only)
-    trace_buffer: int = 4096     # bounded in-memory span records
-
-    def validate(self) -> None:
-        if self.trace_buffer < 1:
-            raise ConfigError("obs.trace_buffer must be >= 1")
 
 
 @dataclass
@@ -149,7 +145,6 @@ class RunConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}; "
                               f"expected one of {STRATEGIES}")
         self.data.validate()
-        self.obs.validate()
         for name in ("pretrain", "finetune"):
             try:
                 getattr(self, name).validate()

@@ -108,8 +108,7 @@ class Pipeline:
         tracer (idempotent; each stage entry re-applies it so the knobs
         win over whatever an earlier run configured)."""
         o = self.config.obs
-        _obs.configure(enabled=o.enabled, trace_path=o.trace_path,
-                       buffer_size=o.trace_buffer)
+        _obs.configure(enabled=o.enabled, trace_path=o.trace_path)
 
     # ------------------------------------------------------------------
     # stage 1: pre-training
@@ -173,32 +172,7 @@ class Pipeline:
             num_nodes = max(s.num_nodes
                             for s in (split.train, split.val, split.test))
 
-        if strategy == "none":
-            pretrained, delta_scale = None, 1.0
-        else:
-            if self.artifact is None:
-                raise ConfigError(
-                    f"strategy {strategy!r} needs a pre-training artifact; "
-                    "call pretrain(), load one with Pipeline.from_artifact(), "
-                    "or use strategy='none'")
-            self._check_artifact_compatible()
-            if num_nodes > self.artifact.num_nodes:
-                raise ConfigError(
-                    f"artifact was pre-trained for {self.artifact.num_nodes} "
-                    f"nodes but the downstream split uses {num_nodes}; "
-                    "pre-train on a node space covering the downstream graph")
-            pretrained = self.artifact.result
-            delta_scale = self.artifact.delta_scale
-            num_nodes = self.artifact.num_nodes
-
-        built = build_finetuned_encoder(
-            self.config.backbone, num_nodes, self.config.pretrain,
-            pretrained, strategy, self.config.finetune,
-            delta_scale=delta_scale)
-        if task == "link_prediction":
-            runner = LinkPredictionTask(built, split, self.config.finetune)
-        else:
-            runner = NodeClassificationTask(built, split, self.config.finetune)
+        built, runner = self._build_runner(task, strategy, split, num_nodes)
         start = time.perf_counter()
         self.history = runner.train(verbose=verbose)
         self.train_seconds = time.perf_counter() - start
@@ -285,24 +259,9 @@ class Pipeline:
         if bundle.task != task or bundle.strategy != self.config.strategy:
             return False
         resolved = self._data()
-        if bundle.strategy == "none":
-            pretrained, delta_scale = None, 1.0
-            num_nodes = resolved.num_nodes
-        else:
-            self._check_artifact_compatible()
-            pretrained = artifact.result
-            delta_scale = artifact.delta_scale
-            num_nodes = artifact.num_nodes
-        built = build_finetuned_encoder(
-            self.config.backbone, num_nodes, self.config.pretrain,
-            pretrained, bundle.strategy, self.config.finetune,
-            delta_scale=delta_scale)
-        if task == "link_prediction":
-            runner = LinkPredictionTask(built, resolved.downstream,
-                                        self.config.finetune)
-        else:
-            runner = NodeClassificationTask(built, resolved.downstream,
-                                            self.config.finetune)
+        built, runner = self._build_runner(task, bundle.strategy,
+                                           resolved.downstream,
+                                           resolved.num_nodes)
         built.encoder.load_state_dict(bundle.encoder_state)
         runner.head.load_state_dict(bundle.head_state)
         if built.eie is not None and bundle.eie_state is not None:
@@ -310,6 +269,37 @@ class Pipeline:
         self.history = list(bundle.history)
         self._runner = runner
         return True
+
+    def _build_runner(self, task: str, strategy: str,
+                      split: DownstreamSplit, num_nodes: int):
+        """``(built encoder, task runner)`` for ``strategy`` on ``split``,
+        untrained: the control arm (``none``) starts from scratch on
+        ``num_nodes``, every other strategy from the artifact's encoder
+        and node space."""
+        if strategy == "none":
+            pretrained, delta_scale = None, 1.0
+        else:
+            if self.artifact is None:
+                raise ConfigError(
+                    f"strategy {strategy!r} needs a pre-training artifact; "
+                    "call pretrain(), load one with Pipeline.from_artifact(), "
+                    "or use strategy='none'")
+            self._check_artifact_compatible()
+            if num_nodes > self.artifact.num_nodes:
+                raise ConfigError(
+                    f"artifact was pre-trained for {self.artifact.num_nodes} "
+                    f"nodes but the downstream split uses {num_nodes}; "
+                    "pre-train on a node space covering the downstream graph")
+            pretrained = self.artifact.result
+            delta_scale = self.artifact.delta_scale
+            num_nodes = self.artifact.num_nodes
+        built = build_finetuned_encoder(
+            self.config.backbone, num_nodes, self.config.pretrain,
+            pretrained, strategy, self.config.finetune,
+            delta_scale=delta_scale)
+        task_cls = (LinkPredictionTask if task == "link_prediction"
+                    else NodeClassificationTask)
+        return built, task_cls(built, split, self.config.finetune)
 
     def _data(self) -> ResolvedData:
         if self._resolved is None:

@@ -516,8 +516,9 @@ class PrecomputedSampler:
 
     Subgraphs depend only on the stream (not on model parameters), so they
     can be computed once per ``(root, t)`` — the preprocessing optimisation
-    the paper notes at the end of §IV-A.  Timestamps are quantised to avoid
-    float-key pitfalls.
+    the paper notes at the end of §IV-A.  The key is the exact float64
+    query time: two times however close are two subgraphs, since an event
+    between them changes the answer.
 
     Parameters
     ----------
@@ -529,21 +530,20 @@ class PrecomputedSampler:
     benches; :meth:`cache_info` bundles them.
     """
 
-    def __init__(self, sampler, time_resolution: float = 1e-6,
-                 capacity: int | None = None):
+    def __init__(self, sampler, capacity: int | None = None):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be positive or None")
         self.sampler = sampler
-        self.time_resolution = time_resolution
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
-        self._cache: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self._cache: OrderedDict[tuple[int, float], np.ndarray] = OrderedDict()
 
-    def _key(self, root: int, t: float) -> tuple[int, int]:
-        return (int(root), int(round(t / self.time_resolution)))
+    @staticmethod
+    def _key(root: int, t: float) -> tuple[int, float]:
+        return (int(root), float(t))
 
-    def _insert(self, key: tuple[int, int], value: np.ndarray) -> None:
+    def _insert(self, key: tuple[int, float], value: np.ndarray) -> None:
         self._cache[key] = value
         if self.capacity is not None and len(self._cache) > self.capacity:
             self._cache.popitem(last=False)
@@ -573,7 +573,7 @@ class PrecomputedSampler:
         roots = np.asarray(roots, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
         keys = [self._key(r, t) for r, t in zip(roots, ts)]
-        values: dict[tuple[int, int], np.ndarray] = {}
+        values: dict[tuple[int, float], np.ndarray] = {}
         miss_idx: list[int] = []
         for i, key in enumerate(keys):
             # Duplicate keys inside one batch behave like the sequential

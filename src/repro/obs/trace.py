@@ -2,9 +2,10 @@
 
 ``with span("pretrain.forward", epoch=3):`` records one *span* — wall
 and CPU time, a trace/span/parent id triple, and arbitrary attributes —
-into a bounded in-memory buffer and (when configured) a JSONL trace log
-one record per line.  Naming convention: ``<subsystem>.<stage>``
-(``pretrain.produce``, ``serve.embed``, ``produce.eta_bfs``).
+into a bounded in-memory buffer (the newest :data:`BUFFER_SPANS`) and
+(when configured) a JSONL trace log, one record per line.  Naming
+convention: ``<subsystem>.<stage>`` (``pretrain.produce``,
+``serve.embed``, ``produce.eta_bfs``).
 
 Tracing is **off by default** and the disabled path allocates nothing:
 ``span()`` returns a shared no-op singleton, so a hot loop pays one
@@ -41,7 +42,8 @@ _lock = threading.Lock()
 _enabled = False
 _trace_path: str | None = None
 _trace_file = None
-_buffer: deque = deque(maxlen=4096)
+BUFFER_SPANS = 4096
+_buffer: deque = deque(maxlen=BUFFER_SPANS)
 _ids = itertools.count(1)
 _local = threading.local()
 
@@ -50,17 +52,15 @@ def _next_id() -> str:
     return f"{os.getpid():x}-{next(_ids):x}"
 
 
-def configure(enabled: bool | None = None, trace_path: str | None = None,
-              buffer_size: int | None = None) -> None:
-    """(Re)configure tracing; ``None`` leaves a setting unchanged,
-    except ``trace_path`` which always replaces the current sink
+def configure(enabled: bool | None = None,
+              trace_path: str | None = None) -> None:
+    """(Re)configure tracing; ``enabled=None`` leaves the switch
+    unchanged, while ``trace_path`` always replaces the current sink
     (pass the current path to keep it)."""
-    global _enabled, _trace_path, _trace_file, _buffer
+    global _enabled, _trace_path, _trace_file
     with _lock:
         if enabled is not None:
             _enabled = bool(enabled)
-        if buffer_size is not None and buffer_size != _buffer.maxlen:
-            _buffer = deque(_buffer, maxlen=max(int(buffer_size), 1))
         if trace_path != _trace_path:
             if _trace_file is not None:
                 try:

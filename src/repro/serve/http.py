@@ -269,8 +269,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--port", type=int, default=8471)
     parser.add_argument("--cache-capacity", type=int, default=65536,
                         help="embedding row cache slots (0 disables the cache)")
-    parser.add_argument("--window-ms", type=float, default=0.0,
-                        help="micro-batch coalescing window in ms")
     parser.add_argument("--compaction-threshold", type=int, default=4096,
                         help="ingested events buffered before CSR merge")
     parser.add_argument("--no-verify-fingerprint", action="store_true",
@@ -278,8 +276,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--index", action="store_true",
                         help="route default-catalog top-k through the IVF "
                              "shortlist index (exactly rescored)")
-    parser.add_argument("--index-nlist", type=int, default=0,
-                        help="IVF inverted lists (0 = ~sqrt(catalog))")
     parser.add_argument("--index-nprobe", type=int, default=4,
                         help="IVF lists scanned per query")
     parser.add_argument("--index-shortlist", type=int, default=128,
@@ -304,11 +300,9 @@ def serve_from_args(args: argparse.Namespace) -> int:
 
     knobs = dict(
         cache_capacity=args.cache_capacity,
-        window=args.window_ms / 1000.0,
         compaction_threshold=args.compaction_threshold,
         verify_fingerprint=not args.no_verify_fingerprint,
         index=args.index,
-        index_nlist=args.index_nlist,
         index_nprobe=args.index_nprobe,
         index_shortlist=args.index_shortlist,
         background_compaction=not args.no_background_compaction)

@@ -5,10 +5,10 @@ destination per query — O(catalog) encoder + head work that dominates
 per-query cost on large catalogs.  :class:`CoarseQuantIndex` is a pure
 numpy IVF-style inner-product index over destination embeddings:
 
-* **build** — seeded k-means over the candidate vectors produces
-  ``nlist`` centroids; candidates are stored contiguously per inverted
-  list (``list_indptr`` / ``list_ids`` / ``list_vecs``) so a probe is one
-  slice + one mat-vec;
+* **build** — k-means (seed 0) over the ``N`` candidate vectors
+  produces ``round(sqrt(N))`` centroids; candidates are stored
+  contiguously per inverted list (``list_indptr`` / ``list_ids`` /
+  ``list_vecs``) so a probe is one slice + one mat-vec;
 * **search** — score the query against the centroids, scan the top
   ``nprobe`` lists (plus the un-listed pending tail), return the best
   ``size`` candidate ids by approximate inner product;
@@ -17,12 +17,12 @@ numpy IVF-style inner-product index over destination embeddings:
   whose memory changed *dirty*; before a query the service re-embeds the
   dirty candidates :meth:`probe_ids` says the query will scan and
   :meth:`replace`\\ s their vectors, so dirty rows outside the probe
-  cost nothing until a query reaches them.  When the tail outgrows the
-  listed storage fraction the next :meth:`search` triggers a rebuild.
+  cost nothing until a query reaches them.  When the tail outgrows
+  :data:`REBUILD_FRACTION` of the listed rows, :meth:`needs_rebuild`
+  tells the service to build afresh.
 
 One node-space array maps a candidate id to its listed row or pending
-slot, so :meth:`replace`, :meth:`remove` and :meth:`contains` are
-vectorized lookups.
+slot, so :meth:`replace` and :meth:`contains` are vectorized lookups.
 
 The index only ranks the *shortlist*; the service always rescores the
 shortlist through the exact scoring path, so approximation affects
@@ -37,6 +37,8 @@ import numpy as np
 from .. import obs as _obs
 
 __all__ = ["CoarseQuantIndex", "kmeans_fit"]
+
+REBUILD_FRACTION = 0.5      # pending tail / listed rows that asks a rebuild
 
 
 def kmeans_fit(vectors: np.ndarray, k: int, rng: np.random.Generator,
@@ -81,30 +83,20 @@ def kmeans_fit(vectors: np.ndarray, k: int, rng: np.random.Generator,
 class CoarseQuantIndex:
     """IVF inner-product index over a mutable candidate catalog.
 
+    A build of ``N`` candidates sizes ``round(sqrt(N))`` inverted lists
+    by k-means seeded at 0, so builds are deterministic given the
+    vectors.
+
     Parameters
     ----------
-    nlist:
-        Number of inverted lists; ``0`` auto-sizes to ``~sqrt(N)`` at
-        build time.
     nprobe:
-        Lists scanned per query (clamped to ``nlist``).
-    seed:
-        k-means RNG seed — builds are deterministic given the vectors.
-    rebuild_fraction:
-        When the pending tail exceeds this fraction of the listed rows,
-        the next :meth:`search` folds everything into a fresh build.
+        Lists scanned per query (clamped to the number of lists).
     """
 
-    def __init__(self, nlist: int = 0, nprobe: int = 4, seed: int = 0,
-                 rebuild_fraction: float = 0.5):
-        if nlist < 0:
-            raise ValueError("nlist must be >= 0 (0 = auto)")
+    def __init__(self, nprobe: int = 4):
         if nprobe < 1:
             raise ValueError("nprobe must be >= 1")
-        self.nlist = nlist
         self.nprobe = nprobe
-        self.seed = seed
-        self.rebuild_fraction = rebuild_fraction
         # queries; probes — inverted lists scanned; scanned — candidate
         # vectors scored approximately; rebuilds; replaced — dirty
         # candidates refreshed in place.
@@ -119,7 +111,6 @@ class CoarseQuantIndex:
         self._list_indptr: np.ndarray | None = None
         self._list_ids: np.ndarray | None = None
         self._list_vecs: np.ndarray | None = None
-        self._alive: np.ndarray | None = None    # per listed row
         self._pending_ids = np.empty(0, dtype=np.int64)
         self._pending_vecs: np.ndarray | None = None
         # Node-space slot of each id: listed row r < len(_list_ids), or
@@ -138,7 +129,7 @@ class CoarseQuantIndex:
         return 0 if self._centroids is None else len(self._centroids)
 
     def __len__(self) -> int:
-        listed = 0 if self._alive is None else int(self._alive.sum())
+        listed = 0 if self._list_ids is None else len(self._list_ids)
         return listed + len(self._pending_ids)
 
     def _slots(self, ids: np.ndarray) -> np.ndarray:
@@ -164,10 +155,9 @@ class CoarseQuantIndex:
         self._reset_storage()
         if len(ids) == 0:
             return
-        nlist = self.nlist or max(1, int(round(np.sqrt(len(ids)))))
-        nlist = min(nlist, len(ids))
-        rng = np.random.default_rng(self.seed)
-        self._centroids = kmeans_fit(vectors, nlist, rng)
+        nlist = int(round(np.sqrt(len(ids))))
+        self._centroids = kmeans_fit(vectors, nlist,
+                                     np.random.default_rng(0))
         assign = self._assign(vectors)
         order = np.argsort(assign, kind="stable")
         counts = np.bincount(assign, minlength=len(self._centroids))
@@ -175,7 +165,6 @@ class CoarseQuantIndex:
         np.cumsum(counts, out=self._list_indptr[1:])
         self._list_ids = ids[order]
         self._list_vecs = vectors[order]
-        self._alive = np.ones(len(ids), dtype=bool)
         self._pending_vecs = np.empty((0, vectors.shape[1]))
         self._slot_of = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
         self._slot_of[self._list_ids] = np.arange(len(ids))
@@ -189,13 +178,11 @@ class CoarseQuantIndex:
         return np.argmin(d2, axis=1)
 
     def add(self, ids: np.ndarray, vectors: np.ndarray) -> None:
-        """Append new candidates to the pending tail (always scanned)."""
+        """Append new candidates to a built index's pending tail (always
+        scanned)."""
         ids = np.asarray(ids, dtype=np.int64)
         vectors = np.asarray(vectors, dtype=np.float64)
         if len(ids) == 0:
-            return
-        if not self.built:
-            self.build(ids, vectors)
             return
         need = int(ids.max()) + 1
         if need > len(self._slot_of):
@@ -208,83 +195,63 @@ class CoarseQuantIndex:
         self._pending_vecs = np.concatenate([self._pending_vecs, vectors])
 
     def replace(self, ids: np.ndarray, vectors: np.ndarray) -> None:
-        """Refresh the stored vectors of existing (dirty) candidates.
+        """Refresh the stored vectors of indexed (dirty) candidates.
 
         Listed rows are overwritten in place (list membership is a
         recall heuristic, not a correctness requirement — the shortlist
-        is exactly rescored); unknown ids fall through to :meth:`add`.
+        is exactly rescored).  Every id must be indexed: the service
+        refreshes only ids :meth:`probe_ids` returned.
         """
         ids = np.asarray(ids, dtype=np.int64)
         vectors = np.asarray(vectors, dtype=np.float64)
-        slots = self._slots(ids)
-        known = slots >= 0
-        if known.any():
-            listed = len(self._list_ids)
-            rows = known & (slots < listed)
-            self._list_vecs[slots[rows]] = vectors[rows]
-            tail = slots >= listed
-            self._pending_vecs[slots[tail] - listed] = vectors[tail]
-            self.counters["replaced"].inc(int(known.sum()))
-        if not known.all():
-            self.add(ids[~known], vectors[~known])
-
-    def remove(self, ids: np.ndarray) -> int:
-        """Drop candidates from the listed storage; returns drop count."""
-        if not self.built:
-            return 0
-        ids = np.asarray(ids, dtype=np.int64)
-        slots = self._slots(ids)
-        listed = (slots >= 0) & (slots < len(self._list_ids))
-        self._slot_of[ids[listed]] = -1
-        before = int(self._alive.sum())
-        self._alive[slots[listed]] = False
-        return before - int(self._alive.sum())
+        slots = self._slot_of[ids]
+        listed = len(self._list_ids)
+        rows = slots < listed
+        self._list_vecs[slots[rows]] = vectors[rows]
+        self._pending_vecs[slots[~rows] - listed] = vectors[~rows]
+        self.counters["replaced"].inc(len(ids))
 
     def needs_rebuild(self) -> bool:
-        """Pending tail (or dead rows) outgrew the listed storage."""
+        """The pending tail outgrew :data:`REBUILD_FRACTION` of the
+        listed rows."""
         if not self.built:
             return False
-        listed = len(self._list_ids)
-        stale = len(self._pending_ids) + int((~self._alive).sum())
-        return stale > self.rebuild_fraction * max(listed, 1)
+        return (len(self._pending_ids)
+                > REBUILD_FRACTION * max(len(self._list_ids), 1))
 
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def _probe(self, query: np.ndarray, nprobe: int | None
-               ) -> tuple[int, np.ndarray]:
-        """``(lists probed, listed rows scanned)`` for ``query``: the alive
-        rows of the ``nprobe`` lists whose centroids score highest, list
-        by list."""
-        nprobe = min(self.nprobe if nprobe is None else nprobe,
-                     self.num_lists)
+    def _probe(self, query: np.ndarray) -> tuple[int, np.ndarray]:
+        """``(lists probed, listed rows scanned)`` for ``query``: the rows
+        of the ``nprobe`` lists whose centroids score highest, list by
+        list."""
+        nprobe = min(self.nprobe, self.num_lists)
         lists = np.argsort(-(self._centroids @ query), kind="stable")[:nprobe]
         indptr = self._list_indptr
         rows = np.concatenate([np.arange(indptr[lst], indptr[lst + 1])
                                for lst in lists.tolist()])
-        return nprobe, rows[self._alive[rows]]
+        return nprobe, rows
 
-    def probe_ids(self, query: np.ndarray,
-                  nprobe: int | None = None) -> np.ndarray:
+    def probe_ids(self, query: np.ndarray) -> np.ndarray:
         """The ids a :meth:`search` for ``query`` scans: the probed lists'
-        alive rows, then the whole pending tail."""
+        rows, then the whole pending tail."""
         if not self.built:
             return np.empty(0, dtype=np.int64)
         query = np.asarray(query, dtype=np.float64).reshape(-1)
-        _, rows = self._probe(query, nprobe)
+        _, rows = self._probe(query)
         return np.concatenate([self._list_ids[rows], self._pending_ids])
 
-    def search(self, query: np.ndarray, size: int,
-               nprobe: int | None = None) -> np.ndarray:
+    def search(self, query: np.ndarray, size: int) -> np.ndarray:
         """The ``size`` best candidate ids by approximate inner product.
 
-        Scans the top-``nprobe`` inverted lists plus the whole pending
+        Scans the top ``nprobe`` inverted lists plus the whole pending
         tail; returns ids ordered best-first.  Empty when the index is.
         """
         if not self.built or size <= 0:
             return np.empty(0, dtype=np.int64)
         query = np.asarray(query, dtype=np.float64).reshape(-1)
-        nprobe, rows = self._probe(query, nprobe)
+        nprobe, rows = self._probe(query)
         ids = np.concatenate([self._list_ids[rows], self._pending_ids])
         if len(ids) == 0:
             return ids

@@ -5,10 +5,13 @@ encoder wants one big batched pass.  :class:`MicroBatchPlanner` bridges
 the two:
 
 * concurrent callers enqueue their ``(nodes, ts)`` queries; the first
-  arrival becomes the *leader*, optionally waits ``window`` seconds for
-  followers to pile on, then drains the queue and runs **one** batched
-  ``compute`` over the union of pending queries (deduplicated by
-  ``(node, ts)``), distributing result rows back to each waiter;
+  arrival becomes the *leader* and drains the queue at once, running
+  **one** batched ``compute`` per pass over the union of the queries
+  pending at its start (deduplicated by ``(node, ts)``, at most
+  :data:`MAX_PASS_ROWS` rows), distributing result rows back to each
+  waiter.  There is no coalescing wait: callers that arrive during a
+  pass queue behind it and share the next one, so under load requests
+  coalesce on their own and at low load none waits for company;
 * the leader loop also serialises all encoder access — the substrate is
   not thread-safe, and the planner is the single entry point the HTTP
   frontend and the in-process client share;
@@ -43,6 +46,7 @@ from .. import obs as _obs
 __all__ = ["MicroBatchPlanner", "RowCache"]
 
 
+MAX_PASS_ROWS = 4096                # rows per pass; the rest wait a pass
 _FREE = np.iinfo(np.int64).max      # LRU stamp of an unused slot
 
 
@@ -184,13 +188,6 @@ class MicroBatchPlanner:
         execution lock (never concurrently).
     cache:
         Optional :class:`RowCache`; pass ``None`` to disable caching.
-    max_batch:
-        Upper bound on rows per encoder pass; excess queries run in the
-        next pass.
-    window:
-        Seconds the leader waits for followers before executing.  ``0``
-        executes immediately (still coalescing whatever is already
-        queued).
     exec_lock:
         Lock serialising cache + compute against out-of-band state
         changes; the service passes its engine lock so ingestion and
@@ -198,14 +195,9 @@ class MicroBatchPlanner:
     """
 
     def __init__(self, compute, cache: RowCache | None = None,
-                 max_batch: int = 4096, window: float = 0.0,
                  exec_lock: threading.RLock | None = None):
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
         self._compute = compute
         self.cache = cache
-        self.max_batch = max_batch
-        self.window = window
         self._lock = threading.Lock()
         self._exec_lock = exec_lock if exec_lock is not None \
             else threading.RLock()
@@ -239,10 +231,6 @@ class MicroBatchPlanner:
             if leader:
                 self._executing = True
         if leader:
-            if self.window > 0:
-                # Give followers a beat to enqueue; they park on their
-                # own events, so this wait is the only added latency.
-                request.done.wait(self.window)
             self._drain()
         request.done.wait()
         if request.error is not None:
@@ -265,12 +253,13 @@ class MicroBatchPlanner:
             raise
 
     def _take_locked(self) -> list[_Pending]:
-        """Pop requests until the pass reaches ``max_batch`` rows."""
+        """Pop requests until the pass reaches :data:`MAX_PASS_ROWS` rows
+        (a single larger request still runs alone)."""
         taken: list[_Pending] = []
         rows = 0
         while self._queue:
             need = len(self._queue[0].nodes)
-            if taken and rows + need > self.max_batch:
+            if taken and rows + need > MAX_PASS_ROWS:
                 break
             taken.append(self._queue.pop(0))
             rows += need

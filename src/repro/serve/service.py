@@ -90,14 +90,11 @@ class ServeConfig:
     """Runtime knobs of one serving replica."""
 
     cache_capacity: int = 65536          # row cache slots; 0 disables
-    max_batch: int = 4096                # rows per coalesced encoder pass
-    window: float = 0.0                  # micro-batch coalescing wait (s)
     compaction_threshold: int = 4096     # delta events before CSR merge
     verify_fingerprint: bool = True      # history must match the artifact
     use_finetuned: bool | None = None    # None = auto (when bundle exists)
     # --- serving fast path -------------------------------------------
     index: bool = False                  # IVF shortlist for default top_k
-    index_nlist: int = 0                 # inverted lists (0 = ~sqrt(N))
     index_nprobe: int = 4                # lists scanned per query
     index_shortlist: int = 128           # min candidates exactly rescored
     background_compaction: bool = True   # delta merges off the request path
@@ -105,12 +102,6 @@ class ServeConfig:
     def validate(self) -> None:
         if self.cache_capacity < 0:
             raise ServeError("cache_capacity must be >= 0")
-        if self.max_batch < 1:
-            raise ServeError("max_batch must be >= 1")
-        if self.window < 0:
-            raise ServeError("window must be >= 0")
-        if self.index_nlist < 0:
-            raise ServeError("index_nlist must be >= 0 (0 = auto)")
         if self.index_nprobe < 1:
             raise ServeError("index_nprobe must be >= 1")
         if self.index_shortlist < 1:
@@ -243,10 +234,8 @@ class EmbeddingService:
             cache = RowCache(self.config.cache_capacity, encoder.embed_dim,
                              encoder.field_width,
                              self._ingestor.touch_count, dtype=self._dtype)
-        self.planner = MicroBatchPlanner(
-            self._compute_rows, cache=cache,
-            max_batch=self.config.max_batch, window=self.config.window,
-            exec_lock=self._lock)
+        self.planner = MicroBatchPlanner(self._compute_rows, cache=cache,
+                                         exec_lock=self._lock)
         self._index: CoarseQuantIndex | None = None
         self._compactor: BackgroundCompactor | None = None
         if self.config.background_compaction:
@@ -358,7 +347,7 @@ class EmbeddingService:
         """Build a service from a saved (or in-memory) artifact.
 
         ``knobs`` are :class:`ServeConfig` field overrides, e.g.
-        ``from_artifact(path, cache_capacity=0, window=0.002)``.
+        ``from_artifact(path, cache_capacity=0, index=True)``.
         """
         if isinstance(artifact, str):
             artifact = PretrainArtifact.load(artifact)
@@ -557,9 +546,7 @@ class EmbeddingService:
         with self._index_lock:
             with self._lock:
                 if self._index is None:
-                    self._index = CoarseQuantIndex(
-                        nlist=self.config.index_nlist,
-                        nprobe=self.config.index_nprobe)
+                    self._index = CoarseQuantIndex(self.config.index_nprobe)
                 index = self._index
                 rebuild = not index.built or index.needs_rebuild()
                 catalog = self._candidates

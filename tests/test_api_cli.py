@@ -95,7 +95,8 @@ class TestPipelineCommands:
                            ("finetune.prefetch_batches", "8"),
                            ("pretrain.fabric", "127.0.0.1:9000"),
                            ("pretrain.shard_dir", "/tmp/run42"),
-                           ("pretrain.fabric_lease_timeout", "30")):
+                           ("pretrain.fabric_lease_timeout", "30"),
+                           ("obs.trace_buffer", "8")):
             assert main(["pretrain", "--dump-config",
                          "--set", f"{key}={value}"]) == 2
             err = capsys.readouterr().err

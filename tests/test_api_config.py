@@ -59,6 +59,8 @@ class TestRoundTrip:
         payload["pretrain"]["fabric_lease_timeout"] = 30.0
         payload["finetune"]["num_workers"] = 2
         payload["finetune"]["prefetch_batches"] = 8
+        # And the span buffer's size, now a constant of repro.obs.
+        payload["obs"]["trace_buffer"] = 8
         path.write_text(json.dumps(payload))
         assert RunConfig.from_json(str(path)) == config
 
@@ -74,10 +76,12 @@ class TestRoundTrip:
         assert meta["run_config"]["finetune"]["compile_step"] is True
         assert meta["run_config"]["finetune"]["num_workers"] == 0
         assert meta["run_config"]["pretrain"]["mmap_graph"] is False
+        assert meta["run_config"]["obs"]["trace_buffer"] == 4096
         artifact = PretrainArtifact.load(parent.ARTIFACT_PATH)
         assert not hasattr(artifact.run_config.finetune, "compile_step")
         assert not hasattr(artifact.run_config.finetune, "num_workers")
         assert not hasattr(artifact.run_config.pretrain, "mmap_graph")
+        assert not hasattr(artifact.run_config.obs, "trace_buffer")
 
     def test_artifact_that_selected_the_dense_engine_loads_and_serves(
             self, tmp_path):

@@ -166,6 +166,22 @@ class TestPrecomputedSampler:
         cached = PrecomputedSampler(EpsilonDFSSampler(finder, 2, 2))
         np.testing.assert_array_equal(cached.sample(0, 6.0),
                                       inner.sample(0, 6.0))
+        # Two query times 3e-7 apart with an event between them are two
+        # subgraphs, asked one after the other or in one batch.
+        close = NeighborFinder(EventStream(src=[0, 0], dst=[1, 2],
+                                           timestamps=[1.0, 5.0000002],
+                                           num_nodes=3))
+        times = (5.0000001, 5.0000004)
+        online = [EpsilonDFSSampler(close, 2, 1).sample(0, t) for t in times]
+        assert [row.tolist() for row in online] == [[1], [1, 2]]
+        cached = PrecomputedSampler(EpsilonDFSSampler(close, 2, 1))
+        for t, want in zip(times, online):
+            np.testing.assert_array_equal(cached.sample(0, t), want)
+        batch = PrecomputedSampler(EpsilonDFSSampler(close, 2, 1)
+                                   ).sample_batch(np.zeros(2, dtype=np.int64),
+                                                  np.array(times))
+        for row, want in enumerate(online):
+            np.testing.assert_array_equal(batch.row(row), want)
 
     def test_hit_miss_counters(self):
         finder = NeighborFinder(star_stream())

@@ -30,7 +30,7 @@ from repro.datasets import split_downstream
 from repro.core.pretrainer import CPDGPreTrainer
 from repro.graph.events import EventStream
 from repro.obs.metrics import DEFAULT_BUCKETS, Counter, Histogram
-from repro.obs.trace import _NOOP
+from repro.obs.trace import _NOOP, BUFFER_SPANS
 from repro.serve import EmbeddingService, HttpClient, start_http_server
 
 
@@ -267,12 +267,14 @@ class TestTracing:
         assert obs.trace_buffer() == []
 
     def test_buffer_is_bounded(self):
-        obs.configure(enabled=True, buffer_size=8)
-        for i in range(20):
+        obs.configure(enabled=True)
+        total = BUFFER_SPANS + 5
+        for i in range(total):
             with obs.span(f"s{i}"):
                 pass
         buf = obs.trace_buffer()
-        assert len(buf) == 8 and buf[-1]["name"] == "s19"
+        assert len(buf) == BUFFER_SPANS
+        assert (buf[0]["name"], buf[-1]["name"]) == ("s5", f"s{total - 1}")
 
 
 class TestReport:

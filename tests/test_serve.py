@@ -381,6 +381,30 @@ class TestEmbeddingService:
             np.testing.assert_array_equal(service.embed(nodes, ts), offline)
         assert ingested == 40
 
+    def test_constant_serve_options_are_errors(self, capsys):
+        """The coalescing wait, the rows-per-pass bound and the IVF list
+        count, seed and rebuild fraction are constants: their knobs,
+        parameters and flags are errors, not no-ops."""
+        from repro.__main__ import main
+        from repro.serve import CoarseQuantIndex, ServeConfig
+        for knob in ({"window": 0.002}, {"max_batch": 64},
+                     {"index_nlist": 4}):
+            with pytest.raises(TypeError):
+                ServeConfig(**knob)
+        with pytest.raises(TypeError):
+            MicroBatchPlanner(own_rows, window=0.002)
+        with pytest.raises(TypeError):
+            MicroBatchPlanner(own_rows, max_batch=64)
+        for knob in ({"nlist": 4}, {"seed": 1}, {"rebuild_fraction": 0.25}):
+            with pytest.raises(TypeError):
+                CoarseQuantIndex(**knob)
+        for flag, value in (("--window-ms", "1"), ("--index-nlist", "4")):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["serve", "--artifact", "unused.npz", flag, value])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {flag} {value}" in err, err
+
     def test_inference_replay_switches_are_gone(self, capsys):
         """Serving has one engine: the knob, the flag and the constructor
         parameter that selected inference replay are errors, not no-ops."""
@@ -802,31 +826,46 @@ class TestPlanner:
             == (4096, 2048, 2048)
 
     def test_planner_coalesces_concurrent_requests(self):
+        """Callers that arrive while a pass runs share the next pass; no
+        wait is needed for them to coalesce."""
         import threading
+        import time
 
         passes = []
+        release = threading.Event()
 
         def compute(nodes, ts):
             passes.append(len(nodes))
+            assert release.wait(30.0)   # the first pass holds the queue
             return own_rows(nodes, ts)
 
-        planner = MicroBatchPlanner(compute, cache=None, window=0.05)
+        planner = MicroBatchPlanner(compute, cache=None)
         results = {}
 
         def query(i):
             results[i] = planner.embed(np.array([i]), np.array([0.0]))
 
+        def await_true(condition):
+            deadline = time.monotonic() + 30.0
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+
         threads = [threading.Thread(target=query, args=(i,))
                    for i in range(6)]
-        for thread in threads:
+        threads[0].start()
+        await_true(lambda: passes)              # the leader is computing
+        for thread in threads[1:]:
             thread.start()
+        # The other five are queued once each has counted its request.
+        await_true(lambda: int(planner.counters["requests"]) == 6)
+        release.set()
         for thread in threads:
             thread.join()
         for i in range(6):
             assert results[i][0, 0] == float(i)
-        # Fewer passes than requests — at least some coalescing happened.
-        assert len(passes) < 6
-        assert int(planner.counters["coalesced"]) > 0
+        assert passes == [1, 5]
+        assert int(planner.counters["coalesced"]) == 5
 
     def test_top_k_from_scores(self):
         ids, scores = top_k_from_scores(np.array([4, 9, 2, 7]),

@@ -157,25 +157,20 @@ class TestCoarseQuantIndex:
             index.contains(np.asarray([5, 100, 149, 900, 0, 150, 10**6, -1])),
             [True, True, True, True, False, False, False, False])
         q = rng.normal(size=vecs.shape[1])
-        # A listed row, a pending slot and an unknown id in one call.
-        index.replace(np.asarray([120, 900, 7]),
-                      np.stack([q * 1e3, q * 2e3, q * 3e3]))
-        assert index.search(q, 3).tolist() == [7, 900, 120]
+        # A listed row and a pending slot in one call.
+        index.replace(np.asarray([120, 900]), np.stack([q * 1e3, q * 2e3]))
+        assert index.search(q, 2).tolist() == [900, 120]
         assert int(index.counters["replaced"]) == 2
-        assert len(index) == 53
-        # Pending ids are not listed: remove drops listed rows only, once.
-        assert index.remove(np.asarray([120, 120, 900, 4242])) == 1
-        assert not index.contains(np.asarray([120]))[0]
         assert len(index) == 52
-        assert 120 not in index.probe_ids(q).tolist()
-        assert {7, 900} <= set(index.probe_ids(q).tolist())
+        assert {120, 900} <= set(index.probe_ids(q).tolist())
 
     def test_full_probe_matches_exact_scan(self):
         rng = np.random.default_rng(1)
         vecs = clustered_vectors(rng, 300)
         ids = rng.permutation(10_000)[:300].astype(np.int64)
-        index = CoarseQuantIndex(nlist=10, nprobe=10)
+        index = CoarseQuantIndex(nprobe=32)
         index.build(ids, vecs)
+        assert index.num_lists == 17       # round(sqrt(300)), all probed
         for _ in range(5):
             q = rng.normal(size=vecs.shape[1])
             got = index.search(q, 10)
@@ -213,25 +208,29 @@ class TestCoarseQuantIndex:
         assert index.search(q, 5)[0] == 777
         assert len(index) == 201
 
-    def test_replace_and_remove(self):
+    def test_replace_refreshes_listed_and_pending(self):
         rng = np.random.default_rng(4)
         vecs = clustered_vectors(rng, 100)
         index = CoarseQuantIndex(nprobe=10)
         index.build(np.arange(100), vecs)
+        index.add(np.asarray([150]), clustered_vectors(rng, 1))
         q = rng.normal(size=vecs.shape[1])
         index.replace(np.asarray([7]), (q * 1e3)[None, :])
         assert index.search(q, 3)[0] == 7
-        index.remove(np.asarray([7]))
-        assert 7 not in index.search(q, 100).tolist()
-        assert len(index) == 99
+        index.replace(np.asarray([150]), (q * 2e3)[None, :])
+        assert index.search(q, 3)[:2].tolist() == [150, 7]
+        assert len(index) == 101
 
     def test_rebuild_trigger(self):
         rng = np.random.default_rng(5)
         vecs = clustered_vectors(rng, 64)
-        index = CoarseQuantIndex(rebuild_fraction=0.25)
+        index = CoarseQuantIndex()
         index.build(np.arange(64), vecs)
         assert not index.needs_rebuild()
-        index.add(np.arange(100, 120), clustered_vectors(rng, 20))
+        # A tail of half the listed rows is tolerated; one more is not.
+        index.add(np.arange(100, 132), clustered_vectors(rng, 32))
+        assert not index.needs_rebuild()
+        index.add(np.asarray([132]), clustered_vectors(rng, 1))
         assert index.needs_rebuild()
 
     def test_empty_and_unbuilt(self):
@@ -363,8 +362,10 @@ class TestIndexedTopK:
             # Marks outside the probe survived; a rebuild clears them all.
             assert service._dirty_mask.any()
             rebuilds = int(index_counters["rebuilds"])
-            catalog = service._candidates
-            index.remove(catalog[:len(catalog) // 2 + 1])
+            # Grow the pending tail past half the listed rows (ids past
+            # the node space, which the rebuild over the catalog drops).
+            extra = NUM_NODES + np.arange(len(service._candidates) // 2 + 1)
+            index.add(extra, np.zeros((len(extra), service.encoder.embed_dim)))
             assert index.needs_rebuild()
             service.top_k(0, t, 5)
             assert int(index_counters["rebuilds"]) == rebuilds + 1
