@@ -167,3 +167,17 @@ class TestGPTGNN:
         with_attr = gptgnn_loss(enc, heads, batch, tiny_stream.edge_feats)
         without = gptgnn_loss(enc, heads, batch, None)
         assert with_attr.item() > without.item()
+
+
+class TestGoldenNeighborConsumers:
+    """The baselines and ε-DFS against ``tests/fixtures/golden_baselines.npz``
+    (recorded with the padded neighbour query), bit for bit."""
+
+    def test_matches_recording(self):
+        from tests.golden_baselines import GOLDEN_PATH, build_golden
+        expected = np.load(GOLDEN_PATH)
+        actual = build_golden()
+        assert sorted(actual) == sorted(expected.files)
+        for key in expected.files:
+            np.testing.assert_array_equal(actual[key], expected[key],
+                                          err_msg=key)
