@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import obs as _obs
@@ -324,7 +325,16 @@ def main(argv: list[str] | None = None) -> int:
         code = handlers[args.command](args)
         if getattr(args, "metrics", False):
             print(_obs.render_prometheus(), end="")
+        sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # The reader closed the pipe (`repro obs report ... | head`).
+        # Point stdout at devnull so the flush at exit cannot raise again
+        # (the idiom of the note on SIGPIPE in the `signal` module docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ConfigError, ArtifactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..dgnn.time_encoding import TimeEncoder
-from ..graph.neighbor_finder import most_recent_slots
 from ..nn import functional as F
 from ..nn.attention import TemporalAttention
 from ..nn.autograd import Tensor
@@ -42,7 +41,7 @@ class DDGCLEncoder(StaticEncoderBase):
             raise RuntimeError("encoder not attached to a stream; call attach()")
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
-        slots = most_recent_slots(self._finder, nodes, ts, self.n_neighbors)
+        slots = self._finder.batch_most_recent(nodes, ts, self.n_neighbors)
 
         center = self.node_embedding(nodes)
         zero_enc = self.time_encoder(Tensor(np.zeros(len(nodes))))

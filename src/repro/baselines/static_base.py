@@ -20,13 +20,33 @@ import numpy as np
 
 from ..graph.batching import EventBatch
 from ..graph.events import EventStream
-from ..graph.neighbor_finder import NeighborFinder
+from ..graph.neighbor_finder import NeighborFinder, NeighborSlots
 from ..nn import functional as F
 from ..nn.autograd import Tensor
 from ..nn.layers import Embedding
 from ..nn.module import Module
 
 __all__ = ["StaticEncoderBase"]
+
+
+def padded_block(slots: NeighborSlots, count: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``(neighbors, mask)`` of shape ``(B, count)`` from ragged slots.
+
+    Each row's neighbours are right-aligned (newest in the last column);
+    ``mask`` is True on the padding, which holds node 0.  The static
+    baselines' maths is defined on this block.
+    """
+    batch = len(slots.starts)
+    ends = np.append(slots.starts[1:], len(slots.rows))
+    real = ~slots.dummy
+    rows = slots.rows[real]
+    cols = (count - ends[slots.rows] + np.arange(len(slots.rows)))[real]
+    neighbors = np.zeros((batch, count), dtype=np.int64)
+    neighbors[rows, cols] = slots.neighbors[real]
+    mask = np.ones((batch, count), dtype=bool)
+    mask[rows, cols] = False
+    return neighbors, mask
 
 
 class StaticEncoderBase(Module):
@@ -86,8 +106,9 @@ class StaticEncoderBase(Module):
     def _layer(self, nodes: np.ndarray, ts: np.ndarray, layer: int) -> Tensor:
         if layer == 0:
             return self.node_embedding(nodes)
-        neighbors, _, _, mask = self._finder.batch_most_recent(
-            nodes, ts, self.n_neighbors)
+        neighbors, mask = padded_block(
+            self._finder.batch_most_recent(nodes, ts, self.n_neighbors),
+            self.n_neighbors)
         center = self._layer(nodes, ts, layer - 1)
         flat = neighbors.reshape(-1)
         flat_ts = np.repeat(ts, self.n_neighbors)

@@ -491,15 +491,15 @@ class EpsilonDFSSampler:
         for _ in range(self.depth):
             if len(f_nodes) == 0:
                 break
-            neighbors, _, _, mask = self.finder.batch_most_recent(
-                f_nodes, ts[f_rows], self.epsilon)
-            valid = ~mask
-            # Row-major flatten keeps frontier order, then chronological
-            # order within each frontier node — the reference pick order.
-            picked_nodes = neighbors[valid]
+            slots = self.finder.batch_most_recent(f_nodes, ts[f_rows],
+                                                  self.epsilon)
+            real = ~slots.dummy
+            # Slots run in frontier order, then chronologically within
+            # each frontier node — the reference pick order.
+            picked_nodes = slots.neighbors[real]
             if len(picked_nodes) == 0:
                 break
-            picked_rows = np.repeat(f_rows, valid.sum(axis=1))
+            picked_rows = f_rows[slots.rows[real]]
             picks_rows.append(picked_rows)
             picks_nodes.append(picked_nodes)
             f_nodes, f_rows = picked_nodes, picked_rows

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.neighbor_finder import NeighborFinder, most_recent_slots
+from ..graph.neighbor_finder import NeighborFinder
 from ..nn import functional as F
 from ..nn.attention import TemporalAttention
 from ..nn.autograd import Tensor
@@ -145,10 +145,10 @@ class TemporalAttentionEmbedding(Module):
         if layer == 0:
             return ctx.memory.gather(nodes)
 
-        # One vectorized CSR query covers the whole layer's neighbourhood
-        # (paper Eq. 1 set N_i^t, most-recent truncation), kept ragged:
-        # only the slots that hold a neighbour are embedded and attended.
-        slots = most_recent_slots(ctx.finder, nodes, ts, self.n_neighbors)
+        # One batch query covers the whole layer's neighbourhood (paper
+        # Eq. 1 set N_i^t, most-recent truncation), ragged: only the
+        # slots that hold a neighbour are embedded and attended.
+        slots = ctx.finder.batch_most_recent(nodes, ts, self.n_neighbors)
         slot_ts = ts[slots.rows]
         if root is not None:
             # Dummy slots included: a history-less row reads node 0.

@@ -18,6 +18,11 @@ flavours:
   vectorized segment binary search, so cost scales with event count
   rather than Python interpreter speed.
 
+``batch_most_recent`` answers in one format, the ragged
+:class:`NeighborSlots` (no padding to ``count``), and so does the serving
+layer's live finder; :func:`ragged_layout` is the one place that lays
+the slots out.
+
 The uniform-history control arm of prior DGNN work (TGAT/TGN) is not a
 finder query: ``experiments/ablations.py`` emulates it with the η-BFS
 sampler at ``tau=1e6``, where the softmax over temporal scores is flat
@@ -38,7 +43,7 @@ import numpy as np
 from .events import EventStream
 
 __all__ = ["NeighborFinder", "NeighborSlots", "build_temporal_csr",
-           "most_recent_slots", "segment_cut"]
+           "ragged_layout", "segment_cut"]
 
 
 def build_temporal_csr(src: np.ndarray, dst: np.ndarray,
@@ -67,18 +72,17 @@ def build_temporal_csr(src: np.ndarray, dst: np.ndarray,
     return (indptr, peers[order], np.tile(timestamps, 2)[order], eids[order])
 
 
-def segment_cut(values: np.ndarray, indptr: np.ndarray, nodes: np.ndarray,
-                thresholds: np.ndarray,
-                starts: np.ndarray | None = None) -> np.ndarray:
-    """First flat index per node whose ``values`` entry is >= threshold.
+def segment_cut(values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                thresholds: np.ndarray) -> np.ndarray:
+    """First flat index of each slice ``[lo[i], hi[i])`` whose ``values``
+    entry is >= ``thresholds[i]`` (``hi[i]`` when none is).
 
     A manual binary search over all rows at once (``O(log max_deg)``
-    numpy passes); ``values`` must be non-decreasing within each node's
-    CSR slice — true of both ``times`` and ``event_ids``.
+    numpy passes); ``values`` must be non-decreasing within each slice —
+    true of both ``times`` and ``event_ids`` in a node's CSR slice.
     """
-    lo = (indptr[nodes] if starts is None else starts).copy()
-    hi = indptr[nodes + 1].copy()
-    if len(values) and len(nodes):
+    lo = lo.copy()
+    if len(values) and len(lo):
         max_gap = int((hi - lo).max())
         # Invariant: the cut point lies in [lo, hi]; once lo == hi the
         # row is settled and further iterations leave it unchanged, so
@@ -95,11 +99,11 @@ def segment_cut(values: np.ndarray, indptr: np.ndarray, nodes: np.ndarray,
 class NeighborSlots(NamedTuple):
     """The neighbour slots of a query batch, ragged: no padding.
 
-    Slots of all query rows lie back to back, sorted by row; row ``i``
-    owns ``[starts[i], starts[i + 1])`` and every row owns at least one.
-    ``dummy`` marks the one slot a row *without* history keeps (neighbour
-    0 at time 0, exactly what a padded slot holds) so that no run is
-    empty; consumers zero its edge features.
+    Slots of all query rows lie back to back, sorted by row and
+    chronological within a row; row ``i`` owns ``[starts[i], starts[i +
+    1])`` and every row owns at least one.  ``dummy`` marks the one slot a
+    row *without* history keeps (neighbour 0, time 0, event 0) so that no
+    run is empty; consumers zero its edge features.
     """
 
     rows: np.ndarray        # (S,) query row of each slot, non-decreasing
@@ -110,34 +114,18 @@ class NeighborSlots(NamedTuple):
     dummy: np.ndarray       # (S,) bool
 
 
-def most_recent_slots(finder, nodes: np.ndarray, ts: np.ndarray,
-                      count: int) -> NeighborSlots:
-    """``finder.batch_most_recent`` with the padded slots dropped.
+def ragged_layout(valid: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :class:`NeighborSlots` layout of rows holding ``valid`` entries.
 
-    ``finder`` is anything with the padded batch query (the static CSR
-    finder or the serving layer's live one).  Most rows of a sparse
-    interaction graph have fewer than ``count`` events, so the encoder
-    projects and attends over far fewer key rows than ``B * count``.
-
-    A finder that can produce the ragged slots itself (the dynamic one,
-    from its most-recent ring) is asked first through ``recent_slots``;
-    it returns ``None`` for a batch it cannot answer that way.
+    Returns ``(rows, starts, offset)``: the query row of each slot, the
+    first slot of each row, and each slot's place within its row.  A row
+    with ``valid == 0`` keeps one slot at offset 0 (the dummy).
     """
-    recent_slots = getattr(finder, "recent_slots", None)
-    if recent_slots is not None:
-        slots = recent_slots(nodes, ts, count)
-        if slots is not None:
-            return slots
-    neighbors, times, event_ids, mask = finder.batch_most_recent(nodes, ts,
-                                                                 count)
-    keep = ~mask
-    keep[:, 0] |= mask.all(axis=1)
-    per_row = keep.sum(axis=1)
-    return NeighborSlots(
-        rows=np.repeat(np.arange(len(per_row)), per_row),
-        starts=np.cumsum(per_row) - per_row,
-        neighbors=neighbors[keep], times=times[keep],
-        event_ids=event_ids[keep], dummy=mask[keep])
+    per_row = np.maximum(valid, 1)
+    starts = np.cumsum(per_row) - per_row
+    rows = np.repeat(np.arange(len(per_row)), per_row)
+    return rows, starts, np.arange(len(rows)) - starts[rows]
 
 
 class NeighborFinder:
@@ -257,13 +245,8 @@ class NeighborFinder:
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
         starts = self._indptr[nodes]
-        return starts, self._segment_cut(self._times, nodes, ts, starts)
-
-    def _segment_cut(self, values: np.ndarray, nodes: np.ndarray,
-                     thresholds: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Batched cut search over this CSR (see :func:`segment_cut`)."""
-        return segment_cut(values, self._indptr, nodes, thresholds,
-                           starts=starts)
+        return starts, segment_cut(self._times, starts,
+                                   self._indptr[nodes + 1], ts)
 
     def batch_last_update(self, nodes: np.ndarray,
                           event_cut: int) -> np.ndarray:
@@ -277,44 +260,32 @@ class NeighborFinder:
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         starts = self._indptr[nodes]
-        cut = self._segment_cut(self._event_ids, nodes,
-                                np.full(len(nodes), event_cut,
-                                        dtype=np.int64), starts)
+        cut = segment_cut(self._event_ids, starts, self._indptr[nodes + 1],
+                          np.full(len(nodes), event_cut, dtype=np.int64))
         has_history = cut > starts
         if not has_history.any():
             return np.zeros(len(nodes))
         prev = self._times[np.maximum(cut - 1, 0)]
         return np.where(has_history, np.maximum(prev, 0.0), 0.0)
 
-    def batch_degree(self, nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Batched :meth:`degree`: interactions strictly before each ``ts``."""
-        starts, ends = self.batch_before(nodes, ts)
-        return ends - starts
+    def batch_most_recent(self, nodes: np.ndarray, ts: np.ndarray,
+                          count: int) -> NeighborSlots:
+        """Batch variant of :meth:`most_recent`, as ragged slots.
 
-    def batch_most_recent(self, nodes: np.ndarray, ts: np.ndarray, count: int
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Padded batch variant of :meth:`most_recent`, fully vectorized.
-
-        Returns ``(neighbors, times, event_ids, mask)`` with shapes
-        ``(B, count)``; ``mask`` is True on *padded* (invalid) slots.
-        Padding sits on the left so valid entries stay chronologically
-        ordered on the right; padded slots hold zeros.
+        Row ``i`` holds the newest ``min(degree, count)`` entries before
+        ``ts[i]``, chronological; a row with none keeps the zero dummy.
         """
         starts, ends = self.batch_before(nodes, ts)
-        if len(self._neighbors) == 0:
-            batch = len(starts)
-            return (np.zeros((batch, count), dtype=np.int64),
-                    np.zeros((batch, count), dtype=np.float64),
-                    np.zeros((batch, count), dtype=np.int64),
-                    np.ones((batch, count), dtype=bool))
-        k = np.minimum(ends - starts, count)
-        cols = np.arange(count, dtype=np.int64)
-        # Column c of row i maps to flat slot ends[i] - count + c; only the
-        # rightmost k[i] columns are in range.
-        idx = ends[:, None] - count + cols[None, :]
-        valid = cols[None, :] >= (count - k)[:, None]
-        safe = np.where(valid, idx, 0)
-        out_neighbors = np.where(valid, self._neighbors[safe], 0)
-        out_times = np.where(valid, self._times[safe], 0.0)
-        out_events = np.where(valid, self._event_ids[safe], 0)
-        return out_neighbors, out_times, out_events, ~valid
+        valid = np.minimum(ends - starts, count)
+        rows, slot_starts, offset = ragged_layout(valid)
+        dummy = (valid == 0)[rows]
+        if len(self._neighbors) == 0:               # every slot is a dummy
+            zeros = np.zeros(len(rows), dtype=np.int64)
+            return NeighborSlots(rows, slot_starts, zeros,
+                                 np.zeros(len(rows)), zeros.copy(), dummy)
+        flat = np.where(dummy, 0, (ends - valid)[rows] + offset)
+        return NeighborSlots(rows, slot_starts,
+                             *(np.where(dummy, 0, column[flat]) for column
+                               in (self._neighbors, self._times,
+                                   self._event_ids)),
+                             dummy)

@@ -30,7 +30,7 @@ class TemporalAttention(Module):
     back to back, sorted by query row — and ``starts`` gives the first
     slot of each query's run (``(B,)``, starting at 0, strictly
     increasing: every query owns at least one slot; see
-    :func:`~repro.graph.neighbor_finder.most_recent_slots` for how a
+    :class:`~repro.graph.neighbor_finder.NeighborSlots` for how a
     query without history keeps one; ``forward`` checks the contract
     with :func:`~repro.nn.functional.segment_rows`).  K/V projections,
     scores and the softmax touch those ``S`` rows only; nothing is masked.

@@ -9,7 +9,7 @@ query engine whose memory keeps evolving as live events arrive.
   ``snapshot(path)`` / ``from_snapshot`` replica persistence;
 * :class:`DynamicNeighborFinder` — append-only temporal CSR (delta
   buffer + periodic compaction) plus a most-recent ring, answering the
-  encoder's neighbour query (``most_recent_slots``) on a live graph;
+  encoder's neighbour query (``batch_most_recent``) on a live graph;
 * :class:`BackgroundCompactor` — generation-swapped delta merges off the
   request path (the default; disable per ``ServeConfig``);
 * :class:`LiveIngestor` — replay-equivalent memory advancement through

@@ -1,13 +1,14 @@
 """Append-only temporal adjacency for live serving.
 
-:class:`DynamicNeighborFinder` is the answer to
-:func:`~repro.graph.neighbor_finder.most_recent_slots` — the one question
-the encoder asks: the newest ``count`` neighbours of each row before its
-query time — on a graph that keeps growing while queries are served.  It
-is **not** a drop-in :class:`~repro.graph.neighbor_finder.NeighborFinder`:
-it has no flat CSR columns and no ``batch_before``, so a subgraph sampler
-pointed at it fails on ``batch_before`` by name.  Sampling wants a static
-finder built over the events (``NeighborFinder(stream)``).
+:class:`DynamicNeighborFinder` answers ``batch_most_recent`` — the one
+question the encoder asks: the newest ``count`` neighbours of each row
+before its query time, as ragged
+:class:`~repro.graph.neighbor_finder.NeighborSlots` — on a graph that
+keeps growing while queries are served.  It is **not** a drop-in
+:class:`~repro.graph.neighbor_finder.NeighborFinder`: it has no flat CSR
+columns and no ``batch_before``, so a subgraph sampler pointed at it
+fails on ``batch_before`` by name.  Sampling wants a static finder built
+over the events (``NeighborFinder(stream)``).
 
 Internally it is a two-level LSM-style structure:
 
@@ -17,8 +18,8 @@ Internally it is a two-level LSM-style structure:
   into a small CSR of its own (with *global* event ids) the first time a
   query arrives after an append.
 
-Appends are O(batch); :meth:`~DynamicNeighborFinder.batch_most_recent`
-touches the base CSR plus a delta the size of the un-compacted tail;
+Appends are O(batch); a query the ring below cannot answer touches the
+base CSR plus a delta the size of the un-compacted tail;
 :meth:`~DynamicNeighborFinder.compact` (triggered automatically once the
 delta outgrows ``compaction_threshold`` events) merges the delta into the
 base in one vectorized O(E) pass.  Live events are time-monotone (every
@@ -49,7 +50,7 @@ at or after a query time still leave a full answer in the ring):
   idiom) maps a node to its ring row; nodes without history map to row 0,
   an all-zero row of degree 0 whose newest time is ``-inf`` — so a query
   needs no "is it known" branch and a history-less row reads exactly the
-  zero dummy slot a padded query would give it;
+  zero dummy slot the CSR query gives it;
 * ``neighbors`` / ``times`` / ``event_ids`` are ``(rows, W)`` arrays in
   which entry number ``p`` of a node's whole history (0-based, base and
   delta alike) lives in column ``p mod W``; ``degree[row]`` is the number
@@ -67,19 +68,18 @@ entries at or after ``ts`` (the per-row time cut); the row is answerable
 iff ``d <= W`` (the ring holds its whole history) or
 ``m + min(d - m, count) <= W`` (the ring holds the cut entries and the
 newest ``count`` before them, so nothing at or after ``ts`` hides behind
-the ring).  :meth:`~DynamicNeighborFinder.recent_slots` answers a whole
-``(nodes, ts, count)`` batch iff ``1 <= count <= W`` and every row is
-answerable; otherwise it returns ``None`` and the caller takes
-:meth:`~DynamicNeighborFinder.batch_most_recent`.  A row whose held
-entries are all cut reads the null row's zero slot, like a row without
-history.  The answer holds the same entries in the same order as the CSR
-path.  A query stamped after every event cuts nothing, so the cut costs
-one comparison per row until some row is that late.  Compaction (inline or
-background) and snapshots never touch the ring: a merge only changes
-*where* the CSR stores an entry, not which entries a node has, and a
-restored finder refills the ring from its base and replayed delta.  Like
-every other piece of finder state the ring is not thread-safe; the
-service lock serialises it.
+the ring).  :meth:`~DynamicNeighborFinder.batch_most_recent` answers a
+whole ``(nodes, ts, count)`` batch from the ring iff ``1 <= count <= W``
+and every row is answerable; otherwise it cuts the whole batch in the
+base and delta CSRs.  A row whose held entries are all cut reads the
+null row's zero slot, like a row without history.  The answer holds the
+same entries in the same order as the CSR path.  A query stamped after
+every event cuts nothing, so the cut costs one comparison per row until
+some row is that late.  Compaction (inline or background) and snapshots
+never touch the ring: a merge only changes *where* the CSR stores an
+entry, not which entries a node has, and a restored finder refills the
+ring from its base and replayed delta.  Like every other piece of finder
+state the ring is not thread-safe; the service lock serialises it.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ import numpy as np
 from .. import obs as _obs
 from ..graph.events import EventStream
 from ..graph.neighbor_finder import (NeighborFinder, NeighborSlots,
-                                     build_temporal_csr)
+                                     build_temporal_csr, ragged_layout)
 
 __all__ = ["BackgroundCompactor", "CompactionJob", "DynamicNeighborFinder",
            "IngestError"]
@@ -279,13 +279,11 @@ class _RecentRing:
             return None
         self._answered.inc()
         valid = np.minimum(before, count)
-        # A row with nothing before `ts` keeps one slot: column 0 of the
-        # null row, whether or not the row has a history at all.
+        # A row with nothing before `ts` keeps one slot: a column of the
+        # all-zero null row, whether or not the row has a history at all.
         ring_rows[valid == 0] = 0
-        per_row = np.maximum(valid, 1)
-        starts = np.cumsum(per_row) - per_row
-        rows = np.repeat(np.arange(len(per_row)), per_row)
-        position = np.arange(len(rows)) + (before - valid - starts)[rows]
+        rows, starts, offset = ragged_layout(valid)
+        position = offset + (before - valid)[rows]
         flat = ((ring_rows.astype(np.int64) * width)[rows]
                 + position % width)
         return NeighborSlots(
@@ -490,55 +488,43 @@ class DynamicNeighborFinder:
     # ------------------------------------------------------------------
     # the encoder's neighbour query
     # ------------------------------------------------------------------
-    def batch_most_recent(self, nodes: np.ndarray, ts: np.ndarray, count: int
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                     np.ndarray]:
-        """Padded most-recent query merged across base and delta.
+    def batch_most_recent(self, nodes: np.ndarray, ts: np.ndarray,
+                          count: int) -> NeighborSlots:
+        """The newest ``count`` neighbours of each row before its time.
 
-        Valid entries are right-aligned chronological in both halves, and
-        every delta entry is newer than every base entry, so the merged
-        row is the rightmost ``count`` of (base valid ++ delta valid).
+        The ring answers when it can (the answerability rule in the
+        module docstring).  Otherwise the rows are cut in the base and
+        the delta CSR: every delta entry of a node is newer than all its
+        base entries, so a row takes its newest ``min(delta, count)``
+        delta entries and fills the rest from the newest base entries.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
+        slots = self._ring.slots(nodes, ts, count)
+        if slots is not None:
+            return slots
         delta = self._refresh_delta()
-        base = self._base.batch_most_recent(nodes, ts, count)
         if delta is None:
-            return base
-        b_n, b_t, b_e, b_mask = base
-        d_n, d_t, d_e, d_mask = delta.batch_most_recent(nodes, ts, count)
-        if d_mask.all():
-            return base
-        v_base = count - b_mask.sum(axis=1)
-        v_delta = count - d_mask.sum(axis=1)
-        keep = np.minimum(v_base + v_delta, count)
-        cols = np.arange(count, dtype=np.int64)
-        right = count - 1 - cols[None, :]                  # distance from right
-        valid = cols[None, :] >= (count - keep)[:, None]
-        from_delta = valid & (right < v_delta[:, None])
-        from_base = valid & ~from_delta
-        d_col = np.clip(count - 1 - right, 0, count - 1)
-        b_col = np.clip(count - 1 - (right - v_delta[:, None]), 0, count - 1)
-        rows = np.broadcast_to(np.arange(len(nodes))[:, None], from_base.shape)
-        out_n = np.zeros((len(nodes), count), dtype=np.int64)
-        out_t = np.zeros((len(nodes), count), dtype=np.float64)
-        out_e = np.zeros((len(nodes), count), dtype=np.int64)
-        for out, b_val, d_val in ((out_n, b_n, d_n), (out_t, b_t, d_t),
-                                  (out_e, b_e, d_e)):
-            out[from_base] = b_val[rows[from_base], b_col[from_base]]
-            out[from_delta] = d_val[rows[from_delta],
-                                    np.broadcast_to(d_col, from_delta.shape
-                                                    )[from_delta]]
-        return out_n, out_t, out_e, ~valid
-
-    def recent_slots(self, nodes: np.ndarray, ts: np.ndarray,
-                     count: int) -> NeighborSlots | None:
-        """:func:`~repro.graph.neighbor_finder.most_recent_slots` answered
-        from the ring — no bisection, no delta lowering, no padding — or
-        ``None`` when the batch needs :meth:`batch_most_recent` (see the
-        answerability rule in the module docstring)."""
-        return self._ring.slots(np.asarray(nodes, dtype=np.int64),
-                                np.asarray(ts, dtype=np.float64), count)
+            return self._base.batch_most_recent(nodes, ts, count)
+        b_starts, b_ends = self._base.batch_before(nodes, ts)
+        d_starts, d_ends = delta.batch_before(nodes, ts)
+        from_delta = np.minimum(d_ends - d_starts, count)
+        from_base = np.minimum(b_ends - b_starts, count - from_delta)
+        valid = from_base + from_delta
+        rows, starts, offset = ragged_layout(valid)
+        dummy = (valid == 0)[rows]
+        in_base = offset < from_base[rows]
+        in_delta = ~in_base & ~dummy
+        b_flat = (b_ends - from_base)[rows[in_base]] + offset[in_base]
+        d_flat = (d_ends - valid)[rows[in_delta]] + offset[in_delta]
+        columns = []
+        for name, dtype in (("neighbors", np.int64), ("times", np.float64),
+                            ("event_ids", np.int64)):
+            out = np.zeros(len(rows), dtype=dtype)
+            out[in_base] = getattr(self._base, name)[b_flat]
+            out[in_delta] = getattr(delta, name)[d_flat]
+            columns.append(out)
+        return NeighborSlots(rows, starts, *columns, dummy)
 
 
 class BackgroundCompactor:

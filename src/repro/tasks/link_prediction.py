@@ -104,20 +104,21 @@ class LinkPredictionTask(FineTuneTask):
 
     @in_strategy_dtype
     def _score_stream(self, segment: str,
-                      restrict_new_nodes: set | None = None,
+                      unseen: np.ndarray | None = None,
                       warmups: tuple[str, ...] = ("train",),
                       ) -> LinkPredictionMetrics:
         """Replay from the initial memory and score ``segment``.
 
         The ``warmups`` segments are replayed (without scoring) first so
-        memory reflects all earlier downstream history.
+        memory reflects all earlier downstream history.  ``unseen``, a
+        boolean mask over the node space, keeps only the events with an
+        unseen endpoint.
         """
         self._restore_memory()
         with no_grad():
             for warm in warmups:
                 self._replay(warm)
-            labels, scores = self._replay(segment, score=True,
-                                          restrict_new_nodes=restrict_new_nodes)
+            labels, scores = self._replay(segment, score=True, unseen=unseen)
         if len(labels) == 0 or len(set(labels.tolist())) < 2:
             return LinkPredictionMetrics(auc=float("nan"), ap=float("nan"),
                                          num_events=len(labels) // 2)
@@ -128,17 +129,15 @@ class LinkPredictionTask(FineTuneTask):
         )
 
     def _replay(self, segment: str, score: bool = False,
-                restrict_new_nodes: set | None = None):
-        """Walk ``segment`` chronologically, optionally scoring events."""
+                unseen: np.ndarray | None = None):
+        """Walk ``segment`` chronologically, optionally scoring events
+        (those with an ``unseen`` endpoint only, when given)."""
         all_labels: list[np.ndarray] = []
         all_scores: list[np.ndarray] = []
         for batch in self._segment_batches(segment):
             if score:
-                keep = np.ones(len(batch), dtype=bool)
-                if restrict_new_nodes is not None:
-                    keep = np.array([
-                        (int(s) in restrict_new_nodes) or (int(d) in restrict_new_nodes)
-                        for s, d in zip(batch.src, batch.dst)])
+                keep = (np.ones(len(batch), dtype=bool) if unseen is None
+                        else unseen[batch.src] | unseen[batch.dst])
                 if keep.any():
                     src, dst = batch.src[keep], batch.dst[keep]
                     neg, ts = batch.neg_dst[keep], batch.timestamps[keep]
@@ -162,12 +161,12 @@ class LinkPredictionTask(FineTuneTask):
         ``inductive=True`` restricts to events touching nodes unseen in the
         fine-tuning *training* events (paper Table X protocol).
         """
-        restrict = None
+        unseen = None
         if inductive:
-            seen = set(np.concatenate([self.split.train.src,
-                                       self.split.train.dst]).tolist())
-            restrict = set(range(self._full_stream.num_nodes)) - seen
-        return self._score_stream("test", restrict_new_nodes=restrict,
+            unseen = np.ones(self._full_stream.num_nodes, dtype=bool)
+            unseen[self.split.train.src] = False
+            unseen[self.split.train.dst] = False
+        return self._score_stream("test", unseen=unseen,
                                   warmups=("train", "val"))
 
     @in_strategy_dtype

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -143,3 +146,25 @@ class TestLegacyCommands:
     def test_profile_unknown_dataset(self, capsys):
         assert main(["profile", "imdb"]) == 2
         assert "unknown dataset" in capsys.readouterr().err
+
+    def test_closed_pipe_exits_quietly(self, monkeypatch, tmp_path):
+        """``repro list | head -1``: the reader is gone, so ``main``
+        returns 1 without a traceback and points stdout at devnull, where
+        the flush at exit cannot raise again."""
+        path = tmp_path / "stdout"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["list"]) == 1
+            os.write(fd, b"after the pipe closed")
+        finally:
+            os.close(fd)
+        assert path.read_bytes() == b""

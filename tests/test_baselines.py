@@ -169,6 +169,24 @@ class TestGPTGNN:
         assert with_attr.item() > without.item()
 
 
+class TestPaddedBlock:
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_matches_per_node_padding(self, tiny_stream, count):
+        """Right-aligned neighbours, node 0 and a True mask on the left
+        padding, as built row by row from per-node ``most_recent``."""
+        from repro.baselines.static_base import padded_block
+        from repro.graph import NeighborFinder
+        from tests.test_ragged_attention import padded_most_recent
+        finder = NeighborFinder(tiny_stream)
+        nodes = np.arange(tiny_stream.num_nodes)
+        ts = np.linspace(0.0, tiny_stream.t_max + 1.0, len(nodes))
+        neighbors, _, _, mask = padded_most_recent(finder, nodes, ts, count)
+        got = padded_block(finder.batch_most_recent(nodes, ts, count), count)
+        np.testing.assert_array_equal(got[0], neighbors)
+        np.testing.assert_array_equal(got[1], mask)
+        assert mask.all(axis=1).any() and (~mask).all(axis=1).any()
+
+
 class TestGoldenNeighborConsumers:
     """The baselines and ε-DFS against ``tests/fixtures/golden_baselines.npz``
     (recorded with the padded neighbour query), bit for bit."""

@@ -4,7 +4,7 @@ Property tests (hypothesis over random event streams) asserting that the
 vectorized batch queries — ``batch_before`` / ``batch_most_recent`` — and
 the whole-frontier ``sample_batch`` kernels agree with the per-node
 reference implementations element-for-element, including empty-history
-and all-padded rows.  The per-root η-BFS / ε-DFS walks the kernels
+rows (the one zero dummy slot).  The per-root η-BFS / ε-DFS walks the kernels
 replaced live here, as the oracles :func:`eta_bfs_reference` and
 :func:`eps_dfs_reference`.
 """
@@ -21,6 +21,7 @@ from repro.core import (EpsilonDFSSampler, EtaBFSSampler, PrecomputedSampler,
 from repro.core.probability import segment_log_weights
 from repro.core.samplers import ENVELOPE_BLOCK, RACE_MAX_WIDTH
 from repro.graph import EventStream, NeighborFinder
+from repro.graph.neighbor_finder import NeighborSlots
 from repro.nn import Tensor
 from repro.nn import functional as F
 
@@ -41,8 +42,41 @@ def random_queries(seed: int, num_nodes: int, batch: int
     rng = np.random.default_rng(seed + 1)
     nodes = rng.integers(0, num_nodes, batch)
     ts = rng.random(batch) * 130.0  # beyond t_max to cover full histories
-    ts[: batch // 4] = 0.0          # guaranteed all-padded rows
+    ts[: batch // 4] = 0.0          # guaranteed history-less rows
     return nodes, ts
+
+
+def most_recent_reference(finder: NeighborFinder, nodes: np.ndarray,
+                          ts: np.ndarray, count: int) -> NeighborSlots:
+    """``batch_most_recent``'s slots laid out row by row from per-node
+    ``most_recent``: a row without history keeps one zero dummy slot."""
+    rows, starts, dummy = [], [], []
+    columns = ([], [], [])
+    for i, (node, t) in enumerate(zip(nodes, ts)):
+        starts.append(len(rows))
+        entries = finder.most_recent(int(node), float(t), count)
+        empty = len(entries[0]) == 0
+        if empty:
+            entries = ([0], [0.0], [0])
+        for column, values in zip(columns, entries):
+            column.extend(values)
+        rows.extend([i] * len(entries[0]))
+        dummy.extend([empty] * len(entries[0]))
+    return NeighborSlots(
+        rows=np.array(rows, dtype=np.int64),
+        starts=np.array(starts, dtype=np.int64),
+        neighbors=np.array(columns[0], dtype=np.int64),
+        times=np.array(columns[1], dtype=np.float64),
+        event_ids=np.array(columns[2], dtype=np.int64),
+        dummy=np.array(dummy, dtype=bool))
+
+
+def assert_slots_equal(got: NeighborSlots, want: NeighborSlots, note=""):
+    """Field for field, dtype for dtype."""
+    for name in NeighborSlots._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, (note, name, a.dtype, b.dtype)
+        np.testing.assert_array_equal(a, b, err_msg=f"{note} {name}")
 
 
 def _walk(root: int, depth: int, expand) -> np.ndarray:
@@ -122,19 +156,10 @@ class TestBatchQueries:
         seed, num_nodes, num_events = params
         finder = NeighborFinder(random_stream(seed, num_nodes, num_events))
         nodes, ts = random_queries(seed, num_nodes, 32)
-        out_n, out_t, out_e, mask = finder.batch_most_recent(nodes, ts, count)
-        assert out_n.shape == out_t.shape == out_e.shape == mask.shape == (32, count)
-        for i in range(len(nodes)):
-            neighbors, times, events = finder.most_recent(
-                int(nodes[i]), float(ts[i]), count)
-            k = len(neighbors)
-            # Left padding: zeros + True mask, valid suffix chronological.
-            assert mask[i, :count - k].all()
-            assert not mask[i, count - k:].any()
-            np.testing.assert_array_equal(out_n[i, count - k:], neighbors)
-            np.testing.assert_array_equal(out_t[i, count - k:], times)
-            np.testing.assert_array_equal(out_e[i, count - k:], events)
-            assert out_n[i, :count - k].sum() == 0
+        slots = finder.batch_most_recent(nodes, ts, count)
+        assert_slots_equal(slots,
+                           most_recent_reference(finder, nodes, ts, count))
+        assert np.diff(slots.starts, append=len(slots.rows)).max() <= count
 
     def test_empty_query_batch(self):
         finder = NeighborFinder(random_stream(1, 10, 50))
@@ -142,18 +167,21 @@ class TestBatchQueries:
         no_ts = np.empty(0, dtype=np.float64)
         starts, ends = finder.batch_before(none, no_ts)
         assert len(starts) == len(ends) == 0
-        out = finder.batch_most_recent(none, no_ts, 5)
-        assert all(a.shape == (0, 5) for a in out)
+        slots = finder.batch_most_recent(none, no_ts, 5)
+        assert_slots_equal(slots, most_recent_reference(finder, none, no_ts,
+                                                        5))
+        assert all(len(field) == 0 for field in slots)
 
-    def test_empty_stream_all_padded(self):
+    def test_empty_stream_all_dummy(self):
         finder = NeighborFinder(EventStream(src=[], dst=[], timestamps=[],
                                             num_nodes=5))
         nodes = np.array([0, 3])
         ts = np.array([1.0, 2.0])
         starts, ends = finder.batch_before(nodes, ts)
         assert (starts == ends).all()
-        _, _, _, mask = finder.batch_most_recent(nodes, ts, 4)
-        assert mask.all()
+        slots = finder.batch_most_recent(nodes, ts, 4)
+        assert slots.dummy.all() and slots.starts.tolist() == [0, 1]
+        assert_slots_equal(slots, most_recent_reference(finder, nodes, ts, 4))
 
 
 class TestEpsilonDFSEquivalence:

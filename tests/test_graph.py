@@ -100,13 +100,18 @@ class TestNeighborFinder:
         assert times.tolist() == [2.0, 4.0]
         assert neighbors.tolist() == [1, 2]
 
-    def test_batch_most_recent_padding(self):
+    def test_batch_most_recent_slots(self):
         finder = NeighborFinder(make_stream())
-        neighbors, times, events, mask = finder.batch_most_recent(
-            np.array([3, 2]), np.array([10.0, 1.0]), 4)
-        assert mask[0].tolist() == [True, False, False, False]
-        assert mask[1].tolist() == [True, True, True, True]
-        assert neighbors[0, 1:].tolist() == [0, 1, 2]
+        slots = finder.batch_most_recent(np.array([3, 2]),
+                                         np.array([10.0, 1.0]), 4)
+        # Node 3 has three events before t=10; node 2 none before t=1,
+        # so it keeps one zero dummy slot.
+        assert slots.starts.tolist() == [0, 3]
+        assert slots.rows.tolist() == [0, 0, 0, 1]
+        assert slots.neighbors.tolist() == [0, 1, 2, 0]
+        assert slots.times.tolist() == [1.0, 2.0, 4.0, 0.0]
+        assert slots.event_ids.tolist() == [0, 1, 3, 0]
+        assert slots.dummy.tolist() == [False, False, False, True]
 
     def test_event_ids_resolve_to_stream_rows(self):
         stream = make_stream()

@@ -3,13 +3,12 @@
 Three answers to "the newest ``count`` neighbours of each row before its
 ``ts``" must agree field for field, dtype for dtype:
 
-* the ring (``most_recent_slots`` on the live finder, which asks
-  ``recent_slots`` first);
-* the path that was there before it (the same function over the live
-  finder's padded ``batch_most_recent`` only);
+* the live finder's ``batch_most_recent``, which asks the ring first;
+* the same query with the ring declining (its ``slots`` patched to
+  return ``None``), which cuts the base and delta CSRs;
 * a static ``NeighborFinder`` rebuilt from the concatenated events.
 
-The ring may decline a batch (``recent_slots`` returns ``None``) and must
+The ring may decline a batch (``_ring.slots`` returns ``None``) and must
 do so exactly when the answerability rule says: ``count`` outside
 ``1..W``, or some queried row with more than ``W`` entries whose ``m``
 held entries at or after its ``ts`` plus the newest ``count`` before them
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import types
 
 import numpy as np
 import pytest
@@ -29,23 +27,12 @@ from hypothesis import strategies as st
 
 import repro.serve.dynamic_finder as dynamic_finder
 from repro.graph.events import EventStream
-from repro.graph.neighbor_finder import (NeighborFinder, NeighborSlots,
-                                         most_recent_slots)
+from repro.graph.neighbor_finder import NeighborFinder
 from repro.serve import DynamicNeighborFinder, EmbeddingService, IngestError
 
-from .test_serve import make_split_stream, pretrain_artifact, tiny_config
-
-
-def csr_only(finder):
-    """``finder`` as the encoder saw it before the ring existed."""
-    return types.SimpleNamespace(batch_most_recent=finder.batch_most_recent)
-
-
-def assert_slots_equal(got: NeighborSlots, want: NeighborSlots, note=""):
-    for name in NeighborSlots._fields:
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, (note, name, a.dtype, b.dtype)
-        np.testing.assert_array_equal(a, b, err_msg=f"{note} {name}")
+from .test_batch_sampling import assert_slots_equal
+from .test_serve import (declined, make_split_stream, pretrain_artifact,
+                         tiny_config)
 
 
 def rebuilt(num_nodes: int, events) -> NeighborFinder:
@@ -74,7 +61,8 @@ def ring_answers(static: NeighborFinder, nodes: np.ndarray, ts: np.ndarray,
     if not 1 <= count <= width:
         return False
     degree = np.diff(np.asarray(static.indptr))[nodes]
-    cut = np.minimum(degree - static.batch_degree(nodes, ts), width)
+    starts, ends = static.batch_before(nodes, ts)
+    cut = np.minimum(degree - (ends - starts), width)
     return bool(((degree <= width)
                  | (cut + np.minimum(degree - cut, count) <= width)).all())
 
@@ -95,14 +83,13 @@ def probe_everything(dyn, num_nodes, events, width, note="",
         # W / 2: the service's ring is twice its encoder's n_neighbors.
         for count in sorted({1, max(width // 2, 1), width, width + 1}):
             tag = f"{note} {label} count={count}"
-            got = most_recent_slots(dyn, nodes, ts, count)
-            assert_slots_equal(got, most_recent_slots(csr_only(dyn), nodes,
-                                                      ts, count),
+            got = dyn.batch_most_recent(nodes, ts, count)
+            assert_slots_equal(got, declined(dyn, nodes, ts, count),
                                tag + " vs csr")
-            assert_slots_equal(got, most_recent_slots(static, nodes, ts,
-                                                      count),
+            assert_slots_equal(got, static.batch_most_recent(nodes, ts,
+                                                             count),
                                tag + " vs rebuilt")
-            direct = dyn.recent_slots(nodes, ts, count)
+            direct = dyn._ring.slots(nodes, ts, count)
             assert (direct is not None) == ring_answers(static, nodes, ts,
                                                         count, width), tag
             if direct is not None:
@@ -263,13 +250,12 @@ def test_named_cases():
         probe_everything(dyn, num_nodes, events, width, f"named {i}")
     # History-less rows come out of the null row as the flagged zero slot.
     lonely = DynamicNeighborFinder(_empty_base(4), ring_width=2)
-    slots = lonely.recent_slots(np.arange(4), np.full(4, 1.0), 2)
+    slots = lonely._ring.slots(np.arange(4), np.full(4, 1.0), 2)
     assert slots.dummy.all() and not slots.neighbors.any()
     assert not slots.times.any() and not slots.event_ids.any()
     np.testing.assert_array_equal(slots.starts, np.arange(4))
-    assert_slots_equal(slots, most_recent_slots(csr_only(lonely),
-                                                np.arange(4),
-                                                np.full(4, 1.0), 2))
+    assert_slots_equal(slots, declined(lonely, np.arange(4),
+                                       np.full(4, 1.0), 2))
     # So do rows whose held entries are all cut: node 0's two entries
     # sit at the query time, so it must read the null row's zero slot,
     # not its own column 0 flagged as dummy.
@@ -278,11 +264,11 @@ def test_named_cases():
                     timestamps=np.array([4.0, 4.0]), num_nodes=3),
         ring_width=2)
     nodes, ts = np.array([0, 1, 2]), np.full(3, 4.0)
-    slots = cut.recent_slots(nodes, ts, 2)
+    slots = cut._ring.slots(nodes, ts, 2)
     assert slots is not None and slots.dummy.all()
     assert not slots.neighbors.any() and not slots.times.any()
     assert not slots.event_ids.any()
-    assert_slots_equal(slots, most_recent_slots(csr_only(cut), nodes, ts, 2))
+    assert_slots_equal(slots, declined(cut, nodes, ts, 2))
 
 
 def test_growth_past_initial_capacity():
@@ -423,13 +409,13 @@ def test_latest_time_reads_never_touch_the_csr(artifact_and_streams,
                                                monkeypatch):
     """Ingest blocks, then queries stamped after the newest event and at
     it (the block's newest event cut from the rows that hold it): zero
-    bisections, zero padded queries and zero delta-CSR lowerings on the
+    bisections, zero CSR queries and zero delta-CSR lowerings on the
     request thread (was one per ingest)."""
     artifact, pre, suffix = artifact_and_streams
     service = EmbeddingService.from_artifact(artifact, history=pre,
                                              cache_capacity=0)
     bisections = _count_calls(monkeypatch, NeighborFinder, "batch_before")
-    padded = _count_calls(monkeypatch, NeighborFinder, "batch_most_recent")
+    queries = _count_calls(monkeypatch, NeighborFinder, "batch_most_recent")
     lowered = _count_calls(monkeypatch, dynamic_finder, "build_temporal_csr")
     try:
         answered = service.finder._ring._answered
@@ -446,7 +432,7 @@ def test_latest_time_reads_never_touch_the_csr(artifact_and_streams,
         assert int(service.finder._ring._declined) == 0
     finally:
         service.close()
-    assert bisections == [] and padded == [] and lowered == []
+    assert bisections == [] and queries == [] and lowered == []
 
 
 def _lines_run(func, *args) -> int:

@@ -3,8 +3,9 @@
 The encoder used to pad every query to ``n_neighbors`` key slots and hide
 the padding behind a ``-1e9`` softmax bias.  That masked attention — and
 the padded embedding layer around it — live on *here*, as the reference
-the ragged implementation is compared with: same parameters, same
-neighbour queries, none of the segment primitives.
+the ragged implementation is compared with: same parameters, the padded
+neighbourhood built row by row from per-node ``most_recent``, none of
+the segment primitives.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.core import CPDGConfig, CPDGPreTrainer
 from repro.core.pretext import LinkPredictionHead
 from repro.dgnn import embed_together, make_encoder
 from repro.graph import EventStream, NeighborFinder, chronological_batches
-from repro.graph.neighbor_finder import most_recent_slots
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.attention import TemporalAttention
@@ -47,6 +47,24 @@ def padded_attention(att: TemporalAttention, query: Tensor, keys: Tensor,
     return att.out_proj(attended.reshape(batch, h * d))
 
 
+def padded_most_recent(finder: NeighborFinder, nodes: np.ndarray,
+                       ts: np.ndarray, count: int):
+    """``(neighbors, times, event_ids, mask)`` of shape ``(B, count)`` from
+    per-node ``most_recent``: each row's entries right-aligned, ``mask``
+    True on the left padding, which holds zeros."""
+    out = (np.zeros((len(nodes), count), dtype=np.int64),
+           np.zeros((len(nodes), count)),
+           np.zeros((len(nodes), count), dtype=np.int64))
+    mask = np.ones((len(nodes), count), dtype=bool)
+    for i, (node, t) in enumerate(zip(nodes, ts)):
+        entries = finder.most_recent(int(node), float(t), count)
+        k = len(entries[0])
+        for column, values in zip(out, entries):
+            column[i, count - k:] = values
+        mask[i, count - k:] = False
+    return (*out, mask)
+
+
 def padded_embedding(encoder, nodes: np.ndarray, ts: np.ndarray) -> Tensor:
     """The padded one-layer TGN embedding: every query gathers, encodes
     and projects ``n_neighbors`` slots; a row without history un-masks
@@ -54,8 +72,8 @@ def padded_embedding(encoder, nodes: np.ndarray, ts: np.ndarray) -> Tensor:
     module = encoder.embedding_module
     n = module.n_neighbors
     memory = encoder.flush_messages()
-    neighbors, times, events, mask = encoder._finder.batch_most_recent(
-        nodes, ts, n)
+    neighbors, times, events, mask = padded_most_recent(encoder._finder,
+                                                        nodes, ts, n)
     center = memory.gather(nodes)
     neighbor_repr = memory.gather(neighbors.reshape(-1))
     zero_enc = encoder.time_encoder(Tensor(np.zeros(len(nodes))))
@@ -140,7 +158,7 @@ class TestRaggedAgainstPadded:
         stream, encoder = _memory_encoder("tgn", edge_dim=0, n_neighbors=6)
         nodes = np.arange(stream.num_nodes)
         ts = np.full(len(nodes), stream.timestamps[40])
-        _, _, _, mask = encoder._finder.batch_most_recent(nodes, ts, 6)
+        *_, mask = padded_most_recent(encoder._finder, nodes, ts, 6)
         valid = int((~mask).sum())
         empty_rows = int(mask.all(axis=1).sum())
         assert empty_rows > 0 and valid < mask.size // 2
@@ -205,8 +223,9 @@ class TestEmbeddingAgainstPadded:
         finder = NeighborFinder(stream)
         nodes = np.arange(stream.num_nodes)
         ts = np.full(len(nodes), stream.timestamps[80])
-        neighbors, times, events, mask = finder.batch_most_recent(nodes, ts, 4)
-        slots = most_recent_slots(finder, nodes, ts, 4)
+        neighbors, times, events, mask = padded_most_recent(finder, nodes,
+                                                            ts, 4)
+        slots = finder.batch_most_recent(nodes, ts, 4)
 
         per_row = np.diff(slots.starts, append=len(slots.rows))
         assert per_row.min() >= 1 and slots.starts[0] == 0

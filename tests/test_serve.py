@@ -4,9 +4,10 @@ ingestion, the query planner/cache, the HTTP frontend, and artifact v2.
 The load-bearing guarantees:
 
 * what the encoder asks a `DynamicNeighborFinder` (`batch_most_recent`,
-  `most_recent_slots` through the ring) is bit-identical to a
-  `NeighborFinder` rebuilt from scratch over the concatenated events —
-  before *and* after compaction;
+  from the ring or, when it declines, the base and delta CSRs) is
+  bit-identical to per-node `most_recent` on a `NeighborFinder` rebuilt
+  from scratch over the concatenated events — before *and* after
+  compaction;
 * `EmbeddingService.embed` after `ingest` is bit-identical to an offline
   encoder that replayed the concatenated stream (all three backbones);
 * format-v2 artifacts round-trip the fine-tuned bundle and still read
@@ -30,7 +31,7 @@ from repro.core.samplers import EtaBFSSampler
 from repro.dgnn.encoder import make_encoder
 from repro.graph.batching import EventBatch
 from repro.graph.events import EventStream
-from repro.graph.neighbor_finder import NeighborFinder, most_recent_slots
+from repro.graph.neighbor_finder import NeighborFinder, NeighborSlots
 from repro.nn.autograd import default_dtype, no_grad
 from repro.serve import (DynamicNeighborFinder, EmbeddingService,
                          HttpClient, IngestError, LocalClient,
@@ -38,6 +39,8 @@ from repro.serve import (DynamicNeighborFinder, EmbeddingService,
                          start_http_server)
 from repro.tasks import FineTuneConfig
 from repro.tasks.ranking import top_k_from_scores
+
+from .test_batch_sampling import assert_slots_equal, most_recent_reference
 
 from . import parent_fixtures as parent
 
@@ -122,6 +125,14 @@ def finder_state(finder: DynamicNeighborFinder) -> tuple:
               for name in ring._ARRAYS))
 
 
+def declined(dyn: DynamicNeighborFinder, nodes: np.ndarray, ts: np.ndarray,
+             count: int) -> NeighborSlots:
+    """``dyn.batch_most_recent`` with the ring declining every batch."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dyn._ring, "slots", lambda *args: None)
+        return dyn.batch_most_recent(nodes, ts, count)
+
+
 def assert_same_state(before: tuple, after: tuple) -> None:
     for was, now in zip(before, after, strict=True):
         np.testing.assert_array_equal(was, now)
@@ -144,24 +155,21 @@ class TestDynamicNeighborFinder:
 
     def _assert_equivalent(self, ref: NeighborFinder,
                            dyn: DynamicNeighborFinder, seed: int) -> None:
-        """Everything the encoder can ask: the padded query at past and
-        future times, and the ragged slots (ring when every row is asked
-        after its newest event, padded path otherwise)."""
+        """Everything the encoder can ask, at past and future times, from
+        the ring (every row asked after its newest event) and with the
+        ring declining (the base and delta CSRs)."""
         rng = np.random.default_rng(seed)
         nodes = rng.integers(0, NUM_NODES, 300)
         ts = rng.uniform(0.0, 130.0, 300)
         for count in (1, 4, 9):
-            expected = ref.batch_most_recent(nodes, ts, count)
-            actual = dyn.batch_most_recent(nodes, ts, count)
-            for exp, act in zip(expected, actual):
-                np.testing.assert_array_equal(exp, act)
             for when in (ts, np.full(300, 130.0)):
-                expected = most_recent_slots(ref, nodes, when, count)
-                actual = most_recent_slots(dyn, nodes, when, count)
-                for exp, act in zip(expected, actual):
-                    np.testing.assert_array_equal(exp, act)
+                expected = most_recent_reference(ref, nodes, when, count)
+                assert_slots_equal(dyn.batch_most_recent(nodes, when, count),
+                                   expected, f"count={count}")
+                assert_slots_equal(declined(dyn, nodes, when, count),
+                                   expected, f"declined count={count}")
         answered = int(dyn._ring._answered)
-        assert dyn.recent_slots(nodes, np.full(300, 130.0), 9) is not None
+        assert dyn._ring.slots(nodes, np.full(300, 130.0), 9) is not None
         assert int(dyn._ring._answered) == answered + 1
 
     @pytest.mark.parametrize("seed", [0, 7, 21])
@@ -215,7 +223,8 @@ class TestDynamicNeighborFinder:
         assert_same_state(before, finder_state(dyn))
         assert dyn.append([1], [2], [t_next]).tolist() == [PRETRAIN_EVENTS]
         assert dyn._t_max == t_next and dyn.num_events == PRETRAIN_EVENTS + 1
-        slots = dyn.recent_slots(np.array([1]), np.array([t_next + 1.0]), 1)
+        slots = dyn.batch_most_recent(np.array([1]),
+                                      np.array([t_next + 1.0]), 1)
         assert slots.neighbors.tolist() == [2]
 
     def test_a_sampler_pointed_at_the_live_finder_fails_by_name(self):

@@ -29,6 +29,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.graph.neighbor_finder import NeighborFinder
 from repro.serve import (CoarseQuantIndex, DynamicNeighborFinder,
                          EmbeddingService, LocalClient, ServeError,
                          SnapshotError, read_snapshot, start_http_server)
@@ -38,8 +39,9 @@ from repro.tasks.ranking import top_k_from_scores
 
 from . import parent_fixtures as parent
 from . import parent_snapshot
-from .test_serve import (NUM_NODES, make_split_stream, pretrain_artifact,
-                         tiny_config)
+from .test_batch_sampling import assert_slots_equal, most_recent_reference
+from .test_serve import (NUM_NODES, declined, make_split_stream,
+                         pretrain_artifact, tiny_config)
 
 
 @pytest.fixture(scope="module")
@@ -524,11 +526,10 @@ class TestBackgroundCompaction:
         t = np.full(NUM_NODES, full.timestamps[-1] + 1.0)
         np.testing.assert_array_equal(finder._base.indptr,
                                       scratch._base.indptr)
-        nbrs_a, ts_a, _, mask_a = finder.batch_most_recent(nodes, t, 5)
-        nbrs_b, ts_b, _, mask_b = scratch.batch_most_recent(nodes, t, 5)
-        np.testing.assert_array_equal(nbrs_a, nbrs_b)
-        np.testing.assert_array_equal(ts_a, ts_b)
-        np.testing.assert_array_equal(mask_a, mask_b)
+        expected = most_recent_reference(NeighborFinder(full), nodes, t, 5)
+        for dyn in (finder, scratch):
+            assert_slots_equal(dyn.batch_most_recent(nodes, t, 5), expected)
+            assert_slots_equal(declined(dyn, nodes, t, 5), expected)
 
     def test_superseded_job_is_discarded(self):
         _, pre, suffix = make_split_stream(seed=9)
